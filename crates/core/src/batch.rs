@@ -48,89 +48,8 @@ use std::thread;
 
 use wsync_stats::{OnlineStats, Summary};
 
-use crate::good_samaritan::GoodSamaritanConfig;
 use crate::report::SyncOutcome;
-use crate::runner::{good_samaritan_component, trapdoor_component, Scenario};
-use crate::sim::Sim;
-use crate::spec::ComponentSpec;
-use crate::trapdoor::TrapdoorConfig;
-
-/// Typed shorthand for the built-in protocols, optionally with an explicit
-/// configuration.
-///
-/// Like [`AdversaryKind`](crate::runner::AdversaryKind), this enum predates
-/// the open [`registry`](crate::registry): it remains as a typo-proof way
-/// to name a built-in protocol and converts into the registry's
-/// [`ComponentSpec`] form via [`Into`]. Protocols added by downstream
-/// crates have no variant here — address them by name through
-/// [`Sim`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ProtocolKind {
-    /// The Trapdoor Protocol with default constants.
-    #[default]
-    Trapdoor,
-    /// The Trapdoor Protocol with an explicit configuration.
-    TrapdoorWith(TrapdoorConfig),
-    /// The Good Samaritan Protocol with default constants.
-    GoodSamaritan,
-    /// The Good Samaritan Protocol with an explicit configuration.
-    GoodSamaritanWith(GoodSamaritanConfig),
-    /// The multi-frequency wake-up-style baseline.
-    Wakeup,
-    /// The deterministic round-robin hopping baseline.
-    RoundRobin,
-    /// The single-frequency Trapdoor baseline.
-    SingleFrequency,
-}
-
-impl ProtocolKind {
-    /// The registry component this variant denotes.
-    pub fn to_component(&self) -> ComponentSpec {
-        match self {
-            ProtocolKind::Trapdoor => ComponentSpec::named("trapdoor"),
-            ProtocolKind::TrapdoorWith(config) => trapdoor_component(config),
-            ProtocolKind::GoodSamaritan => ComponentSpec::named("good-samaritan"),
-            ProtocolKind::GoodSamaritanWith(config) => good_samaritan_component(config),
-            ProtocolKind::Wakeup => ComponentSpec::named("wakeup"),
-            ProtocolKind::RoundRobin => ComponentSpec::named("round-robin"),
-            ProtocolKind::SingleFrequency => ComponentSpec::named("single-frequency"),
-        }
-    }
-
-    /// Runs one trial of this protocol on `scenario` with `seed`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Sim::from_scenario(scenario, kind.to_component())?.run_one(seed)`"
-    )]
-    pub fn run_trial(&self, scenario: &Scenario, seed: u64) -> SyncOutcome {
-        Sim::from_scenario(scenario, self.to_component())
-            .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-            .run_one(seed)
-    }
-
-    /// A short name for experiment tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ProtocolKind::Trapdoor | ProtocolKind::TrapdoorWith(_) => "trapdoor",
-            ProtocolKind::GoodSamaritan | ProtocolKind::GoodSamaritanWith(_) => "good-samaritan",
-            ProtocolKind::Wakeup => "wakeup",
-            ProtocolKind::RoundRobin => "round-robin",
-            ProtocolKind::SingleFrequency => "single-frequency",
-        }
-    }
-}
-
-impl From<ProtocolKind> for ComponentSpec {
-    fn from(kind: ProtocolKind) -> Self {
-        kind.to_component()
-    }
-}
-
-impl From<&ProtocolKind> for ComponentSpec {
-    fn from(kind: &ProtocolKind) -> Self {
-        kind.to_component()
-    }
-}
+use crate::runner::Scenario;
 
 /// How many seeds a worker may run ahead of the in-order fold cursor in
 /// [`BatchRunner::try_map_each`] before stalling. Bounds the collector's
@@ -404,40 +323,6 @@ impl BatchRunner {
     {
         self.map(seeds, |seed| trial(scenario, seed))
     }
-
-    /// Runs `protocol` on `scenario` for every seed and returns the
-    /// outcomes in seed order.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Sim::from_scenario(scenario, protocol.to_component())?.seeds(seeds).run(&runner)`"
-    )]
-    pub fn run(
-        &self,
-        scenario: &Scenario,
-        protocol: &ProtocolKind,
-        seeds: Range<u64>,
-    ) -> Vec<SyncOutcome> {
-        Sim::from_scenario(scenario, protocol.to_component())
-            .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-            .seeds(seeds)
-            .run(self)
-    }
-
-    /// Runs `protocol` on `scenario` for every seed and folds the outcomes
-    /// directly into [`BatchStats`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Sim::from_scenario(scenario, protocol.to_component())?.seeds(seeds).run_stats(&runner)`"
-    )]
-    pub fn run_stats(
-        &self,
-        scenario: &Scenario,
-        protocol: &ProtocolKind,
-        seeds: Range<u64>,
-    ) -> BatchStats {
-        #[allow(deprecated)]
-        BatchStats::aggregate(&self.run(scenario, protocol, seeds))
-    }
 }
 
 /// Aggregate statistics over a batch of [`SyncOutcome`]s.
@@ -593,6 +478,7 @@ impl BatchStatsFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Sim;
     use crate::spec::ScenarioSpec;
 
     fn spec() -> ScenarioSpec {
@@ -757,38 +643,6 @@ mod tests {
         // completion round is never later than observed rounds, and the
         // per-node worst never exceeds the completion round
         assert!(stats.rounds_to_sync.max <= stats.completion_rounds.max);
-    }
-
-    #[test]
-    fn every_protocol_kind_maps_onto_the_registry() {
-        let scenario = Scenario::new(4, 8, 1).with_adversary("random");
-        let kinds = [
-            ProtocolKind::Trapdoor,
-            ProtocolKind::TrapdoorWith(TrapdoorConfig::new(4, 8, 1)),
-            ProtocolKind::GoodSamaritan,
-            ProtocolKind::GoodSamaritanWith(GoodSamaritanConfig::new(4, 8, 1)),
-            ProtocolKind::Wakeup,
-            ProtocolKind::RoundRobin,
-            ProtocolKind::SingleFrequency,
-        ];
-        for kind in &kinds {
-            let sim = Sim::from_scenario(&scenario, kind.to_component()).unwrap();
-            let outcomes = sim.seeds(0..2).run(&BatchRunner::with_workers(2));
-            assert_eq!(outcomes.len(), 2);
-            assert!(!kind.name().is_empty());
-            assert_eq!(kind.to_component().name(), kind.name());
-            // the deprecated wrappers produce identical outcomes
-            #[allow(deprecated)]
-            let legacy = kind.run_trial(&scenario, 0);
-            assert_eq!(outcomes[0], legacy);
-            #[allow(deprecated)]
-            let legacy_batch = BatchRunner::with_workers(2).run(&scenario, kind, 0..2);
-            assert_eq!(outcomes, legacy_batch);
-            // the deprecated stats wrapper folds to identical aggregates
-            #[allow(deprecated)]
-            let legacy_stats = BatchRunner::with_workers(2).run_stats(&scenario, kind, 0..2);
-            assert_eq!(legacy_stats, BatchStats::aggregate(&outcomes));
-        }
     }
 
     #[test]

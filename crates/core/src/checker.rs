@@ -2,8 +2,7 @@
 //! problem.
 //!
 //! [`PropertyChecker`] implements the radio engine's streaming
-//! [`Probe`] hook (and the legacy [`Observer`] hook) and verifies, round by
-//! round and with O(n) memory:
+//! [`Probe`] hook and verifies, round by round and with O(n) memory:
 //!
 //! * **synch commit** — no node reverts from a round number to `⊥`;
 //! * **correctness** — a node outputting `i` outputs `i + 1` next round;
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use wsync_radio::engine::ExecutionResult;
 use wsync_radio::node::NodeId;
 use wsync_radio::probe::Probe;
-use wsync_radio::trace::{NodeView, Observer, RoundObservation};
+use wsync_radio::trace::{NodeView, RoundObservation};
 
 /// A single property violation detected during an execution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -194,8 +193,10 @@ impl PropertyChecker {
             completion_round: None,
         }
     }
+}
 
-    fn observe_round(&mut self, observation: &RoundObservation<'_>) {
+impl Probe for PropertyChecker {
+    fn observe(&mut self, observation: &RoundObservation<'_>) {
         let n = observation.nodes.len();
         if self.previous.len() < n {
             self.previous.resize(n, None);
@@ -263,18 +264,6 @@ impl PropertyChecker {
     }
 }
 
-impl Observer for PropertyChecker {
-    fn on_round(&mut self, observation: &RoundObservation<'_>) {
-        self.observe_round(observation);
-    }
-}
-
-impl Probe for PropertyChecker {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        self.observe_round(observation);
-    }
-}
-
 #[cfg(test)]
 mod checker_tests {
     use super::*;
@@ -297,7 +286,7 @@ mod checker_tests {
                 .collect();
             let actions = vec![ActionView::Sleep; nodes.len()];
             let disrupted = DisruptionSet::empty(1);
-            checker.on_round(&RoundObservation {
+            checker.observe(&RoundObservation {
                 round: r as u64,
                 newly_activated: &[],
                 actions: &actions,
@@ -424,7 +413,7 @@ mod checker_tests {
                 .collect();
             let actions = vec![ActionView::Sleep; nodes.len()];
             let disrupted = DisruptionSet::empty(1);
-            checker.on_round(&RoundObservation {
+            checker.observe(&RoundObservation {
                 round: r as u64,
                 newly_activated: &[],
                 actions: &actions,

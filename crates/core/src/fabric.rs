@@ -52,12 +52,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::batch::{BatchStats, BatchStatsFold};
 use crate::json::{self, Value};
 use crate::sim::Sim;
 use crate::spec::{SpecError, SweepSpec};
 use crate::store::{fnv1a, shard_index, ResultStore, StoreError, SHARD_COUNT};
-use crate::sweep::{StopReason, StoppingRule};
+use crate::sweep::{BatchSchedule, StopReason};
 
 /// The fabric's clock boundary. Lease staleness is the one decision in
 /// the workspace that is *inherently* time-based: it measures whether
@@ -679,17 +678,21 @@ pub fn clean_stop_markers(dir: impl AsRef<Path>) -> Result<usize, FabricError> {
 /// identity, so concurrent workers spread over different shards instead
 /// of convoying on shard 0.
 ///
-/// A sweep that declares a [`StoppingRule`] runs in *phase-locked seed
-/// batches* instead of one flat partition: each phase drains one batch
-/// window through the same lease protocol, then every worker folds the
-/// store's seed-ordered prefix and applies
-/// [`StoppingRule::decide_batch`] — the same pure decision the in-process
-/// runner uses, over the same bytes, so all processes derive identical
-/// verdicts independently. The first worker to derive a stop publishes a
-/// marker file ([`stop_marker_path`]) that late-starting peers honor
-/// without recomputation; trials past a stopped point's boundary are
-/// never scheduled, and the final sorted shard bytes are identical to a
-/// single-process adaptive run.
+/// The worker drives the same batch schedule as the in-process
+/// [`SweepRunner`](crate::sweep::SweepRunner), one *phase* per window:
+/// each phase drains its window through the lease protocol. A fixed-count
+/// sweep is one phase over the whole seed range. A sweep that declares a
+/// [`StoppingRule`](crate::sweep::StoppingRule) runs phase-locked seed
+/// batches: after each drain every worker folds the newly stored window,
+/// in seed order, into per-point folds it keeps across phases, and
+/// applies [`StoppingRule::decide_batch`](crate::sweep::StoppingRule::decide_batch)
+/// — the same pure decision the in-process runner uses, over the same
+/// bytes, so all processes derive identical verdicts independently. The
+/// first worker to derive a stop publishes a marker file
+/// ([`stop_marker_path`]) that late-starting peers honor without
+/// recomputation; trials past a stopped point's boundary are never
+/// scheduled, and the final sorted shard bytes are identical to a
+/// single-process run.
 pub fn run_worker<F>(
     store_dir: impl AsRef<Path>,
     sweep: &SweepSpec,
@@ -701,63 +704,82 @@ where
 {
     let dir = store_dir.as_ref();
     let store = ResultStore::open_shared(dir)?;
-    match &sweep.stop {
-        None => run_worker_fixed(dir, &store, sweep, config, &mut on_event),
-        Some(rule) => run_worker_adaptive(dir, &store, sweep, rule, config, &mut on_event),
-    }
-}
-
-fn run_worker_fixed<F>(
-    dir: &Path,
-    store: &ResultStore,
-    sweep: &SweepSpec,
-    config: &FabricConfig,
-    on_event: &mut F,
-) -> Result<WorkerSummary, FabricError>
-where
-    F: FnMut(&WorkerEvent),
-{
-    let seeds = sweep.seeds()?;
-    let points = sweep.expand()?;
-    let sims: Vec<Sim> = points
+    let seeds = sweep.effective_seeds()?;
+    let sims: Vec<Sim> = sweep
+        .expand()?
         .iter()
         .map(|point| Sim::from_spec(&point.spec))
         .collect::<Result<_, SpecError>>()?;
     let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-
-    // Partition the sweep's trials by their store shard: the shard is the
-    // fabric's unit of work, and the holder of its lease executes exactly
-    // the trials routed to it (in deterministic point-major order).
-    let mut by_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); SHARD_COUNT];
-    for (point, &digest) in digests.iter().enumerate() {
-        for seed in seeds.clone() {
-            by_shard[shard_index(digest, seed)].push((point, seed));
-        }
-    }
+    let digest = sweep_digest(sweep);
 
     let mut summary = WorkerSummary::default();
     // This worker's private view of peer lease stamps: a peer's lease is
     // only ever reclaimed after *this* process has watched its beat
     // counter stay frozen for a full TTL on its own monotonic clock.
     let mut watch = LeaseWatch::new();
-    drain_shards(
-        dir,
-        store,
-        &sims,
-        &digests,
-        &by_shard,
-        config,
-        &mut watch,
-        &mut summary,
-        on_event,
-    )?;
+    let mut schedule = BatchSchedule::new(sims.len(), seeds, sweep.stop.as_ref());
+    let mut announced: Vec<bool> = vec![false; sims.len()];
+    loop {
+        // Honor verdicts peers have already published: a late-starting
+        // worker never schedules trials past a stopped point's boundary.
+        for point in schedule.open_points() {
+            if let Some((reason, used)) = read_stop_marker(dir, digest, point)? {
+                schedule.stop_at(point, reason, used);
+            }
+        }
+        let Some(window) = schedule.next_window() else {
+            break;
+        };
+        // Partition the window's trials by their store shard: the shard is
+        // the fabric's unit of work, and the holder of its lease executes
+        // exactly the trials routed to it (in deterministic point-major
+        // order).
+        let mut by_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); SHARD_COUNT];
+        for &point in &window.points {
+            for seed in window.seeds.clone() {
+                by_shard[shard_index(digests[point], seed)].push((point, seed));
+            }
+        }
+        drain_shards(
+            dir,
+            &store,
+            &sims,
+            &digests,
+            &by_shard,
+            config,
+            &mut watch,
+            &mut summary,
+            &mut on_event,
+        )?;
+        // The window is now stored by whoever drained it: every process
+        // folds the same bytes in the same order.
+        schedule.fold_stored(&window, |point, seed| store.get(digests[point], seed));
+        for point in schedule.close(&window) {
+            if let Some((reason, used)) = schedule.verdict(point) {
+                write_stop_marker(dir, digest, point, reason, used)?;
+            }
+        }
+        for (point, announced) in announced.iter_mut().enumerate() {
+            if let Some((reason, seeds_used)) = schedule.verdict(point) {
+                if !*announced {
+                    *announced = true;
+                    summary.points_stopped += 1;
+                    on_event(&WorkerEvent::PointStopped {
+                        point,
+                        seeds_used,
+                        reason,
+                    });
+                }
+            }
+        }
+    }
     Ok(summary)
 }
 
 /// Drains one shard-partitioned work list to completion under the lease
-/// protocol: the single pass-claim-execute-release loop shared by the
-/// fixed path (whole sweep at once) and the adaptive path (one batch
-/// window per call). Returns once every listed trial is stored.
+/// protocol: the pass-claim-execute-release loop behind every phase of
+/// [`run_worker`]. Returns once every listed trial is stored.
 #[allow(clippy::too_many_arguments)]
 fn drain_shards<F>(
     dir: &Path,
@@ -862,120 +884,6 @@ where
             std::thread::sleep(config.poll_interval);
         }
     }
-}
-
-fn run_worker_adaptive<F>(
-    dir: &Path,
-    store: &ResultStore,
-    sweep: &SweepSpec,
-    rule: &StoppingRule,
-    config: &FabricConfig,
-    on_event: &mut F,
-) -> Result<WorkerSummary, FabricError>
-where
-    F: FnMut(&WorkerEvent),
-{
-    let seeds = sweep.effective_seeds()?;
-    let points = sweep.expand()?;
-    let sims: Vec<Sim> = points
-        .iter()
-        .map(|point| Sim::from_spec(&point.spec))
-        .collect::<Result<_, SpecError>>()?;
-    let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-    let digest = sweep_digest(sweep);
-    let n = points.len();
-
-    let mut summary = WorkerSummary::default();
-    let mut watch = LeaseWatch::new();
-    // Per-point seed cap: the budget end until a stop verdict tightens it
-    // to the verdict's batch boundary.
-    let mut limit: Vec<u64> = vec![seeds.end; n];
-    let mut stopped: Vec<Option<StopReason>> = vec![None; n];
-    let mut announced: Vec<bool> = vec![false; n];
-
-    let mut next = seeds.start;
-    while next < seeds.end {
-        // Honor verdicts peers have already published: a late-starting
-        // worker never schedules trials past a stopped point's boundary.
-        for point in 0..n {
-            if stopped[point].is_none() {
-                if let Some((reason, used)) = read_stop_marker(dir, digest, point)? {
-                    stopped[point] = Some(reason);
-                    limit[point] = seeds.start + used;
-                }
-            }
-        }
-        let batch_end = seeds.end.min(next + rule.batch);
-        // The trials this phase still owes the store, shard-partitioned
-        // exactly like the fixed path partitions the whole sweep.
-        let mut by_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); SHARD_COUNT];
-        let mut phase_trials = 0u64;
-        for (point, &point_digest) in digests.iter().enumerate() {
-            for seed in next..batch_end.min(limit[point]) {
-                by_shard[shard_index(point_digest, seed)].push((point, seed));
-                phase_trials += 1;
-            }
-        }
-        if phase_trials == 0 {
-            // Every surviving point is capped below this window.
-            break;
-        }
-        drain_shards(
-            dir,
-            store,
-            &sims,
-            &digests,
-            &by_shard,
-            config,
-            &mut watch,
-            &mut summary,
-            on_event,
-        )?;
-        // The whole prefix is now stored. Fold it per point in seed order
-        // and apply the shared pure decision — every process folds the
-        // same bytes in the same order, so all derive identical verdicts.
-        let stats: Vec<BatchStats> = (0..n)
-            .map(|point| {
-                let mut fold = BatchStatsFold::new();
-                for seed in seeds.start..batch_end.min(limit[point]) {
-                    // Present by construction: drain_shards returned, and
-                    // earlier phases completed before this one started.
-                    if let Some(outcome) = store.get(digests[point], seed) {
-                        fold.push(&outcome);
-                    }
-                }
-                fold.finish()
-            })
-            .collect();
-        let before = stopped.clone();
-        rule.decide_batch(&stats, &mut stopped, batch_end - seeds.start);
-        for point in 0..n {
-            if before[point].is_none() {
-                if let Some(reason) = stopped[point] {
-                    limit[point] = batch_end;
-                    write_stop_marker(dir, digest, point, reason, batch_end - seeds.start)?;
-                }
-            }
-        }
-        for point in 0..n {
-            if let Some(reason) = stopped[point] {
-                if !announced[point] {
-                    announced[point] = true;
-                    summary.points_stopped += 1;
-                    on_event(&WorkerEvent::PointStopped {
-                        point,
-                        seeds_used: limit[point] - seeds.start,
-                        reason,
-                    });
-                }
-            }
-        }
-        next = batch_end;
-        if stopped.iter().all(Option::is_some) {
-            break;
-        }
-    }
-    Ok(summary)
 }
 
 #[cfg(test)]
@@ -1200,7 +1108,7 @@ mod tests {
     }
 
     fn adaptive_sweep() -> SweepSpec {
-        use crate::sweep::StopMetric;
+        use crate::sweep::{StopMetric, StoppingRule};
         small_sweep().with_stop(
             StoppingRule::new(StopMetric::SyncRate, 0.3)
                 .with_min_seeds(4)

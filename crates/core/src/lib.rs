@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::baselines::{
         RoundRobinConfig, RoundRobinProtocol, WakeupConfig, WakeupProtocol,
     };
-    pub use crate::batch::{BatchRunner, BatchStats, BatchStatsFold, ProtocolKind};
+    pub use crate::batch::{BatchRunner, BatchStats, BatchStatsFold};
     pub use crate::checker::{PropertyChecker, PropertyReport, Violation};
     pub use crate::fabric::{FabricConfig, FabricError, WorkerEvent, WorkerSummary};
     pub use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol, SamaritanRole};
@@ -93,20 +93,12 @@ pub mod prelude {
     pub use crate::problem::{ProblemInstance, SyncOutput};
     pub use crate::registry::{ProbeOutput, Registry, SimProbe};
     pub use crate::report::SyncOutcome;
-    pub use crate::runner::{run_protocol, AdversaryKind, Scenario, SyncProtocol};
-    // The deprecated shorthands stay importable so pre-registry code keeps
-    // compiling (with a deprecation warning at the call site, not a break).
-    #[allow(deprecated)]
-    pub use crate::runner::{
-        run_good_samaritan, run_good_samaritan_with, run_round_robin, run_single_frequency,
-        run_trapdoor, run_trapdoor_with, run_wakeup,
-    };
+    pub use crate::runner::{run_protocol, Scenario, SyncProtocol};
     pub use crate::sim::{ProbedOutcome, Sim};
     pub use crate::spec::{ComponentSpec, ScenarioSpec, SpecError, SweepSpec};
     pub use crate::store::ResultStore;
     pub use crate::sweep::{
-        estimate_rare_event, PointStats, StopMetric, StopReason, StoppingRule, SweepReport,
-        SweepRunner,
+        PointStats, StopMetric, StopReason, StoppingRule, SweepReport, SweepRunner,
     };
     pub use crate::timestamp::Timestamp;
     pub use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol, TrapdoorRole};

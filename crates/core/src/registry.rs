@@ -1147,8 +1147,8 @@ fn global() -> &'static RwLock<Registry> {
 }
 
 /// Registers a protocol factory in the process-global registry used by
-/// [`Sim::from_spec`](crate::sim::Sim::from_spec) and the deprecated
-/// shorthands. Downstream crates call this once at startup.
+/// [`Sim::from_spec`](crate::sim::Sim::from_spec). Downstream crates call
+/// this once at startup.
 pub fn register_protocol(name: impl Into<String>, factory: Arc<dyn ProtocolFactory>) {
     global()
         .write()

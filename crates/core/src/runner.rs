@@ -3,7 +3,7 @@
 //! A [`Scenario`] describes one synchronization setting — how many devices,
 //! how many frequencies, the disruption bound, which adversary (by registry
 //! name, see [`crate::registry`]), and the activation schedule. The primary
-//! way to execute one is the [`Sim`] builder:
+//! way to execute one is the [`Sim`](crate::sim::Sim) builder:
 //!
 //! ```
 //! use wsync_core::sim::Sim;
@@ -17,8 +17,7 @@
 //!
 //! [`run_protocol`] remains the statically-typed escape hatch for custom
 //! protocol types that are not registered (e.g. the fault-tolerance
-//! crash wrapper); the per-protocol `run_*` shorthands are deprecated thin
-//! wrappers over the registry path.
+//! crash wrapper).
 
 use wsync_radio::activation::ActivationSchedule;
 use wsync_radio::adversary::{Adversary, DisruptionSet};
@@ -38,7 +37,6 @@ use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
 use crate::params::next_power_of_two;
 use crate::registry;
 use crate::report::SyncOutcome;
-use crate::sim::Sim;
 use crate::spec::ComponentSpec;
 use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 
@@ -87,95 +85,6 @@ impl SyncProtocol for RoundRobinProtocol {
     }
     fn protocol_name(&self) -> &'static str {
         "round-robin"
-    }
-}
-
-/// Typed shorthand for the built-in adversaries.
-///
-/// This enum predates the open [`registry`]; it remains as
-/// a convenient, typo-proof way to name a built-in adversary
-/// (`scenario.with_adversary(AdversaryKind::Random)`) and converts into the
-/// registry's [`ComponentSpec`] form via [`Into`]. Adversaries added by
-/// downstream crates have no variant here — they are addressed by name —
-/// which is exactly why the `build` method here is deprecated in favour of
-/// the registry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AdversaryKind {
-    /// No disruption at all.
-    None,
-    /// Always disrupt frequencies `1..=t` (the Theorem 1 weak adversary).
-    FixedBand,
-    /// Disrupt `t` fresh uniformly random frequencies each round.
-    Random,
-    /// A sweeping window of `t` frequencies.
-    Sweep,
-    /// Bursty interference: jam `t` random frequencies during the first
-    /// `burst_len` rounds of every `period`-round cycle.
-    Bursty {
-        /// Cycle length in rounds.
-        period: u64,
-        /// Jamming rounds at the start of each cycle.
-        burst_len: u64,
-    },
-    /// Adaptive: jam the `t` frequencies with the most recent listeners.
-    AdaptiveGreedy,
-    /// Oblivious adversary jamming exactly `t_actual ≤ t` random frequencies
-    /// per round, pre-sampled before the execution (the Good Samaritan
-    /// good-execution adversary).
-    ObliviousRandom {
-        /// Actual number of frequencies disrupted per round (`t′`).
-        t_actual: u32,
-    },
-}
-
-impl AdversaryKind {
-    /// A short name for experiment tables — the same string the registry
-    /// uses as this adversary's key.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdversaryKind::None => "none",
-            AdversaryKind::FixedBand => "fixed-band",
-            AdversaryKind::Random => "random",
-            AdversaryKind::Sweep => "sweep",
-            AdversaryKind::Bursty { .. } => "bursty",
-            AdversaryKind::AdaptiveGreedy => "adaptive-greedy",
-            AdversaryKind::ObliviousRandom { .. } => "oblivious-random",
-        }
-    }
-
-    /// The registry component this variant denotes.
-    pub fn to_component(&self) -> ComponentSpec {
-        match self {
-            AdversaryKind::Bursty { period, burst_len } => ComponentSpec::named("bursty")
-                .with("period", *period)
-                .with("burst_len", *burst_len),
-            AdversaryKind::ObliviousRandom { t_actual } => {
-                ComponentSpec::named("oblivious-random").with("t_actual", u64::from(*t_actual))
-            }
-            other => ComponentSpec::named(other.name()),
-        }
-    }
-
-    /// Instantiates the adversary for a given scenario and seed.
-    #[deprecated(
-        since = "0.2.0",
-        note = "resolve through the registry instead: `registry::build_adversary(&kind.to_component(), scenario, seed)`"
-    )]
-    pub fn build(&self, scenario: &Scenario, seed: u64) -> BoxedAdversary {
-        registry::build_adversary(&self.to_component(), scenario, seed)
-            .expect("built-in adversaries always resolve against the default registry")
-    }
-}
-
-impl From<AdversaryKind> for ComponentSpec {
-    fn from(kind: AdversaryKind) -> Self {
-        kind.to_component()
-    }
-}
-
-impl From<&AdversaryKind> for ComponentSpec {
-    fn from(kind: &AdversaryKind) -> Self {
-        kind.to_component()
     }
 }
 
@@ -294,8 +203,8 @@ impl Scenario {
         }
     }
 
-    /// Sets the adversary — a registry name (`"random"`), a
-    /// [`ComponentSpec`] with parameters, or a typed [`AdversaryKind`].
+    /// Sets the adversary — a registry name (`"random"`) or a
+    /// [`ComponentSpec`] with parameters.
     pub fn with_adversary(mut self, adversary: impl Into<ComponentSpec>) -> Self {
         self.adversary = adversary.into();
         self
@@ -463,12 +372,6 @@ where
     execute(scenario, factory, adversary, seed)
 }
 
-fn run_named(scenario: &Scenario, protocol: impl Into<ComponentSpec>, seed: u64) -> SyncOutcome {
-    Sim::from_scenario(scenario, protocol)
-        .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-        .run_one(seed)
-}
-
 /// The registry parameters equivalent to an explicit [`TrapdoorConfig`].
 pub fn trapdoor_component(config: &TrapdoorConfig) -> ComponentSpec {
     let mut component = ComponentSpec::named("trapdoor")
@@ -503,76 +406,16 @@ pub fn good_samaritan_component(config: &GoodSamaritanConfig) -> ComponentSpec {
         )
 }
 
-/// Runs the Trapdoor Protocol (default constants) on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"trapdoor\")` or a ScenarioSpec"
-)]
-pub fn run_trapdoor(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "trapdoor", seed)
-}
-
-/// Runs the Trapdoor Protocol with an explicit configuration on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, trapdoor_component(&config))`"
-)]
-pub fn run_trapdoor_with(scenario: &Scenario, config: TrapdoorConfig, seed: u64) -> SyncOutcome {
-    run_named(scenario, trapdoor_component(&config), seed)
-}
-
-/// Runs the Good Samaritan Protocol (default constants) on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"good-samaritan\")` or a ScenarioSpec"
-)]
-pub fn run_good_samaritan(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "good-samaritan", seed)
-}
-
-/// Runs the Good Samaritan Protocol with an explicit configuration.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, good_samaritan_component(&config))`"
-)]
-pub fn run_good_samaritan_with(
-    scenario: &Scenario,
-    config: GoodSamaritanConfig,
-    seed: u64,
-) -> SyncOutcome {
-    run_named(scenario, good_samaritan_component(&config), seed)
-}
-
-/// Runs the wake-up-style baseline on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"wakeup\")` or a ScenarioSpec"
-)]
-pub fn run_wakeup(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "wakeup", seed)
-}
-
-/// Runs the deterministic round-robin hopping baseline on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"round-robin\")` or a ScenarioSpec"
-)]
-pub fn run_round_robin(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "round-robin", seed)
-}
-
-/// Runs the single-frequency Trapdoor baseline on `scenario`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Sim::from_scenario(scenario, \"single-frequency\")` or a ScenarioSpec"
-)]
-pub fn run_single_frequency(scenario: &Scenario, seed: u64) -> SyncOutcome {
-    run_named(scenario, "single-frequency", seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Sim;
+
+    fn run_named(scenario: &Scenario, protocol: &str, seed: u64) -> SyncOutcome {
+        Sim::from_scenario(scenario, protocol)
+            .expect("valid scenario")
+            .run_one(seed)
+    }
 
     #[test]
     fn scenario_defaults() {
@@ -586,35 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn adversary_kind_converts_and_builds_all_variants() {
-        let s = Scenario::new(4, 8, 3);
-        for kind in [
-            AdversaryKind::None,
-            AdversaryKind::FixedBand,
-            AdversaryKind::Random,
-            AdversaryKind::Sweep,
-            AdversaryKind::Bursty {
-                period: 10,
-                burst_len: 2,
-            },
-            AdversaryKind::AdaptiveGreedy,
-            AdversaryKind::ObliviousRandom { t_actual: 2 },
-        ] {
-            let component = kind.to_component();
-            assert_eq!(component.name(), kind.name());
-            let mut adv = registry::build_adversary(&component, &s, 1).expect("builtin resolves");
-            let band = FrequencyBand::new(8);
-            let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
-            assert!(set.len() <= 8);
-            // the deprecated wrapper builds the identical adversary
-            #[allow(deprecated)]
-            let mut legacy = kind.build(&s, 1);
-            let legacy_set = legacy.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
-            assert_eq!(set, legacy_set);
-        }
-    }
-
-    #[test]
     fn trapdoor_small_scenario_synchronizes_cleanly() {
         let scenario = Scenario::new(8, 8, 2).with_adversary("random");
         let outcome = run_named(&scenario, "trapdoor", 11);
@@ -622,15 +436,6 @@ mod tests {
         assert_eq!(outcome.leaders, 1);
         assert!(outcome.properties.all_hold());
         assert!(outcome.is_clean());
-    }
-
-    #[test]
-    fn deprecated_shorthands_match_the_registry_path() {
-        let scenario = Scenario::new(8, 8, 2).with_adversary(AdversaryKind::Random);
-        #[allow(deprecated)]
-        let legacy = run_trapdoor(&scenario, 11);
-        let registry_path = run_named(&scenario, "trapdoor", 11);
-        assert_eq!(legacy, registry_path);
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! names resolve against the [`registry`], their
 //! parameters are type-checked, and the instance passes
 //! `SimConfig::validate` — so a bad spec is a typed [`SpecError`] at build
-//! time, never a panic mid-run. The deprecated `run_*` shorthands,
-//! `run_trial` on `ProtocolKind`, and `BatchRunner::run` are all thin wrappers
-//! over this type.
+//! time, never a panic mid-run.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -38,7 +36,7 @@ use crate::registry::{
 use crate::report::SyncOutcome;
 use crate::runner::{execute_probed, Scenario};
 use crate::spec::{ComponentSpec, ScenarioSpec, SpecError};
-use crate::store::{spec_digest, ResultStore};
+use crate::store::spec_digest;
 use crate::{registry, spec};
 
 /// One trial's outcome together with the outputs of the spec's declared
@@ -49,10 +47,8 @@ pub struct ProbedOutcome {
     /// probes or not.
     pub outcome: SyncOutcome,
     /// The declared probes' finalized outputs, in declaration order —
-    /// `None` when the trial was served from an attached [`ResultStore`]
-    /// without executing the engine (probes observe live executions only;
-    /// use [`SweepRunner::record_only`](crate::sweep::SweepRunner::record_only)
-    /// semantics to force execution).
+    /// always `Some`, since [`Sim::run_probed`] executes the engine on
+    /// every call.
     pub probes: Option<Vec<ProbeOutput>>,
 }
 
@@ -68,7 +64,6 @@ pub struct Sim {
     faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
     seeds: Range<u64>,
     digest: u64,
-    store: Option<Arc<ResultStore>>,
 }
 
 impl Sim {
@@ -155,7 +150,6 @@ impl Sim {
             faults: fault_factories,
             seeds: 0..1,
             digest: spec_digest(spec),
-            store: None,
         })
     }
 
@@ -181,17 +175,6 @@ impl Sim {
         self.seeds.clone()
     }
 
-    /// Attaches a persistent [`ResultStore`]: subsequent
-    /// [`run_one`](Self::run_one) / [`run`](Self::run) calls serve
-    /// already-stored trials from the cache without executing the engine,
-    /// and persist every trial they do execute. Trials are keyed by the
-    /// canonical spec digest ([`spec_digest`]), so equivalent `Sim`s built
-    /// in different processes share entries.
-    pub fn store(mut self, store: &Arc<ResultStore>) -> Self {
-        self.store = Some(Arc::clone(store));
-        self
-    }
-
     /// The canonical content digest of this simulation's resolved spec —
     /// the key its trials are stored under.
     pub fn digest(&self) -> u64 {
@@ -199,52 +182,29 @@ impl Sim {
     }
 
     /// Runs a single trial. Executions are a pure function of
-    /// `(spec, seed)`; with a [`store`](Self::store) attached, an
-    /// already-stored trial is returned without touching the engine.
+    /// `(spec, seed)`; to cache trials in a [`ResultStore`](crate::store::ResultStore),
+    /// run them through a [`SweepRunner`](crate::sweep::SweepRunner).
     ///
     /// Declared probes are *not* run on this path (their outputs would be
     /// discarded); use [`run_probed`](Self::run_probed) to carry them. The
     /// outcome is identical either way — probes only observe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if persisting a fresh outcome to the attached store fails
-    /// (`run_one` stays infallible; orchestration layers that need typed
-    /// store errors use [`SweepRunner`](crate::sweep::SweepRunner)).
     pub fn run_one(&self, seed: u64) -> SyncOutcome {
         self.run_inner(seed, false).outcome
     }
 
     /// Runs a single trial with the spec's declared probes attached to the
     /// engine's probe stack, returning the outcome together with each
-    /// probe's finalized output.
-    ///
-    /// With a [`store`](Self::store) attached, an already-stored trial is
-    /// served from the cache with `probes: None` — the engine did not run,
-    /// so there was nothing to observe. The outcome itself is bit-identical
-    /// to [`run_one`](Self::run_one) in every case (probes never perturb an
-    /// execution, and the store digest deliberately excludes them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if persisting a fresh outcome to the attached store fails,
-    /// like [`run_one`](Self::run_one).
+    /// probe's finalized output. The outcome is bit-identical to
+    /// [`run_one`](Self::run_one) (probes never perturb an execution, and
+    /// the store digest deliberately excludes them).
     pub fn run_probed(&self, seed: u64) -> ProbedOutcome {
         self.run_inner(seed, true)
     }
 
     /// The one trial path behind [`run_one`](Self::run_one) and
-    /// [`run_probed`](Self::run_probed): cache lookup, adversary (and
-    /// optionally probe) construction, execution, persistence.
+    /// [`run_probed`](Self::run_probed): adversary (and optionally probe)
+    /// construction, then execution.
     fn run_inner(&self, seed: u64, probed: bool) -> ProbedOutcome {
-        if let Some(store) = &self.store {
-            if let Some(hit) = store.get(self.digest, seed) {
-                return ProbedOutcome {
-                    outcome: hit,
-                    probes: None,
-                };
-            }
-        }
         let adversary = self
             .adversary
             .build(&self.scenario, &self.scenario.adversary.params, seed)
@@ -281,11 +241,6 @@ impl Sim {
             probes,
             faults,
         );
-        if let Some(store) = &self.store {
-            store
-                .put(self.digest, seed, &outcome)
-                .expect("persisting a trial outcome to the result store failed");
-        }
         ProbedOutcome {
             outcome,
             probes: probed.then_some(outputs),
@@ -425,34 +380,6 @@ mod tests {
         let bad = SweepSpec::new(ScenarioSpec::new("trapdoor", 6, 8, 2), 0..2)
             .with_axis("disruption_bound", vec![1u64.into(), 8u64.into()]);
         assert!(Sim::from_sweep(&bad).is_err());
-    }
-
-    #[test]
-    fn store_attached_sim_serves_cache_hits_without_the_engine() {
-        let dir = std::env::temp_dir().join(format!(
-            "wsync-sim-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = ScenarioSpec::new("trapdoor", 6, 8, 2).with_adversary("random");
-        let plain = Sim::from_spec(&spec).unwrap();
-        let fresh = plain.run_one(3);
-
-        let store = Arc::new(crate::store::ResultStore::open(&dir).unwrap());
-        let sim = Sim::from_spec(&spec).unwrap().store(&store);
-        assert_eq!(sim.run_one(3), fresh); // miss: executes and records
-        assert!(store.contains(sim.digest(), 3));
-
-        // Reopen: poison the engine path by checking the stored outcome is
-        // what comes back, bit for bit, through a fresh process-like load.
-        let store = Arc::new(crate::store::ResultStore::open(&dir).unwrap());
-        assert_eq!(store.loaded_records(), 1);
-        let sim = Sim::from_spec(&spec).unwrap().store(&store);
-        assert_eq!(sim.run_one(3), fresh); // hit: served from the store
-        let batch = sim.seeds(3..4).run(&BatchRunner::new());
-        assert_eq!(batch, vec![fresh]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -36,6 +36,12 @@
 //!   outcomes, bit-identical across worker counts, scheduling
 //!   perturbations, fabric processes, and fresh-vs-resumed runs (cached
 //!   trials count toward the rule exactly like executed ones).
+//! * **One batch loop.** Fixed-count and adaptive sweeps are the same
+//!   loop over one crate-private batch schedule: a fixed-count sweep is
+//!   the case with no rule — one window over the whole seed range and no
+//!   decision. The multi-process [`fabric`](crate::fabric) drives the
+//!   same schedule, so both agree on windows, seed caps and verdicts by
+//!   construction.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -43,8 +49,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use wsync_stats::{
-    dominated, quantiles, splitting_estimate, table::fmt_f64, wilson_ci, CiUndefined,
-    ConfidenceInterval, SplittingConfig, SplittingEstimate, Table,
+    dominated, quantiles, table::fmt_f64, wilson_ci, CiUndefined, ConfidenceInterval, Table,
 };
 
 use crate::batch::{BatchRunner, BatchStats, BatchStatsFold};
@@ -280,8 +285,9 @@ impl std::fmt::Display for StopReason {
 /// sweep's outcomes: worker counts, thread scheduling, multi-process
 /// sharding, and cache hits versus live execution cannot change which
 /// points stop, when, or why. [`decide_batch`](Self::decide_batch) is that
-/// pure function; every consumer (in-process runner, fabric workers, the
-/// serving layer) calls it with identically ordered inputs.
+/// pure function, and one batch schedule calls it for every consumer
+/// (in-process runner, fabric workers, the serving layer) with identically
+/// ordered inputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoppingRule {
     /// The watched statistic.
@@ -595,16 +601,151 @@ impl StoppingRule {
     }
 }
 
-/// Which trials of a sweep run with their spec's declared probes
-/// attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeSeeds {
-    /// No trial is probed.
-    None,
-    /// Every executed trial is probed.
-    All,
-    /// Only each point's first seed is probed.
-    FirstOnly,
+/// The batch schedule every sweep consumer drives: which points run which
+/// seed window, where each point's seeds end, when
+/// [`StoppingRule::decide_batch`] runs, and the per-point folds it decides
+/// on.
+///
+/// Windows advance in lockstep over the seed range. With a rule each
+/// window holds `rule.batch` seeds; when it closes, the rule decides on
+/// every point's seed-ordered prefix and caps each newly stopped point at
+/// that boundary. A fixed-count sweep is the case with no rule: one window
+/// over the whole seed range and no decision. [`SweepRunner`] and
+/// [`fabric::run_worker`](crate::fabric::run_worker) both run on this
+/// type, so they agree on windows, caps and verdicts by construction.
+pub(crate) struct BatchSchedule<'r> {
+    rule: Option<&'r StoppingRule>,
+    seeds: Range<u64>,
+    /// First seed of the next window.
+    next: u64,
+    /// Per point, the end (exclusive) of the seeds it may consume: the
+    /// range end until a verdict caps it at its stop boundary. Caps always
+    /// fall on window boundaries, so a point runs a whole window or none.
+    limit: Vec<u64>,
+    stopped: Vec<Option<StopReason>>,
+    folds: Vec<BatchStatsFold>,
+}
+
+/// One lockstep window of a [`BatchSchedule`]: every listed point runs
+/// every seed of `seeds`.
+pub(crate) struct Window {
+    pub(crate) seeds: Range<u64>,
+    pub(crate) points: Vec<usize>,
+}
+
+impl<'r> BatchSchedule<'r> {
+    pub(crate) fn new(points: usize, seeds: Range<u64>, rule: Option<&'r StoppingRule>) -> Self {
+        BatchSchedule {
+            rule,
+            next: seeds.start,
+            limit: vec![seeds.end; points],
+            stopped: vec![None; points],
+            folds: (0..points).map(|_| BatchStatsFold::new()).collect(),
+            seeds,
+        }
+    }
+
+    /// The next window, or `None` once the seed range is spent, every point
+    /// has a verdict, or no point may consume the window's seeds.
+    pub(crate) fn next_window(&self) -> Option<Window> {
+        if self.next >= self.seeds.end {
+            return None;
+        }
+        let batch = self.rule.map_or(u64::MAX, |rule| rule.batch);
+        let end = self.seeds.end.min(self.next.saturating_add(batch));
+        let points: Vec<usize> = (0..self.limit.len())
+            .filter(|&point| self.limit[point] > self.next)
+            .collect();
+        (!points.is_empty()).then_some(Window {
+            seeds: self.next..end,
+            points,
+        })
+    }
+
+    /// Folds one outcome into `point`'s stats. Call in seed order.
+    pub(crate) fn fold(&mut self, point: usize, outcome: &SyncOutcome) {
+        self.folds[point].push(outcome);
+    }
+
+    /// Folds a drained window from storage, `stored(point, seed)` yielding
+    /// each trial. Only decisions read these folds, so without a rule
+    /// nothing is read.
+    pub(crate) fn fold_stored(
+        &mut self,
+        window: &Window,
+        mut stored: impl FnMut(usize, u64) -> Option<SyncOutcome>,
+    ) {
+        if self.rule.is_none() {
+            return;
+        }
+        for &point in &window.points {
+            for seed in window.seeds.clone() {
+                if let Some(outcome) = stored(point, seed) {
+                    self.folds[point].push(&outcome);
+                }
+            }
+        }
+    }
+
+    /// Closes `window` once all its outcomes are folded: the rule decides
+    /// at the window's end boundary and caps every newly stopped point
+    /// there. Returns the newly stopped points, in point order.
+    pub(crate) fn close(&mut self, window: &Window) -> Vec<usize> {
+        self.next = window.seeds.end;
+        let mut newly = Vec::new();
+        if let Some(rule) = self.rule {
+            let before = self.stopped.clone();
+            let stats: Vec<BatchStats> = self.folds.iter().map(BatchStatsFold::finish).collect();
+            rule.decide_batch(&stats, &mut self.stopped, self.next - self.seeds.start);
+            for (point, stop) in self.stopped.iter().enumerate() {
+                if before[point].is_none() && stop.is_some() {
+                    self.limit[point] = self.next;
+                    newly.push(point);
+                }
+            }
+        }
+        if self.stopped.iter().all(Option::is_some) {
+            // Every point has its verdict: nothing is left to schedule.
+            self.next = self.seeds.end;
+        }
+        newly
+    }
+
+    /// The points a verdict could still stop: the undecided ones, or none
+    /// without a rule.
+    pub(crate) fn open_points(&self) -> Vec<usize> {
+        if self.rule.is_none() {
+            return Vec::new();
+        }
+        (0..self.stopped.len())
+            .filter(|&point| self.stopped[point].is_none())
+            .collect()
+    }
+
+    /// Records a verdict reached elsewhere (a peer's stop marker): `point`
+    /// stopped for `reason` after its first `seeds_used` seeds.
+    pub(crate) fn stop_at(&mut self, point: usize, reason: StopReason, seeds_used: u64) {
+        self.stopped[point] = Some(reason);
+        self.limit[point] = self.seeds.start + seeds_used;
+    }
+
+    /// `point`'s verdict and the seeds it consumes under it, once stopped.
+    pub(crate) fn verdict(&self, point: usize) -> Option<(StopReason, u64)> {
+        self.stopped[point].map(|reason| (reason, self.limit[point] - self.seeds.start))
+    }
+
+    /// Each point's final stats and stop reason: `None` without a rule,
+    /// otherwise the verdict or [`StopReason::Exhausted`].
+    pub(crate) fn finish(self) -> impl Iterator<Item = (BatchStats, Option<StopReason>)> {
+        let decided = self.rule.is_some();
+        self.folds
+            .into_iter()
+            .zip(self.stopped)
+            .map(move |(fold, stop)| {
+                let stop = decided.then(|| stop.unwrap_or(StopReason::Exhausted));
+                (fold.finish(), stop)
+            })
+    }
 }
 
 /// Streams sweep grids through a [`BatchRunner`] worker pool with optional
@@ -665,10 +806,12 @@ impl SweepRunner {
             .into_iter()
             .map(|point| (point.label, point.spec))
             .collect();
-        match &sweep.stop {
-            None => self.run_points(points, sweep.seeds()?),
-            Some(rule) => self.run_points_adaptive(points, sweep.effective_seeds()?, rule),
-        }
+        self.run_points_with(
+            points,
+            sweep.effective_seeds()?,
+            sweep.stop.as_ref(),
+            |_, _, _| {},
+        )
     }
 
     /// Runs an explicit list of labelled grid points over a seed range.
@@ -679,16 +822,15 @@ impl SweepRunner {
         points: Vec<(String, ScenarioSpec)>,
         seeds: Range<u64>,
     ) -> Result<SweepReport, SweepError> {
-        self.run_points_each(points, seeds, |_, _| {})
+        self.run_points_with(points, seeds, None, |_, _, _| {})
     }
 
     /// Like [`run_points`](Self::run_points), additionally invoking `each`
     /// for every outcome — in deterministic (point index, seed) order,
     /// exactly once, before the outcome is dropped. Use this for bespoke
     /// folds that need more than [`BatchStats`] without collecting
-    /// outcomes. Declared probes are not run on this path; use
-    /// [`run_points_probed_each`](Self::run_points_probed_each) to carry
-    /// their outputs.
+    /// outcomes; use [`run_points_with`](Self::run_points_with) to also
+    /// receive probe outputs.
     pub fn run_points_each<F>(
         &self,
         points: Vec<(String, ScenarioSpec)>,
@@ -698,165 +840,16 @@ impl SweepRunner {
     where
         F: FnMut(usize, &SyncOutcome),
     {
-        self.run_points_inner(points, seeds, ProbeSeeds::None, |point, outcome, _| {
+        self.run_points_with(points, seeds, None, |point, outcome, _| {
             each(point, outcome)
         })
     }
 
-    /// Like [`run_points_each`](Self::run_points_each), but every executed
-    /// trial runs with its spec's declared probes attached; `each`
-    /// additionally receives the probes' finalized outputs. Trials served
-    /// from an attached store skip the engine — and therefore the probes —
-    /// and are reported with `None` (the outcome stream itself is
-    /// bit-identical either way).
-    pub fn run_points_probed_each<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        self.run_points_inner(points, seeds, ProbeSeeds::All, each)
-    }
-
-    /// Like [`run_points_probed_each`](Self::run_points_probed_each), but
-    /// only each point's first *executed* seed runs with probes attached —
-    /// the cheap sampling mode for reports that show one probe output per
-    /// point (the `--spec` probe table): the remaining trials skip the
-    /// probe overhead entirely, and the outcome stream stays identical.
-    /// With a resume store attached, the sampled seed is the first one not
-    /// already cached (probes observe live executions), so a partially
-    /// resumed sweep still reports probe output as long as anything
-    /// executes. Caveat: two points whose specs canonicalize to the same
-    /// store digest (identical cells, or cells differing only in probes)
-    /// share cache entries, so with a store attached one such point's
-    /// freshly persisted trial can serve the other's sampled seed from
-    /// cache and cost it its probe sample — give duplicate points distinct
-    /// parameters if each must report probe output.
-    pub fn run_points_probed_first_each<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        self.run_points_inner(points, seeds, ProbeSeeds::FirstOnly, each)
-    }
-
-    fn run_points_inner<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        probed: ProbeSeeds,
-        mut each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        let sims: Vec<Sim> = points
-            .iter()
-            .map(|(_, spec)| Sim::from_spec(spec))
-            .collect::<Result<_, SpecError>>()?;
-        // Each Sim already computed its canonical spec digest at build time.
-        let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-        // For first-only sampling, pick each point's probe seed up front:
-        // the first seed the store cannot serve (cache hits skip the
-        // engine, and probes observe live executions only). The scan sees
-        // the store as it was before the run; a point sharing its digest
-        // with another point can still lose its sample to the other's
-        // mid-run put (see run_points_probed_first_each docs).
-        let probe_seed: Vec<Option<u64>> = match probed {
-            ProbeSeeds::FirstOnly => digests
-                .iter()
-                .map(|&digest| match (&self.store, self.reuse) {
-                    (Some(store), true) => seeds.clone().find(|&s| !store.contains(digest, s)),
-                    _ => Some(seeds.start),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let seed_count = seeds.end.saturating_sub(seeds.start);
-        let total = points.len() as u64 * seed_count;
-        let mut folds: Vec<BatchStatsFold> = points.iter().map(|_| BatchStatsFold::new()).collect();
-        let mut cached: Vec<u64> = vec![0; points.len()];
-        let mut executed: Vec<u64> = vec![0; points.len()];
-
-        // Every (point, seed) pair is one index in a single queue drained
-        // by the BatchRunner's streaming core: workers steal trials
-        // globally (atomic cursor, bounded reorder window) and the
-        // collector hands results back here in deterministic (point,
-        // seed) order — each outcome is folded and dropped immediately,
-        // so memory stays O(reorder window) regardless of sweep size.
-        let chunk = seed_count.max(1);
-        self.runner
-            .try_map_each(
-                0..total,
-                |idx| -> Result<Trial, StoreError> {
-                    let (point, seed) = ((idx / chunk) as usize, seeds.start + idx % chunk);
-                    let probe_this = match probed {
-                        ProbeSeeds::None => false,
-                        ProbeSeeds::All => true,
-                        ProbeSeeds::FirstOnly => probe_seed[point] == Some(seed),
-                    };
-                    self.run_trial(&sims[point], digests[point], seed, probe_this)
-                },
-                |idx, (outcome, probes, hit)| {
-                    let point = (idx / chunk) as usize;
-                    if hit {
-                        cached[point] += 1;
-                    } else {
-                        executed[point] += 1;
-                    }
-                    each(point, &outcome, probes.as_deref());
-                    folds[point].push(&outcome);
-                },
-            )
-            .map_err(SweepError::Store)?;
-
-        let points = points
-            .into_iter()
-            .zip(folds)
-            .zip(cached.into_iter().zip(executed))
-            .map(|(((label, spec), fold), (cached, executed))| PointStats {
-                label,
-                spec,
-                stats: fold.finish(),
-                cached,
-                executed,
-                stopped_early: false,
-                stop: None,
-            })
-            .collect();
-        Ok(SweepReport {
-            points,
-            seed_start: seeds.start,
-            seed_end: seeds.end,
-        })
-    }
-
-    /// Runs labelled grid points with adaptive trial allocation: seeds are
-    /// consumed in lockstep batches of `rule.batch` from `seeds` (the
-    /// *effective* range — pass [`SweepSpec::effective_seeds`]), and each
-    /// point retires at the first batch boundary where `rule` is satisfied
-    /// on its seed-ordered prefix. Points still active when the budget
-    /// runs out report [`StopReason::Exhausted`].
-    pub fn run_points_adaptive(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        rule: &StoppingRule,
-    ) -> Result<SweepReport, SweepError> {
-        self.run_points_adaptive_inner(points, seeds, rule, ProbeSeeds::None, |_, _, _| {})
-    }
-
-    /// Like [`run_points_adaptive`](Self::run_points_adaptive),
-    /// additionally invoking `each` for every outcome — exactly once, in
-    /// the deterministic adaptive order: batch-major, then point index,
-    /// then seed (the fixed-count point-major order, re-chunked by batch).
+    /// Runs labelled grid points with adaptive trial allocation, invoking
+    /// `each` for every outcome — exactly once, in the deterministic
+    /// adaptive order: batch-major, then point index, then seed (the
+    /// fixed-count point-major order, re-chunked by batch). See
+    /// [`run_points_with`](Self::run_points_with).
     pub fn run_points_adaptive_each<F>(
         &self,
         points: Vec<(String, ScenarioSpec)>,
@@ -867,127 +860,118 @@ impl SweepRunner {
     where
         F: FnMut(usize, &SyncOutcome),
     {
-        self.run_points_adaptive_inner(
-            points,
-            seeds,
-            rule,
-            ProbeSeeds::None,
-            |point, outcome, _| each(point, outcome),
-        )
+        self.run_points_with(points, seeds, Some(rule), |point, outcome, _| {
+            each(point, outcome)
+        })
     }
 
-    /// The adaptive counterpart of
-    /// [`run_points_probed_first_each`](Self::run_points_probed_first_each):
-    /// each point's first executed seed runs with its declared probes
-    /// attached. A point that stops before reaching its sampled seed
-    /// reports no probe output (consistent with the fixed path's cached
-    /// caveat: probes observe live executions only).
-    pub fn run_points_adaptive_probed_first_each<F>(
+    /// Runs labelled grid points over `seeds`, the one loop behind every
+    /// other entry point, invoking `each` for every outcome — exactly once,
+    /// window-major, then point index, then seed.
+    ///
+    /// Without a rule the run is fixed-count: one window over `seeds`, so
+    /// `each` sees (point, seed) order. With a rule, seeds are consumed in
+    /// lockstep batches of `rule.batch` from `seeds` (the *effective* range
+    /// — pass [`SweepSpec::effective_seeds`]), and each point retires at the
+    /// first batch boundary where the rule is satisfied on its seed-ordered
+    /// prefix. Points still active when the budget runs out report
+    /// [`StopReason::Exhausted`].
+    ///
+    /// A point whose spec declares probes runs them on its first executed
+    /// seed — the first one an attached resume store cannot serve — and
+    /// `each` receives their outputs with that outcome (`None` for every
+    /// other trial). A point that stops before reaching that seed, or whose
+    /// every trial is served from the store, reports no probe output. Two
+    /// points whose specs share a store digest (identical cells, or cells
+    /// differing only in probes) share cache entries, so one's freshly
+    /// persisted trial can serve the other's sampled seed and cost it its
+    /// sample; give such points distinct parameters if each must report
+    /// probe output.
+    pub fn run_points_with<F>(
         &self,
         points: Vec<(String, ScenarioSpec)>,
         seeds: Range<u64>,
-        rule: &StoppingRule,
-        each: F,
-    ) -> Result<SweepReport, SweepError>
-    where
-        F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
-    {
-        self.run_points_adaptive_inner(points, seeds, rule, ProbeSeeds::FirstOnly, each)
-    }
-
-    fn run_points_adaptive_inner<F>(
-        &self,
-        points: Vec<(String, ScenarioSpec)>,
-        seeds: Range<u64>,
-        rule: &StoppingRule,
-        probed: ProbeSeeds,
+        stop: Option<&StoppingRule>,
         mut each: F,
     ) -> Result<SweepReport, SweepError>
     where
         F: FnMut(usize, &SyncOutcome, Option<&[ProbeOutput]>),
     {
-        rule.validate()?;
+        if let Some(rule) = stop {
+            rule.validate()?;
+        }
         let sims: Vec<Sim> = points
             .iter()
             .map(|(_, spec)| Sim::from_spec(spec))
             .collect::<Result<_, SpecError>>()?;
-        let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-        let probe_seed: Vec<Option<u64>> = match probed {
-            ProbeSeeds::FirstOnly => digests
-                .iter()
-                .map(|&digest| match (&self.store, self.reuse) {
-                    (Some(store), true) => seeds.clone().find(|&s| !store.contains(digest, s)),
+        // Each probed point's sampled seed, picked up front: the first seed
+        // the store cannot serve (cache hits skip the engine, and probes
+        // observe live executions only), scanning the store as it was
+        // before the run.
+        let probe_seed: Vec<Option<u64>> = sims
+            .iter()
+            .map(|sim| {
+                if !sim.has_probes() {
+                    return None;
+                }
+                match (&self.store, self.reuse) {
+                    (Some(store), true) => {
+                        seeds.clone().find(|&s| !store.contains(sim.digest(), s))
+                    }
                     _ => Some(seeds.start),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let mut folds: Vec<BatchStatsFold> = points.iter().map(|_| BatchStatsFold::new()).collect();
+                }
+            })
+            .collect();
         let mut cached: Vec<u64> = vec![0; points.len()];
         let mut executed: Vec<u64> = vec![0; points.len()];
-        let mut stopped: Vec<Option<StopReason>> = vec![None; points.len()];
+        let mut schedule = BatchSchedule::new(points.len(), seeds.clone(), stop);
 
-        // Lockstep batches: every still-active point advances through the
-        // same seed window [next, batch_end), then the rule is evaluated
-        // at the boundary on each point's seed-ordered prefix. Within a
-        // batch, (active point, seed) pairs form one work-stealing queue
-        // exactly like the fixed path — the collector re-orders outcomes
-        // into (point, seed) order, so folds (and therefore decisions) are
-        // independent of worker count and scheduling.
-        let mut next = seeds.start;
-        while next < seeds.end {
-            let active: Vec<usize> = (0..points.len())
-                .filter(|&p| stopped[p].is_none())
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            let batch_end = seeds.end.min(next + rule.batch);
-            let span = batch_end - next;
-            let total = active.len() as u64 * span;
+        // Within a window, (point, seed) pairs form one queue drained by
+        // the BatchRunner's streaming core: workers steal trials globally
+        // (atomic cursor, bounded reorder window) and the collector hands
+        // results back in deterministic (point, seed) order — each outcome
+        // is folded and dropped immediately, so memory stays O(reorder
+        // window) regardless of sweep size, and folds (and therefore
+        // decisions) are independent of worker count and scheduling.
+        while let Some(window) = schedule.next_window() {
+            let start = window.seeds.start;
+            let span = window.seeds.end - start;
+            let total = window.points.len() as u64 * span;
             self.runner
                 .try_map_each(
                     0..total,
                     |idx| -> Result<Trial, StoreError> {
-                        let point = active[(idx / span) as usize];
-                        let seed = next + idx % span;
-                        let probe_this = match probed {
-                            ProbeSeeds::None => false,
-                            ProbeSeeds::All => true,
-                            ProbeSeeds::FirstOnly => probe_seed[point] == Some(seed),
-                        };
-                        self.run_trial(&sims[point], digests[point], seed, probe_this)
+                        let point = window.points[(idx / span) as usize];
+                        let seed = start + idx % span;
+                        self.run_trial(&sims[point], seed, probe_seed[point] == Some(seed))
                     },
                     |idx, (outcome, probes, hit)| {
-                        let point = active[(idx / span) as usize];
+                        let point = window.points[(idx / span) as usize];
                         if hit {
                             cached[point] += 1;
                         } else {
                             executed[point] += 1;
                         }
                         each(point, &outcome, probes.as_deref());
-                        folds[point].push(&outcome);
+                        schedule.fold(point, &outcome);
                     },
                 )
                 .map_err(SweepError::Store)?;
-            let stats: Vec<BatchStats> = folds.iter().map(BatchStatsFold::finish).collect();
-            rule.decide_batch(&stats, &mut stopped, batch_end - seeds.start);
-            next = batch_end;
+            schedule.close(&window);
         }
 
-        let budget = seeds.end - seeds.start;
+        let budget = seeds.end.saturating_sub(seeds.start);
         let points = points
             .into_iter()
-            .zip(folds)
+            .zip(schedule.finish())
             .zip(cached.into_iter().zip(executed))
-            .zip(stopped)
             .map(
-                |((((label, spec), fold), (cached, executed)), stop)| PointStats {
+                |(((label, spec), (stats, stop)), (cached, executed))| PointStats {
                     label,
                     spec,
-                    stats: fold.finish(),
+                    stats,
                     stopped_early: cached + executed < budget,
-                    stop: Some(stop.unwrap_or(StopReason::Exhausted)),
+                    stop,
                     cached,
                     executed,
                 },
@@ -1002,75 +986,37 @@ impl SweepRunner {
 
     /// One trial: serve from the attached store if possible (reuse mode),
     /// otherwise execute the engine (with probes when asked) and persist.
-    /// The returned flag is `true` for a cache hit. Shared by the fixed
-    /// and adaptive paths so both produce identical outcome streams and
-    /// store contents for the trials they run.
-    fn run_trial(
-        &self,
-        sim: &Sim,
-        digest: u64,
-        seed: u64,
-        probe_this: bool,
-    ) -> Result<Trial, StoreError> {
+    /// The returned flag is `true` for a cache hit.
+    fn run_trial(&self, sim: &Sim, seed: u64, probe_this: bool) -> Result<Trial, StoreError> {
         if self.reuse {
             if let Some(store) = &self.store {
-                if let Some(hit) = store.get(digest, seed) {
+                if let Some(hit) = store.get(sim.digest(), seed) {
                     return Ok((hit, None, true));
                 }
             }
         }
-        let (outcome, probes) = if probe_this && sim.has_probes() {
+        let (outcome, probes) = if probe_this {
             let probed_outcome = sim.run_probed(seed);
             (probed_outcome.outcome, probed_outcome.probes)
         } else {
             (sim.run_one(seed), None)
         };
         if let Some(store) = &self.store {
-            store.put(digest, seed, &outcome)?;
+            store.put(sim.digest(), seed, &outcome)?;
         }
         Ok((outcome, probes, false))
     }
 }
 
-/// The unit of work both sweep paths stream through the worker pool: an
+/// The unit of work the sweep loop streams through the worker pool: an
 /// outcome, its probe outputs (live probed executions only), and whether
 /// it was served from the result store.
 type Trial = (SyncOutcome, Option<Vec<ProbeOutput>>, bool);
 
-/// Estimates the probability that a scenario's completion round reaches
-/// the last threshold of `config.levels` — a rare-event tail probability —
-/// by multilevel importance splitting over deterministic seed streams (see
-/// [`wsync_stats::splitting`]). A trial that never synchronizes counts as
-/// infinitely severe (it sits above every threshold).
-///
-/// The engine replays a whole execution from a single seed, so a child
-/// path cannot literally branch mid-trajectory: each [`SplitPath`] is
-/// replayed from its derived seed ([`SplitPath::seed`]), which degrades
-/// multilevel splitting to deterministic stratified restarts — unbiased
-/// per level factor, with reduced (not zero) variance benefit. The
-/// estimate is still a pure function of `(spec, config)`: same inputs,
-/// bit-identical result, on any machine.
-///
-/// [`SplitPath`]: wsync_stats::SplitPath
-/// [`SplitPath::seed`]: wsync_stats::SplitPath::seed
-pub fn estimate_rare_event(
-    spec: &ScenarioSpec,
-    config: &SplittingConfig,
-) -> Result<SplittingEstimate, SpecError> {
-    let sim = Sim::from_spec(spec)?;
-    Ok(splitting_estimate(config, |path| {
-        match sim.run_one(path.seed()).completion_round() {
-            Some(round) => round as f64,
-            None => f64::INFINITY,
-        }
-    }))
-}
-
 /// Renders the sync-time quantile table of a seed-ordered outcome slice:
 /// one row for the worst per-node rounds-to-sync, one for the global
-/// completion round, with the standard quantile columns. Shared by the
-/// statistical golden tests and the wrapper-equivalence tests so both pin
-/// the same rendering.
+/// completion round, with the standard quantile columns. The statistical
+/// golden tests pin this rendering.
 pub fn sync_time_quantile_table(title: &str, outcomes: &[SyncOutcome]) -> Table {
     const PROBS: [f64; 6] = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0];
     let mut table = Table::new(
@@ -1457,23 +1403,6 @@ mod tests {
             (1, 3),
         ];
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn rare_event_estimate_is_deterministic_and_bounded() {
-        let spec = ScenarioSpec::new("trapdoor", 6, 8, 1).with_adversary("random");
-        let config = SplittingConfig {
-            levels: vec![10.0, 20.0],
-            base_trials: 64,
-            splits: 4,
-            max_population: 128,
-            seed_start: 0,
-        };
-        let a = estimate_rare_event(&spec, &config).unwrap();
-        let b = estimate_rare_event(&spec, &config).unwrap();
-        assert_eq!(a, b);
-        assert!(a.probability >= 0.0 && a.probability <= 1.0);
-        assert!(a.total_runs >= 64);
     }
 
     #[test]

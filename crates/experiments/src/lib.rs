@@ -56,12 +56,14 @@ pub fn run_effort_grid(
     effort: Effort,
     metric: wsync_core::sweep::StopMetric,
 ) -> wsync_core::sweep::SweepReport {
-    use wsync_core::sweep::SweepRunner;
-    match effort.stopping_rule(metric) {
-        None => SweepRunner::new().run_points(points, seeds),
-        Some(rule) => SweepRunner::new().run_points_adaptive(points, seeds, &rule),
-    }
-    .expect("valid experiment specs")
+    wsync_core::sweep::SweepRunner::new()
+        .run_points_with(
+            points,
+            seeds,
+            effort.stopping_rule(metric).as_ref(),
+            |_, _, _| {},
+        )
+        .expect("valid experiment specs")
 }
 
 /// A one-line summary of an adaptive grid's trial savings, for report

@@ -129,30 +129,19 @@ pub fn run_spec_stored(
         .into_iter()
         .map(|point| (point.label, point.spec))
         .collect();
-    // One probe-output sample per point: each point's first seed runs
-    // probed, the remaining trials skip the probe overhead entirely.
+    // One probe-output sample per point: each point's first executed seed
+    // runs probed, the remaining trials skip the probe overhead entirely.
     let mut probe_samples: Vec<Option<Vec<ProbeOutput>>> = vec![None; points.len()];
-    let runner = store.runner();
-    let mut sample = |point: usize, probes: Option<&[ProbeOutput]>| {
-        if probe_samples[point].is_none() {
+    let result = store.runner().run_points_with(
+        points,
+        seeds.clone(),
+        sweep.stop.as_ref(),
+        |point, _, probes| {
             if let Some(outputs) = probes {
                 probe_samples[point] = Some(outputs.to_vec());
             }
-        }
-    };
-    let result = match &sweep.stop {
-        None => {
-            runner.run_points_probed_first_each(points, seeds.clone(), |point, _, probes| {
-                sample(point, probes)
-            })?
-        }
-        Some(rule) => runner.run_points_adaptive_probed_first_each(
-            points,
-            seeds.clone(),
-            rule,
-            |point, _, probes| sample(point, probes),
-        )?,
-    };
+        },
+    )?;
     let mut report = ExperimentReport::new("SPEC", &format!("declarative scenario run: {source}"));
     let mut table = Table::new(
         format!(

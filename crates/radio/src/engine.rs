@@ -50,7 +50,7 @@ use crate::node::{ActivationInfo, NodeId};
 use crate::probe::{Probe, ProbeStack};
 use crate::protocol::Protocol;
 use crate::rng::{SimRng, StreamId};
-use crate::trace::{ActionView, Delivery, NodeView, Observer, RoundObservation, RoundTally};
+use crate::trace::{ActionView, Delivery, NodeView, RoundObservation, RoundTally};
 
 use serde::{Deserialize, Serialize};
 
@@ -153,21 +153,6 @@ impl SimConfig {
     /// Sets the adversary-visible history retention policy.
     pub fn with_history_retention(mut self, retention: HistoryRetention) -> Self {
         self.history_retention = retention;
-        self
-    }
-
-    /// Sets the adversary-visible history retention window (`None` retains
-    /// the full history).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `with_history_retention`; the default now derives the window from \
-                the adversary's and probes' declared lookback"
-    )]
-    pub fn with_history_window(mut self, window: Option<usize>) -> Self {
-        self.history_retention = match window {
-            Some(w) => HistoryRetention::Window(w),
-            None => HistoryRetention::Full,
-        };
         self
     }
 
@@ -648,27 +633,9 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     /// synchronized (plus the configured number of extra rounds), or when
     /// `max_rounds` is reached.
     pub fn run(&mut self) -> ExecutionResult {
-        self.run_loop(None)
-    }
-
-    /// Runs the execution to completion, additionally reporting every round
-    /// to a borrowed `observer` (after the attached probes).
-    ///
-    /// This is the pre-probe observation hook, kept for callers with
-    /// short-lived observers; new code should prefer
-    /// [`attach_probe`](Engine::attach_probe), which composes, registers
-    /// lookback demand, and has no lifetime entanglement with the engine.
-    pub fn run_with_observer(&mut self, observer: &mut dyn Observer) -> ExecutionResult {
-        self.run_loop(Some(observer))
-    }
-
-    fn run_loop(&mut self, mut extra: Option<&mut dyn Observer>) -> ExecutionResult {
         let mut extra_remaining: Option<u64> = None;
         while self.round < self.config.max_rounds {
-            self.step_observing(match extra {
-                Some(ref mut o) => Some(&mut **o),
-                None => None,
-            });
+            self.step();
             match extra_remaining {
                 None => {
                     if self.all_synchronized() {
@@ -695,16 +662,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     /// feedback — O(active + touched) per round, with no heap allocation
     /// in steady state.
     pub fn step(&mut self) {
-        self.step_observing(None);
-    }
-
-    /// Executes exactly one round, additionally reporting it to a borrowed
-    /// `observer` after the attached probes.
-    pub fn step_with(&mut self, observer: &mut dyn Observer) {
-        self.step_observing(Some(observer));
-    }
-
-    fn step_observing(&mut self, extra: Option<&mut dyn Observer>) {
         let round = self.round;
         let band = self.config.band();
         let f_count = self.config.num_frequencies as usize;
@@ -1023,8 +980,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
 
         // 6. Observation fan-out: one borrowed view of the resolved round
         // streams through the probe pipeline — the metrics fold, the user
-        // probe stack, an optional borrowed observer, and the
-        // adversary-visible history (which copies the activity slice into a
+        // probe stack, and the adversary-visible history (which copies the activity slice into a
         // recycled record buffer). Probes only read the observation, so
         // their order is unobservable; history goes last by convention.
         let observation = RoundObservation {
@@ -1039,9 +995,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         };
         self.metrics.observe(&observation);
         self.probes.observe(&observation);
-        if let Some(observer) = extra {
-            observer.on_round(&observation);
-        }
         self.history.observe(&observation);
         self.round = round + 1;
     }
@@ -1289,8 +1242,9 @@ mod tests {
                 seed,
             )
             .unwrap();
-            let mut trace = FullTrace::new();
-            let result = engine.run_with_observer(&mut trace);
+            let slot = engine.attach_probe(Box::new(FullTrace::new()));
+            let result = engine.run();
+            let trace: FullTrace = engine.take_probes().take(slot).expect("trace slot");
             (result, trace.events().to_vec())
         };
         let (r1, t1) = run(99);
@@ -1312,8 +1266,9 @@ mod tests {
             5,
         )
         .unwrap();
-        let mut trace = FullTrace::new();
-        let result = engine.run_with_observer(&mut trace);
+        let slot = engine.attach_probe(Box::new(FullTrace::new()));
+        let result = engine.run();
+        let trace: FullTrace = engine.take_probes().take(slot).expect("trace slot");
         assert_eq!(trace.len() as u64, result.rounds_executed);
         for event in trace.events() {
             assert_eq!(event.disrupted, vec![1, 2]);

@@ -32,7 +32,7 @@
 //!   [`Probe`] trait and owned [`ProbeStack`] — through which execution
 //!   [`trace`]s, [`metrics`], the adversary-visible [`history`], and
 //!   online property checking all consume the same per-round event
-//!   stream (the legacy [`Observer`] hook remains as a thin adapter).
+//!   stream.
 //!
 //! # Example
 //!
@@ -124,7 +124,7 @@ pub mod prelude {
     pub use crate::probe::{Probe, ProbeStack};
     pub use crate::protocol::Protocol;
     pub use crate::rng::SimRng;
-    pub use crate::trace::{FullTrace, Observer, RoundObservation, RoundTally, TraceEvent};
+    pub use crate::trace::{FullTrace, RoundObservation, RoundTally, TraceEvent};
 }
 
 pub use prelude::*;

@@ -3,9 +3,9 @@
 //!
 //! Historically the engine fed four parallel observation channels — the
 //! adversary-facing [`History`](crate::history::History) ring, the
-//! [`SimMetrics`](crate::metrics::SimMetrics) counters, the
-//! [`Observer`](crate::trace::Observer)/trace layer, and a post-hoc property
-//! checker — each with its own data shapes and buffers. The paper's model
+//! [`SimMetrics`](crate::metrics::SimMetrics) counters, a borrowed-observer
+//! trace layer, and a post-hoc property checker — each with its own data
+//! shapes and buffers. The paper's model
 //! (Section 2) is naturally a single per-round event stream: the adversary
 //! sees the completed execution through round `r − 1`, and the
 //! synchronization properties are per-round invariants over deliveries and
@@ -66,10 +66,7 @@ impl<T: Any> AsAny for T {
 /// attaching or removing probes cannot change a single bit of the engine's
 /// outcome (`tests/engine_golden.rs` pins this).
 pub trait Probe: AsAny {
-    /// Observes one completed round. (Named `observe` rather than
-    /// `on_round` so that types can implement both `Probe` and the legacy
-    /// [`Observer`](crate::trace::Observer) without method-call
-    /// ambiguity.)
+    /// Observes one completed round.
     fn observe(&mut self, observation: &RoundObservation<'_>);
 
     /// How many completed rounds of engine [`History`](crate::history::History)
@@ -97,11 +94,10 @@ impl Probe for NullProbe {
 
 /// An owned, ordered composition of probes.
 ///
-/// This replaces the borrowed `MultiObserver<'a>` fan-out: because the
-/// stack owns its probes (`Box<dyn Probe>`), it can be assembled by
-/// registries and factories without lifetime gymnastics, attached to an
-/// engine, and disassembled after the run to recover each probe's collected
-/// state ([`take`](ProbeStack::take)).
+/// Because the stack owns its probes (`Box<dyn Probe>`), it can be
+/// assembled by registries and factories without lifetime gymnastics,
+/// attached to an engine, and disassembled after the run to recover each
+/// probe's collected state ([`take`](ProbeStack::take)).
 #[derive(Default)]
 pub struct ProbeStack {
     probes: Vec<Box<dyn Probe>>,

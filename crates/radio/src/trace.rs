@@ -1,10 +1,9 @@
-//! Execution observation views: [`RoundObservation`], the legacy
-//! [`Observer`] hook, and the in-memory [`FullTrace`] recorder.
+//! Execution observation views: [`RoundObservation`] and the in-memory
+//! [`FullTrace`] recorder.
 //!
-//! The engine reports every resolved round — through the
-//! [`Probe`] pipeline and, for backwards
-//! compatibility, through [`Observer`] — as one borrowed
-//! [`RoundObservation`] over its reusable structure-of-arrays scratch.
+//! The engine reports every resolved round through the [`Probe`] pipeline
+//! as one borrowed [`RoundObservation`] over its reusable
+//! structure-of-arrays scratch.
 //! The `wsync-core` property checker consumes the same stream to verify
 //! the five requirements of the wireless synchronization problem online
 //! with O(n) memory; [`FullTrace`] records everything and is intended for
@@ -18,7 +17,7 @@ use crate::history::FrequencyActivity;
 use crate::node::NodeId;
 use crate::probe::Probe;
 
-/// A node's externally visible state in one round, as seen by observers.
+/// A node's externally visible state in one round, as seen by probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NodeView {
     /// The node has not been activated yet.
@@ -53,7 +52,7 @@ impl NodeView {
     }
 }
 
-/// A compact description of a node's action in one round, for observers.
+/// A compact description of a node's action in one round, for probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ActionView {
     /// Not activated yet.
@@ -123,12 +122,11 @@ pub struct RoundTally {
     pub restarted_nodes: u32,
 }
 
-/// Everything a probe or observer sees about one completed round.
+/// Everything a probe sees about one completed round.
 ///
 /// The slices borrow the engine's reusable per-round buffers and are valid
-/// only for the duration of the [`Probe::observe`] /
-/// [`Observer::on_round`] call — a consumer that retains data across
-/// rounds must copy it (as [`FullTrace`] does).
+/// only for the duration of the [`Probe::observe`] call — a consumer that
+/// retains data across rounds must copy it (as [`FullTrace`] does).
 #[derive(Debug)]
 pub struct RoundObservation<'a> {
     /// The global round number (0-based).
@@ -151,20 +149,6 @@ pub struct RoundObservation<'a> {
     pub tally: RoundTally,
 }
 
-/// Receives a callback after every simulated round.
-pub trait Observer {
-    /// Called once per completed round.
-    fn on_round(&mut self, observation: &RoundObservation<'_>);
-}
-
-/// An observer that does nothing; used by [`Engine::run`](crate::engine::Engine::run).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn on_round(&mut self, _observation: &RoundObservation<'_>) {}
-}
-
 /// A single recorded round in a [`FullTrace`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
@@ -182,7 +166,7 @@ pub struct TraceEvent {
     pub deliveries: Vec<Delivery>,
 }
 
-/// An observer that records every round in memory.
+/// A probe that records every round in memory.
 ///
 /// Memory grows with `rounds × nodes`; intended for tests, debugging, and
 /// small demonstration runs.
@@ -239,8 +223,8 @@ impl FullTrace {
     }
 }
 
-impl FullTrace {
-    fn record(&mut self, observation: &RoundObservation<'_>) {
+impl Probe for FullTrace {
+    fn observe(&mut self, observation: &RoundObservation<'_>) {
         self.events.push(TraceEvent {
             round: observation.round,
             newly_activated: observation.newly_activated.to_vec(),
@@ -249,50 +233,6 @@ impl FullTrace {
             disrupted: observation.disrupted.iter().map(Frequency::index).collect(),
             deliveries: observation.deliveries.to_vec(),
         });
-    }
-}
-
-impl Observer for FullTrace {
-    fn on_round(&mut self, observation: &RoundObservation<'_>) {
-        self.record(observation);
-    }
-}
-
-impl Probe for FullTrace {
-    fn observe(&mut self, observation: &RoundObservation<'_>) {
-        self.record(observation);
-    }
-}
-
-/// Fans one observation out to several borrowed observers.
-///
-/// Deprecated: the borrowed `Vec<&'a mut dyn Observer>` composition cannot
-/// be built by registries or stored across calls without lifetime
-/// gymnastics. Use the owned [`ProbeStack`](crate::probe::ProbeStack)
-/// instead and recover the probes with
-/// [`ProbeStack::take`](crate::probe::ProbeStack::take) after the run.
-#[deprecated(
-    since = "0.3.0",
-    note = "compose owned probes in a `ProbeStack` instead of borrowing observers"
-)]
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn Observer>,
-}
-
-#[allow(deprecated)]
-impl<'a> MultiObserver<'a> {
-    /// Creates a multiplexer over the given observers.
-    pub fn new(observers: Vec<&'a mut dyn Observer>) -> Self {
-        MultiObserver { observers }
-    }
-}
-
-#[allow(deprecated)]
-impl Observer for MultiObserver<'_> {
-    fn on_round(&mut self, observation: &RoundObservation<'_>) {
-        for obs in self.observers.iter_mut() {
-            obs.on_round(observation);
-        }
     }
 }
 
@@ -345,7 +285,7 @@ mod tests {
             ActionView::Broadcast(Frequency::new(1)),
             ActionView::Inactive,
         ];
-        trace.on_round(&sample_observation(
+        trace.observe(&sample_observation(
             0,
             &nodes_r0,
             &actions_r0,
@@ -359,7 +299,7 @@ mod tests {
             NodeView::Active { output: None },
         ];
         let actions_r1 = [ActionView::Listen(Frequency::new(2)), ActionView::Sleep];
-        trace.on_round(&sample_observation(
+        trace.observe(&sample_observation(
             1,
             &nodes_r1,
             &actions_r1,
@@ -376,44 +316,5 @@ mod tests {
         let series = trace.output_series(NodeId::new(1));
         assert_eq!(series, vec![None, Some(None)]);
         assert_eq!(trace.events()[0].disrupted, vec![2]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn multi_observer_fans_out() {
-        let mut a = FullTrace::new();
-        let mut b = FullTrace::new();
-        {
-            let mut multi = MultiObserver::new(vec![&mut a, &mut b]);
-            let disrupted = DisruptionSet::empty(2);
-            let nodes = [NodeView::Active { output: None }];
-            let actions = [ActionView::Sleep];
-            multi.on_round(&sample_observation(
-                0,
-                &nodes,
-                &actions,
-                &disrupted,
-                &[],
-                &[],
-            ));
-        }
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn null_observer_is_a_noop() {
-        let mut obs = NullObserver;
-        let disrupted = DisruptionSet::empty(1);
-        let nodes = [NodeView::Inactive];
-        let actions = [ActionView::Inactive];
-        obs.on_round(&sample_observation(
-            0,
-            &nodes,
-            &actions,
-            &disrupted,
-            &[],
-            &[],
-        ));
     }
 }

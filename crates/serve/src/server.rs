@@ -34,8 +34,8 @@ use std::time::Duration;
 use wsync_core::batch::BatchStats;
 use wsync_core::fabric::{self, FabricConfig, WorkerEvent};
 use wsync_core::json::{self, Value};
-use wsync_core::registry::{self, ProbeOutput};
-use wsync_core::report::SyncOutcome;
+use wsync_core::registry;
+use wsync_core::sim::Sim;
 use wsync_core::spec::{ScenarioSpec, SweepSpec};
 use wsync_core::store::{spec_digest, ResultStore, StoreError};
 use wsync_core::sweep::{SweepError, SweepRunner};
@@ -414,20 +414,19 @@ fn handle_run(state: &State, stream: &mut TcpStream, request: &Request) -> std::
     let mut probe_sample: Option<Vec<(String, Value)>> = None;
     let result = SweepRunner::new()
         .store(Arc::clone(&state.store))
-        .run_points_probed_first_each(
+        .run_points_with(
             vec![(String::new(), spec)],
             seeds.clone(),
+            None,
             |_, outcome, probes| {
                 rounds += outcome.result.metrics.rounds;
-                if probe_sample.is_none() {
-                    if let Some(outputs) = probes {
-                        probe_sample = Some(
-                            outputs
-                                .iter()
-                                .map(|o| (o.name.clone(), o.value.clone()))
-                                .collect(),
-                        );
-                    }
+                if let Some(outputs) = probes {
+                    probe_sample = Some(
+                        outputs
+                            .iter()
+                            .map(|o| (o.name.clone(), o.value.clone()))
+                            .collect(),
+                    );
                 }
             },
         );
@@ -492,23 +491,23 @@ fn handle_sweep(
         Ok(sweep) => sweep,
         Err(message) => return http::respond_error(stream, 400, "Bad Request", &message),
     };
-    // Validate expansion *before* scheduling, so a bad grid is a 400 here
-    // and never a half-run job. With a `"stop"` rule the advertised seed
-    // range is the adaptive *budget*, not a promise of execution.
-    let (points, seeds) = match sweep
-        .expand()
-        .and_then(|p| Ok((p, sweep.effective_seeds()?)))
-    {
-        Ok(parts) => parts,
-        Err(e) => return http::respond_error(stream, 400, "Bad Request", &e.to_string()),
-    };
+    // Build every point's Sim *before* scheduling — the same construction
+    // the sweep loop starts with — so a bad grid or an unknown name is a
+    // 400 here and never a half-run job. With a `"stop"` rule the
+    // advertised seed range is the adaptive *budget*, not a promise of
+    // execution.
+    let (points, seeds) =
+        match Sim::from_sweep(&sweep).and_then(|sims| Ok((sims.len(), sweep.effective_seeds()?))) {
+            Ok(parts) => parts,
+            Err(e) => return http::respond_error(stream, 400, "Bad Request", &e.to_string()),
+        };
     let job = state.jobs.create();
     push_event(
         &job,
         vec![
             ("event".to_string(), Value::Str("scheduled".to_string())),
             ("job".to_string(), Value::Str(job.id().to_string())),
-            ("points".to_string(), Value::Int(points.len() as i64)),
+            ("points".to_string(), Value::Int(points as i64)),
             ("seed_start".to_string(), Value::Int(seeds.start as i64)),
             ("seed_end".to_string(), Value::Int(seeds.end as i64)),
             ("adaptive".to_string(), Value::Bool(sweep.stop.is_some())),
@@ -658,34 +657,28 @@ fn aggregate_sweep(
         .collect();
     let mut rounds = 0u64;
     let mut probe_samples: Vec<Option<Vec<(String, Value)>>> = vec![None; points.len()];
-    let runner = SweepRunner::new().store(Arc::new(store));
-    let mut sample = |point: usize, outcome: &SyncOutcome, probes: Option<&[ProbeOutput]>| {
-        rounds += outcome.result.metrics.rounds;
-        if probe_samples[point].is_none() {
-            if let Some(outputs) = probes {
-                probe_samples[point] = Some(
-                    outputs
-                        .iter()
-                        .map(|o| (o.name.clone(), o.value.clone()))
-                        .collect(),
-                );
-            }
-        }
-    };
-    // Same dispatch as the workers: with a `"stop"` rule this pass folds
-    // the stored trials through the rule's batch schedule, reproducing the
-    // workers' stop decisions from the store bytes alone.
-    let report = match &sweep.stop {
-        None => {
-            runner.run_points_probed_first_each(points, seeds.clone(), |p, o, pr| sample(p, o, pr))
-        }
-        Some(rule) => {
-            runner.run_points_adaptive_probed_first_each(points, seeds.clone(), rule, |p, o, pr| {
-                sample(p, o, pr)
-            })
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    // The same batch loop as the workers: with a `"stop"` rule this pass
+    // folds the stored trials through the rule's batch schedule,
+    // reproducing the workers' stop decisions from the store bytes alone.
+    let report = SweepRunner::new()
+        .store(Arc::new(store))
+        .run_points_with(
+            points,
+            seeds.clone(),
+            sweep.stop.as_ref(),
+            |point, outcome, probes| {
+                rounds += outcome.result.metrics.rounds;
+                if let Some(outputs) = probes {
+                    probe_samples[point] = Some(
+                        outputs
+                            .iter()
+                            .map(|o| (o.name.clone(), o.value.clone()))
+                            .collect(),
+                    );
+                }
+            },
+        )
+        .map_err(|e| e.to_string())?;
     for (point, label) in report.points.iter().zip(&labels) {
         let mut fields = vec![
             ("event".to_string(), Value::Str("point".to_string())),

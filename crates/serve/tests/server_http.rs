@@ -268,6 +268,33 @@ fn sweep_schedules_a_job_that_streams_json_lines_to_done() {
     assert!(body.contains("base"), "{body}");
 }
 
+#[test]
+fn sweep_rejects_specs_that_cannot_run_before_creating_a_job() {
+    let addr = start_server("sweep-reject");
+
+    // An unknown protocol in the base, and a grid point with t = F: both
+    // expand fine, but no point's Sim can be built.
+    let unknown = SWEEP_BODY.replace("\"trapdoor\"", "\"no-such-protocol\"");
+    let (status, body) = post(addr, "/sweep", &unknown);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("no-such-protocol"), "{body}");
+
+    let bad_grid = SWEEP_BODY
+        .replace(r#""num_frequencies": 4"#, r#""num_frequencies": 8"#)
+        .replace(
+            r#"{"field": "num_frequencies", "values": [4, 8]}"#,
+            r#"{"field": "disruption_bound", "values": [8]}"#,
+        );
+    let (status, body) = post(addr, "/sweep", &bad_grid);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("disruption"), "{body}");
+
+    // Neither request left a job behind.
+    let (_, body) = get(addr, "/healthz");
+    let health = json::parse(&body).expect("healthz is JSON");
+    assert_eq!(health.get("jobs_total").and_then(Value::as_u64), Some(0));
+}
+
 /// The adaptive variant of [`SWEEP_BODY`]: a 32-seed budget per point,
 /// with a stopping rule loose enough that the sync-rate CI settles within
 /// the first 4-seed batch (trapdoor at this size synchronizes reliably).

@@ -31,7 +31,6 @@ pub mod histogram;
 pub mod quantile;
 pub mod regression;
 pub mod sequential;
-pub mod splitting;
 pub mod table;
 
 pub use confidence::{proportion_ci, CiUndefined, ConfidenceInterval};
@@ -40,7 +39,4 @@ pub use histogram::{Histogram, HistogramBin};
 pub use quantile::{median, quantile, quantiles};
 pub use regression::{fit_through_origin, linear_fit, LinearFit, OriginFit};
 pub use sequential::{dominated, wilson_ci};
-pub use splitting::{
-    splitting_estimate, LevelReport, SplitPath, SplittingConfig, SplittingEstimate,
-};
 pub use table::{Align, Table};

@@ -380,71 +380,37 @@ fn run_probed_carries_outputs_and_cache_hits_skip_probes() {
     assert_eq!(outputs[0].name, "checker");
     assert_eq!(outputs[1].name, "metrics");
 
-    // Store-backed: the outcome-only run records the trial; the probed
-    // Sim's cache hit serves it without executing (probes: None).
+    // Store-backed: the outcome-only trial is recorded; a probed sweep's
+    // cache hit serves it without executing (probes: None).
     let store = Arc::new(ResultStore::open(&dir).unwrap());
-    let recorder = Sim::from_spec(&plain_spec).unwrap().store(&store);
-    assert_eq!(recorder.run_one(5), baseline);
-    let probed_sim = Sim::from_spec(&probed_spec).unwrap().store(&store);
+    let recorder = Sim::from_spec(&plain_spec).unwrap();
+    store.put(recorder.digest(), 5, &baseline).unwrap();
     assert_eq!(
-        probed_sim.digest(),
+        sim.digest(),
         recorder.digest(),
         "probed and outcome-only sims share the content digest"
     );
-    let hit = probed_sim.run_probed(5);
-    assert_eq!(hit.outcome, baseline);
-    assert!(
-        hit.probes.is_none(),
-        "cache hits skip the engine and probes"
-    );
-    // A seed that is not cached executes, probes and persists.
-    let miss = probed_sim.run_probed(6);
-    assert!(miss.probes.is_some());
-    assert!(store.contains(probed_sim.digest(), 6));
+    let mut seen: Vec<(u64, bool)> = Vec::new();
+    let report = SweepRunner::new()
+        .store(Arc::clone(&store))
+        .run_points_with(
+            vec![(String::new(), probed_spec)],
+            5..7,
+            None,
+            |_, outcome, outputs| {
+                if outcome.seed == 5 {
+                    assert_eq!(outcome, &baseline);
+                }
+                seen.push((outcome.seed, outputs.is_some()));
+            },
+        )
+        .unwrap();
+    // The cache hit skips the engine and probes; the seed that is not
+    // cached executes, probes and persists.
+    assert_eq!(seen, vec![(5, false), (6, true)]);
+    assert_eq!((report.cached_trials(), report.executed_trials()), (1, 1));
+    assert!(store.contains(sim.digest(), 6));
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn probed_sweep_streams_outputs_per_trial() {
-    let base = ScenarioSpec::new("trapdoor", 6, 8, 1)
-        .with_adversary("random")
-        .with_probe("checker");
-    let points: Vec<(String, ScenarioSpec)> = vec![
-        ("t=1".to_string(), base.clone()),
-        ("t=3".to_string(), {
-            let mut p = base.clone();
-            p.disruption_bound = 3;
-            p
-        }),
-    ];
-
-    // Outcome stream and aggregates are identical to the unprobed path.
-    let mut unprobed: Vec<(usize, SyncOutcome)> = Vec::new();
-    let plain_report = SweepRunner::new()
-        .run_points_each(points.clone(), 0..4, |point, outcome| {
-            unprobed.push((point, outcome.clone()));
-        })
-        .unwrap();
-    let mut probed: Vec<(usize, SyncOutcome)> = Vec::new();
-    let mut outputs_seen = 0usize;
-    let probed_report = SweepRunner::new()
-        .run_points_probed_each(points, 0..4, |point, outcome, outputs| {
-            probed.push((point, outcome.clone()));
-            let outputs = outputs.expect("storeless probed sweeps execute every trial");
-            assert_eq!(outputs.len(), 1);
-            assert_eq!(outputs[0].name, "checker");
-            assert_eq!(
-                outputs[0].value.get("liveness").and_then(|v| v.as_bool()),
-                Some(outcome.properties.liveness)
-            );
-            outputs_seen += 1;
-        })
-        .unwrap();
-    assert_eq!(unprobed, probed);
-    assert_eq!(outputs_seen, 8);
-    for (a, b) in plain_report.points.iter().zip(&probed_report.points) {
-        assert_eq!(a.stats, b.stats);
-    }
 }
 
 #[test]
@@ -468,7 +434,7 @@ fn first_only_probing_samples_one_seed_per_point() {
     let mut probed_seeds: Vec<(usize, u64)> = Vec::new();
     let mut outcomes: Vec<SyncOutcome> = Vec::new();
     let report = SweepRunner::new()
-        .run_points_probed_first_each(points.clone(), 2..6, |point, outcome, outputs| {
+        .run_points_with(points.clone(), 2..6, None, |point, outcome, outputs| {
             outcomes.push(outcome.clone());
             if outputs.is_some() {
                 probed_seeds.push((point, outcome.seed));
@@ -497,14 +463,15 @@ fn first_only_probing_samples_one_seed_per_point() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(ResultStore::open(&dir).unwrap());
     for (_, spec) in &points {
-        let sim = Sim::from_spec(spec).unwrap().store(&store);
-        sim.run_one(2); // pre-cache seed 2 for both points
+        // pre-cache seed 2 for both points
+        let sim = Sim::from_spec(spec).unwrap();
+        store.put(sim.digest(), 2, &sim.run_one(2)).unwrap();
     }
     let store = Arc::new(ResultStore::open(&dir).unwrap());
     let mut probed_seeds: Vec<(usize, u64)> = Vec::new();
     SweepRunner::new()
         .store(store)
-        .run_points_probed_first_each(points, 2..6, |point, outcome, outputs| {
+        .run_points_with(points, 2..6, None, |point, outcome, outputs| {
             if outputs.is_some() {
                 probed_seeds.push((point, outcome.seed));
             }

@@ -6,19 +6,8 @@
 //! 2. **Serde round-trips** — every `ScenarioSpec`/`SweepSpec`, including
 //!    the example spec files checked in under `examples/specs/`, survives
 //!    JSON serialization losslessly.
-//! 3. **Wrapper equivalence** — the deprecated `run_*` shorthands,
-//!    `run_trial` on `ProtocolKind`, and `BatchRunner::run` produce outcomes
-//!    bit-identical to the registry/spec path they now wrap.
-
-#![allow(deprecated)]
 
 use wireless_sync::prelude::*;
-use wireless_sync::sync::batch::ProtocolKind;
-use wireless_sync::sync::runner::{
-    run_good_samaritan, run_round_robin, run_single_frequency, run_trapdoor, run_trapdoor_with,
-    run_wakeup,
-};
-use wireless_sync::sync::trapdoor::TrapdoorConfig;
 
 #[test]
 fn registry_names_are_stable() {
@@ -119,73 +108,6 @@ fn scenario_spec_round_trips_with_every_component_shape() {
     assert_eq!(back, spec);
     // serialization is canonical: serialize → parse → serialize is stable
     assert_eq!(back.to_json(), text);
-}
-
-#[test]
-fn deprecated_wrappers_equal_the_spec_path() {
-    let scenario = Scenario::new(8, 8, 2).with_adversary("random");
-    let pairs: Vec<(&str, SyncOutcome)> = vec![
-        ("trapdoor", run_trapdoor(&scenario, 9)),
-        ("good-samaritan", run_good_samaritan(&scenario, 9)),
-        ("wakeup", run_wakeup(&scenario, 9)),
-        ("round-robin", run_round_robin(&scenario, 9)),
-        ("single-frequency", run_single_frequency(&scenario, 9)),
-    ];
-    for (name, legacy) in pairs {
-        let spec = ScenarioSpec::from_scenario(&scenario, name);
-        let modern = Sim::from_spec(&spec).unwrap().run_one(9);
-        assert_eq!(legacy, modern, "{name}: wrapper diverged from Sim path");
-    }
-}
-
-#[test]
-fn protocol_kind_and_batch_runner_wrappers_equal_the_spec_path() {
-    let scenario = Scenario::new(8, 8, 2).with_adversary(AdversaryKind::Random);
-    let config = TrapdoorConfig::new(16, 8, 2).with_epoch_constant(3.0);
-    for kind in [ProtocolKind::Trapdoor, ProtocolKind::TrapdoorWith(config)] {
-        let legacy = kind.run_trial(&scenario, 4);
-        let modern = Sim::from_scenario(&scenario, kind.to_component())
-            .unwrap()
-            .run_one(4);
-        assert_eq!(legacy, modern);
-
-        let legacy_batch = BatchRunner::with_workers(2).run(&scenario, &kind, 0..4);
-        let modern_batch = Sim::from_scenario(&scenario, kind.to_component())
-            .unwrap()
-            .seeds(0..4)
-            .run(&BatchRunner::with_workers(2));
-        assert_eq!(legacy_batch, modern_batch);
-
-        // …and not just the raw outcomes: the deprecated `run_stats` must
-        // fold into bit-identical aggregates,
-        let legacy_stats = BatchRunner::with_workers(2).run_stats(&scenario, &kind, 0..4);
-        let modern_stats = Sim::from_scenario(&scenario, kind.to_component())
-            .unwrap()
-            .seeds(0..4)
-            .run_stats(&BatchRunner::with_workers(2));
-        assert_eq!(legacy_stats, modern_stats);
-        assert_eq!(legacy_stats, BatchStats::aggregate(&modern_batch));
-
-        // …and the rendered downstream tables must agree cell for cell, so
-        // the deprecation path stays honest all the way to what a report
-        // actually prints.
-        let legacy_table =
-            wireless_sync::sync::sweep::sync_time_quantile_table(kind.name(), &legacy_batch);
-        let modern_table =
-            wireless_sync::sync::sweep::sync_time_quantile_table(kind.name(), &modern_batch);
-        assert_eq!(legacy_table.to_plain_text(), modern_table.to_plain_text());
-        assert_eq!(legacy_table.to_markdown(), modern_table.to_markdown());
-        assert_eq!(legacy_table.to_csv(), modern_table.to_csv());
-    }
-    // the explicit-config wrapper reproduces run_trapdoor_with
-    let legacy = run_trapdoor_with(&scenario, config, 6);
-    let modern = Sim::from_scenario(
-        &scenario,
-        wireless_sync::sync::runner::trapdoor_component(&config),
-    )
-    .unwrap()
-    .run_one(6);
-    assert_eq!(legacy, modern);
 }
 
 #[test]

@@ -247,16 +247,20 @@ fn two_concurrent_store_instances_append_a_clean_union() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `Sim::store` on its own (without the sweep layer) also skips the engine
-/// on cache hits — the store is one substrate shared by both entry points.
+/// Trials a `Sim` runs on its own and records with `ResultStore::put`
+/// (without the sweep layer) are served to the sweep layer without the
+/// engine — the store is one substrate shared by both entry points.
 #[test]
 fn sim_level_store_shares_the_same_cache_substrate() {
     let dir = temp_dir("sim-level");
     let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
 
     let store = Arc::new(ResultStore::open(&dir).unwrap());
-    let sim = Sim::from_spec(&spec).unwrap().store(&store);
-    let outcomes = sim.seeds(0..4).run(&BatchRunner::with_workers(2));
+    let sim = Sim::from_spec(&spec).unwrap().seeds(0..4);
+    let outcomes = sim.run(&BatchRunner::with_workers(2));
+    for outcome in &outcomes {
+        store.put(sim.digest(), outcome.seed, outcome).unwrap();
+    }
     assert_eq!(store.len(), 4);
 
     // A SweepRunner over the same spec reuses the Sim-recorded trials.
