@@ -17,11 +17,15 @@
 //!
 //! * **Claim** — `O_CREAT|O_EXCL` (`create_new`): exactly one process
 //!   creates the lease file; everyone else sees `AlreadyExists`.
-//! * **Heartbeat** — rewriting the lease body in place bumps a
-//!   monotonically increasing **beat counter** stored *in the file*. A
-//!   lease is *stale* only when a reclaimer has watched its
-//!   `(holder, beat)` stamp stay frozen across a full TTL measured on the
-//!   reclaimer's own monotonic clock (see [`LeaseWatch`]): the holder is
+//! * **Heartbeat** — overwriting the lease body in place, through the
+//!   handle the claim created, bumps a monotonically increasing **beat
+//!   counter** stored *in the file*. The body is fixed-width (the compact
+//!   JSON stamp padded with spaces), so no heartbeat truncates the file,
+//!   and the lease is still ours only while the path holds exactly the
+//!   bytes we last wrote. A lease is *stale* only when a reclaimer has
+//!   watched its `(holder, beat)` stamp stay frozen across a full TTL
+//!   measured on the reclaimer's own monotonic clock (see
+//!   [`LeaseWatch`]): the holder is
 //!   then presumed dead (`kill -9`, OOM, power loss). File mtimes are
 //!   never consulted — on shared filesystems (NFS and friends) mtimes
 //!   come from *another machine's* clock, and skew would make a live
@@ -47,8 +51,8 @@
 //! compared.
 
 use std::fmt;
-use std::fs::{self, OpenOptions};
-use std::io::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -151,9 +155,12 @@ pub struct FabricConfig {
     pub holder: String,
     /// A lease whose beat counter has not advanced for this long — as
     /// observed on *this worker's* monotonic clock via [`LeaseWatch`] —
-    /// is stale and may be reclaimed. Must comfortably exceed the
-    /// slowest single trial plus scheduler noise: a *live* worker
-    /// heartbeats every trial.
+    /// is stale and may be reclaimed. A *live* worker heartbeats before
+    /// every append, so this must comfortably exceed the longest gap
+    /// between two heartbeats plus scheduler noise: the slowest single
+    /// trial, or the claim's [`ResultStore::repair_shard`], which decodes
+    /// only what peers appended since this worker's last scan of the
+    /// shard (the whole shard only after a crash or a corrupt line).
     pub lease_ttl: Duration,
     /// How long a worker sleeps between passes when every remaining shard
     /// is held by a live peer.
@@ -253,6 +260,12 @@ pub struct WorkerSummary {
     /// Adaptive grid points this worker saw stop early (derived or
     /// observed via a peer's marker).
     pub points_stopped: u64,
+    /// Shard lines decoded while watching and repairing shards
+    /// ([`ResultStore::lines_decoded`]; the store's initial open is not
+    /// counted). Each line a peer appended is decoded at most once, so a
+    /// solo worker on a fresh store decodes none; only a crash or a
+    /// corrupt line forces a whole shard to be read again.
+    pub records_decoded: u64,
 }
 
 /// A held shard lease. Holding it makes this process the shard's only
@@ -261,59 +274,65 @@ pub struct WorkerSummary {
 #[derive(Debug)]
 struct Lease {
     path: PathBuf,
+    /// The handle the claim created the file through; heartbeats
+    /// overwrite the body through it, in place.
+    file: File,
     shard: usize,
     holder: String,
     beat: u64,
+    /// The body this lease last wrote: the lease is still ours exactly
+    /// while the path holds these bytes.
+    body: Vec<u8>,
 }
 
 impl Lease {
-    /// Refreshes the lease file (bumping the heartbeat counter and the
-    /// mtime). Returns `false` if the lease is no longer ours — the file
-    /// vanished or names another holder, meaning a peer reclaimed it
-    /// after we stalled past the TTL — in which case the caller must
-    /// abandon the shard without appending another record.
+    /// Bumps the lease's beat counter. Returns `false` if the lease is no
+    /// longer ours — the path is gone or holds other bytes than the body
+    /// we last wrote, meaning a peer reclaimed it after we stalled past
+    /// the TTL — in which case the caller must abandon the shard without
+    /// appending another record.
     ///
-    /// The verify-then-write pair is not atomic; the remaining race
-    /// window is microseconds against a TTL of seconds, and a reclaim
-    /// only happens at all when this process has made no heartbeat for a
-    /// full TTL.
+    /// The verify-then-write pair is not atomic, but the write goes
+    /// through the handle the claim created: if a peer reclaims the lease
+    /// in between, the write lands in the orphaned file, never in the
+    /// peer's new lease, and the next heartbeat reports the loss.
     fn heartbeat(&mut self) -> Result<bool, FabricError> {
-        match fs::read_to_string(&self.path) {
-            Ok(text) if lease_holder(&text).as_deref() == Some(self.holder.as_str()) => {}
-            Ok(_) => return Ok(false),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(source) => {
-                return Err(FabricError::Lease {
-                    path: self.path.clone(),
-                    source,
-                })
-            }
+        if !self.still_ours()? {
+            return Ok(false);
         }
         self.beat += 1;
-        fs::write(&self.path, lease_body(self.shard, &self.holder, self.beat)).map_err(
-            |source| FabricError::Lease {
+        self.body = lease_body(self.shard, &self.holder, self.beat);
+        self.file
+            .seek(SeekFrom::Start(0))
+            .and_then(|_| self.file.write_all(&self.body))
+            .map_err(|source| FabricError::Lease {
                 path: self.path.clone(),
                 source,
-            },
-        )?;
+            })?;
         Ok(true)
+    }
+
+    /// Whether the lease file still holds exactly the body this lease
+    /// last wrote.
+    fn still_ours(&self) -> Result<bool, FabricError> {
+        match fs::read(&self.path) {
+            Ok(bytes) => Ok(bytes == self.body),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+            Err(source) => Err(FabricError::Lease {
+                path: self.path.clone(),
+                source,
+            }),
+        }
     }
 
     /// Removes the lease file, surrendering the shard. A no-op if the
     /// lease was already reclaimed by a peer.
     fn release(self) -> Result<(), FabricError> {
-        match fs::read_to_string(&self.path) {
-            Ok(text) if lease_holder(&text).as_deref() == Some(self.holder.as_str()) => {
-                match fs::remove_file(&self.path) {
-                    Ok(()) => Ok(()),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-                    Err(source) => Err(FabricError::Lease {
-                        path: self.path,
-                        source,
-                    }),
-                }
-            }
-            Ok(_) => Ok(()),
+        if !self.still_ours()? {
+            return Ok(());
+        }
+        match fs::remove_file(&self.path) {
+            Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(source) => Err(FabricError::Lease {
                 path: self.path,
@@ -328,14 +347,24 @@ pub fn lease_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:02}.lease"))
 }
 
-fn lease_body(shard: usize, holder: &str, beat: u64) -> String {
+/// Digits of the widest beat counter a lease body holds (`i64::MAX`).
+const BEAT_DIGITS: usize = 19;
+
+/// A lease body: the compact JSON stamp, padded with spaces to a width
+/// that no beat counter changes, so a heartbeat overwrites it in place.
+/// Every reader trims, so padded bodies and unpadded ones (written by
+/// older workers) read alike.
+fn lease_body(shard: usize, holder: &str, beat: u64) -> Vec<u8> {
     let mut body = Value::Object(vec![
         ("shard".to_string(), Value::Int(shard as i64)),
         ("holder".to_string(), Value::Str(holder.to_string())),
         ("beat".to_string(), Value::Int(beat as i64)),
     ])
-    .to_json_compact();
-    body.push('\n');
+    .to_json_compact()
+    .into_bytes();
+    let digits = beat.checked_ilog10().map_or(1, |d| d as usize + 1);
+    body.resize(body.len() + BEAT_DIGITS.saturating_sub(digits), b' ');
+    body.push(b'\n');
     body
 }
 
@@ -442,16 +471,18 @@ fn try_claim(dir: &Path, shard: usize, holder: &str) -> Result<Option<Lease>, Fa
     let path = lease_path(dir, shard);
     match OpenOptions::new().write(true).create_new(true).open(&path) {
         Ok(mut file) => {
-            file.write_all(lease_body(shard, holder, 0).as_bytes())
-                .map_err(|source| FabricError::Lease {
-                    path: path.clone(),
-                    source,
-                })?;
+            let body = lease_body(shard, holder, 0);
+            file.write_all(&body).map_err(|source| FabricError::Lease {
+                path: path.clone(),
+                source,
+            })?;
             Ok(Some(Lease {
                 path,
+                file,
                 shard,
                 holder: holder.to_string(),
                 beat: 0,
+                body,
             }))
         }
         Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(None),
@@ -774,6 +805,7 @@ where
             }
         }
     }
+    summary.records_decoded = store.lines_decoded();
     Ok(summary)
 }
 
@@ -992,10 +1024,60 @@ mod tests {
             .unwrap()
             .expect("reclaimed");
         let _theirs = try_claim(&dir, 2, "fast-worker").unwrap().expect("claim");
+        let path = lease_path(&dir, 2);
+        let theirs_body = fs::read(&path).unwrap();
         assert!(
             !lease.heartbeat().unwrap(),
             "heartbeat must report the lease as lost"
         );
+        lease.release().unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            theirs_body,
+            "the lost holder must leave the new holder's lease byte-identical"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn heartbeats_overwrite_the_lease_in_place_at_a_constant_length() {
+        let dir = temp_dir("beats");
+        fs::create_dir_all(&dir).unwrap();
+        let mut lease = try_claim(&dir, 6, "steady-worker").unwrap().expect("claim");
+        let path = lease_path(&dir, 6);
+        let len = fs::metadata(&path).unwrap().len();
+        for beat in 1..=1000u64 {
+            assert!(lease.heartbeat().unwrap());
+            assert_eq!(fs::metadata(&path).unwrap().len(), len, "beat {beat}");
+        }
+        let stamp = LeaseStamp::parse(&fs::read_to_string(&path).unwrap());
+        assert_eq!(stamp.holder.as_deref(), Some("steady-worker"));
+        assert_eq!(stamp.beat, Some(1000));
+        lease.release().unwrap();
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn padded_and_unpadded_lease_bodies_read_alike() {
+        // Workers of both body formats can share one store directory.
+        let dir = temp_dir("bodies");
+        fs::create_dir_all(&dir).unwrap();
+        let unpadded = "{\"shard\":4,\"holder\":\"w-7\",\"beat\":12}\n";
+        let padded = String::from_utf8(lease_body(4, "w-7", 12)).unwrap();
+        assert!(padded.len() > unpadded.len());
+        assert_eq!(padded.trim(), unpadded.trim());
+        for body in [unpadded, padded.as_str()] {
+            fs::write(lease_path(&dir, 4), body).unwrap();
+            assert_eq!(read_lease(&dir, 4).unwrap().as_deref(), Some("w-7"));
+            assert_eq!(
+                LeaseStamp::parse(body),
+                LeaseStamp {
+                    holder: Some("w-7".to_string()),
+                    beat: Some(12),
+                }
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -33,9 +33,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use wsync_radio::engine::{ExecutionResult, NodeSummary};
 use wsync_radio::metrics::SimMetrics;
@@ -175,101 +176,204 @@ pub struct ShardRepair {
     pub rewritten: bool,
 }
 
-/// One pass over a shard file: the decodable records, the lines to keep on
-/// a rewrite, and what was wrong.
-struct ShardScan {
-    good_lines: Vec<String>,
-    records: Vec<(u64, u64, SyncOutcome)>,
-    dropped: u64,
-    ends_clean: bool,
+/// One shard's append handle and scan cursor, kept together behind the
+/// shard's lock.
+///
+/// The cursor is what makes `refresh_shard` and `repair_shard` cost the
+/// bytes peers appended rather than the whole shard: every record in
+/// `[0, cursor)` of the shard file is already merged into the index, so a
+/// scan resumes there. That prefix stays valid across a peer's repair as
+/// long as it is *verbatim* — every line in it decoded exactly as written
+/// — because a repair keeps such lines byte for byte and only ever drops
+/// lines that do not decode. When it is not, or when the file is now
+/// shorter than the cursor (it was replaced), the next scan starts over
+/// at byte 0.
+#[derive(Debug, Default)]
+struct ShardState {
+    /// The cached append handle: `None` until the first `put`, and again
+    /// after every `repair_shard`.
+    writer: Option<File>,
+    /// Bytes of the shard file merged into the index: 0, or just past a
+    /// newline.
+    cursor: u64,
+    /// Whether some line before `cursor` did not decode exactly as
+    /// written (undecodable, blank, or `\r`-terminated), so a rewrite
+    /// may have moved the bytes after it.
+    dirty: bool,
 }
 
-impl ShardScan {
-    fn needs_rewrite(&self) -> bool {
-        self.dropped > 0 || !self.ends_clean
-    }
-}
-
-/// Reads every line of the shard at `path`, splitting decodable records
-/// from torn/corrupt ones. `Ok(None)` means the shard file does not exist
-/// yet.
-fn scan_shard(path: &Path) -> Result<Option<ShardScan>, StoreError> {
-    let mut file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(source) => {
-            return Err(StoreError::Io {
-                path: path.to_path_buf(),
-                source,
-            })
-        }
-    };
-    // A shard not ending in '\n' means the last append was cut off by a
-    // kill. Even if the surviving bytes happen to decode (the cut can land
-    // exactly before the newline), the shard must be rewritten so the next
-    // append starts on a fresh line instead of concatenating onto the
-    // remnant.
-    let ends_clean = {
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let io = |source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let len = file.metadata().map_err(io)?.len();
-        if len == 0 {
-            true
+impl ShardState {
+    /// Where the next scan of a shard file `len` bytes long starts.
+    fn scan_from(&self, len: u64) -> u64 {
+        if self.dirty || len < self.cursor {
+            0
         } else {
-            file.seek(SeekFrom::End(-1)).map_err(io)?;
-            let mut last = [0u8; 1];
-            file.read_exact(&mut last).map_err(io)?;
-            file.seek(SeekFrom::Start(0)).map_err(io)?;
-            last[0] == b'\n'
-        }
-    };
-    let mut scan = ShardScan {
-        good_lines: Vec::new(),
-        records: Vec::new(),
-        dropped: 0,
-        ends_clean,
-    };
-    for line in BufReader::new(file).lines() {
-        let line = line.map_err(|source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_record(&line) {
-            Some((digest, seed, outcome)) => {
-                scan.records.push((digest, seed, outcome));
-                scan.good_lines.push(line);
-            }
-            None => scan.dropped += 1,
+            self.cursor
         }
     }
-    Ok(Some(scan))
+
+    /// Moves the cursor to the end of what `scan` read.
+    fn advance(&mut self, scan: &Scan) {
+        self.cursor = scan.end;
+        self.dirty = scan
+            .irregular
+            .as_ref()
+            .is_some_and(|(at, _)| *at < scan.end);
+    }
+
+    /// Forgets the cursor: the shard file is gone (or about to be).
+    fn reset(&mut self) {
+        self.cursor = 0;
+        self.dirty = false;
+    }
 }
 
-/// Rewrites the shard at `path` with only `good_lines`, via a temporary
-/// file and rename, so later appends always start on a clean line.
-fn rewrite_shard(
-    dir: &Path,
-    shard: usize,
-    path: &Path,
-    good_lines: &[String],
-) -> Result<(), StoreError> {
-    let mut repaired = good_lines.join("\n");
-    if !repaired.is_empty() {
-        repaired.push('\n');
+/// What one pass of [`scan_shard`] found.
+struct Scan {
+    /// Offset just past the last newline read: where a cursor may stop.
+    end: u64,
+    /// Lines that failed to decode (the torn tail included, when the pass
+    /// decodes it).
+    dropped: u64,
+    /// Whether bytes follow the last newline: a killed writer's torn
+    /// tail, or a peer's append still in flight.
+    torn_tail: bool,
+    /// Lines handed to the record decoder.
+    decoded: u64,
+    /// Set at the first line a rewrite would not keep byte for byte: the
+    /// offset where the shard stops being verbatim and, if the pass
+    /// collects, every decodable line after it, newline-terminated.
+    irregular: Option<(u64, Vec<u8>)>,
+}
+
+impl Scan {
+    fn needs_rewrite(&self) -> bool {
+        self.dropped > 0 || self.torn_tail
     }
+}
+
+/// Opens the shard file at `path` for scanning; `Ok(None)` means it does
+/// not exist yet.
+fn open_shard(path: &Path) -> Result<Option<(File, u64)>, StoreError> {
+    let io = |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    match File::open(path) {
+        Ok(file) => {
+            let len = file.metadata().map_err(io)?.len();
+            Ok(Some((file, len)))
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(source) => Err(io(source)),
+    }
+}
+
+/// The one shard scanner, shared by open, `refresh_shard` and
+/// `repair_shard`: reads `file` from byte `from` to its end, one line at
+/// a time through a single reused buffer, and hands every decodable
+/// record to `record`.
+///
+/// The bytes after the last newline are a torn tail (or a peer's append
+/// in flight); they are decoded only if `with_tail`. With `collect`, the
+/// pass gathers what a rewrite keeps — but only from the first irregular
+/// line on, so a healthy shard costs no copy at all.
+fn scan_shard(
+    file: File,
+    from: u64,
+    path: &Path,
+    with_tail: bool,
+    collect: bool,
+    mut record: impl FnMut(u64, u64, SyncOutcome),
+) -> Result<Scan, StoreError> {
+    use std::io::{Seek as _, SeekFrom};
+    let io = |source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let mut reader = BufReader::new(file);
+    reader.seek(SeekFrom::Start(from)).map_err(io)?;
+    let mut scan = Scan {
+        end: from,
+        dropped: 0,
+        torn_tail: false,
+        decoded: 0,
+        irregular: None,
+    };
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let read = reader.read_until(b'\n', &mut line).map_err(io)?;
+        if read == 0 {
+            break;
+        }
+        let start = scan.end;
+        // A line without its newline is the torn tail. Even if its bytes
+        // decode (the kill landed right before the newline), a repair
+        // must rewrite the shard so the next append starts on a fresh
+        // line instead of concatenating onto the remnant.
+        let complete = line.last() == Some(&b'\n');
+        if complete {
+            line.pop();
+            scan.end += read as u64;
+        } else {
+            scan.torn_tail = true;
+            if !with_tail {
+                break;
+            }
+        }
+        // Like `BufRead::lines`: a `\r\n` ending loses its `\r` too.
+        let crlf = complete && line.last() == Some(&b'\r');
+        if crlf {
+            line.pop();
+        }
+        let text = std::str::from_utf8(&line).ok();
+        let blank = text.is_some_and(|t| t.trim().is_empty());
+        let decoded = if blank {
+            None
+        } else {
+            scan.decoded += 1;
+            text.and_then(decode_record)
+        };
+        let kept = decoded.is_some();
+        match decoded {
+            Some((digest, seed, outcome)) => record(digest, seed, outcome),
+            None if !blank => scan.dropped += 1,
+            None => {}
+        }
+        if !complete || crlf || !kept {
+            scan.irregular.get_or_insert((start, Vec::new()));
+        }
+        if let Some((_, rest)) = scan.irregular.as_mut().filter(|_| collect && kept) {
+            rest.extend_from_slice(&line);
+            rest.push(b'\n');
+        }
+    }
+    Ok(scan)
+}
+
+/// Rewrites the shard at `path` to what `scan` (a collecting pass) kept:
+/// its verbatim prefix copied as is, then the decodable lines after it.
+/// Goes through a temporary file and rename, so later appends always
+/// start on a clean line. Returns the new length.
+fn rewrite_shard(dir: &Path, shard: usize, path: &Path, scan: &Scan) -> Result<u64, StoreError> {
+    let (verbatim, rest) = match &scan.irregular {
+        Some((at, rest)) => (*at, rest.as_slice()),
+        None => (scan.end, &[][..]),
+    };
     let tmp = dir.join(format!(".shard-{shard:02}.jsonl.tmp"));
-    fs::write(&tmp, repaired)
-        .and_then(|()| fs::rename(&tmp, path))
-        .map_err(|source| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        })
+    let write = || -> std::io::Result<()> {
+        let mut out = File::create(&tmp)?;
+        std::io::copy(&mut File::open(path)?.take(verbatim), &mut out)?;
+        out.write_all(rest)?;
+        drop(out);
+        fs::rename(&tmp, path)
+    };
+    write().map_err(|source| StoreError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    Ok(verbatim + rest.len() as u64)
 }
 
 /// A persistent map from `(spec digest, seed)` to the trial's
@@ -291,10 +395,12 @@ pub struct ResultStore {
     // iterates it (a stats endpoint, an export) must see a deterministic
     // order — keys are trial identities feeding resumable aggregates.
     index: RwLock<BTreeMap<(u64, u64), SyncOutcome>>,
-    shards: Vec<Mutex<Option<File>>>,
+    shards: Vec<Mutex<ShardState>>,
     dropped: u64,
     loaded: usize,
     repairs: Vec<ShardRepair>,
+    /// Lines decoded by `refresh_shard` and `repair_shard` since open.
+    decoded: AtomicU64,
 }
 
 impl fmt::Debug for ResultStore {
@@ -345,36 +451,41 @@ impl ResultStore {
         let mut index = BTreeMap::new();
         let mut dropped = 0u64;
         let mut repairs = Vec::new();
+        let mut shards = Vec::with_capacity(SHARD_COUNT);
         for shard in 0..SHARD_COUNT {
             let path = shard_path(&dir, shard);
-            let Some(scan) = scan_shard(&path)? else {
-                continue;
-            };
-            for (digest, seed, outcome) in scan.records.iter().cloned() {
-                index.insert((digest, seed), outcome);
-            }
-            if scan.needs_rewrite() {
-                if repair {
-                    rewrite_shard(&dir, shard, &path, &scan.good_lines)?;
+            let mut state = ShardState::default();
+            if let Some((file, _)) = open_shard(&path)? {
+                let scan = scan_shard(file, 0, &path, true, repair, |digest, seed, outcome| {
+                    index.insert((digest, seed), outcome);
+                })?;
+                state.advance(&scan);
+                if scan.needs_rewrite() {
+                    if repair {
+                        state.cursor = rewrite_shard(&dir, shard, &path, &scan)?;
+                        state.dirty = false;
+                    }
+                    repairs.push(ShardRepair {
+                        shard,
+                        path,
+                        dropped_lines: scan.dropped,
+                        torn_tail: scan.torn_tail,
+                        rewritten: repair,
+                    });
                 }
-                repairs.push(ShardRepair {
-                    shard,
-                    path,
-                    dropped_lines: scan.dropped,
-                    torn_tail: !scan.ends_clean,
-                    rewritten: repair,
-                });
+                dropped += scan.dropped;
             }
-            dropped += scan.dropped;
+            shards.push(Mutex::new(state));
         }
         let loaded = index.len();
         Ok(ResultStore {
             dir,
             index: RwLock::new(index),
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(None)).collect(),
+            shards,
             dropped,
             loaded,
             repairs,
+            decoded: AtomicU64::new(0),
         })
     }
 
@@ -397,6 +508,32 @@ impl ResultStore {
     fn index_write(&self) -> RwLockWriteGuard<'_, BTreeMap<(u64, u64), SyncOutcome>> {
         // lint:allow(panicky-library): poisoned index = a writer panicked mid-insert; propagating the panic is the only sound option
         self.index.write().expect("store index poisoned")
+    }
+
+    /// One shard's append handle and cursor. A poisoned lock means a
+    /// thread panicked between buffering and flushing a line; the file
+    /// position is unknowable, so appends must stop. Recovering via
+    /// `into_inner` would risk interleaving half-written records.
+    fn shard(&self, shard: usize) -> MutexGuard<'_, ShardState> {
+        // lint:allow(panicky-library): poisoned shard writer = a panic mid-append left the file position unknowable; stop instead of corrupting
+        self.shards[shard].lock().expect("shard writer poisoned")
+    }
+
+    /// Merges scanned records into the index, first record winning as in
+    /// `put`; returns how many were new.
+    fn merge(&self, records: Vec<(u64, u64, SyncOutcome)>) -> usize {
+        if records.is_empty() {
+            return 0;
+        }
+        let mut index = self.index_write();
+        let mut merged = 0;
+        for (digest, seed, outcome) in records {
+            if let std::collections::btree_map::Entry::Vacant(slot) = index.entry((digest, seed)) {
+                slot.insert(outcome);
+                merged += 1;
+            }
+        }
+        merged
     }
 
     /// Number of records currently held (loaded plus appended).
@@ -429,80 +566,118 @@ impl ResultStore {
         &self.repairs
     }
 
-    /// Re-reads one shard file from disk and merges any record the
-    /// in-memory index does not hold yet (first record wins, matching
-    /// `put`'s idempotence). Returns `(records merged, undecodable lines
-    /// seen)`. Never rewrites the file — this is the read side of the
+    /// Shard lines decoded by [`refresh_shard`](Self::refresh_shard) and
+    /// [`repair_shard`](Self::repair_shard) since this store was opened
+    /// (the open's own scan excluded). A deterministic measure of their
+    /// work: each line another writer appended is decoded once, and a
+    /// whole shard again only after a fallback to a full scan.
+    pub fn lines_decoded(&self) -> u64 {
+        self.decoded.load(Ordering::Relaxed)
+    }
+
+    /// Reads what was appended to one shard file since this store last
+    /// scanned it and merges any record the in-memory index does not hold
+    /// yet (first record wins, matching `put`'s idempotence). Returns
+    /// `(records merged, undecodable lines seen)`, both counted over this
+    /// pass only. Never rewrites the file — this is the read side of the
     /// fabric protocol, used to observe progress other processes append to
     /// a shared store.
+    ///
+    /// Only newline-terminated lines count: bytes after the last newline
+    /// are a peer's append still in flight (or a killed writer's torn
+    /// tail, which [`repair_shard`](Self::repair_shard) handles) and are
+    /// left for a later pass. The pass starts at the shard's cursor, so it
+    /// costs the bytes appended since the last scan; it falls back to a
+    /// full scan when the file is shorter than the cursor or an earlier
+    /// line did not decode.
     pub fn refresh_shard(&self, shard: usize) -> Result<(usize, u64), StoreError> {
         assert!(shard < SHARD_COUNT, "shard index out of range");
-        let path = shard_path(&self.dir, shard);
-        let Some(scan) = scan_shard(&path)? else {
-            return Ok((0, 0));
-        };
-        let mut merged = 0usize;
-        let mut index = self.index_write();
-        for (digest, seed, outcome) in scan.records {
-            if let std::collections::btree_map::Entry::Vacant(slot) = index.entry((digest, seed)) {
-                slot.insert(outcome);
-                merged += 1;
-            }
-        }
-        Ok((merged, scan.dropped))
+        let mut state = self.shard(shard);
+        Ok(match self.scan_tail(shard, &mut state, false)? {
+            Some((scan, merged)) => (merged, scan.dropped),
+            None => (0, 0),
+        })
     }
 
     /// Scans and, if needed, rewrites one shard file in place, dropping
     /// torn/corrupt lines and restoring the trailing newline, then merges
-    /// the surviving records into the in-memory index.
+    /// the surviving records into the in-memory index. Like
+    /// [`refresh_shard`](Self::refresh_shard) it decodes only what was
+    /// appended since this store's last scan (plus the torn tail), with
+    /// the same full-scan fallbacks; the report counts the whole file all
+    /// the same.
     ///
     /// **Single-writer precondition:** the caller must be the shard's only
     /// live writer (in the fabric protocol, the holder of its lease) — the
     /// rewrite replaces the inode, so any other process's open append
     /// handle would keep writing into an orphaned file. This store's own
-    /// cached append handle is invalidated here under the shard lock, so
-    /// a later `put` through *this* instance reopens the repaired file.
+    /// cached append handle is dropped on *every* call, rewrite or not: a
+    /// peer's repair may have replaced the file since this store last
+    /// appended to it, so the next `put` reopens the shard by path.
     pub fn repair_shard(&self, shard: usize) -> Result<ShardRepair, StoreError> {
         assert!(shard < SHARD_COUNT, "shard index out of range");
         let path = shard_path(&self.dir, shard);
-        // Hold the shard lock across scan + rewrite + handle invalidation
-        // so a concurrent `put` from another thread of this process cannot
-        // append between the scan and the rename (its line would be lost
-        // with the old inode). Safe against the index lock: `put` never
-        // holds both locks at once.
-        // lint:allow(panicky-library): poisoned shard writer = a panic mid-append left the file position unknowable; stop instead of corrupting
-        let mut guard = self.shards[shard].lock().expect("shard writer poisoned");
-        let scan = match scan_shard(&path)? {
-            Some(scan) => scan,
-            None => {
-                return Ok(ShardRepair {
-                    shard,
-                    path,
-                    dropped_lines: 0,
-                    torn_tail: false,
-                    rewritten: false,
-                })
-            }
-        };
-        let repair = ShardRepair {
+        // Hold the shard lock across scan + rewrite so a concurrent `put`
+        // from another thread of this process cannot append between the
+        // scan and the rename (its line would be lost with the old inode).
+        let mut state = self.shard(shard);
+        state.writer = None;
+        let mut repair = ShardRepair {
             shard,
             path: path.clone(),
-            dropped_lines: scan.dropped,
-            torn_tail: !scan.ends_clean,
-            rewritten: scan.needs_rewrite(),
+            dropped_lines: 0,
+            torn_tail: false,
+            rewritten: false,
         };
-        if scan.needs_rewrite() {
-            rewrite_shard(&self.dir, shard, &path, &scan.good_lines)?;
-            // The rename replaced the inode; drop the cached append handle
-            // so the next put reopens the repaired file.
-            *guard = None;
-        }
-        drop(guard);
-        let mut index = self.index_write();
-        for (digest, seed, outcome) in scan.records {
-            index.entry((digest, seed)).or_insert(outcome);
+        if let Some((scan, _)) = self.scan_tail(shard, &mut state, true)? {
+            if scan.needs_rewrite() {
+                state.cursor = rewrite_shard(&self.dir, shard, &path, &scan)?;
+                state.dirty = false;
+            }
+            repair.dropped_lines = scan.dropped;
+            repair.torn_tail = scan.torn_tail;
+            repair.rewritten = scan.needs_rewrite();
         }
         Ok(repair)
+    }
+
+    /// The shared half of `refresh_shard` and `repair_shard`: scans
+    /// `shard` from its cursor (see `ShardState`), moves the cursor, and
+    /// merges the records into the index while the caller still holds the
+    /// shard lock, so the cursor never runs ahead of the index. Safe
+    /// against the index lock: `put` never holds both locks at once.
+    /// `repair` decodes the torn tail and collects what a rewrite keeps.
+    /// Returns the scan and the count of newly merged records, or `None`
+    /// when nothing was appended since the last scan.
+    fn scan_tail(
+        &self,
+        shard: usize,
+        state: &mut ShardState,
+        repair: bool,
+    ) -> Result<Option<(Scan, usize)>, StoreError> {
+        let path = shard_path(&self.dir, shard);
+        let Some((file, len)) = open_shard(&path)? else {
+            state.reset();
+            return Ok(None);
+        };
+        let from = state.scan_from(len);
+        if from == len {
+            return Ok(None);
+        }
+        let mut records = Vec::new();
+        let scan = scan_shard(
+            file,
+            from,
+            &path,
+            repair,
+            repair,
+            |digest, seed, outcome| {
+                records.push((digest, seed, outcome));
+            },
+        )?;
+        self.decoded.fetch_add(scan.decoded, Ordering::Relaxed);
+        state.advance(&scan);
+        Ok(Some((scan, self.merge(records))))
     }
 
     /// Looks up the stored outcome of trial `(digest, seed)`.
@@ -536,14 +711,11 @@ impl ResultStore {
         line.push('\n');
         let shard = shard_index(digest, seed);
         let path = shard_path(&self.dir, shard);
-        // A poisoned shard lock means a thread panicked between buffering
-        // and flushing a line; the file position is unknowable, so appends
-        // must stop. Recovering via into_inner would risk interleaving
-        // half-written records.
-        // lint:allow(panicky-library): poisoned shard writer = a panic mid-append left the file position unknowable; stop instead of corrupting
-        let mut guard = self.shards[shard].lock().expect("shard writer poisoned");
-        if guard.is_none() {
-            let file = OpenOptions::new()
+        let mut guard = self.shard(shard);
+        let state = &mut *guard;
+        let file = match state.writer.take() {
+            Some(file) => file,
+            None => OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&path)
@@ -552,11 +724,9 @@ impl ResultStore {
                     digest,
                     seed,
                     source,
-                })?;
-            *guard = Some(file);
-        }
-        // lint:allow(panicky-library): the None branch directly above just filled the slot, so as_mut cannot fail
-        let file = guard.as_mut().expect("writer opened above");
+                })?,
+        };
+        let file = state.writer.insert(file);
         file.write_all(line.as_bytes())
             .and_then(|()| file.flush())
             .map_err(|source| StoreError::Append {
@@ -564,7 +734,15 @@ impl ResultStore {
                 digest,
                 seed,
                 source,
-            })
+            })?;
+        // The line is already in the index; if it landed exactly at the
+        // cursor (no other writer appended in between), the next scan
+        // need not read it back.
+        let landed = state.cursor + line.len() as u64;
+        if file.metadata().is_ok_and(|m| m.len() == landed) {
+            state.cursor = landed;
+        }
+        Ok(())
     }
 }
 
@@ -1204,6 +1382,157 @@ mod tests {
         for shard in 0..SHARD_COUNT {
             assert_eq!(reader.refresh_shard(shard).unwrap().0, 0);
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Appends raw bytes to a shard file, as another writer would.
+    fn append_raw(dir: &Path, shard: usize, bytes: &[u8]) {
+        OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(shard_path(dir, shard))
+            .unwrap()
+            .write_all(bytes)
+            .unwrap();
+    }
+
+    #[test]
+    fn repair_drops_the_append_handle_even_when_a_peer_already_rewrote_the_shard() {
+        // A peer's repair replaces the shard file. An instance whose own
+        // repair then finds the shard clean must still reopen it by path,
+        // or its next put lands in the orphaned file: acknowledged and in
+        // its index, but lost on disk.
+        let dir = temp_dir("orphan");
+        let digest = 23u64;
+        let outcomes = sample_outcomes(32);
+        let first = &outcomes[0];
+        let shard = shard_index(digest, first.seed);
+        let second = outcomes[1..]
+            .iter()
+            .find(|o| shard_index(digest, o.seed) == shard)
+            .expect("a second seed in the same shard");
+        let a = ResultStore::open_shared(&dir).unwrap();
+        let b = ResultStore::open_shared(&dir).unwrap();
+        a.put(digest, first.seed, first).unwrap();
+        // A killed writer leaves a torn tail on the shard.
+        let line = encode_record(digest, second.seed, second);
+        append_raw(&dir, shard, &line.as_bytes()[..line.len() / 2]);
+        assert!(b.repair_shard(shard).unwrap().rewritten);
+        let clean = a.repair_shard(shard).unwrap();
+        assert_eq!(
+            (clean.dropped_lines, clean.torn_tail, clean.rewritten),
+            (0, false, false),
+            "the peer already repaired the shard"
+        );
+        a.put(digest, second.seed, second).unwrap();
+        assert!(a.contains(digest, second.seed));
+        let reopened = ResultStore::open(&dir).unwrap();
+        assert!(
+            reopened.contains(digest, second.seed),
+            "the put must land in the live shard file, not the orphaned one"
+        );
+        assert_eq!(reopened.len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scans_resume_at_the_cursor_and_decode_each_appended_line_once() {
+        let dir = temp_dir("cursor");
+        let digest = 29u64;
+        let outcomes = sample_outcomes(12);
+        let reader = ResultStore::open_shared(&dir).unwrap();
+        let writer = ResultStore::open_shared(&dir).unwrap();
+        let refresh_all = |store: &ResultStore| -> usize {
+            (0..SHARD_COUNT)
+                .map(|shard| store.refresh_shard(shard).unwrap().0)
+                .sum()
+        };
+        for outcome in &outcomes[..6] {
+            writer.put(digest, outcome.seed, outcome).unwrap();
+        }
+        assert_eq!(refresh_all(&reader), 6);
+        assert_eq!(reader.lines_decoded(), 6);
+        for outcome in &outcomes[6..] {
+            writer.put(digest, outcome.seed, outcome).unwrap();
+        }
+        assert_eq!(refresh_all(&reader), 6);
+        for shard in 0..SHARD_COUNT {
+            assert!(!reader.repair_shard(shard).unwrap().rewritten);
+        }
+        assert_eq!(reader.lines_decoded(), 12, "each line is decoded once");
+        // The writer's own puts moved its cursor: it reads nothing back.
+        assert_eq!(refresh_all(&writer), 0);
+        for shard in 0..SHARD_COUNT {
+            writer.repair_shard(shard).unwrap();
+        }
+        assert_eq!(writer.lines_decoded(), 0);
+
+        // A corrupt line falls back to full scans until a repair purges it.
+        let shard = shard_index(digest, outcomes[0].seed);
+        append_raw(&dir, shard, b"{\"not\":\"a record\"}\n");
+        assert_eq!(reader.refresh_shard(shard).unwrap(), (0, 1));
+        let lines = fs::read_to_string(shard_path(&dir, shard))
+            .unwrap()
+            .lines()
+            .count() as u64;
+        let before = reader.lines_decoded();
+        assert_eq!(reader.refresh_shard(shard).unwrap(), (0, 1));
+        assert_eq!(reader.lines_decoded() - before, lines, "a full rescan");
+        let repair = reader.repair_shard(shard).unwrap();
+        assert_eq!((repair.dropped_lines, repair.rewritten), (1, true));
+        let before = reader.lines_decoded();
+        assert_eq!(reader.refresh_shard(shard).unwrap(), (0, 0));
+        assert_eq!(reader.lines_decoded(), before, "clean again after repair");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_replaced_by_a_shorter_file_is_rescanned_from_the_start() {
+        let dir = temp_dir("shorter");
+        let digest = 37u64;
+        let outcomes = sample_outcomes(16);
+        let shard = shard_index(digest, outcomes[0].seed);
+        let (home, other): (Vec<&SyncOutcome>, Vec<&SyncOutcome>) = outcomes
+            .iter()
+            .partition(|o| shard_index(digest, o.seed) == shard);
+        let reader = ResultStore::open_shared(&dir).unwrap();
+        for outcome in &home {
+            ResultStore::open_shared(&dir)
+                .unwrap()
+                .put(digest, outcome.seed, outcome)
+                .unwrap();
+        }
+        reader.refresh_shard(shard).unwrap();
+        // The shard file is swapped for one holding a single record of a
+        // different spec, shorter than the reader's cursor.
+        let newcomer = other[0];
+        let line = encode_record(digest + 1, newcomer.seed, newcomer) + "\n";
+        fs::write(dir.join("swap.tmp"), &line).unwrap();
+        fs::rename(dir.join("swap.tmp"), shard_path(&dir, shard)).unwrap();
+        assert_eq!(reader.refresh_shard(shard).unwrap(), (1, 0));
+        assert!(reader.contains(digest + 1, newcomer.seed));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn refresh_leaves_an_unterminated_final_line_for_a_later_pass() {
+        // Bytes after the last newline may be an append still in flight:
+        // refresh neither merges nor drops them until the newline lands.
+        let dir = temp_dir("in-flight");
+        let outcome = sample_outcomes(1).remove(0);
+        let digest = 31u64;
+        let shard = shard_index(digest, outcome.seed);
+        let store = ResultStore::open_shared(&dir).unwrap();
+        let line = encode_record(digest, outcome.seed, &outcome);
+        let (head, rest) = line.as_bytes().split_at(line.len() / 2);
+        append_raw(&dir, shard, head);
+        assert_eq!(store.refresh_shard(shard).unwrap(), (0, 0));
+        assert!(!store.contains(digest, outcome.seed));
+        append_raw(&dir, shard, rest);
+        assert_eq!(store.refresh_shard(shard).unwrap(), (0, 0));
+        append_raw(&dir, shard, b"\n");
+        assert_eq!(store.refresh_shard(shard).unwrap(), (1, 0));
+        assert_eq!(store.get(digest, outcome.seed), Some(outcome));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,14 +9,17 @@
 //!   reclaimed after the TTL and the sweep still completes, with the same
 //!   bytes;
 //! * every `(digest, seed)` of the sweep lands in exactly one shard,
-//!   exactly once.
+//!   exactly once;
+//! * a worker's bookkeeping reads only what its peers appended: a solo
+//!   worker decodes no shard line at all, and each of several concurrent
+//!   workers decodes at most the trials its peers executed.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wireless_sync::sync::fabric::{self, FabricConfig, WorkerEvent};
+use wireless_sync::sync::fabric::{self, FabricConfig, WorkerEvent, WorkerSummary};
 use wireless_sync::sync::json;
 use wireless_sync::sync::spec::SweepSpec;
 use wireless_sync::sync::store::{self, ResultStore};
@@ -36,8 +39,28 @@ const SWEEP_JSON: &str = r#"{
 
 const TOTAL_TRIALS: u64 = 2 * 8;
 
+/// The same grid with a 48-seed budget and a stopping rule that looks
+/// every 4 seeds: several phase-locked batch windows per point.
+const ADAPTIVE_SWEEP_JSON: &str = r#"{
+    "base": {
+        "protocol": "trapdoor",
+        "adversary": "random",
+        "num_nodes": 8,
+        "num_frequencies": 8,
+        "disruption_bound": 2
+    },
+    "seeds": {"start": 0, "end": 48},
+    "grid": [{"field": "disruption_bound", "values": [1, 3]}],
+    "stop": {"metric": "sync_rounds_mean", "half_width": 0.05, "relative": true,
+             "min_seeds": 4, "batch": 4}
+}"#;
+
 fn sweep() -> SweepSpec {
     SweepSpec::from_value(&json::parse(SWEEP_JSON).unwrap()).unwrap()
+}
+
+fn adaptive_sweep() -> SweepSpec {
+    SweepSpec::from_value(&json::parse(ADAPTIVE_SWEEP_JSON).unwrap()).unwrap()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -73,17 +96,23 @@ fn sorted_shards(dir: &Path) -> Vec<(String, Vec<String>)> {
     shards
 }
 
-/// Drains the sweep with `k` concurrent fabric worker threads.
-fn run_fabric(dir: &Path, k: usize, config: impl Fn(usize) -> FabricConfig + Sync) {
+/// Drains `sweep` with `k` concurrent fabric worker threads, returning
+/// each worker's summary.
+fn run_fabric(
+    dir: &Path,
+    sweep: &SweepSpec,
+    k: usize,
+    config: impl Fn(usize) -> FabricConfig + Sync,
+) -> Vec<WorkerSummary> {
     std::thread::scope(|scope| {
-        for w in 0..k {
-            let sweep = sweep();
-            let config = config(w);
-            scope.spawn(move || {
-                fabric::run_worker(dir, &sweep, &config, |_| {}).unwrap();
-            });
-        }
-    });
+        let workers: Vec<_> = (0..k)
+            .map(|w| {
+                let config = config(w);
+                scope.spawn(move || fabric::run_worker(dir, sweep, &config, |_| {}).unwrap())
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
 }
 
 #[test]
@@ -104,7 +133,9 @@ fn one_vs_many_workers_produce_byte_identical_sorted_shards() {
 
     for k in [1usize, 4] {
         let dir = temp_dir(&format!("workers-{k}"));
-        run_fabric(&dir, k, |w| FabricConfig::new(format!("det-w{w}")));
+        run_fabric(&dir, &sweep(), k, |w| {
+            FabricConfig::new(format!("det-w{w}"))
+        });
         assert_eq!(
             sorted_shards(&dir),
             reference,
@@ -167,7 +198,9 @@ fn a_dead_workers_stale_lease_is_reclaimed_and_the_sweep_still_completes() {
 #[test]
 fn every_trial_lands_in_exactly_one_shard_exactly_once() {
     let dir = temp_dir("coverage");
-    run_fabric(&dir, 3, |w| FabricConfig::new(format!("cov-w{w}")));
+    run_fabric(&dir, &sweep(), 3, |w| {
+        FabricConfig::new(format!("cov-w{w}"))
+    });
 
     let store = ResultStore::open(&dir).unwrap();
     assert_eq!(store.loaded_records() as u64, TOTAL_TRIALS);
@@ -201,4 +234,45 @@ fn every_trial_lands_in_exactly_one_shard_exactly_once() {
     assert_eq!(seen.len() as u64, TOTAL_TRIALS);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_solo_worker_decodes_no_shard_line_across_an_adaptive_sweep() {
+    let dir = temp_dir("decoded-solo");
+    let sweep = adaptive_sweep();
+    let summary = &run_fabric(&dir, &sweep, 1, |_| FabricConfig::new("solo"))[0];
+    // More trials than one 4-seed window over both points: the worker
+    // refreshed and claimed shards across several windows.
+    assert!(
+        summary.trials_executed > 2 * 4,
+        "{} trials",
+        summary.trials_executed
+    );
+    assert_eq!(
+        summary.records_decoded, 0,
+        "a solo worker's own appends advance its cursors"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_workers_decode_at_most_what_their_peers_executed() {
+    let solo_dir = temp_dir("decoded-ref");
+    let sweep = adaptive_sweep();
+    let solo = run_fabric(&solo_dir, &sweep, 1, |_| FabricConfig::new("solo"));
+    let dir = temp_dir("decoded-four");
+    let summaries = run_fabric(&dir, &sweep, 4, |w| FabricConfig::new(format!("dec-w{w}")));
+    let executed: u64 = summaries.iter().map(|s| s.trials_executed).sum();
+    assert_eq!(executed, solo[0].trials_executed, "same trials, same stops");
+    for (w, summary) in summaries.iter().enumerate() {
+        let by_peers = executed - summary.trials_executed;
+        assert!(
+            summary.records_decoded <= by_peers,
+            "worker {w} decoded {} lines; its peers executed {by_peers} trials",
+            summary.records_decoded
+        );
+    }
+    assert_eq!(sorted_shards(&dir), sorted_shards(&solo_dir));
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&solo_dir);
 }
