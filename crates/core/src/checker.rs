@@ -9,14 +9,13 @@
 //! * **agreement** — all non-`⊥` outputs within one round are equal.
 //!
 //! (**Validity** is enforced by the type system: outputs are `Option<u64>`.)
-//! **Liveness** folds incrementally too: the checker tracks each node's
-//! first non-`⊥` round and whether the latest observed round had every
-//! node synchronized, so [`PropertyChecker::report`] produces the complete
-//! verdict from the round stream alone — no retained per-round state, no
-//! post-hoc scan. The legacy [`PropertyChecker::finish`] (which copies the
-//! liveness verdict out of the engine's [`ExecutionResult`]) remains as the
-//! cross-check; `tests/probe_pipeline.rs` proves the two agree on random
-//! scenarios.
+//! **Liveness** and the completion round are the engine's verdict:
+//! [`PropertyChecker::finish`] copies them out of the [`ExecutionResult`],
+//! which reflects the engine's own `is_synchronized` calls.
+//!
+//! Each observed round scans all N node views, so an attached checker
+//! costs O(N) per round even where the engine's own round is
+//! O(active).
 
 use serde::{Deserialize, Serialize};
 
@@ -92,11 +91,6 @@ impl PropertyReport {
 #[derive(Debug, Clone)]
 pub struct PropertyChecker {
     previous: Vec<Option<Option<u64>>>,
-    /// Per node, the first observed round with a non-`⊥` output.
-    first_sync: Vec<Option<u64>>,
-    /// Whether every node was active with a non-`⊥` output in the most
-    /// recently observed round.
-    last_round_all_synced: bool,
     violations: Vec<Violation>,
     total_violations: u64,
     rounds_observed: u64,
@@ -115,8 +109,6 @@ impl PropertyChecker {
     pub fn new() -> Self {
         PropertyChecker {
             previous: Vec::new(),
-            first_sync: Vec::new(),
-            last_round_all_synced: false,
             violations: Vec::new(),
             total_violations: 0,
             rounds_observed: 0,
@@ -143,15 +135,7 @@ impl PropertyChecker {
     }
 
     /// Finalizes the report using the engine's execution result (for the
-    /// liveness verdict).
-    ///
-    /// This is the legacy post-hoc path; [`report`](Self::report) now folds
-    /// liveness incrementally from the round stream and agrees with this on
-    /// every engine-produced execution (property-tested in
-    /// `tests/probe_pipeline.rs`). `finish` remains authoritative where an
-    /// [`ExecutionResult`] is at hand because it reflects the engine's own
-    /// `is_synchronized` verdicts, which a hand-written protocol could in
-    /// principle decouple from its outputs.
+    /// liveness verdict and the completion round).
     pub fn finish(self, result: &ExecutionResult) -> PropertyReport {
         PropertyReport {
             violations: self.violations,
@@ -159,26 +143,6 @@ impl PropertyChecker {
             rounds_observed: self.rounds_observed,
             liveness: result.all_synchronized,
             completion_round: result.completion_round(),
-        }
-    }
-
-    /// The complete verdict, derived purely from the observed round stream
-    /// — violations, liveness (every node active and non-`⊥` in the latest
-    /// observed round), and the completion round (latest first-sync round)
-    /// — with no [`ExecutionResult`] needed and no retained state
-    /// proportional to the number of rounds.
-    pub fn report(&self) -> PropertyReport {
-        let liveness = self.rounds_observed > 0 && self.last_round_all_synced;
-        PropertyReport {
-            violations: self.violations.clone(),
-            total_violations: self.total_violations,
-            rounds_observed: self.rounds_observed,
-            liveness,
-            completion_round: if liveness {
-                self.first_sync.iter().copied().max().flatten()
-            } else {
-                None
-            },
         }
     }
 
@@ -200,7 +164,6 @@ impl Probe for PropertyChecker {
         let n = observation.nodes.len();
         if self.previous.len() < n {
             self.previous.resize(n, None);
-            self.first_sync.resize(n, None);
         }
         self.rounds_observed += 1;
 
@@ -224,10 +187,7 @@ impl Probe for PropertyChecker {
             }
         }
 
-        // Synch commit and correctness: per-node transition checks, plus
-        // the incremental liveness fold (first-sync rounds and whether this
-        // round has everyone synchronized).
-        let mut all_synced = n > 0;
+        // Synch commit and correctness: per-node transition checks.
         for (i, view) in observation.nodes.iter().enumerate() {
             let current: Option<Option<u64>> = view.output();
             if let (Some(prev_active), Some(cur_active)) = (self.previous[i], current) {
@@ -250,17 +210,8 @@ impl Probe for PropertyChecker {
                     _ => {}
                 }
             }
-            match current {
-                Some(Some(_)) => {
-                    if self.first_sync[i].is_none() {
-                        self.first_sync[i] = Some(observation.round);
-                    }
-                }
-                _ => all_synced = false,
-            }
             self.previous[i] = current;
         }
-        self.last_round_all_synced = all_synced;
     }
 }
 

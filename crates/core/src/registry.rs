@@ -602,13 +602,10 @@ impl ProbeFactory for MetricsProbeFactory {
 }
 
 /// The `"checker"` probe: the streaming [`PropertyChecker`], folding
-/// violations (and, redundantly, liveness) round-by-round. Finalization
-/// goes through [`finish`](PropertyChecker::finish) because an
-/// [`ExecutionResult`] is at hand here and that path is the documented
-/// authority — it reflects the engine's own `is_synchronized` verdicts,
-/// so the probe table can never contradict `SyncOutcome.properties`. The
-/// result-free incremental [`report`](PropertyChecker::report) is
-/// property-tested to agree on every engine-produced execution.
+/// violations round by round. It finalizes through
+/// [`finish`](PropertyChecker::finish), like every run, so the liveness
+/// verdict is the engine's and the probe table can never contradict
+/// `SyncOutcome.properties`.
 struct CheckerProbe(PropertyChecker);
 
 impl Probe for CheckerProbe {

@@ -129,25 +129,6 @@ impl Adversary for BoxedAdversary {
         self.inner.disrupt(round, band, history, rng)
     }
 
-    fn disrupt_with_current(
-        &mut self,
-        round: u64,
-        band: FrequencyBand,
-        history: &History,
-        current_broadcasters: &[u32],
-        current_listeners: &[u32],
-        rng: &mut SimRng,
-    ) -> DisruptionSet {
-        self.inner.disrupt_with_current(
-            round,
-            band,
-            history,
-            current_broadcasters,
-            current_listeners,
-            rng,
-        )
-    }
-
     fn name(&self) -> &'static str {
         self.inner.name()
     }

@@ -30,8 +30,7 @@ use std::sync::Arc;
 
 use crate::batch::{BatchRunner, BatchStats};
 use crate::registry::{
-    AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, Registry,
-    RegistryProbe,
+    AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, RegistryProbe,
 };
 use crate::report::SyncOutcome;
 use crate::runner::{execute_probed, Scenario};
@@ -57,7 +56,6 @@ pub struct ProbedOutcome {
 /// a seed range.
 pub struct Sim {
     scenario: Scenario,
-    protocol: ComponentSpec,
     ctor: ProtocolCtor,
     adversary: Arc<dyn AdversaryFactory>,
     probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
@@ -76,56 +74,18 @@ impl Sim {
     /// `n = 0`, `N < n`, a zero round cap), a name is unknown, or a
     /// parameter is missing, mistyped, or unrecognised.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        Sim::build(
-            spec,
-            registry::resolve_protocol(spec.protocol.name())?,
-            registry::resolve_adversary(spec.adversary.name())?,
-            spec.probes
-                .iter()
-                .map(|probe| Ok((probe.clone(), registry::resolve_probe(probe.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-            spec.faults
-                .iter()
-                .map(|fault| Ok((fault.clone(), registry::resolve_fault(fault.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-        )
-    }
-
-    /// Builds a simulation from a declarative spec, resolving names against
-    /// an explicit registry instead of the process-global one.
-    pub fn from_spec_in(registry: &Registry, spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        Sim::build(
-            spec,
-            registry.protocol(spec.protocol.name())?,
-            registry.adversary(spec.adversary.name())?,
-            spec.probes
-                .iter()
-                .map(|probe| Ok((probe.clone(), registry.probe(probe.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-            spec.faults
-                .iter()
-                .map(|fault| Ok((fault.clone(), registry.fault(fault.name())?)))
-                .collect::<Result<_, SpecError>>()?,
-        )
-    }
-
-    /// Builds a simulation from a runtime [`Scenario`] plus a protocol
-    /// (name or name-plus-params), resolving against the process-global
-    /// registry.
-    pub fn from_scenario(
-        scenario: &Scenario,
-        protocol: impl Into<ComponentSpec>,
-    ) -> Result<Self, SpecError> {
-        Sim::from_spec(&ScenarioSpec::from_scenario(scenario, protocol))
-    }
-
-    fn build(
-        spec: &ScenarioSpec,
-        protocol_factory: Arc<dyn crate::registry::ProtocolFactory>,
-        adversary_factory: Arc<dyn AdversaryFactory>,
-        probe_factories: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
-        fault_factories: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
-    ) -> Result<Self, SpecError> {
+        let protocol_factory = registry::resolve_protocol(spec.protocol.name())?;
+        let adversary_factory = registry::resolve_adversary(spec.adversary.name())?;
+        let probe_factories: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)> = spec
+            .probes
+            .iter()
+            .map(|probe| Ok((probe.clone(), registry::resolve_probe(probe.name())?)))
+            .collect::<Result<_, SpecError>>()?;
+        let fault_factories: Vec<(ComponentSpec, Arc<dyn FaultFactory>)> = spec
+            .faults
+            .iter()
+            .map(|fault| Ok((fault.clone(), registry::resolve_fault(fault.name())?)))
+            .collect::<Result<_, SpecError>>()?;
         spec.validate()?;
         let scenario = spec.scenario();
         let ctor = protocol_factory.instantiate(&scenario, &spec.protocol.params)?;
@@ -143,7 +103,6 @@ impl Sim {
         }
         Ok(Sim {
             scenario,
-            protocol: spec.protocol.clone(),
             ctor,
             adversary: adversary_factory,
             probes: probe_factories,
@@ -151,6 +110,16 @@ impl Sim {
             seeds: 0..1,
             digest: spec_digest(spec),
         })
+    }
+
+    /// Builds a simulation from a runtime [`Scenario`] plus a protocol
+    /// (name or name-plus-params), resolving against the process-global
+    /// registry.
+    pub fn from_scenario(
+        scenario: &Scenario,
+        protocol: impl Into<ComponentSpec>,
+    ) -> Result<Self, SpecError> {
+        Sim::from_spec(&ScenarioSpec::from_scenario(scenario, protocol))
     }
 
     /// Sets the seed range subsequent [`run`](Self::run) /
@@ -163,11 +132,6 @@ impl Sim {
     /// The runtime scenario this simulation executes.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
-    }
-
-    /// The protocol component (registry name plus parameters).
-    pub fn protocol(&self) -> &ComponentSpec {
-        &self.protocol
     }
 
     /// The configured seed range.
@@ -247,21 +211,9 @@ impl Sim {
         }
     }
 
-    /// The spec's declared probes (name-plus-params components), in
-    /// declaration order.
-    pub fn probe_components(&self) -> Vec<&ComponentSpec> {
-        self.probes.iter().map(|(component, _)| component).collect()
-    }
-
     /// Whether the spec declares any probes.
     pub fn has_probes(&self) -> bool {
         !self.probes.is_empty()
-    }
-
-    /// The spec's declared fault layers (name-plus-params components), in
-    /// declaration (stack) order.
-    pub fn fault_components(&self) -> Vec<&ComponentSpec> {
-        self.faults.iter().map(|(component, _)| component).collect()
     }
 
     /// Whether the spec declares any fault layers.

@@ -6,8 +6,7 @@
 //! workspace root records the mapping and the measured outcomes. Every
 //! experiment exposes a function taking an [`Effort`] level and returning
 //! one or more [`wsync_stats::Table`]s so that the same code backs the
-//! `src/bin/*` command-line generators, the Criterion benches, and the
-//! integration tests.
+//! `src/bin/*` command-line generators and the integration tests.
 //!
 //! | Module | Experiment ids | Paper artefact |
 //! |---|---|---|

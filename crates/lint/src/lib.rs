@@ -16,7 +16,7 @@
 //! |------|-------|-----------------|
 //! | `nondeterministic-iteration` | `wsync-core`, `wsync-radio`, `tests/` | `HashMap`/`HashSet` tokens |
 //! | `ambient-rng` | everything except `crates/compat` | `thread_rng`, `from_entropy`, `OsRng`, … |
-//! | `wall-clock` | everything except compat + bench code | `Instant`, `SystemTime` |
+//! | `wall-clock` | everything except bench code | `Instant`, `SystemTime` |
 //! | `unsafe-code` | every non-compat crate | missing `#![forbid(unsafe_code)]`, any `unsafe` token |
 //! | `panicky-library` | engine/store/sweep hot paths | `.unwrap()` / `.expect()` (advisory unless `--deny-all`) |
 //!

@@ -22,8 +22,8 @@ pub struct FileScope {
     /// Whether the file belongs to a vendored compat crate
     /// (`crates/compat/*`) — the designated home for entropy and time.
     pub is_compat: bool,
-    /// Whether the file is benchmark code (`crates/bench` or any
-    /// `benches/` directory) — wall-clock reads are its job.
+    /// Whether the file is benchmark code (any `benches/` directory) —
+    /// wall-clock reads are its job.
     pub is_bench: bool,
     /// Whether the file is a crate root (`src/lib.rs`), where
     /// `#![forbid(unsafe_code)]` must live.
@@ -253,17 +253,15 @@ pub const AMBIENT_RNG: Rule = Rule {
     },
 };
 
-/// `wall-clock`: `Instant`/`SystemTime` outside the criterion compat
-/// shim and bench code. Simulation logic must be round-driven, not
-/// time-driven.
+/// `wall-clock`: `Instant`/`SystemTime` outside bench code. Simulation
+/// logic must be round-driven, not time-driven.
 pub const WALL_CLOCK: Rule = Rule {
     name: "wall-clock",
-    description: "Instant/SystemTime outside compat/criterion and bench code: simulated time \
-                  is round-driven; wall-clock reads make runs machine-dependent",
+    description: "Instant/SystemTime outside bench code: simulated time is round-driven; \
+                  wall-clock reads make runs machine-dependent",
     deny_by_default: true,
     check: |rule, ctx, out| {
-        let exempt = ctx.scope.is_bench || ctx.scope.rel_path.starts_with("crates/compat/");
-        if exempt {
+        if ctx.scope.is_bench {
             return;
         }
         for (_, t) in idents(ctx) {
@@ -272,8 +270,8 @@ pub const WALL_CLOCK: Rule = Rule {
                     rule,
                     t.line,
                     format!(
-                        "`{}` reads the wall clock; outside bench/compat code that makes \
-                         behaviour machine- and load-dependent",
+                        "`{}` reads the wall clock; outside bench code that makes behaviour \
+                         machine- and load-dependent",
                         t.text
                     ),
                 ));

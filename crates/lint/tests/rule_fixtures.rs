@@ -12,7 +12,7 @@ fn scope(rel_path: &str, crate_name: &str) -> FileScope {
         rel_path: rel_path.to_string(),
         crate_name: crate_name.to_string(),
         is_compat: rel_path.starts_with("crates/compat/"),
-        is_bench: rel_path.starts_with("crates/bench/") || rel_path.contains("/benches/"),
+        is_bench: rel_path.contains("/benches/"),
         is_crate_root: rel_path.ends_with("src/lib.rs"),
     }
 }
@@ -144,16 +144,17 @@ fn wall_clock_positive() {
 
 #[test]
 fn wall_clock_negative_in_bench_crate() {
-    let sc = scope("crates/bench/benches/engine.rs", "wsync-bench");
+    let sc = scope("perfbench/benches/trial.rs", "wsync-perfbench");
     let src = "use std::time::Instant;";
     assert!(rules_fired(&sc, src).is_empty());
 }
 
 #[test]
-fn wall_clock_negative_in_compat() {
-    let sc = scope("crates/compat/criterion/src/lib.rs", "criterion");
+fn wall_clock_positive_in_compat() {
+    let sc = scope("crates/compat/proptest/src/lib.rs", "proptest");
     let src = "use std::time::{Instant, SystemTime};";
-    assert!(rules_fired(&sc, src).is_empty());
+    let fired = rules_fired(&sc, src);
+    assert_eq!(fired.iter().filter(|r| *r == "wall-clock").count(), 2);
 }
 
 #[test]

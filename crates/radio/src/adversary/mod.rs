@@ -152,9 +152,6 @@ impl DisruptionSet {
 ///
 /// Implementations are driven by the engine once per round, *before* the
 /// round's node actions are known (matching the model's information rule).
-/// The engine additionally exposes an "omniscient" stress-test mode through
-/// [`Adversary::disrupt_with_current`], which by default simply ignores the
-/// current-round information.
 pub trait Adversary {
     /// The maximum number of frequencies this adversary will disrupt per
     /// round (the model's `t`). The engine also clamps to the configured
@@ -189,23 +186,6 @@ pub trait Adversary {
         history: &History,
         rng: &mut SimRng,
     ) -> DisruptionSet;
-
-    /// Omniscient variant used only when the engine is explicitly configured
-    /// for stress tests: `current_listeners`/`current_broadcasters` describe
-    /// the *current* round's choices per frequency (0-based index). The
-    /// default implementation ignores them and defers to
-    /// [`disrupt`](Adversary::disrupt).
-    fn disrupt_with_current(
-        &mut self,
-        round: u64,
-        band: FrequencyBand,
-        history: &History,
-        _current_broadcasters: &[u32],
-        _current_listeners: &[u32],
-        rng: &mut SimRng,
-    ) -> DisruptionSet {
-        self.disrupt(round, band, history, rng)
-    }
 
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> &'static str {

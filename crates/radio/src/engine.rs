@@ -33,9 +33,13 @@
 //! per-round O(F) residues are outside the pass structure: the
 //! [`History`] probe memcpys the F-wide activity slice when retention is
 //! active, and adversaries allocate one F-wide
-//! [`DisruptionSet`](crate::adversary::DisruptionSet) mask per round. The tracked rounds/sec baseline lives in `BENCH_engine.json` at
-//! the repository root and is regenerated by the `engine_throughput` bench
-//! in `wsync-bench`.
+//! [`DisruptionSet`](crate::adversary::DisruptionSet) mask per round.
+//!
+//! The O(active) bound is the engine's alone: a probe that scans
+//! [`RoundObservation::nodes`] (the property checker does) reads all N
+//! node views every round. The workspace benchmark (`perfbench/`)
+//! measures the engine's ns and heap allocations per round on the
+//! production path.
 
 use crate::action::Action;
 use crate::activation::ActivationSchedule;
@@ -98,9 +102,6 @@ pub struct SimConfig {
     /// Number of additional rounds to keep simulating after every node has
     /// synchronized (useful for observing that outputs keep incrementing).
     pub extra_rounds_after_sync: u64,
-    /// If `true`, the adversary is shown the current round's actions
-    /// (stronger than the model allows; stress-testing only).
-    pub adversary_sees_current_round: bool,
     /// How much adversary-visible history the engine retains. Retention
     /// never changes an outcome as long as it covers every consumer's
     /// declared lookback — which [`HistoryRetention::Demand`] guarantees by
@@ -120,7 +121,6 @@ impl SimConfig {
             disruption_bound,
             max_rounds: 1_000_000,
             extra_rounds_after_sync: 0,
-            adversary_sees_current_round: false,
             history_retention: HistoryRetention::Demand,
         }
     }
@@ -140,13 +140,6 @@ impl SimConfig {
     /// Keeps simulating for `extra` rounds after all nodes synchronize.
     pub fn with_extra_rounds_after_sync(mut self, extra: u64) -> Self {
         self.extra_rounds_after_sync = extra;
-        self
-    }
-
-    /// Lets the adversary observe the current round's actions
-    /// (stress-testing mode, stronger than the paper's model).
-    pub fn with_omniscient_adversary(mut self, enabled: bool) -> Self {
-        self.adversary_sees_current_round = enabled;
         self
     }
 
@@ -594,11 +587,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         self.probes.push(probe)
     }
 
-    /// The user probes attached so far.
-    pub fn probes(&self) -> &ProbeStack {
-        &self.probes
-    }
-
     /// Attaches a network-fault layer, applied between the resolution pass
     /// and delivery (after any already-attached layers).
     ///
@@ -613,11 +601,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     pub fn attach_fault(&mut self, layer: Box<dyn FaultLayer>) {
         let rng = SimRng::derive(self.seed, StreamId::Fault(self.faults.len() as u32));
         self.faults.push(layer, rng);
-    }
-
-    /// The attached fault layers.
-    pub fn faults(&self) -> &FaultStack {
-        &self.faults
     }
 
     /// Removes and returns the attached probe stack (e.g. to recover the
@@ -815,19 +798,9 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         self.scratch.tally.active_nodes = self.active.len() as u32;
 
         // 3. Adversary.
-        let mut disrupted = if self.config.adversary_sees_current_round {
-            self.adversary.disrupt_with_current(
-                round,
-                band,
-                &self.history,
-                &self.scratch.broadcasters,
-                &self.scratch.listeners,
-                &mut self.adversary_rng,
-            )
-        } else {
+        let mut disrupted =
             self.adversary
-                .disrupt(round, band, &self.history, &mut self.adversary_rng)
-        };
+                .disrupt(round, band, &self.history, &mut self.adversary_rng);
         let removed = disrupted.truncate_to_budget(self.config.disruption_bound as usize);
         self.scratch.tally.adversary_clamped = removed > 0;
         self.scratch.tally.disrupted_frequencies = disrupted.len() as u32;

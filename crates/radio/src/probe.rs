@@ -117,11 +117,6 @@ impl ProbeStack {
         ProbeStack::default()
     }
 
-    /// A stack over the given probes, in observation order.
-    pub fn with_probes(probes: Vec<Box<dyn Probe>>) -> Self {
-        ProbeStack { probes }
-    }
-
     /// Appends a probe, returning its slot index (stable for the lifetime
     /// of the stack; use it with [`get_mut`](Self::get_mut) /
     /// [`take`](Self::take)).

@@ -1,0 +1,50 @@
+//! The sparse-activity engine at large N: a staggered schedule wakes one
+//! node per round, so over a 2,000-round cap at most 2,000 of the N nodes
+//! are ever active, however large N is. The run goes through the bare
+//! `Engine::run` (no property checker, which scans all N nodes per round).
+//! Only deterministic facts are asserted; CI runs this file in release
+//! under a time budget, which is what catches a regression back to
+//! O(N)-per-round scanning.
+
+use wireless_sync::prelude::*;
+use wireless_sync::sync::registry;
+
+const ROUNDS: u64 = 2_000;
+
+/// Runs the staggered Trapdoor cell (F=32, t=8, random adversary) at `n`
+/// nodes to the round cap and checks what the sparse engine guarantees.
+fn staggered_trapdoor_run(n: usize) {
+    let scenario = Scenario::new(n, 32, 8)
+        .with_adversary("random")
+        .with_activation(ActivationSchedule::Staggered { gap: 1 })
+        .with_max_rounds(ROUNDS);
+    let config = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
+    let seed = 1;
+    let adversary = registry::build_adversary(&scenario.adversary, &scenario, seed).unwrap();
+    let mut engine = Engine::new(
+        scenario.sim_config(),
+        |_| TrapdoorProtocol::new(config),
+        adversary,
+        scenario.activation.clone(),
+        seed,
+    )
+    .unwrap();
+    let result = engine.run();
+    assert_eq!(result.rounds_executed, ROUNDS, "N={n}: stops at the cap");
+    assert!(
+        u64::from(result.metrics.max_active_nodes) <= ROUNDS,
+        "N={n}: {} nodes active at once",
+        result.metrics.max_active_nodes
+    );
+    assert!(result.metrics.deliveries > 0, "N={n}: no message delivered");
+}
+
+#[test]
+fn engine_large_n_staggered_65536() {
+    staggered_trapdoor_run(65_536);
+}
+
+#[test]
+fn engine_million_node_staggered_full_run() {
+    staggered_trapdoor_run(1_000_000);
+}

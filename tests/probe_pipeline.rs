@@ -1,6 +1,5 @@
 //! Integration tests of the streaming probe pipeline: equivalence of the
 //! probe-composed observation channels with the engine's own accounting,
-//! the incremental property checker against the legacy post-hoc finish,
 //! demand-driven history retention, the declarative `"probes"` spec field,
 //! and probe outputs flowing through `Sim`, `SweepRunner`, and the store.
 
@@ -9,7 +8,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use wireless_sync::prelude::*;
-use wireless_sync::radio::activation::ActivationSchedule;
 use wireless_sync::radio::adversary::{Adversary, DisruptionSet};
 use wireless_sync::radio::engine::{Engine, HistoryRetention};
 use wireless_sync::sync::registry;
@@ -51,40 +49,6 @@ const ADVERSARIES: [&str; 5] = ["none", "random", "fixed-band", "sweep", "adapti
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The incremental `PropertyChecker::report` (liveness and completion
-    /// round folded round-by-round from the observation stream) agrees
-    /// with the legacy post-hoc `finish(&ExecutionResult)` on random
-    /// scenarios — including runs that hit the round cap and the
-    /// known-dirty single-frequency configurations.
-    #[test]
-    fn incremental_checker_report_matches_legacy_finish(
-        protocol_idx in 0usize..5,
-        adversary_idx in 0usize..5,
-        n in 2usize..9,
-        f_extra in 0u32..7,
-        seed in 0u64..1000,
-        staggered in any::<bool>(),
-    ) {
-        let f = 2 + f_extra;
-        let t = f / 2;
-        let mut spec = ScenarioSpec::new(PROTOCOLS[protocol_idx], n, f, t)
-            .with_adversary(ADVERSARIES[adversary_idx])
-            .with_max_rounds(4_000);
-        if staggered {
-            spec = spec.with_activation(ActivationSchedule::Staggered { gap: 3 });
-        }
-        let mut engine = engine_for(&spec, seed);
-        let slot = engine.attach_probe(Box::new(PropertyChecker::new()));
-        let result = engine.run();
-        let checker: PropertyChecker = engine
-            .take_probes()
-            .take(slot)
-            .expect("the checker probe is recoverable");
-        let incremental = checker.report();
-        let legacy = checker.finish(&result);
-        prop_assert_eq!(incremental, legacy);
-    }
 
     /// An independently attached `SimMetrics` probe folds the identical
     /// aggregates the engine accumulates internally — the per-round tally
