@@ -31,9 +31,9 @@
 //! use wsync_core::spec::ScenarioSpec;
 //!
 //! let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
-//! let stats = Sim::from_spec(&spec)?
-//!     .seeds(0..8)
-//!     .run_stats(&BatchRunner::new());
+//! let sim = Sim::from_spec(&spec)?;
+//! let outcomes = BatchRunner::new().map(0..8, |seed| sim.run_one(seed));
+//! let stats = BatchStats::aggregate(&outcomes);
 //! assert_eq!(stats.trials, 8);
 //! assert!(stats.sync_rate() > 0.9);
 //! # Ok::<(), wsync_core::spec::SpecError>(())
@@ -49,7 +49,6 @@ use std::thread;
 use wsync_stats::{OnlineStats, Summary};
 
 use crate::report::SyncOutcome;
-use crate::runner::Scenario;
 
 /// How many seeds a worker may run ahead of the in-order fold cursor in
 /// [`BatchRunner::try_map_each`] before stalling. Bounds the collector's
@@ -313,16 +312,6 @@ impl BatchRunner {
             None => Ok(()),
         }
     }
-
-    /// Runs `trial(scenario, seed)` for every seed and returns the outcomes
-    /// in seed order. Use this for bespoke trials (custom protocol
-    /// factories, wrappers such as the fault-tolerance crash harness).
-    pub fn run_with<F>(&self, scenario: &Scenario, seeds: Range<u64>, trial: F) -> Vec<SyncOutcome>
-    where
-        F: Fn(&Scenario, u64) -> SyncOutcome + Sync,
-    {
-        self.map(seeds, |seed| trial(scenario, seed))
-    }
 }
 
 /// Aggregate statistics over a batch of [`SyncOutcome`]s.
@@ -485,18 +474,23 @@ mod tests {
         ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random")
     }
 
+    /// The outcomes of `spec()` over `seeds` on `runner`, in seed order.
+    fn outcomes(runner: &BatchRunner, seeds: Range<u64>) -> Vec<SyncOutcome> {
+        let sim = Sim::from_spec(&spec()).unwrap();
+        runner.map(seeds, |seed| sim.run_one(seed))
+    }
+
     #[test]
     fn parallel_results_equal_serial_results() {
-        let sim = Sim::from_spec(&spec()).unwrap().seeds(0..12);
-        let serial = sim.run(&BatchRunner::serial());
-        let parallel = sim.run(&BatchRunner::with_workers(4));
+        let serial = outcomes(&BatchRunner::serial(), 0..12);
+        let parallel = outcomes(&BatchRunner::with_workers(4), 0..12);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn batch_matches_direct_sim_calls() {
-        let sim = Sim::from_spec(&spec()).unwrap().seeds(5..9);
-        let batch = sim.run(&BatchRunner::with_workers(3));
+        let sim = Sim::from_spec(&spec()).unwrap();
+        let batch = BatchRunner::with_workers(3).map(5..9, |seed| sim.run_one(seed));
         let direct: Vec<_> = (5..9).map(|seed| sim.run_one(seed)).collect();
         assert_eq!(batch, direct);
     }
@@ -618,10 +612,7 @@ mod tests {
 
     #[test]
     fn empty_seed_range_yields_empty_batch() {
-        let outcomes = Sim::from_spec(&spec())
-            .unwrap()
-            .seeds(7..7)
-            .run(&BatchRunner::new());
+        let outcomes = outcomes(&BatchRunner::new(), 7..7);
         assert!(outcomes.is_empty());
         let stats = BatchStats::aggregate(&outcomes);
         assert_eq!(stats.trials, 0);
@@ -631,10 +622,7 @@ mod tests {
 
     #[test]
     fn stats_fold_counts_clean_runs() {
-        let stats = Sim::from_spec(&spec())
-            .unwrap()
-            .seeds(0..8)
-            .run_stats(&BatchRunner::new());
+        let stats = BatchStats::aggregate(&outcomes(&BatchRunner::new(), 0..8));
         assert_eq!(stats.trials, 8);
         assert!(stats.synced >= stats.clean);
         assert!(stats.single_leader >= stats.clean);
@@ -647,10 +635,7 @@ mod tests {
 
     #[test]
     fn incremental_fold_is_bit_identical_to_slice_aggregation() {
-        let outcomes = Sim::from_spec(&spec())
-            .unwrap()
-            .seeds(0..10)
-            .run(&BatchRunner::new());
+        let outcomes = outcomes(&BatchRunner::new(), 0..10);
         // reference: the historical Vec-collecting implementation
         let mut rounds = Vec::new();
         let mut completions = Vec::new();

@@ -1,5 +1,22 @@
 //! Online checker for the five requirements of the wireless synchronization
-//! problem.
+//! problem (Section 3).
+//!
+//! Wireless synchronization is achieved when the activated nodes share a
+//! consistent round numbering scheme. The problem has five requirements:
+//!
+//! 1. **Validity** — in every round, every activated node outputs a value in
+//!    `ℕ ∪ {⊥}` (`⊥` meaning "not yet determined").
+//! 2. **Synch commit** — once a node outputs a non-`⊥` value, it never
+//!    outputs `⊥` again.
+//! 3. **Correctness** — if a node outputs `i` in round `r`, it outputs
+//!    `i + 1` in round `r + 1`.
+//! 4. **Agreement** — in every round, all non-`⊥` outputs are the same
+//!    (with high probability).
+//! 5. **Liveness** — eventually every active node stops outputting `⊥`
+//!    (with probability 1).
+//!
+//! An algorithm *solves the problem in time `T`* iff liveness is achieved by
+//! round `T` with high probability.
 //!
 //! [`PropertyChecker`] implements the radio engine's streaming
 //! [`Probe`] hook and verifies, round by round and with O(n) memory:
@@ -8,7 +25,8 @@
 //! * **correctness** — a node outputting `i` outputs `i + 1` next round;
 //! * **agreement** — all non-`⊥` outputs within one round are equal.
 //!
-//! (**Validity** is enforced by the type system: outputs are `Option<u64>`.)
+//! (**Validity** is enforced by the type system: outputs are `Option<u64>`,
+//! `None` being `⊥`.)
 //! **Liveness** and the completion round are the engine's verdict:
 //! [`PropertyChecker::finish`] copies them out of the [`ExecutionResult`],
 //! which reflects the engine's own `is_synchronized` calls.

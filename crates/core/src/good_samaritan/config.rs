@@ -24,7 +24,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
-use crate::problem::ProblemInstance;
 
 /// Where a local round falls within the Good Samaritan schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,15 +87,6 @@ impl GoodSamaritanConfig {
             fallback_multiplier: 4.0,
             leader_broadcast_probability: 0.5,
         }
-    }
-
-    /// Creates a configuration from a [`ProblemInstance`].
-    pub fn from_instance(instance: ProblemInstance) -> Self {
-        GoodSamaritanConfig::new(
-            instance.upper_bound_n,
-            instance.num_frequencies,
-            instance.disruption_bound,
-        )
     }
 
     /// Overrides the epoch-length constant `c`.

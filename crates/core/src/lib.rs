@@ -4,11 +4,9 @@
 //! Dolev, Gilbert, Guerraoui, Kuhn, Newport,
 //! "The Wireless Synchronization Problem" (PODC 2009):
 //!
-//! * [`problem`] — the problem definition: every activated node outputs a
-//!   value in `ℕ ∪ {⊥}` subject to *validity*, *synch commit*,
-//!   *correctness*, *agreement* and *liveness* (Section 3).
-//! * [`checker`] — an online checker verifying those five requirements over
-//!   a simulated execution.
+//! * [`checker`] — the problem definition (Section 3) and an online checker
+//!   verifying its five requirements — *validity*, *synch commit*,
+//!   *correctness*, *agreement* and *liveness* — over a simulated execution.
 //! * [`trapdoor`] — the Trapdoor Protocol (Section 6): a leader-based
 //!   solution running in `O(F/(F−t)·log²N + F·t/(F−t)·log N)` rounds w.h.p.
 //! * [`good_samaritan`] — the Good Samaritan Protocol (Section 7): an
@@ -25,8 +23,8 @@
 //! * [`batch`] — the [`BatchRunner`]: deterministic
 //!   parallel execution of independent Monte-Carlo trials across a worker
 //!   pool, with seed-ordered results and shared aggregation folds.
-//! * [`registry`] / [`spec`] / [`sim`] — the open, declarative simulation
-//!   API: string-keyed protocol/adversary/probe factories,
+//! * [`registry`] / [`spec`] / [`sim`] — the declarative simulation API:
+//!   the closed catalogue of named protocol/adversary/probe/fault builders,
 //!   JSON-serializable [`ScenarioSpec`]/[`SweepSpec`] descriptions
 //!   (including the `"probes"` observation stack), and the validated
 //!   [`Sim`] builder every execution flows through.
@@ -69,7 +67,6 @@ pub mod fabric;
 pub mod good_samaritan;
 pub mod json;
 pub mod params;
-pub mod problem;
 pub mod registry;
 pub mod report;
 pub mod runner;
@@ -90,8 +87,7 @@ pub mod prelude {
     pub use crate::fabric::{FabricConfig, FabricError, WorkerEvent, WorkerSummary};
     pub use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol, SamaritanRole};
     pub use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
-    pub use crate::problem::{ProblemInstance, SyncOutput};
-    pub use crate::registry::{ProbeOutput, Registry, SimProbe};
+    pub use crate::registry::{ProbeOutput, SimProbe};
     pub use crate::report::SyncOutcome;
     pub use crate::runner::{run_protocol, Scenario, SyncProtocol};
     pub use crate::sim::{ProbedOutcome, Sim};

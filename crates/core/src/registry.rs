@@ -1,35 +1,39 @@
-//! The open protocol/adversary registry.
+//! The component catalogue: every protocol, adversary, probe and fault
+//! layer a spec can name.
 //!
-//! [`Registry`] maps string keys to [`ProtocolFactory`] and
-//! [`AdversaryFactory`] implementations. [`Registry::with_defaults`]
-//! pre-populates every protocol in this crate (`trapdoor`,
-//! `good-samaritan`, `wakeup`, `round-robin`, `single-frequency`) and every
-//! adversary in `wsync-radio` (`none`, `fixed-band`, `random`, `sweep`,
-//! `bursty`, `adaptive-greedy`, `oblivious-random`, `top-weight`).
-//! Downstream crates extend the set at run time with
-//! [`register_protocol`] / [`register_adversary`] — no enum to edit, no
-//! crate to fork — and their components immediately work everywhere a
-//! name does: [`ScenarioSpec`](crate::spec::ScenarioSpec) files,
-//! [`Sim::from_spec`](crate::sim::Sim::from_spec), sweeps, and the
-//! `run_experiments --spec` CLI.
+//! Each component kind has one static table of `(name, builder)` pairs,
+//! sorted by name: the five protocols in this crate (`good-samaritan`,
+//! `round-robin`, `single-frequency`, `trapdoor`, `wakeup`), the eight
+//! adversaries in `wsync-radio` (`adaptive-greedy`, `bursty`,
+//! `fixed-band`, `none`, `oblivious-random`, `random`, `sweep`,
+//! `top-weight`), four probes and four fault layers. A builder is a plain
+//! function that validates its parameters and builds the component; each
+//! factory trait is implemented once, for its builder's function-pointer
+//! type. Names resolve once per
+//! [`Sim::from_spec`](crate::sim::Sim::from_spec), and everything that
+//! takes a name — [`ScenarioSpec`](crate::spec::ScenarioSpec) files,
+//! sweeps, the `run_experiments --spec` CLI and `wsync-serve` — reads the
+//! same tables.
 //!
-//! The string keys are **stable public API** (they appear in spec files and
-//! experiment tables); `tests/spec_roundtrip.rs` pins them.
+//! The catalogue is closed: a name denotes the same component in every
+//! process, which is what lets it sit in the store's cache key
+//! ([`spec_digest`](crate::store::spec_digest)). The names are **stable
+//! public API** (they appear in spec files and experiment tables);
+//! `tests/spec_roundtrip.rs` pins them.
 //!
 //! # Type erasure
 //!
-//! The engine is statically typed over one protocol type per run. Factories
-//! bridge from dynamic names to that world by returning
+//! The engine is statically typed over one protocol type per run. Protocol
+//! builders bridge from dynamic names to that world by returning
 //! [`BoxedProtocol`]s — type-erased [`SyncProtocol`]s whose message
 //! payloads ride in a [`DynMsg`]. The erasure wrapper forwards every call
-//! unchanged and draws no randomness of its own, so a registry-built run is
-//! bit-for-bit identical to the statically-typed equivalent
+//! unchanged and draws no randomness of its own, so a catalogue-built run
+//! is bit-for-bit identical to the statically-typed equivalent
 //! (`tests/engine_golden.rs` holds the proof).
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 use wsync_radio::action::Action;
 use wsync_radio::adversary::{
@@ -56,12 +60,12 @@ use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 
 /// A type-erased message payload.
 ///
-/// Registry-built protocols of arbitrary concrete type share one engine
+/// Catalogue-built protocols of arbitrary concrete type share one engine
 /// instantiation, so their messages travel as `DynMsg` and are downcast
-/// back on receipt. All nodes of a run are built by the same factory and
-/// therefore speak the same payload type; a mismatch (a custom factory
-/// mixing protocol types with different messages) panics with a clear
-/// message rather than corrupting an execution.
+/// back on receipt. All nodes of a run are built by the same protocol
+/// builder and therefore speak the same payload type; should that ever
+/// break, the downcast panics with a clear message rather than corrupting
+/// an execution.
 #[derive(Clone)]
 pub struct DynMsg {
     payload: Arc<dyn Any + Send + Sync>,
@@ -245,18 +249,15 @@ pub trait AdversaryFactory: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in protocol factories
+// Built-in protocols
 // ---------------------------------------------------------------------------
 
-/// Shared parameter schema of the Trapdoor-family factories: instance
-/// overrides plus the `TrapdoorConfig` knobs the ablations sweep.
-fn trapdoor_config_from(
-    component: &str,
+/// Reads the instance overrides every protocol accepts — `upper_bound_n`,
+/// `num_frequencies` and `disruption_bound` — defaulting to the scenario's.
+fn read_instance(
+    reader: &mut ParamReader<'_>,
     scenario: &Scenario,
-    params: &Params,
-    default_frequency_limit: Option<u32>,
-) -> Result<TrapdoorConfig, SpecError> {
-    let mut reader = ParamReader::new(component, params);
+) -> Result<(u64, u32, u32), SpecError> {
     let n = reader
         .opt_u64("upper_bound_n")?
         .unwrap_or_else(|| scenario.upper_bound());
@@ -266,6 +267,19 @@ fn trapdoor_config_from(
     let t = reader
         .opt_u32("disruption_bound")?
         .unwrap_or(scenario.disruption_bound);
+    Ok((n, f, t))
+}
+
+/// Shared parameter schema of the Trapdoor-family protocols: instance
+/// overrides plus the `TrapdoorConfig` knobs the ablations sweep.
+fn trapdoor_config_from(
+    component: &str,
+    scenario: &Scenario,
+    params: &Params,
+    default_frequency_limit: Option<u32>,
+) -> Result<TrapdoorConfig, SpecError> {
+    let mut reader = ParamReader::new(component, params);
+    let (n, f, t) = read_instance(&mut reader, scenario)?;
     let mut config = TrapdoorConfig::new(n, f, t);
     if let Some(c) = reader.opt_f64("epoch_constant")? {
         config = config.with_epoch_constant(c);
@@ -288,211 +302,175 @@ fn trapdoor_config_from(
     Ok(config)
 }
 
-struct TrapdoorFactory;
-
-impl ProtocolFactory for TrapdoorFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let config = trapdoor_config_from("trapdoor", scenario, params, None)?;
-        Ok(Box::new(move |_| {
-            BoxedProtocol::erase(TrapdoorProtocol::new(config))
-        }))
-    }
+fn trapdoor(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+    let config = trapdoor_config_from("trapdoor", scenario, params, None)?;
+    Ok(Box::new(move |_| {
+        BoxedProtocol::erase(TrapdoorProtocol::new(config))
+    }))
 }
 
-struct SingleFrequencyFactory;
-
-impl ProtocolFactory for SingleFrequencyFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let config = trapdoor_config_from("single-frequency", scenario, params, Some(1))?;
-        Ok(Box::new(move |_| {
-            BoxedProtocol::erase(TrapdoorProtocol::new(config))
-        }))
-    }
+fn single_frequency(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+    let config = trapdoor_config_from("single-frequency", scenario, params, Some(1))?;
+    Ok(Box::new(move |_| {
+        BoxedProtocol::erase(TrapdoorProtocol::new(config))
+    }))
 }
 
-struct RoundRobinFactory;
-
-impl ProtocolFactory for RoundRobinFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let trapdoor = trapdoor_config_from("round-robin", scenario, params, None)?;
-        let config = RoundRobinConfig { trapdoor };
-        Ok(Box::new(move |_| {
-            BoxedProtocol::erase(RoundRobinProtocol::new(config))
-        }))
-    }
+fn round_robin(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+    let trapdoor = trapdoor_config_from("round-robin", scenario, params, None)?;
+    let config = RoundRobinConfig { trapdoor };
+    Ok(Box::new(move |_| {
+        BoxedProtocol::erase(RoundRobinProtocol::new(config))
+    }))
 }
 
-struct GoodSamaritanFactory;
-
-impl ProtocolFactory for GoodSamaritanFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let mut reader = ParamReader::new("good-samaritan", params);
-        let n = reader
-            .opt_u64("upper_bound_n")?
-            .unwrap_or_else(|| scenario.upper_bound());
-        let f = reader
-            .opt_u32("num_frequencies")?
-            .unwrap_or(scenario.num_frequencies);
-        let t = reader
-            .opt_u32("disruption_bound")?
-            .unwrap_or(scenario.disruption_bound);
-        let mut config = GoodSamaritanConfig::new(n, f, t);
-        if let Some(c) = reader.opt_f64("epoch_constant")? {
-            config = config.with_epoch_constant(c);
-        }
-        if let Some(shift) = reader.opt_u32("threshold_shift")? {
-            config = config.with_threshold_shift(shift);
-        }
-        if let Some(m) = reader.opt_f64("fallback_multiplier")? {
-            config = config.with_fallback_multiplier(m);
-        }
-        if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-            config.leader_broadcast_probability = p;
-        }
-        reader.finish()?;
-        Ok(Box::new(move |_| {
-            BoxedProtocol::erase(GoodSamaritanProtocol::new(config))
-        }))
+fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+    let mut reader = ParamReader::new("good-samaritan", params);
+    let (n, f, t) = read_instance(&mut reader, scenario)?;
+    let mut config = GoodSamaritanConfig::new(n, f, t);
+    if let Some(c) = reader.opt_f64("epoch_constant")? {
+        config = config.with_epoch_constant(c);
     }
+    if let Some(shift) = reader.opt_u32("threshold_shift")? {
+        config = config.with_threshold_shift(shift);
+    }
+    if let Some(m) = reader.opt_f64("fallback_multiplier")? {
+        config = config.with_fallback_multiplier(m);
+    }
+    if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
+        config.leader_broadcast_probability = p;
+    }
+    reader.finish()?;
+    Ok(Box::new(move |_| {
+        BoxedProtocol::erase(GoodSamaritanProtocol::new(config))
+    }))
 }
 
-struct WakeupFactory;
-
-impl ProtocolFactory for WakeupFactory {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let mut reader = ParamReader::new("wakeup", params);
-        let n = reader
-            .opt_u64("upper_bound_n")?
-            .unwrap_or_else(|| scenario.upper_bound());
-        let f = reader
-            .opt_u32("num_frequencies")?
-            .unwrap_or(scenario.num_frequencies);
-        let t = reader
-            .opt_u32("disruption_bound")?
-            .unwrap_or(scenario.disruption_bound);
-        let mut config = WakeupConfig::new(n, f, t);
-        if let Some(deadline) = reader.opt_u64("deadline_rounds")? {
-            config = config.with_deadline(deadline);
-        }
-        if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-            config.leader_broadcast_probability = p;
-        }
-        reader.finish()?;
-        Ok(Box::new(move |_| {
-            BoxedProtocol::erase(WakeupProtocol::new(config))
-        }))
+fn wakeup(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+    let mut reader = ParamReader::new("wakeup", params);
+    let (n, f, t) = read_instance(&mut reader, scenario)?;
+    let mut config = WakeupConfig::new(n, f, t);
+    if let Some(deadline) = reader.opt_u64("deadline_rounds")? {
+        config = config.with_deadline(deadline);
     }
+    if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
+        config.leader_broadcast_probability = p;
+    }
+    reader.finish()?;
+    Ok(Box::new(move |_| {
+        BoxedProtocol::erase(WakeupProtocol::new(config))
+    }))
 }
 
 // ---------------------------------------------------------------------------
-// Built-in adversary factories
+// Built-in adversaries
 // ---------------------------------------------------------------------------
 
-/// Wraps a parameterless adversary constructor as a factory.
-struct SimpleAdversaryFactory {
-    name: &'static str,
-    build: fn(u32) -> Box<dyn Adversary>,
+/// The body of every adversary that takes no parameters: validates that
+/// none were given and builds the adversary from the disruption bound.
+fn parameterless<A: Adversary + 'static>(
+    name: &str,
+    scenario: &Scenario,
+    params: &Params,
+    build: fn(u32) -> A,
+) -> Result<BoxedAdversary, SpecError> {
+    ParamReader::new(name, params).finish()?;
+    let adversary = build(scenario.disruption_bound);
+    Ok(BoxedAdversary::new(Box::new(adversary)))
 }
 
-impl AdversaryFactory for SimpleAdversaryFactory {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-        _seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
-        ParamReader::new(self.name, params).finish()?;
-        Ok(BoxedAdversary::new((self.build)(scenario.disruption_bound)))
-    }
+fn none(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("none", scenario, params, |_| NoAdversary::new())
 }
 
-struct BurstyFactory;
-
-impl AdversaryFactory for BurstyFactory {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-        _seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
-        let mut reader = ParamReader::new("bursty", params);
-        let period = reader.req_u64("period")?;
-        let burst_len = reader.req_u64("burst_len")?;
-        reader.finish()?;
-        Ok(BoxedAdversary::new(Box::new(BurstyAdversary::new(
-            scenario.disruption_bound,
-            period,
-            burst_len,
-        ))))
-    }
+fn fixed_band(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("fixed-band", scenario, params, FixedBandAdversary::new)
 }
 
-struct ObliviousRandomFactory;
-
-impl AdversaryFactory for ObliviousRandomFactory {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-        seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
-        let mut reader = ParamReader::new("oblivious-random", params);
-        let t_actual = reader.req_u32("t_actual")?;
-        reader.finish()?;
-        // Pre-sample a schedule long enough to cover the run without
-        // repeating too quickly. The seed tweak and length are part of the
-        // reproducibility contract (pinned by tests/engine_golden.rs).
-        let len = 8192usize;
-        Ok(BoxedAdversary::new(Box::new(
-            ObliviousScheduleAdversary::random(
-                seed ^ 0x0b11_0005,
-                len,
-                scenario.num_frequencies,
-                t_actual.min(scenario.disruption_bound),
-            ),
-        )))
-    }
+fn random(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("random", scenario, params, RandomAdversary::new)
 }
 
-struct TopWeightFactory;
+fn sweep(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("sweep", scenario, params, SweepAdversary::new)
+}
 
-impl AdversaryFactory for TopWeightFactory {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-        _seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
-        let mut reader = ParamReader::new("top-weight", params);
-        let weights = reader.opt_f64_list("weights")?;
-        reader.finish()?;
-        let adversary = match weights {
-            Some(weights) => TopWeightAdversary::new(scenario.disruption_bound, weights),
-            None => TopWeightAdversary::against_uniform(
-                scenario.disruption_bound,
-                scenario.num_frequencies,
-            ),
-        };
-        Ok(BoxedAdversary::new(Box::new(adversary)))
-    }
+fn adaptive_greedy(
+    scenario: &Scenario,
+    params: &Params,
+    _: u64,
+) -> Result<BoxedAdversary, SpecError> {
+    parameterless(
+        "adaptive-greedy",
+        scenario,
+        params,
+        AdaptiveGreedyAdversary::new,
+    )
+}
+
+fn bursty(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    let mut reader = ParamReader::new("bursty", params);
+    let period = reader.req_u64("period")?;
+    let burst_len = reader.req_u64("burst_len")?;
+    reader.finish()?;
+    Ok(BoxedAdversary::new(Box::new(BurstyAdversary::new(
+        scenario.disruption_bound,
+        period,
+        burst_len,
+    ))))
+}
+
+fn oblivious_random(
+    scenario: &Scenario,
+    params: &Params,
+    seed: u64,
+) -> Result<BoxedAdversary, SpecError> {
+    let mut reader = ParamReader::new("oblivious-random", params);
+    let t_actual = reader.req_u32("t_actual")?;
+    reader.finish()?;
+    // Pre-sample a schedule long enough to cover the run without
+    // repeating too quickly. The seed tweak and length are part of the
+    // reproducibility contract (pinned by tests/engine_golden.rs).
+    let len = 8192usize;
+    Ok(BoxedAdversary::new(Box::new(
+        ObliviousScheduleAdversary::random(
+            seed ^ 0x0b11_0005,
+            len,
+            scenario.num_frequencies,
+            t_actual.min(scenario.disruption_bound),
+        ),
+    )))
+}
+
+fn top_weight(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    let mut reader = ParamReader::new("top-weight", params);
+    let weights = reader.opt_f64_list("weights")?;
+    reader.finish()?;
+    let adversary = match weights {
+        Some(weights) => TopWeightAdversary::new(scenario.disruption_bound, weights),
+        None => {
+            TopWeightAdversary::against_uniform(scenario.disruption_bound, scenario.num_frequencies)
+        }
+    };
+    Ok(BoxedAdversary::new(Box::new(adversary)))
 }
 
 // ---------------------------------------------------------------------------
-// Probe factories
+// Probes
 // ---------------------------------------------------------------------------
 
-/// The output of one declarative probe after a run: the registry name it
+/// The output of one declarative probe after a run: the catalogue name it
 /// was declared under and its finalized JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbeOutput {
-    /// The probe's registry name (as written in the spec's `"probes"`
+    /// The probe's catalogue name (as written in the spec's `"probes"`
     /// array).
     pub name: String,
     /// The probe's finalized value.
     pub value: Value,
 }
 
-/// A registry-built probe: a radio-engine [`Probe`] that additionally
+/// A catalogue-built probe: a radio-engine [`Probe`] that additionally
 /// finalizes into a JSON value once the execution completes, so declarative
 /// runs can report what it observed.
 pub trait SimProbe: Probe {
@@ -511,7 +489,7 @@ pub trait ProbeFactory: Send + Sync {
     fn build(&self, scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError>;
 }
 
-/// The adapter that carries a registry-built probe through the engine's
+/// The adapter that carries a catalogue-built probe through the engine's
 /// type-erased stack: a known concrete type wrapping the `Box<dyn
 /// SimProbe>`, so the runner can recover it by downcast after the run and
 /// call [`finish`](RegistryProbe::finish).
@@ -521,7 +499,7 @@ pub struct RegistryProbe {
 }
 
 impl RegistryProbe {
-    /// Wraps a built probe under its registry name.
+    /// Wraps a built probe under its catalogue name.
     pub fn new(name: impl Into<String>, inner: Box<dyn SimProbe>) -> Self {
         RegistryProbe {
             name: name.into(),
@@ -529,7 +507,7 @@ impl RegistryProbe {
         }
     }
 
-    /// The registry name the probe was declared under.
+    /// The catalogue name the probe was declared under.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -592,13 +570,9 @@ impl SimProbe for MetricsProbe {
     }
 }
 
-struct MetricsProbeFactory;
-
-impl ProbeFactory for MetricsProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-        ParamReader::new("metrics", params).finish()?;
-        Ok(Box::new(MetricsProbe(SimMetrics::default())))
-    }
+fn metrics_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    ParamReader::new("metrics", params).finish()?;
+    Ok(Box::new(MetricsProbe(SimMetrics::default())))
 }
 
 /// The `"checker"` probe: the streaming [`PropertyChecker`], folding
@@ -639,19 +613,15 @@ impl SimProbe for CheckerProbe {
     }
 }
 
-struct CheckerProbeFactory;
-
-impl ProbeFactory for CheckerProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-        let mut reader = ParamReader::new("checker", params);
-        let max_recorded = reader.opt_u64("max_recorded")?;
-        reader.finish()?;
-        let mut checker = PropertyChecker::new();
-        if let Some(max) = max_recorded {
-            checker = checker.with_max_recorded(max as usize);
-        }
-        Ok(Box::new(CheckerProbe(checker)))
+fn checker_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    let mut reader = ParamReader::new("checker", params);
+    let max_recorded = reader.opt_u64("max_recorded")?;
+    reader.finish()?;
+    let mut checker = PropertyChecker::new();
+    if let Some(max) = max_recorded {
+        checker = checker.with_max_recorded(max as usize);
     }
+    Ok(Box::new(CheckerProbe(checker)))
 }
 
 /// The `"trace"` probe: an incremental trace summary — rounds observed,
@@ -707,24 +677,20 @@ impl SimProbe for TraceProbe {
     }
 }
 
-struct TraceProbeFactory;
-
-impl ProbeFactory for TraceProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-        let mut reader = ParamReader::new("trace", params);
-        let max_rounds = reader.opt_u64("max_rounds")?;
-        reader.finish()?;
-        Ok(Box::new(TraceProbe {
-            max_rounds,
-            rounds: 0,
-            deliveries: 0,
-            first_sync: Vec::new(),
-        }))
-    }
+fn trace_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    let mut reader = ParamReader::new("trace", params);
+    let max_rounds = reader.opt_u64("max_rounds")?;
+    reader.finish()?;
+    Ok(Box::new(TraceProbe {
+        max_rounds,
+        rounds: 0,
+        deliveries: 0,
+        first_sync: Vec::new(),
+    }))
 }
 
 // ---------------------------------------------------------------------------
-// Fault factories
+// Fault layers
 // ---------------------------------------------------------------------------
 
 /// Builds a network-fault layer for a scenario from declarative parameters.
@@ -758,141 +724,107 @@ fn require_probability(component: &str, param: &str, value: Option<f64>) -> Resu
 
 /// The `"drop"` fault: whole-delivery loss with probability `drop_rate`
 /// (default `0.0`, which changes nothing).
-struct DropFaultFactory;
-
-impl FaultFactory for DropFaultFactory {
-    fn build(
-        &self,
-        _scenario: &Scenario,
-        params: &Params,
-    ) -> Result<Box<dyn FaultLayer>, SpecError> {
-        let mut reader = ParamReader::new("drop", params);
-        let rate = reader.opt_f64("drop_rate")?;
-        reader.finish()?;
-        Ok(Box::new(DropLayer::new(require_probability(
-            "drop",
-            "drop_rate",
-            rate,
-        )?)))
-    }
+fn drop_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+    let mut reader = ParamReader::new("drop", params);
+    let rate = reader.opt_f64("drop_rate")?;
+    reader.finish()?;
+    Ok(Box::new(DropLayer::new(require_probability(
+        "drop",
+        "drop_rate",
+        rate,
+    )?)))
 }
 
 /// The `"capture"` fault: per-receiver fading loss with probability
 /// `miss_rate` (default `0.0`, which changes nothing).
-struct CaptureFaultFactory;
-
-impl FaultFactory for CaptureFaultFactory {
-    fn build(
-        &self,
-        _scenario: &Scenario,
-        params: &Params,
-    ) -> Result<Box<dyn FaultLayer>, SpecError> {
-        let mut reader = ParamReader::new("capture", params);
-        let rate = reader.opt_f64("miss_rate")?;
-        reader.finish()?;
-        Ok(Box::new(CaptureLayer::new(require_probability(
-            "capture",
-            "miss_rate",
-            rate,
-        )?)))
-    }
+fn capture_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+    let mut reader = ParamReader::new("capture", params);
+    let rate = reader.opt_f64("miss_rate")?;
+    reader.finish()?;
+    Ok(Box::new(CaptureLayer::new(require_probability(
+        "capture",
+        "miss_rate",
+        rate,
+    )?)))
 }
 
 /// The `"partition"` fault: `groups` is an array of arrays of node indices
 /// (nodes left out share one implicit remainder group; an omitted or empty
 /// map changes nothing); optional `heal_at` is the round from which
 /// cross-group deliveries flow again.
-struct PartitionFaultFactory;
-
-impl PartitionFaultFactory {
-    fn parse_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<u32>>, SpecError> {
-        let bad = |found: String| SpecError::BadParam {
-            component: "partition".to_string(),
-            param: "groups".to_string(),
-            expected: "an array of arrays of node indices",
-            found,
-        };
-        let outer = value
-            .as_array()
-            .ok_or_else(|| bad(value.type_name().to_string()))?;
-        let mut groups: Vec<Vec<u32>> = Vec::with_capacity(outer.len());
-        let mut seen = vec![false; scenario.num_nodes];
-        for item in outer {
-            let members = item
-                .as_array()
-                .ok_or_else(|| bad(format!("a group of type {}", item.type_name())))?;
-            let mut group = Vec::with_capacity(members.len());
-            for member in members {
-                let index = member
-                    .as_u64()
-                    .and_then(|u| u32::try_from(u).ok())
-                    .ok_or_else(|| bad(format!("group member {:?}", member)))?;
-                if index as usize >= scenario.num_nodes {
-                    return Err(bad(format!(
-                        "node index {index} (the network has {} nodes)",
-                        scenario.num_nodes
-                    )));
-                }
-                if seen[index as usize] {
-                    return Err(bad(format!("node {index} listed in more than one group")));
-                }
-                seen[index as usize] = true;
-                group.push(index);
-            }
-            groups.push(group);
-        }
-        Ok(groups)
-    }
+fn partition_fault(scenario: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+    let mut reader = ParamReader::new("partition", params);
+    let groups = match reader.opt_value("groups") {
+        Some(value) => parse_partition_groups(scenario, value)?,
+        None => Vec::new(),
+    };
+    let heal_at = reader.opt_u64("heal_at")?;
+    reader.finish()?;
+    Ok(Box::new(PartitionLayer::new(
+        scenario.num_nodes,
+        &groups,
+        heal_at,
+    )))
 }
 
-impl FaultFactory for PartitionFaultFactory {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-    ) -> Result<Box<dyn FaultLayer>, SpecError> {
-        let mut reader = ParamReader::new("partition", params);
-        let groups = match reader.opt_value("groups") {
-            Some(value) => Self::parse_groups(scenario, value)?,
-            None => Vec::new(),
-        };
-        let heal_at = reader.opt_u64("heal_at")?;
-        reader.finish()?;
-        Ok(Box::new(PartitionLayer::new(
-            scenario.num_nodes,
-            &groups,
-            heal_at,
-        )))
+fn parse_partition_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<u32>>, SpecError> {
+    let bad = |found: String| SpecError::BadParam {
+        component: "partition".to_string(),
+        param: "groups".to_string(),
+        expected: "an array of arrays of node indices",
+        found,
+    };
+    let outer = value
+        .as_array()
+        .ok_or_else(|| bad(value.type_name().to_string()))?;
+    let mut groups: Vec<Vec<u32>> = Vec::with_capacity(outer.len());
+    let mut seen = vec![false; scenario.num_nodes];
+    for item in outer {
+        let members = item
+            .as_array()
+            .ok_or_else(|| bad(format!("a group of type {}", item.type_name())))?;
+        let mut group = Vec::with_capacity(members.len());
+        for member in members {
+            let index = member
+                .as_u64()
+                .and_then(|u| u32::try_from(u).ok())
+                .ok_or_else(|| bad(format!("group member {:?}", member)))?;
+            if index as usize >= scenario.num_nodes {
+                return Err(bad(format!(
+                    "node index {index} (the network has {} nodes)",
+                    scenario.num_nodes
+                )));
+            }
+            if seen[index as usize] {
+                return Err(bad(format!("node {index} listed in more than one group")));
+            }
+            seen[index as usize] = true;
+            group.push(index);
+        }
+        groups.push(group);
     }
+    Ok(groups)
 }
 
 /// The `"churn"` fault: per-round crash probability `churn_rate` (default
 /// `0.0`, which changes nothing) and per-crash `downtime` in rounds
 /// (default 8, must be positive).
-struct ChurnFaultFactory;
-
-impl FaultFactory for ChurnFaultFactory {
-    fn build(
-        &self,
-        _scenario: &Scenario,
-        params: &Params,
-    ) -> Result<Box<dyn FaultLayer>, SpecError> {
-        let mut reader = ParamReader::new("churn", params);
-        let rate = reader.opt_f64("churn_rate")?;
-        let downtime = reader.opt_u64("downtime")?;
-        reader.finish()?;
-        let rate = require_probability("churn", "churn_rate", rate)?;
-        let downtime = downtime.unwrap_or(8);
-        if downtime == 0 {
-            return Err(SpecError::BadParam {
-                component: "churn".to_string(),
-                param: "downtime".to_string(),
-                expected: "a positive number of rounds",
-                found: "0".to_string(),
-            });
-        }
-        Ok(Box::new(ChurnLayer::new(rate, downtime)))
+fn churn_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+    let mut reader = ParamReader::new("churn", params);
+    let rate = reader.opt_f64("churn_rate")?;
+    let downtime = reader.opt_u64("downtime")?;
+    reader.finish()?;
+    let rate = require_probability("churn", "churn_rate", rate)?;
+    let downtime = downtime.unwrap_or(8);
+    if downtime == 0 {
+        return Err(SpecError::BadParam {
+            component: "churn".to_string(),
+            param: "downtime".to_string(),
+            expected: "a positive number of rounds",
+            found: "0".to_string(),
+        });
     }
+    Ok(Box::new(ChurnLayer::new(rate, downtime)))
 }
 
 /// The `"fault-counters"` probe: sums the per-round fault counters the
@@ -943,300 +875,161 @@ impl SimProbe for FaultCountersProbe {
     }
 }
 
-struct FaultCountersProbeFactory;
-
-impl ProbeFactory for FaultCountersProbeFactory {
-    fn build(&self, _scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-        ParamReader::new("fault-counters", params).finish()?;
-        Ok(Box::new(FaultCountersProbe::default()))
-    }
+fn fault_counters_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+    ParamReader::new("fault-counters", params).finish()?;
+    Ok(Box::new(FaultCountersProbe::default()))
 }
 
 // ---------------------------------------------------------------------------
-// The registry
+// The catalogue
 // ---------------------------------------------------------------------------
 
-/// A string-keyed catalogue of protocol, adversary, probe, and fault-layer
-/// factories.
-#[derive(Clone)]
-pub struct Registry {
-    protocols: BTreeMap<String, Arc<dyn ProtocolFactory>>,
-    adversaries: BTreeMap<String, Arc<dyn AdversaryFactory>>,
-    probes: BTreeMap<String, Arc<dyn ProbeFactory>>,
-    faults: BTreeMap<String, Arc<dyn FaultFactory>>,
-}
+// A builder has its factory trait's method signature; the trait impls below
+// forward to it, so `resolve_*` can hand out table rows as trait objects.
+type ProtocolBuilder = fn(&Scenario, &Params) -> Result<ProtocolCtor, SpecError>;
+type AdversaryBuilder = fn(&Scenario, &Params, u64) -> Result<BoxedAdversary, SpecError>;
+type ProbeBuilder = fn(&Scenario, &Params) -> Result<Box<dyn SimProbe>, SpecError>;
+type FaultBuilder = fn(&Scenario, &Params) -> Result<Box<dyn FaultLayer>, SpecError>;
 
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Registry")
-            .field("protocols", &self.protocol_names())
-            .field("adversaries", &self.adversary_names())
-            .field("probes", &self.probe_names())
-            .field("faults", &self.fault_names())
-            .finish()
+/// The protocols, sorted by name.
+static PROTOCOLS: &[(&str, ProtocolBuilder)] = &[
+    ("good-samaritan", good_samaritan),
+    ("round-robin", round_robin),
+    ("single-frequency", single_frequency),
+    ("trapdoor", trapdoor),
+    ("wakeup", wakeup),
+];
+
+/// The adversaries, sorted by name.
+static ADVERSARIES: &[(&str, AdversaryBuilder)] = &[
+    ("adaptive-greedy", adaptive_greedy),
+    ("bursty", bursty),
+    ("fixed-band", fixed_band),
+    ("none", none),
+    ("oblivious-random", oblivious_random),
+    ("random", random),
+    ("sweep", sweep),
+    ("top-weight", top_weight),
+];
+
+/// The probes, sorted by name.
+static PROBES: &[(&str, ProbeBuilder)] = &[
+    ("checker", checker_probe),
+    ("fault-counters", fault_counters_probe),
+    ("metrics", metrics_probe),
+    ("trace", trace_probe),
+];
+
+/// The fault layers, sorted by name.
+static FAULTS: &[(&str, FaultBuilder)] = &[
+    ("capture", capture_fault),
+    ("churn", churn_fault),
+    ("drop", drop_fault),
+    ("partition", partition_fault),
+];
+
+impl ProtocolFactory for ProtocolBuilder {
+    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        self(scenario, params)
     }
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::with_defaults()
+impl AdversaryFactory for AdversaryBuilder {
+    fn build(
+        &self,
+        scenario: &Scenario,
+        params: &Params,
+        seed: u64,
+    ) -> Result<BoxedAdversary, SpecError> {
+        self(scenario, params, seed)
     }
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Registry {
-            protocols: BTreeMap::new(),
-            adversaries: BTreeMap::new(),
-            probes: BTreeMap::new(),
-            faults: BTreeMap::new(),
-        }
-    }
-
-    /// A registry pre-populated with every protocol and adversary in the
-    /// workspace.
-    pub fn with_defaults() -> Self {
-        let mut registry = Registry::empty();
-        registry.register_protocol("trapdoor", Arc::new(TrapdoorFactory));
-        registry.register_protocol("good-samaritan", Arc::new(GoodSamaritanFactory));
-        registry.register_protocol("wakeup", Arc::new(WakeupFactory));
-        registry.register_protocol("round-robin", Arc::new(RoundRobinFactory));
-        registry.register_protocol("single-frequency", Arc::new(SingleFrequencyFactory));
-
-        fn simple(
-            name: &'static str,
-            build: fn(u32) -> Box<dyn Adversary>,
-        ) -> Arc<SimpleAdversaryFactory> {
-            Arc::new(SimpleAdversaryFactory { name, build })
-        }
-        registry.register_adversary("none", simple("none", |_| Box::new(NoAdversary::new())));
-        registry.register_adversary(
-            "fixed-band",
-            simple("fixed-band", |t| Box::new(FixedBandAdversary::new(t))),
-        );
-        registry.register_adversary(
-            "random",
-            simple("random", |t| Box::new(RandomAdversary::new(t))),
-        );
-        registry.register_adversary(
-            "sweep",
-            simple("sweep", |t| Box::new(SweepAdversary::new(t))),
-        );
-        registry.register_adversary(
-            "adaptive-greedy",
-            simple("adaptive-greedy", |t| {
-                Box::new(AdaptiveGreedyAdversary::new(t))
-            }),
-        );
-        registry.register_adversary("bursty", Arc::new(BurstyFactory));
-        registry.register_adversary("oblivious-random", Arc::new(ObliviousRandomFactory));
-        registry.register_adversary("top-weight", Arc::new(TopWeightFactory));
-
-        registry.register_probe("metrics", Arc::new(MetricsProbeFactory));
-        registry.register_probe("checker", Arc::new(CheckerProbeFactory));
-        registry.register_probe("trace", Arc::new(TraceProbeFactory));
-        registry.register_probe("fault-counters", Arc::new(FaultCountersProbeFactory));
-
-        registry.register_fault("drop", Arc::new(DropFaultFactory));
-        registry.register_fault("capture", Arc::new(CaptureFaultFactory));
-        registry.register_fault("partition", Arc::new(PartitionFaultFactory));
-        registry.register_fault("churn", Arc::new(ChurnFaultFactory));
-        registry
-    }
-
-    /// Registers (or replaces) a protocol factory under `name`.
-    pub fn register_protocol(
-        &mut self,
-        name: impl Into<String>,
-        factory: Arc<dyn ProtocolFactory>,
-    ) {
-        self.protocols.insert(name.into(), factory);
-    }
-
-    /// Registers (or replaces) an adversary factory under `name`.
-    pub fn register_adversary(
-        &mut self,
-        name: impl Into<String>,
-        factory: Arc<dyn AdversaryFactory>,
-    ) {
-        self.adversaries.insert(name.into(), factory);
-    }
-
-    /// Registers (or replaces) a probe factory under `name`.
-    pub fn register_probe(&mut self, name: impl Into<String>, factory: Arc<dyn ProbeFactory>) {
-        self.probes.insert(name.into(), factory);
-    }
-
-    /// Registers (or replaces) a fault-layer factory under `name`.
-    pub fn register_fault(&mut self, name: impl Into<String>, factory: Arc<dyn FaultFactory>) {
-        self.faults.insert(name.into(), factory);
-    }
-
-    /// Resolves a protocol factory by name.
-    pub fn protocol(&self, name: &str) -> Result<Arc<dyn ProtocolFactory>, SpecError> {
-        self.protocols
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SpecError::UnknownProtocol {
-                name: name.to_string(),
-                known: self.protocol_names(),
-            })
-    }
-
-    /// Resolves an adversary factory by name.
-    pub fn adversary(&self, name: &str) -> Result<Arc<dyn AdversaryFactory>, SpecError> {
-        self.adversaries
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SpecError::UnknownAdversary {
-                name: name.to_string(),
-                known: self.adversary_names(),
-            })
-    }
-
-    /// Resolves a probe factory by name.
-    pub fn probe(&self, name: &str) -> Result<Arc<dyn ProbeFactory>, SpecError> {
-        self.probes
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SpecError::UnknownProbe {
-                name: name.to_string(),
-                known: self.probe_names(),
-            })
-    }
-
-    /// Resolves a fault-layer factory by name.
-    pub fn fault(&self, name: &str) -> Result<Arc<dyn FaultFactory>, SpecError> {
-        self.faults
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SpecError::UnknownFault {
-                name: name.to_string(),
-                known: self.fault_names(),
-            })
-    }
-
-    /// The registered protocol names, sorted.
-    pub fn protocol_names(&self) -> Vec<String> {
-        self.protocols.keys().cloned().collect()
-    }
-
-    /// The registered adversary names, sorted.
-    pub fn adversary_names(&self) -> Vec<String> {
-        self.adversaries.keys().cloned().collect()
-    }
-
-    /// The registered probe names, sorted.
-    pub fn probe_names(&self) -> Vec<String> {
-        self.probes.keys().cloned().collect()
-    }
-
-    /// The registered fault-layer names, sorted.
-    pub fn fault_names(&self) -> Vec<String> {
-        self.faults.keys().cloned().collect()
+impl ProbeFactory for ProbeBuilder {
+    fn build(&self, scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+        self(scenario, params)
     }
 }
 
-fn global() -> &'static RwLock<Registry> {
-    static GLOBAL: OnceLock<RwLock<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(Registry::with_defaults()))
+impl FaultFactory for FaultBuilder {
+    fn build(
+        &self,
+        scenario: &Scenario,
+        params: &Params,
+    ) -> Result<Box<dyn FaultLayer>, SpecError> {
+        self(scenario, params)
+    }
 }
 
-/// Registers a protocol factory in the process-global registry used by
-/// [`Sim::from_spec`](crate::sim::Sim::from_spec). Downstream crates call
-/// this once at startup.
-pub fn register_protocol(name: impl Into<String>, factory: Arc<dyn ProtocolFactory>) {
-    global()
-        .write()
-        .expect("registry lock poisoned")
-        .register_protocol(name, factory);
+fn lookup<B: Copy>(table: &[(&str, B)], name: &str) -> Option<B> {
+    table
+        .iter()
+        .find(|(key, _)| *key == name)
+        .map(|&(_, builder)| builder)
 }
 
-/// Registers an adversary factory in the process-global registry.
-pub fn register_adversary(name: impl Into<String>, factory: Arc<dyn AdversaryFactory>) {
-    global()
-        .write()
-        .expect("registry lock poisoned")
-        .register_adversary(name, factory);
+fn names<B>(table: &[(&str, B)]) -> Vec<String> {
+    table.iter().map(|(name, _)| name.to_string()).collect()
 }
 
-/// Registers a probe factory in the process-global registry.
-pub fn register_probe(name: impl Into<String>, factory: Arc<dyn ProbeFactory>) {
-    global()
-        .write()
-        .expect("registry lock poisoned")
-        .register_probe(name, factory);
-}
-
-/// Resolves a protocol factory from the process-global registry.
+/// Resolves a protocol factory by name.
 pub fn resolve_protocol(name: &str) -> Result<Arc<dyn ProtocolFactory>, SpecError> {
-    global()
-        .read()
-        .expect("registry lock poisoned")
-        .protocol(name)
+    let builder = lookup(PROTOCOLS, name).ok_or_else(|| SpecError::UnknownProtocol {
+        name: name.to_string(),
+        known: protocol_names(),
+    })?;
+    Ok(Arc::new(builder))
 }
 
-/// Resolves an adversary factory from the process-global registry.
+/// Resolves an adversary factory by name.
 pub fn resolve_adversary(name: &str) -> Result<Arc<dyn AdversaryFactory>, SpecError> {
-    global()
-        .read()
-        .expect("registry lock poisoned")
-        .adversary(name)
+    let builder = lookup(ADVERSARIES, name).ok_or_else(|| SpecError::UnknownAdversary {
+        name: name.to_string(),
+        known: adversary_names(),
+    })?;
+    Ok(Arc::new(builder))
 }
 
-/// Resolves a probe factory from the process-global registry.
+/// Resolves a probe factory by name.
 pub fn resolve_probe(name: &str) -> Result<Arc<dyn ProbeFactory>, SpecError> {
-    global().read().expect("registry lock poisoned").probe(name)
+    let builder = lookup(PROBES, name).ok_or_else(|| SpecError::UnknownProbe {
+        name: name.to_string(),
+        known: probe_names(),
+    })?;
+    Ok(Arc::new(builder))
 }
 
-/// Registers a fault-layer factory in the process-global registry.
-pub fn register_fault(name: impl Into<String>, factory: Arc<dyn FaultFactory>) {
-    global()
-        .write()
-        .expect("registry lock poisoned")
-        .register_fault(name, factory);
-}
-
-/// Resolves a fault-layer factory from the process-global registry.
+/// Resolves a fault-layer factory by name.
 pub fn resolve_fault(name: &str) -> Result<Arc<dyn FaultFactory>, SpecError> {
-    global().read().expect("registry lock poisoned").fault(name)
+    let builder = lookup(FAULTS, name).ok_or_else(|| SpecError::UnknownFault {
+        name: name.to_string(),
+        known: fault_names(),
+    })?;
+    Ok(Arc::new(builder))
 }
 
-/// The protocol names in the process-global registry, sorted.
+/// The protocol names, sorted.
 pub fn protocol_names() -> Vec<String> {
-    global()
-        .read()
-        .expect("registry lock poisoned")
-        .protocol_names()
+    names(PROTOCOLS)
 }
 
-/// The adversary names in the process-global registry, sorted.
+/// The adversary names, sorted.
 pub fn adversary_names() -> Vec<String> {
-    global()
-        .read()
-        .expect("registry lock poisoned")
-        .adversary_names()
+    names(ADVERSARIES)
 }
 
-/// The probe names in the process-global registry, sorted.
+/// The probe names, sorted.
 pub fn probe_names() -> Vec<String> {
-    global()
-        .read()
-        .expect("registry lock poisoned")
-        .probe_names()
+    names(PROBES)
 }
 
-/// The fault-layer names in the process-global registry, sorted.
+/// The fault-layer names, sorted.
 pub fn fault_names() -> Vec<String> {
-    global()
-        .read()
-        .expect("registry lock poisoned")
-        .fault_names()
+    names(FAULTS)
 }
 
 /// Builds the adversary described by `spec` for one `(scenario, seed)`
-/// execution, resolving the name against the process-global registry.
+/// execution.
 pub fn build_adversary(
     spec: &ComponentSpec,
     scenario: &Scenario,
@@ -1245,9 +1038,9 @@ pub fn build_adversary(
     resolve_adversary(spec.name())?.build(scenario, &spec.params, seed)
 }
 
-/// Builds the fault layer described by `spec` for one scenario, resolving
-/// the name against the process-global registry. Seedless by design: the
-/// engine pairs the layer with its private random stream on attachment.
+/// Builds the fault layer described by `spec` for one scenario. Seedless
+/// by design: the engine pairs the layer with its private random stream on
+/// attachment.
 pub fn build_fault(
     spec: &ComponentSpec,
     scenario: &Scenario,
@@ -1263,10 +1056,22 @@ mod tests {
 
     #[test]
     fn default_registry_resolves_every_builtin() {
-        let registry = Registry::with_defaults();
+        // Every table is sorted and free of duplicates: `SpecError`'s
+        // `known` lists and `/catalog` print names in table order.
+        for names in [
+            protocol_names(),
+            adversary_names(),
+            probe_names(),
+            fault_names(),
+        ] {
+            assert!(
+                names.windows(2).all(|pair| pair[0] < pair[1]),
+                "{names:?} is not strictly sorted"
+            );
+        }
         let scenario = Scenario::new(4, 8, 2);
-        for name in registry.protocol_names() {
-            let factory = registry.protocol(&name).unwrap();
+        for name in protocol_names() {
+            let factory = resolve_protocol(&name).unwrap();
             let ctor = factory
                 .instantiate(&scenario, &Params::new())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -1284,8 +1089,8 @@ mod tests {
             };
             protocol.on_feedback(0, feedback, &mut rng);
         }
-        for name in registry.adversary_names() {
-            let factory = registry.adversary(&name).unwrap();
+        for name in adversary_names() {
+            let factory = resolve_adversary(&name).unwrap();
             let mut params = Params::new();
             if name == "bursty" {
                 params.set("period", 10u64);
@@ -1304,19 +1109,30 @@ mod tests {
             );
             assert!(set.len() <= 8, "{name} disrupted too much");
         }
+        for name in probe_names() {
+            resolve_probe(&name)
+                .unwrap()
+                .build(&scenario, &Params::new())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        for name in fault_names() {
+            resolve_fault(&name)
+                .unwrap()
+                .build(&scenario, &Params::new())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
     }
 
     #[test]
     fn unknown_names_list_the_known_ones() {
-        let registry = Registry::with_defaults();
-        match registry.protocol("trapdor").err() {
+        match resolve_protocol("trapdor").err() {
             Some(SpecError::UnknownProtocol { name, known }) => {
                 assert_eq!(name, "trapdor");
                 assert!(known.contains(&"trapdoor".to_string()));
             }
             other => panic!("expected UnknownProtocol, got {other:?}"),
         }
-        match registry.adversary("nonsense").err() {
+        match resolve_adversary("nonsense").err() {
             Some(SpecError::UnknownAdversary { known, .. }) => {
                 assert_eq!(known.len(), 8);
             }
@@ -1326,26 +1142,22 @@ mod tests {
 
     #[test]
     fn factories_validate_their_parameters() {
-        let registry = Registry::with_defaults();
         let scenario = Scenario::new(4, 8, 2);
         // typo in a protocol parameter
-        let err = registry
-            .protocol("trapdoor")
+        let err = resolve_protocol("trapdoor")
             .unwrap()
             .instantiate(&scenario, &Params::new().with("epoch_konstant", 2.0))
             .err()
             .expect("typo must be rejected");
         assert!(matches!(err, SpecError::UnknownParam { .. }), "{err}");
         // missing required adversary parameter
-        let err = registry
-            .adversary("oblivious-random")
+        let err = resolve_adversary("oblivious-random")
             .unwrap()
             .build(&scenario, &Params::new(), 0)
             .expect_err("missing t_actual must be rejected");
         assert!(matches!(err, SpecError::MissingParam { .. }), "{err}");
         // wrong type
-        let err = registry
-            .adversary("bursty")
+        let err = resolve_adversary("bursty")
             .unwrap()
             .build(
                 &scenario,
@@ -1354,27 +1166,6 @@ mod tests {
             )
             .expect_err("mistyped period must be rejected");
         assert!(matches!(err, SpecError::BadParam { .. }), "{err}");
-    }
-
-    #[test]
-    fn downstream_registration_is_visible_globally() {
-        struct EchoFactory;
-        impl AdversaryFactory for EchoFactory {
-            fn build(
-                &self,
-                _scenario: &Scenario,
-                params: &Params,
-                _seed: u64,
-            ) -> Result<BoxedAdversary, SpecError> {
-                ParamReader::new("test-echo", params).finish()?;
-                Ok(BoxedAdversary::new(Box::new(NoAdversary::new())))
-            }
-        }
-        register_adversary("test-echo", Arc::new(EchoFactory));
-        assert!(adversary_names().contains(&"test-echo".to_string()));
-        let spec = ComponentSpec::named("test-echo");
-        let scenario = Scenario::new(2, 4, 1);
-        assert!(build_adversary(&spec, &scenario, 0).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Convenience wiring between the protocols and the radio engine.
 //!
 //! A [`Scenario`] describes one synchronization setting — how many devices,
-//! how many frequencies, the disruption bound, which adversary (by registry
+//! how many frequencies, the disruption bound, which adversary (by catalogue
 //! name, see [`crate::registry`]), and the activation schedule. The primary
 //! way to execute one is the [`Sim`](crate::sim::Sim) builder:
 //!
@@ -16,7 +16,7 @@
 //! ```
 //!
 //! [`run_protocol`] remains the statically-typed escape hatch for custom
-//! protocol types that are not registered (e.g. the fault-tolerance
+//! protocol types that are not in the catalogue (e.g. the fault-tolerance
 //! crash wrapper).
 
 use wsync_radio::activation::ActivationSchedule;
@@ -33,12 +33,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::baselines::{RoundRobinProtocol, WakeupProtocol};
 use crate::checker::PropertyChecker;
-use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
+use crate::good_samaritan::GoodSamaritanProtocol;
 use crate::params::next_power_of_two;
 use crate::registry;
 use crate::report::SyncOutcome;
 use crate::spec::ComponentSpec;
-use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
+use crate::trapdoor::TrapdoorProtocol;
 
 /// Protocols that elect a leader while solving wireless synchronization.
 ///
@@ -229,52 +229,13 @@ impl Scenario {
             .with_max_rounds(self.max_rounds)
             .with_extra_rounds_after_sync(self.extra_rounds_after_sync)
     }
-
-    /// The problem instance `(N, F, t)` of this scenario.
-    pub fn instance(&self) -> crate::problem::ProblemInstance {
-        crate::problem::ProblemInstance::new(
-            self.upper_bound(),
-            self.num_frequencies,
-            self.disruption_bound,
-        )
-    }
 }
 
 /// The one engine-invocation path shared by every run in the workspace:
-/// builds the engine, composes the probe stack (the property checker plus
-/// any declarative probes), executes, and counts leaders. Both
-/// [`run_protocol`] (statically typed) and
-/// [`Sim::run_one`](crate::sim::Sim::run_one) (registry path) end here.
-pub(crate) fn execute<P, F>(
-    scenario: &Scenario,
-    factory: F,
-    adversary: BoxedAdversary,
-    seed: u64,
-) -> SyncOutcome
-where
-    P: SyncProtocol,
-    F: FnMut(NodeId) -> P,
-{
-    let faults = build_scenario_faults(scenario);
-    execute_probed(scenario, factory, adversary, seed, Vec::new(), faults).0
-}
-
-/// Builds the fault layers a scenario declares, resolving names against the
-/// process-global registry. Panics on an unknown name or bad parameters —
-/// callers on the validated [`Sim`] path build layers from factories
-/// resolved at construction instead.
-pub(crate) fn build_scenario_faults(scenario: &Scenario) -> Vec<Box<dyn FaultLayer>> {
-    scenario
-        .faults
-        .iter()
-        .map(|fault| {
-            registry::build_fault(fault, scenario)
-                .unwrap_or_else(|e| panic!("scenario fault failed to build: {e}"))
-        })
-        .collect()
-}
-
-/// [`execute`] with declarative probes attached to the engine's stack.
+/// builds the engine, attaches the fault layers, composes the probe stack
+/// (the property checker plus any declarative probes), executes, and
+/// counts leaders. Both [`run_protocol`] (statically typed) and
+/// [`Sim::run_one`](crate::sim::Sim::run_one) (catalogue path) end here.
 /// Returns the outcome together with each probe's finalized output, in
 /// declaration order. Probes only observe, so the outcome is bit-identical
 /// with and without them (`tests/engine_golden.rs` pins this).
@@ -335,14 +296,14 @@ where
 /// the synchronization properties online.
 ///
 /// This is the statically-typed escape hatch for protocol types that are
-/// not registered (wrappers, instrumented variants). The adversary is still
-/// resolved by name through the global registry.
+/// not in the catalogue (wrappers, instrumented variants). The adversary
+/// and fault layers are still resolved by name through the catalogue.
 ///
 /// # Panics
 ///
-/// Panics when the scenario is invalid or its adversary cannot be resolved;
-/// use [`Sim::from_spec`](crate::sim::Sim::from_spec) for fallible,
-/// validated construction.
+/// Panics when the scenario is invalid or its adversary or a fault layer
+/// cannot be built; use [`Sim::from_spec`](crate::sim::Sim::from_spec) for
+/// fallible, validated construction.
 pub fn run_protocol<P, F>(scenario: &Scenario, factory: F, seed: u64) -> SyncOutcome
 where
     P: SyncProtocol,
@@ -350,41 +311,15 @@ where
 {
     let adversary = registry::build_adversary(&scenario.adversary, scenario, seed)
         .unwrap_or_else(|e| panic!("scenario adversary failed to build: {e}"));
-    execute(scenario, factory, adversary, seed)
-}
-
-/// The registry parameters equivalent to an explicit [`TrapdoorConfig`].
-pub fn trapdoor_component(config: &TrapdoorConfig) -> ComponentSpec {
-    let mut component = ComponentSpec::named("trapdoor")
-        .with("upper_bound_n", config.upper_bound_n)
-        .with("num_frequencies", config.num_frequencies)
-        .with("disruption_bound", config.disruption_bound)
-        .with("epoch_constant", config.epoch_constant)
-        .with("final_epoch_constant", config.final_epoch_constant)
-        .with(
-            "leader_broadcast_probability",
-            config.leader_broadcast_probability,
-        );
-    if let Some(limit) = config.frequency_limit {
-        component = component.with("frequency_limit", limit);
-    }
-    component
-}
-
-/// The registry parameters equivalent to an explicit
-/// [`GoodSamaritanConfig`].
-pub fn good_samaritan_component(config: &GoodSamaritanConfig) -> ComponentSpec {
-    ComponentSpec::named("good-samaritan")
-        .with("upper_bound_n", config.upper_bound_n)
-        .with("num_frequencies", config.num_frequencies)
-        .with("disruption_bound", config.disruption_bound)
-        .with("epoch_constant", config.epoch_constant)
-        .with("threshold_shift", config.threshold_shift)
-        .with("fallback_multiplier", config.fallback_multiplier)
-        .with(
-            "leader_broadcast_probability",
-            config.leader_broadcast_probability,
-        )
+    let faults = scenario
+        .faults
+        .iter()
+        .map(|fault| {
+            registry::build_fault(fault, scenario)
+                .unwrap_or_else(|e| panic!("scenario fault failed to build: {e}"))
+        })
+        .collect();
+    execute_probed(scenario, factory, adversary, seed, Vec::new(), faults).0
 }
 
 #[cfg(test)]
@@ -406,7 +341,7 @@ mod tests {
         let cfg = s.sim_config();
         assert_eq!(cfg.num_nodes, 10);
         assert_eq!(cfg.upper_bound_n, 16);
-        assert!(s.instance().is_valid());
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]
@@ -455,24 +390,5 @@ mod tests {
         let a = run_named(&scenario, "trapdoor", 21);
         let b = run_named(&scenario, "trapdoor", 21);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn explicit_config_components_reproduce_the_configs() {
-        let config = TrapdoorConfig::new(64, 16, 4)
-            .with_epoch_constant(1.5)
-            .with_frequency_limit(3);
-        let component = trapdoor_component(&config);
-        assert_eq!(component.name(), "trapdoor");
-        let scenario = Scenario::new(8, 16, 4);
-        // rebuilding through the registry yields the same protocol config
-        let factory = registry::resolve_protocol("trapdoor").unwrap();
-        assert!(factory.instantiate(&scenario, &component.params).is_ok());
-
-        let gs = GoodSamaritanConfig::new(32, 8, 2).with_threshold_shift(5);
-        let component = good_samaritan_component(&gs);
-        assert_eq!(component.name(), "good-samaritan");
-        let factory = registry::resolve_protocol("good-samaritan").unwrap();
-        assert!(factory.instantiate(&scenario, &component.params).is_ok());
     }
 }

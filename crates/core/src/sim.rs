@@ -3,21 +3,22 @@
 //! [`Sim`] is the single code path every execution in the workspace goes
 //! through. Build one from a declarative [`ScenarioSpec`] (possibly loaded
 //! from JSON) or from an existing runtime [`Scenario`] plus a protocol
-//! name, choose a seed range, and run — one trial at a time or sharded
-//! across cores by a [`BatchRunner`]:
+//! name, then run one trial per seed:
 //!
 //! ```
-//! use wsync_core::batch::BatchRunner;
 //! use wsync_core::sim::Sim;
 //! use wsync_core::spec::ScenarioSpec;
 //!
 //! let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
-//! let outcomes = Sim::from_spec(&spec)?
-//!     .seeds(0..8)
-//!     .run(&BatchRunner::new());
-//! assert_eq!(outcomes.len(), 8);
+//! let sim = Sim::from_spec(&spec)?;
+//! let outcome = sim.run_one(7);
+//! assert_eq!(outcome, sim.run_one(7));
 //! # Ok::<(), wsync_core::spec::SpecError>(())
 //! ```
+//!
+//! Seed ranges and grids go through a
+//! [`SweepRunner`](crate::sweep::SweepRunner), which shards trials across
+//! cores and can cache them in a [`ResultStore`](crate::store::ResultStore).
 //!
 //! All validation happens in [`Sim::from_spec`]: protocol and adversary
 //! names resolve against the [`registry`], their
@@ -25,10 +26,9 @@
 //! `SimConfig::validate` — so a bad spec is a typed [`SpecError`] at build
 //! time, never a panic mid-run.
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use crate::batch::{BatchRunner, BatchStats};
+use crate::registry;
 use crate::registry::{
     AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, RegistryProbe,
 };
@@ -36,7 +36,6 @@ use crate::report::SyncOutcome;
 use crate::runner::{execute_probed, Scenario};
 use crate::spec::{ComponentSpec, ScenarioSpec, SpecError};
 use crate::store::spec_digest;
-use crate::{registry, spec};
 
 /// One trial's outcome together with the outputs of the spec's declared
 /// probes (see [`Sim::run_probed`]).
@@ -52,21 +51,20 @@ pub struct ProbedOutcome {
 }
 
 /// A fully validated, runnable simulation: scenario, resolved protocol
-/// constructor, resolved adversary factory, resolved probe factories, and
-/// a seed range.
+/// constructor, resolved adversary factory, and resolved probe and fault
+/// factories.
 pub struct Sim {
     scenario: Scenario,
     ctor: ProtocolCtor,
     adversary: Arc<dyn AdversaryFactory>,
     probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
     faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
-    seeds: Range<u64>,
     digest: u64,
 }
 
 impl Sim {
     /// Builds a simulation from a declarative spec, resolving names against
-    /// the process-global registry.
+    /// the component catalogue.
     ///
     /// # Errors
     ///
@@ -107,36 +105,18 @@ impl Sim {
             adversary: adversary_factory,
             probes: probe_factories,
             faults: fault_factories,
-            seeds: 0..1,
             digest: spec_digest(spec),
         })
     }
 
     /// Builds a simulation from a runtime [`Scenario`] plus a protocol
-    /// (name or name-plus-params), resolving against the process-global
-    /// registry.
+    /// (name or name-plus-params), resolving against the component
+    /// catalogue.
     pub fn from_scenario(
         scenario: &Scenario,
         protocol: impl Into<ComponentSpec>,
     ) -> Result<Self, SpecError> {
         Sim::from_spec(&ScenarioSpec::from_scenario(scenario, protocol))
-    }
-
-    /// Sets the seed range subsequent [`run`](Self::run) /
-    /// [`run_stats`](Self::run_stats) calls execute (default `0..1`).
-    pub fn seeds(mut self, seeds: Range<u64>) -> Self {
-        self.seeds = seeds;
-        self
-    }
-
-    /// The runtime scenario this simulation executes.
-    pub fn scenario(&self) -> &Scenario {
-        &self.scenario
-    }
-
-    /// The configured seed range.
-    pub fn seed_range(&self) -> Range<u64> {
-        self.seeds.clone()
     }
 
     /// The canonical content digest of this simulation's resolved spec —
@@ -215,43 +195,12 @@ impl Sim {
     pub fn has_probes(&self) -> bool {
         !self.probes.is_empty()
     }
-
-    /// Whether the spec declares any fault layers.
-    pub fn has_faults(&self) -> bool {
-        !self.faults.is_empty()
-    }
-
-    /// Runs every seed in the configured range on `runner`'s worker pool
-    /// and returns the outcomes in seed order (bit-identical to a serial
-    /// loop; see [`BatchRunner`]).
-    pub fn run(&self, runner: &BatchRunner) -> Vec<SyncOutcome> {
-        runner.map(self.seeds.clone(), |seed| self.run_one(seed))
-    }
-
-    /// Runs every seed in the configured range and folds the outcomes into
-    /// [`BatchStats`].
-    pub fn run_stats(&self, runner: &BatchRunner) -> BatchStats {
-        BatchStats::aggregate(&self.run(runner))
-    }
-
-    /// Expands a [`SweepSpec`](spec::SweepSpec) into `(label, Sim)` pairs,
-    /// one per grid point, each configured with the sweep's seed range.
-    pub fn from_sweep(sweep: &spec::SweepSpec) -> Result<Vec<(String, Sim)>, SpecError> {
-        let seeds = sweep.seeds()?;
-        sweep
-            .expand()?
-            .into_iter()
-            .map(|point| {
-                Sim::from_spec(&point.spec).map(|sim| (point.label, sim.seeds(seeds.clone())))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepSpec;
+    use crate::batch::BatchRunner;
 
     #[test]
     fn spec_driven_run_is_deterministic_and_clean() {
@@ -310,28 +259,10 @@ mod tests {
     #[test]
     fn batch_run_matches_serial_loop() {
         let spec = ScenarioSpec::new("wakeup", 6, 8, 1).with_adversary("random");
-        let sim = Sim::from_spec(&spec).unwrap().seeds(3..9);
-        let batch = sim.run(&BatchRunner::with_workers(4));
+        let sim = Sim::from_spec(&spec).unwrap();
+        let batch = BatchRunner::with_workers(4).map(3..9, |seed| sim.run_one(seed));
         let serial: Vec<_> = (3..9).map(|seed| sim.run_one(seed)).collect();
         assert_eq!(batch, serial);
-        let stats = sim.run_stats(&BatchRunner::with_workers(2));
-        assert_eq!(stats.trials, 6);
-    }
-
-    #[test]
-    fn sweep_expands_into_labelled_sims() {
-        let base = ScenarioSpec::new("trapdoor", 6, 8, 2).with_adversary("random");
-        let sweep =
-            SweepSpec::new(base, 0..2).with_axis("num_nodes", vec![4u64.into(), 6u64.into()]);
-        let sims = Sim::from_sweep(&sweep).unwrap();
-        assert_eq!(sims.len(), 2);
-        assert_eq!(sims[0].0, "num_nodes=4");
-        assert_eq!(sims[0].1.scenario().num_nodes, 4);
-        assert_eq!(sims[1].1.seed_range(), 0..2);
-        // a sweep containing an invalid point fails as a whole
-        let bad = SweepSpec::new(ScenarioSpec::new("trapdoor", 6, 8, 2), 0..2)
-            .with_axis("disruption_bound", vec![1u64.into(), 8u64.into()]);
-        assert!(Sim::from_sweep(&bad).is_err());
     }
 
     #[test]

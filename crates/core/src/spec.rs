@@ -10,13 +10,12 @@
 //! repository runs with zero recompilation via
 //! `run_experiments --spec file.json` or [`Sim::from_spec`](crate::sim::Sim).
 //!
-//! Names are resolved against the open [`Registry`](crate::registry) —
-//! downstream crates register their own protocols and adversaries and gain
-//! the whole spec/sweep/batch machinery for free. All validation is
-//! front-loaded: a bad name, a mistyped parameter, or an inconsistent
-//! instance (`t ≥ F`, `N < n`, a zero bound) surfaces as a typed
-//! [`SpecError`] from [`Sim::from_spec`](crate::sim::Sim::from_spec)
-//! *before* any round is simulated, never as a panic mid-run.
+//! Names are resolved against the component catalogue in
+//! [`registry`](crate::registry). All validation is front-loaded: a bad
+//! name, a mistyped parameter, or an inconsistent instance (`t ≥ F`,
+//! `N < n`, a zero bound) surfaces as a typed [`SpecError`] from
+//! [`Sim::from_spec`](crate::sim::Sim::from_spec) *before* any round is
+//! simulated, never as a panic mid-run.
 
 use std::fmt;
 
@@ -397,10 +396,10 @@ impl<'a> ParamReader<'a> {
 
 /// A named component — a protocol or an adversary — plus its parameters.
 ///
-/// The name is a registry key (`"trapdoor"`, `"random"`,
-/// `"oblivious-random"`, …); the parameters are interpreted by the factory
-/// registered under that name. `"random".into()` builds a parameterless
-/// spec, so call sites read as
+/// The name is a catalogue key (`"trapdoor"`, `"random"`,
+/// `"oblivious-random"`, …); the parameters are interpreted by the builder
+/// listed under that name in [`registry`](crate::registry).
+/// `"random".into()` builds a parameterless spec, so call sites read as
 /// `scenario.with_adversary("random")`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComponentSpec {

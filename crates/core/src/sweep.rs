@@ -11,8 +11,7 @@
 //!   pairs form one global index space that the
 //!   [`BatchRunner`]'s worker pool drains through an atomic cursor, so a
 //!   grid point with slow trials cannot leave cores idle while a cheap
-//!   point finishes — unlike running the points one `run_stats` call at a
-//!   time.
+//!   point finishes — unlike running the points one at a time.
 //! * **Streaming folds.** A collector re-orders finished trials back into
 //!   deterministic (point-major, seed-ascending) order and folds each one
 //!   into a [`BatchStatsFold`] the moment it arrives, then drops it.
@@ -1078,10 +1077,31 @@ mod tests {
         assert_eq!(report.seeds(), 0..5);
         assert_eq!(report.executed_trials(), 10);
         assert_eq!(report.cached_trials(), 0);
-        for (point, (label, sim)) in report.points.iter().zip(Sim::from_sweep(&sweep).unwrap()) {
-            assert_eq!(point.label, label);
-            assert_eq!(point.stats, sim.run_stats(&BatchRunner::serial()));
+        for (point, expanded) in report.points.iter().zip(sweep.expand().unwrap()) {
+            assert_eq!(point.label, expanded.label);
+            let sim = Sim::from_spec(&expanded.spec).unwrap();
+            let outcomes: Vec<SyncOutcome> = (0..5).map(|seed| sim.run_one(seed)).collect();
+            assert_eq!(point.stats, BatchStats::aggregate(&outcomes));
         }
+    }
+
+    #[test]
+    fn sweep_expands_into_labelled_points() {
+        let base = ScenarioSpec::new("trapdoor", 6, 8, 2).with_adversary("random");
+        let sweep =
+            SweepSpec::new(base, 0..2).with_axis("num_nodes", vec![4u64.into(), 6u64.into()]);
+        let report = SweepRunner::new().run(&sweep).unwrap();
+        assert_eq!(report.points.len(), 2);
+        assert_eq!(report.points[0].label, "num_nodes=4");
+        assert_eq!(report.points[0].spec.num_nodes, 4);
+        assert_eq!(report.seeds(), 0..2);
+        // a sweep containing an invalid point fails as a whole
+        let bad = SweepSpec::new(ScenarioSpec::new("trapdoor", 6, 8, 2), 0..2)
+            .with_axis("disruption_bound", vec![1u64.into(), 8u64.into()]);
+        assert!(matches!(
+            SweepRunner::new().run(&bad),
+            Err(SweepError::Spec(SpecError::InvalidConfig(_)))
+        ));
     }
 
     #[test]
@@ -1249,7 +1269,7 @@ mod tests {
         // one synced trial: rounds_to_sync has a single sample — the mean
         // rule must keep sampling, not read the degenerate width as done
         let sweep = sweep();
-        let sim = Sim::from_sweep(&sweep).unwrap().remove(0).1;
+        let sim = Sim::from_spec(&sweep.expand().unwrap()[0].spec).unwrap();
         let stats = BatchStats::aggregate(&[sim.run_one(0)]);
         assert!(!StoppingRule::new(StopMetric::SyncRoundsMean, 1e6).satisfied(&stats));
     }

@@ -10,7 +10,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
-use crate::problem::ProblemInstance;
 
 /// One row of the Figure 1 schedule: an epoch, its length, and the
 /// per-round broadcast probability used during it.
@@ -71,15 +70,6 @@ impl TrapdoorConfig {
             final_epoch_constant: 6.0,
             leader_broadcast_probability: 0.5,
         }
-    }
-
-    /// Creates a configuration from a [`ProblemInstance`].
-    pub fn from_instance(instance: ProblemInstance) -> Self {
-        TrapdoorConfig::new(
-            instance.upper_bound_n,
-            instance.num_frequencies,
-            instance.disruption_bound,
-        )
     }
 
     /// Overrides the regular-epoch constant `c₁`.

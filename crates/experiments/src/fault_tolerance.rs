@@ -132,9 +132,9 @@ pub fn ft1_leader_crash(effort: Effort) -> ExperimentReport {
         .with_adversary("random")
         .with_activation(ActivationSchedule::Explicit(activations))
         .with_max_rounds(late_activation + 30_000);
-    let outcomes = BatchRunner::new().run_with(&scenario, 0..seeds, |s, seed| {
+    let outcomes = BatchRunner::new().map(0..seeds, |seed| {
         run_protocol(
-            s,
+            &scenario,
             |id: NodeId| {
                 let crash = if id.index() == 0 {
                     Some(crash_at)

@@ -113,8 +113,7 @@ impl Rule {
     }
 }
 
-/// A string-keyed, insertion-ordered rule registry (the same open-registry
-/// shape as `wsync-core`'s protocol/adversary registry).
+/// A string-keyed, insertion-ordered rule registry.
 #[derive(Debug, Default)]
 pub struct RuleRegistry {
     rules: Vec<Rule>,

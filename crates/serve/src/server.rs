@@ -496,11 +496,19 @@ fn handle_sweep(
     // 400 here and never a half-run job. With a `"stop"` rule the
     // advertised seed range is the adaptive *budget*, not a promise of
     // execution.
-    let (points, seeds) =
-        match Sim::from_sweep(&sweep).and_then(|sims| Ok((sims.len(), sweep.effective_seeds()?))) {
-            Ok(parts) => parts,
-            Err(e) => return http::respond_error(stream, 400, "Bad Request", &e.to_string()),
-        };
+    let validated = sweep
+        .seeds()
+        .and_then(|_| sweep.expand())
+        .and_then(|points| {
+            for point in &points {
+                Sim::from_spec(&point.spec)?;
+            }
+            Ok((points.len(), sweep.effective_seeds()?))
+        });
+    let (points, seeds) = match validated {
+        Ok(parts) => parts,
+        Err(e) => return http::respond_error(stream, 400, "Bad Request", &e.to_string()),
+    };
     let job = state.jobs.create();
     push_event(
         &job,

@@ -12,7 +12,7 @@
 
 use wireless_sync::prelude::*;
 
-fn main() -> std::result::Result<(), SpecError> {
+fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     let num_devices = 8;
     let num_frequencies = 16;
     let worst_case_t = 8;
@@ -29,22 +29,27 @@ fn main() -> std::result::Result<(), SpecError> {
         "t'", "good samaritan (mean)", "trapdoor (mean)", "GS wins?"
     );
 
-    let base = ScenarioSpec::new("good-samaritan", num_devices, num_frequencies, worst_case_t)
-        .with_adversary(ComponentSpec::named("oblivious-random").with("t_actual", 1u64))
-        .with_activation(ActivationSchedule::Simultaneous);
-    let sweep = SweepSpec::new(base, 0..seeds_per_point).with_axis(
-        "adversary.t_actual",
-        vec![1u64.into(), 2u64.into(), 4u64.into(), 8u64.into()],
-    );
+    // The same t' sweep, once per protocol.
+    let sweep = |protocol: &str| {
+        let base = ScenarioSpec::new(protocol, num_devices, num_frequencies, worst_case_t)
+            .with_adversary(ComponentSpec::named("oblivious-random").with("t_actual", 1u64))
+            .with_activation(ActivationSchedule::Simultaneous);
+        SweepSpec::new(base, 0..seeds_per_point).with_axis(
+            "adversary.t_actual",
+            vec![1u64.into(), 2u64.into(), 4u64.into(), 8u64.into()],
+        )
+    };
+    let runner = SweepRunner::new();
+    let good_samaritan = runner.run(&sweep("good-samaritan"))?;
+    let trapdoor = runner.run(&sweep("trapdoor"))?;
 
-    let runner = BatchRunner::new();
-    for (label, gs_sim) in Sim::from_sweep(&sweep)? {
-        // The identical sweep point, run with the worst-case protocol.
-        let td_sim = Sim::from_scenario(gs_sim.scenario(), "trapdoor")?.seeds(0..seeds_per_point);
-
-        let gs_mean = gs_sim.run_stats(&runner).completion_rounds.mean;
-        let td_mean = td_sim.run_stats(&runner).completion_rounds.mean;
-        let t_actual = label.strip_prefix("adversary.t_actual=").unwrap_or(&label);
+    for (gs, td) in good_samaritan.points.iter().zip(&trapdoor.points) {
+        let gs_mean = gs.stats.completion_rounds.mean;
+        let td_mean = td.stats.completion_rounds.mean;
+        let t_actual = gs
+            .label
+            .strip_prefix("adversary.t_actual=")
+            .unwrap_or(&gs.label);
         println!(
             "{:>4}  {:>22.1}  {:>18.1}  {:>10}",
             t_actual,

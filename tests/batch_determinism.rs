@@ -46,10 +46,10 @@ fn same_spec_and_seed_give_bit_identical_outcomes() {
 #[test]
 fn parallel_batches_match_serial_batches_outcome_for_outcome() {
     for spec in specs("trapdoor") {
-        let sim = Sim::from_spec(&spec).expect("valid spec").seeds(0..16);
-        let serial = sim.run(&BatchRunner::serial());
+        let sim = Sim::from_spec(&spec).expect("valid spec");
+        let serial = BatchRunner::serial().map(0..16, |s| sim.run_one(s));
         for workers in [2usize, 3, 8, 32] {
-            let parallel = sim.run(&BatchRunner::with_workers(workers));
+            let parallel = BatchRunner::with_workers(workers).map(0..16, |s| sim.run_one(s));
             assert_eq!(
                 serial, parallel,
                 "worker count {workers} changed the trial outcomes"
@@ -61,9 +61,10 @@ fn parallel_batches_match_serial_batches_outcome_for_outcome() {
 #[test]
 fn parallel_aggregates_equal_serial_aggregates() {
     let spec = ScenarioSpec::new("good-samaritan", 10, 8, 3).with_adversary("random");
-    let sim = Sim::from_spec(&spec).expect("valid spec").seeds(100..124);
-    let serial = sim.run_stats(&BatchRunner::serial());
-    let parallel = sim.run_stats(&BatchRunner::with_workers(6));
+    let sim = Sim::from_spec(&spec).expect("valid spec");
+    let serial = BatchStats::aggregate(&BatchRunner::serial().map(100..124, |s| sim.run_one(s)));
+    let parallel =
+        BatchStats::aggregate(&BatchRunner::with_workers(6).map(100..124, |s| sim.run_one(s)));
     // BatchStats includes floating-point summaries; the folds run over
     // seed-ordered outcomes on both sides, so even those are bit-identical.
     assert_eq!(serial, parallel);

@@ -42,38 +42,36 @@ fn registry_names_are_stable() {
             "wakeup".to_string(),
         ]
     );
-    let adversaries = wireless_sync::sync::registry::adversary_names();
-    for expected in [
-        "adaptive-greedy",
-        "bursty",
-        "fixed-band",
-        "none",
-        "oblivious-random",
-        "random",
-        "sweep",
-        "top-weight",
-    ] {
-        assert!(
-            adversaries.contains(&expected.to_string()),
-            "adversary {expected} missing from the registry: {adversaries:?}"
-        );
-    }
+    assert_eq!(
+        wireless_sync::sync::registry::adversary_names(),
+        vec![
+            "adaptive-greedy".to_string(),
+            "bursty".to_string(),
+            "fixed-band".to_string(),
+            "none".to_string(),
+            "oblivious-random".to_string(),
+            "random".to_string(),
+            "sweep".to_string(),
+            "top-weight".to_string(),
+        ]
+    );
 }
 
 #[test]
 fn checked_in_example_specs_parse_and_round_trip() {
-    for path in [
-        "examples/specs/quickstart.json",
-        "examples/specs/jamming_sweep.json",
-        "examples/specs/samaritan_crossover.json",
-        "examples/specs/resumable_sweep.json",
-        "examples/specs/probed_run.json",
-        "examples/specs/faulty_run.json",
-    ] {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let file = wireless_sync::experiments::SpecFile::parse(&text)
+    let mut paths: Vec<_> = std::fs::read_dir("examples/specs")
+        .expect("examples/specs is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no spec files under examples/specs");
+    for file in &paths {
+        let path = file.display();
+        let text = std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let spec_file = wireless_sync::experiments::SpecFile::parse(&text)
             .unwrap_or_else(|e| panic!("{path}: {e}"));
-        match file {
+        match spec_file {
             wireless_sync::experiments::SpecFile::Scenario(spec) => {
                 let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
                 assert_eq!(back, spec, "{path} round trip");
@@ -82,8 +80,11 @@ fn checked_in_example_specs_parse_and_round_trip() {
             wireless_sync::experiments::SpecFile::Sweep(sweep) => {
                 let back = SweepSpec::from_json(&sweep.to_json()).unwrap();
                 assert_eq!(back, sweep, "{path} round trip");
-                let sims = Sim::from_sweep(&sweep).unwrap_or_else(|e| panic!("{path}: {e}"));
-                assert!(!sims.is_empty());
+                let points = sweep.expand().unwrap_or_else(|e| panic!("{path}: {e}"));
+                assert!(!points.is_empty());
+                for point in &points {
+                    Sim::from_spec(&point.spec).unwrap_or_else(|e| panic!("{path}: {e}"));
+                }
             }
         }
     }
@@ -115,10 +116,22 @@ fn sweep_spec_grid_runs_match_individual_spec_runs() {
     let base = ScenarioSpec::new("trapdoor", 8, 8, 1).with_adversary("random");
     let sweep = SweepSpec::new(base.clone(), 0..3)
         .with_axis("disruption_bound", vec![1u64.into(), 3u64.into()]);
-    let sims = Sim::from_sweep(&sweep).unwrap();
-    assert_eq!(sims.len(), 2);
-    for (label, sim) in &sims {
-        let t: u32 = label
+    let points: Vec<(String, ScenarioSpec)> = sweep
+        .expand()
+        .unwrap()
+        .into_iter()
+        .map(|point| (point.label, point.spec))
+        .collect();
+    let mut outcomes: Vec<Vec<SyncOutcome>> = vec![Vec::new(); points.len()];
+    let report = SweepRunner::with_runner(BatchRunner::serial())
+        .run_points_each(points, 0..3, |point, outcome| {
+            outcomes[point].push(outcome.clone())
+        })
+        .unwrap();
+    assert_eq!(report.points.len(), 2);
+    for (point, outcomes) in report.points.iter().zip(&outcomes) {
+        let t: u32 = point
+            .label
             .strip_prefix("disruption_bound=")
             .unwrap()
             .parse()
@@ -128,6 +141,6 @@ fn sweep_spec_grid_runs_match_individual_spec_runs() {
         let expected: Vec<SyncOutcome> = (0..3)
             .map(|seed| Sim::from_spec(&manual).unwrap().run_one(seed))
             .collect();
-        assert_eq!(sim.run(&BatchRunner::serial()), expected);
+        assert_eq!(outcomes, &expected);
     }
 }

@@ -256,8 +256,8 @@ fn sim_level_store_shares_the_same_cache_substrate() {
     let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
 
     let store = Arc::new(ResultStore::open(&dir).unwrap());
-    let sim = Sim::from_spec(&spec).unwrap().seeds(0..4);
-    let outcomes = sim.run(&BatchRunner::with_workers(2));
+    let sim = Sim::from_spec(&spec).unwrap();
+    let outcomes = BatchRunner::with_workers(2).map(0..4, |s| sim.run_one(s));
     for outcome in &outcomes {
         store.put(sim.digest(), outcome.seed, outcome).unwrap();
     }
