@@ -30,8 +30,7 @@ pub struct BallsInBins {
     pub balls: usize,
     /// Bin probabilities (`s + 1` entries summing to 1). The Lemma requires
     /// them sorted ascending with the last at least 1/2; the constructors
-    /// enforce normalization but only [`BallsInBins::satisfies_lemma2_preconditions`]
-    /// checks the ordering requirement.
+    /// enforce normalization, not the ordering requirement.
     pub probabilities: Vec<f64>,
 }
 
@@ -67,13 +66,6 @@ impl BallsInBins {
     /// Number of bins excluding the final "silent" bin (`s`).
     pub fn s(&self) -> usize {
         self.probabilities.len() - 1
-    }
-
-    /// Whether the instance satisfies the Lemma 2 preconditions:
-    /// probabilities sorted ascending and the last one at least 1/2.
-    pub fn satisfies_lemma2_preconditions(&self) -> bool {
-        self.probabilities.windows(2).all(|w| w[0] <= w[1] + 1e-12)
-            && *self.probabilities.last().unwrap() >= 0.5 - 1e-12
     }
 
     /// The Lemma 2 lower bound `2^{-s}`.
@@ -145,6 +137,7 @@ pub fn no_singleton_probability_exact(instance: &BallsInBins) -> f64 {
 
 /// Monte-Carlo estimate of the probability that no bin receives exactly one
 /// ball, using `trials` independent simulations of the process.
+// lint:allow(unused-pub): the reference the exact solver is checked against (`exact_matches_monte_carlo`)
 pub fn no_singleton_probability_mc(instance: &BallsInBins, trials: usize, seed: u64) -> f64 {
     let mut rng = SimRng::from_seed(seed);
     let cumulative: Vec<f64> = instance
@@ -209,6 +202,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Whether the instance satisfies the Lemma 2 preconditions:
+    /// probabilities sorted ascending and the last one at least 1/2.
+    fn satisfies_lemma2_preconditions(b: &BallsInBins) -> bool {
+        b.probabilities.windows(2).all(|w| w[0] <= w[1] + 1e-12)
+            && *b.probabilities.last().unwrap() >= 0.5 - 1e-12
+    }
+
     #[test]
     fn construction_normalizes() {
         let b = BallsInBins::new(4, vec![2.0, 2.0, 4.0]);
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn uniform_good_bins_satisfies_preconditions() {
         let b = BallsInBins::uniform_good_bins(16, 4, 0.4);
-        assert!(b.satisfies_lemma2_preconditions());
+        assert!(satisfies_lemma2_preconditions(&b));
         assert_eq!(b.s(), 4);
         assert!((b.probabilities.last().unwrap() - 0.6).abs() < 1e-12);
         assert!((b.lemma2_lower_bound() - 1.0 / 16.0).abs() < 1e-12);
@@ -283,7 +283,7 @@ mod tests {
             for &m in &[2usize, 4, 16, 64, 256] {
                 for &mass in &[0.1, 0.3, 0.5] {
                     let b = BallsInBins::uniform_good_bins(m, s, mass);
-                    assert!(b.satisfies_lemma2_preconditions());
+                    assert!(satisfies_lemma2_preconditions(&b));
                     let p = no_singleton_probability_exact(&b);
                     assert!(
                         p >= b.lemma2_lower_bound() * 0.999,

@@ -48,7 +48,7 @@ impl Bounds {
 
     /// The first lower-bound term (Theorem 1):
     /// `log²N / ((F−t)·log log N)`.
-    pub fn theorem1(&self) -> f64 {
+    fn theorem1(&self) -> f64 {
         let log_n = self.log_n();
         let loglog = log_n.log2().max(1.0);
         log_n * log_n / (self.f_minus_t() * loglog)
@@ -72,18 +72,6 @@ impl Bounds {
     pub fn theorem10(&self) -> f64 {
         let log_n = self.log_n();
         self.f() / self.f_minus_t() * log_n * log_n + self.f() * self.t() / self.f_minus_t() * log_n
-    }
-
-    /// The Good Samaritan optimistic bound (Theorem 18): `t′·log³N`.
-    pub fn theorem18_optimistic(&self, t_actual: u32) -> f64 {
-        let log_n = self.log_n();
-        f64::from(t_actual.max(1)) * log_n * log_n * log_n
-    }
-
-    /// The Good Samaritan fallback bound (Theorem 18): `F·log³N`.
-    pub fn theorem18_fallback(&self) -> f64 {
-        let log_n = self.log_n();
-        self.f() * log_n * log_n * log_n
     }
 
     /// The multiplicative gap between the Trapdoor upper bound and the
@@ -132,14 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn theorem18_fallback_at_least_optimistic() {
-        let b = Bounds::new(512, 32, 16);
-        for t_actual in [1, 2, 4, 8, 16] {
-            assert!(b.theorem18_fallback() >= b.theorem18_optimistic(t_actual));
-        }
-    }
-
-    #[test]
     fn known_reference_values() {
         // N = 1024 (log N = 10), F = 16, t = 8.
         let b = Bounds::new(1024, 16, 8);
@@ -147,8 +127,6 @@ mod tests {
         assert!((b.theorem1() - 100.0 / (8.0 * 10f64.log2())).abs() < 1e-9);
         // theorem10 = 16/8·100 + 16·8/8·10 = 200 + 160 = 360
         assert!((b.theorem10() - 360.0).abs() < 1e-9);
-        // theorem18 fallback = 16 · 1000 = 16000
-        assert!((b.theorem18_fallback() - 16000.0).abs() < 1e-9);
     }
 
     proptest! {
@@ -157,7 +135,7 @@ mod tests {
             prop_assume!(t < f);
             let b = Bounds::new(n, f, t);
             for v in [b.theorem1(), b.theorem4(1.0 / n as f64), b.theorem5(), b.theorem10(),
-                      b.theorem18_optimistic(t), b.theorem18_fallback(), b.upper_to_lower_gap()] {
+                      b.upper_to_lower_gap()] {
                 prop_assert!(v.is_finite());
                 prop_assert!(v > 0.0);
             }

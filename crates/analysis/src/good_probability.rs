@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// The probability that exactly one of `n` nodes broadcasts when each
 /// broadcasts independently with probability `p`:
 /// `n·p·(1−p)^{n−1}`.
-pub fn success_probability(n: u64, p: f64) -> f64 {
+fn success_probability(n: u64, p: f64) -> f64 {
     if n == 0 || p <= 0.0 {
         return 0.0;
     }
@@ -28,7 +28,7 @@ pub fn success_probability(n: u64, p: f64) -> f64 {
 
 /// Whether a success probability counts as *good* for bound `N`:
 /// at least `1/log²N`.
-pub fn is_good_probability(success: f64, upper_bound_n: u64) -> bool {
+fn is_good_probability(success: f64, upper_bound_n: u64) -> bool {
     let log_n = (upper_bound_n.max(4) as f64).log2();
     success >= 1.0 / (log_n * log_n)
 }
@@ -65,7 +65,7 @@ impl Claim3Ladder {
     }
 
     /// The population sizes `2^{m_i}`.
-    pub fn populations(&self) -> Vec<u64> {
+    fn populations(&self) -> Vec<u64> {
         self.exponents.iter().map(|&m| 1u64 << m.min(62)).collect()
     }
 
@@ -79,15 +79,6 @@ impl Claim3Ladder {
             .filter(|&&n| is_good_probability(success_probability(n, p), upper_bound_n))
             .count()
     }
-}
-
-/// The broadcast probability that maximizes the success probability for `n`
-/// nodes (`p = 1/n`), along with the resulting success probability
-/// (approaching `1/e` for large `n`).
-pub fn optimal_probability(n: u64) -> (f64, f64) {
-    let n = n.max(1);
-    let p = 1.0 / n as f64;
-    (p, success_probability(n, p))
 }
 
 #[cfg(test)]
@@ -107,8 +98,8 @@ mod tests {
 
     #[test]
     fn optimal_probability_approaches_1_over_e() {
-        let (p, s) = optimal_probability(10_000);
-        assert!((p - 1e-4).abs() < 1e-12);
+        // p = 1/n maximizes the success probability for n nodes.
+        let s = success_probability(10_000, 1e-4);
         assert!((s - 1.0 / std::f64::consts::E).abs() < 0.01);
     }
 
@@ -158,7 +149,7 @@ mod tests {
         let n_bound = 1u64 << 16;
         let ladder = Claim3Ladder::for_upper_bound(n_bound);
         for n in ladder.populations() {
-            let (_, s) = optimal_probability(n);
+            let s = success_probability(n, 1.0 / n as f64);
             assert!(is_good_probability(s, n_bound));
         }
     }
@@ -172,7 +163,8 @@ mod tests {
 
         #[test]
         fn success_probability_maximized_near_one_over_n(n in 2u64..10_000) {
-            let (p_opt, s_opt) = optimal_probability(n);
+            let p_opt = 1.0 / n as f64;
+            let s_opt = success_probability(n, p_opt);
             for factor in [0.25, 0.5, 2.0, 4.0] {
                 let s = success_probability(n, (p_opt * factor).min(1.0));
                 prop_assert!(s <= s_opt + 1e-12);

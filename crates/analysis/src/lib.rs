@@ -6,8 +6,10 @@
 //! built from, so that the experiment harness can validate each one
 //! numerically:
 //!
-//! * [`formulas`] — the bound expressions of Theorems 1, 4, 5, 10 and 18
-//!   evaluated as plain functions of `(N, F, t, t′, ε)`.
+//! * [`formulas`] — the bound expressions of Theorems 1, 4, 5 and 10
+//!   evaluated as plain functions of `(N, F, t, ε)`. Theorem 18's bounds
+//!   live with the protocol they bound, on `GoodSamaritanConfig` in
+//!   `wsync-core`.
 //! * [`balls_in_bins`] — the Lemma 2 process (`m` balls thrown into `s + 1`
 //!   bins, `p_{s+1} ≥ 1/2`): an exact small-case solver and a Monte-Carlo
 //!   estimator for the probability that no bin receives exactly one ball,
@@ -30,5 +32,4 @@ pub mod two_node;
 
 pub use balls_in_bins::{no_singleton_probability_exact, no_singleton_probability_mc, BallsInBins};
 pub use formulas::Bounds;
-pub use good_probability::{is_good_probability, success_probability};
 pub use two_node::{RendezvousGame, RendezvousStrategy};

@@ -39,7 +39,7 @@ pub enum RendezvousStrategy {
 
 impl RendezvousStrategy {
     /// The per-frequency selection distribution (length `F`, sums to 1).
-    pub fn distribution(&self, num_frequencies: u32, disruption_bound: u32) -> Vec<f64> {
+    fn distribution(&self, num_frequencies: u32, disruption_bound: u32) -> Vec<f64> {
         let f = num_frequencies.max(1) as usize;
         match self {
             RendezvousStrategy::UniformAll => vec![1.0 / f as f64; f],
@@ -106,7 +106,7 @@ impl RendezvousGame {
     /// The per-round meeting probability when the adversary disrupts the `t`
     /// frequencies with the largest `p_j·q_j` products:
     /// `2·b·(1−b) · Σ_{j ∉ top-t} p_j·q_j`.
-    pub fn per_round_meeting_probability(&self) -> f64 {
+    fn per_round_meeting_probability(&self) -> f64 {
         let p = self
             .strategy_u
             .distribution(self.num_frequencies, self.disruption_bound);

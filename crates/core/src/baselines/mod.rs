@@ -23,30 +23,3 @@ mod uniform_wakeup;
 
 pub use round_robin::{RoundRobinConfig, RoundRobinProtocol};
 pub use uniform_wakeup::{WakeupConfig, WakeupProtocol};
-
-use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
-
-/// Builds the single-frequency Trapdoor baseline: the Trapdoor Protocol
-/// restricted to frequency 1 only.
-pub fn single_frequency_trapdoor(
-    upper_bound_n: u64,
-    num_frequencies: u32,
-    disruption_bound: u32,
-) -> TrapdoorProtocol {
-    TrapdoorProtocol::new(
-        TrapdoorConfig::new(upper_bound_n, num_frequencies, disruption_bound)
-            .with_frequency_limit(1),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_frequency_baseline_uses_one_frequency() {
-        let p = single_frequency_trapdoor(64, 8, 3);
-        assert_eq!(p.config().f_prime(), 1);
-        assert_eq!(p.config().num_frequencies, 8);
-    }
-}

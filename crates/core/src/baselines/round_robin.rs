@@ -76,7 +76,7 @@ impl RoundRobinProtocol {
     }
 
     /// The deterministic hop frequency for local round `r`.
-    pub fn hop_frequency(&self, local_round: u64) -> Frequency {
+    fn hop_frequency(&self, local_round: u64) -> Frequency {
         let f = u64::from(self.band.count());
         Frequency::new(((self.timestamp.uid.wrapping_add(local_round)) % f) as u32 + 1)
     }

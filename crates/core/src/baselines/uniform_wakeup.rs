@@ -116,11 +116,6 @@ impl WakeupProtocol {
     pub fn is_leader(&self) -> bool {
         self.leader
     }
-
-    /// Whether this node has been knocked out.
-    pub fn is_knocked_out(&self) -> bool {
-        self.knocked_out
-    }
 }
 
 impl Protocol for WakeupProtocol {
@@ -262,7 +257,7 @@ mod tests {
             }),
             &mut rng,
         );
-        assert!(p.is_knocked_out());
+        assert!(p.knocked_out);
         // Knocked-out nodes never become leader, even past the deadline.
         for r in 1..30 {
             let a = p.choose_action(r, &mut rng);

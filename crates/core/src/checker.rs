@@ -163,18 +163,6 @@ impl PropertyChecker {
             completion_round: result.completion_round(),
         }
     }
-
-    /// Finalizes the report without liveness information (e.g. when checking
-    /// a hand-built trace).
-    pub fn finish_without_result(self) -> PropertyReport {
-        PropertyReport {
-            violations: self.violations,
-            total_violations: self.total_violations,
-            rounds_observed: self.rounds_observed,
-            liveness: false,
-            completion_round: None,
-        }
-    }
 }
 
 impl Probe for PropertyChecker {
@@ -304,7 +292,7 @@ mod checker_tests {
     fn synch_commit_violation_detected() {
         let rounds = vec![vec![Some(Some(5))], vec![Some(None)]];
         let checker = run_rounds(&rounds);
-        let report = checker.finish_without_result();
+        let report = checker.finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
         assert!(matches!(
             report.violations[0],
@@ -320,7 +308,7 @@ mod checker_tests {
     #[test]
     fn correctness_violation_detected() {
         let rounds = vec![vec![Some(Some(5))], vec![Some(Some(7))]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
         assert!(matches!(
             report.violations[0],
@@ -335,14 +323,14 @@ mod checker_tests {
     #[test]
     fn constant_output_is_a_correctness_violation() {
         let rounds = vec![vec![Some(Some(5))], vec![Some(Some(5))]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
     }
 
     #[test]
     fn agreement_violation_detected() {
         let rounds = vec![vec![Some(Some(5)), Some(Some(9))]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 1);
         assert!(matches!(report.violations[0], Violation::Agreement { .. }));
     }
@@ -350,7 +338,7 @@ mod checker_tests {
     #[test]
     fn bottom_outputs_do_not_trigger_agreement() {
         let rounds = vec![vec![Some(Some(5)), Some(None), None]];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 0);
     }
 
@@ -393,7 +381,7 @@ mod checker_tests {
                 tally: wsync_radio::trace::RoundTally::default(),
             });
         }
-        let report = checker.finish_without_result();
+        let report = checker.finish(&fake_result(false));
         assert_eq!(report.violations.len(), 10);
         assert_eq!(report.total_violations, 99);
     }
@@ -408,7 +396,7 @@ mod checker_tests {
             vec![Some(Some(6)), Some(Some(6))],
             vec![Some(Some(7)), Some(Some(7))],
         ];
-        let report = run_rounds(&rounds).finish_without_result();
+        let report = run_rounds(&rounds).finish(&fake_result(false));
         assert_eq!(report.total_violations, 0);
     }
 }

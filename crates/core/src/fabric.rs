@@ -89,7 +89,7 @@ mod clock {
     impl Monotonic {
         /// Time elapsed between `earlier` and `self` (zero if `earlier`
         /// is not actually earlier).
-        pub fn since(self, earlier: Monotonic) -> Duration {
+        pub(super) fn since(self, earlier: Monotonic) -> Duration {
             self.0.saturating_duration_since(earlier.0)
         }
     }
@@ -162,30 +162,24 @@ pub struct FabricConfig {
     /// only what peers appended since this worker's last scan of the
     /// shard (the whole shard only after a crash or a corrupt line).
     pub lease_ttl: Duration,
-    /// How long a worker sleeps between passes when every remaining shard
-    /// is held by a live peer.
-    pub poll_interval: Duration,
 }
 
+/// How long a worker sleeps between passes when every remaining shard is
+/// held by a live peer.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 impl FabricConfig {
-    /// A config with the default TTL (30 s) and poll interval (25 ms).
+    /// A config with the default TTL (30 s).
     pub fn new(holder: impl Into<String>) -> Self {
         FabricConfig {
             holder: holder.into(),
             lease_ttl: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(25),
         }
     }
 
     /// Overrides the stale-lease TTL.
     pub fn lease_ttl(mut self, ttl: Duration) -> Self {
         self.lease_ttl = ttl;
-        self
-    }
-
-    /// Overrides the idle poll interval.
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
         self
     }
 }
@@ -261,7 +255,7 @@ pub struct WorkerSummary {
     /// observed via a peer's marker).
     pub points_stopped: u64,
     /// Shard lines decoded while watching and repairing shards
-    /// ([`ResultStore::lines_decoded`]; the store's initial open is not
+    /// (`ResultStore::lines_decoded`; the store's initial open is not
     /// counted). Each line a peer appended is decoded at most once, so a
     /// solo worker on a fresh store decodes none; only a crash or a
     /// corrupt line forces a whole shard to be read again.
@@ -377,7 +371,7 @@ fn lease_holder(text: &str) -> Option<String> {
 /// Reads the holder of `shard`'s lease in `dir`: `Ok(None)` if no lease
 /// file exists, `"?"` if one exists but is unreadable (e.g. a claim that
 /// died between create and write — staleness still reclaims it).
-pub fn read_lease(dir: &Path, shard: usize) -> Result<Option<String>, FabricError> {
+fn read_lease(dir: &Path, shard: usize) -> Result<Option<String>, FabricError> {
     let path = lease_path(dir, shard);
     match fs::read_to_string(&path) {
         Ok(text) => Ok(Some(lease_holder(&text).unwrap_or_else(|| "?".to_string()))),
@@ -586,13 +580,13 @@ pub fn clean_leases(dir: impl AsRef<Path>) -> Result<usize, FabricError> {
 /// (adaptive stop markers): FNV-1a over the sweep's compact canonical
 /// JSON. Every worker derives it from the same spec, so markers published
 /// by one process are found by all.
-pub fn sweep_digest(sweep: &SweepSpec) -> u64 {
+fn sweep_digest(sweep: &SweepSpec) -> u64 {
     fnv1a(sweep.to_value().to_json_compact().as_bytes())
 }
 
 /// The stop-marker file recording that `point` of the sweep identified by
 /// `digest` stopped sampling early.
-pub fn stop_marker_path(dir: &Path, digest: u64, point: usize) -> PathBuf {
+fn stop_marker_path(dir: &Path, digest: u64, point: usize) -> PathBuf {
     dir.join(format!("stop-{digest:016x}-p{point:03}.marker"))
 }
 
@@ -720,7 +714,7 @@ pub fn clean_stop_markers(dir: impl AsRef<Path>) -> Result<usize, FabricError> {
 /// — the same pure decision the in-process runner uses, over the same
 /// bytes, so all processes derive identical verdicts independently. The
 /// first worker to derive a stop publishes a marker file
-/// ([`stop_marker_path`]) that late-starting peers honor without
+/// (`stop_marker_path`) that late-starting peers honor without
 /// recomputation; trials past a stopped point's boundary are never
 /// scheduled, and the final sorted shard bytes are identical to a
 /// single-process run.
@@ -913,7 +907,7 @@ where
             // finishes (the shard completes) or dies (its lease goes
             // stale and is reclaimed), so this loop terminates.
             summary.idle_passes += 1;
-            std::thread::sleep(config.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 }

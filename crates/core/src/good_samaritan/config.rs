@@ -142,7 +142,7 @@ impl GoodSamaritanConfig {
     }
 
     /// Total length of the optimistic portion (all `lg F` super-epochs).
-    pub fn optimistic_total(&self) -> u64 {
+    fn optimistic_total(&self) -> u64 {
         (1..=self.lg_f()).map(|k| self.super_epoch_length(k)).sum()
     }
 

@@ -37,7 +37,6 @@ use wsync_radio::node::ActivationInfo;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 
-use crate::params::ceil_log2;
 use crate::timestamp::Timestamp;
 
 /// A samaritan's acknowledgement that a contender has been heard
@@ -111,7 +110,7 @@ pub enum SamaritanRole {
 
 impl SamaritanRole {
     /// Whether the role belongs to the optimistic portion of the protocol.
-    pub fn is_optimistic(self) -> bool {
+    fn is_optimistic(self) -> bool {
         matches!(
             self,
             SamaritanRole::Contender | SamaritanRole::Samaritan | SamaritanRole::Passive
@@ -174,12 +173,6 @@ impl GoodSamaritanProtocol {
     /// The node's unique identifier (0 before activation).
     pub fn uid(&self) -> u64 {
         self.timestamp.uid
-    }
-
-    /// Number of distinct contenders this node has recorded successes for in
-    /// the current super-epoch (only meaningful while acting as samaritan).
-    pub fn recorded_contenders(&self) -> usize {
-        self.success_counts.len()
     }
 
     /// Samples a frequency uniformly from `[1..limit]` (clamped to the
@@ -506,12 +499,6 @@ impl Protocol for GoodSamaritanProtocol {
     }
 }
 
-/// Convenience: the largest power of two `2^k ≤ x` (used in experiments to
-/// find the super-epoch `lg 2t′` at which good executions should finish).
-pub fn super_epoch_for_disruption(t_actual: u32) -> u32 {
-    ceil_log2(u64::from(2 * t_actual.max(1))).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,7 +655,7 @@ mod tests {
             break;
         }
         assert!(recorded);
-        assert_eq!(p.recorded_contenders(), 1);
+        assert_eq!(p.success_counts.len(), 1);
         assert_eq!(
             p.best_report(),
             Some(SuccessReport {
@@ -866,13 +853,5 @@ mod tests {
             announced_checked,
             "leader should broadcast within 200 rounds"
         );
-    }
-
-    #[test]
-    fn super_epoch_for_disruption_values() {
-        assert_eq!(super_epoch_for_disruption(1), 1);
-        assert_eq!(super_epoch_for_disruption(2), 2);
-        assert_eq!(super_epoch_for_disruption(4), 3);
-        assert_eq!(super_epoch_for_disruption(0), 1);
     }
 }

@@ -58,14 +58,6 @@ impl Value {
         }
     }
 
-    /// The value as an `i64`, if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The value as a `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

@@ -37,18 +37,6 @@ pub fn effective_frequencies(num_frequencies: u32, disruption_bound: u32) -> u32
     num_frequencies.min(2 * disruption_bound).max(1)
 }
 
-/// `F′/(F′−t)`, the congestion factor appearing in the Trapdoor epoch
-/// length. Defined for `t < F` (guaranteed by config validation); when
-/// `F′ ≤ t` (only possible for `t = 0`, where `F′ = 1`), the factor is 1.
-pub fn congestion_factor(num_frequencies: u32, disruption_bound: u32) -> f64 {
-    let fp = effective_frequencies(num_frequencies, disruption_bound);
-    if fp <= disruption_bound {
-        1.0
-    } else {
-        f64::from(fp) / f64::from(fp - disruption_bound)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,16 +70,6 @@ mod tests {
         assert_eq!(effective_frequencies(1, 0), 1);
     }
 
-    #[test]
-    fn congestion_factor_values() {
-        // F = 16, t = 4: F' = 8, factor 8/4 = 2
-        assert!((congestion_factor(16, 4) - 2.0).abs() < 1e-12);
-        // F = 8, t = 6: F' = 8, factor 8/2 = 4
-        assert!((congestion_factor(8, 6) - 4.0).abs() < 1e-12);
-        // t = 0: factor 1
-        assert_eq!(congestion_factor(8, 0), 1.0);
-    }
-
     proptest! {
         #[test]
         fn ceil_log2_is_inverse_of_pow(x in 1u64..1_000_000) {
@@ -108,12 +86,6 @@ mod tests {
             prop_assert!(fp >= 1);
             prop_assert!(fp <= f);
             prop_assert!(fp <= (2 * t).max(1));
-        }
-
-        #[test]
-        fn congestion_factor_at_least_one(f in 2u32..256, t in 0u32..255) {
-            prop_assume!(t < f);
-            prop_assert!(congestion_factor(f, t) >= 1.0);
         }
     }
 }

@@ -87,7 +87,7 @@ impl DynMsg {
     }
 
     /// The `type_name` of the wrapped message (diagnostics only).
-    pub fn payload_type(&self) -> &'static str {
+    fn payload_type(&self) -> &'static str {
         self.type_name
     }
 }
@@ -104,7 +104,7 @@ pub struct BoxedProtocol(Box<dyn SyncProtocol<Msg = DynMsg>>);
 
 impl BoxedProtocol {
     /// Erases a concrete protocol.
-    pub fn erase<P>(protocol: P) -> Self
+    fn erase<P>(protocol: P) -> Self
     where
         P: SyncProtocol + 'static,
         P::Msg: Any + Send + Sync,

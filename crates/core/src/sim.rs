@@ -192,7 +192,7 @@ impl Sim {
     }
 
     /// Whether the spec declares any probes.
-    pub fn has_probes(&self) -> bool {
+    pub(crate) fn has_probes(&self) -> bool {
         !self.probes.is_empty()
     }
 }

@@ -273,7 +273,7 @@ impl Params {
 /// A typed reader over a [`Params`] bag, bound to the component it
 /// configures. Factories use it to pull parameters with precise errors and
 /// to reject unknown keys via [`finish`](ParamReader::finish).
-pub struct ParamReader<'a> {
+pub(crate) struct ParamReader<'a> {
     component: &'a str,
     params: &'a Params,
     allowed: Vec<&'static str>,
@@ -567,7 +567,7 @@ pub(crate) fn reject_unknown_keys(
 
 /// Serializes an [`ActivationSchedule`] as a tagged JSON object (or a bare
 /// string for the parameterless `"simultaneous"` schedule).
-pub fn activation_to_value(schedule: &ActivationSchedule) -> Value {
+fn activation_to_value(schedule: &ActivationSchedule) -> Value {
     let tag = |kind: &str, rest: Vec<(String, Value)>| {
         let mut members = vec![("kind".to_string(), Value::Str(kind.to_string()))];
         members.extend(rest);
@@ -607,7 +607,7 @@ pub fn activation_to_value(schedule: &ActivationSchedule) -> Value {
 }
 
 /// Decodes an [`ActivationSchedule`] from its JSON encoding.
-pub fn activation_from_value(value: &Value) -> Result<ActivationSchedule, SpecError> {
+fn activation_from_value(value: &Value) -> Result<ActivationSchedule, SpecError> {
     let context = "activation";
     let malformed = |message: String| SpecError::Malformed {
         context: context.to_string(),
@@ -793,12 +793,6 @@ impl ScenarioSpec {
     /// Adds a protocol parameter.
     pub fn with_protocol_param(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
         self.protocol.params.set(key, value);
-        self
-    }
-
-    /// Adds an adversary parameter.
-    pub fn with_adversary_param(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.adversary.params.set(key, value);
         self
     }
 

@@ -121,7 +121,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// two semantically equal specs whose parameter bags were built in
 /// different orders canonicalize to the same value (and therefore the same
 /// digest).
-pub fn canonicalize(value: &Value) -> Value {
+fn canonicalize(value: &Value) -> Value {
     match value {
         Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
         Value::Object(members) => {
@@ -571,7 +571,7 @@ impl ResultStore {
     /// (the open's own scan excluded). A deterministic measure of their
     /// work: each line another writer appended is decoded once, and a
     /// whole shard again only after a fallback to a full scan.
-    pub fn lines_decoded(&self) -> u64 {
+    pub(crate) fn lines_decoded(&self) -> u64 {
         self.decoded.load(Ordering::Relaxed)
     }
 

@@ -333,12 +333,6 @@ impl StoppingRule {
         }
     }
 
-    /// Builder-style confidence level.
-    pub fn with_ci_level(mut self, level: f64) -> Self {
-        self.ci_level = level;
-        self
-    }
-
     /// Builder-style relative-width interpretation.
     pub fn relative(mut self) -> Self {
         self.relative = true;
@@ -360,12 +354,6 @@ impl StoppingRule {
     /// Builder-style batch size.
     pub fn with_batch(mut self, batch: u64) -> Self {
         self.batch = batch;
-        self
-    }
-
-    /// Builder-style dominance-based early retirement.
-    pub fn with_dominance(mut self) -> Self {
-        self.dominance = true;
         self
     }
 
@@ -415,7 +403,7 @@ impl StoppingRule {
 
     /// Whether a point's accumulated stats satisfy the width criterion. A
     /// width-undefined interval ([`CiUndefined`]) never satisfies it.
-    pub fn satisfied(&self, stats: &BatchStats) -> bool {
+    fn satisfied(&self, stats: &BatchStats) -> bool {
         match self.metric.ci(stats, self.ci_level) {
             Err(_) => false,
             Ok(ci) => ci.half_width() <= self.target_half_width(ci.estimate),
@@ -1198,13 +1186,15 @@ mod tests {
 
     #[test]
     fn stopping_rule_round_trips_through_json() {
-        let full = StoppingRule::new(StopMetric::SyncRoundsMean, 2.0)
-            .with_ci_level(0.99)
-            .relative()
-            .with_min_seeds(32)
-            .with_max_seeds(4096)
-            .with_batch(16)
-            .with_dominance();
+        let full = StoppingRule {
+            ci_level: 0.99,
+            dominance: true,
+            ..StoppingRule::new(StopMetric::SyncRoundsMean, 2.0)
+                .relative()
+                .with_min_seeds(32)
+                .with_max_seeds(4096)
+                .with_batch(16)
+        };
         let minimal = StoppingRule::new(StopMetric::CleanRate, 0.05);
         for rule in [full, minimal] {
             let decoded = StoppingRule::from_value(&rule.to_value()).unwrap();
@@ -1251,7 +1241,10 @@ mod tests {
         for rule in [
             StoppingRule::new(StopMetric::SyncRate, 0.0),
             StoppingRule::new(StopMetric::SyncRate, f64::NAN),
-            StoppingRule::new(StopMetric::SyncRate, 0.1).with_ci_level(0.4),
+            StoppingRule {
+                ci_level: 0.4,
+                ..StoppingRule::new(StopMetric::SyncRate, 0.1)
+            },
             StoppingRule::new(StopMetric::SyncRate, 0.1).with_min_seeds(0),
             StoppingRule::new(StopMetric::SyncRate, 0.1).with_batch(0),
             StoppingRule::new(StopMetric::SyncRate, 0.1)
@@ -1276,9 +1269,10 @@ mod tests {
 
     #[test]
     fn decide_batch_gates_on_min_seeds_and_marks_dominated_points() {
-        let rule = StoppingRule::new(StopMetric::SyncRate, 1e-9)
-            .with_min_seeds(50)
-            .with_dominance();
+        let rule = StoppingRule {
+            dominance: true,
+            ..StoppingRule::new(StopMetric::SyncRate, 1e-9).with_min_seeds(50)
+        };
         let stats = vec![rate_stats(95, 100), rate_stats(5, 100)];
         let mut stopped = vec![None, None];
         // below min_seeds: no verdicts at all

@@ -38,11 +38,6 @@ impl Timestamp {
         let range_max = 64u64.saturating_mul(n).saturating_mul(n).max(2);
         rng.gen_range(1..=range_max)
     }
-
-    /// Advances the timestamp by one round of activity.
-    pub fn tick(&mut self) {
-        self.rounds_active += 1;
-    }
 }
 
 impl PartialOrd for Timestamp {
@@ -70,15 +65,6 @@ mod tests {
         assert!(b > a, "more rounds active wins regardless of uid");
         assert!(c > a, "ties on rounds_active broken by uid");
         assert_eq!(a.cmp(&a), Ordering::Equal);
-    }
-
-    #[test]
-    fn tick_increments_rounds_active() {
-        let mut t = Timestamp::new(0, 7);
-        t.tick();
-        t.tick();
-        assert_eq!(t.rounds_active, 2);
-        assert_eq!(t.uid, 7);
     }
 
     #[test]
@@ -130,8 +116,8 @@ mod tests {
             let mut a = Timestamp::new(ra, uid1);
             let mut b = Timestamp::new(ra + 1, uid2);
             prop_assert!(b > a);
-            a.tick();
-            b.tick();
+            a.rounds_active += 1;
+            b.rounds_active += 1;
             prop_assert!(b > a, "both ticking preserves order");
         }
     }

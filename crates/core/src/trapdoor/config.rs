@@ -177,18 +177,6 @@ impl TrapdoorConfig {
             })
             .collect()
     }
-
-    /// The asymptotic upper bound of Theorem 10,
-    /// `F/(F−t)·log²N + F·t/(F−t)·log N`, evaluated without constants.
-    /// Used by the experiments to compare measured times against the
-    /// predicted shape.
-    pub fn theorem10_bound(&self) -> f64 {
-        let f = f64::from(self.num_frequencies);
-        let t = f64::from(self.disruption_bound);
-        let log_n = self.log_n();
-        let denom = (f - t).max(1.0);
-        f / denom * log_n * log_n + f * t / denom * log_n
-    }
 }
 
 #[cfg(test)]
@@ -280,14 +268,6 @@ mod tests {
         // probabilities: 1/N, 2/N, …, 1/4, 1/2 (as fractions of 2N)
         assert!((schedule[0].broadcast_probability - 1.0 / 1024.0).abs() < 1e-12);
         assert!((schedule.last().unwrap().broadcast_probability - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn theorem10_bound_is_positive_and_grows_with_t() {
-        let low = TrapdoorConfig::new(256, 16, 1).theorem10_bound();
-        let high = TrapdoorConfig::new(256, 16, 14).theorem10_bound();
-        assert!(low > 0.0);
-        assert!(high > low);
     }
 
     #[test]

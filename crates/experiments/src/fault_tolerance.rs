@@ -45,7 +45,7 @@ impl<P> CrashWrapper<P> {
     }
 
     /// Whether the node's radio is down at `local_round`.
-    pub fn is_crashed(&self, local_round: u64) -> bool {
+    fn is_crashed(&self, local_round: u64) -> bool {
         self.crash_round.is_some_and(|c| local_round >= c)
     }
 

@@ -32,19 +32,6 @@ impl Effort {
         }
     }
 
-    /// Scales a list of sweep points: `Smoke` keeps roughly every other
-    /// point, the rest keep everything.
-    pub fn thin<T: Clone>(self, points: &[T]) -> Vec<T> {
-        match self {
-            Effort::Smoke => points
-                .iter()
-                .step_by(2.max(points.len() / 3).min(points.len()))
-                .cloned()
-                .collect(),
-            _ => points.to_vec(),
-        }
-    }
-
     /// The adaptive stopping rule for this effort level, or `None` when
     /// the fixed-count path should run.
     ///
@@ -68,12 +55,6 @@ impl Effort {
                 )
             }
         }
-    }
-
-    /// The seed budget matching [`Effort::stopping_rule`]: the fixed
-    /// count, which the rule treats as its ceiling.
-    pub fn seed_budget(self) -> std::ops::Range<u64> {
-        0..self.seeds()
     }
 
     /// Parses an effort level from a command-line argument.
@@ -173,14 +154,6 @@ mod tests {
         assert_eq!(Effort::from_arg(Some("full")), Effort::Full);
         assert_eq!(Effort::from_arg(None), Effort::Quick);
         assert_eq!(Effort::from_arg(Some("bogus")), Effort::Quick);
-    }
-
-    #[test]
-    fn thinning_reduces_points_only_for_smoke() {
-        let points = vec![1, 2, 3, 4, 5, 6];
-        assert!(Effort::Smoke.thin(&points).len() < points.len());
-        assert_eq!(Effort::Quick.thin(&points), points);
-        assert_eq!(Effort::Full.thin(&points), points);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::output::{fmt, Effort, ExperimentReport};
 /// The bespoke optimistic/clean counters fold through
 /// [`SweepRunner::run_points_each`], which streams every outcome past the
 /// closure in seed order and then drops it — no outcome vector is held.
-pub fn measure_samaritan(
+fn measure_samaritan(
     spec: &ScenarioSpec,
     config: GoodSamaritanConfig,
     seeds: u64,

@@ -233,14 +233,6 @@ pub fn run_spec_stored(
     Ok((report, result))
 }
 
-/// Reads, parses, and runs a spec file from disk.
-pub fn run_spec_file(
-    path: &str,
-    default_seeds: std::ops::Range<u64>,
-) -> Result<ExperimentReport, String> {
-    run_spec_file_stored(path, default_seeds, &StoreMode::None).map(|(report, _)| report)
-}
-
 /// Reads, parses, and runs a spec file from disk with optional store
 /// persistence (the `--out` / `--resume` path of `run_experiments`).
 pub fn run_spec_file_stored(

@@ -12,22 +12,9 @@ use wsync_analysis::formulas::Bounds;
 use wsync_core::spec::ScenarioSpec;
 use wsync_core::sweep::{StopMetric, SweepRunner};
 use wsync_radio::activation::ActivationSchedule;
-use wsync_stats::{fit_through_origin, Summary, Table};
+use wsync_stats::{fit_through_origin, Table};
 
 use crate::output::{fmt, Effort, ExperimentReport};
-
-/// Measures the mean (over seeds) of the worst per-node rounds-to-sync for a
-/// spec, along with the fraction of clean runs (all synced, one leader,
-/// no safety violations). Trials stream through a [`SweepRunner`] (sharded
-/// across cores, folded incrementally); the aggregates are identical to a
-/// serial seed loop.
-pub fn measure_trapdoor(spec: &ScenarioSpec, seeds: u64) -> (Summary, f64) {
-    let report = SweepRunner::new()
-        .run_points(vec![(String::new(), spec.clone())], 0..seeds)
-        .expect("valid experiment spec");
-    let stats = &report.points[0].stats;
-    (stats.rounds_to_sync, stats.clean_rate())
-}
 
 fn scaling_report(
     id: &str,

@@ -18,7 +18,7 @@ use crate::output::{fmt, Effort, ExperimentReport};
 
 /// Runs one Trapdoor execution and returns the maximum broadcast weight
 /// observed over all rounds, together with the number of rounds executed.
-pub fn max_broadcast_weight(scenario: &Scenario, seed: u64) -> (f64, u64) {
+fn max_broadcast_weight(scenario: &Scenario, seed: u64) -> (f64, u64) {
     let config = TrapdoorConfig::new(
         scenario.upper_bound(),
         scenario.num_frequencies,

@@ -7,7 +7,7 @@
 //! simulation logic breaks reproducibility *silently*. This crate is the
 //! static-analysis gate that makes aggressive refactors of the hottest
 //! code safe to attempt: a hand-rolled comment/string-aware lexer
-//! ([`lexer`]) feeds a string-keyed rule registry ([`rules`]) over every
+//! ([`lexer`]) feeds a closed, static rule table ([`rules`]) over every
 //! source file in the workspace ([`walk`]).
 //!
 //! # Rules
@@ -19,6 +19,7 @@
 //! | `wall-clock` | everything except bench code | `Instant`, `SystemTime` |
 //! | `unsafe-code` | every non-compat crate | missing `#![forbid(unsafe_code)]`, any `unsafe` token |
 //! | `panicky-library` | engine/store/sweep hot paths | `.unwrap()` / `.expect()` (advisory unless `--deny-all`) |
+//! | `unused-pub` | non-compat `src/` trees | a `pub fn` no other workspace file names outside a `use` item (advisory unless `--deny-all`) |
 //!
 //! # Suppressions
 //!
@@ -50,8 +51,10 @@ use std::path::Path;
 
 use wsync_core::json::Value;
 
-use lexer::{lex, test_regions, Suppression};
-use rules::{FileContext, FileScope, Finding, RuleRegistry, UNEXPLAINED_SUPPRESSION, UNKNOWN_RULE};
+use lexer::{lex, test_regions, LexedFile, Suppression};
+use rules::{
+    FileContext, FileScope, Finding, NameIndex, Rule, UNEXPLAINED_SUPPRESSION, UNKNOWN_RULE,
+};
 
 /// The outcome of linting a set of files.
 #[derive(Debug, Clone, Default)]
@@ -66,7 +69,7 @@ pub struct LintReport {
 
 impl LintReport {
     /// Findings that fail the build under `deny_all`.
-    pub fn denied(&self, deny_all: bool) -> usize {
+    fn denied(&self, deny_all: bool) -> usize {
         self.findings.iter().filter(|f| f.deny || deny_all).count()
     }
 
@@ -136,27 +139,54 @@ impl LintReport {
     }
 }
 
-/// Lints one in-memory source file against `registry`, applying the
-/// file's `lint:allow` suppressions. This is the unit the fixture tests
-/// drive; [`lint_workspace`] is a fold of it over [`walk::discover`].
-pub fn lint_source(scope: &FileScope, source: &str, registry: &RuleRegistry) -> LintReport {
-    let lexed = lex(source);
+/// Lints a set of in-memory source files as one workspace, applying each
+/// file's `lint:allow` suppressions. `only` selects rules by name; empty
+/// runs every rule. `unused-pub` counts mentions across exactly these
+/// files. This is the unit the fixture tests drive; [`lint_workspace`]
+/// feeds it every file [`walk::discover`] finds.
+pub fn lint_sources(files: &[(FileScope, String)], only: &[String]) -> LintReport {
+    let lexed: Vec<LexedFile> = files.iter().map(|(_, source)| lex(source)).collect();
+    let mut names = NameIndex::new();
+    for file in &lexed {
+        rules::index_names(&file.tokens, &mut names);
+    }
+    let selected: Vec<&Rule> = rules::all()
+        .iter()
+        .filter(|r| only.is_empty() || only.iter().any(|n| n == r.name))
+        .collect();
+    let mut report = LintReport::default();
+    for ((scope, _), file) in files.iter().zip(&lexed) {
+        lint_file(scope, file, &names, &selected, &mut report);
+    }
+    report.findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.rule.as_str()).cmp(&(b.path.as_str(), b.line, b.rule.as_str()))
+    });
+    report
+}
+
+/// Lints one lexed file and folds its findings into `report`.
+fn lint_file(
+    scope: &FileScope,
+    lexed: &LexedFile,
+    names: &NameIndex,
+    selected: &[&Rule],
+    report: &mut LintReport,
+) {
     let in_test = test_regions(&lexed.tokens);
     let ctx = FileContext {
         scope,
-        lexed: &lexed,
+        lexed,
         in_test: &in_test,
+        names,
     };
 
     let mut raw: Vec<Finding> = Vec::new();
-    for rule in registry.rules() {
+    for rule in selected {
         rule.check(&ctx, &mut raw);
     }
 
     // Apply suppressions: a reasoned marker covers its own line and the
     // line directly below, for the rules it names.
-    let mut suppressed = 0usize;
-    let mut findings: Vec<Finding> = Vec::new();
     for f in raw {
         let covered = lexed.suppressions.iter().any(|s: &Suppression| {
             s.reason.is_some()
@@ -164,9 +194,9 @@ pub fn lint_source(scope: &FileScope, source: &str, registry: &RuleRegistry) -> 
                 && (s.line == f.line || s.line + 1 == f.line)
         });
         if covered {
-            suppressed += 1;
+            report.suppressed += 1;
         } else {
-            findings.push(f);
+            report.findings.push(f);
         }
     }
 
@@ -175,7 +205,7 @@ pub fn lint_source(scope: &FileScope, source: &str, registry: &RuleRegistry) -> 
     // contract.
     for s in &lexed.suppressions {
         if s.reason.is_none() {
-            findings.push(Finding {
+            report.findings.push(Finding {
                 rule: UNEXPLAINED_SUPPRESSION.to_string(),
                 path: scope.rel_path.clone(),
                 line: s.line,
@@ -188,15 +218,14 @@ pub fn lint_source(scope: &FileScope, source: &str, registry: &RuleRegistry) -> 
             });
         }
         for r in &s.rules {
-            if !registry.is_known_name(r) {
-                findings.push(Finding {
+            if !rules::is_known_name(r) {
+                report.findings.push(Finding {
                     rule: UNKNOWN_RULE.to_string(),
                     path: scope.rel_path.clone(),
                     line: s.line,
                     message: format!(
                         "suppression names unknown rule `{r}`; known rules: {}",
-                        registry
-                            .rules()
+                        rules::all()
                             .iter()
                             .map(|r| r.name)
                             .collect::<Vec<_>>()
@@ -207,30 +236,15 @@ pub fn lint_source(scope: &FileScope, source: &str, registry: &RuleRegistry) -> 
             }
         }
     }
-
-    findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.as_str()).cmp(&(b.path.as_str(), b.line, b.rule.as_str()))
-    });
-    LintReport {
-        findings,
-        suppressed,
-        files_scanned: 1,
-    }
+    report.files_scanned += 1;
 }
 
-/// Lints every Rust source file under `root`, folding the per-file
-/// reports into one.
-pub fn lint_workspace(root: &Path, registry: &RuleRegistry) -> std::io::Result<LintReport> {
-    let mut report = LintReport::default();
+/// Lints every Rust source file under `root` with the rules `only` names
+/// (every rule when empty).
+pub fn lint_workspace(root: &Path, only: &[String]) -> std::io::Result<LintReport> {
+    let mut files = Vec::new();
     for (scope, abs_path) in walk::discover(root)? {
-        let source = std::fs::read_to_string(&abs_path)?;
-        let file_report = lint_source(&scope, &source, registry);
-        report.findings.extend(file_report.findings);
-        report.suppressed += file_report.suppressed;
-        report.files_scanned += 1;
+        files.push((scope, std::fs::read_to_string(&abs_path)?));
     }
-    report.findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.as_str()).cmp(&(b.path.as_str(), b.line, b.rule.as_str()))
-    });
-    Ok(report)
+    Ok(lint_sources(&files, only))
 }

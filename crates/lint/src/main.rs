@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use wsync_lint::lint_workspace;
-use wsync_lint::rules::RuleRegistry;
+use wsync_lint::rules;
 
 /// Writes `text` to stdout, swallowing `BrokenPipe` (piping into `head`
 /// must not look like a crash) while still surfacing real write errors.
@@ -63,10 +63,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut registry = RuleRegistry::with_defaults();
     if list_rules {
         let mut listing = String::new();
-        for rule in registry.rules() {
+        for rule in rules::all() {
             let policy = if rule.deny_by_default { "deny" } else { "warn" };
             listing.push_str(&format!(
                 "{:28} [{policy}] {}\n",
@@ -76,24 +75,14 @@ fn main() -> ExitCode {
         let _ = emit(&listing);
         return ExitCode::SUCCESS;
     }
-    if !only_rules.is_empty() {
-        let mut filtered = RuleRegistry::new();
-        for name in &only_rules {
-            match registry.get(name) {
-                Some(_) => {}
-                None => return usage_error(&format!("unknown rule `{name}` (see --list-rules)")),
-            }
-        }
-        let defaults = std::mem::take(&mut registry);
-        for rule in defaults.into_rules() {
-            if only_rules.iter().any(|n| n == rule.name) {
-                filtered.register(rule);
-            }
-        }
-        registry = filtered;
+    if let Some(name) = only_rules
+        .iter()
+        .find(|n| !rules::all().iter().any(|r| r.name == n.as_str()))
+    {
+        return usage_error(&format!("unknown rule `{name}` (see --list-rules)"));
     }
 
-    match lint_workspace(&root, &registry) {
+    match lint_workspace(&root, &only_rules) {
         Ok(report) => {
             let mut rendered = match format.as_str() {
                 "json" => report.render_json(deny_all),
@@ -126,7 +115,8 @@ fn help_text() -> String {
      [--rule NAME]... [--list-rules]\n\
      \n\
      Audits the workspace determinism contract: nondeterministic iteration,\n\
-     ambient randomness, wall-clock reads, unsafe code, and panicky hot\n\
-     paths. Exit codes: 0 clean, 1 findings, 2 usage/I-O error.\n"
+     ambient randomness, wall-clock reads, unsafe code, panicky hot\n\
+     paths, and public functions nothing else names. Exit codes: 0 clean,\n\
+     1 findings, 2 usage/I-O error.\n"
         .to_string()
 }

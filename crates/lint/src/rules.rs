@@ -1,11 +1,15 @@
-//! The determinism rule set and its string-keyed registry.
+//! The determinism rule set: one closed, static table of rules.
 //!
 //! Every rule audits one way a change could silently break the
 //! reproducibility contract the golden-digest tests and `--resume`
-//! equality rest on. Rules see one file at a time as a lexed token
-//! stream plus a [`FileScope`] describing where the file sits in the
-//! workspace; they emit [`Finding`]s, which the driver then filters
-//! against the file's `lint:allow` suppressions.
+//! equality rest on, or one way the public surface can outgrow its
+//! callers. Rules see one file at a time as a lexed token stream plus a
+//! [`FileScope`] describing where the file sits in the workspace and a
+//! workspace-wide count of the files naming each identifier; they emit
+//! [`Finding`]s, which the driver then filters against the file's
+//! `lint:allow` suppressions.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{LexedFile, Token};
 
@@ -33,7 +37,7 @@ pub struct FileScope {
 /// A single diagnostic: one rule firing at one line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule that fired (registry key).
+    /// The rule that fired.
     pub rule: String,
     /// Workspace-relative path of the file.
     pub path: String,
@@ -47,13 +51,15 @@ pub struct Finding {
 }
 
 /// Everything a rule can look at for one file.
-pub struct FileContext<'a> {
+pub(crate) struct FileContext<'a> {
     /// The file's workspace scope.
-    pub scope: &'a FileScope,
+    pub(crate) scope: &'a FileScope,
     /// The lexed token stream and suppression markers.
-    pub lexed: &'a LexedFile,
+    pub(crate) lexed: &'a LexedFile,
     /// Per-token flag: `true` for tokens inside `#[cfg(test)]` items.
-    pub in_test: &'a [bool],
+    pub(crate) in_test: &'a [bool],
+    /// How many workspace files name each identifier.
+    pub(crate) names: &'a NameIndex,
 }
 
 impl FileContext<'_> {
@@ -68,10 +74,37 @@ impl FileContext<'_> {
     }
 }
 
-/// One registered rule: a name, its documentation, its default policy,
-/// and the check itself.
+/// The workspace-wide view rules that look past one file need: for every
+/// identifier, the number of files that name it outside `use` items
+/// (comments and string literals never reach the token stream). Built
+/// once per run from every file the run lints.
+pub(crate) type NameIndex = BTreeMap<String, usize>;
+
+/// Adds one file's identifiers to `index`, counting each name once per
+/// file. Tokens from a `use` keyword through its `;` are skipped: a
+/// re-export or import names an item without using it.
+pub(crate) fn index_names(tokens: &[Token], index: &mut NameIndex) {
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
+    let mut in_use = false;
+    for t in tokens {
+        if in_use {
+            in_use = !t.is_punct(";");
+        } else if t.is_ident("use") {
+            in_use = true;
+        } else if t.ident {
+            seen.insert(&t.text);
+        }
+    }
+    for name in seen {
+        *index.entry(name.to_string()).or_insert(0) += 1;
+    }
+}
+
+/// One rule: a name, its documentation, its default policy, and the
+/// check itself.
 pub struct Rule {
-    /// The registry key, as written in `lint:allow(…)` markers.
+    /// The rule's name, as written in `lint:allow(…)` markers and
+    /// `--rule`.
     pub name: &'static str,
     /// One-line description shown by `--list-rules`.
     pub description: &'static str,
@@ -91,78 +124,32 @@ impl std::fmt::Debug for Rule {
 }
 
 impl Rule {
-    /// Builds a rule from its parts — the public face of the open
-    /// registry, so downstream tooling can register custom checks.
-    pub const fn new(
-        name: &'static str,
-        description: &'static str,
-        deny_by_default: bool,
-        check: fn(&Rule, &FileContext<'_>, &mut Vec<Finding>),
-    ) -> Self {
-        Rule {
-            name,
-            description,
-            deny_by_default,
-            check,
-        }
-    }
-
     /// Runs this rule over one file.
-    pub fn check(&self, ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
+    pub(crate) fn check(&self, ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         (self.check)(self, ctx, out)
     }
 }
 
-/// A string-keyed, insertion-ordered rule registry.
-#[derive(Debug, Default)]
-pub struct RuleRegistry {
-    rules: Vec<Rule>,
+/// Every rule, in `--list-rules` order. The set is closed: a new check is
+/// a new entry here.
+static RULES: &[Rule] = &[
+    NONDETERMINISTIC_ITERATION,
+    AMBIENT_RNG,
+    WALL_CLOCK,
+    UNSAFE_CODE,
+    PANICKY_LIBRARY,
+    UNUSED_PUB,
+];
+
+/// Every rule, in `--list-rules` order.
+pub fn all() -> &'static [Rule] {
+    RULES
 }
 
-impl RuleRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        RuleRegistry::default()
-    }
-
-    /// The registry with every built-in determinism rule.
-    pub fn with_defaults() -> Self {
-        let mut reg = RuleRegistry::new();
-        reg.register(NONDETERMINISTIC_ITERATION);
-        reg.register(AMBIENT_RNG);
-        reg.register(WALL_CLOCK);
-        reg.register(UNSAFE_CODE);
-        reg.register(PANICKY_LIBRARY);
-        reg
-    }
-
-    /// Adds a rule. A duplicate name replaces the earlier registration
-    /// (latest wins, like the core registry).
-    pub fn register(&mut self, rule: Rule) {
-        self.rules.retain(|r| r.name != rule.name);
-        self.rules.push(rule);
-    }
-
-    /// Looks a rule up by its string key.
-    pub fn get(&self, name: &str) -> Option<&Rule> {
-        self.rules.iter().find(|r| r.name == name)
-    }
-
-    /// The registered rules, in registration order.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
-    /// Consumes the registry, yielding its rules in registration order.
-    pub fn into_rules(self) -> Vec<Rule> {
-        self.rules
-    }
-
-    /// Whether `name` names a registered rule *or* one of the meta
-    /// findings the driver itself emits (valid in `lint:allow` markers).
-    pub fn is_known_name(&self, name: &str) -> bool {
-        self.get(name).is_some() || name == UNEXPLAINED_SUPPRESSION || name == UNKNOWN_RULE
-    }
+/// Whether `name` names a rule *or* one of the meta findings the driver
+/// itself emits (valid in `lint:allow` markers).
+pub fn is_known_name(name: &str) -> bool {
+    RULES.iter().any(|r| r.name == name) || name == UNEXPLAINED_SUPPRESSION || name == UNKNOWN_RULE
 }
 
 /// Meta finding: a `lint:allow` marker with no reason after the `):`.
@@ -191,7 +178,7 @@ fn idents<'a>(ctx: &'a FileContext<'_>) -> impl Iterator<Item = (usize, &'a Toke
 /// `nondeterministic-iteration`: `HashMap`/`HashSet` in digest-feeding
 /// code. Also covers the umbrella `tests/` directory, because that is
 /// where the golden FNV digests are computed.
-pub const NONDETERMINISTIC_ITERATION: Rule = Rule {
+const NONDETERMINISTIC_ITERATION: Rule = Rule {
     name: "nondeterministic-iteration",
     description: "HashMap/HashSet in digest-feeding code (wsync-core, wsync-radio, tests/): \
                   iteration order is randomized per process; use BTreeMap/BTreeSet or sort \
@@ -224,7 +211,7 @@ pub const NONDETERMINISTIC_ITERATION: Rule = Rule {
 
 /// `ambient-rng`: entropy outside the vendored `compat` layer. Every
 /// random draw must descend from the trial's master seed via `SimRng`.
-pub const AMBIENT_RNG: Rule = Rule {
+const AMBIENT_RNG: Rule = Rule {
     name: "ambient-rng",
     description: "ambient randomness (thread_rng/from_entropy/OsRng) outside crates/compat: \
                   every draw must descend from the (spec, seed) master seed via SimRng",
@@ -254,7 +241,7 @@ pub const AMBIENT_RNG: Rule = Rule {
 
 /// `wall-clock`: `Instant`/`SystemTime` outside bench code. Simulation
 /// logic must be round-driven, not time-driven.
-pub const WALL_CLOCK: Rule = Rule {
+const WALL_CLOCK: Rule = Rule {
     name: "wall-clock",
     description: "Instant/SystemTime outside bench code: simulated time is round-driven; \
                   wall-clock reads make runs machine-dependent",
@@ -282,7 +269,7 @@ pub const WALL_CLOCK: Rule = Rule {
 /// `unsafe-code`: every non-compat crate root must carry
 /// `#![forbid(unsafe_code)]`, and no `unsafe` token may appear anywhere
 /// outside `compat`.
-pub const UNSAFE_CODE: Rule = Rule {
+const UNSAFE_CODE: Rule = Rule {
     name: "unsafe-code",
     description: "non-compat crates must carry #![forbid(unsafe_code)] at their root, and no \
                   `unsafe` token may appear outside crates/compat",
@@ -330,7 +317,7 @@ pub const UNSAFE_CODE: Rule = Rule {
 /// `panicky-library`: `.unwrap()`/`.expect()` in the engine/store/sweep
 /// hot paths (shipping code only — `#[cfg(test)]` modules are exempt).
 /// Advisory by default; CI promotes it with `--deny-all`.
-pub const PANICKY_LIBRARY: Rule = Rule {
+const PANICKY_LIBRARY: Rule = Rule {
     name: "panicky-library",
     description: ".unwrap()/.expect() in engine/store/sweep hot paths: a panic there aborts a \
                   whole sweep; return an error or justify the invariant (advisory unless \
@@ -355,6 +342,61 @@ pub const PANICKY_LIBRARY: Rule = Rule {
                          error, recover explicitly, or justify the invariant with \
                          `// lint:allow({}): <reason>`",
                         t.text, rule.name
+                    ),
+                ));
+            }
+        }
+    },
+};
+
+/// `unused-pub`: a `pub fn` (methods and `pub const fn` included) in a
+/// non-compat `src/` tree that no other workspace file names outside a
+/// `use` item. Only functions are checked: a type can appear in a public
+/// signature, so narrowing one may not compile, while a function never
+/// does. Advisory by default; CI promotes it with `--deny-all`.
+const UNUSED_PUB: Rule = Rule {
+    name: "unused-pub",
+    description: "pub fn that no other workspace file names outside a `use` item: delete it, \
+                  narrow it to private or pub(crate), or justify it (advisory unless \
+                  --deny-all)",
+    deny_by_default: false,
+    check: |rule, ctx, out| {
+        let path = ctx.scope.rel_path.as_str();
+        let in_src_tree = path.starts_with("src/")
+            || path
+                .strip_prefix("crates/")
+                .and_then(|rest| rest.split_once('/'))
+                .is_some_and(|(_, rest)| rest.starts_with("src/"));
+        if !in_src_tree || ctx.scope.is_compat {
+            return;
+        }
+        let tokens = &ctx.lexed.tokens;
+        for (i, t) in idents(ctx) {
+            if !t.is_ident("pub") || ctx.in_test.get(i).copied().unwrap_or(false) {
+                continue;
+            }
+            let mut j = i + 1;
+            while tokens.get(j).is_some_and(|q| {
+                q.ident && matches!(q.text.as_str(), "const" | "async" | "unsafe" | "extern")
+            }) {
+                j += 1;
+            }
+            if !tokens.get(j).is_some_and(|f| f.is_ident("fn")) {
+                continue;
+            }
+            let Some(name) = tokens.get(j + 1).filter(|n| n.ident) else {
+                continue;
+            };
+            // The definition itself is this file's mention.
+            if ctx.names.get(&name.text).copied().unwrap_or(0) <= 1 {
+                out.push(ctx.finding(
+                    rule,
+                    name.line,
+                    format!(
+                        "`pub fn {}` is named by no other workspace file: delete it if only \
+                         its own tests call it, make it private if its own file calls it, or \
+                         justify it with `// lint:allow({}): <reason>`",
+                        name.text, rule.name
                     ),
                 ));
             }

@@ -53,7 +53,7 @@ fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> io::Re
 }
 
 /// Classifies one workspace-relative path into a [`FileScope`].
-pub fn classify(root: &Path, rel: &str) -> FileScope {
+fn classify(root: &Path, rel: &str) -> FileScope {
     let is_compat = rel.starts_with("crates/compat/");
     let is_bench = rel.contains("/benches/");
     let crate_name = if let Some(rest) = rel.strip_prefix("crates/") {

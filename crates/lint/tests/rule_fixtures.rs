@@ -1,11 +1,11 @@
-//! Per-rule fixtures driven through `lint_source`: for every rule a
+//! Per-rule fixtures driven through `lint_sources`: for every rule a
 //! positive hit, a negative (out-of-scope or clean) case, a reasoned
 //! suppression, and a reasonless marker that must itself be reported.
 //! Fixtures are inline strings on purpose — files on disk would be
 //! scanned by the workspace-wide pass and have to be clean themselves.
 
-use wsync_lint::lint_source;
-use wsync_lint::rules::{FileScope, RuleRegistry};
+use wsync_lint::rules::{self, FileScope};
+use wsync_lint::{lint_sources, LintReport};
 
 fn scope(rel_path: &str, crate_name: &str) -> FileScope {
     FileScope {
@@ -17,8 +17,13 @@ fn scope(rel_path: &str, crate_name: &str) -> FileScope {
     }
 }
 
+/// Lints `src` as the only file of a workspace.
+fn lint_source(scope: &FileScope, src: &str) -> LintReport {
+    lint_sources(&[(scope.clone(), src.to_string())], &[])
+}
+
 fn rules_fired(scope: &FileScope, src: &str) -> Vec<String> {
-    lint_source(scope, src, &RuleRegistry::with_defaults())
+    lint_source(scope, src)
         .findings
         .into_iter()
         .map(|f| f.rule)
@@ -71,7 +76,7 @@ fn nondeterministic_iteration_suppressed_with_reason() {
     let src =
         "// lint:allow(nondeterministic-iteration): drained by keyed remove, order unobserved\n\
                use std::collections::HashMap;";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.suppressed, 1);
 }
@@ -80,7 +85,7 @@ fn nondeterministic_iteration_suppressed_with_reason() {
 fn nondeterministic_iteration_reasonless_marker_suppresses_nothing() {
     let sc = scope("crates/core/src/thing.rs", "wsync-core");
     let src = "// lint:allow(nondeterministic-iteration)\nuse std::collections::HashMap;";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     let fired: Vec<&str> = report.findings.iter().map(|f| f.rule.as_str()).collect();
     assert!(fired.contains(&"nondeterministic-iteration"), "{fired:?}");
     assert!(fired.contains(&"unexplained-suppression"), "{fired:?}");
@@ -115,7 +120,7 @@ fn ambient_rng_suppressed_with_reason() {
     let sc = scope("crates/radio/src/engine.rs", "wsync-radio");
     let src = "// lint:allow(ambient-rng): doc example naming the banned symbol\n\
                fn f() { let _ = stringify!(thread_rng); }";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.suppressed, 1);
 }
@@ -162,7 +167,7 @@ fn wall_clock_suppressed_with_reason() {
     let sc = scope("crates/core/src/sim.rs", "wsync-core");
     let src = "// lint:allow(wall-clock): progress display only, never feeds results\n\
                use std::time::Instant;";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.suppressed, 1);
 }
@@ -192,7 +197,7 @@ fn unsafe_code_positive_unsafe_block() {
 fn unsafe_code_positive_missing_forbid_at_crate_root() {
     let sc = scope("crates/core/src/lib.rs", "wsync-core");
     let src = "//! A crate root without the forbid attribute.\npub fn f() {}";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     let hit = report
         .findings
         .iter()
@@ -209,7 +214,7 @@ fn unsafe_code_positive_missing_forbid_at_crate_root() {
 #[test]
 fn unsafe_code_negative_forbidding_root_is_clean() {
     let sc = scope("crates/core/src/lib.rs", "wsync-core");
-    let src = "#![forbid(unsafe_code)]\npub fn f() {}";
+    let src = "#![forbid(unsafe_code)]\nfn f() {}";
     assert!(rules_fired(&sc, src).is_empty());
 }
 
@@ -234,7 +239,7 @@ fn unsafe_code_suppressed_with_reason() {
                fn unsafe_audit_notes() {}";
     // `unsafe_audit_notes` is not the token `unsafe`; nothing fires and the
     // unused (but reasoned) marker is not itself an error.
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
@@ -256,7 +261,7 @@ fn unsafe_code_reasonless_marker_is_a_finding() {
 fn panicky_library_positive_and_advisory_by_default() {
     let sc = scope("crates/core/src/batch.rs", "wsync-core");
     let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     let hit = report
         .findings
         .iter()
@@ -297,7 +302,7 @@ fn panicky_library_suppressed_with_reason() {
                // lint:allow(panicky-library): checked non-None two lines up\n\
                .unwrap()\n\
                }";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert_eq!(report.suppressed, 1);
 }
@@ -346,7 +351,7 @@ fn suppression_only_covers_the_named_rule() {
 fn unknown_rule_in_marker_is_denied() {
     let sc = scope("crates/cli/src/main.rs", "wsync-cli");
     let src = "// lint:allow(no-such-rule): the rule name has a typo\nfn f() {}";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     let hit = report
         .findings
         .iter()
@@ -360,38 +365,124 @@ fn unknown_rule_in_marker_is_denied() {
 fn findings_sort_by_path_line_rule() {
     let sc = scope("crates/core/src/thing.rs", "wsync-core");
     let src = "use std::time::Instant;\nuse std::collections::HashMap;\nfn f() { unsafe {} }";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
     let mut sorted = lines.clone();
     sorted.sort_unstable();
     assert_eq!(lines, sorted);
 }
 
-// ---------------------------------------------------------------- registry semantics
+// ---------------------------------------------------------------- unused-pub
+
+/// Lints `files` as one workspace and returns the `unused-pub` findings
+/// as `(path, line)`.
+fn unused_pub(files: &[(&str, &str)]) -> Vec<(String, u32)> {
+    let files: Vec<(FileScope, String)> = files
+        .iter()
+        .map(|(path, src)| (scope(path, "wsync-core"), src.to_string()))
+        .collect();
+    lint_sources(&files, &[])
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == "unused-pub")
+        .map(|f| (f.path, f.line))
+        .collect()
+}
+
+const DEFINER: &str = "crates/core/src/thing.rs";
 
 #[test]
-fn registry_latest_registration_wins() {
-    use wsync_lint::rules::Rule;
-    let mut reg = RuleRegistry::with_defaults();
-    let before = reg.rules().len();
-    reg.register(Rule::new(
-        "wall-clock",
-        "replacement that never fires",
-        false,
-        |_, _, _| {},
-    ));
-    assert_eq!(reg.rules().len(), before, "replacement, not addition");
-    let sc = scope("crates/core/src/sim.rs", "wsync-core");
-    let report = lint_source(&sc, "use std::time::Instant;", &reg);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
+fn unused_pub_fires_on_an_uncalled_pub_fn_and_is_advisory() {
+    let src = "pub fn lonely() {}\nimpl S {\n    pub const fn also_lonely() {}\n}";
+    assert_eq!(
+        unused_pub(&[(DEFINER, src)]),
+        vec![(DEFINER.to_string(), 1), (DEFINER.to_string(), 3)]
+    );
+    let report = lint_source(&scope(DEFINER, "wsync-core"), src);
+    assert!(report.findings.iter().all(|f| !f.deny));
+    assert_eq!(report.exit_code(false), 0);
+    assert_eq!(report.exit_code(true), 1);
 }
 
 #[test]
+fn unused_pub_fires_when_only_the_own_file_calls_it() {
+    let src = "pub fn helper() {}\nfn caller() { helper(); }";
+    assert_eq!(unused_pub(&[(DEFINER, src)]).len(), 1);
+}
+
+#[test]
+fn unused_pub_silent_when_another_file_calls_it() {
+    let def = "pub fn shared() {}";
+    for caller in [
+        "crates/serve/src/server.rs",
+        "tests/store_resume.rs",
+        "perfbench/benches/trial.rs",
+    ] {
+        let files = [(DEFINER, def), (caller, "fn t() { wsync_core::shared(); }")];
+        assert!(unused_pub(&files).is_empty(), "called from {caller}");
+    }
+}
+
+#[test]
+fn unused_pub_fires_when_the_only_other_mention_is_a_use_item() {
+    let files = [
+        (DEFINER, "pub fn reexported() {}"),
+        ("crates/core/src/lib.rs", "pub use thing::{other, reexported};"),
+        ("tests/t.rs", "use wsync_core::reexported;\n// reexported() in a comment\nfn t() { let s = \"reexported\"; }"),
+    ];
+    assert_eq!(unused_pub(&files), vec![(DEFINER.to_string(), 1)]);
+}
+
+#[test]
+fn unused_pub_silent_in_tests_compat_restricted_and_out_of_tree() {
+    let cases = [
+        (
+            DEFINER,
+            "#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}",
+        ),
+        ("crates/compat/rand/src/lib.rs", "pub fn thread_rng() {}"),
+        (
+            DEFINER,
+            "pub(crate) fn narrow() {}\npub(super) fn narrower() {}",
+        ),
+        ("tests/t.rs", "pub fn test_helper() {}"),
+        ("crates/core/tests/t.rs", "pub fn test_helper() {}"),
+        (DEFINER, "pub struct Unused;\npub const UNUSED: u8 = 0;"),
+    ];
+    for (path, src) in cases {
+        assert!(unused_pub(&[(path, src)]).is_empty(), "{path}: {src}");
+    }
+}
+
+#[test]
+fn unused_pub_suppressed_with_reason() {
+    let sc = scope(DEFINER, "wsync-core");
+    let src = "// lint:allow(unused-pub): kept as the reference the formula is checked against\n\
+               pub fn reference() {}";
+    let report = lint_source(&sc, src);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed, 1);
+}
+
+#[test]
+fn unused_pub_reasonless_marker_is_a_finding() {
+    let sc = scope(DEFINER, "wsync-core");
+    let src = "// lint:allow(unused-pub)\npub fn reference() {}";
+    let fired = rules_fired(&sc, src);
+    assert!(fired.contains(&"unused-pub".to_string()), "{fired:?}");
+    assert!(
+        fired.contains(&"unexplained-suppression".to_string()),
+        "{fired:?}"
+    );
+}
+
+// ---------------------------------------------------------------- registry semantics
+
+#[test]
 fn registry_knows_meta_finding_names() {
-    let reg = RuleRegistry::with_defaults();
-    assert!(reg.is_known_name("unexplained-suppression"));
-    assert!(reg.is_known_name("unknown-rule"));
-    assert!(!reg.is_known_name("made-up"));
+    assert!(rules::is_known_name("unexplained-suppression"));
+    assert!(rules::is_known_name("unknown-rule"));
+    assert!(!rules::is_known_name("made-up"));
 }
 
 // ---------------------------------------------------------------- JSON golden
@@ -400,7 +491,7 @@ fn registry_knows_meta_finding_names() {
 fn json_output_is_byte_stable() {
     let sc = scope("crates/core/src/thing.rs", "wsync-core");
     let src = "use std::collections::HashMap;";
-    let report = lint_source(&sc, src, &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, src);
     let expected = r#"{
   "files_scanned": 1,
   "findings": [
@@ -421,7 +512,7 @@ fn json_output_is_byte_stable() {
 #[test]
 fn json_output_clean_file() {
     let sc = scope("crates/cli/src/main.rs", "wsync-cli");
-    let report = lint_source(&sc, "fn main() {}", &RuleRegistry::with_defaults());
+    let report = lint_source(&sc, "fn main() {}");
     let expected = r#"{
   "files_scanned": 1,
   "findings": [],
@@ -434,11 +525,7 @@ fn json_output_clean_file() {
 #[test]
 fn human_output_format() {
     let sc = scope("crates/core/src/thing.rs", "wsync-core");
-    let report = lint_source(
-        &sc,
-        "use std::collections::HashSet;",
-        &RuleRegistry::with_defaults(),
-    );
+    let report = lint_source(&sc, "use std::collections::HashSet;");
     let human = report.render_human(false);
     assert!(
         human.starts_with("crates/core/src/thing.rs:1: [nondeterministic-iteration] (deny) "),

@@ -5,7 +5,6 @@
 use std::path::Path;
 
 use wsync_lint::lint_workspace;
-use wsync_lint::rules::RuleRegistry;
 
 fn workspace_root() -> &'static Path {
     // crates/lint -> crates -> workspace root
@@ -77,8 +76,7 @@ fn serve_and_fabric_confine_wall_clock_to_boundary_modules() {
 
 #[test]
 fn workspace_is_clean_under_deny_all() {
-    let report = lint_workspace(workspace_root(), &RuleRegistry::with_defaults())
-        .expect("workspace walk failed");
+    let report = lint_workspace(workspace_root(), &[]).expect("workspace walk failed");
     assert!(
         report.findings.is_empty(),
         "unsuppressed findings:\n{}",

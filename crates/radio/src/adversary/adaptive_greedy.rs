@@ -7,83 +7,51 @@ use crate::frequency::FrequencyBand;
 use crate::history::History;
 use crate::rng::SimRng;
 
-/// What the greedy adversary tries to maximise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GreedyTarget {
-    /// Jam the frequencies with the most listeners in the recent past
-    /// (maximises prevented receptions).
-    Listeners,
-    /// Jam the frequencies with the most broadcasters in the recent past
-    /// (targets active transmitters).
-    Broadcasters,
-    /// Jam the frequencies with the most combined activity.
-    Activity,
-}
+/// How many completed rounds the greedy adversary sums listeners over.
+const LOOKBACK: usize = 8;
 
 /// An adaptive adversary allowed by the model: it chooses its round-`r`
 /// targets from the execution through round `r − 1`, jamming the `t`
-/// frequencies that were busiest over a sliding lookback window.
+/// frequencies with the most listeners over the last 8 rounds
+/// (maximising prevented receptions).
 ///
 /// This is the strongest *history-based* jammer in the suite and is used to
 /// stress-test the protocols beyond the specific adversaries appearing in
 /// the paper's proofs. It queries the history every round, so it holds
 /// reusable count/weight buffers and goes through the buffer-reusing
-/// [`History::listener_counts_into`] /
-/// [`History::broadcaster_counts_into`] accessors — no per-round
-/// allocation beyond the returned [`DisruptionSet`].
+/// [`History::listener_counts_into`] — no per-round allocation beyond the
+/// returned [`DisruptionSet`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdaptiveGreedyAdversary {
     t: u32,
-    lookback: usize,
-    target: GreedyTarget,
-    /// Reusable per-frequency count buffer (listeners, or broadcasters for
-    /// the broadcaster target). Skipped by serde: scratch is per-run
-    /// state, not configuration, and keeping it out of the wire form
-    /// matches the config-only `PartialEq` below.
+    /// Reusable per-frequency listener-count buffer. Skipped by serde:
+    /// scratch is per-run state, not configuration, and keeping it out of
+    /// the wire form matches the config-only `PartialEq` below.
     #[serde(skip)]
     counts: Vec<u64>,
-    /// Second count buffer for the combined-activity target.
-    #[serde(skip)]
-    counts_b: Vec<u64>,
     /// Reusable weight buffer fed to the top-`k` selection.
     #[serde(skip)]
     weights: Vec<f64>,
 }
 
-/// Equality is over the adversary's *configuration* (budget, lookback,
-/// target) — the reusable scratch buffers are incidental state.
+/// Equality is over the adversary's *configuration* (its budget) — the
+/// reusable scratch buffers are incidental state.
 impl PartialEq for AdaptiveGreedyAdversary {
     fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.lookback == other.lookback && self.target == other.target
+        self.t == other.t
     }
 }
 
 impl Eq for AdaptiveGreedyAdversary {}
 
 impl AdaptiveGreedyAdversary {
-    /// Creates a greedy adversary with budget `t`, a default lookback of 8
-    /// rounds, targeting listeners.
+    /// Creates a greedy adversary with budget `t`.
     pub fn new(t: u32) -> Self {
         AdaptiveGreedyAdversary {
             t,
-            lookback: 8,
-            target: GreedyTarget::Listeners,
             counts: Vec::new(),
-            counts_b: Vec::new(),
             weights: Vec::new(),
         }
-    }
-
-    /// Sets the lookback window (in rounds).
-    pub fn with_lookback(mut self, lookback: usize) -> Self {
-        self.lookback = lookback.max(1);
-        self
-    }
-
-    /// Sets what the adversary maximises.
-    pub fn with_target(mut self, target: GreedyTarget) -> Self {
-        self.target = target;
-        self
     }
 }
 
@@ -93,7 +61,7 @@ impl Adversary for AdaptiveGreedyAdversary {
     }
 
     fn max_lookback(&self) -> Option<usize> {
-        Some(self.lookback)
+        Some(LOOKBACK)
     }
 
     fn disrupt(
@@ -111,27 +79,9 @@ impl Adversary for AdaptiveGreedyAdversary {
             // No information yet: fall back to a random choice.
             return super::RandomAdversary::new(self.t).disrupt(0, band, history, rng);
         }
+        history.listener_counts_into(band, LOOKBACK, &mut self.counts);
         self.weights.clear();
-        match self.target {
-            GreedyTarget::Listeners => {
-                history.listener_counts_into(band, self.lookback, &mut self.counts);
-                self.weights.extend(self.counts.iter().map(|&c| c as f64));
-            }
-            GreedyTarget::Broadcasters => {
-                history.broadcaster_counts_into(band, self.lookback, &mut self.counts);
-                self.weights.extend(self.counts.iter().map(|&c| c as f64));
-            }
-            GreedyTarget::Activity => {
-                history.listener_counts_into(band, self.lookback, &mut self.counts);
-                history.broadcaster_counts_into(band, self.lookback, &mut self.counts_b);
-                self.weights.extend(
-                    self.counts
-                        .iter()
-                        .zip(&self.counts_b)
-                        .map(|(&x, &y)| (x + y) as f64),
-                );
-            }
-        }
+        self.weights.extend(self.counts.iter().map(|&c| c as f64));
         top_k_weights(&self.weights, k, band.count())
     }
 
@@ -181,41 +131,6 @@ mod tests {
         let mut adv = AdaptiveGreedyAdversary::new(3);
         let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(1));
         assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn broadcaster_target_uses_broadcaster_counts() {
-        let band = FrequencyBand::new(3);
-        let mut hist = History::new();
-        hist.push(RoundRecord {
-            round: 0,
-            activity: vec![
-                FrequencyActivity {
-                    broadcasters: 5,
-                    listeners: 0,
-                    disrupted: false,
-                    delivered: false,
-                },
-                FrequencyActivity {
-                    broadcasters: 0,
-                    listeners: 9,
-                    disrupted: false,
-                    delivered: false,
-                },
-                FrequencyActivity {
-                    broadcasters: 1,
-                    listeners: 0,
-                    disrupted: false,
-                    delivered: false,
-                },
-            ],
-            active_nodes: 15,
-            newly_activated: 0,
-        });
-        let mut adv = AdaptiveGreedyAdversary::new(1).with_target(GreedyTarget::Broadcasters);
-        let set = adv.disrupt(1, band, &hist, &mut SimRng::from_seed(0));
-        assert!(set.contains(Frequency::new(1)));
-        assert_eq!(set.len(), 1);
     }
 
     #[test]

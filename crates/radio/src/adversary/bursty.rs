@@ -42,7 +42,7 @@ impl BurstyAdversary {
     }
 
     /// Whether the adversary is in a burst phase at `round`.
-    pub fn in_burst(&self, round: u64) -> bool {
+    fn in_burst(&self, round: u64) -> bool {
         round % self.period < self.burst_len
     }
 }

@@ -34,7 +34,7 @@ mod product;
 mod random_set;
 mod sweep;
 
-pub use adaptive_greedy::{AdaptiveGreedyAdversary, GreedyTarget};
+pub use adaptive_greedy::AdaptiveGreedyAdversary;
 pub use bursty::BurstyAdversary;
 pub use fixed_band::FixedBandAdversary;
 pub use none::NoAdversary;
@@ -135,7 +135,7 @@ impl DisruptionSet {
     /// Truncates the set to at most `budget` disrupted frequencies, keeping
     /// the lowest-indexed ones. The engine uses this to enforce the model's
     /// bound `t` even against a buggy adversary implementation.
-    pub fn truncate_to_budget(&mut self, budget: usize) -> usize {
+    pub(crate) fn truncate_to_budget(&mut self, budget: usize) -> usize {
         if self.indices.len() <= budget {
             return 0;
         }
@@ -163,16 +163,14 @@ pub trait Adversary {
     /// lookback).
     ///
     /// The engine derives its history retention window from this demand
-    /// plus the attached probes' (see
-    /// [`HistoryRetention::Demand`](crate::engine::HistoryRetention)):
+    /// and the attached probes' [`lookback`](crate::probe::Probe::lookback)s:
     /// `Some(0)` — the right answer for an adversary that never reads the
     /// history — lets outcome-only runs hold O(1) round state. The default
     /// is `None`, meaning "unknown": the engine then retains the *full*
     /// history, which is always behaviour-safe but grows with
-    /// `max_rounds × F` — implement this honestly (or configure an
-    /// explicit retention window) before running such an adversary for
-    /// millions of rounds. An implementation that overrides this must
-    /// never read further back than it declares.
+    /// `max_rounds × F` — implement this honestly before running such an
+    /// adversary for millions of rounds. An implementation that overrides
+    /// this must never read further back than it declares.
     fn max_lookback(&self) -> Option<usize> {
         None
     }

@@ -9,7 +9,6 @@
 //! pre-samples such a schedule from a seed.
 
 use rand::seq::index::sample;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
@@ -29,13 +28,6 @@ pub struct ObliviousScheduleAdversary {
 }
 
 impl ObliviousScheduleAdversary {
-    /// Creates an adversary from an explicit schedule of frequency-index
-    /// sets (1-based). The budget reported is the largest set size.
-    pub fn from_schedule(schedule: Vec<Vec<u32>>) -> Self {
-        let budget = schedule.iter().map(|s| s.len() as u32).max().unwrap_or(0);
-        ObliviousScheduleAdversary { schedule, budget }
-    }
-
     /// Pre-samples a `length`-round schedule in which every round disrupts
     /// `t_actual` frequencies chosen uniformly at random, using `seed`.
     ///
@@ -60,33 +52,6 @@ impl ObliviousScheduleAdversary {
             schedule,
             budget: t_actual,
         }
-    }
-
-    /// Pre-samples a schedule in which each round independently jams a
-    /// contiguous low-band window of random width in `[0, t_actual]` —
-    /// a "variable-intensity" oblivious interferer.
-    pub fn random_variable_intensity(
-        seed: u64,
-        length: usize,
-        num_frequencies: u32,
-        t_actual: u32,
-    ) -> Self {
-        let mut rng = SimRng::from_seed(seed);
-        let schedule = (0..length)
-            .map(|_| {
-                let width = rng.gen_range(0..=t_actual.min(num_frequencies));
-                (1..=width).collect()
-            })
-            .collect();
-        ObliviousScheduleAdversary {
-            schedule,
-            budget: t_actual,
-        }
-    }
-
-    /// Length of the schedule (after which it repeats).
-    pub fn schedule_len(&self) -> usize {
-        self.schedule.len()
     }
 }
 
@@ -130,10 +95,10 @@ mod tests {
 
     #[test]
     fn replays_explicit_schedule_cyclically() {
-        let mut adv =
-            ObliviousScheduleAdversary::from_schedule(vec![vec![1, 2], vec![3], Vec::new()]);
-        assert_eq!(adv.budget(), 2);
-        assert_eq!(adv.schedule_len(), 3);
+        let mut adv = ObliviousScheduleAdversary {
+            schedule: vec![vec![1, 2], vec![3], Vec::new()],
+            budget: 2,
+        };
         let band = FrequencyBand::new(4);
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
@@ -148,12 +113,14 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_harmless() {
-        let mut adv = ObliviousScheduleAdversary::from_schedule(Vec::new());
+        let mut adv = ObliviousScheduleAdversary {
+            schedule: Vec::new(),
+            budget: 0,
+        };
         let band = FrequencyBand::new(4);
         assert!(adv
             .disrupt(0, band, &History::new(), &mut SimRng::from_seed(0))
             .is_empty());
-        assert_eq!(adv.budget(), 0);
     }
 
     #[test]
@@ -174,16 +141,5 @@ mod tests {
         assert_eq!(a, b);
         let c = ObliviousScheduleAdversary::random(4, 32, 8, 2);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn variable_intensity_never_exceeds_budget() {
-        let mut adv = ObliviousScheduleAdversary::random_variable_intensity(1, 50, 12, 6);
-        let band = FrequencyBand::new(12);
-        let hist = History::new();
-        let mut rng = SimRng::from_seed(0);
-        for round in 0..50 {
-            assert!(adv.disrupt(round, band, &hist, &mut rng).len() <= 6);
-        }
     }
 }

@@ -7,11 +7,12 @@
 //! disrupts the `t` frequencies with the largest products `p_j·q_j`.
 //!
 //! [`TopWeightAdversary`] is the general mechanism: it jams the `t`
-//! frequencies with the largest externally supplied weights. The analysis
-//! crate (`wsync-analysis::two_node`) recomputes the weights every round
-//! from the protocol's frequency distributions and updates the adversary
-//! accordingly; a static weight vector models a protocol with a fixed
-//! per-round distribution.
+//! frequencies with the largest externally supplied weights, fixed at
+//! construction, which models a protocol with a fixed per-round
+//! distribution (the catalogue's `top-weight` takes them as `weights`,
+//! defaulting to uniform). The analysis crate's two-node game
+//! (`wsync-analysis::two_node`) computes its own per-round products
+//! rather than driving this adversary.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,17 +45,6 @@ impl TopWeightAdversary {
             t,
             weights: vec![1.0; num_frequencies as usize],
         }
-    }
-
-    /// Replaces the weight vector (e.g. with the products `p_j·q_j`
-    /// recomputed for the next round).
-    pub fn set_weights(&mut self, weights: Vec<f64>) {
-        self.weights = weights;
-    }
-
-    /// The current weight vector.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 }
 
@@ -121,17 +111,5 @@ mod tests {
         let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
         assert!(set.contains(Frequency::new(1)));
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn weights_can_be_updated_between_rounds() {
-        let mut adv = TopWeightAdversary::new(1, vec![1.0, 0.0]);
-        let band = FrequencyBand::new(2);
-        let s0 = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
-        assert!(s0.contains(Frequency::new(1)));
-        adv.set_weights(vec![0.0, 1.0]);
-        assert_eq!(adv.weights(), &[0.0, 1.0]);
-        let s1 = adv.disrupt(1, band, &History::new(), &mut SimRng::from_seed(0));
-        assert!(s1.contains(Frequency::new(2)));
     }
 }

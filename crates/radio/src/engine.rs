@@ -58,32 +58,6 @@ use crate::trace::{ActionView, Delivery, NodeView, RoundObservation, RoundTally}
 
 use serde::{Deserialize, Serialize};
 
-/// How much of the completed-round [`History`] the engine retains for the
-/// adversary and the probes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HistoryRetention {
-    /// Derive the window from the registered demand: the maximum of the
-    /// adversary's [`max_lookback`](Adversary::max_lookback) and every
-    /// attached probe's [`lookback`](Probe::lookback). With only bounded
-    /// demands an outcome-only run holds O(window) — for the history-free
-    /// adversaries, O(1) — round state. This is the default.
-    ///
-    /// An adversary that declares `None` (unknown lookback — the trait
-    /// default for impls outside this crate) falls back to **full**
-    /// retention: correctness over memory, since truncating an
-    /// unknown-depth consumer would silently change its behaviour. Full
-    /// retention grows with `max_rounds × F`; long-running simulations of
-    /// such an adversary should either implement
-    /// [`max_lookback`](Adversary::max_lookback) honestly or pin an
-    /// explicit [`Window`](Self::Window).
-    #[default]
-    Demand,
-    /// Retain exactly the last `w` completed rounds, regardless of demand.
-    Window(usize),
-    /// Retain every completed round.
-    Full,
-}
-
 /// Static configuration of a simulated execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -102,11 +76,6 @@ pub struct SimConfig {
     /// Number of additional rounds to keep simulating after every node has
     /// synchronized (useful for observing that outputs keep incrementing).
     pub extra_rounds_after_sync: u64,
-    /// How much adversary-visible history the engine retains. Retention
-    /// never changes an outcome as long as it covers every consumer's
-    /// declared lookback — which [`HistoryRetention::Demand`] guarantees by
-    /// construction.
-    pub history_retention: HistoryRetention,
 }
 
 impl SimConfig {
@@ -121,7 +90,6 @@ impl SimConfig {
             disruption_bound,
             max_rounds: 1_000_000,
             extra_rounds_after_sync: 0,
-            history_retention: HistoryRetention::Demand,
         }
     }
 
@@ -140,12 +108,6 @@ impl SimConfig {
     /// Keeps simulating for `extra` rounds after all nodes synchronize.
     pub fn with_extra_rounds_after_sync(mut self, extra: u64) -> Self {
         self.extra_rounds_after_sync = extra;
-        self
-    }
-
-    /// Sets the adversary-visible history retention policy.
-    pub fn with_history_retention(mut self, retention: HistoryRetention) -> Self {
-        self.history_retention = retention;
         self
     }
 
@@ -176,7 +138,7 @@ impl SimConfig {
     }
 
     /// The activation information announced to protocols.
-    pub fn activation_info(&self) -> ActivationInfo {
+    fn activation_info(&self) -> ActivationInfo {
         ActivationInfo::new(
             self.upper_bound_n,
             self.num_frequencies,
@@ -245,20 +207,6 @@ impl ExecutionResult {
             .map(|n| n.rounds_to_sync())
             .max()
             .flatten()
-    }
-
-    /// Mean per-node `rounds_to_sync` over nodes that synchronized.
-    pub fn mean_rounds_to_sync(&self) -> f64 {
-        let synced: Vec<u64> = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.rounds_to_sync())
-            .collect();
-        if synced.is_empty() {
-            0.0
-        } else {
-            synced.iter().sum::<u64>() as f64 / synced.len() as f64
-        }
     }
 }
 
@@ -413,8 +361,11 @@ fn merge_into_active(active: &mut Vec<u32>, in_active: &mut [bool], incoming: &[
 /// followed by the user probes attached with
 /// [`attach_probe`](Engine::attach_probe), composed in a [`ProbeStack`]
 /// the engine owns. Probes never perturb the execution, and the history
-/// retention window is derived from the maximum lookback the adversary and
-/// the probes register (see [`HistoryRetention`]).
+/// retention window is the maximum lookback the adversary
+/// ([`max_lookback`](Adversary::max_lookback)) and the probes
+/// ([`lookback`](Probe::lookback)) declare — the full execution when the
+/// adversary's lookback is unknown. Retention never changes an outcome,
+/// because it covers every consumer's declared lookback.
 pub struct Engine<P: Protocol, A: Adversary> {
     config: SimConfig,
     adversary: A,
@@ -502,14 +453,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             .map(|(i, &r)| (r, i as u32))
             .collect();
         wake_queue.sort_unstable();
-        let history = match config.history_retention {
-            HistoryRetention::Window(w) => History::with_window(w),
-            HistoryRetention::Full => History::new(),
-            HistoryRetention::Demand => match adversary.max_lookback() {
-                // Unknown demand: retaining everything is always safe.
-                None => History::new(),
-                Some(k) => History::with_window(k.max(1)),
-            },
+        let history = match adversary.max_lookback() {
+            // Unknown demand: retaining everything is always safe.
+            None => History::new(),
+            Some(k) => History::with_window(k),
         };
         Ok(Engine {
             config,
@@ -570,20 +517,12 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     /// with [`take_probes`](Engine::take_probes) and
     /// [`ProbeStack::take`] to recover the probe after the run).
     ///
-    /// Under [`HistoryRetention::Demand`] the retained history window is
-    /// widened to cover the probe's declared
-    /// [`lookback`](Probe::lookback); attach probes before the first round
-    /// runs so the demand is registered while the history is still empty.
-    /// Explicit [`Window`](HistoryRetention::Window) /
-    /// [`Full`](HistoryRetention::Full) policies are never adjusted —
-    /// widening a caller-pinned window could change what the *adversary*
-    /// sees and thereby let a probe perturb the outcome, which probes must
-    /// never do (a probe demanding more than an explicit window simply
-    /// observes the starved history the caller configured).
+    /// The retained history window is widened to cover the probe's
+    /// declared [`lookback`](Probe::lookback); attach probes before the
+    /// first round runs so the demand is registered while the history is
+    /// still empty.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) -> usize {
-        if self.config.history_retention == HistoryRetention::Demand {
-            self.history.widen_window(probe.lookback());
-        }
+        self.history.widen_window(probe.lookback());
         self.probes.push(probe)
     }
 
@@ -1284,21 +1223,6 @@ mod tests {
         assert!(result.metrics.adversary_budget_violations > 0);
         // Only frequency 1 can actually be jammed each round.
         assert!(result.metrics.disrupted_frequency_rounds <= result.rounds_executed);
-    }
-
-    #[test]
-    fn mean_rounds_to_sync_reports_zero_when_nobody_synced() {
-        let config = SimConfig::new(2, 2, 0).with_max_rounds(3);
-        let mut engine = Engine::new(
-            config,
-            |_| Shouter { f: 2 },
-            NoAdversary::new(),
-            ActivationSchedule::Simultaneous,
-            8,
-        )
-        .unwrap();
-        let result = engine.run();
-        assert_eq!(result.mean_rounds_to_sync(), 0.0);
     }
 
     #[test]

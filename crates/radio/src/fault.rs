@@ -79,8 +79,8 @@ pub struct NetworkView<'a> {
 /// crashes and every node it wakes, or the engine will keep scheduling
 /// (or keep skipping) the node. Reports may repeat across layers and
 /// arrive unsorted; the engine sorts and deduplicates, then re-checks each
-/// candidate against the whole stack ([`FaultStack::is_down`] /
-/// [`FaultStack::just_restarted`]), so a wake reported by one layer while
+/// candidate against the whole stack (`FaultStack::is_down` /
+/// `FaultStack::just_restarted`), so a wake reported by one layer while
 /// another still holds the node down is correctly ignored.
 #[derive(Debug, Default)]
 pub struct FaultTransitions {
@@ -102,29 +102,29 @@ impl FaultTransitions {
     }
 
     /// Reports that `node` newly crashed this round.
-    pub fn report_crash(&mut self, node: NodeId) {
+    fn report_crash(&mut self, node: NodeId) {
         self.crashed.push(node.index() as u32);
     }
 
     /// Reports that `node` wakes from a crash this round.
-    pub fn report_wake(&mut self, node: NodeId) {
+    fn report_wake(&mut self, node: NodeId) {
         self.woke.push(node.index() as u32);
     }
 
     /// Nodes reported crashed this round (possibly unsorted, with
     /// duplicates across layers).
-    pub fn crashed(&self) -> &[u32] {
+    pub(crate) fn crashed(&self) -> &[u32] {
         &self.crashed
     }
 
     /// Nodes reported waking this round (possibly unsorted, with
     /// duplicates across layers).
-    pub fn woke(&self) -> &[u32] {
+    pub(crate) fn woke(&self) -> &[u32] {
         &self.woke
     }
 
     /// Sorts and deduplicates both lists in place.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.crashed.sort_unstable();
         self.crashed.dedup();
         self.woke.sort_unstable();
@@ -264,7 +264,7 @@ impl FaultStack {
     }
 
     /// The attached layers' names, in stack order.
-    pub fn layer_names(&self) -> Vec<&'static str> {
+    fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|(layer, _)| layer.name()).collect()
     }
 
@@ -272,7 +272,7 @@ impl FaultStack {
     /// transitions into `transitions` (which the caller should
     /// [`clear`](FaultTransitions::clear) beforehand and
     /// [`normalize`](FaultTransitions::normalize) afterwards).
-    pub fn begin_round(
+    pub(crate) fn begin_round(
         &mut self,
         round: u64,
         net: &NetworkView<'_>,
@@ -284,13 +284,13 @@ impl FaultStack {
     }
 
     /// Whether any layer holds `node` down this round.
-    pub fn is_down(&self, node: NodeId) -> bool {
+    pub(crate) fn is_down(&self, node: NodeId) -> bool {
         self.layers.iter().any(|(layer, _)| layer.is_down(node))
     }
 
     /// Whether `node` wakes from a crash this round: some layer restarts it
     /// and no layer still holds it down.
-    pub fn just_restarted(&self, node: NodeId) -> bool {
+    pub(crate) fn just_restarted(&self, node: NodeId) -> bool {
         !self.is_down(node)
             && self
                 .layers
@@ -300,7 +300,7 @@ impl FaultStack {
 
     /// Consults the layers about the resolved delivery on `frequency`;
     /// returns the kind of the first layer that drops it.
-    pub fn drops_delivery(
+    pub(crate) fn drops_delivery(
         &mut self,
         round: u64,
         frequency: Frequency,
@@ -316,7 +316,7 @@ impl FaultStack {
 
     /// Consults the layers about `listener`'s reception; returns the kind
     /// of the first layer that suppresses it.
-    pub fn suppresses_receive(
+    pub(crate) fn suppresses_receive(
         &mut self,
         round: u64,
         frequency: Frequency,
@@ -405,11 +405,6 @@ impl CaptureLayer {
         CaptureLayer {
             miss_rate: miss_rate.clamp(0.0, 1.0),
         }
-    }
-
-    /// The configured per-reception miss probability.
-    pub fn miss_rate(&self) -> f64 {
-        self.miss_rate
     }
 }
 
@@ -740,7 +735,7 @@ mod tests {
     fn rates_are_clamped_into_the_unit_interval() {
         assert_eq!(DropLayer::new(7.0).rate(), 1.0);
         assert_eq!(DropLayer::new(-3.0).rate(), 0.0);
-        assert_eq!(CaptureLayer::new(2.0).miss_rate(), 1.0);
+        assert_eq!(CaptureLayer::new(2.0).miss_rate, 1.0);
         assert_eq!(ChurnLayer::new(9.0, 0).rate(), 1.0);
         assert_eq!(ChurnLayer::new(0.5, 0).downtime(), 1);
     }

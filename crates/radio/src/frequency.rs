@@ -95,15 +95,6 @@ impl FrequencyBand {
         let limit = limit.clamp(1, self.count);
         Frequency::new(rng.gen_range(1..=limit))
     }
-
-    /// Samples a frequency uniformly at random from the inclusive range
-    /// `[lo, hi]` (clamped to the band, and `lo ≤ hi` enforced by swapping).
-    pub fn sample_range(self, lo: u32, hi: u32, rng: &mut SimRng) -> Frequency {
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let lo = lo.clamp(1, self.count);
-        let hi = hi.clamp(1, self.count);
-        Frequency::new(rng.gen_range(lo..=hi))
-    }
 }
 
 impl IntoIterator for FrequencyBand {
@@ -159,8 +150,6 @@ mod tests {
             assert!(band.contains(band.sample_uniform(&mut rng)));
             let f = band.sample_prefix(3, &mut rng);
             assert!(f.index() <= 3);
-            let g = band.sample_range(5, 7, &mut rng);
-            assert!(g.index() >= 5 && g.index() <= 7);
         }
     }
 
@@ -174,16 +163,6 @@ mod tests {
         }
         // limit 0 is clamped up to 1
         assert_eq!(band.sample_prefix(0, &mut rng).index(), 1);
-    }
-
-    #[test]
-    fn sample_range_swaps_bounds() {
-        let band = FrequencyBand::new(10);
-        let mut rng = SimRng::from_seed(2);
-        for _ in 0..100 {
-            let f = band.sample_range(7, 3, &mut rng);
-            assert!(f.index() >= 3 && f.index() <= 7);
-        }
     }
 
     #[test]

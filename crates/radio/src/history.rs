@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-use crate::frequency::{Frequency, FrequencyBand};
+use crate::frequency::FrequencyBand;
 use crate::probe::Probe;
 use crate::trace::RoundObservation;
 
@@ -43,21 +43,6 @@ pub struct RoundRecord {
 }
 
 impl RoundRecord {
-    /// Activity on frequency `f`.
-    pub fn activity_on(&self, f: Frequency) -> &FrequencyActivity {
-        &self.activity[f.as_zero_based()]
-    }
-
-    /// Total number of broadcasters across all frequencies.
-    pub fn total_broadcasters(&self) -> u32 {
-        self.activity.iter().map(|a| a.broadcasters).sum()
-    }
-
-    /// Total number of listeners across all frequencies.
-    pub fn total_listeners(&self) -> u32 {
-        self.activity.iter().map(|a| a.listeners).sum()
-    }
-
     /// Number of frequencies on which a message was delivered.
     pub fn deliveries(&self) -> u32 {
         self.activity.iter().filter(|a| a.delivered).count() as u32
@@ -71,21 +56,21 @@ impl RoundRecord {
 
 /// The completed-round history of an execution.
 ///
-/// The engine appends one [`RoundRecord`] per completed round. To keep
-/// long executions cheap, the engine can be configured to retain only the
-/// most recent `w` rounds (see [`History::with_window`]); all adversaries in
-/// this crate only look a bounded number of rounds back.
+/// The engine's `History` probe appends one [`RoundRecord`] per completed
+/// round through its private `push_copied`. It retains only the most
+/// recent `w` rounds, where `w` is the largest lookback the adversary
+/// ([`max_lookback`](crate::adversary::Adversary::max_lookback)) and the
+/// attached probes ([`lookback`](Probe::lookback)) declare; an adversary
+/// with an unknown lookback gets the whole execution.
 ///
 /// Records are stored in a ring buffer, so windowed retention is O(1) per
-/// round, and the engine appends through
-/// [`push_recycled`](History::push_recycled), which reuses the evicted
-/// record's per-frequency buffer — in steady state the history performs no
-/// heap allocation at all.
+/// round, and each append reuses the evicted record's per-frequency
+/// buffer — once the window is full the history performs no heap
+/// allocation at all.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct History {
     records: VecDeque<RoundRecord>,
     window: Option<usize>,
-    dropped: u64,
 }
 
 impl History {
@@ -95,11 +80,10 @@ impl History {
     }
 
     /// Creates an empty history that retains only the last `window` rounds.
-    pub fn with_window(window: usize) -> Self {
+    pub(crate) fn with_window(window: usize) -> Self {
         History {
             records: VecDeque::new(),
             window: Some(window.max(1)),
-            dropped: 0,
         }
     }
 
@@ -114,7 +98,7 @@ impl History {
     /// probe registers a larger lookback than the window derived so far;
     /// rounds already evicted are not resurrected, so demand should be
     /// registered before the first round runs.
-    pub fn widen_window(&mut self, window: usize) {
+    pub(crate) fn widen_window(&mut self, window: usize) {
         if let Some(w) = self.window {
             if w < window.max(1) {
                 self.window = Some(window.max(1));
@@ -128,7 +112,6 @@ impl History {
         match self.window {
             Some(w) if self.records.len() >= w => {
                 let old = self.records.pop_front()?;
-                self.dropped += 1;
                 let mut buffer = old.activity;
                 buffer.clear();
                 Some(buffer)
@@ -143,41 +126,14 @@ impl History {
         self.records.push_back(record);
     }
 
-    /// Appends a completed round assembled from the engine's reusable
-    /// per-round buffers.
-    ///
-    /// `activity` is taken by swap: on return it holds an *empty* buffer —
-    /// the evicted record's recycled allocation once the retention window
-    /// has filled — ready to be refilled next round. This is the engine's
-    /// steady-state append path; it never allocates once the window is full.
-    pub fn push_recycled(
-        &mut self,
-        round: u64,
-        activity: &mut Vec<FrequencyActivity>,
-        active_nodes: u32,
-        newly_activated: u32,
-    ) {
-        let mut storage = self
-            .evict_for_push()
-            .unwrap_or_else(|| Vec::with_capacity(activity.len()));
-        std::mem::swap(&mut storage, activity);
-        self.records.push_back(RoundRecord {
-            round,
-            activity: storage,
-            active_nodes,
-            newly_activated,
-        });
-    }
-
     /// Appends a completed round by copying a borrowed per-frequency slice
     /// into the evicted record's recycled buffer (a memcpy of `F` small
     /// `Copy` records — no steady-state allocation once the retention
     /// window has filled).
     ///
     /// This is the [`Probe`] append path: probe observations borrow the
-    /// engine's scratch, so the activity cannot be taken by swap the way
-    /// [`push_recycled`](History::push_recycled) does.
-    pub fn push_copied(
+    /// engine's scratch.
+    fn push_copied(
         &mut self,
         round: u64,
         activity: &[FrequencyActivity],
@@ -206,12 +162,6 @@ impl History {
         self.records.is_empty()
     }
 
-    /// Total number of rounds that have been recorded, including any that
-    /// were dropped by the retention window.
-    pub fn total_rounds(&self) -> u64 {
-        self.dropped + self.records.len() as u64
-    }
-
     /// The most recently completed round, if any.
     pub fn last(&self) -> Option<&RoundRecord> {
         self.records.back()
@@ -228,21 +178,9 @@ impl History {
     }
 
     /// Sums, per frequency, the number of listeners over the last
-    /// `lookback` retained rounds. Useful for adversaries that target the
-    /// historically busiest frequencies.
-    ///
-    /// Allocates a fresh vector per call; callers that query every round
-    /// (adaptive adversaries) should hold a buffer and use
-    /// [`listener_counts_into`](History::listener_counts_into) instead.
-    pub fn listener_counts(&self, band: FrequencyBand, lookback: usize) -> Vec<u64> {
-        let mut counts = Vec::new();
-        self.listener_counts_into(band, lookback, &mut counts);
-        counts
-    }
-
-    /// Buffer-reusing variant of [`listener_counts`](History::listener_counts):
-    /// clears `counts` and fills it with one per-frequency sum, reusing its
-    /// allocation.
+    /// `lookback` retained rounds, for adversaries that target the
+    /// historically busiest frequencies. Clears `counts` and fills it with
+    /// one sum per frequency, reusing its allocation.
     pub fn listener_counts_into(
         &self,
         band: FrequencyBand,
@@ -257,43 +195,13 @@ impl History {
             }
         }
     }
-
-    /// Sums, per frequency, the number of broadcasters over the last
-    /// `lookback` retained rounds.
-    ///
-    /// Allocates a fresh vector per call; callers that query every round
-    /// should hold a buffer and use
-    /// [`broadcaster_counts_into`](History::broadcaster_counts_into) instead.
-    pub fn broadcaster_counts(&self, band: FrequencyBand, lookback: usize) -> Vec<u64> {
-        let mut counts = Vec::new();
-        self.broadcaster_counts_into(band, lookback, &mut counts);
-        counts
-    }
-
-    /// Buffer-reusing variant of
-    /// [`broadcaster_counts`](History::broadcaster_counts): clears `counts`
-    /// and fills it with one per-frequency sum, reusing its allocation.
-    pub fn broadcaster_counts_into(
-        &self,
-        band: FrequencyBand,
-        lookback: usize,
-        counts: &mut Vec<u64>,
-    ) {
-        counts.clear();
-        counts.resize(band.count() as usize, 0);
-        for rec in self.records.iter().rev().take(lookback) {
-            for (i, act) in rec.activity.iter().enumerate().take(counts.len()) {
-                counts[i] += u64::from(act.broadcasters);
-            }
-        }
-    }
 }
 
 /// A [`History`] is itself a probe: it folds each observed round into its
-/// ring through [`push_copied`](History::push_copied). The engine composes
-/// one ahead of the user stack to maintain the adversary-visible history;
-/// attaching an *additional* `History` probe with its own window is how a
-/// caller records a private retained view of the execution.
+/// ring through `push_copied`. The engine composes one ahead of the user
+/// stack to maintain the adversary-visible history; attaching an
+/// *additional* [`History::new`] probe is how a caller records a private
+/// view of the whole execution.
 impl Probe for History {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
         self.push_copied(
@@ -336,11 +244,8 @@ mod tests {
                 (0, 1, false, false),
             ],
         );
-        assert_eq!(r.total_broadcasters(), 3);
-        assert_eq!(r.total_listeners(), 3);
         assert_eq!(r.deliveries(), 1);
         assert_eq!(r.collisions(), 1);
-        assert_eq!(r.activity_on(Frequency::new(2)).broadcasters, 2);
     }
 
     #[test]
@@ -350,7 +255,6 @@ mod tests {
         h.push(record(0, &[(1, 0, false, true)]));
         h.push(record(1, &[(0, 2, false, false)]));
         assert_eq!(h.len(), 2);
-        assert_eq!(h.total_rounds(), 2);
         assert_eq!(h.last().unwrap().round, 1);
         assert_eq!(h.iter().count(), 2);
     }
@@ -362,50 +266,45 @@ mod tests {
             h.push(record(r, &[(0, 0, false, false)]));
         }
         assert_eq!(h.len(), 2);
-        assert_eq!(h.total_rounds(), 5);
         assert_eq!(h.get(0).unwrap().round, 3);
         assert_eq!(h.last().unwrap().round, 4);
     }
 
     #[test]
-    fn push_recycled_matches_push_and_reuses_buffers() {
+    fn push_copied_matches_push() {
         let mut plain = History::with_window(3);
-        let mut recycled = History::with_window(3);
-        let mut scratch: Vec<FrequencyActivity> = Vec::new();
+        let mut copied = History::with_window(3);
         for r in 0..8 {
             let rec = record(r, &[(1, r as u32, false, false), (0, 2, r % 2 == 0, false)]);
-            scratch.extend(rec.activity.iter().cloned());
-            let active = rec.active_nodes;
+            copied.push_copied(r, &rec.activity, rec.active_nodes, 0);
             plain.push(rec);
-            recycled.push_recycled(r, &mut scratch, active, 0);
-            assert!(scratch.is_empty(), "buffer is returned empty for reuse");
         }
-        assert_eq!(plain.len(), recycled.len());
-        assert_eq!(plain.total_rounds(), recycled.total_rounds());
-        for (a, b) in plain.iter().zip(recycled.iter()) {
-            assert_eq!(a, b);
-        }
-        // Once the window is full the recycled buffer keeps its capacity.
-        assert!(scratch.capacity() >= 2);
+        assert_eq!(copied.len(), 3);
+        assert!(plain.iter().eq(copied.iter()));
     }
 
     #[test]
-    fn listener_and_broadcaster_counts() {
+    fn listener_counts_sum_the_lookback_window() {
         let band = FrequencyBand::new(2);
         let mut h = History::new();
         h.push(record(0, &[(1, 3, false, false), (0, 1, false, false)]));
         h.push(record(1, &[(2, 1, false, false), (1, 4, false, false)]));
-        assert_eq!(h.listener_counts(band, 10), vec![4, 5]);
-        assert_eq!(h.broadcaster_counts(band, 10), vec![3, 1]);
+        // A junk-shaped buffer is cleared and resized to the band.
+        let mut counts = vec![99u64; 17];
+        h.listener_counts_into(band, 10, &mut counts);
+        assert_eq!(counts, vec![4, 5]);
         // lookback of 1 only sees the last round
-        assert_eq!(h.listener_counts(band, 1), vec![1, 4]);
+        h.listener_counts_into(band, 1, &mut counts);
+        assert_eq!(counts, vec![1, 4]);
+        h.listener_counts_into(band, 0, &mut counts);
+        assert_eq!(counts, vec![0, 0]);
     }
 
     #[test]
     fn counts_with_empty_history_are_zero() {
         let band = FrequencyBand::new(3);
-        let h = History::new();
-        assert_eq!(h.listener_counts(band, 5), vec![0, 0, 0]);
-        assert_eq!(h.broadcaster_counts(band, 5), vec![0, 0, 0]);
+        let mut counts = vec![7u64; 5];
+        History::new().listener_counts_into(band, 5, &mut counts);
+        assert_eq!(counts, vec![0, 0, 0]);
     }
 }

@@ -111,7 +111,7 @@ pub mod prelude {
         NoAdversary, ObliviousScheduleAdversary, RandomAdversary, SweepAdversary,
         TopWeightAdversary,
     };
-    pub use crate::engine::{Engine, ExecutionResult, HistoryRetention, NodeSummary, SimConfig};
+    pub use crate::engine::{Engine, ExecutionResult, NodeSummary, SimConfig};
     pub use crate::error::{ConfigError, Result};
     pub use crate::fault::{
         CaptureLayer, ChurnLayer, DropLayer, FaultKind, FaultLayer, FaultStack, PartitionLayer,

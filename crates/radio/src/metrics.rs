@@ -37,28 +37,6 @@ pub struct SimMetrics {
     pub adversary_budget_violations: u64,
 }
 
-impl SimMetrics {
-    /// Fraction of broadcast actions that resulted in a delivery
-    /// (`deliveries / broadcasts`), or 0 if there were no broadcasts.
-    pub fn delivery_rate(&self) -> f64 {
-        if self.broadcasts == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 / self.broadcasts as f64
-        }
-    }
-
-    /// Average number of disrupted frequencies per round, or 0 for an empty
-    /// execution.
-    pub fn mean_disruption(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.disrupted_frequency_rounds as f64 / self.rounds as f64
-        }
-    }
-}
-
 /// `SimMetrics` is a probe: each observed round's flat
 /// [`RoundTally`](crate::trace::RoundTally) folds into the aggregate
 /// counters in O(1), with no rescan of the per-node or per-frequency
@@ -79,30 +57,5 @@ impl Probe for SimMetrics {
         self.disrupted_frequency_rounds += u64::from(tally.disrupted_frequencies);
         self.max_active_nodes = self.max_active_nodes.max(tally.active_nodes);
         self.adversary_budget_violations += u64::from(tally.adversary_clamped);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rates_handle_zero_denominators() {
-        let m = SimMetrics::default();
-        assert_eq!(m.delivery_rate(), 0.0);
-        assert_eq!(m.mean_disruption(), 0.0);
-    }
-
-    #[test]
-    fn rates_compute_expected_values() {
-        let m = SimMetrics {
-            rounds: 10,
-            broadcasts: 20,
-            deliveries: 5,
-            disrupted_frequency_rounds: 30,
-            ..SimMetrics::default()
-        };
-        assert!((m.delivery_rate() - 0.25).abs() < 1e-12);
-        assert!((m.mean_disruption() - 3.0).abs() < 1e-12);
     }
 }

@@ -23,11 +23,6 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The raw `u32` value.
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -72,7 +67,6 @@ mod tests {
     fn node_id_roundtrip() {
         let id = NodeId::new(5);
         assert_eq!(id.index(), 5);
-        assert_eq!(id.as_u32(), 5);
         assert_eq!(format!("{id}"), "node5");
     }
 

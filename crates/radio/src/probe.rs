@@ -74,10 +74,11 @@ pub trait Probe: AsAny {
     /// [`Engine::history`](crate::engine::Engine::history)).
     ///
     /// The engine derives its history retention window from the maximum
-    /// lookback over the adversary and every attached probe (see
-    /// [`HistoryRetention::Demand`](crate::engine::HistoryRetention)), so a
-    /// probe that only reads its own `on_round` stream — the common case —
-    /// keeps the default of `0` and costs no retention at all.
+    /// lookback over the adversary
+    /// ([`max_lookback`](crate::adversary::Adversary::max_lookback)) and
+    /// every attached probe, so a probe that only reads its own `on_round`
+    /// stream — the common case — keeps the default of `0` and costs no
+    /// retention at all.
     fn lookback(&self) -> usize {
         0
     }

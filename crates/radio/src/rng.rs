@@ -73,13 +73,6 @@ impl SimRng {
             inner: StdRng::seed_from_u64(mixed),
         }
     }
-
-    /// Derives a child generator from this one; useful for spawning
-    /// independent sub-streams (e.g. one per Monte-Carlo repetition).
-    pub fn fork(&mut self) -> Self {
-        let s = self.next_u64();
-        SimRng::from_seed(s)
-    }
 }
 
 impl RngCore for SimRng {
@@ -134,17 +127,6 @@ mod tests {
         let xs: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn fork_produces_independent_generator() {
-        let mut parent = SimRng::from_seed(9);
-        let mut child = parent.fork();
-        // Child continues deterministically and does not equal the parent's
-        // subsequent output stream.
-        let p: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

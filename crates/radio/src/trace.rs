@@ -45,11 +45,6 @@ impl NodeView {
             NodeView::Active { output } => Some(*output),
         }
     }
-
-    /// Whether the node is active.
-    pub fn is_active(&self) -> bool {
-        matches!(self, NodeView::Active { .. })
-    }
 }
 
 /// A compact description of a node's action in one round, for probes.
@@ -196,16 +191,6 @@ impl FullTrace {
         self.events.is_empty()
     }
 
-    /// The output series of node `node`: one entry per recorded round, with
-    /// `None` meaning the node was not yet active and `Some(out)` giving its
-    /// output (`out == None` is `⊥`).
-    pub fn output_series(&self, node: NodeId) -> Vec<Option<Option<u64>>> {
-        self.events
-            .iter()
-            .map(|e| e.nodes.get(node.index()).and_then(|v| v.output()))
-            .collect()
-    }
-
     /// The first recorded round in which node `node` produced a non-`⊥`
     /// output, if any.
     pub fn sync_round(&self, node: NodeId) -> Option<u64> {
@@ -215,11 +200,6 @@ impl FullTrace {
                 Some(NodeView::Active { output: Some(_) }) => Some(e.round),
                 _ => None,
             })
-    }
-
-    /// Total number of deliveries recorded.
-    pub fn total_deliveries(&self) -> usize {
-        self.events.iter().map(|e| e.deliveries.len()).sum()
     }
 }
 
@@ -262,10 +242,8 @@ mod tests {
 
     #[test]
     fn node_view_accessors() {
-        assert!(!NodeView::Inactive.is_active());
         assert_eq!(NodeView::Inactive.output(), None);
         let v = NodeView::Active { output: Some(3) };
-        assert!(v.is_active());
         assert_eq!(v.output(), Some(Some(3)));
     }
 
@@ -310,11 +288,9 @@ mod tests {
 
         assert_eq!(trace.len(), 2);
         assert!(!trace.is_empty());
-        assert_eq!(trace.total_deliveries(), 1);
+        assert_eq!(trace.events()[0].deliveries.len(), 1);
         assert_eq!(trace.sync_round(NodeId::new(0)), Some(1));
         assert_eq!(trace.sync_round(NodeId::new(1)), None);
-        let series = trace.output_series(NodeId::new(1));
-        assert_eq!(series, vec![None, Some(None)]);
         assert_eq!(trace.events()[0].disrupted, vec![2]);
     }
 }

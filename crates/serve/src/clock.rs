@@ -28,7 +28,7 @@ impl Stopwatch {
 
     /// Microseconds elapsed since [`start`](Self::start), saturating at
     /// `u64::MAX` (584 thousand years of uptime).
-    pub fn elapsed_micros(&self) -> u64 {
+    pub(crate) fn elapsed_micros(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
 }

@@ -39,7 +39,7 @@ pub enum RequestError {
 
 /// Reads one HTTP/1.1 request from `stream`. `Ok(Err(_))` is a protocol
 /// error to answer with a 4xx; `Err(_)` is a transport error to drop.
-pub fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestError>> {
+pub(crate) fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestError>> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
@@ -79,7 +79,7 @@ pub fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestErr
 }
 
 /// Writes a complete JSON response and closes the exchange.
-pub fn respond_json(
+pub(crate) fn respond_json(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
@@ -90,7 +90,7 @@ pub fn respond_json(
 
 /// [`respond_json`] with extra response headers (e.g. `Retry-After` on a
 /// `503`), written between the fixed header set and the blank line.
-pub fn respond_json_with(
+pub(crate) fn respond_json_with(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
@@ -110,7 +110,7 @@ pub fn respond_json_with(
 }
 
 /// Writes a JSON error body `{"error": message}` with the given status.
-pub fn respond_error(
+pub(crate) fn respond_error(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
@@ -127,7 +127,7 @@ pub fn respond_error(
 /// Starts a close-delimited ndjson stream: status line and headers only.
 /// The caller then writes one JSON document per line (flushing each) and
 /// signals completion by closing the connection.
-pub fn start_ndjson(stream: &mut TcpStream) -> io::Result<()> {
+pub(crate) fn start_ndjson(stream: &mut TcpStream) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"

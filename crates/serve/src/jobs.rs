@@ -51,13 +51,13 @@ impl Job {
     }
 
     /// Whether the job has finished.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         lock(&self.state).done
     }
 
     /// The events at positions `>= cursor`, plus the done flag — the
     /// polling read a streaming handler advances its cursor with.
-    pub fn events_from(&self, cursor: usize) -> (Vec<String>, bool) {
+    pub(crate) fn events_from(&self, cursor: usize) -> (Vec<String>, bool) {
         let state = lock(&self.state);
         let fresh = state.events.get(cursor..).unwrap_or(&[]).to_vec();
         (fresh, state.done)

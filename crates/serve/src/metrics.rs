@@ -40,17 +40,17 @@ impl Metrics {
     }
 
     /// Counts one handled request (any route).
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one connection admitted to a handler thread.
-    pub fn record_accepted(&self) {
+    pub(crate) fn record_accepted(&self) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one connection refused with a `503` at the handler cap.
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -69,7 +69,7 @@ impl Metrics {
     /// Folds one completed run/sweep into the counters: `hits` trials
     /// from cache, `misses` executed, `rounds` simulated rounds streamed,
     /// over `micros` of wall-clock execution.
-    pub fn record_work(&self, hits: u64, misses: u64, rounds: u64, micros: u64) {
+    pub(crate) fn record_work(&self, hits: u64, misses: u64, rounds: u64, micros: u64) {
         self.store_hits.fetch_add(hits, Ordering::Relaxed);
         self.store_misses.fetch_add(misses, Ordering::Relaxed);
         self.sim_rounds.fetch_add(rounds, Ordering::Relaxed);
@@ -79,7 +79,7 @@ impl Metrics {
     /// Folds one adaptive sweep's stopping outcome into the counters:
     /// `stopped` grid points halted before their seed budget, together
     /// saving `saved` trials against a fixed-count run of the budget.
-    pub fn record_stops(&self, stopped: u64, saved: u64) {
+    pub(crate) fn record_stops(&self, stopped: u64, saved: u64) {
         self.points_stopped.fetch_add(stopped, Ordering::Relaxed);
         self.trials_saved.fetch_add(saved, Ordering::Relaxed);
     }
@@ -91,17 +91,17 @@ impl Metrics {
     }
 
     /// Trials adaptive stopping avoided over the server's lifetime.
-    pub fn trials_saved(&self) -> u64 {
+    fn trials_saved(&self) -> u64 {
         self.trials_saved.load(Ordering::Relaxed)
     }
 
     /// Trials served from the store over the server's lifetime.
-    pub fn store_hits(&self) -> u64 {
+    fn store_hits(&self) -> u64 {
         self.store_hits.load(Ordering::Relaxed)
     }
 
     /// Trials the engine executed over the server's lifetime.
-    pub fn store_misses(&self) -> u64 {
+    fn store_misses(&self) -> u64 {
         self.store_misses.load(Ordering::Relaxed)
     }
 

@@ -71,26 +71,18 @@ impl ConfidenceInterval {
         value >= self.lower && value <= self.upper
     }
 
-    /// Normal-approximation confidence interval for the mean of `samples`,
-    /// `mean ± z · s/√n`.
+    /// Normal-approximation confidence interval for the mean of the
+    /// samples `s` summarizes, `mean ± z · s/√n`. It is built from an
+    /// already-folded [`Summary`] — the incremental form sequential
+    /// stopping rules use: the accumulating fold (e.g. a Welford
+    /// [`OnlineStats`](crate::OnlineStats)) is summarized at each batch
+    /// boundary without retaining samples.
     ///
     /// Empty and singleton samples, and samples containing a non-finite
     /// value, have no defined interval width; they return the typed
     /// [`CiUndefined`] state instead of silently degenerating to a
     /// zero-width interval (which a sequential stopping rule would read as
     /// "converged").
-    pub fn for_mean(samples: &[f64], level: f64) -> Result<Self, CiUndefined> {
-        if samples.iter().any(|x| !x.is_finite()) {
-            return Err(CiUndefined::NonFinite);
-        }
-        Self::for_summary(&Summary::from_slice(samples), level)
-    }
-
-    /// The same normal-approximation interval built from an already-folded
-    /// [`Summary`] — the incremental form sequential stopping rules use:
-    /// the accumulating fold (e.g. a Welford
-    /// [`OnlineStats`](crate::OnlineStats)) is summarized at each batch
-    /// boundary without retaining samples.
     pub fn for_summary(s: &Summary, level: f64) -> Result<Self, CiUndefined> {
         if s.count < 2 {
             return Err(CiUndefined::TooFewSamples {
@@ -151,7 +143,7 @@ pub fn proportion_ci(successes: usize, trials: usize, level: f64) -> ConfidenceI
 /// Exact table values are used for the common levels (0.90, 0.95, 0.99,
 /// 0.999); other levels are computed with the Acklam inverse-normal
 /// approximation (absolute error below 1.2e-9 over the open unit interval).
-pub fn z_value(level: f64) -> f64 {
+fn z_value(level: f64) -> f64 {
     match level {
         l if (l - 0.90).abs() < 1e-12 => 1.6448536269514722,
         l if (l - 0.95).abs() < 1e-12 => 1.959963984540054,
@@ -236,7 +228,7 @@ mod tests {
 
     #[test]
     fn mean_ci_contains_true_mean_for_constant_sample() {
-        let ci = ConfidenceInterval::for_mean(&[5.0; 30], 0.95).unwrap();
+        let ci = ConfidenceInterval::for_summary(&Summary::from_slice(&[5.0; 30]), 0.95).unwrap();
         assert_eq!(ci.estimate, 5.0);
         assert!(ci.contains(5.0));
         assert!(ci.half_width() < 1e-12);
@@ -245,11 +237,11 @@ mod tests {
     #[test]
     fn mean_ci_width_undefined_below_two_samples() {
         assert_eq!(
-            ConfidenceInterval::for_mean(&[], 0.95),
+            ConfidenceInterval::for_summary(&Summary::from_slice(&[]), 0.95),
             Err(CiUndefined::TooFewSamples { count: 0 })
         );
         assert_eq!(
-            ConfidenceInterval::for_mean(&[7.25], 0.95),
+            ConfidenceInterval::for_summary(&Summary::from_slice(&[7.25]), 0.95),
             Err(CiUndefined::TooFewSamples { count: 1 })
         );
     }
@@ -257,15 +249,15 @@ mod tests {
     #[test]
     fn mean_ci_width_undefined_on_non_finite_samples() {
         assert_eq!(
-            ConfidenceInterval::for_mean(&[1.0, f64::NAN, 3.0], 0.95),
+            ConfidenceInterval::for_summary(&Summary::from_slice(&[1.0, f64::NAN, 3.0]), 0.95),
             Err(CiUndefined::NonFinite)
         );
         assert_eq!(
-            ConfidenceInterval::for_mean(&[1.0, f64::INFINITY], 0.95),
+            ConfidenceInterval::for_summary(&Summary::from_slice(&[1.0, f64::INFINITY]), 0.95),
             Err(CiUndefined::NonFinite)
         );
         assert_eq!(
-            ConfidenceInterval::for_mean(&[f64::NEG_INFINITY, 2.0], 0.95),
+            ConfidenceInterval::for_summary(&Summary::from_slice(&[f64::NEG_INFINITY, 2.0]), 0.95),
             Err(CiUndefined::NonFinite)
         );
     }
@@ -319,7 +311,7 @@ mod tests {
 
         #[test]
         fn mean_ci_contains_sample_mean(xs in proptest::collection::vec(-1e3f64..1e3, 2..100)) {
-            let ci = ConfidenceInterval::for_mean(&xs, 0.95).unwrap();
+            let ci = ConfidenceInterval::for_summary(&Summary::from_slice(&xs), 0.95).unwrap();
             prop_assert!(ci.contains(ci.estimate));
             prop_assert!(ci.lower <= ci.upper);
         }

@@ -33,18 +33,6 @@ impl Summary {
         online.summary()
     }
 
-    /// Computes a summary from an iterator of samples.
-    // Deliberately an inherent constructor, not `FromIterator`: a summary is
-    // a lossy reduction, so `collect()` would read misleadingly.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut online = OnlineStats::new();
-        for x in iter {
-            online.push(x);
-        }
-        online.summary()
-    }
-
     /// Standard error of the mean (`std_dev / sqrt(count)`), or `0.0` for an
     /// empty or singleton sample.
     pub fn std_error(&self) -> f64 {
@@ -52,16 +40,6 @@ impl Summary {
             0.0
         } else {
             self.std_dev / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Coefficient of variation (`std_dev / mean`), or `0.0` when the mean is
-    /// zero.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
         }
     }
 }
@@ -91,7 +69,7 @@ impl Default for Summary {
 ///     s.push(x);
 /// }
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((s.summary().std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
@@ -183,7 +161,7 @@ impl OnlineStats {
     }
 
     /// Sample variance (denominator `n - 1`; `0.0` when `n < 2`).
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -191,26 +169,12 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (denominator `n`; `0.0` when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Converts the accumulated state to a [`Summary`].
     pub fn summary(&self) -> Summary {
         Summary {
             count: self.count,
             mean: self.mean(),
-            std_dev: self.sample_std_dev(),
+            std_dev: self.sample_variance().sqrt(),
             min: self.min,
             max: self.max,
             sum: self.sum,
@@ -288,13 +252,5 @@ mod tests {
         let mut empty = OnlineStats::new();
         empty.merge(&a);
         assert_eq!(empty.summary(), before);
-    }
-
-    #[test]
-    fn coefficient_of_variation() {
-        let s = Summary::from_slice(&[1.0, 3.0]);
-        assert!(s.coefficient_of_variation() > 0.0);
-        let zero_mean = Summary::from_slice(&[-1.0, 1.0]);
-        assert_eq!(zero_mean.coefficient_of_variation(), 0.0);
     }
 }

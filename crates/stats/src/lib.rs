@@ -3,8 +3,8 @@
 //! The experiment harness of this reproduction repeatedly runs randomized
 //! protocol executions and needs to summarize the resulting samples:
 //! means, dispersion, quantiles, confidence intervals for "with high
-//! probability" claims, least-squares fits of measured running times against
-//! the paper's asymptotic bound expressions, and simple histogram/table
+//! probability" claims, a least-squares fit of measured running times
+//! against the paper's asymptotic bound expressions, and simple table
 //! rendering for the regenerated figures.
 //!
 //! Everything here is plain, dependency-light numerical code operating on
@@ -27,7 +27,6 @@
 
 pub mod confidence;
 pub mod descriptive;
-pub mod histogram;
 pub mod quantile;
 pub mod regression;
 pub mod sequential;
@@ -35,8 +34,7 @@ pub mod table;
 
 pub use confidence::{proportion_ci, CiUndefined, ConfidenceInterval};
 pub use descriptive::{OnlineStats, Summary};
-pub use histogram::{Histogram, HistogramBin};
 pub use quantile::{median, quantile, quantiles};
-pub use regression::{fit_through_origin, linear_fit, LinearFit, OriginFit};
+pub use regression::{fit_through_origin, OriginFit};
 pub use sequential::{dominated, wilson_ci};
 pub use table::{Align, Table};

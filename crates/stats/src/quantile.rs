@@ -29,7 +29,7 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
 /// Returns the `q`-quantile of an already sorted sample.
 ///
 /// Returns `f64::NAN` for an empty sample. `q` is clamped to `[0, 1]`.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }

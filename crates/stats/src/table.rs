@@ -1,4 +1,4 @@
-//! Lightweight table builder that renders to Markdown, CSV, or aligned plain
+//! Lightweight table builder that renders to Markdown or aligned plain
 //! text. The experiment binaries use it to print the regenerated paper
 //! figures/tables in a reviewable form.
 
@@ -68,11 +68,6 @@ impl Table {
         &self.title
     }
 
-    /// Column headers.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Rows pushed so far.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
@@ -106,32 +101,6 @@ impl Table {
         let _ = writeln!(out, "| {} |", seps.join(" | "));
         for row in &self.rows {
             let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
-    /// Renders the table as CSV (header row first; no title line).
-    /// Cells containing commas, quotes, or newlines are quoted.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.columns
-                .iter()
-                .map(|c| csv_escape(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter()
-                    .map(|c| csv_escape(c))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
         }
         out
     }
@@ -178,14 +147,6 @@ impl Table {
     }
 }
 
-fn csv_escape(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_string()
-    }
-}
-
 /// Formats a float with a sensible number of digits for table output.
 pub fn fmt_f64(x: f64) -> String {
     if x.is_nan() {
@@ -223,22 +184,6 @@ mod tests {
         assert!(md.contains("| trapdoor | 123 | 1.5 |"));
         assert!(md.contains(":---"));
         assert!(md.contains("---:"));
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let csv = sample_table().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "name,rounds,ratio");
-    }
-
-    #[test]
-    fn csv_escapes_special_characters() {
-        let mut t = Table::new("", &["a"]);
-        t.push_row(vec!["hello, \"world\""]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"hello, \"\"world\"\"\""));
     }
 
     #[test]

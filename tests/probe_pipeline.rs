@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use wireless_sync::prelude::*;
 use wireless_sync::radio::adversary::{Adversary, DisruptionSet};
-use wireless_sync::radio::engine::{Engine, HistoryRetention};
+use wireless_sync::radio::engine::Engine;
 use wireless_sync::sync::registry;
 use wireless_sync::sync::runner::BoxedAdversary;
 use wireless_sync::sync::spec::Params;
@@ -122,28 +122,7 @@ fn history_retention_is_derived_from_adversary_and_probe_demand() {
     engine.run();
     assert!(engine.history().len() <= 21);
 
-    // Explicit retention policies override the demand derivation.
     let scenario = base("random").scenario();
-    let make = |retention: HistoryRetention, seed: u64| {
-        let ctor = registry::resolve_protocol("trapdoor")
-            .unwrap()
-            .instantiate(&scenario, &Params::new())
-            .unwrap();
-        let adversary = registry::build_adversary(&scenario.adversary, &scenario, seed).unwrap();
-        Engine::new(
-            scenario.sim_config().with_history_retention(retention),
-            &*ctor,
-            adversary,
-            scenario.activation.clone(),
-            seed,
-        )
-        .unwrap()
-    };
-    assert_eq!(
-        make(HistoryRetention::Window(17), 1).history().window(),
-        Some(17)
-    );
-    assert_eq!(make(HistoryRetention::Full, 1).history().window(), None);
 
     // An adversary with an unknown (default) lookback gets full retention.
     struct OpaqueAdversary;
@@ -179,102 +158,38 @@ fn history_retention_is_derived_from_adversary_and_probe_demand() {
 }
 
 #[test]
-fn probe_lookback_never_widens_an_explicit_window() {
-    // Under an explicit Window policy the caller pinned the adversary's
-    // view (here: starving adaptive-greedy's 8-round lookback down to 2).
-    // A probe demanding more lookback must NOT widen that window — doing
-    // so would change what the adversary sees and let a probe perturb the
-    // outcome. It merely observes the starved history.
-    let spec = ScenarioSpec::new("trapdoor", 8, 8, 2)
-        .with_adversary("adaptive-greedy")
-        .with_max_rounds(2_000);
-    let scenario = spec.scenario();
-    let run = |attach_probe: bool| {
-        let ctor = registry::resolve_protocol("trapdoor")
-            .unwrap()
-            .instantiate(&scenario, &Params::new())
-            .unwrap();
-        let adversary = registry::build_adversary(&scenario.adversary, &scenario, 9).unwrap();
-        let mut engine = Engine::new(
-            scenario
-                .sim_config()
-                .with_history_retention(HistoryRetention::Window(2)),
-            &*ctor,
-            adversary,
-            scenario.activation.clone(),
-            9,
-        )
-        .unwrap();
-        if attach_probe {
-            engine.attach_probe(Box::new(WindowWatcher {
-                lookback: 8,
-                rounds: 0,
-            }));
-        }
-        assert_eq!(engine.history().window(), Some(2), "window stays pinned");
-        engine.run()
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
 fn retention_policy_never_changes_outcomes() {
-    // The same (spec, seed) under demand-derived, generous-window, and
-    // full retention resolves to bit-identical outcomes: retention is
-    // invisible as long as it covers every declared lookback.
+    // The same (spec, seed) under demand-derived retention, a window a
+    // probe widens to 64 rounds, and a window a probe widens past the
+    // round cap (full retention) resolves to bit-identical outcomes:
+    // retention is invisible as long as it covers every declared lookback.
+    const MAX_ROUNDS: u64 = 2_000;
     for adversary in ["random", "adaptive-greedy", "sweep"] {
         let spec = ScenarioSpec::new("trapdoor", 8, 8, 2)
             .with_adversary(adversary)
-            .with_max_rounds(2_000);
-        let scenario = spec.scenario();
-        let run = |retention: HistoryRetention| {
-            let ctor = registry::resolve_protocol("trapdoor")
-                .unwrap()
-                .instantiate(&scenario, &Params::new())
-                .unwrap();
-            let adversary = registry::build_adversary(&scenario.adversary, &scenario, 7).unwrap();
-            Engine::new(
-                scenario.sim_config().with_history_retention(retention),
-                &*ctor,
-                adversary,
-                scenario.activation.clone(),
-                7,
-            )
-            .unwrap()
-            .run()
+            .with_max_rounds(MAX_ROUNDS);
+        let run = |widen_to: Option<usize>| {
+            let mut engine = engine_for(&spec, 7);
+            if let Some(lookback) = widen_to {
+                engine.attach_probe(Box::new(WindowWatcher {
+                    lookback,
+                    rounds: 0,
+                }));
+                assert_eq!(engine.history().window(), Some(lookback), "{adversary}");
+            }
+            let result = engine.run();
+            (result, engine.history().len() as u64)
         };
-        let demand = run(HistoryRetention::Demand);
-        assert_eq!(demand, run(HistoryRetention::Window(64)), "{adversary}");
-        assert_eq!(demand, run(HistoryRetention::Full), "{adversary}");
+        let (demand, _) = run(None);
+        let (windowed, _) = run(Some(64));
+        assert_eq!(demand, windowed, "{adversary}");
+        let (full, retained) = run(Some(MAX_ROUNDS as usize + 1));
+        assert_eq!(demand, full, "{adversary}");
+        assert_eq!(
+            retained, full.rounds_executed,
+            "{adversary}: every round retained"
+        );
     }
-}
-
-#[test]
-fn buffer_reusing_counts_match_the_allocating_variants() {
-    let band = wireless_sync::radio::frequency::FrequencyBand::new(5);
-    let spec = ScenarioSpec::new("trapdoor", 8, 5, 1)
-        .with_adversary("random")
-        .with_max_rounds(300);
-    let mut engine = engine_for(&spec, 11);
-    // Retain plenty of history so the lookback sums are non-trivial.
-    let mut history = wireless_sync::radio::history::History::with_window(64);
-    // Drive the engine and mirror its history through the probe interface.
-    for _ in 0..200 {
-        engine.step();
-    }
-    for record in engine.history().iter() {
-        history.push(record.clone());
-    }
-    let mut listeners = vec![99u64; 17]; // junk shape: must be cleared+resized
-    let mut broadcasters = Vec::new();
-    for lookback in [0usize, 1, 3, 64, 1000] {
-        history.listener_counts_into(band, lookback, &mut listeners);
-        assert_eq!(listeners, history.listener_counts(band, lookback));
-        history.broadcaster_counts_into(band, lookback, &mut broadcasters);
-        assert_eq!(broadcasters, history.broadcaster_counts(band, lookback));
-    }
-    // The buffers were reused, not reallocated, across iterations.
-    assert_eq!(listeners.len(), 5);
 }
 
 #[test]
