@@ -21,6 +21,7 @@ use wsync_radio::node::ActivationInfo;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 
+use crate::params::LEADER_BROADCAST_PROBABILITY;
 use crate::timestamp::Timestamp;
 use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg};
 
@@ -97,7 +98,7 @@ impl Protocol for RoundRobinProtocol {
         self.timestamp.rounds_active = local_round + 1;
         let frequency = self.hop_frequency(local_round);
         if self.leader {
-            return if rng.gen_bool(self.config.trapdoor.leader_broadcast_probability) {
+            return if rng.gen_bool(LEADER_BROADCAST_PROBABILITY) {
                 Action::broadcast(
                     frequency,
                     TrapdoorMsg::Leader {

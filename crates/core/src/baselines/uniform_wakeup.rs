@@ -31,7 +31,7 @@ use wsync_radio::node::ActivationInfo;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 
-use crate::params::{ceil_log2, next_power_of_two};
+use crate::params::{ceil_log2, next_power_of_two, LEADER_BROADCAST_PROBABILITY};
 use crate::timestamp::Timestamp;
 use crate::trapdoor::TrapdoorMsg;
 
@@ -46,8 +46,6 @@ pub struct WakeupConfig {
     pub disruption_bound: u32,
     /// Rounds a contender must survive before declaring itself leader.
     pub deadline_rounds: u64,
-    /// Leader broadcast probability (1/2 by default).
-    pub leader_broadcast_probability: f64,
 }
 
 impl WakeupConfig {
@@ -64,14 +62,7 @@ impl WakeupConfig {
             num_frequencies,
             disruption_bound,
             deadline_rounds: deadline.max(4),
-            leader_broadcast_probability: 0.5,
         }
-    }
-
-    /// Overrides the leader deadline.
-    pub fn with_deadline(mut self, deadline_rounds: u64) -> Self {
-        self.deadline_rounds = deadline_rounds.max(1);
-        self
     }
 
     /// The cycling broadcast probability used at local round `r`:
@@ -130,7 +121,7 @@ impl Protocol for WakeupProtocol {
         self.timestamp.rounds_active = local_round + 1;
         let frequency = self.band.sample_uniform(rng);
         if self.leader {
-            return if rng.gen_bool(self.config.leader_broadcast_probability) {
+            return if rng.gen_bool(LEADER_BROADCAST_PROBABILITY) {
                 Action::broadcast(
                     frequency,
                     TrapdoorMsg::Leader {
@@ -202,7 +193,10 @@ mod tests {
     use wsync_radio::node::NodeId;
 
     fn activated(seed: u64) -> (WakeupProtocol, SimRng) {
-        let config = WakeupConfig::new(64, 8, 2).with_deadline(20);
+        let config = WakeupConfig {
+            deadline_rounds: 20,
+            ..WakeupConfig::new(64, 8, 2)
+        };
         let mut p = WakeupProtocol::new(config);
         let mut rng = SimRng::from_seed(seed);
         p.on_activate(ActivationInfo::new(64, 8, 2), &mut rng);

@@ -79,8 +79,8 @@ pub enum Violation {
 /// The verdict over a full execution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PropertyReport {
-    /// Violations of synch commit, correctness, or agreement (capped; see
-    /// [`PropertyChecker::with_max_recorded`]).
+    /// Violations of synch commit, correctness, or agreement (the first 64
+    /// are recorded in detail; all are counted).
     pub violations: Vec<Violation>,
     /// Total number of violations observed (may exceed `violations.len()`).
     pub total_violations: u64,
@@ -105,6 +105,10 @@ impl PropertyReport {
     }
 }
 
+/// How many violations a report records in detail; the rest are only
+/// counted.
+const MAX_RECORDED: usize = 64;
+
 /// Streaming probe that checks the synchronization properties online.
 #[derive(Debug, Clone)]
 pub struct PropertyChecker {
@@ -112,7 +116,6 @@ pub struct PropertyChecker {
     violations: Vec<Violation>,
     total_violations: u64,
     rounds_observed: u64,
-    max_recorded: usize,
 }
 
 impl Default for PropertyChecker {
@@ -130,14 +133,7 @@ impl PropertyChecker {
             violations: Vec::new(),
             total_violations: 0,
             rounds_observed: 0,
-            max_recorded: 64,
         }
-    }
-
-    /// Caps how many violations are stored in detail (all are counted).
-    pub fn with_max_recorded(mut self, max_recorded: usize) -> Self {
-        self.max_recorded = max_recorded;
-        self
     }
 
     /// Number of violations observed so far.
@@ -147,7 +143,7 @@ impl PropertyChecker {
 
     fn record(&mut self, violation: Violation) {
         self.total_violations += 1;
-        if self.violations.len() < self.max_recorded {
+        if self.violations.len() < MAX_RECORDED {
             self.violations.push(violation);
         }
     }
@@ -361,8 +357,7 @@ mod checker_tests {
         for i in 0..100 {
             rounds.push(vec![Some(Some(if i % 2 == 0 { 5 } else { 3 }))]);
         }
-        let checker = PropertyChecker::new().with_max_recorded(10);
-        let mut checker = checker;
+        let mut checker = PropertyChecker::new();
         for (r, outputs) in rounds.iter().enumerate() {
             let nodes: Vec<NodeView> = outputs
                 .iter()
@@ -382,7 +377,7 @@ mod checker_tests {
             });
         }
         let report = checker.finish(&fake_result(false));
-        assert_eq!(report.violations.len(), 10);
+        assert_eq!(report.violations.len(), 64);
         assert_eq!(report.total_violations, 99);
     }
 

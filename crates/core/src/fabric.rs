@@ -638,7 +638,6 @@ fn read_stop_marker(
     };
     let reason = match value.get("reason").and_then(Value::as_str) {
         Some("half_width") => StopReason::HalfWidth,
-        Some("dominated") => StopReason::Dominated,
         Some("exhausted") => StopReason::Exhausted,
         _ => return Ok(None),
     };

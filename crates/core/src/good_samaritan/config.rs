@@ -25,6 +25,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
 
+/// Constant `c` in the epoch length `s(k) = ⌈c·2^k·lg²N⌉`.
+const EPOCH_CONSTANT: f64 = 6.0;
+
+/// The leader-election threshold is `s(k)/2^{k+THRESHOLD_SHIFT}`
+/// successful rounds (§7.1 uses shift 6).
+const THRESHOLD_SHIFT: u32 = 6;
+
+/// The fallback epoch length is `⌈FALLBACK_MULTIPLIER·c·F·lg²N⌉` (§7.1
+/// requires at least 4× the longest optimistic epoch).
+const FALLBACK_MULTIPLIER: f64 = 4.0;
+
 /// Where a local round falls within the Good Samaritan schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
@@ -61,50 +72,18 @@ pub struct GoodSamaritanConfig {
     /// Disruption bound `t < F`. The paper's optimistic analysis assumes
     /// `t ≤ F/2`.
     pub disruption_bound: u32,
-    /// Constant `c` in the epoch length `s(k) = ⌈c·2^k·lg²N⌉`.
-    pub epoch_constant: f64,
-    /// The leader-election threshold is `s(k)/2^{k+threshold_shift}`
-    /// successful rounds (the paper uses shift 6).
-    pub threshold_shift: u32,
-    /// The fallback epoch length is `⌈fallback_multiplier·c·F·lg²N⌉`
-    /// (the paper requires at least 4).
-    pub fallback_multiplier: f64,
-    /// Probability with which an elected leader broadcasts its numbering
-    /// each round (the paper uses 1/2).
-    pub leader_broadcast_probability: f64,
 }
 
 impl GoodSamaritanConfig {
-    /// Creates a configuration with the default constants (`c = 6`,
-    /// threshold shift 6, fallback multiplier 4, leader broadcast 1/2).
+    /// Creates a configuration for the instance `(N, F, t)`; the epoch
+    /// constant (`c = 6`), threshold shift (6) and fallback multiplier (4)
+    /// are fixed.
     pub fn new(upper_bound_n: u64, num_frequencies: u32, disruption_bound: u32) -> Self {
         GoodSamaritanConfig {
             upper_bound_n: next_power_of_two(upper_bound_n),
             num_frequencies,
             disruption_bound,
-            epoch_constant: 6.0,
-            threshold_shift: 6,
-            fallback_multiplier: 4.0,
-            leader_broadcast_probability: 0.5,
         }
-    }
-
-    /// Overrides the epoch-length constant `c`.
-    pub fn with_epoch_constant(mut self, c: f64) -> Self {
-        self.epoch_constant = c.max(0.5);
-        self
-    }
-
-    /// Overrides the threshold shift.
-    pub fn with_threshold_shift(mut self, shift: u32) -> Self {
-        self.threshold_shift = shift;
-        self
-    }
-
-    /// Overrides the fallback epoch-length multiplier.
-    pub fn with_fallback_multiplier(mut self, m: f64) -> Self {
-        self.fallback_multiplier = m.max(1.0);
-        self
     }
 
     /// `lg N` (at least 1).
@@ -132,7 +111,7 @@ impl GoodSamaritanConfig {
     /// Epoch length `s(k) = ⌈c·2^k·lg²N⌉` in super-epoch `k` (1-based).
     pub fn epoch_length(&self, super_epoch: u32) -> u64 {
         let lg_n = f64::from(self.lg_n());
-        let len = self.epoch_constant * 2f64.powi(super_epoch as i32) * lg_n * lg_n;
+        let len = EPOCH_CONSTANT * 2f64.powi(super_epoch as i32) * lg_n * lg_n;
         (len.ceil() as u64).max(1)
     }
 
@@ -158,21 +137,17 @@ impl GoodSamaritanConfig {
 
     /// Number of recorded successes in epoch `lg N + 1` of super-epoch `k`
     /// that a contender must be told about to become leader:
-    /// `max(1, ⌊s(k)/2^{k+shift}⌋)`.
+    /// `max(1, ⌊s(k)/2^{k+6}⌋)`.
     pub fn success_threshold(&self, super_epoch: u32) -> u64 {
-        let denom = 2f64.powi((super_epoch + self.threshold_shift) as i32);
+        let denom = 2f64.powi((super_epoch + THRESHOLD_SHIFT) as i32);
         ((self.epoch_length(super_epoch) as f64 / denom).floor() as u64).max(1)
     }
 
-    /// Length of one fallback (modified Trapdoor) epoch:
-    /// `⌈fallback_multiplier·c·F·lg²N⌉`.
+    /// Length of one fallback (modified Trapdoor) epoch: `⌈4c·F·lg²N⌉`.
     pub fn fallback_epoch_length(&self) -> u64 {
         let lg_n = f64::from(self.lg_n());
-        let len = self.fallback_multiplier
-            * self.epoch_constant
-            * f64::from(self.num_frequencies)
-            * lg_n
-            * lg_n;
+        let len =
+            FALLBACK_MULTIPLIER * EPOCH_CONSTANT * f64::from(self.num_frequencies) * lg_n * lg_n;
         (len.ceil() as u64).max(1)
     }
 

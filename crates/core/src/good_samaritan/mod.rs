@@ -37,6 +37,7 @@ use wsync_radio::node::ActivationInfo;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 
+use crate::params::LEADER_BROADCAST_PROBABILITY;
 use crate::timestamp::Timestamp;
 
 /// A samaritan's acknowledgement that a contender has been heard
@@ -358,7 +359,7 @@ impl Protocol for GoodSamaritanProtocol {
             },
             SamaritanRole::Leader => {
                 let frequency = self.sample_special(rng);
-                if rng.gen_bool(self.config.leader_broadcast_probability) {
+                if rng.gen_bool(LEADER_BROADCAST_PROBABILITY) {
                     Action::broadcast(
                         frequency,
                         GoodSamaritanMsg::Leader {

@@ -1,5 +1,9 @@
 //! Shared parameter helpers used by all protocols in this crate.
 
+/// Probability with which an elected leader broadcasts its numbering each
+/// round (§6, §7: the paper uses 1/2).
+pub(crate) const LEADER_BROADCAST_PROBABILITY: f64 = 0.5;
+
 /// Rounds `x` up to the next power of two (and to at least 2).
 ///
 /// The paper assumes "for simplicity of notation" that `N` is a power of

@@ -9,7 +9,10 @@
 //! `top-weight`), four probes and four fault layers. A builder is a plain
 //! function that validates its parameters and builds the component; each
 //! factory trait is implemented once, for its builder's function-pointer
-//! type. Names resolve once per
+//! type. Protocols are told the scenario's own `(N, F, t)`, and only the
+//! Trapdoor family takes parameters (the constants the A1/A2 ablations
+//! sweep). `top-weight`, the Theorem 4 adversary against a uniform
+//! frequency choice, builds the fixed-band adversary. Names resolve once per
 //! [`Sim::from_spec`](crate::sim::Sim::from_spec), and everything that
 //! takes a name — [`ScenarioSpec`](crate::spec::ScenarioSpec) files,
 //! sweeps, the `run_experiments --spec` CLI and `wsync-serve` — reads the
@@ -38,7 +41,7 @@ use std::sync::Arc;
 use wsync_radio::action::Action;
 use wsync_radio::adversary::{
     AdaptiveGreedyAdversary, Adversary, BurstyAdversary, FixedBandAdversary, NoAdversary,
-    ObliviousScheduleAdversary, RandomAdversary, SweepAdversary, TopWeightAdversary,
+    ObliviousScheduleAdversary, RandomAdversary, SweepAdversary,
 };
 use wsync_radio::engine::ExecutionResult;
 use wsync_radio::fault::{CaptureLayer, ChurnLayer, DropLayer, FaultLayer, PartitionLayer};
@@ -141,10 +144,6 @@ impl SyncProtocol for BoxedProtocol {
     fn is_leader(&self) -> bool {
         self.0.is_leader()
     }
-
-    fn protocol_name(&self) -> &'static str {
-        self.0.protocol_name()
-    }
 }
 
 /// The erasure adapter: forwards every call to the concrete protocol,
@@ -175,7 +174,7 @@ where
                     panic!(
                         "protocol {} expected a {} payload but received {}; a registry \
                          factory must build nodes that all share one message type",
-                        self.0.protocol_name(),
+                        std::any::type_name::<P>(),
                         std::any::type_name::<P::Msg>(),
                         r.payload.payload_type()
                     )
@@ -209,10 +208,6 @@ where
 {
     fn is_leader(&self) -> bool {
         self.0.is_leader()
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        self.0.protocol_name()
     }
 }
 
@@ -252,26 +247,8 @@ pub trait AdversaryFactory: Send + Sync {
 // Built-in protocols
 // ---------------------------------------------------------------------------
 
-/// Reads the instance overrides every protocol accepts — `upper_bound_n`,
-/// `num_frequencies` and `disruption_bound` — defaulting to the scenario's.
-fn read_instance(
-    reader: &mut ParamReader<'_>,
-    scenario: &Scenario,
-) -> Result<(u64, u32, u32), SpecError> {
-    let n = reader
-        .opt_u64("upper_bound_n")?
-        .unwrap_or_else(|| scenario.upper_bound());
-    let f = reader
-        .opt_u32("num_frequencies")?
-        .unwrap_or(scenario.num_frequencies);
-    let t = reader
-        .opt_u32("disruption_bound")?
-        .unwrap_or(scenario.disruption_bound);
-    Ok((n, f, t))
-}
-
-/// Shared parameter schema of the Trapdoor-family protocols: instance
-/// overrides plus the `TrapdoorConfig` knobs the ablations sweep.
+/// Shared parameter schema of the Trapdoor-family protocols: the
+/// `TrapdoorConfig` knobs the ablations sweep.
 fn trapdoor_config_from(
     component: &str,
     scenario: &Scenario,
@@ -279,8 +256,11 @@ fn trapdoor_config_from(
     default_frequency_limit: Option<u32>,
 ) -> Result<TrapdoorConfig, SpecError> {
     let mut reader = ParamReader::new(component, params);
-    let (n, f, t) = read_instance(&mut reader, scenario)?;
-    let mut config = TrapdoorConfig::new(n, f, t);
+    let mut config = TrapdoorConfig::new(
+        scenario.upper_bound(),
+        scenario.num_frequencies,
+        scenario.disruption_bound,
+    );
     if let Some(c) = reader.opt_f64("epoch_constant")? {
         config = config.with_epoch_constant(c);
     }
@@ -294,9 +274,6 @@ fn trapdoor_config_from(
                 config = config.with_frequency_limit(limit);
             }
         }
-    }
-    if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-        config.leader_broadcast_probability = p;
     }
     reader.finish()?;
     Ok(config)
@@ -325,38 +302,24 @@ fn round_robin(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, Spe
 }
 
 fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-    let mut reader = ParamReader::new("good-samaritan", params);
-    let (n, f, t) = read_instance(&mut reader, scenario)?;
-    let mut config = GoodSamaritanConfig::new(n, f, t);
-    if let Some(c) = reader.opt_f64("epoch_constant")? {
-        config = config.with_epoch_constant(c);
-    }
-    if let Some(shift) = reader.opt_u32("threshold_shift")? {
-        config = config.with_threshold_shift(shift);
-    }
-    if let Some(m) = reader.opt_f64("fallback_multiplier")? {
-        config = config.with_fallback_multiplier(m);
-    }
-    if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-        config.leader_broadcast_probability = p;
-    }
-    reader.finish()?;
+    ParamReader::new("good-samaritan", params).finish()?;
+    let config = GoodSamaritanConfig::new(
+        scenario.upper_bound(),
+        scenario.num_frequencies,
+        scenario.disruption_bound,
+    );
     Ok(Box::new(move |_| {
         BoxedProtocol::erase(GoodSamaritanProtocol::new(config))
     }))
 }
 
 fn wakeup(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-    let mut reader = ParamReader::new("wakeup", params);
-    let (n, f, t) = read_instance(&mut reader, scenario)?;
-    let mut config = WakeupConfig::new(n, f, t);
-    if let Some(deadline) = reader.opt_u64("deadline_rounds")? {
-        config = config.with_deadline(deadline);
-    }
-    if let Some(p) = reader.opt_f64("leader_broadcast_probability")? {
-        config.leader_broadcast_probability = p;
-    }
-    reader.finish()?;
+    ParamReader::new("wakeup", params).finish()?;
+    let config = WakeupConfig::new(
+        scenario.upper_bound(),
+        scenario.num_frequencies,
+        scenario.disruption_bound,
+    );
     Ok(Box::new(move |_| {
         BoxedProtocol::erase(WakeupProtocol::new(config))
     }))
@@ -385,6 +348,13 @@ fn none(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, 
 
 fn fixed_band(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
     parameterless("fixed-band", scenario, params, FixedBandAdversary::new)
+}
+
+/// The Theorem 4 adversary jams the `t` frequencies with the largest
+/// products `p_j·q_j`; against a uniform frequency choice all products are
+/// equal, so it jams `1..=t` every round — the fixed-band adversary.
+fn top_weight(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("top-weight", scenario, params, FixedBandAdversary::new)
 }
 
 fn random(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
@@ -440,19 +410,6 @@ fn oblivious_random(
             t_actual.min(scenario.disruption_bound),
         ),
     )))
-}
-
-fn top_weight(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
-    let mut reader = ParamReader::new("top-weight", params);
-    let weights = reader.opt_f64_list("weights")?;
-    reader.finish()?;
-    let adversary = match weights {
-        Some(weights) => TopWeightAdversary::new(scenario.disruption_bound, weights),
-        None => {
-            TopWeightAdversary::against_uniform(scenario.disruption_bound, scenario.num_frequencies)
-        }
-    };
-    Ok(BoxedAdversary::new(Box::new(adversary)))
 }
 
 // ---------------------------------------------------------------------------
@@ -614,14 +571,8 @@ impl SimProbe for CheckerProbe {
 }
 
 fn checker_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-    let mut reader = ParamReader::new("checker", params);
-    let max_recorded = reader.opt_u64("max_recorded")?;
-    reader.finish()?;
-    let mut checker = PropertyChecker::new();
-    if let Some(max) = max_recorded {
-        checker = checker.with_max_recorded(max as usize);
-    }
-    Ok(Box::new(CheckerProbe(checker)))
+    ParamReader::new("checker", params).finish()?;
+    Ok(Box::new(CheckerProbe(PropertyChecker::new())))
 }
 
 /// The `"trace"` probe: an incremental trace summary — rounds observed,
@@ -1077,7 +1028,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut protocol = ctor(NodeId::new(0));
             assert!(!protocol.is_leader());
-            assert!(!protocol.protocol_name().is_empty());
             // the protocol is runnable through the erased interface
             let mut rng = SimRng::from_seed(1);
             protocol.on_activate(ActivationInfo::new(4, 8, 2), &mut rng);

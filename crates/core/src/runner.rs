@@ -48,16 +48,11 @@ use crate::trapdoor::TrapdoorProtocol;
 pub trait SyncProtocol: Protocol {
     /// Whether this node currently considers itself the leader.
     fn is_leader(&self) -> bool;
-    /// A short name for the protocol (used in experiment tables).
-    fn protocol_name(&self) -> &'static str;
 }
 
 impl SyncProtocol for TrapdoorProtocol {
     fn is_leader(&self) -> bool {
         TrapdoorProtocol::is_leader(self)
-    }
-    fn protocol_name(&self) -> &'static str {
-        "trapdoor"
     }
 }
 
@@ -65,26 +60,17 @@ impl SyncProtocol for GoodSamaritanProtocol {
     fn is_leader(&self) -> bool {
         GoodSamaritanProtocol::is_leader(self)
     }
-    fn protocol_name(&self) -> &'static str {
-        "good-samaritan"
-    }
 }
 
 impl SyncProtocol for WakeupProtocol {
     fn is_leader(&self) -> bool {
         WakeupProtocol::is_leader(self)
     }
-    fn protocol_name(&self) -> &'static str {
-        "wakeup"
-    }
 }
 
 impl SyncProtocol for RoundRobinProtocol {
     fn is_leader(&self) -> bool {
         RoundRobinProtocol::is_leader(self)
-    }
-    fn protocol_name(&self) -> &'static str {
-        "round-robin"
     }
 }
 
@@ -111,10 +97,6 @@ impl BoxedAdversary {
 }
 
 impl Adversary for BoxedAdversary {
-    fn budget(&self) -> u32 {
-        self.inner.budget()
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         self.inner.max_lookback()
     }

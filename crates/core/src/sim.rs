@@ -254,6 +254,16 @@ mod tests {
             ),
             Err(SpecError::BadParam { .. })
         ));
+        // a protocol-level instance override: protocols are told the
+        // scenario's own (N, F, t), so a second F is an unknown parameter
+        // rather than a band mismatch discovered on activation
+        assert!(matches!(
+            Sim::from_spec(
+                &ScenarioSpec::new("trapdoor", 4, 8, 2)
+                    .with_protocol_param("num_frequencies", 16u64)
+            ),
+            Err(SpecError::UnknownParam { param, .. }) if param == "num_frequencies"
+        ));
     }
 
     #[test]

@@ -361,24 +361,6 @@ impl<'a> ParamReader<'a> {
         self.lookup(key)
     }
 
-    /// An optional list-of-`f64` parameter.
-    pub fn opt_f64_list(&mut self, key: &'static str) -> Result<Option<Vec<f64>>, SpecError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| self.bad(key, "an array of numbers", v))?;
-                items
-                    .iter()
-                    .map(|item| item.as_f64())
-                    .collect::<Option<Vec<f64>>>()
-                    .map(Some)
-                    .ok_or_else(|| self.bad(key, "an array of numbers", v))
-            }
-        }
-    }
-
     /// Rejects any parameter key that was never looked up.
     pub fn finish(self) -> Result<(), SpecError> {
         for (key, _) in self.params.entries() {

@@ -27,9 +27,8 @@
 //!   missing and reproduces the from-scratch aggregates bit for bit.
 //! * **Adaptive trial allocation.** A sweep that declares a
 //!   [`StoppingRule`] runs in fixed-size seed *batches* and retires each
-//!   grid point as soon as its watched metric's confidence interval is
-//!   narrow enough (or, optionally, the point is provably worse than the
-//!   best one seen). Stop decisions are evaluated only at batch boundaries
+//!   grid point as soon as its watched metric's 95% confidence interval is
+//!   narrow enough. Stop decisions are evaluated only at batch boundaries
 //!   on seed-ordered prefixes, with every active point advancing in
 //!   lockstep — so the decision sequence is a pure function of trial
 //!   outcomes, bit-identical across worker counts, scheduling
@@ -47,9 +46,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use wsync_stats::{
-    dominated, quantiles, table::fmt_f64, wilson_ci, CiUndefined, ConfidenceInterval, Table,
-};
+use wsync_stats::{quantiles, table::fmt_f64, wilson_ci, CiUndefined, ConfidenceInterval, Table};
 
 use crate::batch::{BatchRunner, BatchStats, BatchStatsFold};
 use crate::json::Value;
@@ -167,6 +164,9 @@ impl SweepReport {
     }
 }
 
+/// Confidence level of every interval a [`StoppingRule`] tests.
+const CI_LEVEL: f64 = 0.95;
+
 /// The per-point batch statistic an adaptive [`StoppingRule`] watches.
 ///
 /// Mean metrics build a normal-approximation interval from the point's
@@ -213,30 +213,21 @@ impl StopMetric {
         Self::ALL.into_iter().find(|m| m.name() == name)
     }
 
-    /// The objective direction dominance testing uses: `true` when larger
-    /// values win (rates), `false` when smaller values win (round counts).
-    pub fn higher_is_better(self) -> bool {
-        matches!(
-            self,
-            StopMetric::SyncRate | StopMetric::SingleLeaderRate | StopMetric::CleanRate
-        )
-    }
-
-    /// The metric's confidence interval over a point's accumulated stats.
-    /// A typed [`CiUndefined`] means the prefix is too short (or too
+    /// The metric's 95% confidence interval over a point's accumulated
+    /// stats. A typed [`CiUndefined`] means the prefix is too short (or too
     /// degenerate) for the width to exist — the stopping rule reads every
     /// variant as "keep sampling".
-    pub fn ci(self, stats: &BatchStats, level: f64) -> Result<ConfidenceInterval, CiUndefined> {
+    pub fn ci(self, stats: &BatchStats) -> Result<ConfidenceInterval, CiUndefined> {
         match self {
             StopMetric::SyncRoundsMean => {
-                ConfidenceInterval::for_summary(&stats.rounds_to_sync, level)
+                ConfidenceInterval::for_summary(&stats.rounds_to_sync, CI_LEVEL)
             }
             StopMetric::CompletionRoundsMean => {
-                ConfidenceInterval::for_summary(&stats.completion_rounds, level)
+                ConfidenceInterval::for_summary(&stats.completion_rounds, CI_LEVEL)
             }
-            StopMetric::SyncRate => wilson_ci(stats.synced, stats.trials, level),
-            StopMetric::SingleLeaderRate => wilson_ci(stats.single_leader, stats.trials, level),
-            StopMetric::CleanRate => wilson_ci(stats.clean, stats.trials, level),
+            StopMetric::SyncRate => wilson_ci(stats.synced, stats.trials, CI_LEVEL),
+            StopMetric::SingleLeaderRate => wilson_ci(stats.single_leader, stats.trials, CI_LEVEL),
+            StopMetric::CleanRate => wilson_ci(stats.clean, stats.trials, CI_LEVEL),
         }
     }
 }
@@ -246,9 +237,6 @@ impl StopMetric {
 pub enum StopReason {
     /// The metric's confidence interval reached the rule's target width.
     HalfWidth,
-    /// The point is provably worse than the incumbent best point: their
-    /// intervals separate strictly on the losing side.
-    Dominated,
     /// The seed budget ran out before the rule was satisfied.
     Exhausted,
 }
@@ -258,7 +246,6 @@ impl StopReason {
     pub fn name(self) -> &'static str {
         match self {
             StopReason::HalfWidth => "half_width",
-            StopReason::Dominated => "dominated",
             StopReason::Exhausted => "exhausted",
         }
     }
@@ -291,9 +278,7 @@ impl std::fmt::Display for StopReason {
 pub struct StoppingRule {
     /// The watched statistic.
     pub metric: StopMetric,
-    /// Confidence level of the interval the rule tests (default `0.95`).
-    pub ci_level: f64,
-    /// Target half-width: a point stops once its interval's half-width is
+    /// Target half-width: a point stops once its 95% interval's half-width is
     /// `≤` this (absolute, or relative to `|estimate|` when
     /// [`relative`](Self::relative) is set).
     pub half_width: f64,
@@ -309,27 +294,20 @@ pub struct StoppingRule {
     /// Seeds per allocation batch (default `64`). Decisions happen only at
     /// multiples of this prefix length.
     pub batch: u64,
-    /// Also retire points strictly *dominated* by the incumbent best point
-    /// on the watched metric (their intervals separate on the losing
-    /// side). Off by default: it changes the semantics from "every point
-    /// measured to width ε" to "the winner measured, losers identified".
-    pub dominance: bool,
 }
 
 impl StoppingRule {
     /// A rule watching `metric` with the given absolute target half-width
-    /// and the documented defaults (`ci_level = 0.95`, `min_seeds = 64`,
-    /// `batch = 64`, no budget override, no dominance).
+    /// and the documented defaults (`min_seeds = 64`, `batch = 64`, no
+    /// budget override).
     pub fn new(metric: StopMetric, half_width: f64) -> Self {
         StoppingRule {
             metric,
-            ci_level: 0.95,
             half_width,
             relative: false,
             min_seeds: 64,
             max_seeds: None,
             batch: 64,
-            dominance: false,
         }
     }
 
@@ -369,12 +347,6 @@ impl StoppingRule {
                 self.half_width
             )));
         }
-        if !(self.ci_level > 0.5 && self.ci_level < 1.0) {
-            return Err(bad(format!(
-                "\"ci_level\" must lie in (0.5, 1), got {}",
-                self.ci_level
-            )));
-        }
         if self.min_seeds == 0 {
             return Err(bad("\"min_seeds\" must be at least 1".to_string()));
         }
@@ -404,7 +376,7 @@ impl StoppingRule {
     /// Whether a point's accumulated stats satisfy the width criterion. A
     /// width-undefined interval ([`CiUndefined`]) never satisfies it.
     fn satisfied(&self, stats: &BatchStats) -> bool {
-        match self.metric.ci(stats, self.ci_level) {
+        match self.metric.ci(stats) {
             Err(_) => false,
             Ok(ci) => ci.half_width() <= self.target_half_width(ci.estimate),
         }
@@ -416,12 +388,6 @@ impl StoppingRule {
     /// points in `stopped`. Pure — same inputs, same marks — and shared by
     /// the in-process runner and the fabric workers, so all consumers
     /// agree on the decision sequence by construction.
-    ///
-    /// The width pass runs first (in point order), then the dominance pass
-    /// if enabled: the incumbent is the best defined interval across *all*
-    /// points (stopped ones included — a retired winner still retires
-    /// losers), and an active point is marked [`StopReason::Dominated`]
-    /// when its interval separates strictly on the losing side.
     pub fn decide_batch(
         &self,
         stats: &[BatchStats],
@@ -437,54 +403,17 @@ impl StoppingRule {
                 stopped[point] = Some(StopReason::HalfWidth);
             }
         }
-        if !self.dominance {
-            return;
-        }
-        let higher = self.metric.higher_is_better();
-        let cis: Vec<Option<ConfidenceInterval>> = stats
-            .iter()
-            .map(|s| self.metric.ci(s, self.ci_level).ok())
-            .collect();
-        // The incumbent: best defended bound among defined intervals —
-        // smallest upper when minimizing, largest lower when maximizing.
-        // Strict comparison keeps the earliest point on ties, so the
-        // choice is deterministic in point order.
-        let incumbent = cis.iter().flatten().copied().reduce(|best, ci| {
-            let wins = if higher {
-                ci.lower > best.lower
-            } else {
-                ci.upper < best.upper
-            };
-            if wins {
-                ci
-            } else {
-                best
-            }
-        });
-        if let Some(incumbent) = incumbent {
-            for (point, ci) in cis.iter().enumerate() {
-                if stopped[point].is_none() {
-                    if let Some(ci) = ci {
-                        if dominated(ci, &incumbent, higher) {
-                            stopped[point] = Some(StopReason::Dominated);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Serializes to a JSON [`Value`] (the `"stop"` member of a sweep
-    /// spec). `relative`/`dominance` are emitted only when set and
-    /// `max_seeds` only when present, so round-tripping preserves the
-    /// written form.
+    /// spec). `relative` is emitted only when set and `max_seeds` only when
+    /// present, so round-tripping preserves the written form.
     pub fn to_value(&self) -> Value {
         let mut members = vec![
             (
                 "metric".to_string(),
                 Value::Str(self.metric.name().to_string()),
             ),
-            ("ci_level".to_string(), self.ci_level.into()),
             ("half_width".to_string(), self.half_width.into()),
         ];
         if self.relative {
@@ -495,9 +424,6 @@ impl StoppingRule {
             members.push(("max_seeds".to_string(), max.into()));
         }
         members.push(("batch".to_string(), self.batch.into()));
-        if self.dominance {
-            members.push(("dominance".to_string(), Value::Bool(true)));
-        }
         Value::Object(members)
     }
 
@@ -520,13 +446,11 @@ impl StoppingRule {
             "stop",
             &[
                 "metric",
-                "ci_level",
                 "half_width",
                 "relative",
                 "min_seeds",
                 "max_seeds",
                 "batch",
-                "dominance",
             ],
         )?;
         let metric_name = value
@@ -549,41 +473,31 @@ impl StoppingRule {
                 .ok_or_else(|| malformed("stop", "missing key \"half_width\"".to_string()))?,
             "stop.half_width",
         )?;
-        let opt_f64 = |key: &str, default: f64| -> Result<f64, SpecError> {
-            match value.get(key) {
-                None => Ok(default),
-                Some(v) => field_f64(v, &format!("stop.{key}")),
-            }
-        };
         let opt_u64 = |key: &str, default: u64| -> Result<u64, SpecError> {
             match value.get(key) {
                 None => Ok(default),
                 Some(v) => field_u64(v, &format!("stop.{key}")),
             }
         };
-        let flag = |key: &str| -> Result<bool, SpecError> {
-            match value.get(key) {
-                None => Ok(false),
-                Some(v) => v.as_bool().ok_or_else(|| {
-                    malformed(
-                        &format!("stop.{key}"),
-                        format!("expected a bool, found {}", v.type_name()),
-                    )
-                }),
-            }
+        let relative = match value.get("relative") {
+            None => false,
+            Some(v) => v.as_bool().ok_or_else(|| {
+                malformed(
+                    "stop.relative",
+                    format!("expected a bool, found {}", v.type_name()),
+                )
+            })?,
         };
         Ok(StoppingRule {
             metric,
-            ci_level: opt_f64("ci_level", 0.95)?,
             half_width,
-            relative: flag("relative")?,
+            relative,
             min_seeds: opt_u64("min_seeds", 64)?,
             max_seeds: match value.get("max_seeds") {
                 None => None,
                 Some(v) => Some(field_u64(v, "stop.max_seeds")?),
             },
             batch: opt_u64("batch", 64)?,
-            dominance: flag("dominance")?,
         })
     }
 }
@@ -1186,15 +1100,11 @@ mod tests {
 
     #[test]
     fn stopping_rule_round_trips_through_json() {
-        let full = StoppingRule {
-            ci_level: 0.99,
-            dominance: true,
-            ..StoppingRule::new(StopMetric::SyncRoundsMean, 2.0)
-                .relative()
-                .with_min_seeds(32)
-                .with_max_seeds(4096)
-                .with_batch(16)
-        };
+        let full = StoppingRule::new(StopMetric::SyncRoundsMean, 2.0)
+            .relative()
+            .with_min_seeds(32)
+            .with_max_seeds(4096)
+            .with_batch(16);
         let minimal = StoppingRule::new(StopMetric::CleanRate, 0.05);
         for rule in [full, minimal] {
             let decoded = StoppingRule::from_value(&rule.to_value()).unwrap();
@@ -1205,13 +1115,13 @@ mod tests {
             r#"{"base": {"protocol": "trapdoor", "num_nodes": 6, "num_frequencies": 8,
                          "disruption_bound": 1, "adversary": "random"},
                 "seeds": {"start": 0, "end": 256},
-                "stop": {"metric": "sync_rounds_mean", "ci_level": 0.95, "half_width": 2.0,
+                "stop": {"metric": "sync_rounds_mean", "half_width": 2.0,
                          "min_seeds": 64, "max_seeds": 65536, "batch": 64}}"#,
         )
         .unwrap();
         let rule = sweep.stop.as_ref().unwrap();
         assert_eq!(rule.metric, StopMetric::SyncRoundsMean);
-        assert!(!rule.relative && !rule.dominance);
+        assert!(!rule.relative);
         assert_eq!(sweep.effective_seeds().unwrap(), 0..65536);
         // and the sweep's own JSON round-trips byte for byte
         let json = sweep.to_json();
@@ -1230,6 +1140,16 @@ mod tests {
                 r#"{"metric": "sync_rate", "half_width": 0.1, "batc": 4}"#,
                 "unknown key",
             ),
+            // the interval level is fixed at 95% and there is no dominance
+            // pass: both former keys are typos now
+            (
+                r#"{"metric": "sync_rate", "half_width": 0.1, "ci_level": 0.95}"#,
+                "unknown key \"ci_level\"",
+            ),
+            (
+                r#"{"metric": "sync_rate", "half_width": 0.1, "dominance": true}"#,
+                "unknown key \"dominance\"",
+            ),
             (r#"[1, 2]"#, "expected an object"),
         ] {
             let err = StoppingRule::from_value(&crate::json::parse(json).unwrap())
@@ -1241,10 +1161,6 @@ mod tests {
         for rule in [
             StoppingRule::new(StopMetric::SyncRate, 0.0),
             StoppingRule::new(StopMetric::SyncRate, f64::NAN),
-            StoppingRule {
-                ci_level: 0.4,
-                ..StoppingRule::new(StopMetric::SyncRate, 0.1)
-            },
             StoppingRule::new(StopMetric::SyncRate, 0.1).with_min_seeds(0),
             StoppingRule::new(StopMetric::SyncRate, 0.1).with_batch(0),
             StoppingRule::new(StopMetric::SyncRate, 0.1)
@@ -1269,18 +1185,16 @@ mod tests {
 
     #[test]
     fn decide_batch_gates_on_min_seeds_and_marks_dominated_points() {
-        let rule = StoppingRule {
-            dominance: true,
-            ..StoppingRule::new(StopMetric::SyncRate, 1e-9).with_min_seeds(50)
-        };
+        let rule = StoppingRule::new(StopMetric::SyncRate, 1e-9).with_min_seeds(50);
         let stats = vec![rate_stats(95, 100), rate_stats(5, 100)];
         let mut stopped = vec![None, None];
         // below min_seeds: no verdicts at all
         rule.decide_batch(&stats, &mut stopped, 49);
         assert_eq!(stopped, vec![None, None]);
-        // at min_seeds: the far-worse point is dominated, the incumbent runs on
+        // at min_seeds only the width decides: the far-worse point is not
+        // retired for losing, so both run on
         rule.decide_batch(&stats, &mut stopped, 100);
-        assert_eq!(stopped, vec![None, Some(StopReason::Dominated)]);
+        assert_eq!(stopped, vec![None, None]);
     }
 
     #[test]

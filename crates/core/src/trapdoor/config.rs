@@ -42,14 +42,11 @@ pub struct TrapdoorConfig {
     /// Constant in front of the final epoch length
     /// `⌈c₂ · F′²/(F′−t) · lg N⌉`.
     pub final_epoch_constant: f64,
-    /// Probability with which an elected leader broadcasts its numbering
-    /// scheme each round (the paper uses 1/2).
-    pub leader_broadcast_probability: f64,
 }
 
 impl TrapdoorConfig {
     /// Creates a configuration with the default constants
-    /// (`c₁ = 2`, `c₂ = 6`, leader broadcast probability 1/2).
+    /// (`c₁ = 2`, `c₂ = 6`).
     ///
     /// The final-epoch constant is larger because the agreement argument
     /// (Theorem 10) needs the eventual winner to knock every other surviving
@@ -68,7 +65,6 @@ impl TrapdoorConfig {
             frequency_limit: None,
             epoch_constant: 2.0,
             final_epoch_constant: 6.0,
-            leader_broadcast_probability: 0.5,
         }
     }
 

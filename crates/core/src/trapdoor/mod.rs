@@ -29,6 +29,7 @@ use wsync_radio::node::ActivationInfo;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 
+use crate::params::LEADER_BROADCAST_PROBABILITY;
 use crate::timestamp::Timestamp;
 
 /// Messages exchanged by the Trapdoor Protocol.
@@ -116,7 +117,7 @@ impl TrapdoorProtocol {
                 Some((epoch, _)) => self.config.broadcast_probability(epoch),
                 None => 0.5,
             },
-            TrapdoorRole::Leader => self.config.leader_broadcast_probability,
+            TrapdoorRole::Leader => LEADER_BROADCAST_PROBABILITY,
             TrapdoorRole::KnockedOut | TrapdoorRole::Synchronized => 0.0,
         }
     }
@@ -163,7 +164,7 @@ impl Protocol for TrapdoorProtocol {
             }
             TrapdoorRole::KnockedOut | TrapdoorRole::Synchronized => Action::listen(frequency),
             TrapdoorRole::Leader => {
-                if rng.gen_bool(self.config.leader_broadcast_probability) {
+                if rng.gen_bool(LEADER_BROADCAST_PROBABILITY) {
                     Action::broadcast(
                         frequency,
                         TrapdoorMsg::Leader {

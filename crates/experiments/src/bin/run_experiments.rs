@@ -7,9 +7,8 @@
 //! cargo run --release -p wsync-experiments --bin run_experiments -- --spec <file.json> [smoke|quick|full] [--markdown] [--out <dir> [--resume] [--workers K]]
 //! ```
 //!
-//! `<ID>` is an experiment identifier (`FIG1`, `FIG2`, `LB1`, `LB2`, `LB3`,
-//! `T10a`–`T10d`, `L9`, `T18a`, `T18b`, `X1`, `X2`, `A1`, `A2`, `FT1`,
-//! `NF1`, `NF2`) or `all`. The default effort is `quick`; `full` reproduces the settings
+//! `<ID>` is an experiment identifier from `wsync_experiments::EXPERIMENTS`
+//! (case-insensitive) or `all`. The default effort is `quick`; `full` reproduces the settings
 //! recorded in EXPERIMENTS.md. With `--markdown` the tables are emitted as
 //! GitHub-flavoured Markdown instead of aligned plain text.
 //!
@@ -43,37 +42,7 @@ use std::time::Duration;
 use wsync_core::fabric::{self, FabricConfig, WorkerEvent};
 use wsync_core::store::ResultStore;
 use wsync_experiments::output::{Effort, ExperimentReport};
-use wsync_experiments::{
-    ablation, baseline_comparison, crossover, fault_tolerance, figures, lower_bounds,
-    network_faults, run_all, run_spec_file_stored, samaritan_adaptive, trapdoor_scaling,
-    weight_bound, SpecFile, StoreMode,
-};
-
-fn run_one(id: &str, effort: Effort) -> Option<ExperimentReport> {
-    let report = match id.to_ascii_uppercase().as_str() {
-        "FIG1" => figures::figure1(effort),
-        "FIG2" => figures::figure2(effort),
-        "LB1" => lower_bounds::lb1_balls_in_bins(effort),
-        "LB2" => lower_bounds::lb2_two_node(effort),
-        "LB3" => lower_bounds::lb3_gap(effort),
-        "T10A" => trapdoor_scaling::t10a_sweep_n(effort),
-        "T10B" => trapdoor_scaling::t10b_sweep_t(effort),
-        "T10C" => trapdoor_scaling::t10c_sweep_f(effort),
-        "T10D" => trapdoor_scaling::t10d_properties(effort),
-        "L9" => weight_bound::l9_weight_bound(effort),
-        "T18A" => samaritan_adaptive::t18a_adaptive(effort),
-        "T18B" => samaritan_adaptive::t18b_fallback(effort),
-        "X1" => crossover::x1_crossover(effort),
-        "X2" => baseline_comparison::x2_baselines(effort),
-        "A1" => ablation::a1_epoch_constant(effort),
-        "A2" => ablation::a2_frequency_limit(effort),
-        "FT1" => fault_tolerance::ft1_leader_crash(effort),
-        "NF1" => network_faults::nf1_drop_rate(effort),
-        "NF2" => network_faults::nf2_partition_healing(effort),
-        _ => return None,
-    };
-    Some(report)
-}
+use wsync_experiments::{run_all, run_spec_file_stored, SpecFile, StoreMode, EXPERIMENTS};
 
 /// Extracts a value-taking `--flag <value>` pair from the argument list.
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -446,11 +415,16 @@ fn main() -> ExitCode {
     let reports: Vec<ExperimentReport> = if id.eq_ignore_ascii_case("all") {
         run_all(effort)
     } else {
-        match run_one(id, effort) {
-            Some(r) => vec![r],
+        match EXPERIMENTS
+            .iter()
+            .find(|(key, _)| key.eq_ignore_ascii_case(id))
+        {
+            Some((_, run)) => vec![run(effort)],
             None => {
+                let ids: Vec<&str> = EXPERIMENTS.iter().map(|(key, _)| *key).collect();
                 eprintln!(
-                    "unknown experiment id '{id}'; expected FIG1, FIG2, LB1-LB3, T10a-T10d, L9, T18a, T18b, X1, X2, A1, A2, FT1, NF1, NF2, or 'all' (or --spec <file.json>)"
+                    "unknown experiment id '{id}'; expected {}, or 'all' (or --spec <file.json>)",
+                    ids.join(", ")
                 );
                 return ExitCode::FAILURE;
             }

@@ -89,10 +89,6 @@ impl<P: SyncProtocol> SyncProtocol for CrashWrapper<P> {
     fn is_leader(&self) -> bool {
         self.inner.is_leader()
     }
-
-    fn protocol_name(&self) -> &'static str {
-        "crash-wrapped"
-    }
 }
 
 /// FT1 — leader crash: already-synchronized devices keep counting

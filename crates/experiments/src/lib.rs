@@ -83,31 +83,37 @@ pub fn adaptive_note(
     ))
 }
 
+/// An experiment generator: regenerates one artefact at an effort level.
+pub type Experiment = fn(Effort) -> ExperimentReport;
+
+/// Every experiment by id, in EXPERIMENTS.md order. `run_experiments`
+/// looks ids up here (ignoring ASCII case) and `all` runs the whole table.
+pub static EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("FIG1", figures::figure1),
+    ("FIG2", figures::figure2),
+    ("LB1", lower_bounds::lb1_balls_in_bins),
+    ("LB2", lower_bounds::lb2_two_node),
+    ("LB3", lower_bounds::lb3_gap),
+    ("T10a", trapdoor_scaling::t10a_sweep_n),
+    ("T10b", trapdoor_scaling::t10b_sweep_t),
+    ("T10c", trapdoor_scaling::t10c_sweep_f),
+    ("T10d", trapdoor_scaling::t10d_properties),
+    ("L9", weight_bound::l9_weight_bound),
+    ("T18a", samaritan_adaptive::t18a_adaptive),
+    ("T18b", samaritan_adaptive::t18b_fallback),
+    ("X1", crossover::x1_crossover),
+    ("X2", baseline_comparison::x2_baselines),
+    ("A1", ablation::a1_epoch_constant),
+    ("A2", ablation::a2_frequency_limit),
+    ("FT1", fault_tolerance::ft1_leader_crash),
+    ("NF1", network_faults::nf1_drop_rate),
+    ("NF2", network_faults::nf2_partition_healing),
+];
+
 /// Runs every experiment at the given effort level and returns the reports
 /// in EXPERIMENTS.md order.
 pub fn run_all(effort: Effort) -> Vec<ExperimentReport> {
-    let mut reports = vec![
-        figures::figure1(effort),
-        figures::figure2(effort),
-        lower_bounds::lb1_balls_in_bins(effort),
-        lower_bounds::lb2_two_node(effort),
-        lower_bounds::lb3_gap(effort),
-    ];
-    reports.push(trapdoor_scaling::t10a_sweep_n(effort));
-    reports.push(trapdoor_scaling::t10b_sweep_t(effort));
-    reports.push(trapdoor_scaling::t10c_sweep_f(effort));
-    reports.push(trapdoor_scaling::t10d_properties(effort));
-    reports.push(weight_bound::l9_weight_bound(effort));
-    reports.push(samaritan_adaptive::t18a_adaptive(effort));
-    reports.push(samaritan_adaptive::t18b_fallback(effort));
-    reports.push(crossover::x1_crossover(effort));
-    reports.push(baseline_comparison::x2_baselines(effort));
-    reports.push(ablation::a1_epoch_constant(effort));
-    reports.push(ablation::a2_frequency_limit(effort));
-    reports.push(fault_tolerance::ft1_leader_crash(effort));
-    reports.push(network_faults::nf1_drop_rate(effort));
-    reports.push(network_faults::nf2_partition_healing(effort));
-    reports
+    EXPERIMENTS.iter().map(|(_, run)| run(effort)).collect()
 }
 
 #[cfg(test)]

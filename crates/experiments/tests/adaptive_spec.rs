@@ -55,11 +55,11 @@ fn adaptive_run_halves_trials_and_stays_inside_the_fixed_ci() {
     for (fixed_point, adaptive_point) in fixed.points.iter().zip(&adaptive.points) {
         let fixed_ci = rule
             .metric
-            .ci(&fixed_point.stats, rule.ci_level)
+            .ci(&fixed_point.stats)
             .expect("fixed run has a defined CI");
         let adaptive_ci = rule
             .metric
-            .ci(&adaptive_point.stats, rule.ci_level)
+            .ci(&adaptive_point.stats)
             .expect("adaptive run has a defined CI");
         let fixed_mean = midpoint(&fixed_ci);
         let adaptive_mean = midpoint(&adaptive_ci);

@@ -56,10 +56,6 @@ impl AdaptiveGreedyAdversary {
 }
 
 impl Adversary for AdaptiveGreedyAdversary {
-    fn budget(&self) -> u32 {
-        self.t
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(LOOKBACK)
     }

@@ -48,10 +48,6 @@ impl BurstyAdversary {
 }
 
 impl Adversary for BurstyAdversary {
-    fn budget(&self) -> u32 {
-        self.t
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(0)
     }

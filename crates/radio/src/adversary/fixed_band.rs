@@ -25,10 +25,6 @@ impl FixedBandAdversary {
 }
 
 impl Adversary for FixedBandAdversary {
-    fn budget(&self) -> u32 {
-        self.t
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(0)
     }

@@ -18,7 +18,9 @@
 //! | [`BurstyAdversary`] | bursty interference (e.g. periodic Wi-Fi beacons / microwave duty cycle) |
 //! | [`AdaptiveGreedyAdversary`] | an adaptive jammer targeting the historically busiest frequencies |
 //! | [`ObliviousScheduleAdversary`] | an arbitrary oblivious adversary — a fixed sequence of disruption sets, as assumed by the Good Samaritan analysis (Section 7) |
-//! | [`TopWeightAdversary`] | jams the `t` frequencies with the largest externally supplied weights; the Theorem 4 lower-bound adversary uses it with weights `p_j·q_j` |
+//!
+//! The Theorem 4 lower-bound adversary (jam the `t` largest products
+//! `p_j·q_j`) is played in closed form by `wsync-analysis::two_node`.
 
 use crate::frequency::{Frequency, FrequencyBand};
 use crate::history::History;
@@ -30,7 +32,6 @@ mod bursty;
 mod fixed_band;
 mod none;
 mod oblivious;
-mod product;
 mod random_set;
 mod sweep;
 
@@ -39,7 +40,6 @@ pub use bursty::BurstyAdversary;
 pub use fixed_band::FixedBandAdversary;
 pub use none::NoAdversary;
 pub use oblivious::ObliviousScheduleAdversary;
-pub use product::TopWeightAdversary;
 pub use random_set::RandomAdversary;
 pub use sweep::SweepAdversary;
 
@@ -153,11 +153,6 @@ impl DisruptionSet {
 /// Implementations are driven by the engine once per round, *before* the
 /// round's node actions are known (matching the model's information rule).
 pub trait Adversary {
-    /// The maximum number of frequencies this adversary will disrupt per
-    /// round (the model's `t`). The engine also clamps to the configured
-    /// bound, so returning a larger number here cannot break the model.
-    fn budget(&self) -> u32;
-
     /// How many completed rounds of [`History`] this adversary inspects at
     /// most per [`disrupt`](Adversary::disrupt) call (its maximum
     /// lookback).
@@ -191,9 +186,9 @@ pub trait Adversary {
     }
 }
 
-/// Utility used by several adversaries: select the indices of the `t`
-/// largest weights (ties broken towards lower indices), returned as a
-/// [`DisruptionSet`].
+/// Selects the indices of the `k` largest weights (ties broken towards
+/// lower indices), returned as a [`DisruptionSet`]: the adaptive-greedy
+/// adversary's target choice.
 pub(crate) fn top_k_weights(weights: &[f64], k: usize, num_frequencies: u32) -> DisruptionSet {
     let mut idx: Vec<usize> = (0..weights.len()).collect();
     idx.sort_by(|&a, &b| {

@@ -20,10 +20,6 @@ impl NoAdversary {
 }
 
 impl Adversary for NoAdversary {
-    fn budget(&self) -> u32 {
-        0
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(0)
     }
@@ -57,7 +53,6 @@ mod tests {
             let set = adv.disrupt(round, band, &hist, &mut rng);
             assert!(set.is_empty());
         }
-        assert_eq!(adv.budget(), 0);
         assert_eq!(adv.name(), "none");
     }
 }

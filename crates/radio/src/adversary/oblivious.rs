@@ -24,7 +24,6 @@ use crate::rng::SimRng;
 pub struct ObliviousScheduleAdversary {
     /// Per-round sets of 1-based frequency indices to disrupt.
     schedule: Vec<Vec<u32>>,
-    budget: u32,
 }
 
 impl ObliviousScheduleAdversary {
@@ -48,18 +47,11 @@ impl ObliviousScheduleAdversary {
                 }
             })
             .collect();
-        ObliviousScheduleAdversary {
-            schedule,
-            budget: t_actual,
-        }
+        ObliviousScheduleAdversary { schedule }
     }
 }
 
 impl Adversary for ObliviousScheduleAdversary {
-    fn budget(&self) -> u32 {
-        self.budget
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(0)
     }
@@ -97,7 +89,6 @@ mod tests {
     fn replays_explicit_schedule_cyclically() {
         let mut adv = ObliviousScheduleAdversary {
             schedule: vec![vec![1, 2], vec![3], Vec::new()],
-            budget: 2,
         };
         let band = FrequencyBand::new(4);
         let hist = History::new();
@@ -115,7 +106,6 @@ mod tests {
     fn empty_schedule_is_harmless() {
         let mut adv = ObliviousScheduleAdversary {
             schedule: Vec::new(),
-            budget: 0,
         };
         let band = FrequencyBand::new(4);
         assert!(adv

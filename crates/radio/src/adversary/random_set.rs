@@ -24,10 +24,6 @@ impl RandomAdversary {
 }
 
 impl Adversary for RandomAdversary {
-    fn budget(&self) -> u32 {
-        self.t
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(0)
     }

@@ -24,10 +24,6 @@ impl SweepAdversary {
 }
 
 impl Adversary for SweepAdversary {
-    fn budget(&self) -> u32 {
-        self.t
-    }
-
     fn max_lookback(&self) -> Option<usize> {
         Some(0)
     }
@@ -81,6 +77,5 @@ mod tests {
         let band = FrequencyBand::new(4);
         let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
         assert_eq!(set.len(), 4);
-        assert_eq!(adv.budget(), 10);
     }
 }

@@ -667,7 +667,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
 
         // 1b. Restarts: nodes the fault stack reported waking rejoin with
         // freshly reset protocol state and a restarted local round counter.
-        // The sorted report preserves node-order `on_restart` calls; each
+        // The sorted report preserves node-order `on_activate` calls; each
         // candidate is re-checked against the whole stack, so a wake one
         // layer reports while another still holds the node down is
         // ignored.
@@ -676,7 +676,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             for &node in self.transitions.woke() {
                 let i = node as usize;
                 if self.activated[i] && self.faults.just_restarted(NodeId::new(node)) {
-                    self.protocols[i].on_restart(info, &mut self.node_rngs[i]);
+                    self.protocols[i].on_activate(info, &mut self.node_rngs[i]);
                     self.local_base[i] = round;
                     self.scratch.tally.restarted_nodes += 1;
                     if !self.in_active[i] {

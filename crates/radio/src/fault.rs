@@ -42,19 +42,6 @@ pub enum FaultKind {
     Churn,
 }
 
-impl FaultKind {
-    /// The registry-style name of the kind (`"drop"`, `"capture"`,
-    /// `"partition"`, `"churn"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::Drop => "drop",
-            FaultKind::Capture => "capture",
-            FaultKind::Partition => "partition",
-            FaultKind::Churn => "churn",
-        }
-    }
-}
-
 /// The engine's sparse view of the network at the top of a round, handed to
 /// every layer's [`begin_round`](FaultLayer::begin_round).
 ///
@@ -149,9 +136,6 @@ impl FaultTransitions {
 /// [`suppresses_receive`](FaultLayer::suppresses_receive) once per listener
 /// on a surviving delivery (in node order).
 pub trait FaultLayer {
-    /// The layer's registry-style name (diagnostics and probe tables).
-    fn name(&self) -> &'static str;
-
     /// The family this layer belongs to.
     fn kind(&self) -> FaultKind;
 
@@ -187,7 +171,7 @@ pub trait FaultLayer {
 
     /// Whether `node` wakes from a crash this round. The engine resets the
     /// node's protocol state via
-    /// [`Protocol::on_restart`](crate::protocol::Protocol::on_restart) and
+    /// [`Protocol::on_activate`](crate::protocol::Protocol::on_activate) and
     /// restarts its local round counter.
     fn just_restarted(&self, node: NodeId) -> bool {
         let _ = node;
@@ -263,9 +247,9 @@ impl FaultStack {
         self.layers.push((layer, rng));
     }
 
-    /// The attached layers' names, in stack order.
-    fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|(layer, _)| layer.name()).collect()
+    /// The attached layers' kinds, in stack order.
+    fn kinds(&self) -> Vec<FaultKind> {
+        self.layers.iter().map(|(layer, _)| layer.kind()).collect()
     }
 
     /// Advances every layer's per-round state, collecting crash/wake
@@ -335,7 +319,7 @@ impl FaultStack {
 impl std::fmt::Debug for FaultStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultStack")
-            .field("layers", &self.layer_names())
+            .field("layers", &self.kinds())
             .finish()
     }
 }
@@ -369,10 +353,6 @@ impl DropLayer {
 }
 
 impl FaultLayer for DropLayer {
-    fn name(&self) -> &'static str {
-        "drop"
-    }
-
     fn kind(&self) -> FaultKind {
         FaultKind::Drop
     }
@@ -409,10 +389,6 @@ impl CaptureLayer {
 }
 
 impl FaultLayer for CaptureLayer {
-    fn name(&self) -> &'static str {
-        "capture"
-    }
-
     fn kind(&self) -> FaultKind {
         FaultKind::Capture
     }
@@ -483,10 +459,6 @@ impl PartitionLayer {
 }
 
 impl FaultLayer for PartitionLayer {
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
     fn kind(&self) -> FaultKind {
         FaultKind::Partition
     }
@@ -518,8 +490,8 @@ impl FaultLayer for PartitionLayer {
 /// Crash/restart churn: each activated, running node crashes independently
 /// with probability `rate` per round, stays down for `downtime` rounds, and
 /// then wakes with freshly reset protocol state (the engine calls
-/// [`Protocol::on_restart`](crate::protocol::Protocol::on_restart) and
-/// restarts the node's local round counter).
+/// [`Protocol::on_activate`](crate::protocol::Protocol::on_activate) again
+/// and restarts the node's local round counter).
 ///
 /// At `rate == 0.0` the layer draws nothing and changes nothing. A node
 /// cannot crash again in the round it wakes.
@@ -568,10 +540,6 @@ impl ChurnLayer {
 }
 
 impl FaultLayer for ChurnLayer {
-    fn name(&self) -> &'static str {
-        "churn"
-    }
-
     fn kind(&self) -> FaultKind {
         FaultKind::Churn
     }
@@ -673,14 +641,6 @@ mod tests {
             .filter(|&i| activated[i] && !stack.is_down(NodeId::new(i as u32)))
             .map(|i| i as u32)
             .collect()
-    }
-
-    #[test]
-    fn fault_kind_names_are_the_registry_keys() {
-        assert_eq!(FaultKind::Drop.name(), "drop");
-        assert_eq!(FaultKind::Capture.name(), "capture");
-        assert_eq!(FaultKind::Partition.name(), "partition");
-        assert_eq!(FaultKind::Churn.name(), "churn");
     }
 
     #[test]
@@ -871,7 +831,10 @@ mod tests {
             stack.suppresses_receive(0, Frequency::new(1), NodeId::new(0), NodeId::new(1)),
             Some(FaultKind::Capture)
         );
-        assert_eq!(stack.layer_names(), vec!["partition", "capture"]);
+        assert_eq!(
+            stack.kinds(),
+            vec![FaultKind::Partition, FaultKind::Capture]
+        );
         assert_eq!(stack.len(), 2);
         assert!(!stack.is_empty());
     }

@@ -109,7 +109,6 @@ pub mod prelude {
     pub use crate::adversary::{
         AdaptiveGreedyAdversary, Adversary, BurstyAdversary, DisruptionSet, FixedBandAdversary,
         NoAdversary, ObliviousScheduleAdversary, RandomAdversary, SweepAdversary,
-        TopWeightAdversary,
     };
     pub use crate::engine::{Engine, ExecutionResult, NodeSummary, SimConfig};
     pub use crate::error::{ConfigError, Result};

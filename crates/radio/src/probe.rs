@@ -39,17 +39,12 @@ use crate::trace::RoundObservation;
 pub trait AsAny: Any {
     /// The probe as a `&dyn Any` for downcasting.
     fn as_any(&self) -> &dyn Any;
-    /// The probe as a `&mut dyn Any` for downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
     /// The boxed probe as a `Box<dyn Any>` for by-value downcasting.
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 impl<T: Any> AsAny for T {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -119,8 +114,7 @@ impl ProbeStack {
     }
 
     /// Appends a probe, returning its slot index (stable for the lifetime
-    /// of the stack; use it with [`get_mut`](Self::get_mut) /
-    /// [`take`](Self::take)).
+    /// of the stack; use it with [`take`](Self::take)).
     pub fn push(&mut self, probe: Box<dyn Probe>) -> usize {
         self.probes.push(probe);
         self.probes.len() - 1
@@ -148,12 +142,6 @@ impl ProbeStack {
         }
     }
 
-    /// Mutable access to the probe in `slot` (e.g. to downcast and inspect
-    /// mid-run state).
-    pub fn get_mut(&mut self, slot: usize) -> Option<&mut dyn Probe> {
-        self.probes.get_mut(slot).map(|b| &mut **b)
-    }
-
     /// Removes the probe in `slot` and downcasts it to its concrete type,
     /// leaving a [`NullProbe`] behind so other slot indices stay valid.
     /// Returns `None` if the slot does not exist or holds a different type.
@@ -166,11 +154,6 @@ impl ProbeStack {
         }
         let boxed = std::mem::replace(slot, Box::new(NullProbe));
         boxed.into_any().downcast::<T>().ok().map(|b| *b)
-    }
-
-    /// Consumes the stack, returning the owned probes in insertion order.
-    pub fn into_inner(self) -> Vec<Box<dyn Probe>> {
-        self.probes
     }
 }
 

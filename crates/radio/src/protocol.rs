@@ -10,7 +10,7 @@ use crate::rng::SimRng;
 /// One instance of the implementing type is created per node. The engine
 /// drives it through the following lifecycle:
 ///
-/// 1. [`on_activate`](Protocol::on_activate) is called once, in the round the
+/// 1. [`on_activate`](Protocol::on_activate) is called in the round the
 ///    adversary activates the node. The node learns only the model
 ///    parameters (`N`, `F`, `t`) — never the global round number.
 /// 2. In every subsequent round (including the activation round) the engine
@@ -29,7 +29,11 @@ pub trait Protocol {
     /// The message payload type exchanged by this protocol.
     type Msg: Clone + std::fmt::Debug;
 
-    /// Called once when the node is activated.
+    /// Called when the node is activated, and again when it wakes from a
+    /// crash injected by a [`fault layer`](crate::fault::FaultLayer): a
+    /// crashed node loses its volatile protocol state and rejoins the
+    /// execution as if freshly activated (its local round counter restarts
+    /// at 0). Fault-free executions call it exactly once.
     fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng);
 
     /// Chooses the action for local round `local_round` (0-based, counted
@@ -52,20 +56,6 @@ pub trait Protocol {
     /// *synch commit* property.
     fn is_synchronized(&self) -> bool {
         self.output().is_some()
-    }
-
-    /// Called when the node wakes up after a crash injected by a
-    /// [`fault layer`](crate::fault::FaultLayer): a crashed node loses its
-    /// volatile protocol state and rejoins the execution as if freshly
-    /// activated (its local round counter restarts at 0).
-    ///
-    /// The default implementation re-runs
-    /// [`on_activate`](Protocol::on_activate), which is the right reset for
-    /// every protocol in this workspace; override only if the protocol keeps
-    /// stable storage that survives a crash. Fault-free executions never
-    /// call this.
-    fn on_restart(&mut self, info: ActivationInfo, rng: &mut SimRng) {
-        self.on_activate(info, rng);
     }
 }
 

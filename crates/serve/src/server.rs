@@ -341,6 +341,20 @@ fn handle_catalog(stream: &mut TcpStream) -> std::io::Result<()> {
     http::respond_json(stream, 200, "OK", &body)
 }
 
+/// Rejects a key of `object` outside `accepted`, so a typo such as
+/// `"seed"` for `"seeds"` is a 400 rather than a silently smaller run.
+fn reject_unknown_keys(object: &Value, context: &str, accepted: &[&str]) -> Result<(), String> {
+    for (key, _) in object.as_object().unwrap_or_default() {
+        if !accepted.contains(&key.as_str()) {
+            return Err(format!(
+                "unknown key \"{key}\" in {context}; accepted keys: {}",
+                accepted.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Parses a `POST /run` body: either a bare [`ScenarioSpec`] (seed 0
 /// only) or `{"spec": <ScenarioSpec>, "seeds": {"start", "end"}}`.
 fn parse_run_body(body: &[u8]) -> Result<(ScenarioSpec, std::ops::Range<u64>), String> {
@@ -348,9 +362,11 @@ fn parse_run_body(body: &[u8]) -> Result<(ScenarioSpec, std::ops::Range<u64>), S
     let value = json::parse(text).map_err(|e| e.to_string())?;
     let (spec_value, seeds) = match value.get("spec") {
         Some(inner) => {
+            reject_unknown_keys(&value, "the /run body", &["spec", "seeds"])?;
             let seeds = match value.get("seeds") {
                 None => 0..1,
                 Some(seeds) => {
+                    reject_unknown_keys(seeds, "seeds", &["start", "end"])?;
                     let field = |key: &str| {
                         seeds
                             .get(key)

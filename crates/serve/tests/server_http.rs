@@ -206,6 +206,31 @@ fn run_rejects_bad_seed_ranges_and_unknown_components() {
     let unknown = RUN_BODY.replace("\"trapdoor\"", "\"no-such-protocol\"");
     let (status, _) = post(addr, "/run", &unknown);
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
+
+    // Misspelled keys are named, not dropped: "seed" would otherwise run
+    // seed 0 alone, and a "stride" would silently vanish.
+    let error = |body: &str| {
+        let value = json::parse(body).expect("error body is JSON");
+        value
+            .get("error")
+            .and_then(Value::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
+    let seed_typo = RUN_BODY.replace(r#""seeds""#, r#""seed""#);
+    let (status, body) = post(addr, "/run", &seed_typo);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert_eq!(
+        error(&body),
+        r#"unknown key "seed" in the /run body; accepted keys: spec, seeds"#
+    );
+    let stride = RUN_BODY.replace(r#""end": 4}"#, r#""end": 4, "stride": 2}"#);
+    let (status, body) = post(addr, "/run", &stride);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert_eq!(
+        error(&body),
+        r#"unknown key "stride" in seeds; accepted keys: start, end"#
+    );
 }
 
 #[test]

@@ -36,5 +36,5 @@ pub use confidence::{proportion_ci, CiUndefined, ConfidenceInterval};
 pub use descriptive::{OnlineStats, Summary};
 pub use quantile::{median, quantile, quantiles};
 pub use regression::{fit_through_origin, OriginFit};
-pub use sequential::{dominated, wilson_ci};
+pub use sequential::wilson_ci;
 pub use table::{Align, Table};

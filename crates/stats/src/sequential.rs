@@ -3,9 +3,7 @@
 //! The sweep layer of `wsync-core` stops sampling a grid point once its
 //! answer is statistically known: at fixed seed-batch boundaries it asks
 //! whether the metric's confidence interval is narrow enough
-//! ([`ConfidenceInterval::for_summary`] / [`wilson_ci`]), and optionally
-//! whether the point is already *dominated* — strictly worse than the best
-//! point seen so far on the swept objective ([`dominated`]). Everything
+//! ([`ConfidenceInterval::for_summary`] / [`wilson_ci`]). Everything
 //! here is a pure function of accumulated counts and Welford summaries, so
 //! the stop decision sequence is reproducible from the outcome stream
 //! alone: no sample vectors, no wall clock, no scheduling dependence.
@@ -36,40 +34,10 @@ pub fn wilson_ci(
     Ok(proportion_ci(successes as usize, trials as usize, level))
 }
 
-/// Whether `candidate` is strictly worse than `incumbent` on the swept
-/// objective, at the intervals' joint confidence: the two intervals do not
-/// overlap and the candidate sits on the losing side.
-///
-/// `higher_is_better` selects the objective direction — `false` for round
-/// counts (lower is better), `true` for success rates. A dominance-enabled
-/// stopping rule retires dominated points early: their exact value no
-/// longer affects which grid point wins, only *that* they lose, and that
-/// is already known.
-pub fn dominated(
-    candidate: &ConfidenceInterval,
-    incumbent: &ConfidenceInterval,
-    higher_is_better: bool,
-) -> bool {
-    if higher_is_better {
-        candidate.upper < incumbent.lower
-    } else {
-        candidate.lower > incumbent.upper
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn ci(lower: f64, upper: f64) -> ConfidenceInterval {
-        ConfidenceInterval {
-            estimate: (lower + upper) / 2.0,
-            lower,
-            upper,
-            level: 0.95,
-        }
-    }
 
     #[test]
     fn wilson_ci_zero_trials_is_typed_undefined() {
@@ -104,21 +72,6 @@ mod tests {
         assert!(huge.lower <= huge.estimate && huge.estimate <= huge.upper);
     }
 
-    #[test]
-    fn dominance_requires_strict_separation() {
-        // minimize: candidate entirely above incumbent loses
-        assert!(dominated(&ci(10.0, 12.0), &ci(5.0, 8.0), false));
-        // overlap: no verdict either way
-        assert!(!dominated(&ci(7.0, 12.0), &ci(5.0, 8.0), false));
-        assert!(!dominated(&ci(5.0, 8.0), &ci(7.0, 12.0), true));
-        // maximize: candidate entirely below incumbent loses
-        assert!(dominated(&ci(0.1, 0.3), &ci(0.5, 0.8), true));
-        // a point never dominates itself
-        let me = ci(3.0, 4.0);
-        assert!(!dominated(&me, &me, false));
-        assert!(!dominated(&me, &me, true));
-    }
-
     proptest! {
         #[test]
         fn wilson_clamps_successes_to_trials(s in 0u64..500, t in 1u64..400, level in 0.6f64..0.99) {
@@ -126,18 +79,6 @@ mod tests {
             prop_assert!(ci.estimate >= 0.0 && ci.estimate <= 1.0);
             prop_assert!(ci.lower >= 0.0 && ci.upper <= 1.0);
             prop_assert!(ci.lower <= ci.upper);
-        }
-
-        #[test]
-        fn dominance_is_asymmetric(a_lo in -100.0f64..100.0, a_w in 0.0f64..50.0,
-                                   b_lo in -100.0f64..100.0, b_w in 0.0f64..50.0,
-                                   higher_bit in 0u8..2) {
-            let higher = higher_bit == 1;
-            let a = ci(a_lo, a_lo + a_w);
-            let b = ci(b_lo, b_lo + b_w);
-            // both directions at once would mean the intervals are disjoint
-            // on both sides — impossible.
-            prop_assert!(!(dominated(&a, &b, higher) && dominated(&b, &a, higher)));
         }
     }
 }

@@ -30,6 +30,23 @@ fn trapdoor_cannot_beat_the_two_node_lower_bound() {
         mean >= bound * 0.05,
         "two-node Trapdoor completion ({mean}) collapsed far below the lower-bound shape ({bound})"
     );
+    // The catalogue's `top-weight` is the Theorem 4 adversary against a
+    // uniform frequency choice: all products `p_j·q_j` are equal, so it
+    // jams `1..=t` like `fixed-band`, against every protocol.
+    for protocol in wireless_sync::sync::registry::protocol_names() {
+        let fixed = ScenarioSpec::new(protocol.as_str(), 4, 8, 3).with_adversary("fixed-band");
+        let top = fixed.clone().with_adversary("top-weight");
+        for seed in 0..2 {
+            let mut outcome = Sim::from_spec(&top).unwrap().run_one(seed);
+            assert_eq!(outcome.adversary, "top-weight");
+            outcome.adversary = "fixed-band".to_string();
+            assert_eq!(
+                outcome,
+                Sim::from_spec(&fixed).unwrap().run_one(seed),
+                "{protocol}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -127,9 +127,6 @@ fn history_retention_is_derived_from_adversary_and_probe_demand() {
     // An adversary with an unknown (default) lookback gets full retention.
     struct OpaqueAdversary;
     impl Adversary for OpaqueAdversary {
-        fn budget(&self) -> u32 {
-            0
-        }
         fn disrupt(
             &mut self,
             _round: u64,

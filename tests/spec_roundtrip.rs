@@ -1,13 +1,16 @@
 //! The declarative-API contract tests:
 //!
-//! 1. **Name stability** — the registry's string keys are public API (they
+//! 1. **Name stability** — the registry's string keys, and the parameter
+//!    keys each component and the stop rule accept, are public API (they
 //!    appear in checked-in spec files and experiment tables); this file
-//!    pins the exact set.
+//!    pins the exact sets.
 //! 2. **Serde round-trips** — every `ScenarioSpec`/`SweepSpec`, including
 //!    the example spec files checked in under `examples/specs/`, survives
 //!    JSON serialization losslessly.
 
 use wireless_sync::prelude::*;
+use wireless_sync::sync::json;
+use wireless_sync::sync::registry;
 
 #[test]
 fn registry_names_are_stable() {
@@ -58,6 +61,79 @@ fn registry_names_are_stable() {
 }
 
 #[test]
+fn catalogue_parameters_are_stable() {
+    // Every key a component accepts; a component not listed accepts none.
+    const TRAPDOOR_FAMILY: &[&str] = &["epoch_constant", "final_epoch_constant", "frequency_limit"];
+    let accepted: &[(&str, &[&str])] = &[
+        ("round-robin", TRAPDOOR_FAMILY),
+        ("single-frequency", TRAPDOOR_FAMILY),
+        ("trapdoor", TRAPDOOR_FAMILY),
+        ("bursty", &["period", "burst_len"]),
+        ("oblivious-random", &["t_actual"]),
+        ("trace", &["max_rounds"]),
+        ("capture", &["miss_rate"]),
+        ("churn", &["churn_rate", "downtime"]),
+        ("drop", &["drop_rate"]),
+        ("partition", &["groups", "heal_at"]),
+    ];
+    let keys = |name: &str| -> &[&str] {
+        accepted
+            .iter()
+            .find(|(listed, _)| *listed == name)
+            .map_or(&[], |(_, keys)| keys)
+    };
+
+    // A "bogus" key makes a builder list the keys it accepts. Adversary
+    // keys are all required, so they get a valid value.
+    let with_bogus = |name: &str, required: &[&str]| {
+        let mut component = ComponentSpec::named(name).with("bogus", 1u64);
+        for key in required {
+            component.params.set(*key, 2u64);
+        }
+        component
+    };
+    let base = || ScenarioSpec::new("trapdoor", 4, 8, 2);
+    let mut specs = Vec::new();
+    for name in registry::protocol_names() {
+        let mut spec = base();
+        spec.protocol = with_bogus(&name, &[]);
+        specs.push((name, spec));
+    }
+    for name in registry::adversary_names() {
+        let spec = base().with_adversary(with_bogus(&name, keys(&name)));
+        specs.push((name, spec));
+    }
+    for name in registry::probe_names() {
+        specs.push((name.clone(), base().with_probe(with_bogus(&name, &[]))));
+    }
+    for name in registry::fault_names() {
+        specs.push((name.clone(), base().with_fault(with_bogus(&name, &[]))));
+    }
+    let mut component_params = 0;
+    for (name, spec) in &specs {
+        match Sim::from_spec(spec).err() {
+            Some(SpecError::UnknownParam { param, allowed, .. }) if param == "bogus" => {
+                assert_eq!(allowed, keys(name), "{name}");
+            }
+            other => panic!("{name}: expected UnknownParam for \"bogus\", got {other:?}"),
+        }
+        component_params += keys(name).len();
+    }
+
+    // The stop rule names its six keys the same way.
+    let stop = json::parse(r#"{"metric": "sync_rate", "half_width": 0.1, "bogus": 1}"#).unwrap();
+    let message = StoppingRule::from_value(&stop).unwrap_err().to_string();
+    assert!(
+        message
+            .ends_with("accepted keys: metric, half_width, relative, min_seeds, max_seeds, batch"),
+        "{message}"
+    );
+
+    // 19 component parameters plus the stop rule's 6 keys.
+    assert_eq!(component_params + 6, 25);
+}
+
+#[test]
 fn checked_in_example_specs_parse_and_round_trip() {
     let mut paths: Vec<_> = std::fs::read_dir("examples/specs")
         .expect("examples/specs is readable")
@@ -92,7 +168,7 @@ fn checked_in_example_specs_parse_and_round_trip() {
 
 #[test]
 fn scenario_spec_round_trips_with_every_component_shape() {
-    let spec = ScenarioSpec::new("good-samaritan", 10, 16, 5)
+    let spec = ScenarioSpec::new("trapdoor", 10, 16, 5)
         .with_adversary(
             ComponentSpec::named("bursty")
                 .with("period", 16u64)
@@ -103,7 +179,7 @@ fn scenario_spec_round_trips_with_every_component_shape() {
         .with_max_rounds(123_456)
         .with_extra_rounds_after_sync(3)
         .with_protocol_param("epoch_constant", 5.5)
-        .with_protocol_param("threshold_shift", 4u64);
+        .with_protocol_param("frequency_limit", 4u64);
     let text = spec.to_json();
     let back = ScenarioSpec::from_json(&text).expect("round trip");
     assert_eq!(back, spec);
