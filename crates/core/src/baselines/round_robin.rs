@@ -23,7 +23,7 @@ use wsync_radio::rng::SimRng;
 
 use crate::params::LEADER_BROADCAST_PROBABILITY;
 use crate::timestamp::Timestamp;
-use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg};
+use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg, TrapdoorSchedule};
 
 /// Configuration of the round-robin hopping baseline. Reuses the Trapdoor
 /// epoch schedule for broadcast probabilities and the leader deadline.
@@ -45,7 +45,7 @@ impl RoundRobinConfig {
 /// The round-robin hopping baseline protocol.
 #[derive(Debug, Clone)]
 pub struct RoundRobinProtocol {
-    config: RoundRobinConfig,
+    schedule: TrapdoorSchedule,
     band: FrequencyBand,
     timestamp: Timestamp,
     knocked_out: bool,
@@ -54,21 +54,16 @@ pub struct RoundRobinProtocol {
 }
 
 impl RoundRobinProtocol {
-    /// Creates a protocol instance.
+    /// Creates a protocol instance, resolving the Trapdoor schedule.
     pub fn new(config: RoundRobinConfig) -> Self {
         RoundRobinProtocol {
+            schedule: config.trapdoor.resolve(),
             band: FrequencyBand::new(config.trapdoor.num_frequencies.max(1)),
-            config,
             timestamp: Timestamp::new(0, 0),
             knocked_out: false,
             leader: false,
             output: None,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RoundRobinConfig {
-        &self.config
     }
 
     /// Whether this node declared itself leader.
@@ -88,10 +83,7 @@ impl Protocol for RoundRobinProtocol {
 
     fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
         self.band = FrequencyBand::new(info.num_frequencies.max(1));
-        self.timestamp = Timestamp::new(
-            0,
-            Timestamp::draw_uid(self.config.trapdoor.upper_bound_n, rng),
-        );
+        self.timestamp = Timestamp::new(0, Timestamp::draw_uid(self.schedule.upper_bound_n(), rng));
     }
 
     fn choose_action(&mut self, local_round: u64, rng: &mut SimRng) -> Action<TrapdoorMsg> {
@@ -112,11 +104,7 @@ impl Protocol for RoundRobinProtocol {
         if self.knocked_out || self.output.is_some() {
             return Action::listen(frequency);
         }
-        let p = match self.config.trapdoor.epoch_at(local_round) {
-            Some((epoch, _)) => self.config.trapdoor.broadcast_probability(epoch),
-            None => 0.5,
-        };
-        if rng.gen_bool(p) {
+        if rng.gen_bool(self.schedule.contender_probability(local_round)) {
             Action::broadcast(
                 frequency,
                 TrapdoorMsg::Contender {
@@ -151,7 +139,7 @@ impl Protocol for RoundRobinProtocol {
         }
         if !self.leader
             && !self.knocked_out
-            && local_round + 1 >= self.config.trapdoor.total_contention_rounds()
+            && local_round + 1 >= self.schedule.total_contention_rounds()
         {
             self.leader = true;
             if !was_synced {
@@ -210,7 +198,7 @@ mod tests {
     #[test]
     fn survivor_becomes_leader_after_trapdoor_schedule() {
         let (mut p, mut rng) = activated(3);
-        let total = p.config().trapdoor.total_contention_rounds();
+        let total = p.schedule.total_contention_rounds();
         for r in 0..total {
             p.choose_action(r, &mut rng);
             p.on_feedback(r, silence(), &mut rng);

@@ -24,18 +24,17 @@
 //! public API** (they appear in spec files and experiment tables);
 //! `tests/spec_roundtrip.rs` pins them.
 //!
-//! # Type erasure
+//! # Catalogue protocols
 //!
 //! The engine is statically typed over one protocol type per run. Protocol
 //! builders bridge from dynamic names to that world by returning
-//! [`BoxedProtocol`]s — type-erased [`SyncProtocol`]s whose message
-//! payloads ride in a [`DynMsg`]. The erasure wrapper forwards every call
-//! unchanged and draws no randomness of its own, so a catalogue-built run
-//! is bit-for-bit identical to the statically-typed equivalent
-//! (`tests/engine_golden.rs` holds the proof).
+//! [`CatalogueProtocol`]s — a closed enum over the catalogue's protocol
+//! types whose messages travel as [`CatalogueMsg`]. Every call is a
+//! `match` that forwards unchanged and draws no randomness of its own, so a
+//! catalogue-built run is bit-for-bit identical to the statically-typed
+//! equivalent (`catalogue_dispatch_matches_the_typed_engine` below and
+//! `tests/engine_golden.rs` hold the proof).
 
-use std::any::Any;
-use std::fmt;
 use std::sync::Arc;
 
 use wsync_radio::action::Action;
@@ -55,165 +54,183 @@ use wsync_radio::trace::RoundObservation;
 
 use crate::baselines::{RoundRobinConfig, RoundRobinProtocol, WakeupConfig, WakeupProtocol};
 use crate::checker::PropertyChecker;
-use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanProtocol};
+use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanMsg, GoodSamaritanProtocol};
 use crate::json::Value;
 use crate::runner::{BoxedAdversary, Scenario, SyncProtocol};
 use crate::spec::{ComponentSpec, ParamReader, Params, SpecError};
-use crate::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
+use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg, TrapdoorProtocol};
 
-/// A type-erased message payload.
-///
-/// Catalogue-built protocols of arbitrary concrete type share one engine
-/// instantiation, so their messages travel as `DynMsg` and are downcast
-/// back on receipt. All nodes of a run are built by the same protocol
-/// builder and therefore speak the same payload type; should that ever
-/// break, the downcast panics with a clear message rather than corrupting
-/// an execution.
-#[derive(Clone)]
-pub struct DynMsg {
-    payload: Arc<dyn Any + Send + Sync>,
-    type_name: &'static str,
+/// The message payload of a catalogue-built protocol: one variant per
+/// message family. Trapdoor, single-frequency, round-robin and wakeup nodes
+/// speak [`TrapdoorMsg`]; Good Samaritan nodes speak [`GoodSamaritanMsg`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CatalogueMsg {
+    /// A Trapdoor-family message.
+    Trapdoor(TrapdoorMsg),
+    /// A Good Samaritan message.
+    GoodSamaritan(GoodSamaritanMsg),
 }
 
-impl DynMsg {
-    /// Wraps a concrete message.
-    pub fn new<M: Any + Send + Sync>(message: M) -> Self {
-        DynMsg {
-            payload: Arc::new(message),
-            type_name: std::any::type_name::<M>(),
+impl CatalogueMsg {
+    fn type_name(&self) -> &'static str {
+        match self {
+            CatalogueMsg::Trapdoor(_) => std::any::type_name::<TrapdoorMsg>(),
+            CatalogueMsg::GoodSamaritan(_) => std::any::type_name::<GoodSamaritanMsg>(),
+        }
+    }
+}
+
+/// A node built by a catalogue protocol builder — what a
+/// [`ProtocolFactory`]'s constructor returns and the engine runs.
+#[derive(Debug)]
+pub enum CatalogueProtocol {
+    /// `trapdoor` and `single-frequency`.
+    Trapdoor(TrapdoorProtocol),
+    /// `round-robin`.
+    RoundRobin(RoundRobinProtocol),
+    /// `good-samaritan`.
+    GoodSamaritan(GoodSamaritanProtocol),
+    /// `wakeup`.
+    Wakeup(WakeupProtocol),
+}
+
+/// Narrows a received catalogue message to the family `unwrap` accepts.
+///
+/// One builder makes every node of a run, so every node speaks one family;
+/// should that ever break, this panics naming both types rather than
+/// corrupting an execution.
+#[inline]
+fn narrow<M>(
+    feedback: Feedback<CatalogueMsg>,
+    unwrap: fn(CatalogueMsg) -> Option<M>,
+) -> Feedback<M> {
+    match feedback {
+        Feedback::Received(r) => {
+            let payload = unwrap(r.payload).unwrap_or_else(|| {
+                panic!(
+                    "a catalogue protocol expected a {} payload but received a {}; one builder \
+                     makes every node of a run, so all nodes share one message type",
+                    std::any::type_name::<M>(),
+                    r.payload.type_name(),
+                )
+            });
+            Feedback::Received(Received {
+                sender: r.sender,
+                frequency: r.frequency,
+                payload,
+            })
+        }
+        Feedback::Silence { frequency } => Feedback::Silence { frequency },
+        Feedback::Broadcasted { frequency } => Feedback::Broadcasted { frequency },
+        Feedback::Slept => Feedback::Slept,
+    }
+}
+
+fn trapdoor_msg(message: CatalogueMsg) -> Option<TrapdoorMsg> {
+    match message {
+        CatalogueMsg::Trapdoor(m) => Some(m),
+        CatalogueMsg::GoodSamaritan(_) => None,
+    }
+}
+
+fn good_samaritan_msg(message: CatalogueMsg) -> Option<GoodSamaritanMsg> {
+    match message {
+        CatalogueMsg::GoodSamaritan(m) => Some(m),
+        CatalogueMsg::Trapdoor(_) => None,
+    }
+}
+
+// The per-round methods are `#[inline]` so the engine's round loop, which
+// is instantiated in other codegen units and crates, can fold the `match`
+// into its call site instead of making one more call per node-round.
+impl Protocol for CatalogueProtocol {
+    type Msg = CatalogueMsg;
+
+    fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
+        match self {
+            CatalogueProtocol::Trapdoor(p) => p.on_activate(info, rng),
+            CatalogueProtocol::RoundRobin(p) => p.on_activate(info, rng),
+            CatalogueProtocol::GoodSamaritan(p) => p.on_activate(info, rng),
+            CatalogueProtocol::Wakeup(p) => p.on_activate(info, rng),
         }
     }
 
-    /// Recovers the concrete message, cloning it out of the shared payload.
-    pub fn downcast<M: Any + Clone>(&self) -> Option<M> {
-        self.payload.downcast_ref::<M>().cloned()
+    #[inline]
+    fn choose_action(&mut self, local_round: u64, rng: &mut SimRng) -> Action<CatalogueMsg> {
+        match self {
+            CatalogueProtocol::Trapdoor(p) => p
+                .choose_action(local_round, rng)
+                .map_message(CatalogueMsg::Trapdoor),
+            CatalogueProtocol::RoundRobin(p) => p
+                .choose_action(local_round, rng)
+                .map_message(CatalogueMsg::Trapdoor),
+            CatalogueProtocol::GoodSamaritan(p) => p
+                .choose_action(local_round, rng)
+                .map_message(CatalogueMsg::GoodSamaritan),
+            CatalogueProtocol::Wakeup(p) => p
+                .choose_action(local_round, rng)
+                .map_message(CatalogueMsg::Trapdoor),
+        }
     }
 
-    /// The `type_name` of the wrapped message (diagnostics only).
-    fn payload_type(&self) -> &'static str {
-        self.type_name
-    }
-}
-
-impl fmt::Debug for DynMsg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("DynMsg").field(&self.type_name).finish()
-    }
-}
-
-/// A boxed, type-erased synchronization protocol — what a
-/// [`ProtocolFactory`] produces and the engine runs.
-pub struct BoxedProtocol(Box<dyn SyncProtocol<Msg = DynMsg>>);
-
-impl BoxedProtocol {
-    /// Erases a concrete protocol.
-    fn erase<P>(protocol: P) -> Self
-    where
-        P: SyncProtocol + 'static,
-        P::Msg: Any + Send + Sync,
-    {
-        BoxedProtocol(Box::new(Erased(protocol)))
-    }
-}
-
-impl Protocol for BoxedProtocol {
-    type Msg = DynMsg;
-
-    fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
-        self.0.on_activate(info, rng);
-    }
-
-    fn choose_action(&mut self, local_round: u64, rng: &mut SimRng) -> Action<DynMsg> {
-        self.0.choose_action(local_round, rng)
-    }
-
-    fn on_feedback(&mut self, local_round: u64, feedback: Feedback<DynMsg>, rng: &mut SimRng) {
-        self.0.on_feedback(local_round, feedback, rng);
-    }
-
-    fn output(&self) -> Option<u64> {
-        self.0.output()
-    }
-
-    fn is_synchronized(&self) -> bool {
-        self.0.is_synchronized()
-    }
-}
-
-impl SyncProtocol for BoxedProtocol {
-    fn is_leader(&self) -> bool {
-        self.0.is_leader()
-    }
-}
-
-/// The erasure adapter: forwards every call to the concrete protocol,
-/// wrapping outgoing payloads in [`DynMsg`] and downcasting incoming ones.
-struct Erased<P>(P);
-
-impl<P> Protocol for Erased<P>
-where
-    P: SyncProtocol,
-    P::Msg: Any + Send + Sync,
-{
-    type Msg = DynMsg;
-
-    fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
-        self.0.on_activate(info, rng);
-    }
-
-    fn choose_action(&mut self, local_round: u64, rng: &mut SimRng) -> Action<DynMsg> {
-        self.0
-            .choose_action(local_round, rng)
-            .map_message(DynMsg::new)
-    }
-
-    fn on_feedback(&mut self, local_round: u64, feedback: Feedback<DynMsg>, rng: &mut SimRng) {
-        let feedback: Feedback<P::Msg> = match feedback {
-            Feedback::Received(r) => {
-                let payload = r.payload.downcast::<P::Msg>().unwrap_or_else(|| {
-                    panic!(
-                        "protocol {} expected a {} payload but received {}; a registry \
-                         factory must build nodes that all share one message type",
-                        std::any::type_name::<P>(),
-                        std::any::type_name::<P::Msg>(),
-                        r.payload.payload_type()
-                    )
-                });
-                Feedback::Received(Received {
-                    sender: r.sender,
-                    frequency: r.frequency,
-                    payload,
-                })
+    #[inline]
+    fn on_feedback(
+        &mut self,
+        local_round: u64,
+        feedback: Feedback<CatalogueMsg>,
+        rng: &mut SimRng,
+    ) {
+        match self {
+            CatalogueProtocol::Trapdoor(p) => {
+                p.on_feedback(local_round, narrow(feedback, trapdoor_msg), rng)
             }
-            Feedback::Silence { frequency } => Feedback::Silence { frequency },
-            Feedback::Broadcasted { frequency } => Feedback::Broadcasted { frequency },
-            Feedback::Slept => Feedback::Slept,
-        };
-        self.0.on_feedback(local_round, feedback, rng);
+            CatalogueProtocol::RoundRobin(p) => {
+                p.on_feedback(local_round, narrow(feedback, trapdoor_msg), rng)
+            }
+            CatalogueProtocol::GoodSamaritan(p) => {
+                p.on_feedback(local_round, narrow(feedback, good_samaritan_msg), rng)
+            }
+            CatalogueProtocol::Wakeup(p) => {
+                p.on_feedback(local_round, narrow(feedback, trapdoor_msg), rng)
+            }
+        }
     }
 
+    #[inline]
     fn output(&self) -> Option<u64> {
-        self.0.output()
+        match self {
+            CatalogueProtocol::Trapdoor(p) => p.output(),
+            CatalogueProtocol::RoundRobin(p) => p.output(),
+            CatalogueProtocol::GoodSamaritan(p) => p.output(),
+            CatalogueProtocol::Wakeup(p) => p.output(),
+        }
     }
 
+    #[inline]
     fn is_synchronized(&self) -> bool {
-        self.0.is_synchronized()
+        match self {
+            CatalogueProtocol::Trapdoor(p) => p.is_synchronized(),
+            CatalogueProtocol::RoundRobin(p) => p.is_synchronized(),
+            CatalogueProtocol::GoodSamaritan(p) => p.is_synchronized(),
+            CatalogueProtocol::Wakeup(p) => p.is_synchronized(),
+        }
     }
 }
 
-impl<P> SyncProtocol for Erased<P>
-where
-    P: SyncProtocol,
-    P::Msg: Any + Send + Sync,
-{
+impl SyncProtocol for CatalogueProtocol {
     fn is_leader(&self) -> bool {
-        self.0.is_leader()
+        match self {
+            CatalogueProtocol::Trapdoor(p) => p.is_leader(),
+            CatalogueProtocol::RoundRobin(p) => p.is_leader(),
+            CatalogueProtocol::GoodSamaritan(p) => p.is_leader(),
+            CatalogueProtocol::Wakeup(p) => p.is_leader(),
+        }
     }
 }
 
 /// A per-node protocol constructor, produced once per run by a
 /// [`ProtocolFactory`] after parameter validation.
-pub type ProtocolCtor = Box<dyn Fn(NodeId) -> BoxedProtocol + Send + Sync>;
+pub type ProtocolCtor = Box<dyn Fn(NodeId) -> CatalogueProtocol + Send + Sync>;
 
 /// Builds protocol instances for a scenario from declarative parameters.
 ///
@@ -279,26 +296,38 @@ fn trapdoor_config_from(
     Ok(config)
 }
 
+/// The constructor every protocol builder returns: each node starts as a
+/// clone of one instance built at instantiation, so per-run work (resolving
+/// the Trapdoor schedule) happens once, not once per node.
+fn clone_per_node<P>(node: P, wrap: fn(P) -> CatalogueProtocol) -> ProtocolCtor
+where
+    P: Clone + Send + Sync + 'static,
+{
+    Box::new(move |_| wrap(node.clone()))
+}
+
 fn trapdoor(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
     let config = trapdoor_config_from("trapdoor", scenario, params, None)?;
-    Ok(Box::new(move |_| {
-        BoxedProtocol::erase(TrapdoorProtocol::new(config))
-    }))
+    Ok(clone_per_node(
+        TrapdoorProtocol::new(config),
+        CatalogueProtocol::Trapdoor,
+    ))
 }
 
 fn single_frequency(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
     let config = trapdoor_config_from("single-frequency", scenario, params, Some(1))?;
-    Ok(Box::new(move |_| {
-        BoxedProtocol::erase(TrapdoorProtocol::new(config))
-    }))
+    Ok(clone_per_node(
+        TrapdoorProtocol::new(config),
+        CatalogueProtocol::Trapdoor,
+    ))
 }
 
 fn round_robin(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
     let trapdoor = trapdoor_config_from("round-robin", scenario, params, None)?;
-    let config = RoundRobinConfig { trapdoor };
-    Ok(Box::new(move |_| {
-        BoxedProtocol::erase(RoundRobinProtocol::new(config))
-    }))
+    Ok(clone_per_node(
+        RoundRobinProtocol::new(RoundRobinConfig { trapdoor }),
+        CatalogueProtocol::RoundRobin,
+    ))
 }
 
 fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
@@ -308,9 +337,10 @@ fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, 
         scenario.num_frequencies,
         scenario.disruption_bound,
     );
-    Ok(Box::new(move |_| {
-        BoxedProtocol::erase(GoodSamaritanProtocol::new(config))
-    }))
+    Ok(clone_per_node(
+        GoodSamaritanProtocol::new(config),
+        CatalogueProtocol::GoodSamaritan,
+    ))
 }
 
 fn wakeup(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
@@ -320,9 +350,10 @@ fn wakeup(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecErro
         scenario.num_frequencies,
         scenario.disruption_bound,
     );
-    Ok(Box::new(move |_| {
-        BoxedProtocol::erase(WakeupProtocol::new(config))
-    }))
+    Ok(clone_per_node(
+        WakeupProtocol::new(config),
+        CatalogueProtocol::Wakeup,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -383,6 +414,26 @@ fn bursty(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary
     let period = reader.req_u64("period")?;
     let burst_len = reader.req_u64("burst_len")?;
     reader.finish()?;
+    let bad = |param: &str, expected, found: String| SpecError::BadParam {
+        component: "bursty".to_string(),
+        param: param.to_string(),
+        expected,
+        found,
+    };
+    if period == 0 {
+        return Err(bad(
+            "period",
+            "a positive number of rounds",
+            "0".to_string(),
+        ));
+    }
+    if burst_len > period {
+        return Err(bad(
+            "burst_len",
+            "a burst no longer than `period`",
+            format!("{burst_len} (period {period})"),
+        ));
+    }
     Ok(BoxedAdversary::new(Box::new(BurstyAdversary::new(
         scenario.disruption_bound,
         period,
@@ -1002,8 +1053,11 @@ pub fn build_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsync_radio::frequency::FrequencyBand;
+    use wsync_radio::adversary::DisruptionSet;
+    use wsync_radio::engine::Engine;
+    use wsync_radio::frequency::{Frequency, FrequencyBand};
     use wsync_radio::history::History;
+    use wsync_radio::trace::{FullTrace, TraceEvent};
 
     #[test]
     fn default_registry_resolves_every_builtin() {
@@ -1028,7 +1082,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut protocol = ctor(NodeId::new(0));
             assert!(!protocol.is_leader());
-            // the protocol is runnable through the erased interface
+            // the protocol is runnable through the catalogue enum
             let mut rng = SimRng::from_seed(1);
             protocol.on_activate(ActivationInfo::new(4, 8, 2), &mut rng);
             let action = protocol.choose_action(0, &mut rng);
@@ -1051,11 +1105,13 @@ mod tests {
             let mut adversary = factory
                 .build(&scenario, &params, 7)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let set = adversary.disrupt(
+            let mut set = DisruptionSet::empty(8);
+            adversary.disrupt(
                 0,
                 FrequencyBand::new(8),
                 &History::new(),
                 &mut SimRng::from_seed(0),
+                &mut set,
             );
             assert!(set.len() <= 8, "{name} disrupted too much");
         }
@@ -1116,6 +1172,122 @@ mod tests {
             )
             .expect_err("mistyped period must be rejected");
         assert!(matches!(err, SpecError::BadParam { .. }), "{err}");
+    }
+
+    /// Runs `scenario` for `seed` on an engine whose nodes `factory` makes,
+    /// returning the result and every traced round.
+    fn traced_run<P: SyncProtocol>(
+        scenario: &Scenario,
+        factory: impl FnMut(NodeId) -> P,
+        seed: u64,
+    ) -> (ExecutionResult, Vec<TraceEvent>) {
+        let adversary = build_adversary(&scenario.adversary, scenario, seed).unwrap();
+        let mut engine = Engine::new(
+            scenario.sim_config(),
+            factory,
+            adversary,
+            scenario.activation.clone(),
+            seed,
+        )
+        .unwrap();
+        let slot = engine.attach_probe(Box::new(FullTrace::new()));
+        let result = engine.run();
+        let trace: FullTrace = engine.take_probes().take(slot).expect("trace slot");
+        (result, trace.events().to_vec())
+    }
+
+    #[test]
+    fn catalogue_dispatch_matches_the_typed_engine() {
+        let bursty = ComponentSpec::named("bursty")
+            .with("period", 6u64)
+            .with("burst_len", 4u64);
+        for adversary in [ComponentSpec::named("random"), bursty] {
+            let scenario = Scenario::new(6, 8, 2)
+                .with_adversary(adversary)
+                .with_max_rounds(4_000);
+            let (n, f, t) = (scenario.upper_bound(), 8, 2);
+            let trapdoor = TrapdoorConfig::new(n, f, t);
+            for seed in [3, 17] {
+                let catalogue = |name: &str| {
+                    let ctor = resolve_protocol(name)
+                        .unwrap()
+                        .instantiate(&scenario, &Params::new())
+                        .unwrap();
+                    traced_run(&scenario, ctor, seed)
+                };
+                let typed = [
+                    (
+                        "trapdoor",
+                        traced_run(&scenario, |_| TrapdoorProtocol::new(trapdoor), seed),
+                    ),
+                    (
+                        "single-frequency",
+                        traced_run(
+                            &scenario,
+                            |_| TrapdoorProtocol::new(trapdoor.with_frequency_limit(1)),
+                            seed,
+                        ),
+                    ),
+                    (
+                        "round-robin",
+                        traced_run(
+                            &scenario,
+                            |_| RoundRobinProtocol::new(RoundRobinConfig { trapdoor }),
+                            seed,
+                        ),
+                    ),
+                    (
+                        "good-samaritan",
+                        traced_run(
+                            &scenario,
+                            |_| GoodSamaritanProtocol::new(GoodSamaritanConfig::new(n, f, t)),
+                            seed,
+                        ),
+                    ),
+                    (
+                        "wakeup",
+                        traced_run(
+                            &scenario,
+                            |_| WakeupProtocol::new(WakeupConfig::new(n, f, t)),
+                            seed,
+                        ),
+                    ),
+                ];
+                for (name, (result, events)) in typed {
+                    let (catalogue_result, catalogue_events) = catalogue(name);
+                    let label = format!("{name} vs {} seed {seed}", scenario.adversary.name());
+                    assert_eq!(catalogue_result, result, "{label}");
+                    assert_eq!(catalogue_events, events, "{label}");
+                    assert!(result.metrics.deliveries > 0, "{label} delivered nothing");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "expected a wsync_core::trapdoor::TrapdoorMsg payload but received \
+                               a wsync_core::good_samaritan::GoodSamaritanMsg"
+    )]
+    fn a_message_of_the_other_family_panics_naming_both_types() {
+        let ctor = resolve_protocol("trapdoor")
+            .unwrap()
+            .instantiate(&Scenario::new(4, 8, 2), &Params::new())
+            .unwrap();
+        let mut node = ctor(NodeId::new(0));
+        let mut rng = SimRng::from_seed(1);
+        node.on_activate(ActivationInfo::new(4, 8, 2), &mut rng);
+        node.choose_action(0, &mut rng);
+        let stray = GoodSamaritanMsg::Leader { announced_round: 1 };
+        node.on_feedback(
+            0,
+            Feedback::Received(Received {
+                sender: NodeId::new(1),
+                frequency: Frequency::new(1),
+                payload: CatalogueMsg::GoodSamaritan(stray),
+            }),
+            &mut rng,
+        );
     }
 
     #[test]

@@ -107,8 +107,9 @@ impl Adversary for BoxedAdversary {
         band: FrequencyBand,
         history: &History,
         rng: &mut SimRng,
-    ) -> DisruptionSet {
-        self.inner.disrupt(round, band, history, rng)
+        disrupted: &mut DisruptionSet,
+    ) {
+        self.inner.disrupt(round, band, history, rng, disrupted);
     }
 
     fn name(&self) -> &'static str {

@@ -246,6 +246,23 @@ mod tests {
             Sim::from_spec(&ScenarioSpec::new("trapdoor", 4, 8, 2).with_adversary("bursty")),
             Err(SpecError::MissingParam { .. })
         ));
+        // a bursty cycle of zero rounds, and a burst longer than its cycle
+        let bursty = |period: u64, burst_len: u64| {
+            ScenarioSpec::new("trapdoor", 4, 8, 2).with_adversary(
+                ComponentSpec::named("bursty")
+                    .with("period", period)
+                    .with("burst_len", burst_len),
+            )
+        };
+        assert!(matches!(
+            Sim::from_spec(&bursty(0, 0)),
+            Err(SpecError::BadParam { param, .. }) if param == "period"
+        ));
+        assert!(matches!(
+            Sim::from_spec(&bursty(4, 9)),
+            Err(SpecError::BadParam { param, .. }) if param == "burst_len"
+        ));
+        assert!(Sim::from_spec(&bursty(4, 4)).is_ok());
         // mistyped protocol parameter
         assert!(matches!(
             Sim::from_spec(

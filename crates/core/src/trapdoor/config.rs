@@ -6,6 +6,10 @@
 //! broadcasts with probability `2^e/(2N)` (so the final epoch broadcasts
 //! with probability 1/2). The multiplicative constants hidden by the `Θ(·)`
 //! are exposed here and swept by the ablation experiments.
+//!
+//! The regular epochs all have one length, so a round's epoch has a closed
+//! form: [`TrapdoorSchedule`] resolves the lengths once and locates a round
+//! by one integer division. Protocols consult it every contender-round.
 
 use serde::{Deserialize, Serialize};
 
@@ -127,40 +131,53 @@ impl TrapdoorConfig {
             "epoch {epoch} out of range 1..={}",
             self.num_epochs()
         );
-        let base = if epoch == self.num_epochs() {
-            self.final_epoch_constant * f64::from(self.f_prime()) * self.congestion() * self.log_n()
+        if epoch == self.num_epochs() {
+            self.final_epoch_length()
         } else {
-            self.epoch_constant * self.congestion() * self.log_n()
-        };
+            self.regular_epoch_length()
+        }
+    }
+
+    /// `⌈c₁ · F′/(F′−t) · lg N⌉`, the length of every epoch but the last.
+    fn regular_epoch_length(&self) -> u64 {
+        let base = self.epoch_constant * self.congestion() * self.log_n();
+        (base.ceil() as u64).max(1)
+    }
+
+    /// `⌈c₂ · F′²/(F′−t) · lg N⌉`, the length of the final epoch.
+    fn final_epoch_length(&self) -> u64 {
+        let base = self.final_epoch_constant
+            * f64::from(self.f_prime())
+            * self.congestion()
+            * self.log_n();
         (base.ceil() as u64).max(1)
     }
 
     /// Per-round broadcast probability in epoch `epoch` (1-based):
     /// `min(1/2, 2^epoch / (2N))`.
     pub fn broadcast_probability(&self, epoch: u32) -> f64 {
-        let n = self.upper_bound_n as f64;
-        (2f64.powi(epoch as i32) / (2.0 * n)).min(0.5)
+        broadcast_probability(self.upper_bound_n, epoch)
     }
 
     /// Total number of rounds a contender spends before becoming a leader if
     /// it is never knocked out.
     pub fn total_contention_rounds(&self) -> u64 {
-        (1..=self.num_epochs()).map(|e| self.epoch_length(e)).sum()
+        self.resolve().total_contention_rounds()
     }
 
-    /// Locates local round `local_round` (0-based, counted from activation)
-    /// within the epoch schedule. Returns `None` when the round lies past
-    /// the final epoch (i.e. the contender has completed all epochs).
-    pub fn epoch_at(&self, local_round: u64) -> Option<(u32, u64)> {
-        let mut start = 0u64;
-        for epoch in 1..=self.num_epochs() {
-            let len = self.epoch_length(epoch);
-            if local_round < start + len {
-                return Some((epoch, local_round - start));
-            }
-            start += len;
+    /// Resolves the schedule's lengths once, for per-round lookups.
+    pub(crate) fn resolve(&self) -> TrapdoorSchedule {
+        let num_epochs = self.num_epochs();
+        let regular_len = self.regular_epoch_length();
+        let final_start = regular_len.saturating_mul(u64::from(num_epochs - 1));
+        TrapdoorSchedule {
+            upper_bound_n: self.upper_bound_n,
+            f_prime: self.f_prime(),
+            num_epochs,
+            regular_len,
+            final_start,
+            total: final_start.saturating_add(self.final_epoch_length()),
         }
-        None
     }
 
     /// The full epoch schedule — the reproduction of the paper's Figure 1.
@@ -172,6 +189,69 @@ impl TrapdoorConfig {
                 broadcast_probability: self.broadcast_probability(epoch),
             })
             .collect()
+    }
+}
+
+/// `min(1/2, 2^epoch / (2N))`, the broadcast probability of epoch `epoch`.
+fn broadcast_probability(upper_bound_n: u64, epoch: u32) -> f64 {
+    let n = upper_bound_n as f64;
+    (2f64.powi(epoch as i32) / (2.0 * n)).min(0.5)
+}
+
+/// A [`TrapdoorConfig`]'s schedule with its lengths resolved: `lg N − 1`
+/// regular epochs of `regular_len` rounds, then the final epoch from round
+/// `final_start` to `total`. Resolved once per configuration; a protocol
+/// holds a copy and locates each contender-round in O(1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TrapdoorSchedule {
+    upper_bound_n: u64,
+    f_prime: u32,
+    num_epochs: u32,
+    regular_len: u64,
+    final_start: u64,
+    total: u64,
+}
+
+impl TrapdoorSchedule {
+    /// The bound `N` (a power of two) the schedule was resolved for.
+    pub(crate) fn upper_bound_n(&self) -> u64 {
+        self.upper_bound_n
+    }
+
+    /// `F′`, the number of frequencies the protocol uses.
+    pub(crate) fn f_prime(&self) -> u32 {
+        self.f_prime
+    }
+
+    /// See [`TrapdoorConfig::total_contention_rounds`].
+    pub(crate) fn total_contention_rounds(&self) -> u64 {
+        self.total
+    }
+
+    /// Locates local round `local_round` (0-based, counted from activation)
+    /// within the schedule as `(epoch, round within the epoch)`. Returns
+    /// `None` when the round lies past the final epoch (i.e. the contender
+    /// has completed all epochs).
+    pub(crate) fn epoch_at(&self, local_round: u64) -> Option<(u32, u64)> {
+        if local_round < self.final_start {
+            let regular = local_round / self.regular_len;
+            Some((regular as u32 + 1, local_round % self.regular_len))
+        } else if local_round < self.total {
+            Some((self.num_epochs, local_round - self.final_start))
+        } else {
+            None
+        }
+    }
+
+    /// A contender's broadcast probability in local round `local_round`:
+    /// its epoch's, or 1/2 past the final epoch (promotion to leader
+    /// happens in the previous round's feedback, so protocols never reach
+    /// that case).
+    pub(crate) fn contender_probability(&self, local_round: u64) -> f64 {
+        match self.epoch_at(local_round) {
+            Some((epoch, _)) => broadcast_probability(self.upper_bound_n, epoch),
+            None => 0.5,
+        }
     }
 }
 
@@ -235,10 +315,11 @@ mod tests {
     fn epoch_at_partitions_all_rounds() {
         let c = TrapdoorConfig::new(64, 8, 3);
         let total = c.total_contention_rounds();
+        let schedule = c.resolve();
         let mut seen_epochs = std::collections::BTreeSet::new();
         let mut prev: Option<(u32, u64)> = None;
         for r in 0..total {
-            let (e, within) = c.epoch_at(r).expect("round within the schedule");
+            let (e, within) = schedule.epoch_at(r).expect("round within the schedule");
             seen_epochs.insert(e);
             if let Some((pe, pw)) = prev {
                 assert!(e == pe && within == pw + 1 || (e == pe + 1 && within == 0));
@@ -246,8 +327,36 @@ mod tests {
             prev = Some((e, within));
         }
         assert_eq!(seen_epochs.len() as u32, c.num_epochs());
-        assert!(c.epoch_at(total).is_none());
-        assert!(c.epoch_at(total + 100).is_none());
+        assert!(schedule.epoch_at(total).is_none());
+        assert!(schedule.epoch_at(total + 100).is_none());
+    }
+
+    #[test]
+    fn a_single_epoch_schedule_is_the_final_epoch() {
+        // N = 2 has lg N = 1 epoch, with no regular epoch before it.
+        let c = TrapdoorConfig::new(2, 8, 2);
+        assert_eq!(c.num_epochs(), 1);
+        let schedule = c.resolve();
+        let total = c.epoch_length(1);
+        assert_eq!(schedule.total_contention_rounds(), total);
+        assert_eq!(schedule.epoch_at(0), Some((1, 0)));
+        assert_eq!(schedule.epoch_at(total - 1), Some((1, total - 1)));
+        assert_eq!(schedule.epoch_at(total), None);
+        assert_eq!(schedule.contender_probability(0), 0.5);
+    }
+
+    /// Locates a round by walking the epochs from the start: the oracle
+    /// `TrapdoorSchedule::epoch_at`'s closed form must agree with.
+    fn epoch_at_by_walking(c: &TrapdoorConfig, local_round: u64) -> Option<(u32, u64)> {
+        let mut start = 0u64;
+        for epoch in 1..=c.num_epochs() {
+            let len = c.epoch_length(epoch);
+            if local_round < start + len {
+                return Some((epoch, local_round - start));
+            }
+            start += len;
+        }
+        None
     }
 
     #[test]
@@ -273,19 +382,46 @@ mod tests {
     }
 
     proptest! {
+        /// Lengths are positive, and the resolved schedule's closed form
+        /// agrees with walking the epochs: the total, and the epoch of
+        /// every round at each boundary ±1 and at sampled rounds. `N` is
+        /// drawn log-uniformly from 1 up, so single-epoch schedules
+        /// (`N ≤ 2`) are covered; `limit == 0` keeps `F′ = min(F, 2t)`.
         #[test]
         fn epoch_lengths_positive_and_total_consistent(
-            n in 2u64..5000, f in 2u32..64, t in 0u32..63
+            lg in 0u32..13,
+            spread in 0u64..4096,
+            f in 2u32..64,
+            t in 0u32..63,
+            c1 in 0.05f64..8.0,
+            c2 in 0.05f64..24.0,
+            limit in 0u32..70,
+            sample in 0u64..1_000_000,
         ) {
             prop_assume!(t < f);
-            let c = TrapdoorConfig::new(n, f, t);
-            let mut total = 0u64;
+            let n = (1u64 << lg) + spread % (1u64 << lg);
+            let mut c = TrapdoorConfig::new(n, f, t)
+                .with_epoch_constant(c1)
+                .with_final_epoch_constant(c2);
+            if limit > 0 {
+                c = c.with_frequency_limit(limit);
+            }
+            let schedule = c.resolve();
+            let mut boundaries = vec![0u64];
             for e in 1..=c.num_epochs() {
                 let len = c.epoch_length(e);
                 prop_assert!(len >= 1);
-                total += len;
+                boundaries.push(boundaries[boundaries.len() - 1] + len);
             }
+            let total = boundaries[boundaries.len() - 1];
             prop_assert_eq!(total, c.total_contention_rounds());
+            let rounds = boundaries
+                .iter()
+                .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+                .chain([sample % (total + 2), sample]);
+            for r in rounds {
+                prop_assert_eq!(schedule.epoch_at(r), epoch_at_by_walking(&c, r), "round {}", r);
+            }
         }
 
         #[test]

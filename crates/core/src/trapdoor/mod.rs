@@ -17,6 +17,7 @@
 
 mod config;
 
+pub(crate) use config::TrapdoorSchedule;
 pub use config::{EpochSpec, TrapdoorConfig};
 
 use rand::Rng;
@@ -64,7 +65,7 @@ pub enum TrapdoorRole {
 /// A node running the Trapdoor Protocol.
 #[derive(Debug, Clone)]
 pub struct TrapdoorProtocol {
-    config: TrapdoorConfig,
+    schedule: TrapdoorSchedule,
     role: TrapdoorRole,
     timestamp: Timestamp,
     output: Option<u64>,
@@ -73,22 +74,18 @@ pub struct TrapdoorProtocol {
 }
 
 impl TrapdoorProtocol {
-    /// Creates a protocol instance with the given configuration. The unique
-    /// identifier is drawn when the node is activated.
+    /// Creates a protocol instance with the given configuration, resolving
+    /// its epoch schedule. The unique identifier is drawn when the node is
+    /// activated.
     pub fn new(config: TrapdoorConfig) -> Self {
         TrapdoorProtocol {
-            config,
+            schedule: config.resolve(),
             role: TrapdoorRole::Contender,
             timestamp: Timestamp::new(0, 0),
             output: None,
             band: FrequencyBand::new(config.num_frequencies.max(1)),
             activated: false,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &TrapdoorConfig {
-        &self.config
     }
 
     /// The node's current role.
@@ -113,17 +110,14 @@ impl TrapdoorProtocol {
     /// that the total stays below `6F′`.
     pub fn broadcast_weight_at(&self, local_round: u64) -> f64 {
         match self.role {
-            TrapdoorRole::Contender => match self.config.epoch_at(local_round) {
-                Some((epoch, _)) => self.config.broadcast_probability(epoch),
-                None => 0.5,
-            },
+            TrapdoorRole::Contender => self.schedule.contender_probability(local_round),
             TrapdoorRole::Leader => LEADER_BROADCAST_PROBABILITY,
             TrapdoorRole::KnockedOut | TrapdoorRole::Synchronized => 0.0,
         }
     }
 
     fn pick_frequency(&self, rng: &mut SimRng) -> wsync_radio::frequency::Frequency {
-        self.band.sample_prefix(self.config.f_prime(), rng)
+        self.band.sample_prefix(self.schedule.f_prime(), rng)
     }
 }
 
@@ -131,10 +125,10 @@ impl Protocol for TrapdoorProtocol {
     type Msg = TrapdoorMsg;
 
     fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
-        debug_assert_eq!(info.num_frequencies, self.config.num_frequencies);
+        debug_assert_eq!(info.num_frequencies, self.band.count());
         self.activated = true;
         self.band = FrequencyBand::new(info.num_frequencies.max(1));
-        self.timestamp = Timestamp::new(0, Timestamp::draw_uid(self.config.upper_bound_n, rng));
+        self.timestamp = Timestamp::new(0, Timestamp::draw_uid(self.schedule.upper_bound_n(), rng));
     }
 
     fn choose_action(&mut self, local_round: u64, rng: &mut SimRng) -> Action<TrapdoorMsg> {
@@ -144,14 +138,7 @@ impl Protocol for TrapdoorProtocol {
         let frequency = self.pick_frequency(rng);
         match self.role {
             TrapdoorRole::Contender => {
-                let p = match self.config.epoch_at(local_round) {
-                    Some((epoch, _)) => self.config.broadcast_probability(epoch),
-                    // Past the final epoch (promotion happens at end of the
-                    // previous round's feedback, so this is unreachable in
-                    // practice); behave like the final epoch.
-                    None => 0.5,
-                };
-                if rng.gen_bool(p) {
+                if rng.gen_bool(self.schedule.contender_probability(local_round)) {
                     Action::broadcast(
                         frequency,
                         TrapdoorMsg::Contender {
@@ -207,7 +194,7 @@ impl Protocol for TrapdoorProtocol {
 
         // A contender that has survived every epoch becomes the leader.
         if self.role == TrapdoorRole::Contender
-            && local_round + 1 >= self.config.total_contention_rounds()
+            && local_round + 1 >= self.schedule.total_contention_rounds()
         {
             self.role = TrapdoorRole::Leader;
             if !was_synced {
@@ -275,7 +262,7 @@ mod tests {
     #[test]
     fn actions_stay_within_f_prime() {
         let (mut p, mut rng) = activated_protocol(2);
-        let f_prime = p.config().f_prime();
+        let f_prime = p.schedule.f_prime();
         for r in 0..200 {
             let action = p.choose_action(r, &mut rng);
             let freq = action.frequency().expect("contender never sleeps");
@@ -352,7 +339,7 @@ mod tests {
     #[test]
     fn lone_contender_becomes_leader_after_all_epochs() {
         let (mut p, mut rng) = activated_protocol(6);
-        let total = p.config().total_contention_rounds();
+        let total = p.schedule.total_contention_rounds();
         for r in 0..total {
             p.choose_action(r, &mut rng);
             p.on_feedback(
@@ -389,7 +376,7 @@ mod tests {
     #[test]
     fn leader_ignores_other_leader_messages() {
         let (mut p, mut rng) = activated_protocol(7);
-        let total = p.config().total_contention_rounds();
+        let total = p.schedule.total_contention_rounds();
         for r in 0..total {
             p.choose_action(r, &mut rng);
             p.on_feedback(

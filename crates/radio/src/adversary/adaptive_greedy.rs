@@ -18,9 +18,9 @@ const LOOKBACK: usize = 8;
 /// This is the strongest *history-based* jammer in the suite and is used to
 /// stress-test the protocols beyond the specific adversaries appearing in
 /// the paper's proofs. It queries the history every round, so it holds
-/// reusable count/weight buffers and goes through the buffer-reusing
-/// [`History::listener_counts_into`] — no per-round allocation beyond the
-/// returned [`DisruptionSet`].
+/// reusable count, weight and index buffers, goes through the
+/// buffer-reusing [`History::listener_counts_into`] and inserts its
+/// targets into the engine's [`DisruptionSet`]: no per-round allocation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdaptiveGreedyAdversary {
     t: u32,
@@ -32,6 +32,9 @@ pub struct AdaptiveGreedyAdversary {
     /// Reusable weight buffer fed to the top-`k` selection.
     #[serde(skip)]
     weights: Vec<f64>,
+    /// Reusable frequency-index buffer the top-`k` selection sorts.
+    #[serde(skip)]
+    order: Vec<usize>,
 }
 
 /// Equality is over the adversary's *configuration* (its budget) — the
@@ -51,6 +54,7 @@ impl AdaptiveGreedyAdversary {
             t,
             counts: Vec::new(),
             weights: Vec::new(),
+            order: Vec::new(),
         }
     }
 }
@@ -66,19 +70,21 @@ impl Adversary for AdaptiveGreedyAdversary {
         band: FrequencyBand,
         history: &History,
         rng: &mut SimRng,
-    ) -> DisruptionSet {
+        disrupted: &mut DisruptionSet,
+    ) {
         let k = (self.t as usize).min(band.count() as usize);
         if k == 0 {
-            return DisruptionSet::empty(band.count());
+            return;
         }
         if history.is_empty() {
             // No information yet: fall back to a random choice.
-            return super::RandomAdversary::new(self.t).disrupt(0, band, history, rng);
+            disrupted.insert_sample(k, rng);
+            return;
         }
         history.listener_counts_into(band, LOOKBACK, &mut self.counts);
         self.weights.clear();
         self.weights.extend(self.counts.iter().map(|&c| c as f64));
-        top_k_weights(&self.weights, k, band.count())
+        top_k_weights(&self.weights, k, &mut self.order, disrupted);
     }
 
     fn name(&self) -> &'static str {
@@ -88,6 +94,7 @@ impl Adversary for AdaptiveGreedyAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
     use crate::frequency::Frequency;
     use crate::history::{FrequencyActivity, RoundRecord};
@@ -115,7 +122,7 @@ mod tests {
         let mut hist = History::new();
         hist.push(record_with_listeners(0, &[1, 9, 2, 5]));
         let mut adv = AdaptiveGreedyAdversary::new(2);
-        let set = adv.disrupt(1, band, &hist, &mut SimRng::from_seed(0));
+        let set = disrupt_into_empty(&mut adv, 1, band, &hist, &mut SimRng::from_seed(0));
         assert!(set.contains(Frequency::new(2)));
         assert!(set.contains(Frequency::new(4)));
         assert_eq!(set.len(), 2);
@@ -125,7 +132,13 @@ mod tests {
     fn empty_history_falls_back_to_random_with_budget() {
         let band = FrequencyBand::new(6);
         let mut adv = AdaptiveGreedyAdversary::new(3);
-        let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(1));
+        let set = disrupt_into_empty(
+            &mut adv,
+            0,
+            band,
+            &History::new(),
+            &mut SimRng::from_seed(1),
+        );
         assert_eq!(set.len(), 3);
     }
 
@@ -135,8 +148,6 @@ mod tests {
         let mut hist = History::new();
         hist.push(record_with_listeners(0, &[3, 3, 3]));
         let mut adv = AdaptiveGreedyAdversary::new(0);
-        assert!(adv
-            .disrupt(1, band, &hist, &mut SimRng::from_seed(0))
-            .is_empty());
+        assert!(disrupt_into_empty(&mut adv, 1, band, &hist, &mut SimRng::from_seed(0)).is_empty());
     }
 }

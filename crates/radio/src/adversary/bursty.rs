@@ -1,10 +1,9 @@
 //! Bursty interference: quiet periods alternating with full-budget bursts.
 
-use rand::seq::index::sample;
 use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
-use crate::frequency::{Frequency, FrequencyBand};
+use crate::frequency::FrequencyBand;
 use crate::history::History;
 use crate::rng::SimRng;
 
@@ -58,20 +57,11 @@ impl Adversary for BurstyAdversary {
         band: FrequencyBand,
         _history: &History,
         rng: &mut SimRng,
-    ) -> DisruptionSet {
-        if !self.in_burst(round) {
-            return DisruptionSet::empty(band.count());
+        disrupted: &mut DisruptionSet,
+    ) {
+        if self.in_burst(round) {
+            disrupted.insert_sample((self.t as usize).min(band.count() as usize), rng);
         }
-        let f = band.count() as usize;
-        let k = (self.t as usize).min(f);
-        if k == 0 {
-            return DisruptionSet::empty(band.count());
-        }
-        let picks = sample(rng, f, k);
-        DisruptionSet::from_frequencies(
-            band.count(),
-            picks.into_iter().map(Frequency::from_zero_based),
-        )
     }
 
     fn name(&self) -> &'static str {
@@ -81,6 +71,7 @@ impl Adversary for BurstyAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
 
     #[test]
@@ -90,7 +81,7 @@ mod tests {
         let hist = History::new();
         let mut rng = SimRng::from_seed(4);
         for round in 0..30 {
-            let set = adv.disrupt(round, band, &hist, &mut rng);
+            let set = disrupt_into_empty(&mut adv, round, band, &hist, &mut rng);
             if round % 10 < 3 {
                 assert_eq!(set.len(), 2, "round {round} should be a burst");
             } else {
@@ -126,7 +117,10 @@ mod tests {
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
         for round in 0..10 {
-            assert_eq!(adv.disrupt(round, band, &hist, &mut rng).len(), 1);
+            assert_eq!(
+                disrupt_into_empty(&mut adv, round, band, &hist, &mut rng).len(),
+                1
+            );
         }
     }
 }

@@ -35,9 +35,11 @@ impl Adversary for FixedBandAdversary {
         band: FrequencyBand,
         _history: &History,
         _rng: &mut SimRng,
-    ) -> DisruptionSet {
-        let limit = self.t.min(band.count());
-        DisruptionSet::from_frequencies(band.count(), (1..=limit).map(Frequency::new))
+        disrupted: &mut DisruptionSet,
+    ) {
+        for f in 1..=self.t.min(band.count()) {
+            disrupted.insert(Frequency::new(f));
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -47,6 +49,7 @@ impl Adversary for FixedBandAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
 
     #[test]
@@ -55,7 +58,7 @@ mod tests {
         let band = FrequencyBand::new(8);
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
-        let set = adv.disrupt(0, band, &hist, &mut rng);
+        let set = disrupt_into_empty(&mut adv, 0, band, &hist, &mut rng);
         assert_eq!(set.len(), 3);
         for f in 1..=3 {
             assert!(set.contains(Frequency::new(f)));
@@ -69,7 +72,13 @@ mod tests {
     fn budget_larger_than_band_is_clamped() {
         let mut adv = FixedBandAdversary::new(100);
         let band = FrequencyBand::new(4);
-        let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(1));
+        let set = disrupt_into_empty(
+            &mut adv,
+            0,
+            band,
+            &History::new(),
+            &mut SimRng::from_seed(1),
+        );
         assert_eq!(set.len(), 4);
     }
 
@@ -77,7 +86,13 @@ mod tests {
     fn zero_budget_disrupts_nothing() {
         let mut adv = FixedBandAdversary::new(0);
         let band = FrequencyBand::new(4);
-        let set = adv.disrupt(5, band, &History::new(), &mut SimRng::from_seed(1));
+        let set = disrupt_into_empty(
+            &mut adv,
+            5,
+            band,
+            &History::new(),
+            &mut SimRng::from_seed(1),
+        );
         assert!(set.is_empty());
     }
 
@@ -87,9 +102,12 @@ mod tests {
         let band = FrequencyBand::new(6);
         let hist = History::new();
         let mut rng = SimRng::from_seed(3);
-        let first = adv.disrupt(0, band, &hist, &mut rng);
+        let first = disrupt_into_empty(&mut adv, 0, band, &hist, &mut rng);
         for round in 1..10 {
-            assert_eq!(adv.disrupt(round, band, &hist, &mut rng), first);
+            assert_eq!(
+                disrupt_into_empty(&mut adv, round, band, &hist, &mut rng),
+                first
+            );
         }
     }
 }

@@ -22,10 +22,12 @@
 //! The Theorem 4 lower-bound adversary (jam the `t` largest products
 //! `p_j·q_j`) is played in closed form by `wsync-analysis::two_node`.
 
+use rand::Rng;
+use serde::{Deserialize, Serialize};
+
 use crate::frequency::{Frequency, FrequencyBand};
 use crate::history::History;
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 mod adaptive_greedy;
 mod bursty;
@@ -57,6 +59,11 @@ pub use sweep::SweepAdversary;
 /// 0-based frequency indices whose `mask` slot is `true`. Because the list
 /// is canonical, the derived `PartialEq` (which compares both fields)
 /// agrees with set equality.
+///
+/// The engine owns one set for the whole execution: it empties the set at
+/// the top of every round (through `indices`, so in O(t)) and hands it to
+/// [`Adversary::disrupt`] to fill, so choosing a round's disruptions
+/// allocates nothing once the index list has grown to the budget.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisruptionSet {
     mask: Vec<bool>,
@@ -98,6 +105,39 @@ impl DisruptionSet {
                 }
             }
         }
+    }
+
+    /// Inserts `amount` distinct frequencies drawn uniformly from the band
+    /// by Floyd's combination algorithm. The set must arrive empty: its
+    /// mask is Floyd's membership test, so the draws are the same
+    /// `gen_range(0..j + 1)` calls, in the same order, as
+    /// `rand::seq::index::sample(rng, F, amount)` makes, and the set holds
+    /// the frequencies that call returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amount` exceeds the band.
+    pub(crate) fn insert_sample(&mut self, amount: usize, rng: &mut SimRng) {
+        debug_assert!(self.is_empty(), "Floyd's draw needs an empty set");
+        let length = self.mask.len();
+        assert!(
+            amount <= length,
+            "cannot sample {amount} distinct frequencies from a band of {length}"
+        );
+        for j in length - amount..length {
+            let pick = rng.gen_range(0..j + 1);
+            let pick = if self.mask[pick] { j } else { pick };
+            self.insert(Frequency::from_zero_based(pick));
+        }
+    }
+
+    /// Empties the set in O(t): only the mask slots `indices` lists are
+    /// reset.
+    pub(crate) fn clear(&mut self) {
+        for &i in &self.indices {
+            self.mask[i as usize] = false;
+        }
+        self.indices.clear();
     }
 
     /// Returns `true` if `f` is disrupted.
@@ -170,15 +210,18 @@ pub trait Adversary {
         None
     }
 
-    /// Chooses the set of frequencies to disrupt in `round`, given the
-    /// completed execution `history` (through round `round − 1`).
+    /// Chooses the frequencies to disrupt in `round`, given the completed
+    /// execution `history` (through round `round − 1`), by inserting them
+    /// into `disrupted`. The set arrives empty and sized to `band`; the
+    /// engine owns it and reuses it every round.
     fn disrupt(
         &mut self,
         round: u64,
         band: FrequencyBand,
         history: &History,
         rng: &mut SimRng,
-    ) -> DisruptionSet;
+        disrupted: &mut DisruptionSet,
+    );
 
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> &'static str {
@@ -186,26 +229,49 @@ pub trait Adversary {
     }
 }
 
-/// Selects the indices of the `k` largest weights (ties broken towards
-/// lower indices), returned as a [`DisruptionSet`]: the adaptive-greedy
-/// adversary's target choice.
-pub(crate) fn top_k_weights(weights: &[f64], k: usize, num_frequencies: u32) -> DisruptionSet {
-    let mut idx: Vec<usize> = (0..weights.len()).collect();
-    idx.sort_by(|&a, &b| {
+/// Inserts the indices of the `k` largest weights (ties broken towards
+/// lower indices) into `disrupted`: the adaptive-greedy adversary's target
+/// choice. `order` is a reusable index buffer; the comparison is a total
+/// order, so the in-place unstable sort picks the same indices a stable
+/// sort would.
+pub(crate) fn top_k_weights(
+    weights: &[f64],
+    k: usize,
+    order: &mut Vec<usize>,
+    disrupted: &mut DisruptionSet,
+) {
+    order.clear();
+    order.extend(0..weights.len());
+    order.sort_unstable_by(|&a, &b| {
         weights[b]
             .partial_cmp(&weights[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    DisruptionSet::from_frequencies(
-        num_frequencies,
-        idx.into_iter().take(k).map(Frequency::from_zero_based),
-    )
+    for &i in order.iter().take(k) {
+        disrupted.insert(Frequency::from_zero_based(i));
+    }
+}
+
+/// Runs one `disrupt` call into a fresh set, as the engine's emptied set
+/// arrives.
+#[cfg(test)]
+pub(crate) fn disrupt_into_empty(
+    adversary: &mut dyn Adversary,
+    round: u64,
+    band: FrequencyBand,
+    history: &History,
+    rng: &mut SimRng,
+) -> DisruptionSet {
+    let mut disrupted = DisruptionSet::empty(band.count());
+    adversary.disrupt(round, band, history, rng, &mut disrupted);
+    disrupted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn disruption_set_basic_operations() {
@@ -248,10 +314,16 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
+    fn top_k(weights: &[f64], k: usize) -> DisruptionSet {
+        let mut s = DisruptionSet::empty(weights.len() as u32);
+        top_k_weights(weights, k, &mut Vec::new(), &mut s);
+        s
+    }
+
     #[test]
     fn top_k_selects_largest_weights() {
         let w = [0.1, 0.9, 0.5, 0.9, 0.0];
-        let s = top_k_weights(&w, 2, 5);
+        let s = top_k(&w, 2);
         // the two largest are indices 1 and 3 (tie broken to lower index first,
         // but both are selected here)
         assert!(s.contains(Frequency::new(2)));
@@ -261,7 +333,61 @@ mod tests {
 
     #[test]
     fn top_k_with_zero_k_is_empty() {
-        let s = top_k_weights(&[1.0, 2.0], 0, 2);
+        let s = top_k(&[1.0, 2.0], 0);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn clear_resets_every_inserted_slot() {
+        let mut s =
+            DisruptionSet::from_frequencies(8, [2u32, 5, 8].into_iter().map(Frequency::new));
+        s.clear();
+        assert_eq!(s, DisruptionSet::empty(8));
+        s.insert(Frequency::new(3));
+        assert_eq!(s, DisruptionSet::from_frequencies(8, [Frequency::new(3)]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The set's Floyd draw is `rand::seq::index::sample`'s: the same
+        /// indices from the same RNG state, leaving the RNG in the same
+        /// state.
+        #[test]
+        fn floyd_draw_matches_index_sample(seed in any::<u64>()) {
+            for f in 1..64usize {
+                for k in 0..=f {
+                    let mut sampled_rng = SimRng::from_seed(seed ^ ((f as u64) << 8) ^ k as u64);
+                    let mut set_rng = sampled_rng.clone();
+                    let mut expected: Vec<u32> = rand::seq::index::sample(&mut sampled_rng, f, k)
+                        .into_iter()
+                        .map(|i| i as u32)
+                        .collect();
+                    expected.sort_unstable();
+                    let mut set = DisruptionSet::empty(f as u32);
+                    set.insert_sample(k, &mut set_rng);
+                    prop_assert_eq!(set.indices(), expected.as_slice());
+                    prop_assert_eq!(set_rng.gen::<u64>(), sampled_rng.gen::<u64>());
+                }
+            }
+        }
+
+        /// The in-place top-k selection picks what a stable sort of the
+        /// indices by descending weight would.
+        #[test]
+        fn top_k_matches_a_stable_sort(
+            counts in proptest::collection::vec(0u64..4, 1..40),
+            k in 0usize..40,
+        ) {
+            let weights: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+            let k = k.min(weights.len());
+            let mut order: Vec<usize> = (0..weights.len()).collect();
+            order.sort_by(|&a, &b| weights[b].partial_cmp(&weights[a]).unwrap());
+            let expected = DisruptionSet::from_frequencies(
+                weights.len() as u32,
+                order.into_iter().take(k).map(Frequency::from_zero_based),
+            );
+            prop_assert_eq!(top_k(&weights, k), expected);
+        }
     }
 }

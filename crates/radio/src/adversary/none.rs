@@ -27,11 +27,11 @@ impl Adversary for NoAdversary {
     fn disrupt(
         &mut self,
         _round: u64,
-        band: FrequencyBand,
+        _band: FrequencyBand,
         _history: &History,
         _rng: &mut SimRng,
-    ) -> DisruptionSet {
-        DisruptionSet::empty(band.count())
+        _disrupted: &mut DisruptionSet,
+    ) {
     }
 
     fn name(&self) -> &'static str {
@@ -41,6 +41,7 @@ impl Adversary for NoAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
 
     #[test]
@@ -50,7 +51,7 @@ mod tests {
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
         for round in 0..20 {
-            let set = adv.disrupt(round, band, &hist, &mut rng);
+            let set = disrupt_into_empty(&mut adv, round, band, &hist, &mut rng);
             assert!(set.is_empty());
         }
         assert_eq!(adv.name(), "none");

@@ -59,21 +59,18 @@ impl Adversary for ObliviousScheduleAdversary {
     fn disrupt(
         &mut self,
         round: u64,
-        band: FrequencyBand,
+        _band: FrequencyBand,
         _history: &History,
         _rng: &mut SimRng,
-    ) -> DisruptionSet {
+        disrupted: &mut DisruptionSet,
+    ) {
         if self.schedule.is_empty() {
-            return DisruptionSet::empty(band.count());
+            return;
         }
         let idx = (round % self.schedule.len() as u64) as usize;
-        DisruptionSet::from_frequencies(
-            band.count(),
-            self.schedule[idx]
-                .iter()
-                .filter(|&&f| f >= 1)
-                .map(|&f| Frequency::new(f)),
-        )
+        for &f in self.schedule[idx].iter().filter(|&&f| f >= 1) {
+            disrupted.insert(Frequency::new(f));
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -83,6 +80,7 @@ impl Adversary for ObliviousScheduleAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
 
     #[test]
@@ -93,13 +91,13 @@ mod tests {
         let band = FrequencyBand::new(4);
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
-        let r0 = adv.disrupt(0, band, &hist, &mut rng);
+        let r0 = disrupt_into_empty(&mut adv, 0, band, &hist, &mut rng);
         assert!(r0.contains(Frequency::new(1)) && r0.contains(Frequency::new(2)));
-        let r1 = adv.disrupt(1, band, &hist, &mut rng);
+        let r1 = disrupt_into_empty(&mut adv, 1, band, &hist, &mut rng);
         assert_eq!(r1.len(), 1);
-        assert!(adv.disrupt(2, band, &hist, &mut rng).is_empty());
+        assert!(disrupt_into_empty(&mut adv, 2, band, &hist, &mut rng).is_empty());
         // wraps around
-        assert_eq!(adv.disrupt(3, band, &hist, &mut rng), r0);
+        assert_eq!(disrupt_into_empty(&mut adv, 3, band, &hist, &mut rng), r0);
     }
 
     #[test]
@@ -108,9 +106,14 @@ mod tests {
             schedule: Vec::new(),
         };
         let band = FrequencyBand::new(4);
-        assert!(adv
-            .disrupt(0, band, &History::new(), &mut SimRng::from_seed(0))
-            .is_empty());
+        assert!(disrupt_into_empty(
+            &mut adv,
+            0,
+            band,
+            &History::new(),
+            &mut SimRng::from_seed(0)
+        )
+        .is_empty());
     }
 
     #[test]
@@ -120,7 +123,10 @@ mod tests {
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
         for round in 0..64 {
-            assert_eq!(adv.disrupt(round, band, &hist, &mut rng).len(), 5);
+            assert_eq!(
+                disrupt_into_empty(&mut adv, round, band, &hist, &mut rng).len(),
+                5
+            );
         }
     }
 

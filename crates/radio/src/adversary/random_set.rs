@@ -1,11 +1,10 @@
 //! The adversary that jams a fresh uniformly random set of frequencies each
 //! round.
 
-use rand::seq::index::sample;
 use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
-use crate::frequency::{Frequency, FrequencyBand};
+use crate::frequency::FrequencyBand;
 use crate::history::History;
 use crate::rng::SimRng;
 
@@ -34,17 +33,9 @@ impl Adversary for RandomAdversary {
         band: FrequencyBand,
         _history: &History,
         rng: &mut SimRng,
-    ) -> DisruptionSet {
-        let f = band.count() as usize;
-        let k = (self.t as usize).min(f);
-        if k == 0 {
-            return DisruptionSet::empty(band.count());
-        }
-        let picks = sample(rng, f, k);
-        DisruptionSet::from_frequencies(
-            band.count(),
-            picks.into_iter().map(Frequency::from_zero_based),
-        )
+        disrupted: &mut DisruptionSet,
+    ) {
+        disrupted.insert_sample((self.t as usize).min(band.count() as usize), rng);
     }
 
     fn name(&self) -> &'static str {
@@ -54,7 +45,9 @@ impl Adversary for RandomAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
+    use crate::frequency::Frequency;
 
     #[test]
     fn always_exactly_t_distinct_frequencies() {
@@ -63,7 +56,7 @@ mod tests {
         let hist = History::new();
         let mut rng = SimRng::from_seed(11);
         for round in 0..50 {
-            let set = adv.disrupt(round, band, &hist, &mut rng);
+            let set = disrupt_into_empty(&mut adv, round, band, &hist, &mut rng);
             assert_eq!(set.len(), 3);
         }
     }
@@ -73,13 +66,11 @@ mod tests {
         let band = FrequencyBand::new(4);
         let hist = History::new();
         let mut rng = SimRng::from_seed(1);
-        assert!(RandomAdversary::new(0)
-            .disrupt(0, band, &hist, &mut rng)
-            .is_empty());
+        assert!(
+            disrupt_into_empty(&mut RandomAdversary::new(0), 0, band, &hist, &mut rng).is_empty()
+        );
         assert_eq!(
-            RandomAdversary::new(10)
-                .disrupt(0, band, &hist, &mut rng)
-                .len(),
+            disrupt_into_empty(&mut RandomAdversary::new(10), 0, band, &hist, &mut rng).len(),
             4
         );
     }
@@ -91,7 +82,7 @@ mod tests {
         let hist = History::new();
         let mut rng = SimRng::from_seed(5);
         let sets: Vec<DisruptionSet> = (0..20)
-            .map(|r| adv.disrupt(r, band, &hist, &mut rng))
+            .map(|r| disrupt_into_empty(&mut adv, r, band, &hist, &mut rng))
             .collect();
         let all_same = sets.iter().all(|s| *s == sets[0]);
         assert!(!all_same, "random adversary should vary its targets");
@@ -106,7 +97,7 @@ mod tests {
             let mut rng = SimRng::from_seed(seed);
             (0..10)
                 .map(|r| {
-                    adv.disrupt(r, band, &hist, &mut rng)
+                    disrupt_into_empty(&mut adv, r, band, &hist, &mut rng)
                         .iter()
                         .map(Frequency::index)
                         .collect()

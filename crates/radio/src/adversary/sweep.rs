@@ -34,17 +34,13 @@ impl Adversary for SweepAdversary {
         band: FrequencyBand,
         _history: &History,
         _rng: &mut SimRng,
-    ) -> DisruptionSet {
+        disrupted: &mut DisruptionSet,
+    ) {
         let f = band.count();
-        let k = self.t.min(f);
-        if k == 0 {
-            return DisruptionSet::empty(f);
-        }
         let start = (round % u64::from(f)) as u32;
-        DisruptionSet::from_frequencies(
-            f,
-            (0..k).map(|i| Frequency::from_zero_based(((start + i) % f) as usize)),
-        )
+        for i in 0..self.t.min(f) {
+            disrupted.insert(Frequency::from_zero_based(((start + i) % f) as usize));
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -54,6 +50,7 @@ impl Adversary for SweepAdversary {
 
 #[cfg(test)]
 mod tests {
+    use super::super::disrupt_into_empty;
     use super::*;
 
     fn freqs(set: &DisruptionSet) -> Vec<u32> {
@@ -66,16 +63,24 @@ mod tests {
         let band = FrequencyBand::new(5);
         let hist = History::new();
         let mut rng = SimRng::from_seed(0);
-        assert_eq!(freqs(&adv.disrupt(0, band, &hist, &mut rng)), vec![1, 2]);
-        assert_eq!(freqs(&adv.disrupt(1, band, &hist, &mut rng)), vec![2, 3]);
-        assert_eq!(freqs(&adv.disrupt(4, band, &hist, &mut rng)), vec![1, 5]); // wraps
+        let mut disrupt =
+            |round| freqs(&disrupt_into_empty(&mut adv, round, band, &hist, &mut rng));
+        assert_eq!(disrupt(0), vec![1, 2]);
+        assert_eq!(disrupt(1), vec![2, 3]);
+        assert_eq!(disrupt(4), vec![1, 5]); // wraps
     }
 
     #[test]
     fn budget_respected_and_clamped() {
         let mut adv = SweepAdversary::new(10);
         let band = FrequencyBand::new(4);
-        let set = adv.disrupt(0, band, &History::new(), &mut SimRng::from_seed(0));
+        let set = disrupt_into_empty(
+            &mut adv,
+            0,
+            band,
+            &History::new(),
+            &mut SimRng::from_seed(0),
+        );
         assert_eq!(set.len(), 4);
     }
 }

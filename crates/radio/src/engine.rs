@@ -29,11 +29,11 @@
 //! allocation. The engine still owns reusable structure-of-arrays buffers
 //! (per-node action/payload/view slots, per-frequency occupancy counters
 //! and the per-frequency activity record) sized O(N + F) once at
-//! construction; only the *passes* are sparse. The two deliberate
-//! per-round O(F) residues are outside the pass structure: the
-//! [`History`] probe memcpys the F-wide activity slice when retention is
-//! active, and adversaries allocate one F-wide
-//! [`DisruptionSet`](crate::adversary::DisruptionSet) mask per round.
+//! construction; only the *passes* are sparse. The adversary fills an
+//! engine-owned [`DisruptionSet`], emptied in O(t) at the top of each
+//! round. The one deliberate per-round O(F) residue is outside the pass
+//! structure: the [`History`] probe memcpys the F-wide activity slice when
+//! retention is active.
 //!
 //! The O(active) bound is the engine's alone: a probe that scans
 //! [`RoundObservation::nodes`] (the property checker does) reads all N
@@ -43,7 +43,7 @@
 
 use crate::action::Action;
 use crate::activation::ActivationSchedule;
-use crate::adversary::Adversary;
+use crate::adversary::{Adversary, DisruptionSet};
 use crate::error::{ConfigError, Result};
 use crate::fault::{FaultKind, FaultLayer, FaultStack, FaultTransitions, NetworkView};
 use crate::frequency::FrequencyBand;
@@ -224,7 +224,8 @@ impl ExecutionResult {
 /// `touched`) are rewritten, so the reset costs O(touched), not O(F).
 /// `activity` is the round's per-frequency resolution record, which probes
 /// observe by reference and the [`History`] copies into a recycled buffer;
-/// entries for untouched frequencies hold the all-quiet value.
+/// entries for untouched frequencies hold the all-quiet value. `disrupted`
+/// is the set the adversary fills, emptied through its index list.
 struct RoundScratch<M> {
     /// Nodes newly activated this round.
     newly_activated: Vec<NodeId>,
@@ -250,6 +251,8 @@ struct RoundScratch<M> {
     touched: Vec<u32>,
     /// Per-frequency membership flag for `touched`.
     freq_touched: Vec<bool>,
+    /// The frequencies the adversary disrupts this round.
+    disrupted: DisruptionSet,
     /// Messages delivered this round.
     deliveries: Vec<Delivery>,
     /// Per-frequency index into `deliveries`; written (and read) only for
@@ -281,6 +284,7 @@ impl<M> RoundScratch<M> {
             activity: vec![QUIET; num_frequencies],
             touched: Vec::new(),
             freq_touched: vec![false; num_frequencies],
+            disrupted: DisruptionSet::empty(num_frequencies as u32),
             deliveries: Vec::new(),
             delivery_slot: vec![0; num_frequencies],
             tally: RoundTally::default(),
@@ -301,6 +305,7 @@ impl<M> RoundScratch<M> {
             self.freq_touched[fi] = false;
         }
         self.touched.clear();
+        self.disrupted.clear();
         self.tally = RoundTally::default();
         // `solo_broadcaster`, `actions`, `payloads` and `node_views` are
         // overwritten where meaningful; stale entries are never read.
@@ -736,18 +741,26 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         }
         self.scratch.tally.active_nodes = self.active.len() as u32;
 
-        // 3. Adversary.
-        let mut disrupted =
-            self.adversary
-                .disrupt(round, band, &self.history, &mut self.adversary_rng);
-        let removed = disrupted.truncate_to_budget(self.config.disruption_bound as usize);
+        // 3. Adversary: it fills the set `begin_round` emptied.
+        self.adversary.disrupt(
+            round,
+            band,
+            &self.history,
+            &mut self.adversary_rng,
+            &mut self.scratch.disrupted,
+        );
+        let removed = self
+            .scratch
+            .disrupted
+            .truncate_to_budget(self.config.disruption_bound as usize);
         self.scratch.tally.adversary_clamped = removed > 0;
-        self.scratch.tally.disrupted_frequencies = disrupted.len() as u32;
+        self.scratch.tally.disrupted_frequencies = self.scratch.disrupted.len() as u32;
 
         // A disrupted-but-unoccupied frequency still shows up in the
         // round's activity record, so it counts as touched too.
-        for &fi in disrupted.indices() {
-            self.scratch.touch(fi as usize);
+        for k in 0..self.scratch.disrupted.len() {
+            let fi = self.scratch.disrupted.indices()[k] as usize;
+            self.scratch.touch(fi);
         }
         // Ascending frequency order keeps the resolution pass (and the
         // fault layers' per-delivery draws) bit-identical to the old
@@ -765,7 +778,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             let freq = crate::frequency::Frequency::from_zero_based(fi);
             let b = self.scratch.broadcasters[fi];
             let l = self.scratch.listeners[fi];
-            let is_disrupted = disrupted.contains(freq);
+            let is_disrupted = self.scratch.disrupted.contains(freq);
             let mut delivered = b == 1 && !is_disrupted;
             if b >= 2 {
                 self.scratch.tally.collisions += 1;
@@ -900,7 +913,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             newly_activated: &self.scratch.newly_activated,
             actions: &self.scratch.actions,
             nodes: &self.scratch.node_views,
-            disrupted: &disrupted,
+            disrupted: &self.scratch.disrupted,
             deliveries: &self.scratch.deliveries,
             activity: &self.scratch.activity,
             tally: self.scratch.tally,

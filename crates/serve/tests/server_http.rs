@@ -40,6 +40,9 @@ const SWEEP_BODY: &str = r#"{
   "grid": [{"field": "num_frequencies", "values": [4, 8]}]
 }"#;
 
+/// A `bursty` adversary with a zero-round cycle, which it cannot run.
+const BAD_BURSTY: &str = r#"{"name": "bursty", "params": {"period": 0, "burst_len": 0}}"#;
+
 fn temp_dir_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wsync-serve-http-{tag}-{}", std::process::id()))
 }
@@ -207,6 +210,13 @@ fn run_rejects_bad_seed_ranges_and_unknown_components() {
     let (status, _) = post(addr, "/run", &unknown);
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
 
+    // A parameter value the adversary cannot run is a 400, not a handler
+    // panic that drops the connection.
+    let zero_period = RUN_BODY.replace("\"random\"", BAD_BURSTY);
+    let (status, body) = post(addr, "/run", &zero_period);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("period"), "{body}");
+
     // Misspelled keys are named, not dropped: "seed" would otherwise run
     // seed 0 alone, and a "stride" would silently vanish.
     let error = |body: &str| {
@@ -314,7 +324,12 @@ fn sweep_rejects_specs_that_cannot_run_before_creating_a_job() {
     assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
     assert!(body.contains("disruption"), "{body}");
 
-    // Neither request left a job behind.
+    let zero_period = SWEEP_BODY.replace("\"random\"", BAD_BURSTY);
+    let (status, body) = post(addr, "/sweep", &zero_period);
+    assert_eq!(status, "HTTP/1.1 400 Bad Request", "{body}");
+    assert!(body.contains("period"), "{body}");
+
+    // No request left a job behind.
     let (_, body) = get(addr, "/healthz");
     let health = json::parse(&body).expect("healthz is JSON");
     assert_eq!(health.get("jobs_total").and_then(Value::as_u64), Some(0));

@@ -9,7 +9,7 @@
 //! current engine, running each case via `ScenarioSpec` → `Sim::from_spec`
 //! (JSON-round-tripped on the way, so the serialized form is covered too),
 //! must reproduce them bit for bit — proving that the registry's
-//! type-erased protocol path and the declarative spec layer are
+//! catalogue protocol path and the declarative spec layer are
 //! observationally identical to the original statically-typed runners.
 //!
 //! The digest is FNV-1a over the `Debug` rendering of the full outcome, so

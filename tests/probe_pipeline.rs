@@ -21,7 +21,7 @@ use wireless_sync::sync::store::spec_digest;
 fn engine_for(
     spec: &ScenarioSpec,
     seed: u64,
-) -> Engine<wireless_sync::sync::registry::BoxedProtocol, BoxedAdversary> {
+) -> Engine<wireless_sync::sync::registry::CatalogueProtocol, BoxedAdversary> {
     let scenario = spec.scenario();
     let ctor = registry::resolve_protocol(spec.protocol.name())
         .unwrap()
@@ -130,11 +130,11 @@ fn history_retention_is_derived_from_adversary_and_probe_demand() {
         fn disrupt(
             &mut self,
             _round: u64,
-            band: wireless_sync::radio::frequency::FrequencyBand,
+            _band: wireless_sync::radio::frequency::FrequencyBand,
             _history: &wireless_sync::radio::history::History,
             _rng: &mut SimRng,
-        ) -> DisruptionSet {
-            DisruptionSet::empty(band.count())
+            _disrupted: &mut DisruptionSet,
+        ) {
         }
     }
     let ctor = registry::resolve_protocol("trapdoor")
