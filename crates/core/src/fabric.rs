@@ -44,6 +44,11 @@
 //! shard bytes are identical to a 1-process run no matter how many
 //! workers ran or died.
 //!
+//! Leases are the only coordination files. An adaptive sweep's stop
+//! verdicts are never exchanged: every worker derives them from the
+//! stored outcomes (see [`run_worker`]), so once every lease is released
+//! the store directory holds nothing but shard files.
+//!
 //! Clock time appears in exactly one decision — "is this lease's holder
 //! still alive?" — and even there only the *local, monotonic* clock is
 //! read, confined to the private `clock` boundary module; no simulated
@@ -201,14 +206,6 @@ pub enum WorkerEvent {
         /// Trials already stored when the worker got there.
         cached: u64,
     },
-    /// The shard is incomplete but held by a live peer; the worker will
-    /// come back to it.
-    ShardBusy {
-        /// The busy shard.
-        shard: usize,
-        /// The peer's holder identity (`"?"` if unreadable).
-        holder: String,
-    },
     /// The worker reclaimed a stale lease left by a dead peer.
     LeaseReclaimed {
         /// The reclaimed shard.
@@ -223,9 +220,8 @@ pub enum WorkerEvent {
         shard: usize,
     },
     /// An adaptive sweep's grid point stopped sampling early: this worker
-    /// either derived the verdict at a batch boundary (and published the
-    /// stop marker peers honor) or observed a peer's marker. Emitted at
-    /// most once per point per worker.
+    /// derived the verdict at a batch boundary from the stored outcomes,
+    /// as every peer does. Emitted at most once per point per worker.
     PointStopped {
         /// The stopped grid point (expansion index).
         point: usize,
@@ -251,8 +247,7 @@ pub struct WorkerSummary {
     pub leases_lost: u64,
     /// Idle passes slept through while peers held incomplete shards.
     pub idle_passes: u64,
-    /// Adaptive grid points this worker saw stop early (derived or
-    /// observed via a peer's marker).
+    /// Adaptive grid points this worker saw stop early.
     pub points_stopped: u64,
     /// Shard lines decoded while watching and repairing shards
     /// (`ResultStore::lines_decoded`; the store's initial open is not
@@ -360,24 +355,6 @@ fn lease_body(shard: usize, holder: &str, beat: u64) -> Vec<u8> {
     body.resize(body.len() + BEAT_DIGITS.saturating_sub(digits), b' ');
     body.push(b'\n');
     body
-}
-
-/// The holder recorded in a lease file's body, if it parses.
-fn lease_holder(text: &str) -> Option<String> {
-    let value = json::parse(text.trim()).ok()?;
-    Some(value.get("holder")?.as_str()?.to_string())
-}
-
-/// Reads the holder of `shard`'s lease in `dir`: `Ok(None)` if no lease
-/// file exists, `"?"` if one exists but is unreadable (e.g. a claim that
-/// died between create and write — staleness still reclaims it).
-fn read_lease(dir: &Path, shard: usize) -> Result<Option<String>, FabricError> {
-    let path = lease_path(dir, shard);
-    match fs::read_to_string(&path) {
-        Ok(text) => Ok(Some(lease_holder(&text).unwrap_or_else(|| "?".to_string()))),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(source) => Err(FabricError::Lease { path, source }),
-    }
 }
 
 /// The identity stamp of a lease body: who holds it and how many
@@ -576,117 +553,6 @@ pub fn clean_leases(dir: impl AsRef<Path>) -> Result<usize, FabricError> {
     Ok(removed)
 }
 
-/// The canonical digest naming a sweep's cross-process coordination files
-/// (adaptive stop markers): FNV-1a over the sweep's compact canonical
-/// JSON. Every worker derives it from the same spec, so markers published
-/// by one process are found by all.
-fn sweep_digest(sweep: &SweepSpec) -> u64 {
-    fnv1a(sweep.to_value().to_json_compact().as_bytes())
-}
-
-/// The stop-marker file recording that `point` of the sweep identified by
-/// `digest` stopped sampling early.
-fn stop_marker_path(dir: &Path, digest: u64, point: usize) -> PathBuf {
-    dir.join(format!("stop-{digest:016x}-p{point:03}.marker"))
-}
-
-/// Publishes a stop verdict for `point`: `create_new`, so of any number of
-/// workers deriving the same (deterministic) verdict exactly one writes
-/// the file and the rest see `AlreadyExists` — which is fine, the bytes
-/// they would have written are identical.
-fn write_stop_marker(
-    dir: &Path,
-    digest: u64,
-    point: usize,
-    reason: StopReason,
-    seeds_used: u64,
-) -> Result<(), FabricError> {
-    let path = stop_marker_path(dir, digest, point);
-    let mut body = Value::Object(vec![
-        ("point".to_string(), Value::Int(point as i64)),
-        ("reason".to_string(), Value::Str(reason.name().to_string())),
-        ("seeds_used".to_string(), Value::Int(seeds_used as i64)),
-    ])
-    .to_json_compact();
-    body.push('\n');
-    match OpenOptions::new().write(true).create_new(true).open(&path) {
-        Ok(mut file) => file
-            .write_all(body.as_bytes())
-            .map_err(|source| FabricError::Lease { path, source }),
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(()),
-        Err(source) => Err(FabricError::Lease { path, source }),
-    }
-}
-
-/// Reads `point`'s published stop verdict, if any. A torn or unparseable
-/// marker (a writer that died mid-write) reads as absent: every worker
-/// re-derives the same verdict from the store anyway, so markers are an
-/// acceleration, never the source of truth.
-fn read_stop_marker(
-    dir: &Path,
-    digest: u64,
-    point: usize,
-) -> Result<Option<(StopReason, u64)>, FabricError> {
-    let path = stop_marker_path(dir, digest, point);
-    let text = match fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(source) => return Err(FabricError::Lease { path, source }),
-    };
-    let Ok(value) = json::parse(text.trim()) else {
-        return Ok(None);
-    };
-    let reason = match value.get("reason").and_then(Value::as_str) {
-        Some("half_width") => StopReason::HalfWidth,
-        Some("exhausted") => StopReason::Exhausted,
-        _ => return Ok(None),
-    };
-    let Some(seeds_used) = value.get("seeds_used").and_then(Value::as_u64) else {
-        return Ok(None);
-    };
-    Ok(Some((reason, seeds_used)))
-}
-
-/// Removes every stop-marker file under `dir`, returning how many were
-/// removed. For the orchestrating parent after aggregation: markers are
-/// per-run coordination state, not results, and the store directory
-/// should end holding only shard `.jsonl` files.
-pub fn clean_stop_markers(dir: impl AsRef<Path>) -> Result<usize, FabricError> {
-    let dir = dir.as_ref();
-    let entries = match fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(source) => {
-            return Err(FabricError::Lease {
-                path: dir.to_path_buf(),
-                source,
-            })
-        }
-    };
-    let mut removed = 0;
-    for entry in entries {
-        let entry = entry.map_err(|source| FabricError::Lease {
-            path: dir.to_path_buf(),
-            source,
-        })?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("stop-") && name.ends_with(".marker") {
-            match fs::remove_file(entry.path()) {
-                Ok(()) => removed += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(source) => {
-                    return Err(FabricError::Lease {
-                        path: entry.path(),
-                        source,
-                    })
-                }
-            }
-        }
-    }
-    Ok(removed)
-}
-
 /// Runs one fabric worker to completion: claims shards of `store_dir` one
 /// at a time, executes every trial of `sweep` that maps to a claimed
 /// shard and is not already stored, and returns once **every** shard of
@@ -711,12 +577,12 @@ pub fn clean_stop_markers(dir: impl AsRef<Path>) -> Result<usize, FabricError> {
 /// in seed order, into per-point folds it keeps across phases, and
 /// applies [`StoppingRule::decide_batch`](crate::sweep::StoppingRule::decide_batch)
 /// — the same pure decision the in-process runner uses, over the same
-/// bytes, so all processes derive identical verdicts independently. The
-/// first worker to derive a stop publishes a marker file
-/// (`stop_marker_path`) that late-starting peers honor without
-/// recomputation; trials past a stopped point's boundary are never
-/// scheduled, and the final sorted shard bytes are identical to a
-/// single-process run.
+/// bytes, so all processes derive identical verdicts independently. A
+/// worker derives every verdict before it asks for the next window, so
+/// trials past a stopped point's boundary are never scheduled (a
+/// late-starting worker finds the windows before the boundary stored and
+/// reaches the same verdict without executing them), and the final sorted
+/// shard bytes are identical to a single-process run.
 pub fn run_worker<F>(
     store_dir: impl AsRef<Path>,
     sweep: &SweepSpec,
@@ -735,7 +601,6 @@ where
         .map(|point| Sim::from_spec(&point.spec))
         .collect::<Result<_, SpecError>>()?;
     let digests: Vec<u64> = sims.iter().map(Sim::digest).collect();
-    let digest = sweep_digest(sweep);
 
     let mut summary = WorkerSummary::default();
     // This worker's private view of peer lease stamps: a peer's lease is
@@ -743,18 +608,7 @@ where
     // counter stay frozen for a full TTL on its own monotonic clock.
     let mut watch = LeaseWatch::new();
     let mut schedule = BatchSchedule::new(sims.len(), seeds, sweep.stop.as_ref());
-    let mut announced: Vec<bool> = vec![false; sims.len()];
-    loop {
-        // Honor verdicts peers have already published: a late-starting
-        // worker never schedules trials past a stopped point's boundary.
-        for point in schedule.open_points() {
-            if let Some((reason, used)) = read_stop_marker(dir, digest, point)? {
-                schedule.stop_at(point, reason, used);
-            }
-        }
-        let Some(window) = schedule.next_window() else {
-            break;
-        };
+    while let Some(window) = schedule.next_window() {
         // Partition the window's trials by their store shard: the shard is
         // the fabric's unit of work, and the holder of its lease executes
         // exactly the trials routed to it (in deterministic point-major
@@ -780,21 +634,13 @@ where
         // folds the same bytes in the same order.
         schedule.fold_stored(&window, |point, seed| store.get(digests[point], seed));
         for point in schedule.close(&window) {
-            if let Some((reason, used)) = schedule.verdict(point) {
-                write_stop_marker(dir, digest, point, reason, used)?;
-            }
-        }
-        for (point, announced) in announced.iter_mut().enumerate() {
             if let Some((reason, seeds_used)) = schedule.verdict(point) {
-                if !*announced {
-                    *announced = true;
-                    summary.points_stopped += 1;
-                    on_event(&WorkerEvent::PointStopped {
-                        point,
-                        seeds_used,
-                        reason,
-                    });
-                }
+                summary.points_stopped += 1;
+                on_event(&WorkerEvent::PointStopped {
+                    point,
+                    seeds_used,
+                    reason,
+                });
             }
         }
     }
@@ -892,8 +738,6 @@ where
                         progress = true;
                         on_event(&WorkerEvent::LeaseReclaimed { shard, holder });
                         // Claimable again; the next pass races for it.
-                    } else if let Some(holder) = read_lease(dir, shard)? {
-                        on_event(&WorkerEvent::ShardBusy { shard, holder });
                     }
                 }
             }
@@ -916,6 +760,24 @@ mod tests {
     use super::*;
     use crate::spec::ScenarioSpec;
     use crate::store::spec_digest;
+
+    /// The holder recorded in a lease file's body, if it parses.
+    fn lease_holder(text: &str) -> Option<String> {
+        let value = json::parse(text.trim()).ok()?;
+        Some(value.get("holder")?.as_str()?.to_string())
+    }
+
+    /// Reads the holder of `shard`'s lease in `dir`: `Ok(None)` if no lease
+    /// file exists, `"?"` if one exists but is unreadable (e.g. a claim that
+    /// died between create and write).
+    fn read_lease(dir: &Path, shard: usize) -> Result<Option<String>, FabricError> {
+        let path = lease_path(dir, shard);
+        match fs::read_to_string(&path) {
+            Ok(text) => Ok(Some(lease_holder(&text).unwrap_or_else(|| "?".to_string()))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(source) => Err(FabricError::Lease { path, source }),
+        }
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1239,17 +1101,7 @@ mod tests {
                 .any(|&(_, used, reason)| used == point_stats.seeds_used()
                     && Some(reason) == point_stats.stop));
         }
-        // markers were published for the stopped points, and clean-up
-        // leaves only shard files behind
-        let digest = sweep_digest(&sweep);
-        for (point, stats) in direct.points.iter().enumerate() {
-            assert_eq!(
-                stop_marker_path(&dir_fabric, digest, point).exists(),
-                stats.stopped_early
-            );
-        }
-        let removed = clean_stop_markers(&dir_fabric).unwrap();
-        assert_eq!(removed as u64, direct.stopped_early_points());
+        // the worker leaves only shard files behind
         for entry in fs::read_dir(&dir_fabric).unwrap() {
             let name = entry.unwrap().file_name();
             assert!(
@@ -1262,10 +1114,10 @@ mod tests {
     }
 
     #[test]
-    fn second_adaptive_worker_honors_markers_and_executes_nothing() {
+    fn second_adaptive_worker_rederives_verdicts_and_executes_nothing() {
         let dir = temp_dir("adaptive-rerun");
         let sweep = adaptive_sweep();
-        run_worker(&dir, &sweep, &FabricConfig::new("first"), |_| {}).unwrap();
+        let first = run_worker(&dir, &sweep, &FabricConfig::new("first"), |_| {}).unwrap();
         let mut stops = 0;
         let summary = run_worker(&dir, &sweep, &FabricConfig::new("second"), |e| {
             if matches!(e, WorkerEvent::PointStopped { .. }) {
@@ -1275,18 +1127,8 @@ mod tests {
         .unwrap();
         assert_eq!(summary.trials_executed, 0);
         assert_eq!(summary.points_stopped, stops);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_stop_marker_reads_as_absent() {
-        let dir = temp_dir("torn-marker");
-        fs::create_dir_all(&dir).unwrap();
-        let path = stop_marker_path(&dir, 0xabcd, 1);
-        fs::write(&path, "{\"point\": 1, \"rea").unwrap();
-        assert_eq!(read_stop_marker(&dir, 0xabcd, 1).unwrap(), None);
-        assert_eq!(read_stop_marker(&dir, 0xabcd, 2).unwrap(), None);
-        assert_eq!(clean_stop_markers(&dir).unwrap(), 1);
+        assert!(first.points_stopped > 0);
+        assert_eq!(summary.points_stopped, first.points_stopped);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -533,10 +533,6 @@ impl Probe for RegistryProbe {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
         self.inner.observe(observation);
     }
-
-    fn lookback(&self) -> usize {
-        self.inner.lookback()
-    }
 }
 
 /// The `"metrics"` probe: an independently folded [`SimMetrics`] (the same
@@ -1056,7 +1052,6 @@ mod tests {
     use wsync_radio::adversary::DisruptionSet;
     use wsync_radio::engine::Engine;
     use wsync_radio::frequency::{Frequency, FrequencyBand};
-    use wsync_radio::history::History;
     use wsync_radio::trace::{FullTrace, TraceEvent};
 
     #[test]
@@ -1109,7 +1104,6 @@ mod tests {
             adversary.disrupt(
                 0,
                 FrequencyBand::new(8),
-                &History::new(),
                 &mut SimRng::from_seed(0),
                 &mut set,
             );

@@ -24,10 +24,10 @@ use wsync_radio::adversary::{Adversary, DisruptionSet};
 use wsync_radio::engine::{Engine, SimConfig};
 use wsync_radio::fault::FaultLayer;
 use wsync_radio::frequency::FrequencyBand;
-use wsync_radio::history::History;
 use wsync_radio::node::NodeId;
 use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
+use wsync_radio::trace::RoundObservation;
 
 use serde::{Deserialize, Serialize};
 
@@ -82,9 +82,7 @@ pub struct BoxedAdversary {
 
 impl std::fmt::Debug for BoxedAdversary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("BoxedAdversary")
-            .field(&self.inner.name())
-            .finish()
+        f.debug_struct("BoxedAdversary").finish_non_exhaustive()
     }
 }
 
@@ -97,23 +95,18 @@ impl BoxedAdversary {
 }
 
 impl Adversary for BoxedAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        self.inner.max_lookback()
+    fn observe(&mut self, round: &RoundObservation<'_>) {
+        self.inner.observe(round);
     }
 
     fn disrupt(
         &mut self,
         round: u64,
         band: FrequencyBand,
-        history: &History,
         rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     ) {
-        self.inner.disrupt(round, band, history, rng, disrupted);
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
+        self.inner.disrupt(round, band, rng, disrupted);
     }
 }
 

@@ -612,24 +612,6 @@ impl<'r> BatchSchedule<'r> {
         newly
     }
 
-    /// The points a verdict could still stop: the undecided ones, or none
-    /// without a rule.
-    pub(crate) fn open_points(&self) -> Vec<usize> {
-        if self.rule.is_none() {
-            return Vec::new();
-        }
-        (0..self.stopped.len())
-            .filter(|&point| self.stopped[point].is_none())
-            .collect()
-    }
-
-    /// Records a verdict reached elsewhere (a peer's stop marker): `point`
-    /// stopped for `reason` after its first `seeds_used` seeds.
-    pub(crate) fn stop_at(&mut self, point: usize, reason: StopReason, seeds_used: u64) {
-        self.stopped[point] = Some(reason);
-        self.limit[point] = self.seeds.start + seeds_used;
-    }
-
     /// `point`'s verdict and the seeds it consumes under it, once stopped.
     pub(crate) fn verdict(&self, point: usize) -> Option<(StopReason, u64)> {
         self.stopped[point].map(|reason| (reason, self.limit[point] - self.seeds.start))

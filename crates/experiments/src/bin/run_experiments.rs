@@ -152,7 +152,6 @@ fn run_fabric_worker(
                  ({reason})"
             );
         }
-        WorkerEvent::ShardBusy { .. } => {}
     });
     match result {
         Ok(summary) => {
@@ -222,13 +221,6 @@ fn run_fabric_parent(
     let cleaned = fabric::clean_leases(out_dir).map_err(|e| e.to_string())?;
     if cleaned > 0 {
         eprintln!("result store {out_dir}: removed {cleaned} leftover lease file(s)");
-    }
-    // Adaptive sweeps also leave stop markers behind. They are pure
-    // acceleration — every worker re-derives the same verdicts from the
-    // store bytes — so removing them never changes a later resume.
-    let markers = fabric::clean_stop_markers(out_dir).map_err(|e| e.to_string())?;
-    if markers > 0 {
-        eprintln!("result store {out_dir}: removed {markers} stop marker(s)");
     }
     Ok(())
 }

@@ -18,13 +18,15 @@ pub enum ActivationSchedule {
     /// assumption of the Good Samaritan analysis and of the Theorem 1
     /// weak adversary.
     Simultaneous,
-    /// Node `i` is activated in round `i · gap`.
+    /// Node `i` is activated in round `i · gap` (saturating: a round past
+    /// `u64::MAX` is `u64::MAX`, which no round cap reaches).
     Staggered {
         /// Rounds between consecutive activations.
         gap: u64,
     },
     /// Nodes are activated in consecutive batches: the `i`-th batch of
-    /// `batch_size` nodes wakes at round `i · gap`.
+    /// `batch_size` nodes wakes at round `i · gap` (saturating, like
+    /// [`Staggered`](ActivationSchedule::Staggered)).
     Batches {
         /// Number of nodes activated together.
         batch_size: usize,
@@ -65,10 +67,14 @@ impl ActivationSchedule {
     pub fn activation_rounds(&self, n: usize, rng: &mut SimRng) -> Vec<u64> {
         match self {
             ActivationSchedule::Simultaneous => vec![0; n],
-            ActivationSchedule::Staggered { gap } => (0..n as u64).map(|i| i * gap).collect(),
+            ActivationSchedule::Staggered { gap } => {
+                (0..n as u64).map(|i| i.saturating_mul(*gap)).collect()
+            }
             ActivationSchedule::Batches { batch_size, gap } => {
                 let bs = (*batch_size).max(1) as u64;
-                (0..n as u64).map(|i| (i / bs) * gap).collect()
+                (0..n as u64)
+                    .map(|i| (i / bs).saturating_mul(*gap))
+                    .collect()
             }
             ActivationSchedule::UniformWindow { window } => {
                 if *window == 0 {
@@ -160,6 +166,23 @@ mod tests {
             .activation_rounds(5, &mut rng),
             vec![0, 0, 10, 10, 20]
         );
+    }
+
+    #[test]
+    fn huge_gaps_saturate_instead_of_wrapping() {
+        let gap = u64::MAX / 2 + 1;
+        let mut rng = SimRng::from_seed(0);
+        for schedule in [
+            ActivationSchedule::Staggered { gap },
+            ActivationSchedule::Batches { batch_size: 1, gap },
+        ] {
+            assert_eq!(
+                schedule.activation_rounds(3, &mut rng),
+                vec![0, gap, u64::MAX],
+                "{}",
+                schedule.name()
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::FrequencyBand;
-use crate::history::History;
 use crate::rng::SimRng;
 
 /// Alternates between quiet phases (no disruption) and burst phases in which
@@ -47,25 +46,16 @@ impl BurstyAdversary {
 }
 
 impl Adversary for BurstyAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        Some(0)
-    }
-
     fn disrupt(
         &mut self,
         round: u64,
         band: FrequencyBand,
-        _history: &History,
         rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     ) {
         if self.in_burst(round) {
             disrupted.insert_sample((self.t as usize).min(band.count() as usize), rng);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "bursty"
     }
 }
 
@@ -78,10 +68,9 @@ mod tests {
     fn burst_and_quiet_phases() {
         let mut adv = BurstyAdversary::new(2, 10, 3);
         let band = FrequencyBand::new(8);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(4);
         for round in 0..30 {
-            let set = disrupt_into_empty(&mut adv, round, band, &hist, &mut rng);
+            let set = disrupt_into_empty(&mut adv, round, band, &mut rng);
             if round % 10 < 3 {
                 assert_eq!(set.len(), 2, "round {round} should be a burst");
             } else {
@@ -114,13 +103,9 @@ mod tests {
     fn always_on_when_burst_equals_period() {
         let mut adv = BurstyAdversary::new(1, 5, 5);
         let band = FrequencyBand::new(4);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(0);
         for round in 0..10 {
-            assert_eq!(
-                disrupt_into_empty(&mut adv, round, band, &hist, &mut rng).len(),
-                1
-            );
+            assert_eq!(disrupt_into_empty(&mut adv, round, band, &mut rng).len(), 1);
         }
     }
 }

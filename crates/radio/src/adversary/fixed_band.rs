@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
-use crate::history::History;
 use crate::rng::SimRng;
 
 /// Disrupts frequencies `1..=t` in every round.
@@ -25,25 +24,16 @@ impl FixedBandAdversary {
 }
 
 impl Adversary for FixedBandAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        Some(0)
-    }
-
     fn disrupt(
         &mut self,
         _round: u64,
         band: FrequencyBand,
-        _history: &History,
         _rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     ) {
         for f in 1..=self.t.min(band.count()) {
             disrupted.insert(Frequency::new(f));
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-band"
     }
 }
 
@@ -56,9 +46,8 @@ mod tests {
     fn disrupts_exactly_the_prefix() {
         let mut adv = FixedBandAdversary::new(3);
         let band = FrequencyBand::new(8);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(0);
-        let set = disrupt_into_empty(&mut adv, 0, band, &hist, &mut rng);
+        let set = disrupt_into_empty(&mut adv, 0, band, &mut rng);
         assert_eq!(set.len(), 3);
         for f in 1..=3 {
             assert!(set.contains(Frequency::new(f)));
@@ -72,13 +61,7 @@ mod tests {
     fn budget_larger_than_band_is_clamped() {
         let mut adv = FixedBandAdversary::new(100);
         let band = FrequencyBand::new(4);
-        let set = disrupt_into_empty(
-            &mut adv,
-            0,
-            band,
-            &History::new(),
-            &mut SimRng::from_seed(1),
-        );
+        let set = disrupt_into_empty(&mut adv, 0, band, &mut SimRng::from_seed(1));
         assert_eq!(set.len(), 4);
     }
 
@@ -86,13 +69,7 @@ mod tests {
     fn zero_budget_disrupts_nothing() {
         let mut adv = FixedBandAdversary::new(0);
         let band = FrequencyBand::new(4);
-        let set = disrupt_into_empty(
-            &mut adv,
-            5,
-            band,
-            &History::new(),
-            &mut SimRng::from_seed(1),
-        );
+        let set = disrupt_into_empty(&mut adv, 5, band, &mut SimRng::from_seed(1));
         assert!(set.is_empty());
     }
 
@@ -100,14 +77,10 @@ mod tests {
     fn same_set_every_round() {
         let mut adv = FixedBandAdversary::new(2);
         let band = FrequencyBand::new(6);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(3);
-        let first = disrupt_into_empty(&mut adv, 0, band, &hist, &mut rng);
+        let first = disrupt_into_empty(&mut adv, 0, band, &mut rng);
         for round in 1..10 {
-            assert_eq!(
-                disrupt_into_empty(&mut adv, round, band, &hist, &mut rng),
-                first
-            );
+            assert_eq!(disrupt_into_empty(&mut adv, round, band, &mut rng), first);
         }
     }
 }

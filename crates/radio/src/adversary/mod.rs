@@ -4,7 +4,8 @@
 //! protocols on the same band, electromagnetic noise, or literal jammers —
 //! as a single adversary that may disrupt up to `t < F` frequencies per
 //! round, choosing its behaviour for round `r` from the completed execution
-//! through round `r − 1`.
+//! through round `r − 1`. The engine streams that execution to the
+//! adversary one resolved round at a time through [`Adversary::observe`].
 //!
 //! The adversaries provided here cover the specific adversaries used in the
 //! paper's analysis and a range of realistic interference patterns:
@@ -26,8 +27,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::frequency::{Frequency, FrequencyBand};
-use crate::history::History;
 use crate::rng::SimRng;
+use crate::trace::RoundObservation;
 
 mod adaptive_greedy;
 mod bursty;
@@ -190,43 +191,29 @@ impl DisruptionSet {
 
 /// An interference adversary.
 ///
-/// Implementations are driven by the engine once per round, *before* the
-/// round's node actions are known (matching the model's information rule).
+/// The engine drives it twice per round. [`disrupt`](Adversary::disrupt)
+/// runs *before* the round's node actions are known; once the round has
+/// resolved, [`observe`](Adversary::observe) sees the same borrowed
+/// [`RoundObservation`] every probe sees. So when the adversary chooses
+/// round `r`'s disruptions it has observed exactly rounds `0..r − 1`:
+/// the model's information rule, enforced by call order.
 pub trait Adversary {
-    /// How many completed rounds of [`History`] this adversary inspects at
-    /// most per [`disrupt`](Adversary::disrupt) call (its maximum
-    /// lookback).
-    ///
-    /// The engine derives its history retention window from this demand
-    /// and the attached probes' [`lookback`](crate::probe::Probe::lookback)s:
-    /// `Some(0)` — the right answer for an adversary that never reads the
-    /// history — lets outcome-only runs hold O(1) round state. The default
-    /// is `None`, meaning "unknown": the engine then retains the *full*
-    /// history, which is always behaviour-safe but grows with
-    /// `max_rounds × F` — implement this honestly before running such an
-    /// adversary for millions of rounds. An implementation that overrides
-    /// this must never read further back than it declares.
-    fn max_lookback(&self) -> Option<usize> {
-        None
-    }
+    /// Observes one completed round. The observation borrows the engine's
+    /// per-round buffers, so an adversary that adapts to the execution
+    /// copies what it keeps. The default ignores the round, as every
+    /// oblivious adversary does.
+    fn observe(&mut self, _round: &RoundObservation<'_>) {}
 
-    /// Chooses the frequencies to disrupt in `round`, given the completed
-    /// execution `history` (through round `round − 1`), by inserting them
-    /// into `disrupted`. The set arrives empty and sized to `band`; the
-    /// engine owns it and reuses it every round.
+    /// Chooses the frequencies to disrupt in `round` by inserting them into
+    /// `disrupted`. The set arrives empty and sized to `band`; the engine
+    /// owns it and reuses it every round.
     fn disrupt(
         &mut self,
         round: u64,
         band: FrequencyBand,
-        history: &History,
         rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     );
-
-    /// A short human-readable name used in experiment reports.
-    fn name(&self) -> &'static str {
-        "adversary"
-    }
 }
 
 /// Inserts the indices of the `k` largest weights (ties broken towards
@@ -260,11 +247,10 @@ pub(crate) fn disrupt_into_empty(
     adversary: &mut dyn Adversary,
     round: u64,
     band: FrequencyBand,
-    history: &History,
     rng: &mut SimRng,
 ) -> DisruptionSet {
     let mut disrupted = DisruptionSet::empty(band.count());
-    adversary.disrupt(round, band, history, rng, &mut disrupted);
+    adversary.disrupt(round, band, rng, &mut disrupted);
     disrupted
 }
 

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::FrequencyBand;
-use crate::history::History;
 use crate::rng::SimRng;
 
 /// An adversary that disrupts nothing. Models an interference-free band and
@@ -20,22 +19,13 @@ impl NoAdversary {
 }
 
 impl Adversary for NoAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        Some(0)
-    }
-
     fn disrupt(
         &mut self,
         _round: u64,
         _band: FrequencyBand,
-        _history: &History,
         _rng: &mut SimRng,
         _disrupted: &mut DisruptionSet,
     ) {
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
     }
 }
 
@@ -48,12 +38,10 @@ mod tests {
     fn never_disrupts() {
         let mut adv = NoAdversary::new();
         let band = FrequencyBand::new(8);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(0);
         for round in 0..20 {
-            let set = disrupt_into_empty(&mut adv, round, band, &hist, &mut rng);
+            let set = disrupt_into_empty(&mut adv, round, band, &mut rng);
             assert!(set.is_empty());
         }
-        assert_eq!(adv.name(), "none");
     }
 }

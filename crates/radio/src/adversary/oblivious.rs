@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
-use crate::history::History;
 use crate::rng::SimRng;
 
 /// An adversary that replays a fixed schedule of disruption sets.
@@ -52,15 +51,10 @@ impl ObliviousScheduleAdversary {
 }
 
 impl Adversary for ObliviousScheduleAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        Some(0)
-    }
-
     fn disrupt(
         &mut self,
         round: u64,
         _band: FrequencyBand,
-        _history: &History,
         _rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     ) {
@@ -71,10 +65,6 @@ impl Adversary for ObliviousScheduleAdversary {
         for &f in self.schedule[idx].iter().filter(|&&f| f >= 1) {
             disrupted.insert(Frequency::new(f));
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "oblivious-schedule"
     }
 }
 
@@ -89,15 +79,14 @@ mod tests {
             schedule: vec![vec![1, 2], vec![3], Vec::new()],
         };
         let band = FrequencyBand::new(4);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(0);
-        let r0 = disrupt_into_empty(&mut adv, 0, band, &hist, &mut rng);
+        let r0 = disrupt_into_empty(&mut adv, 0, band, &mut rng);
         assert!(r0.contains(Frequency::new(1)) && r0.contains(Frequency::new(2)));
-        let r1 = disrupt_into_empty(&mut adv, 1, band, &hist, &mut rng);
+        let r1 = disrupt_into_empty(&mut adv, 1, band, &mut rng);
         assert_eq!(r1.len(), 1);
-        assert!(disrupt_into_empty(&mut adv, 2, band, &hist, &mut rng).is_empty());
+        assert!(disrupt_into_empty(&mut adv, 2, band, &mut rng).is_empty());
         // wraps around
-        assert_eq!(disrupt_into_empty(&mut adv, 3, band, &hist, &mut rng), r0);
+        assert_eq!(disrupt_into_empty(&mut adv, 3, band, &mut rng), r0);
     }
 
     #[test]
@@ -106,27 +95,16 @@ mod tests {
             schedule: Vec::new(),
         };
         let band = FrequencyBand::new(4);
-        assert!(disrupt_into_empty(
-            &mut adv,
-            0,
-            band,
-            &History::new(),
-            &mut SimRng::from_seed(0)
-        )
-        .is_empty());
+        assert!(disrupt_into_empty(&mut adv, 0, band, &mut SimRng::from_seed(0)).is_empty());
     }
 
     #[test]
     fn random_schedule_has_exact_intensity() {
         let mut adv = ObliviousScheduleAdversary::random(9, 64, 16, 5);
         let band = FrequencyBand::new(16);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(0);
         for round in 0..64 {
-            assert_eq!(
-                disrupt_into_empty(&mut adv, round, band, &hist, &mut rng).len(),
-                5
-            );
+            assert_eq!(disrupt_into_empty(&mut adv, round, band, &mut rng).len(), 5);
         }
     }
 

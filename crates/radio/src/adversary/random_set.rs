@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::FrequencyBand;
-use crate::history::History;
 use crate::rng::SimRng;
 
 /// Disrupts `t` frequencies chosen uniformly at random (without replacement)
@@ -23,23 +22,14 @@ impl RandomAdversary {
 }
 
 impl Adversary for RandomAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        Some(0)
-    }
-
     fn disrupt(
         &mut self,
         _round: u64,
         band: FrequencyBand,
-        _history: &History,
         rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     ) {
         disrupted.insert_sample((self.t as usize).min(band.count() as usize), rng);
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
     }
 }
 
@@ -53,10 +43,9 @@ mod tests {
     fn always_exactly_t_distinct_frequencies() {
         let mut adv = RandomAdversary::new(3);
         let band = FrequencyBand::new(10);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(11);
         for round in 0..50 {
-            let set = disrupt_into_empty(&mut adv, round, band, &hist, &mut rng);
+            let set = disrupt_into_empty(&mut adv, round, band, &mut rng);
             assert_eq!(set.len(), 3);
         }
     }
@@ -64,13 +53,10 @@ mod tests {
     #[test]
     fn t_zero_and_t_exceeding_band() {
         let band = FrequencyBand::new(4);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(1);
-        assert!(
-            disrupt_into_empty(&mut RandomAdversary::new(0), 0, band, &hist, &mut rng).is_empty()
-        );
+        assert!(disrupt_into_empty(&mut RandomAdversary::new(0), 0, band, &mut rng).is_empty());
         assert_eq!(
-            disrupt_into_empty(&mut RandomAdversary::new(10), 0, band, &hist, &mut rng).len(),
+            disrupt_into_empty(&mut RandomAdversary::new(10), 0, band, &mut rng).len(),
             4
         );
     }
@@ -79,10 +65,9 @@ mod tests {
     fn varies_between_rounds() {
         let mut adv = RandomAdversary::new(2);
         let band = FrequencyBand::new(16);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(5);
         let sets: Vec<DisruptionSet> = (0..20)
-            .map(|r| disrupt_into_empty(&mut adv, r, band, &hist, &mut rng))
+            .map(|r| disrupt_into_empty(&mut adv, r, band, &mut rng))
             .collect();
         let all_same = sets.iter().all(|s| *s == sets[0]);
         assert!(!all_same, "random adversary should vary its targets");
@@ -91,13 +76,12 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let band = FrequencyBand::new(8);
-        let hist = History::new();
         let run = |seed: u64| -> Vec<Vec<u32>> {
             let mut adv = RandomAdversary::new(3);
             let mut rng = SimRng::from_seed(seed);
             (0..10)
                 .map(|r| {
-                    disrupt_into_empty(&mut adv, r, band, &hist, &mut rng)
+                    disrupt_into_empty(&mut adv, r, band, &mut rng)
                         .iter()
                         .map(Frequency::index)
                         .collect()

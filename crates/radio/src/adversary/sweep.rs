@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 
 use super::{Adversary, DisruptionSet};
 use crate::frequency::{Frequency, FrequencyBand};
-use crate::history::History;
 use crate::rng::SimRng;
 
 /// Disrupts a contiguous window of `t` frequencies that slides across the
@@ -24,15 +23,10 @@ impl SweepAdversary {
 }
 
 impl Adversary for SweepAdversary {
-    fn max_lookback(&self) -> Option<usize> {
-        Some(0)
-    }
-
     fn disrupt(
         &mut self,
         round: u64,
         band: FrequencyBand,
-        _history: &History,
         _rng: &mut SimRng,
         disrupted: &mut DisruptionSet,
     ) {
@@ -41,10 +35,6 @@ impl Adversary for SweepAdversary {
         for i in 0..self.t.min(f) {
             disrupted.insert(Frequency::from_zero_based(((start + i) % f) as usize));
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "sweep"
     }
 }
 
@@ -61,10 +51,8 @@ mod tests {
     fn window_slides_one_per_round() {
         let mut adv = SweepAdversary::new(2);
         let band = FrequencyBand::new(5);
-        let hist = History::new();
         let mut rng = SimRng::from_seed(0);
-        let mut disrupt =
-            |round| freqs(&disrupt_into_empty(&mut adv, round, band, &hist, &mut rng));
+        let mut disrupt = |round| freqs(&disrupt_into_empty(&mut adv, round, band, &mut rng));
         assert_eq!(disrupt(0), vec![1, 2]);
         assert_eq!(disrupt(1), vec![2, 3]);
         assert_eq!(disrupt(4), vec![1, 5]); // wraps
@@ -74,13 +62,7 @@ mod tests {
     fn budget_respected_and_clamped() {
         let mut adv = SweepAdversary::new(10);
         let band = FrequencyBand::new(4);
-        let set = disrupt_into_empty(
-            &mut adv,
-            0,
-            band,
-            &History::new(),
-            &mut SimRng::from_seed(0),
-        );
+        let set = disrupt_into_empty(&mut adv, 0, band, &mut SimRng::from_seed(0));
         assert_eq!(set.len(), 4);
     }
 }

@@ -5,16 +5,18 @@
 //!
 //! 1. activate the nodes the schedule designates for this round;
 //! 2. ask every active node for its action;
-//! 3. ask the adversary for its disruption set (based on the history through
-//!    the previous round) and clamp it to the configured bound `t`;
+//! 3. ask the adversary for its disruption set (it has observed the
+//!    execution through the previous round) and clamp it to the configured
+//!    bound `t`;
 //! 4. resolve every frequency: a message is delivered iff exactly one node
 //!    broadcast on it and it was not disrupted — then any attached
 //!    [`fault`](crate::fault) layers may still drop the delivery whole or
 //!    suppress individual receivers (loss, capture, partitions);
 //! 5. hand every active node its feedback and sample its output;
 //! 6. stream one borrowed observation of the resolved round through the
-//!    probe pipeline: the engine's metrics fold, the attached
-//!    [`probe`](crate::probe) stack, and the adversary-visible history.
+//!    probe pipeline — the engine's metrics fold and the attached
+//!    [`probe`](crate::probe) stack — and then to the adversary's
+//!    [`observe`](Adversary::observe).
 //!
 //! Executions are a pure function of `(SimConfig, protocol factory,
 //! adversary, activation schedule, seed)`.
@@ -31,9 +33,8 @@
 //! and the per-frequency activity record) sized O(N + F) once at
 //! construction; only the *passes* are sparse. The adversary fills an
 //! engine-owned [`DisruptionSet`], emptied in O(t) at the top of each
-//! round. The one deliberate per-round O(F) residue is outside the pass
-//! structure: the [`History`] probe memcpys the F-wide activity slice when
-//! retention is active.
+//! round. Nothing of the round is copied or retained by the engine: probes
+//! and the adversary read the observation in place.
 //!
 //! The O(active) bound is the engine's alone: a probe that scans
 //! [`RoundObservation::nodes`] (the property checker does) reads all N
@@ -47,14 +48,15 @@ use crate::adversary::{Adversary, DisruptionSet};
 use crate::error::{ConfigError, Result};
 use crate::fault::{FaultKind, FaultLayer, FaultStack, FaultTransitions, NetworkView};
 use crate::frequency::FrequencyBand;
-use crate::history::{FrequencyActivity, History};
 use crate::message::{Feedback, Received};
 use crate::metrics::SimMetrics;
 use crate::node::{ActivationInfo, NodeId};
 use crate::probe::{Probe, ProbeStack};
 use crate::protocol::Protocol;
 use crate::rng::{SimRng, StreamId};
-use crate::trace::{ActionView, Delivery, NodeView, RoundObservation, RoundTally};
+use crate::trace::{
+    ActionView, Delivery, FrequencyActivity, NodeView, RoundObservation, RoundTally,
+};
 
 use serde::{Deserialize, Serialize};
 
@@ -223,8 +225,8 @@ impl ExecutionResult {
 /// round (occupied by some node or disrupted by the adversary — tracked in
 /// `touched`) are rewritten, so the reset costs O(touched), not O(F).
 /// `activity` is the round's per-frequency resolution record, which probes
-/// observe by reference and the [`History`] copies into a recycled buffer;
-/// entries for untouched frequencies hold the all-quiet value. `disrupted`
+/// and the adversary observe by reference; entries for untouched
+/// frequencies hold the all-quiet value. `disrupted`
 /// is the set the adversary fills, emptied through its index list.
 struct RoundScratch<M> {
     /// Nodes newly activated this round.
@@ -361,16 +363,13 @@ fn merge_into_active(active: &mut Vec<u32>, in_active: &mut [bool], incoming: &[
 ///
 /// # Observation
 ///
-/// Every resolved round streams through one probe pipeline: the engine's
-/// own [`History`] and [`SimMetrics`] — both [`Probe`]s — observe first,
-/// followed by the user probes attached with
-/// [`attach_probe`](Engine::attach_probe), composed in a [`ProbeStack`]
-/// the engine owns. Probes never perturb the execution, and the history
-/// retention window is the maximum lookback the adversary
-/// ([`max_lookback`](Adversary::max_lookback)) and the probes
-/// ([`lookback`](Probe::lookback)) declare — the full execution when the
-/// adversary's lookback is unknown. Retention never changes an outcome,
-/// because it covers every consumer's declared lookback.
+/// Every resolved round streams through one observation: the engine's own
+/// [`SimMetrics`] — a [`Probe`] — observes first, followed by the user
+/// probes attached with [`attach_probe`](Engine::attach_probe), composed
+/// in a [`ProbeStack`] the engine owns, and last the adversary's
+/// [`observe`](Adversary::observe). Probes never perturb the execution.
+/// The adversary observes round `r` after its round-`r` disruption was
+/// chosen, so it picks each round from exactly the rounds before it.
 pub struct Engine<P: Protocol, A: Adversary> {
     config: SimConfig,
     adversary: A,
@@ -415,12 +414,9 @@ pub struct Engine<P: Protocol, A: Adversary> {
     /// protocols see local round 0 again after losing their state). Equal
     /// to `activation_rounds` in any fault-free execution.
     local_base: Vec<u64>,
-    /// The adversary-visible history probe (kept as a named field so the
-    /// adversary can read it while the stack is borrowed elsewhere).
-    history: History,
     /// The aggregate-metrics probe.
     metrics: SimMetrics,
-    /// User probes, observed after `metrics` and before `history`.
+    /// User probes, observed after `metrics` and before the adversary.
     probes: ProbeStack,
     round: u64,
     scratch: RoundScratch<P::Msg>,
@@ -458,11 +454,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             .map(|(i, &r)| (r, i as u32))
             .collect();
         wake_queue.sort_unstable();
-        let history = match adversary.max_lookback() {
-            // Unknown demand: retaining everything is always safe.
-            None => History::new(),
-            Some(k) => History::with_window(k),
-        };
         Ok(Engine {
             config,
             adversary,
@@ -484,7 +475,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             sync_round: vec![None; config.num_nodes],
             seed,
             faults: FaultStack::new(),
-            history,
             metrics: SimMetrics::default(),
             probes: ProbeStack::new(),
             round: 0,
@@ -513,21 +503,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         &self.metrics
     }
 
-    /// The retained completed-round history (what the adversary sees).
-    pub fn history(&self) -> &History {
-        &self.history
-    }
-
     /// Attaches a probe to the engine's stack, returning its slot (use it
     /// with [`take_probes`](Engine::take_probes) and
     /// [`ProbeStack::take`] to recover the probe after the run).
-    ///
-    /// The retained history window is widened to cover the probe's
-    /// declared [`lookback`](Probe::lookback); attach probes before the
-    /// first round runs so the demand is registered while the history is
-    /// still empty.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) -> usize {
-        self.history.widen_window(probe.lookback());
         self.probes.push(probe)
     }
 
@@ -745,7 +724,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         self.adversary.disrupt(
             round,
             band,
-            &self.history,
             &mut self.adversary_rng,
             &mut self.scratch.disrupted,
         );
@@ -904,10 +882,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         }
 
         // 6. Observation fan-out: one borrowed view of the resolved round
-        // streams through the probe pipeline — the metrics fold, the user
-        // probe stack, and the adversary-visible history (which copies the activity slice into a
-        // recycled record buffer). Probes only read the observation, so
-        // their order is unobservable; history goes last by convention.
+        // streams through the probe pipeline — the metrics fold and the
+        // user probe stack — and then to the adversary, which may adapt
+        // its next round to it. Probes only read the observation, so their
+        // order is unobservable.
         let observation = RoundObservation {
             round,
             newly_activated: &self.scratch.newly_activated,
@@ -920,7 +898,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         };
         self.metrics.observe(&observation);
         self.probes.observe(&observation);
-        self.history.observe(&observation);
+        self.adversary.observe(&observation);
         self.round = round + 1;
     }
 
@@ -1236,6 +1214,56 @@ mod tests {
         assert!(result.metrics.adversary_budget_violations > 0);
         // Only frequency 1 can actually be jammed each round.
         assert!(result.metrics.disrupted_frequency_rounds <= result.rounds_executed);
+    }
+
+    /// What a [`Spy`] adversary saw: every round it observed, and at each
+    /// `disrupt(r)` the last round it had observed by then.
+    #[derive(Default)]
+    struct SpyLog {
+        observed: Vec<u64>,
+        at_disrupt: Vec<(u64, Option<u64>)>,
+    }
+
+    struct Spy(std::rc::Rc<std::cell::RefCell<SpyLog>>);
+
+    impl Adversary for Spy {
+        fn observe(&mut self, round: &RoundObservation<'_>) {
+            self.0.borrow_mut().observed.push(round.round);
+        }
+
+        fn disrupt(
+            &mut self,
+            round: u64,
+            _band: FrequencyBand,
+            _rng: &mut SimRng,
+            _disrupted: &mut DisruptionSet,
+        ) {
+            let mut log = self.0.borrow_mut();
+            let last = log.observed.last().copied();
+            log.at_disrupt.push((round, last));
+        }
+    }
+
+    #[test]
+    fn adversary_chooses_each_round_from_exactly_the_rounds_before_it() {
+        // Nobody is active in rounds 0 and 1; those rounds are observed too.
+        let log = std::rc::Rc::new(std::cell::RefCell::new(SpyLog::default()));
+        let config = SimConfig::new(3, 4, 1).with_max_rounds(12);
+        let mut engine = Engine::new(
+            config,
+            |_| Shouter { f: 4 },
+            Spy(log.clone()),
+            ActivationSchedule::Explicit(vec![2, 4, 7]),
+            3,
+        )
+        .unwrap();
+        let rounds = engine.run().rounds_executed;
+        assert_eq!(rounds, 12);
+        let log = log.borrow();
+        assert_eq!(log.observed, (0..rounds).collect::<Vec<_>>());
+        let expected: Vec<(u64, Option<u64>)> =
+            (0..rounds).map(|r| (r, r.checked_sub(1))).collect();
+        assert_eq!(log.at_disrupt, expected);
     }
 
     #[test]

@@ -30,9 +30,8 @@
 //!   jamming adversary,
 //! * one streaming observation pipeline — the [`probe`] module's
 //!   [`Probe`] trait and owned [`ProbeStack`] — through which execution
-//!   [`trace`]s, [`metrics`], the adversary-visible [`history`], and
-//!   online property checking all consume the same per-round event
-//!   stream.
+//!   [`trace`]s, [`metrics`] and online property checking consume the
+//!   per-round event stream the adversary also observes.
 //!
 //! # Example
 //!
@@ -93,7 +92,6 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod frequency;
-pub mod history;
 pub mod message;
 pub mod metrics;
 pub mod node;
@@ -116,7 +114,6 @@ pub mod prelude {
         CaptureLayer, ChurnLayer, DropLayer, FaultKind, FaultLayer, FaultStack, PartitionLayer,
     };
     pub use crate::frequency::{Frequency, FrequencyBand};
-    pub use crate::history::{History, RoundRecord};
     pub use crate::message::{Feedback, Received};
     pub use crate::metrics::SimMetrics;
     pub use crate::node::{ActivationInfo, NodeId};

@@ -1,27 +1,20 @@
 //! The streaming observation pipeline: the [`Probe`] trait and the owned
 //! [`ProbeStack`] composition.
 //!
-//! Historically the engine fed four parallel observation channels — the
-//! adversary-facing [`History`](crate::history::History) ring, the
-//! [`SimMetrics`](crate::metrics::SimMetrics) counters, a borrowed-observer
-//! trace layer, and a post-hoc property checker — each with its own data
-//! shapes and buffers. The paper's model
-//! (Section 2) is naturally a single per-round event stream: the adversary
-//! sees the completed execution through round `r − 1`, and the
-//! synchronization properties are per-round invariants over deliveries and
-//! outputs. [`Probe`] is that unification: every consumer of a resolved
-//! round implements one trait, observes the engine's reusable
-//! structure-of-arrays scratch through a borrowed
-//! [`RoundObservation`] (no per-round allocation), and
-//! declares how much retained history it needs via
-//! [`lookback`](Probe::lookback) so the engine can derive the minimal
-//! [`History`](crate::history::History) retention window.
+//! The paper's model (Section 2) is naturally a single per-round event
+//! stream: the adversary sees the completed execution through round
+//! `r − 1`, and the synchronization properties are per-round invariants
+//! over deliveries and outputs. [`Probe`] is that stream's consumer: every
+//! observer of a resolved round implements one trait and reads the
+//! engine's reusable structure-of-arrays scratch through a borrowed
+//! [`RoundObservation`] (no per-round allocation). The adversary reads the
+//! same observation through
+//! [`Adversary::observe`](crate::adversary::Adversary::observe).
 //!
-//! [`History`](crate::history::History),
 //! [`SimMetrics`](crate::metrics::SimMetrics),
 //! [`FullTrace`](crate::trace::FullTrace), and the `wsync-core` property
-//! checker all implement `Probe`; the engine composes its own history and
-//! metrics probes with any user-attached ones
+//! checker all implement `Probe`; the engine composes its own metrics
+//! probe with any user-attached ones
 //! ([`Engine::attach_probe`](crate::engine::Engine::attach_probe)) in a
 //! [`ProbeStack`] it owns. A `ProbeStack` is itself a `Probe`, so stacks
 //! nest.
@@ -63,20 +56,6 @@ impl<T: Any> AsAny for T {
 pub trait Probe: AsAny {
     /// Observes one completed round.
     fn observe(&mut self, observation: &RoundObservation<'_>);
-
-    /// How many completed rounds of engine [`History`](crate::history::History)
-    /// this probe needs retained (its maximum lookback through
-    /// [`Engine::history`](crate::engine::Engine::history)).
-    ///
-    /// The engine derives its history retention window from the maximum
-    /// lookback over the adversary
-    /// ([`max_lookback`](crate::adversary::Adversary::max_lookback)) and
-    /// every attached probe, so a probe that only reads its own `on_round`
-    /// stream — the common case — keeps the default of `0` and costs no
-    /// retention at all.
-    fn lookback(&self) -> usize {
-        0
-    }
 }
 
 /// A probe that ignores every round. Placeholder returned into a
@@ -130,11 +109,6 @@ impl ProbeStack {
         self.probes.is_empty()
     }
 
-    /// The maximum [`lookback`](Probe::lookback) over the stack.
-    pub fn lookback(&self) -> usize {
-        self.probes.iter().map(|p| p.lookback()).max().unwrap_or(0)
-    }
-
     /// Fans one observation out to every probe, in insertion order.
     pub fn observe(&mut self, observation: &RoundObservation<'_>) {
         for probe in self.probes.iter_mut() {
@@ -161,10 +135,6 @@ impl Probe for ProbeStack {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
         ProbeStack::observe(self, observation);
     }
-
-    fn lookback(&self) -> usize {
-        ProbeStack::lookback(self)
-    }
 }
 
 #[cfg(test)]
@@ -175,15 +145,11 @@ mod tests {
 
     struct Counter {
         rounds: u64,
-        lookback: usize,
     }
 
     impl Probe for Counter {
         fn observe(&mut self, _observation: &RoundObservation<'_>) {
             self.rounds += 1;
-        }
-        fn lookback(&self) -> usize {
-            self.lookback
         }
     }
 
@@ -208,16 +174,9 @@ mod tests {
     #[test]
     fn stack_fans_out_and_reports_max_lookback() {
         let mut stack = ProbeStack::new();
-        let a = stack.push(Box::new(Counter {
-            rounds: 0,
-            lookback: 3,
-        }));
-        let b = stack.push(Box::new(Counter {
-            rounds: 0,
-            lookback: 9,
-        }));
+        let a = stack.push(Box::new(Counter { rounds: 0 }));
+        let b = stack.push(Box::new(Counter { rounds: 0 }));
         assert_eq!(stack.len(), 2);
-        assert_eq!(stack.lookback(), 9);
 
         let disrupted = DisruptionSet::empty(2);
         let nodes = [NodeView::Active { output: None }];
@@ -228,10 +187,9 @@ mod tests {
         let first: Counter = stack.take(a).expect("slot a downcasts");
         assert_eq!(first.rounds, 4);
         // taking leaves a NullProbe behind; slot b is still addressable
-        assert_eq!(stack.lookback(), 9);
+        assert_eq!(stack.len(), 2);
         let second: Counter = stack.take(b).expect("slot b downcasts");
         assert_eq!(second.rounds, 4);
-        assert_eq!(stack.lookback(), 0);
     }
 
     #[test]
@@ -247,13 +205,9 @@ mod tests {
     #[test]
     fn stacks_nest() {
         let mut inner = ProbeStack::new();
-        inner.push(Box::new(Counter {
-            rounds: 0,
-            lookback: 5,
-        }));
+        inner.push(Box::new(Counter { rounds: 0 }));
         let mut outer = ProbeStack::new();
         let slot = outer.push(Box::new(inner));
-        assert_eq!(outer.lookback(), 5);
         let disrupted = DisruptionSet::empty(1);
         let nodes = [NodeView::Inactive];
         let actions = [ActionView::Inactive];

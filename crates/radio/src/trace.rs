@@ -1,7 +1,8 @@
 //! Execution observation views: [`RoundObservation`] and the in-memory
 //! [`FullTrace`] recorder.
 //!
-//! The engine reports every resolved round through the [`Probe`] pipeline
+//! The engine reports every resolved round through the [`Probe`] pipeline,
+//! and to the adversary's [`observe`](crate::adversary::Adversary::observe),
 //! as one borrowed [`RoundObservation`] over its reusable
 //! structure-of-arrays scratch.
 //! The `wsync-core` property checker consumes the same stream to verify
@@ -13,7 +14,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::DisruptionSet;
 use crate::frequency::Frequency;
-use crate::history::FrequencyActivity;
 use crate::node::NodeId;
 use crate::probe::Probe;
 
@@ -71,6 +71,22 @@ pub struct Delivery {
     pub sender: NodeId,
     /// How many nodes received the message.
     pub receivers: u32,
+}
+
+/// Per-frequency activity observed in one completed round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FrequencyActivity {
+    /// Number of nodes that broadcast on the frequency.
+    pub broadcasters: u32,
+    /// Number of nodes that listened on the frequency.
+    pub listeners: u32,
+    /// Whether the adversary disrupted the frequency.
+    pub disrupted: bool,
+    /// Whether a message was delivered on the frequency (exactly one
+    /// broadcaster, not disrupted, at least zero listeners — delivery is
+    /// counted even if nobody was listening, since the lone broadcast was
+    /// receivable).
+    pub delivered: bool,
 }
 
 /// Flat per-round counters computed by the engine while it resolves the
@@ -137,8 +153,7 @@ pub struct RoundObservation<'a> {
     /// Messages delivered this round.
     pub deliveries: &'a [Delivery],
     /// Per-frequency resolution of the round, indexed by 0-based frequency
-    /// index — the same record shape the adversary-visible
-    /// [`History`](crate::history::History) retains.
+    /// index.
     pub activity: &'a [FrequencyActivity],
     /// Flat aggregate counters of the round.
     pub tally: RoundTally,

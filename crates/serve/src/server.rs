@@ -569,10 +569,8 @@ fn push_error(job: &Job, message: String) {
     );
 }
 
-/// One event line for a fabric worker observation. Shard-busy polling is
-/// deliberately excluded: it fires every poll interval and carries no
-/// progress.
-fn worker_event_fields(holder: &str, event: &WorkerEvent) -> Option<Vec<(String, Value)>> {
+/// One event line for a fabric worker observation.
+fn worker_event_fields(holder: &str, event: &WorkerEvent) -> Vec<(String, Value)> {
     let mut fields = match event {
         WorkerEvent::ShardClaimed { shard } => vec![
             ("event".to_string(), Value::Str("shard_claimed".to_string())),
@@ -616,10 +614,9 @@ fn worker_event_fields(holder: &str, event: &WorkerEvent) -> Option<Vec<(String,
             ("seeds_used".to_string(), Value::Int(*seeds_used as i64)),
             ("reason".to_string(), Value::Str(reason.name().to_string())),
         ],
-        WorkerEvent::ShardBusy { .. } => return None,
     };
     fields.push(("worker".to_string(), Value::Str(holder.to_string())));
-    Some(fields)
+    fields
 }
 
 /// The sweep-job orchestration: fabric worker threads drain the sweep
@@ -635,9 +632,7 @@ fn run_sweep_job(state: &State, job: &Job, sweep: SweepSpec) {
             scope.spawn(move || {
                 let config = FabricConfig::new(holder.clone());
                 let result = fabric::run_worker(store_dir, sweep, &config, |event| {
-                    if let Some(fields) = worker_event_fields(&holder, event) {
-                        push_event(job, fields);
-                    }
+                    push_event(job, worker_event_fields(&holder, event));
                 });
                 if let Err(e) = result {
                     push_error(job, format!("fabric worker {holder}: {e}"));
@@ -772,9 +767,6 @@ fn aggregate_sweep(
         ));
         fields.push(("trial_budget".to_string(), Value::Int(budget as i64)));
         fields.push(("trials_saved".to_string(), Value::Int(saved as i64)));
-        // Stop markers are fabric-local acceleration; with the job done
-        // they are dead weight in the store directory.
-        let _ = fabric::clean_stop_markers(&state.store_dir);
     }
     push_event(job, fields);
     Ok(())

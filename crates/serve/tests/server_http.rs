@@ -420,7 +420,7 @@ fn adaptive_sweep_job_reports_stops_and_savings() {
         "expected at least half the budget saved: {done:?}"
     );
 
-    // Savings surface in /metrics, and stop markers are cleaned up.
+    // Savings surface in /metrics, and the store holds only shard files.
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let metrics = json::parse(&metrics).expect("metrics JSON");
@@ -436,9 +436,12 @@ fn adaptive_sweep_job_reports_stops_and_savings() {
         .expect("store dir")
         .filter_map(|entry| entry.ok())
         .map(|entry| entry.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with("stop-"))
+        .filter(|name| !name.ends_with(".jsonl"))
         .collect();
-    assert!(leftovers.is_empty(), "stop markers survived: {leftovers:?}");
+    assert!(
+        leftovers.is_empty(),
+        "non-shard files remain: {leftovers:?}"
+    );
 }
 
 /// OS threads in this test process (Linux); `None` elsewhere.

@@ -170,9 +170,7 @@ fn fabric_and_in_process_adaptive_runs_converge_to_the_same_bytes() {
                 });
             }
         });
-        // The workers' stop markers are acceleration, not results: after
-        // cleaning them the store holds exactly the in-process bytes.
-        fabric::clean_stop_markers(&dir).unwrap();
+        // The store holds exactly the in-process bytes.
         assert_eq!(
             sorted_shards(&dir),
             reference_shards,

@@ -1,18 +1,16 @@
 //! Integration tests of the streaming probe pipeline: equivalence of the
 //! probe-composed observation channels with the engine's own accounting,
-//! demand-driven history retention, the declarative `"probes"` spec field,
-//! and probe outputs flowing through `Sim`, `SweepRunner`, and the store.
+//! the declarative `"probes"` spec field, and probe outputs flowing
+//! through `Sim`, `SweepRunner`, and the store.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use wireless_sync::prelude::*;
-use wireless_sync::radio::adversary::{Adversary, DisruptionSet};
 use wireless_sync::radio::engine::Engine;
 use wireless_sync::sync::registry;
 use wireless_sync::sync::runner::BoxedAdversary;
-use wireless_sync::sync::spec::Params;
 use wireless_sync::sync::store::spec_digest;
 
 /// Builds a registry-resolved engine for `(spec, seed)` — the same wiring
@@ -72,120 +70,6 @@ proptest! {
             .take(slot)
             .expect("the metrics probe is recoverable");
         prop_assert_eq!(probe_metrics, engine_metrics);
-    }
-}
-
-/// A probe that declares a lookback demand and records how much history it
-/// could actually see each round.
-struct WindowWatcher {
-    lookback: usize,
-    rounds: u64,
-}
-
-impl Probe for WindowWatcher {
-    fn observe(&mut self, _observation: &RoundObservation<'_>) {
-        self.rounds += 1;
-    }
-    fn lookback(&self) -> usize {
-        self.lookback
-    }
-}
-
-#[test]
-fn history_retention_is_derived_from_adversary_and_probe_demand() {
-    let base = |adversary: &str| {
-        ScenarioSpec::new("trapdoor", 6, 8, 2)
-            .with_adversary(adversary)
-            .with_max_rounds(500)
-    };
-
-    // History-free adversary: O(1) retained round state.
-    let mut engine = engine_for(&base("random"), 1);
-    assert_eq!(engine.history().window(), Some(1));
-    engine.run();
-    assert!(
-        engine.history().len() <= 1,
-        "outcome-only runs hold O(1) rounds"
-    );
-
-    // The adaptive adversary registers its 8-round lookback.
-    let engine = engine_for(&base("adaptive-greedy"), 1);
-    assert_eq!(engine.history().window(), Some(8));
-
-    // A probe's declared lookback widens the derived window.
-    let mut engine = engine_for(&base("random"), 1);
-    engine.attach_probe(Box::new(WindowWatcher {
-        lookback: 21,
-        rounds: 0,
-    }));
-    assert_eq!(engine.history().window(), Some(21));
-    engine.run();
-    assert!(engine.history().len() <= 21);
-
-    let scenario = base("random").scenario();
-
-    // An adversary with an unknown (default) lookback gets full retention.
-    struct OpaqueAdversary;
-    impl Adversary for OpaqueAdversary {
-        fn disrupt(
-            &mut self,
-            _round: u64,
-            _band: wireless_sync::radio::frequency::FrequencyBand,
-            _history: &wireless_sync::radio::history::History,
-            _rng: &mut SimRng,
-            _disrupted: &mut DisruptionSet,
-        ) {
-        }
-    }
-    let ctor = registry::resolve_protocol("trapdoor")
-        .unwrap()
-        .instantiate(&scenario, &Params::new())
-        .unwrap();
-    let mut engine = Engine::new(
-        scenario.sim_config(),
-        &*ctor,
-        OpaqueAdversary,
-        scenario.activation.clone(),
-        3,
-    )
-    .unwrap();
-    assert_eq!(engine.history().window(), None);
-    let result = engine.run();
-    assert_eq!(engine.history().len() as u64, result.rounds_executed);
-}
-
-#[test]
-fn retention_policy_never_changes_outcomes() {
-    // The same (spec, seed) under demand-derived retention, a window a
-    // probe widens to 64 rounds, and a window a probe widens past the
-    // round cap (full retention) resolves to bit-identical outcomes:
-    // retention is invisible as long as it covers every declared lookback.
-    const MAX_ROUNDS: u64 = 2_000;
-    for adversary in ["random", "adaptive-greedy", "sweep"] {
-        let spec = ScenarioSpec::new("trapdoor", 8, 8, 2)
-            .with_adversary(adversary)
-            .with_max_rounds(MAX_ROUNDS);
-        let run = |widen_to: Option<usize>| {
-            let mut engine = engine_for(&spec, 7);
-            if let Some(lookback) = widen_to {
-                engine.attach_probe(Box::new(WindowWatcher {
-                    lookback,
-                    rounds: 0,
-                }));
-                assert_eq!(engine.history().window(), Some(lookback), "{adversary}");
-            }
-            let result = engine.run();
-            (result, engine.history().len() as u64)
-        };
-        let (demand, _) = run(None);
-        let (windowed, _) = run(Some(64));
-        assert_eq!(demand, windowed, "{adversary}");
-        let (full, retained) = run(Some(MAX_ROUNDS as usize + 1));
-        assert_eq!(demand, full, "{adversary}");
-        assert_eq!(
-            retained, full.rounds_executed,
-            "{adversary}: every round retained"
-        );
     }
 }
 
