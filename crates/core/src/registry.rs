@@ -27,13 +27,19 @@
 //! # Catalogue protocols
 //!
 //! The engine is statically typed over one protocol type per run. Protocol
-//! builders bridge from dynamic names to that world by returning
-//! [`CatalogueProtocol`]s — a closed enum over the catalogue's protocol
-//! types whose messages travel as [`CatalogueMsg`]. Every call is a
-//! `match` that forwards unchanged and draws no randomness of its own, so a
-//! catalogue-built run is bit-for-bit identical to the statically-typed
-//! equivalent (`catalogue_dispatch_matches_the_typed_engine` below and
-//! `tests/engine_golden.rs` hold the proof).
+//! builders bridge from dynamic names to that world by returning one
+//! [`CatalogueProtocol`] node — a closed enum over the catalogue's protocol
+//! types — which every node of a run clones, so per-run work (resolving the
+//! Trapdoor schedule) happens once. [`Sim`](crate::sim::Sim) matches that
+//! node's variant once per trial and runs the engine typed over the
+//! variant's own protocol, so the round loop calls the protocol directly.
+//! A [`ProtocolCtor`] (what [`ProtocolFactory::instantiate`] returns) hands
+//! out clones of the enum itself, which the engine runs through the enum's
+//! own [`Protocol`] impl: a `match` per call, messages wrapped in
+//! [`CatalogueMsg`]. The `match` forwards unchanged and draws no randomness
+//! of its own, so both paths are bit-for-bit identical to the
+//! statically-typed equivalent (`catalogue_dispatch_matches_the_typed_engine`
+//! below and `tests/engine_golden.rs` hold the proof).
 
 use std::sync::Arc;
 
@@ -80,9 +86,11 @@ impl CatalogueMsg {
     }
 }
 
-/// A node built by a catalogue protocol builder — what a
-/// [`ProtocolFactory`]'s constructor returns and the engine runs.
-#[derive(Debug)]
+/// A node built by a catalogue protocol builder. [`Sim`](crate::sim::Sim)
+/// matches its variant once per trial and runs the engine over the
+/// variant's own protocol type; a [`ProtocolFactory`]'s constructor returns
+/// clones of the enum, which run through its per-call [`Protocol`] impl.
+#[derive(Debug, Clone)]
 pub enum CatalogueProtocol {
     /// `trapdoor` and `single-frequency`.
     Trapdoor(TrapdoorProtocol),
@@ -229,7 +237,9 @@ impl SyncProtocol for CatalogueProtocol {
 }
 
 /// A per-node protocol constructor, produced once per run by a
-/// [`ProtocolFactory`] after parameter validation.
+/// [`ProtocolFactory`] after parameter validation. Each call clones one
+/// prebuilt node, which the engine runs through the enum's per-call
+/// dispatch; [`Sim`](crate::sim::Sim) does not take this path.
 pub type ProtocolCtor = Box<dyn Fn(NodeId) -> CatalogueProtocol + Send + Sync>;
 
 /// Builds protocol instances for a scenario from declarative parameters.
@@ -296,64 +306,43 @@ fn trapdoor_config_from(
     Ok(config)
 }
 
-/// The constructor every protocol builder returns: each node starts as a
-/// clone of one instance built at instantiation, so per-run work (resolving
-/// the Trapdoor schedule) happens once, not once per node.
-fn clone_per_node<P>(node: P, wrap: fn(P) -> CatalogueProtocol) -> ProtocolCtor
-where
-    P: Clone + Send + Sync + 'static,
-{
-    Box::new(move |_| wrap(node.clone()))
-}
-
-fn trapdoor(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+fn trapdoor(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     let config = trapdoor_config_from("trapdoor", scenario, params, None)?;
-    Ok(clone_per_node(
-        TrapdoorProtocol::new(config),
-        CatalogueProtocol::Trapdoor,
-    ))
+    Ok(CatalogueProtocol::Trapdoor(TrapdoorProtocol::new(config)))
 }
 
-fn single_frequency(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+fn single_frequency(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     let config = trapdoor_config_from("single-frequency", scenario, params, Some(1))?;
-    Ok(clone_per_node(
-        TrapdoorProtocol::new(config),
-        CatalogueProtocol::Trapdoor,
-    ))
+    Ok(CatalogueProtocol::Trapdoor(TrapdoorProtocol::new(config)))
 }
 
-fn round_robin(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+fn round_robin(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     let trapdoor = trapdoor_config_from("round-robin", scenario, params, None)?;
-    Ok(clone_per_node(
-        RoundRobinProtocol::new(RoundRobinConfig { trapdoor }),
-        CatalogueProtocol::RoundRobin,
-    ))
+    Ok(CatalogueProtocol::RoundRobin(RoundRobinProtocol::new(
+        RoundRobinConfig { trapdoor },
+    )))
 }
 
-fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     ParamReader::new("good-samaritan", params).finish()?;
     let config = GoodSamaritanConfig::new(
         scenario.upper_bound(),
         scenario.num_frequencies,
         scenario.disruption_bound,
     );
-    Ok(clone_per_node(
+    Ok(CatalogueProtocol::GoodSamaritan(
         GoodSamaritanProtocol::new(config),
-        CatalogueProtocol::GoodSamaritan,
     ))
 }
 
-fn wakeup(scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
+fn wakeup(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     ParamReader::new("wakeup", params).finish()?;
     let config = WakeupConfig::new(
         scenario.upper_bound(),
         scenario.num_frequencies,
         scenario.disruption_bound,
     );
-    Ok(clone_per_node(
-        WakeupProtocol::new(config),
-        CatalogueProtocol::Wakeup,
-    ))
+    Ok(CatalogueProtocol::Wakeup(WakeupProtocol::new(config)))
 }
 
 // ---------------------------------------------------------------------------
@@ -882,9 +871,11 @@ fn fault_counters_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProb
 // The catalogue
 // ---------------------------------------------------------------------------
 
-// A builder has its factory trait's method signature; the trait impls below
-// forward to it, so `resolve_*` can hand out table rows as trait objects.
-type ProtocolBuilder = fn(&Scenario, &Params) -> Result<ProtocolCtor, SpecError>;
+// A builder has its factory trait's method signature, except that a
+// protocol builder returns the node, which `instantiate` wraps in a
+// constructor cloning it; the trait impls below forward to the builders, so
+// `resolve_*` can hand out table rows as trait objects.
+pub(crate) type ProtocolBuilder = fn(&Scenario, &Params) -> Result<CatalogueProtocol, SpecError>;
 type AdversaryBuilder = fn(&Scenario, &Params, u64) -> Result<BoxedAdversary, SpecError>;
 type ProbeBuilder = fn(&Scenario, &Params) -> Result<Box<dyn SimProbe>, SpecError>;
 type FaultBuilder = fn(&Scenario, &Params) -> Result<Box<dyn FaultLayer>, SpecError>;
@@ -928,7 +919,8 @@ static FAULTS: &[(&str, FaultBuilder)] = &[
 
 impl ProtocolFactory for ProtocolBuilder {
     fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        self(scenario, params)
+        let node = self(scenario, params)?;
+        Ok(Box::new(move |_| node.clone()))
     }
 }
 
@@ -970,13 +962,18 @@ fn names<B>(table: &[(&str, B)]) -> Vec<String> {
     table.iter().map(|(name, _)| name.to_string()).collect()
 }
 
-/// Resolves a protocol factory by name.
-pub fn resolve_protocol(name: &str) -> Result<Arc<dyn ProtocolFactory>, SpecError> {
-    let builder = lookup(PROTOCOLS, name).ok_or_else(|| SpecError::UnknownProtocol {
+/// Resolves a protocol builder by name. [`Sim`](crate::sim::Sim) calls it
+/// directly and keeps the node it returns.
+pub(crate) fn protocol_builder(name: &str) -> Result<ProtocolBuilder, SpecError> {
+    lookup(PROTOCOLS, name).ok_or_else(|| SpecError::UnknownProtocol {
         name: name.to_string(),
         known: protocol_names(),
-    })?;
-    Ok(Arc::new(builder))
+    })
+}
+
+/// Resolves a protocol factory by name.
+pub fn resolve_protocol(name: &str) -> Result<Arc<dyn ProtocolFactory>, SpecError> {
+    Ok(Arc::new(protocol_builder(name)?))
 }
 
 /// Resolves an adversary factory by name.
@@ -1049,6 +1046,8 @@ pub fn build_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_protocol;
+    use crate::sim::Sim;
     use wsync_radio::adversary::DisruptionSet;
     use wsync_radio::engine::Engine;
     use wsync_radio::frequency::{Frequency, FrequencyBand};
@@ -1190,6 +1189,10 @@ mod tests {
         (result, trace.events().to_vec())
     }
 
+    /// Three sides agree for every protocol, adversary and seed: the engine
+    /// typed over the protocol, the enum path a [`ProtocolCtor`] takes
+    /// (results and traces), and `Sim::run_one`, which dispatches once per
+    /// trial (its outcome against the enum path's, checker attached).
     #[test]
     fn catalogue_dispatch_matches_the_typed_engine() {
         let bursty = ComponentSpec::named("bursty")
@@ -1207,7 +1210,8 @@ mod tests {
                         .unwrap()
                         .instantiate(&scenario, &Params::new())
                         .unwrap();
-                    traced_run(&scenario, ctor, seed)
+                    let checked = run_protocol(&scenario, &ctor, seed);
+                    (traced_run(&scenario, ctor, seed), checked)
                 };
                 let typed = [
                     (
@@ -1248,10 +1252,12 @@ mod tests {
                     ),
                 ];
                 for (name, (result, events)) in typed {
-                    let (catalogue_result, catalogue_events) = catalogue(name);
+                    let ((catalogue_result, catalogue_events), checked) = catalogue(name);
                     let label = format!("{name} vs {} seed {seed}", scenario.adversary.name());
                     assert_eq!(catalogue_result, result, "{label}");
                     assert_eq!(catalogue_events, events, "{label}");
+                    let production = Sim::from_scenario(&scenario, name).unwrap().run_one(seed);
+                    assert_eq!(production, checked, "{label}: Sim vs ProtocolCtor");
                     assert!(result.metrics.deliveries > 0, "{label} delivered nothing");
                 }
             }

@@ -210,8 +210,9 @@ impl Scenario {
 /// The one engine-invocation path shared by every run in the workspace:
 /// builds the engine, attaches the fault layers, composes the probe stack
 /// (the property checker plus any declarative probes), executes, and
-/// counts leaders. Both [`run_protocol`] (statically typed) and
-/// [`Sim::run_one`](crate::sim::Sim::run_one) (catalogue path) end here.
+/// counts leaders. Both [`run_protocol`] (any protocol type) and
+/// [`Sim::run_one`](crate::sim::Sim::run_one) (the catalogue node's own
+/// type, chosen once per trial) end here.
 /// Returns the outcome together with each probe's finalized output, in
 /// declaration order. Probes only observe, so the outcome is bit-identical
 /// with and without them (`tests/engine_golden.rs` pins this).

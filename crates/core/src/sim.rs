@@ -25,15 +25,20 @@
 //! parameters are type-checked, and the instance passes
 //! `SimConfig::validate` — so a bad spec is a typed [`SpecError`] at build
 //! time, never a panic mid-run.
+//!
+//! A `Sim` keeps the one [`CatalogueProtocol`] node its protocol builder
+//! returns and dispatches on its variant once per trial: the engine runs
+//! typed over that variant's protocol, each node a clone of it, so the
+//! round loop makes no per-call `match` and wraps no message.
 
 use std::sync::Arc;
 
 use crate::registry;
 use crate::registry::{
-    AdversaryFactory, FaultFactory, ProbeFactory, ProbeOutput, ProtocolCtor, RegistryProbe,
+    AdversaryFactory, CatalogueProtocol, FaultFactory, ProbeFactory, ProbeOutput, RegistryProbe,
 };
 use crate::report::SyncOutcome;
-use crate::runner::{execute_probed, Scenario};
+use crate::runner::{execute_probed, Scenario, SyncProtocol};
 use crate::spec::{ComponentSpec, ScenarioSpec, SpecError};
 use crate::store::spec_digest;
 
@@ -50,12 +55,12 @@ pub struct ProbedOutcome {
     pub probes: Option<Vec<ProbeOutput>>,
 }
 
-/// A fully validated, runnable simulation: scenario, resolved protocol
-/// constructor, resolved adversary factory, and resolved probe and fault
-/// factories.
+/// A fully validated, runnable simulation: scenario, the protocol node
+/// every trial's nodes clone, resolved adversary factory, and resolved
+/// probe and fault factories.
 pub struct Sim {
     scenario: Scenario,
-    ctor: ProtocolCtor,
+    protocol: CatalogueProtocol,
     adversary: Arc<dyn AdversaryFactory>,
     probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
     faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
@@ -72,7 +77,7 @@ impl Sim {
     /// `n = 0`, `N < n`, a zero round cap), a name is unknown, or a
     /// parameter is missing, mistyped, or unrecognised.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        let protocol_factory = registry::resolve_protocol(spec.protocol.name())?;
+        let protocol_builder = registry::protocol_builder(spec.protocol.name())?;
         let adversary_factory = registry::resolve_adversary(spec.adversary.name())?;
         let probe_factories: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)> = spec
             .probes
@@ -86,7 +91,7 @@ impl Sim {
             .collect::<Result<_, SpecError>>()?;
         spec.validate()?;
         let scenario = spec.scenario();
-        let ctor = protocol_factory.instantiate(&scenario, &spec.protocol.params)?;
+        let protocol = protocol_builder(&scenario, &spec.protocol.params)?;
         // Probe-build the adversary, the probes, and the fault layers once
         // so parameter errors surface here, keeping `run_one`/`run_probed`
         // infallible. AdversaryFactory's contract requires validation to be
@@ -101,7 +106,7 @@ impl Sim {
         }
         Ok(Sim {
             scenario,
-            ctor,
+            protocol,
             adversary: adversary_factory,
             probes: probe_factories,
             faults: fault_factories,
@@ -146,9 +151,22 @@ impl Sim {
     }
 
     /// The one trial path behind [`run_one`](Self::run_one) and
-    /// [`run_probed`](Self::run_probed): adversary (and optionally probe)
-    /// construction, then execution.
+    /// [`run_probed`](Self::run_probed): the trial's one protocol dispatch.
     fn run_inner(&self, seed: u64, probed: bool) -> ProbedOutcome {
+        match &self.protocol {
+            CatalogueProtocol::Trapdoor(node) => self.run_typed(node, seed, probed),
+            CatalogueProtocol::RoundRobin(node) => self.run_typed(node, seed, probed),
+            CatalogueProtocol::GoodSamaritan(node) => self.run_typed(node, seed, probed),
+            CatalogueProtocol::Wakeup(node) => self.run_typed(node, seed, probed),
+        }
+    }
+
+    /// Adversary (and optionally probe) construction, then execution on
+    /// the engine typed over `node`'s protocol, every node a clone of it.
+    fn run_typed<P>(&self, node: &P, seed: u64, probed: bool) -> ProbedOutcome
+    where
+        P: SyncProtocol + Clone,
+    {
         let adversary = self
             .adversary
             .build(&self.scenario, &self.scenario.adversary.params, seed)
@@ -179,7 +197,7 @@ impl Sim {
             .collect();
         let (outcome, outputs) = execute_probed(
             &self.scenario,
-            |id| (self.ctor)(id),
+            |_| node.clone(),
             adversary,
             seed,
             probes,

@@ -172,6 +172,7 @@ impl TrapdoorConfig {
         let final_start = regular_len.saturating_mul(u64::from(num_epochs - 1));
         TrapdoorSchedule {
             upper_bound_n: self.upper_bound_n,
+            epoch_one_probability: unclamped_probability(self.upper_bound_n, 1),
             f_prime: self.f_prime(),
             num_epochs,
             regular_len,
@@ -194,17 +195,26 @@ impl TrapdoorConfig {
 
 /// `min(1/2, 2^epoch / (2N))`, the broadcast probability of epoch `epoch`.
 fn broadcast_probability(upper_bound_n: u64, epoch: u32) -> f64 {
+    unclamped_probability(upper_bound_n, epoch).min(0.5)
+}
+
+/// `2^epoch / (2N)`, rounded once.
+fn unclamped_probability(upper_bound_n: u64, epoch: u32) -> f64 {
     let n = upper_bound_n as f64;
-    (2f64.powi(epoch as i32) / (2.0 * n)).min(0.5)
+    2f64.powi(epoch as i32) / (2.0 * n)
 }
 
 /// A [`TrapdoorConfig`]'s schedule with its lengths resolved: `lg N − 1`
 /// regular epochs of `regular_len` rounds, then the final epoch from round
 /// `final_start` to `total`. Resolved once per configuration; a protocol
 /// holds a copy and locates each contender-round in O(1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TrapdoorSchedule {
     upper_bound_n: u64,
+    /// `2 / (2N)`, unclamped: epoch `e`'s probability is this times
+    /// `2^(e−1)`, bit-identical to dividing `2^e` by `2N`, since scaling by
+    /// a power of two commutes with rounding.
+    epoch_one_probability: f64,
     f_prime: u32,
     num_epochs: u32,
     regular_len: u64,
@@ -249,7 +259,9 @@ impl TrapdoorSchedule {
     /// that case).
     pub(crate) fn contender_probability(&self, local_round: u64) -> f64 {
         match self.epoch_at(local_round) {
-            Some((epoch, _)) => broadcast_probability(self.upper_bound_n, epoch),
+            Some((epoch, _)) => {
+                (self.epoch_one_probability * (1u64 << (epoch - 1)) as f64).min(0.5)
+            }
             None => 0.5,
         }
     }
@@ -383,14 +395,17 @@ mod tests {
 
     proptest! {
         /// Lengths are positive, and the resolved schedule's closed form
-        /// agrees with walking the epochs: the total, and the epoch of
-        /// every round at each boundary ±1 and at sampled rounds. `N` is
-        /// drawn log-uniformly from 1 up, so single-epoch schedules
-        /// (`N ≤ 2`) are covered; `limit == 0` keeps `F′ = min(F, 2t)`.
+        /// agrees with walking the epochs: the total, the epoch of every
+        /// round at each boundary ±1 and at sampled rounds, and each
+        /// epoch's contender probability, bit for bit. `N` is drawn
+        /// log-uniformly from 1 up, so single-epoch schedules (`N ≤ 2`)
+        /// are covered; `raw_n` sets it through the pub field, unrounded;
+        /// `limit == 0` keeps `F′ = min(F, 2t)`.
         #[test]
         fn epoch_lengths_positive_and_total_consistent(
             lg in 0u32..13,
             spread in 0u64..4096,
+            raw_n in any::<bool>(),
             f in 2u32..64,
             t in 0u32..63,
             c1 in 0.05f64..8.0,
@@ -405,6 +420,9 @@ mod tests {
                 .with_final_epoch_constant(c2);
             if limit > 0 {
                 c = c.with_frequency_limit(limit);
+            }
+            if raw_n {
+                c.upper_bound_n = n;
             }
             let schedule = c.resolve();
             let mut boundaries = vec![0u64];
@@ -421,6 +439,15 @@ mod tests {
                 .chain([sample % (total + 2), sample]);
             for r in rounds {
                 prop_assert_eq!(schedule.epoch_at(r), epoch_at_by_walking(&c, r), "round {}", r);
+            }
+            for (epoch, &start) in (1..=c.num_epochs()).zip(&boundaries) {
+                prop_assert_eq!(
+                    schedule.contender_probability(start).to_bits(),
+                    c.broadcast_probability(epoch).to_bits(),
+                    "epoch {} of N = {}",
+                    epoch,
+                    c.upper_bound_n
+                );
             }
         }
 

@@ -131,6 +131,9 @@ impl Protocol for TrapdoorProtocol {
         self.timestamp = Timestamp::new(0, Timestamp::draw_uid(self.schedule.upper_bound_n(), rng));
     }
 
+    // The engine's round loop calls this once per node-round; without
+    // `#[inline]` it stays a call there.
+    #[inline]
     fn choose_action(&mut self, local_round: u64, rng: &mut SimRng) -> Action<TrapdoorMsg> {
         // The timestamp counts the rounds the node has been active,
         // including the current one.

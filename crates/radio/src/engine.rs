@@ -149,6 +149,7 @@ impl SimConfig {
     }
 
     /// The frequency band of the configured network.
+    #[inline]
     pub fn band(&self) -> FrequencyBand {
         FrequencyBand::new(self.num_frequencies)
     }

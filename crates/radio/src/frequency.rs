@@ -11,6 +11,10 @@ use std::fmt;
 
 use crate::rng::SimRng;
 
+// The `#[inline]` helpers below are called per node or per touched
+// frequency from round loops instantiated in other crates; without the
+// attribute each would be a cross-crate call there.
+
 /// A single narrowband frequency, identified by a 1-based index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Frequency(u32);
@@ -21,6 +25,7 @@ impl Frequency {
     /// # Panics
     ///
     /// Panics if `index == 0`; frequency indices are 1-based as in the paper.
+    #[inline]
     pub fn new(index: u32) -> Self {
         assert!(index >= 1, "Frequency indices are 1-based");
         Frequency(index)
@@ -37,6 +42,7 @@ impl Frequency {
     }
 
     /// Builds a frequency from a 0-based index.
+    #[inline]
     pub fn from_zero_based(index: usize) -> Self {
         Frequency::new(index as u32 + 1)
     }
@@ -91,6 +97,7 @@ impl FrequencyBand {
 
     /// Samples a frequency uniformly at random from the prefix
     /// `[1..=limit]`, where `limit` is clamped to `[1, F]`.
+    #[inline]
     pub fn sample_prefix(self, limit: u32, rng: &mut SimRng) -> Frequency {
         let limit = limit.clamp(1, self.count);
         Frequency::new(rng.gen_range(1..=limit))

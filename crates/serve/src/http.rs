@@ -15,6 +15,12 @@ use std::net::TcpStream;
 /// a megabyte is generous headroom, and anything larger is a client bug).
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Longest accepted request line or header line, line ending included.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Most header lines accepted after the request line.
+const MAX_HEADERS: usize = 64;
+
 /// One parsed request: method, path, and raw body bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -35,16 +41,21 @@ pub enum RequestError {
     Malformed,
     /// The declared `Content-Length` exceeds [`MAX_BODY`].
     BodyTooLarge,
+    /// A request or header line exceeds 8 KiB, or more than 64 header
+    /// lines follow the request line.
+    HeadersTooLarge,
 }
 
 /// Reads one HTTP/1.1 request from `stream`. `Ok(Err(_))` is a protocol
 /// error to answer with a 4xx; `Err(_)` is a transport error to drop.
+/// Memory stays bounded: every line is capped at `MAX_LINE` bytes and the
+/// header block at `MAX_HEADERS` lines.
 pub(crate) fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestError>> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(Err(RequestError::Malformed));
-    }
+    let line = match read_line(&mut reader)? {
+        Ok(line) => line,
+        Err(e) => return Ok(Err(e)),
+    };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return Ok(Err(RequestError::Malformed));
@@ -52,14 +63,19 @@ pub(crate) fn read_request(stream: &TcpStream) -> io::Result<Result<Request, Req
     let method = method.to_string();
     let path = path.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(Err(RequestError::Malformed));
-        }
+        let header = match read_line(&mut reader)? {
+            Ok(header) => header,
+            Err(e) => return Ok(Err(e)),
+        };
         let header = header.trim();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Ok(Err(RequestError::HeadersTooLarge));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -76,6 +92,24 @@ pub(crate) fn read_request(stream: &TcpStream) -> io::Result<Result<Request, Req
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Ok(Request { method, path, body }))
+}
+
+/// Reads one line of at most `MAX_LINE` bytes, line ending included.
+/// A closed stream is `Malformed` and a longer line `HeadersTooLarge`;
+/// text that is not UTF-8 is a transport error, as for
+/// [`BufRead::read_line`].
+fn read_line(reader: &mut impl BufRead) -> io::Result<Result<String, RequestError>> {
+    let mut bytes = Vec::new();
+    let read = reader.take(MAX_LINE as u64).read_until(b'\n', &mut bytes)?;
+    if read == 0 {
+        return Ok(Err(RequestError::Malformed));
+    }
+    if read == MAX_LINE && bytes.last() != Some(&b'\n') {
+        return Ok(Err(RequestError::HeadersTooLarge));
+    }
+    String::from_utf8(bytes)
+        .map(Ok)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Writes a complete JSON response and closes the exchange.
@@ -186,6 +220,37 @@ mod tests {
                 MAX_BODY + 1
             )),
             Err(RequestError::BodyTooLarge)
+        );
+        // A line of exactly `MAX_LINE` bytes passes; one byte more does
+        // not, in the request line or in a header.
+        let pad = |len: usize| "x".repeat(len - "X-Pad: \r\n".len());
+        let request = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n", pad(MAX_LINE));
+        assert!(request_roundtrip(&request).is_ok());
+        let request = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            pad(MAX_LINE + 1)
+        );
+        assert_eq!(
+            request_roundtrip(&request),
+            Err(RequestError::HeadersTooLarge)
+        );
+        let request = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(MAX_LINE));
+        assert_eq!(
+            request_roundtrip(&request),
+            Err(RequestError::HeadersTooLarge)
+        );
+        // `MAX_HEADERS` header lines pass; 65 do not.
+        let headers = |count: usize| -> String {
+            (0..count)
+                .map(|i| format!("X-Header-{i}: {i}\r\n"))
+                .collect()
+        };
+        let request = format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(MAX_HEADERS));
+        assert!(request_roundtrip(&request).is_ok());
+        let request = format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(65));
+        assert_eq!(
+            request_roundtrip(&request),
+            Err(RequestError::HeadersTooLarge)
         );
     }
 }

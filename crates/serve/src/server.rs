@@ -224,7 +224,13 @@ impl Server {
                         });
                     } else {
                         self.state.metrics.record_rejected();
-                        if let Err(e) = refuse_connection(&mut stream) {
+                        if let Err(e) = refuse_connection(
+                            &mut stream,
+                            503,
+                            "Service Unavailable",
+                            &[("Retry-After", RETRY_AFTER_SECS)],
+                            "server is at its concurrent-handler cap; retry shortly",
+                        ) {
                             eprintln!("wsync-serve: connection error: {e}");
                         }
                     }
@@ -236,26 +242,24 @@ impl Server {
     }
 }
 
-/// Refuses one connection at the handler cap: writes the `503` (with
-/// `Retry-After`), half-closes, and drains the client's unread request
-/// bytes so the close sends FIN, not RST (an RST can discard the queued
-/// response before the client reads it). The drain is bounded by a read
-/// timeout and an iteration cap, so a slow client cannot pin the accept
-/// loop for long.
-fn refuse_connection(stream: &mut TcpStream) -> std::io::Result<()> {
-    let body = Value::Object(vec![(
-        "error".to_string(),
-        Value::Str("server is at its concurrent-handler cap; retry shortly".to_string()),
-    )])
-    .to_json_compact();
+/// Refuses one connection with a JSON error: writes the response,
+/// half-closes, and drains the client's unread request bytes so the close
+/// sends FIN, not RST (an RST can discard the queued response before the
+/// client reads it). The drain is bounded by a read timeout and an
+/// iteration cap, so a slow client cannot pin the calling thread for long.
+/// The accept loop answers `503` (plus `Retry-After`) this way at the
+/// handler cap, and a handler answers `431` when the headers are too large.
+fn refuse_connection(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    extra_headers: &[(&str, &str)],
+    message: &str,
+) -> std::io::Result<()> {
+    let body = Value::Object(vec![("error".to_string(), Value::Str(message.to_string()))])
+        .to_json_compact();
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    http::respond_json_with(
-        stream,
-        503,
-        "Service Unavailable",
-        &[("Retry-After", RETRY_AFTER_SECS)],
-        &body,
-    )?;
+    http::respond_json_with(stream, status, reason, extra_headers, &body)?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut scratch = [0u8; 1024];
     for _ in 0..64 {
@@ -279,6 +283,15 @@ fn handle_connection(state: &Arc<State>, mut stream: TcpStream) -> std::io::Resu
                 413,
                 "Payload Too Large",
                 "request body exceeds the 1 MiB limit",
+            );
+        }
+        Err(RequestError::HeadersTooLarge) => {
+            return refuse_connection(
+                &mut stream,
+                431,
+                "Request Header Fields Too Large",
+                &[],
+                "a request or header line exceeds 8 KiB, or more than 64 header lines were sent",
             );
         }
     };

@@ -536,3 +536,30 @@ fn flooding_past_the_handler_cap_yields_503s_not_threads() {
         "no handler was spawned for a flooded connection: accepted {accepted}, probes {probes}"
     );
 }
+
+#[test]
+fn oversized_headers_are_answered_431_not_reset() {
+    let addr = start_server("headers");
+    // One header line past 8 KiB, then 65 short header lines: both are
+    // refused, and the client reads the status rather than a reset.
+    let long_line = format!(
+        "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "x".repeat(16 * 1024)
+    );
+    let many_lines = format!(
+        "GET /healthz HTTP/1.1\r\n{}\r\n",
+        (0..65)
+            .map(|i| format!("X-Header-{i}: {i}\r\n"))
+            .collect::<String>()
+    );
+    for request in [long_line, many_lines] {
+        let raw = exchange_raw(addr, &request);
+        assert!(
+            raw.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+            "oversized headers must answer 431: {raw}"
+        );
+    }
+    // The server keeps answering.
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+}

@@ -13,8 +13,9 @@ use wireless_sync::sync::registry;
 use wireless_sync::sync::runner::BoxedAdversary;
 use wireless_sync::sync::store::spec_digest;
 
-/// Builds a registry-resolved engine for `(spec, seed)` — the same wiring
-/// `Sim::run_one` uses, exposed so tests can attach probes and inspect the
+/// Builds a registry-resolved engine for `(spec, seed)` on the
+/// `ProtocolCtor` path, whose outcomes equal `Sim::run_one`'s (the registry
+/// tests pin this), exposed so tests can attach probes and inspect the
 /// engine afterwards.
 fn engine_for(
     spec: &ScenarioSpec,
