@@ -78,10 +78,12 @@ impl BallsInBins {
 /// dynamic programming over bins. The state is the number of balls still to
 /// be distributed; for each bin we sum over how many balls it receives
 /// (skipping exactly one), using binomial coefficients. Complexity is
-/// `O(bins · m²)`.
+/// `O(bins · m²)`: a table of `ln k!` built once per call makes each
+/// binomial term O(1).
 pub fn no_singleton_probability_exact(instance: &BallsInBins) -> f64 {
     let m = instance.balls;
     let probs = &instance.probabilities;
+    let ln_factorial = ln_factorials(m);
     // remaining[j] = probability that, after processing some prefix of bins,
     // exactly j balls have been placed in those bins AND no processed bin got
     // exactly one ball — conditioned on nothing, using multinomial structure:
@@ -124,7 +126,7 @@ pub fn no_singleton_probability_exact(instance: &BallsInBins) -> f64 {
                 if k == 1 {
                     continue;
                 }
-                let w = binomial_pmf(j, k, q);
+                let w = binomial_pmf(&ln_factorial, j, k, q);
                 if w > 0.0 {
                     next[j - k] += dp[j] * w;
                 }
@@ -168,9 +170,22 @@ pub fn no_singleton_probability_mc(instance: &BallsInBins, trials: usize, seed: 
     successes as f64 / trials.max(1) as f64
 }
 
+/// `ln k!` for `k = 0..=m`.
+fn ln_factorials(m: usize) -> Vec<f64> {
+    let mut table = Vec::with_capacity(m + 1);
+    let mut acc = 0.0;
+    table.push(acc);
+    for k in 1..=m {
+        acc += (k as f64).ln();
+        table.push(acc);
+    }
+    table
+}
+
 /// Binomial probability mass function `P[Bin(n, p) = k]`, computed in log
-/// space for numerical stability.
-fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
+/// space for numerical stability. `ln_factorial` is [`ln_factorials`] of
+/// at least `n`, so a term costs O(1).
+fn binomial_pmf(ln_factorial: &[f64], n: usize, k: usize, p: f64) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -180,21 +195,9 @@ fn binomial_pmf(n: usize, k: usize, p: f64) -> f64 {
     if p >= 1.0 {
         return if k == n { 1.0 } else { 0.0 };
     }
-    let ln = ln_choose(n, k) + (k as f64) * p.ln() + ((n - k) as f64) * (1.0 - p).ln();
+    let ln_choose = ln_factorial[n] - ln_factorial[k] - ln_factorial[n - k];
+    let ln = ln_choose + (k as f64) * p.ln() + ((n - k) as f64) * (1.0 - p).ln();
     ln.exp()
-}
-
-/// Natural logarithm of the binomial coefficient `C(n, k)`.
-fn ln_choose(n: usize, k: usize) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    let k = k.min(n - k);
-    let mut acc = 0.0;
-    for i in 0..k {
-        acc += ((n - i) as f64).ln() - ((i + 1) as f64).ln();
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -297,12 +300,16 @@ mod tests {
 
     #[test]
     fn binomial_pmf_edge_cases() {
-        assert_eq!(binomial_pmf(5, 6, 0.5), 0.0);
-        assert_eq!(binomial_pmf(5, 0, 0.0), 1.0);
-        assert_eq!(binomial_pmf(5, 5, 1.0), 1.0);
-        assert!((binomial_pmf(4, 2, 0.5) - 0.375).abs() < 1e-12);
-        let total: f64 = (0..=10).map(|k| binomial_pmf(10, k, 0.3)).sum();
+        let ln_factorial = ln_factorials(10);
+        let pmf = |n, k, p| binomial_pmf(&ln_factorial, n, k, p);
+        assert_eq!(pmf(5, 6, 0.5), 0.0);
+        assert_eq!(pmf(5, 0, 0.0), 1.0);
+        assert_eq!(pmf(5, 5, 1.0), 1.0);
+        assert!((pmf(4, 2, 0.5) - 0.375).abs() < 1e-12);
+        let total: f64 = (0..=10).map(|k| pmf(10, k, 0.3)).sum();
         assert!((total - 1.0).abs() < 1e-9);
+        // The table holds ln k! exactly up to rounding: 10! = 3,628,800.
+        assert!((ln_factorial[10] - 3_628_800f64.ln()).abs() < 1e-12);
     }
 
     proptest! {

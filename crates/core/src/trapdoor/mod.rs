@@ -116,6 +116,9 @@ impl TrapdoorProtocol {
         }
     }
 
+    // Called from `choose_action` once per node-round; without `#[inline]`
+    // the engine's actions loop keeps it as a call.
+    #[inline]
     fn pick_frequency(&self, rng: &mut SimRng) -> wsync_radio::frequency::Frequency {
         self.band.sample_prefix(self.schedule.f_prime(), rng)
     }

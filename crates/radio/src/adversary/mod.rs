@@ -48,35 +48,35 @@ pub use sweep::SweepAdversary;
 
 /// The set of frequencies disrupted in one round.
 ///
-/// Stored as a boolean mask over the band (so membership queries during
-/// round resolution are O(1)) *plus* a sorted index list of the disrupted
-/// frequencies, so that `len`, `iter`, and `truncate_to_budget` cost
-/// O(t) — the number of disrupted frequencies — rather than O(F). The
-/// sparse-activity engine relies on this: with at most `t ≪ F` disrupted
-/// frequencies per round, nothing in the per-round disruption bookkeeping
-/// scans the whole band.
+/// Stored as a bitset over the band — bit `i % 64` of word `i / 64` marks
+/// the 0-based frequency `i` — plus a count of the set bits. `insert`,
+/// `contains` and `len` are O(1) bit operations; `iter`, `clear` and
+/// `truncate_to_budget` walk the ⌈F/64⌉ words (at most 32 for any band in
+/// this workspace), visiting set bits in ascending order with
+/// `trailing_zeros`, so nothing in the per-round disruption bookkeeping
+/// looks at the band one frequency at a time.
 ///
-/// Invariant: `indices` is the sorted, duplicate-free list of exactly the
-/// 0-based frequency indices whose `mask` slot is `true`. Because the list
-/// is canonical, the derived `PartialEq` (which compares both fields)
-/// agrees with set equality.
+/// Invariant: `len` is the number of set bits in `words`, and no bit at
+/// or above `num_frequencies` is set. So a set has exactly one
+/// representation, and the derived `PartialEq` agrees with set equality.
 ///
 /// The engine owns one set for the whole execution: it empties the set at
-/// the top of every round (through `indices`, so in O(t)) and hands it to
-/// [`Adversary::disrupt`] to fill, so choosing a round's disruptions
-/// allocates nothing once the index list has grown to the budget.
+/// the top of every round and hands it to [`Adversary::disrupt`] to fill,
+/// so choosing a round's disruptions never allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DisruptionSet {
-    mask: Vec<bool>,
-    indices: Vec<u32>,
+    words: Vec<u64>,
+    len: usize,
+    num_frequencies: u32,
 }
 
 impl DisruptionSet {
     /// An empty disruption set for a band of `num_frequencies` frequencies.
     pub fn empty(num_frequencies: u32) -> Self {
         DisruptionSet {
-            mask: vec![false; num_frequencies as usize],
-            indices: Vec::new(),
+            words: vec![0; (num_frequencies as usize).div_ceil(64)],
+            len: 0,
+            num_frequencies,
         }
     }
 
@@ -93,24 +93,27 @@ impl DisruptionSet {
         set
     }
 
+    /// Whether the 0-based frequency index `i` is in the set.
+    fn has(&self, i: usize) -> bool {
+        i < self.num_frequencies as usize && self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
     /// Marks `f` as disrupted (no-op if `f` is outside the band).
     pub fn insert(&mut self, f: Frequency) {
         let i = f.as_zero_based();
-        if let Some(slot) = self.mask.get_mut(i) {
-            if !*slot {
-                *slot = true;
-                let i = i as u32;
-                match self.indices.binary_search(&i) {
-                    Ok(_) => {}
-                    Err(pos) => self.indices.insert(pos, i),
-                }
+        if i < self.num_frequencies as usize {
+            let word = &mut self.words[i / 64];
+            let bit = 1 << (i % 64);
+            if *word & bit == 0 {
+                *word |= bit;
+                self.len += 1;
             }
         }
     }
 
     /// Inserts `amount` distinct frequencies drawn uniformly from the band
-    /// by Floyd's combination algorithm. The set must arrive empty: its
-    /// mask is Floyd's membership test, so the draws are the same
+    /// by Floyd's combination algorithm. The set must arrive empty: it is
+    /// Floyd's membership test, so the draws are the same
     /// `gen_range(0..j + 1)` calls, in the same order, as
     /// `rand::seq::index::sample(rng, F, amount)` makes, and the set holds
     /// the frequencies that call returns.
@@ -120,71 +123,91 @@ impl DisruptionSet {
     /// Panics if `amount` exceeds the band.
     pub(crate) fn insert_sample(&mut self, amount: usize, rng: &mut SimRng) {
         debug_assert!(self.is_empty(), "Floyd's draw needs an empty set");
-        let length = self.mask.len();
+        let length = self.num_frequencies as usize;
         assert!(
             amount <= length,
             "cannot sample {amount} distinct frequencies from a band of {length}"
         );
         for j in length - amount..length {
             let pick = rng.gen_range(0..j + 1);
-            let pick = if self.mask[pick] { j } else { pick };
+            let pick = if self.has(pick) { j } else { pick };
             self.insert(Frequency::from_zero_based(pick));
         }
     }
 
-    /// Empties the set in O(t): only the mask slots `indices` lists are
-    /// reset.
+    /// Empties the set in O(⌈F/64⌉).
+    #[inline]
     pub(crate) fn clear(&mut self) {
-        for &i in &self.indices {
-            self.mask[i as usize] = false;
+        if self.len != 0 {
+            self.words.fill(0);
+            self.len = 0;
         }
-        self.indices.clear();
     }
 
     /// Returns `true` if `f` is disrupted.
     pub fn contains(&self, f: Frequency) -> bool {
-        self.mask.get(f.as_zero_based()).copied().unwrap_or(false)
+        self.has(f.as_zero_based())
     }
 
     /// Number of disrupted frequencies.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.indices.len()
+        self.len
     }
 
     /// Returns `true` if no frequency is disrupted.
     pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+        self.len == 0
     }
 
     /// Iterates over the disrupted frequencies in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Frequency> + '_ {
-        self.indices
-            .iter()
-            .map(|&i| Frequency::from_zero_based(i as usize))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    Frequency::from_zero_based(w * 64 + bit)
+                })
+            })
+        })
     }
 
-    /// The sorted 0-based indices of the disrupted frequencies.
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// The underlying mask, indexed by 0-based frequency index.
-    pub fn mask(&self) -> &[bool] {
-        &self.mask
+    /// The bitset's words: bit `i % 64` of word `i / 64` is the 0-based
+    /// frequency `i`.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Truncates the set to at most `budget` disrupted frequencies, keeping
-    /// the lowest-indexed ones. The engine uses this to enforce the model's
-    /// bound `t` even against a buggy adversary implementation.
+    /// the lowest-indexed ones, and returns how many it removed. The engine
+    /// uses this to enforce the model's bound `t` even against a buggy
+    /// adversary implementation.
+    #[inline]
     pub(crate) fn truncate_to_budget(&mut self, budget: usize) -> usize {
-        if self.indices.len() <= budget {
+        if self.len <= budget {
             return 0;
         }
-        let removed = self.indices.len() - budget;
-        for &i in &self.indices[budget..] {
-            self.mask[i as usize] = false;
+        let mut keep = budget;
+        for word in &mut self.words {
+            let ones = word.count_ones() as usize;
+            if ones <= keep {
+                keep -= ones;
+                continue;
+            }
+            // Clear the `keep` lowest set bits of a copy: what is left is
+            // exactly the bits to drop.
+            let mut dropped = *word;
+            for _ in 0..keep {
+                dropped &= dropped - 1;
+            }
+            *word ^= dropped;
+            keep = 0;
         }
-        self.indices.truncate(budget);
+        let removed = self.len - budget;
+        self.len = budget;
         removed
     }
 }
@@ -338,23 +361,75 @@ mod tests {
 
         /// The set's Floyd draw is `rand::seq::index::sample`'s: the same
         /// indices from the same RNG state, leaving the RNG in the same
-        /// state.
+        /// state — on one-word bands and on bands of two and three words.
         #[test]
         fn floyd_draw_matches_index_sample(seed in any::<u64>()) {
-            for f in 1..64usize {
+            for f in (1..=66usize).chain([127, 128, 129, 130]) {
                 for k in 0..=f {
                     let mut sampled_rng = SimRng::from_seed(seed ^ ((f as u64) << 8) ^ k as u64);
                     let mut set_rng = sampled_rng.clone();
                     let mut expected: Vec<u32> = rand::seq::index::sample(&mut sampled_rng, f, k)
                         .into_iter()
-                        .map(|i| i as u32)
+                        .map(|i| i as u32 + 1)
                         .collect();
                     expected.sort_unstable();
                     let mut set = DisruptionSet::empty(f as u32);
                     set.insert_sample(k, &mut set_rng);
-                    prop_assert_eq!(set.indices(), expected.as_slice());
+                    let drawn: Vec<u32> = set.iter().map(Frequency::index).collect();
+                    prop_assert_eq!(drawn, expected);
+                    prop_assert_eq!(set.len(), k);
                     prop_assert_eq!(set_rng.gen::<u64>(), sampled_rng.gen::<u64>());
                 }
+            }
+        }
+
+        /// The bitset behaves as a `BTreeSet` of 0-based indices under any
+        /// sequence of inserts (in and out of the band), truncations and
+        /// clears, on bands of one, two and three words.
+        #[test]
+        fn disruption_set_matches_a_btree_set(
+            ops in proptest::collection::vec((0u32..8, 0u32..140), 0..120),
+        ) {
+            for f in [1u32, 63, 64, 65, 130] {
+                let mut set = DisruptionSet::empty(f);
+                let mut model = std::collections::BTreeSet::new();
+                for &(op, value) in &ops {
+                    match op {
+                        0 => {
+                            let budget = (value % 70) as usize;
+                            let removed = set.truncate_to_budget(budget);
+                            let before = model.len();
+                            model = model.into_iter().take(budget).collect();
+                            prop_assert_eq!(removed, before - model.len());
+                        }
+                        1 if value % 16 == 0 => {
+                            set.clear();
+                            model.clear();
+                        }
+                        _ => {
+                            set.insert(Frequency::from_zero_based(value as usize));
+                            if value < f {
+                                model.insert(value);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(set.len(), model.len());
+                    prop_assert_eq!(set.is_empty(), model.is_empty());
+                    let listed: Vec<u32> = set.iter().map(|q| q.index() - 1).collect();
+                    let expected: Vec<u32> = model.iter().copied().collect();
+                    prop_assert_eq!(listed, expected);
+                    for probe in [0, value, f.saturating_sub(1), f, f + 1] {
+                        prop_assert_eq!(
+                            set.contains(Frequency::from_zero_based(probe as usize)),
+                            model.contains(&probe)
+                        );
+                    }
+                }
+                let rebuilt = DisruptionSet::from_frequencies(
+                    f,
+                    model.iter().map(|&i| Frequency::from_zero_based(i as usize)),
+                );
+                prop_assert_eq!(set, rebuilt);
             }
         }
 

@@ -25,16 +25,22 @@
 //!
 //! Round dispatch is *sparse*: dormant nodes sit in a wake queue keyed by
 //! activation round, running nodes are held in a sorted **active set**, and
-//! per-frequency occupancy is reset through a *touched-frequency* list
-//! rather than a band-wide sweep — so a steady-state round costs
-//! O(active + contended frequencies), not O(N + F), with no heap
-//! allocation. The engine still owns reusable structure-of-arrays buffers
-//! (per-node action/payload/view slots, per-frequency occupancy counters
-//! and the per-frequency activity record) sized O(N + F) once at
-//! construction; only the *passes* are sparse. The adversary fills an
-//! engine-owned [`DisruptionSet`], emptied in O(t) at the top of each
-//! round. Nothing of the round is copied or retained by the engine: probes
-//! and the adversary read the observation in place.
+//! the frequencies a round touches (occupied by a node or disrupted) are
+//! marked in a word bitset, one bit per frequency. The per-frequency
+//! resolution and reset passes walk that bitset's set bits in ascending
+//! order with `trailing_zeros`, so a steady-state round costs
+//! O(active + touched) per-node and per-frequency work plus O(⌈F/64⌉) word
+//! operations for the band bookkeeping — at most 32 words for any band in
+//! this workspace — with no sort and no heap allocation. The engine still
+//! owns reusable structure-of-arrays buffers (per-node action/payload/view
+//! slots, per-frequency occupancy counters and the per-frequency activity
+//! record) sized O(N + F) once at construction; only the *passes* are
+//! sparse. The adversary fills an engine-owned [`DisruptionSet`], itself a
+//! word bitset, whose words the engine ORs into the touched words. The
+//! per-node passes bind every array they touch to a local slice once per
+//! pass and keep the round's action tallies and the synchronized count in
+//! locals. Nothing of the round is copied or retained by the engine:
+//! probes and the adversary read the observation in place.
 //!
 //! The O(active) bound is the engine's alone: a probe that scans
 //! [`RoundObservation::nodes`] (the property checker does) reads all N
@@ -47,7 +53,7 @@ use crate::activation::ActivationSchedule;
 use crate::adversary::{Adversary, DisruptionSet};
 use crate::error::{ConfigError, Result};
 use crate::fault::{FaultKind, FaultLayer, FaultStack, FaultTransitions, NetworkView};
-use crate::frequency::FrequencyBand;
+use crate::frequency::{Frequency, FrequencyBand};
 use crate::message::{Feedback, Received};
 use crate::metrics::SimMetrics;
 use crate::node::{ActivationInfo, NodeId};
@@ -223,12 +229,13 @@ impl ExecutionResult {
 /// `Crashed` once at the crash transition and left alone while it is down.
 /// The per-frequency arrays are flat structure-of-arrays counters reset
 /// *sparsely* at the top of each round: only the frequencies touched last
-/// round (occupied by some node or disrupted by the adversary — tracked in
-/// `touched`) are rewritten, so the reset costs O(touched), not O(F).
-/// `activity` is the round's per-frequency resolution record, which probes
-/// and the adversary observe by reference; entries for untouched
-/// frequencies hold the all-quiet value. `disrupted`
-/// is the set the adversary fills, emptied through its index list.
+/// round (occupied by some node or disrupted by the adversary — the set
+/// bits of `touched`) are rewritten, so the reset costs O(touched) slot
+/// writes plus a walk of the ⌈F/64⌉ words. `activity` is the round's
+/// per-frequency resolution record, which probes and the adversary observe
+/// by reference; entries for untouched frequencies hold the all-quiet
+/// value. `disrupted` is the bitset the adversary fills, emptied word by
+/// word.
 struct RoundScratch<M> {
     /// Nodes newly activated this round.
     newly_activated: Vec<NodeId>,
@@ -249,11 +256,10 @@ struct RoundScratch<M> {
     /// Per-frequency resolution record of this round (always `F` entries;
     /// untouched frequencies stay all-quiet).
     activity: Vec<FrequencyActivity>,
-    /// 0-based indices of the frequencies touched this round (occupied or
-    /// disrupted), sorted ascending before the resolution pass.
-    touched: Vec<u32>,
-    /// Per-frequency membership flag for `touched`.
-    freq_touched: Vec<bool>,
+    /// The frequencies touched this round (occupied or disrupted), as a
+    /// bitset: bit `i % 64` of word `i / 64` marks the 0-based frequency
+    /// `i`, the layout of [`DisruptionSet`]'s words.
+    touched: Vec<u64>,
     /// The frequencies the adversary disrupts this round.
     disrupted: DisruptionSet,
     /// Messages delivered this round.
@@ -276,6 +282,7 @@ const QUIET: FrequencyActivity = FrequencyActivity {
 
 impl<M> RoundScratch<M> {
     fn new(num_nodes: usize, num_frequencies: usize) -> Self {
+        let disrupted = DisruptionSet::empty(num_frequencies as u32);
         RoundScratch {
             newly_activated: Vec::new(),
             actions: vec![ActionView::Inactive; num_nodes],
@@ -285,9 +292,8 @@ impl<M> RoundScratch<M> {
             listeners: vec![0; num_frequencies],
             solo_broadcaster: vec![0; num_frequencies],
             activity: vec![QUIET; num_frequencies],
-            touched: Vec::new(),
-            freq_touched: vec![false; num_frequencies],
-            disrupted: DisruptionSet::empty(num_frequencies as u32),
+            touched: vec![0; disrupted.words().len()],
+            disrupted,
             deliveries: Vec::new(),
             delivery_slot: vec![0; num_frequencies],
             tally: RoundTally::default(),
@@ -295,32 +301,25 @@ impl<M> RoundScratch<M> {
     }
 
     /// Resets the per-round state, keeping every allocation. Only the
-    /// frequencies touched last round are rewritten — O(touched), not
-    /// O(F).
+    /// frequencies touched last round are rewritten — O(touched) slot
+    /// writes over a walk of the ⌈F/64⌉ touched words, not O(F).
     fn begin_round(&mut self) {
         self.newly_activated.clear();
         self.deliveries.clear();
-        for &fi in &self.touched {
-            let fi = fi as usize;
-            self.broadcasters[fi] = 0;
-            self.listeners[fi] = 0;
-            self.activity[fi] = QUIET;
-            self.freq_touched[fi] = false;
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                let fi = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                self.broadcasters[fi] = 0;
+                self.listeners[fi] = 0;
+                self.activity[fi] = QUIET;
+            }
         }
-        self.touched.clear();
         self.disrupted.clear();
         self.tally = RoundTally::default();
         // `solo_broadcaster`, `actions`, `payloads` and `node_views` are
         // overwritten where meaningful; stale entries are never read.
-    }
-
-    /// Marks frequency `fi` as touched this round.
-    #[inline]
-    fn touch(&mut self, fi: usize) {
-        if !self.freq_touched[fi] {
-            self.freq_touched[fi] = true;
-            self.touched.push(fi as u32);
-        }
     }
 }
 
@@ -564,10 +563,11 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
     ///
     /// The round is resolved over the engine's reusable `RoundScratch`
     /// buffers: one pass over the *active set* to collect actions into flat
-    /// per-frequency counters, one pass over the *touched* frequencies to
-    /// resolve deliveries, and one pass over the active set to deliver
-    /// feedback — O(active + touched) per round, with no heap allocation
-    /// in steady state.
+    /// per-frequency counters and the touched-frequency bitset, one walk
+    /// over that bitset's set bits to resolve deliveries in ascending
+    /// frequency order, and one pass over the active set to deliver
+    /// feedback — O(active + touched) per round plus O(⌈F/64⌉) word
+    /// operations, with no sort and no heap allocation in steady state.
     pub fn step(&mut self) {
         let round = self.round;
         let band = self.config.band();
@@ -679,26 +679,48 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         // 2. Actions: one pass over the active set (sorted, so protocol
         // and per-node RNG calls stay in node order), filling the flat
         // per-node action/payload slots and the per-frequency occupancy
-        // counters of the touched frequencies.
-        for idx in 0..self.active.len() {
-            let i = self.active[idx] as usize;
-            let local_round = round - self.local_base[i];
-            let action = self.protocols[i].choose_action(local_round, &mut self.node_rngs[i]);
-            match action {
+        // counters, and marking each chosen frequency touched. Every array
+        // is bound to a local slice once, and the action tallies live in
+        // locals until the pass ends.
+        let RoundScratch {
+            actions,
+            payloads,
+            broadcasters,
+            listeners,
+            solo_broadcaster,
+            touched,
+            ..
+        } = &mut self.scratch;
+        let (actions, payloads, touched) = (&mut actions[..], &mut payloads[..], &mut touched[..]);
+        let (broadcasters, listeners, solo_broadcaster) = (
+            &mut broadcasters[..],
+            &mut listeners[..],
+            &mut solo_broadcaster[..],
+        );
+        let (protocols, node_rngs, local_base) = (
+            &mut self.protocols[..],
+            &mut self.node_rngs[..],
+            &self.local_base[..],
+        );
+        let (mut broadcasts, mut listens, mut sleeps) = (0u32, 0u32, 0u32);
+        for &node in &self.active {
+            let i = node as usize;
+            let local_round = round - local_base[i];
+            match protocols[i].choose_action(local_round, &mut node_rngs[i]) {
                 Action::Broadcast { frequency, message } => {
                     assert!(
                         band.contains(frequency),
                         "protocol chose frequency {frequency} outside the band of {f_count} frequencies"
                     );
                     let fi = frequency.as_zero_based();
-                    self.scratch.touch(fi);
-                    self.scratch.actions[i] = ActionView::Broadcast(frequency);
-                    self.scratch.payloads[i] = Some(message);
-                    if self.scratch.broadcasters[fi] == 0 {
-                        self.scratch.solo_broadcaster[fi] = i as u32;
+                    touched[fi / 64] |= 1 << (fi % 64);
+                    actions[i] = ActionView::Broadcast(frequency);
+                    payloads[i] = Some(message);
+                    if broadcasters[fi] == 0 {
+                        solo_broadcaster[fi] = node;
                     }
-                    self.scratch.broadcasters[fi] += 1;
-                    self.scratch.tally.broadcasts += 1;
+                    broadcasters[fi] += 1;
+                    broadcasts += 1;
                 }
                 Action::Listen { frequency } => {
                     assert!(
@@ -706,20 +728,24 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                         "protocol chose frequency {frequency} outside the band of {f_count} frequencies"
                     );
                     let fi = frequency.as_zero_based();
-                    self.scratch.touch(fi);
-                    self.scratch.actions[i] = ActionView::Listen(frequency);
-                    self.scratch.payloads[i] = None;
-                    self.scratch.listeners[fi] += 1;
-                    self.scratch.tally.listens += 1;
+                    touched[fi / 64] |= 1 << (fi % 64);
+                    actions[i] = ActionView::Listen(frequency);
+                    payloads[i] = None;
+                    listeners[fi] += 1;
+                    listens += 1;
                 }
                 Action::Sleep => {
-                    self.scratch.actions[i] = ActionView::Sleep;
-                    self.scratch.payloads[i] = None;
-                    self.scratch.tally.sleeps += 1;
+                    actions[i] = ActionView::Sleep;
+                    payloads[i] = None;
+                    sleeps += 1;
                 }
             }
         }
-        self.scratch.tally.active_nodes = self.active.len() as u32;
+        let tally = &mut self.scratch.tally;
+        tally.broadcasts = broadcasts;
+        tally.listens = listens;
+        tally.sleeps = sleeps;
+        tally.active_nodes = self.active.len() as u32;
 
         // 3. Adversary: it fills the set `begin_round` emptied.
         self.adversary.disrupt(
@@ -735,67 +761,79 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         self.scratch.tally.adversary_clamped = removed > 0;
         self.scratch.tally.disrupted_frequencies = self.scratch.disrupted.len() as u32;
 
-        // A disrupted-but-unoccupied frequency still shows up in the
-        // round's activity record, so it counts as touched too.
-        for k in 0..self.scratch.disrupted.len() {
-            let fi = self.scratch.disrupted.indices()[k] as usize;
-            self.scratch.touch(fi);
-        }
-        // Ascending frequency order keeps the resolution pass (and the
-        // fault layers' per-delivery draws) bit-identical to the old
-        // band-wide sweep.
-        self.scratch.touched.sort_unstable();
-
-        // 4. Resolution: one pass over the touched frequencies — an
+        // 4. Resolution: one walk over the touched bitset's set bits, in
+        // ascending frequency order, which keeps `deliveries` and the
+        // fault layers' per-delivery draws in band order. A
+        // disrupted-but-unoccupied frequency still shows up in the round's
+        // activity record, so the disrupted words are ORed in first; an
         // untouched frequency resolves to the all-quiet record its
         // `activity` slot already holds. On the fault path, a resolved
         // delivery may still be dropped whole by a loss layer, and
         // surviving deliveries defer their receiver counts to the
         // feedback pass (where per-listener layers have their say).
-        for ti in 0..self.scratch.touched.len() {
-            let fi = self.scratch.touched[ti] as usize;
-            let freq = crate::frequency::Frequency::from_zero_based(fi);
-            let b = self.scratch.broadcasters[fi];
-            let l = self.scratch.listeners[fi];
-            let is_disrupted = self.scratch.disrupted.contains(freq);
-            let mut delivered = b == 1 && !is_disrupted;
-            if b >= 2 {
-                self.scratch.tally.collisions += 1;
-            }
-            if b == 1 && is_disrupted {
-                self.scratch.tally.jammed_solo_broadcasts += 1;
-            }
-            if delivered && has_faults {
-                let sender = NodeId::new(self.scratch.solo_broadcaster[fi]);
-                if self.faults.drops_delivery(round, freq, sender).is_some() {
-                    delivered = false;
-                    self.scratch.tally.dropped_deliveries += 1;
+        let RoundScratch {
+            broadcasters,
+            listeners,
+            solo_broadcaster,
+            activity,
+            touched,
+            disrupted,
+            deliveries,
+            delivery_slot,
+            tally,
+            ..
+        } = &mut self.scratch;
+        for (w, (word, &jammed)) in touched.iter_mut().zip(disrupted.words()).enumerate() {
+            *word |= jammed;
+            let mut rest = *word;
+            while rest != 0 {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                let fi = w * 64 + bit as usize;
+                let freq = Frequency::from_zero_based(fi);
+                let b = broadcasters[fi];
+                let l = listeners[fi];
+                let is_disrupted = jammed >> bit & 1 != 0;
+                let mut delivered = b == 1 && !is_disrupted;
+                if b >= 2 {
+                    tally.collisions += 1;
                 }
-            }
-            if delivered {
-                self.scratch.tally.deliveries += 1;
-                if has_faults {
-                    self.scratch.delivery_slot[fi] = self.scratch.deliveries.len();
-                    self.scratch.deliveries.push(Delivery {
-                        frequency: freq,
-                        sender: NodeId::new(self.scratch.solo_broadcaster[fi]),
-                        receivers: 0,
-                    });
-                } else {
-                    self.scratch.tally.receptions += l;
-                    self.scratch.deliveries.push(Delivery {
-                        frequency: freq,
-                        sender: NodeId::new(self.scratch.solo_broadcaster[fi]),
-                        receivers: l,
-                    });
+                if b == 1 && is_disrupted {
+                    tally.jammed_solo_broadcasts += 1;
                 }
+                if delivered && has_faults {
+                    let sender = NodeId::new(solo_broadcaster[fi]);
+                    if self.faults.drops_delivery(round, freq, sender).is_some() {
+                        delivered = false;
+                        tally.dropped_deliveries += 1;
+                    }
+                }
+                if delivered {
+                    tally.deliveries += 1;
+                    let sender = NodeId::new(solo_broadcaster[fi]);
+                    if has_faults {
+                        delivery_slot[fi] = deliveries.len();
+                        deliveries.push(Delivery {
+                            frequency: freq,
+                            sender,
+                            receivers: 0,
+                        });
+                    } else {
+                        tally.receptions += l;
+                        deliveries.push(Delivery {
+                            frequency: freq,
+                            sender,
+                            receivers: l,
+                        });
+                    }
+                }
+                activity[fi] = FrequencyActivity {
+                    broadcasters: b,
+                    listeners: l,
+                    disrupted: is_disrupted,
+                    delivered,
+                };
             }
-            self.scratch.activity[fi] = FrequencyActivity {
-                broadcasters: b,
-                listeners: l,
-                disrupted: is_disrupted,
-                delivered,
-            };
         }
 
         // 5. Feedback and outputs: one more pass over the active set (in
@@ -803,12 +841,35 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         // on a delivering frequency receives the payload of that
         // frequency's single broadcaster. Crashed nodes are not in the
         // set: their `Crashed` view was written at the crash transition
-        // and persists untouched while they are down.
-        for idx in 0..self.active.len() {
-            let i = self.active[idx] as usize;
-            let action = self.scratch.actions[i];
-            let local_round = round - self.local_base[i];
-            let feedback: Feedback<P::Msg> = match action {
+        // and persists untouched while they are down. As in the actions
+        // pass, the arrays are local slices and the synchronized count is
+        // a local until the pass ends.
+        let RoundScratch {
+            actions,
+            payloads,
+            node_views,
+            solo_broadcaster,
+            activity,
+            deliveries,
+            delivery_slot,
+            tally,
+            ..
+        } = &mut self.scratch;
+        let (actions, payloads, node_views) = (&actions[..], &payloads[..], &mut node_views[..]);
+        let (solo_broadcaster, activity, delivery_slot) =
+            (&solo_broadcaster[..], &activity[..], &delivery_slot[..]);
+        let (protocols, node_rngs, local_base) = (
+            &mut self.protocols[..],
+            &mut self.node_rngs[..],
+            &self.local_base[..],
+        );
+        let (sync_round, counted_synced) = (&mut self.sync_round[..], &mut self.counted_synced[..]);
+        let faults = &mut self.faults;
+        let mut synced_count = self.synced_count;
+        for &node in &self.active {
+            let i = node as usize;
+            let local_round = round - local_base[i];
+            let feedback: Feedback<P::Msg> = match actions[i] {
                 ActionView::Inactive | ActionView::Crashed => {
                     unreachable!("running node has an action")
                 }
@@ -816,16 +877,16 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                 ActionView::Broadcast(freq) => Feedback::Broadcasted { frequency: freq },
                 ActionView::Listen(freq) => {
                     let fi = freq.as_zero_based();
-                    if !self.scratch.activity[fi].delivered {
+                    if !activity[fi].delivered {
                         Feedback::Silence { frequency: freq }
                     } else {
-                        let sender = self.scratch.solo_broadcaster[fi] as usize;
+                        let sender = solo_broadcaster[fi];
                         let suppressed = if has_faults {
-                            self.faults.suppresses_receive(
+                            faults.suppresses_receive(
                                 round,
                                 freq,
-                                NodeId::new(sender as u32),
-                                NodeId::new(i as u32),
+                                NodeId::new(sender),
+                                NodeId::new(node),
                             )
                         } else {
                             None
@@ -835,9 +896,9 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                                 // The delivery survives for other listeners;
                                 // this one hears silence.
                                 if kind == FaultKind::Partition {
-                                    self.scratch.tally.severed_receptions += 1;
+                                    tally.severed_receptions += 1;
                                 } else {
-                                    self.scratch.tally.suppressed_receptions += 1;
+                                    tally.suppressed_receptions += 1;
                                 }
                                 Feedback::Silence { frequency: freq }
                             }
@@ -845,14 +906,13 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                                 if has_faults {
                                     // Receiver counts were deferred to this
                                     // pass on the fault path.
-                                    self.scratch.tally.receptions += 1;
-                                    let slot = self.scratch.delivery_slot[fi];
-                                    self.scratch.deliveries[slot].receivers += 1;
+                                    tally.receptions += 1;
+                                    deliveries[delivery_slot[fi]].receivers += 1;
                                 }
                                 Feedback::Received(Received {
-                                    sender: NodeId::new(sender as u32),
+                                    sender: NodeId::new(sender),
                                     frequency: freq,
-                                    payload: self.scratch.payloads[sender]
+                                    payload: payloads[sender as usize]
                                         .clone()
                                         // lint:allow(panicky-library): the occupancy pass only marks a frequency delivered when its solo broadcaster stored a payload this round
                                         .expect("delivering sender has a payload"),
@@ -862,25 +922,27 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                     }
                 }
             };
-            self.protocols[i].on_feedback(local_round, feedback, &mut self.node_rngs[i]);
-            let output = self.protocols[i].output();
-            if output.is_some() && self.sync_round[i].is_none() {
-                self.sync_round[i] = Some(round);
+            let protocol = &mut protocols[i];
+            protocol.on_feedback(local_round, feedback, &mut node_rngs[i]);
+            let output = protocol.output();
+            if output.is_some() && sync_round[i].is_none() {
+                sync_round[i] = Some(round);
             }
-            self.scratch.node_views[i] = NodeView::Active { output };
+            node_views[i] = NodeView::Active { output };
             // `on_feedback` is the last protocol call of the round, so the
             // synchronized-node counter settles here — `all_synchronized`
             // reads it in O(1) between rounds.
-            let synced = self.protocols[i].is_synchronized();
-            if synced != self.counted_synced[i] {
-                self.counted_synced[i] = synced;
+            let synced = protocol.is_synchronized();
+            if synced != counted_synced[i] {
+                counted_synced[i] = synced;
                 if synced {
-                    self.synced_count += 1;
+                    synced_count += 1;
                 } else {
-                    self.synced_count -= 1;
+                    synced_count -= 1;
                 }
             }
         }
+        self.synced_count = synced_count;
 
         // 6. Observation fan-out: one borrowed view of the resolved round
         // streams through the probe pipeline — the metrics fold and the
@@ -950,7 +1012,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
 mod tests {
     use super::*;
     use crate::adversary::{FixedBandAdversary, NoAdversary, RandomAdversary};
-    use crate::frequency::Frequency;
     use crate::trace::FullTrace;
     use rand::Rng;
 

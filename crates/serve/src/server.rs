@@ -25,7 +25,10 @@
 //! answers `503` + `Retry-After` inline when no permit is free, so
 //! saturation costs a rejected connection, never a new thread; the
 //! `accepted`/`rejected` counters in `GET /metrics` record both sides.
+//! An admitted connection that leaves any read of its request waiting
+//! for 2 s is answered `408`, which frees its permit.
 
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,6 +61,12 @@ pub const DEFAULT_MAX_HANDLERS: usize = 64;
 /// `503`: synchronous runs are short, so "come back in a second" is the
 /// honest hint.
 const RETRY_AFTER_SECS: &str = "1";
+
+/// How long an admitted connection may leave any one read of its request
+/// waiting. A client that sends nothing for this long is answered `408`
+/// and its handler permit comes back, so idle sockets cannot pin the
+/// server's capacity.
+const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How often a `GET /jobs/<id>` stream polls its job for fresh events.
 const JOB_POLL: Duration = Duration::from_millis(20);
@@ -248,7 +257,9 @@ impl Server {
 /// client reads it). The drain is bounded by a read timeout and an
 /// iteration cap, so a slow client cannot pin the calling thread for long.
 /// The accept loop answers `503` (plus `Retry-After`) this way at the
-/// handler cap, and a handler answers `431` when the headers are too large.
+/// handler cap, and a handler answers `431` when the headers are too large
+/// and `408` when the client leaves a read waiting past
+/// `REQUEST_READ_TIMEOUT`.
 fn refuse_connection(
     stream: &mut TcpStream,
     status: u16,
@@ -272,7 +283,20 @@ fn refuse_connection(
 }
 
 fn handle_connection(state: &Arc<State>, mut stream: TcpStream) -> std::io::Result<()> {
-    let request = match http::read_request(&stream)? {
+    stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT))?;
+    let parsed = match http::read_request(&stream) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            return refuse_connection(
+                &mut stream,
+                408,
+                "Request Timeout",
+                &[],
+                "no complete request arrived before the read timeout",
+            );
+        }
+        parsed => parsed?,
+    };
+    let request = match parsed {
         Ok(request) => request,
         Err(RequestError::Malformed) => {
             return http::respond_error(&mut stream, 400, "Bad Request", "malformed request");

@@ -460,7 +460,8 @@ fn flooding_past_the_handler_cap_yields_503s_not_threads() {
 
     // Occupy both permits with connections that never finish sending
     // their request: each one holds a handler thread inside the request
-    // parser until we hang up.
+    // parser until we hang up or the server's 2 s read timeout answers
+    // it 408, so the flood below must finish well within 2 s.
     let stalled: Vec<TcpStream> = (0..2)
         .map(|_| {
             let mut stream = TcpStream::connect(addr).expect("connect stall");
@@ -562,4 +563,45 @@ fn oversized_headers_are_answered_431_not_reset() {
     // The server keeps answering.
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, "HTTP/1.1 200 OK");
+}
+
+#[test]
+fn an_idle_connection_frees_its_handler_permit_after_the_read_timeout() {
+    let addr = start_server_with("idle", 1);
+
+    // Hold the only permit with a connection that never sends a byte.
+    let mut idle = TcpStream::connect(addr).expect("connect idle");
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let raw = exchange_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert!(
+        raw.starts_with("HTTP/1.1 503 Service Unavailable"),
+        "the idle connection holds the only permit: {raw}"
+    );
+
+    // The server gives up on the idle client with a 408 ...
+    idle.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("client read timeout");
+    let mut answer = String::new();
+    idle.read_to_string(&mut answer)
+        .expect("the server answers an idle connection within 10 s");
+    assert!(
+        answer.starts_with("HTTP/1.1 408 Request Timeout"),
+        "an idle connection is answered 408: {answer}"
+    );
+    drop(idle);
+
+    // ... and the permit comes back.
+    let mut probes = 0usize;
+    loop {
+        probes += 1;
+        let raw = exchange_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        if raw.starts_with("HTTP/1.1 200 OK") {
+            break;
+        }
+        assert!(
+            probes < 100,
+            "the permit never came back after the read timeout: {raw}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
 }

@@ -58,7 +58,8 @@ fn run_spec(spec: ScenarioSpec, seed: u64) -> SyncOutcome {
 /// The fixed scenario grid: `(name, spec, seed)` for eight
 /// protocol/adversary/activation combinations spanning every protocol
 /// family, adaptive and oblivious adversaries, staggered and randomized
-/// activation, and one known-dirty execution.
+/// activation, and one known-dirty execution, plus four cells whose band
+/// is wider than 64 frequencies.
 fn golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
     vec![
         (
@@ -113,6 +114,28 @@ fn golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
                 .with_max_rounds(2_000),
             5,
         ),
+        // Bands wider than one 64-bit word: the engine's per-frequency
+        // sets span two or three words here.
+        (
+            "trapdoor/random/f130/n12",
+            ScenarioSpec::new("trapdoor", 12, 130, 40).with_adversary("random"),
+            17,
+        ),
+        (
+            "trapdoor/adaptive-greedy/f96/n10",
+            ScenarioSpec::new("trapdoor", 10, 96, 40).with_adversary("adaptive-greedy"),
+            17,
+        ),
+        (
+            "wakeup/sweep/f65/n6",
+            ScenarioSpec::new("wakeup", 6, 65, 20).with_adversary("sweep"),
+            17,
+        ),
+        (
+            "round-robin/fixed-band/f70/n6",
+            ScenarioSpec::new("round-robin", 6, 70, 30).with_adversary("fixed-band"),
+            17,
+        ),
     ]
 }
 
@@ -124,7 +147,9 @@ fn cases() -> Vec<(&'static str, SyncOutcome)> {
 }
 
 /// `(name, digest, rounds_executed, leaders, all_synchronized,
-/// total_violations)` captured from the pre-refactor engine.
+/// total_violations)` captured from the pre-refactor engine; the four
+/// wide-band rows were captured from the engine that still kept its
+/// frequency sets as `bool` masks and sorted index lists.
 const GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
     ("trapdoor/random/n8", 0xe2d21497700237cf, 195, 1, true, 0),
     (
@@ -168,6 +193,31 @@ const GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
         4,
         true,
         9,
+    ),
+    (
+        "trapdoor/random/f130/n12",
+        0x4f1d89dacc3ae35a,
+        4189,
+        1,
+        true,
+        0,
+    ),
+    (
+        "trapdoor/adaptive-greedy/f96/n10",
+        0x5dc3995bd7269c68,
+        4231,
+        1,
+        true,
+        0,
+    ),
+    ("wakeup/sweep/f65/n6", 0x0698d9f9ac7ca1c7, 89, 5, true, 0),
+    (
+        "round-robin/fixed-band/f70/n6",
+        0x946337fafb71ed29,
+        2192,
+        6,
+        true,
+        0,
     ),
 ];
 
@@ -283,9 +333,11 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
 // every digest below while leaving the fault-free `GOLDEN` table untouched.
 // ---------------------------------------------------------------------------
 
-/// `(name, spec, seed)` for six fault configurations: each built-in layer
-/// alone, the issue's canonical drop+partition+churn stack, and the full
-/// four-layer stack on an adaptive jammer.
+/// `(name, spec, seed)` for seven fault configurations: each built-in
+/// layer alone, a drop+partition+churn stack, the full
+/// four-layer stack on an adaptive jammer, and a loss layer on a band of
+/// three 64-bit words, whose per-delivery draws follow the frequency order
+/// across words.
 fn faulty_golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
     let base = || ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
     let halves = || {
@@ -357,11 +409,19 @@ fn faulty_golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
                 ),
             13,
         ),
+        (
+            "faulty/drop-0.25/f130",
+            ScenarioSpec::new("trapdoor", 12, 130, 40)
+                .with_adversary("random")
+                .with_fault(ComponentSpec::named("drop").with("drop_rate", 0.25)),
+            17,
+        ),
     ]
 }
 
 /// `(name, digest, rounds_executed, leaders, all_synchronized,
-/// total_violations)` recorded when the fault subsystem landed.
+/// total_violations)` recorded when the fault subsystem landed; the
+/// wide-band row was recorded before the bitset rewrite.
 const FAULTY_GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
     ("faulty/drop-0.25", 0x207b2637dd01cfba, 195, 1, true, 0),
     ("faulty/capture-0.2", 0x3411d557bd5dba07, 195, 1, true, 0),
@@ -388,6 +448,14 @@ const FAULTY_GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
         206,
         1,
         false,
+        0,
+    ),
+    (
+        "faulty/drop-0.25/f130",
+        0xf49bd5283b80959d,
+        4139,
+        1,
+        true,
         0,
     ),
 ];

@@ -6,14 +6,18 @@ use proptest::prelude::*;
 
 use wireless_sync::prelude::*;
 use wireless_sync::radio::engine::Engine;
-use wireless_sync::radio::trace::FullTrace;
+use wireless_sync::radio::probe::Probe;
+use wireless_sync::radio::trace::{ActionView, FrequencyActivity, FullTrace, RoundObservation};
 
 /// A protocol that follows a fixed scripted action sequence; used to drive
 /// the engine into arbitrary (but reproducible) configurations.
 #[derive(Debug, Clone)]
 struct Scripted {
-    /// (frequency index 1-based, broadcast?) per local round, cycled.
+    /// (script frequency `k`, 1-based; broadcast?) per local round,
+    /// cycled. The node uses frequency `1 + (k − 1)·stride`, so a stride
+    /// above 1 spreads the script's few frequencies across a wide band.
     script: Vec<(u32, bool)>,
+    stride: u32,
     heard: u64,
 }
 
@@ -23,7 +27,8 @@ impl Protocol for Scripted {
     fn on_activate(&mut self, _info: ActivationInfo, _rng: &mut SimRng) {}
 
     fn choose_action(&mut self, local_round: u64, _rng: &mut SimRng) -> Action<u32> {
-        let (freq, broadcast) = self.script[(local_round as usize) % self.script.len()];
+        let (k, broadcast) = self.script[(local_round as usize) % self.script.len()];
+        let freq = 1 + (k - 1) * self.stride;
         if broadcast {
             Action::broadcast(Frequency::new(freq), freq)
         } else {
@@ -46,6 +51,44 @@ fn arb_script(f: u32) -> impl Strategy<Value = Vec<(u32, bool)>> {
     proptest::collection::vec((1..=f, any::<bool>()), 1..6)
 }
 
+/// Checks every round's per-frequency activity record, all `F` entries,
+/// against the round's actions and disruption set.
+#[derive(Default)]
+struct ActivityAudit {
+    mismatches: Vec<String>,
+}
+
+impl Probe for ActivityAudit {
+    fn observe(&mut self, round: &RoundObservation<'_>) {
+        let mut counts = vec![(0u32, 0u32); round.activity.len()];
+        for action in round.actions {
+            match *action {
+                ActionView::Broadcast(f) => counts[f.as_zero_based()].0 += 1,
+                ActionView::Listen(f) => counts[f.as_zero_based()].1 += 1,
+                _ => {}
+            }
+        }
+        for (i, (&(broadcasters, listeners), activity)) in
+            counts.iter().zip(round.activity).enumerate()
+        {
+            let disrupted = round.disrupted.contains(Frequency::from_zero_based(i));
+            let expected = FrequencyActivity {
+                broadcasters,
+                listeners,
+                disrupted,
+                delivered: broadcasters == 1 && !disrupted,
+            };
+            if *activity != expected {
+                self.mismatches.push(format!(
+                    "round {} frequency {}: {activity:?}, expected {expected:?}",
+                    round.round,
+                    i + 1
+                ));
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -53,26 +96,36 @@ proptest! {
     /// frequency; receivers on that frequency all hear it. We verify the
     /// aggregate consequence: the number of receptions recorded by the
     /// engine equals the number of (listener, delivering-frequency) pairs in
-    /// the trace, and no delivery ever happens on a disrupted frequency.
+    /// the trace, no delivery ever happens on a disrupted frequency, and
+    /// every frequency's activity record (disrupted-but-unused ones
+    /// included) matches the round's actions and disruption set. The four
+    /// script frequencies are spread over a band of one, two or three
+    /// 64-bit words.
     #[test]
     fn delivery_semantics_hold(
         scripts in proptest::collection::vec(arb_script(4), 2..6),
+        band in 0usize..3,
         t in 0u32..3,
         seed in 0u64..50,
     ) {
+        let (f, stride) = [(4, 1), (70, 23), (130, 43)][band];
         let n = scripts.len();
-        let config = wireless_sync::radio::engine::SimConfig::new(n, 4, t).with_max_rounds(12);
+        let config = wireless_sync::radio::engine::SimConfig::new(n, f, t).with_max_rounds(12);
         let mut engine = Engine::new(
             config,
-            |id: NodeId| Scripted { script: scripts[id.index()].clone(), heard: 0 },
+            |id: NodeId| Scripted { script: scripts[id.index()].clone(), stride, heard: 0 },
             RandomAdversary::new(t),
             ActivationSchedule::Simultaneous,
             seed,
         ).unwrap();
         let slot = engine.attach_probe(Box::new(FullTrace::new()));
+        let audit_slot = engine.attach_probe(Box::new(ActivityAudit::default()));
         let result = engine.run();
-        let trace: FullTrace = engine.take_probes().take(slot).expect("trace slot");
+        let mut probes = engine.take_probes();
+        let trace: FullTrace = probes.take(slot).expect("trace slot");
+        let audit: ActivityAudit = probes.take(audit_slot).expect("audit slot");
         prop_assert_eq!(result.rounds_executed, 12);
+        prop_assert!(audit.mismatches.is_empty(), "{:?}", audit.mismatches);
 
         let mut receptions_from_trace = 0u64;
         for event in trace.events() {
@@ -108,7 +161,7 @@ proptest! {
             let config = wireless_sync::radio::engine::SimConfig::new(n, 3, 1).with_max_rounds(10);
             let mut engine = Engine::new(
                 config,
-                |id: NodeId| Scripted { script: scripts[id.index()].clone(), heard: 0 },
+                |id: NodeId| Scripted { script: scripts[id.index()].clone(), stride: 1, heard: 0 },
                 RandomAdversary::new(1),
                 ActivationSchedule::UniformWindow { window: 4 },
                 seed,
