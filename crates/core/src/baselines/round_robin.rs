@@ -6,10 +6,11 @@
 //! frequency `((uid + local_round) mod F) + 1` — broadcasts its timestamp
 //! with the Trapdoor epoch probabilities, applies Trapdoor knockouts, and
 //! declares itself leader after surviving the same number of rounds a
-//! Trapdoor contender would. Because the hop sequence is deterministic given
-//! the uid, two nodes whose uids are congruent modulo `F` never meet, and a
-//! jammer that knows the schedule can track a node; the baseline experiment
-//! (X2) quantifies both weaknesses.
+//! Trapdoor contender would — unless it has already adopted a leader's
+//! numbering, as a synchronized Trapdoor node never elects itself. Because
+//! the hop sequence is deterministic given the uid, two nodes whose uids are
+//! congruent modulo `F` never meet, and a jammer that knows the schedule can
+//! track a node; the baseline experiment (X2) quantifies both weaknesses.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -139,12 +140,11 @@ impl Protocol for RoundRobinProtocol {
         }
         if !self.leader
             && !self.knocked_out
+            && self.output.is_none()
             && local_round + 1 >= self.schedule.total_contention_rounds()
         {
             self.leader = true;
-            if !was_synced {
-                self.output = Some(local_round + 1);
-            }
+            self.output = Some(local_round + 1);
         }
         if was_synced {
             self.output = Some(self.output.expect("synced node has an output") + 1);
@@ -172,6 +172,14 @@ mod tests {
         Feedback::Silence {
             frequency: Frequency::new(1),
         }
+    }
+
+    fn heard(payload: TrapdoorMsg) -> Feedback<TrapdoorMsg> {
+        Feedback::Received(wsync_radio::message::Received {
+            sender: wsync_radio::node::NodeId::new(3),
+            frequency: Frequency::new(2),
+            payload,
+        })
     }
 
     #[test]
@@ -211,28 +219,28 @@ mod tests {
     fn knockout_and_adoption_work() {
         let (mut p, mut rng) = activated(4);
         p.choose_action(0, &mut rng);
-        p.on_feedback(
-            0,
-            Feedback::Received(wsync_radio::message::Received {
-                sender: wsync_radio::node::NodeId::new(3),
-                frequency: Frequency::new(2),
-                payload: TrapdoorMsg::Contender {
-                    timestamp: Timestamp::new(u64::MAX, 0),
-                },
-            }),
-            &mut rng,
-        );
+        let timestamp = Timestamp::new(u64::MAX, 0);
+        p.on_feedback(0, heard(TrapdoorMsg::Contender { timestamp }), &mut rng);
         assert!(!p.is_leader());
         p.choose_action(1, &mut rng);
-        p.on_feedback(
-            1,
-            Feedback::Received(wsync_radio::message::Received {
-                sender: wsync_radio::node::NodeId::new(3),
-                frequency: Frequency::new(2),
-                payload: TrapdoorMsg::Leader { announced_round: 5 },
-            }),
-            &mut rng,
-        );
+        let leader = TrapdoorMsg::Leader { announced_round: 5 };
+        p.on_feedback(1, heard(leader), &mut rng);
         assert_eq!(p.output(), Some(5));
+    }
+
+    #[test]
+    fn a_contender_that_adopted_a_leader_does_not_elect_itself() {
+        let (mut p, mut rng) = activated(5);
+        let total = p.schedule.total_contention_rounds();
+        p.choose_action(0, &mut rng);
+        let leader = TrapdoorMsg::Leader { announced_round: 9 };
+        p.on_feedback(0, heard(leader), &mut rng);
+        // Past the deadline, still a follower counting on.
+        for r in 1..total + 5 {
+            p.choose_action(r, &mut rng);
+            p.on_feedback(r, silence(), &mut rng);
+        }
+        assert!(!p.is_leader());
+        assert_eq!(p.output(), Some(9 + total + 4));
     }
 }

@@ -15,7 +15,9 @@
 //!   contender out;
 //! * instead of the Trapdoor's escalating epochs, a contender that survives
 //!   a fixed deadline of `deadline_rounds` becomes leader and disseminates
-//!   the numbering like the Trapdoor leader does.
+//!   the numbering like the Trapdoor leader does — unless it has already
+//!   adopted a leader's numbering, as a synchronized Trapdoor node never
+//!   elects itself.
 //!
 //! The fixed deadline is the baseline's weakness: it must be chosen
 //! conservatively (large) for agreement to hold, which the crossover
@@ -169,11 +171,13 @@ impl Protocol for WakeupProtocol {
                 }
             }
         }
-        if !self.leader && !self.knocked_out && local_round + 1 >= self.config.deadline_rounds {
+        if !self.leader
+            && !self.knocked_out
+            && self.output.is_none()
+            && local_round + 1 >= self.config.deadline_rounds
+        {
             self.leader = true;
-            if !was_synced {
-                self.output = Some(local_round + 1);
-            }
+            self.output = Some(local_round + 1);
         }
         if was_synced {
             self.output = Some(self.output.expect("synced node has an output") + 1);
@@ -209,6 +213,14 @@ mod tests {
         }
     }
 
+    fn heard(payload: TrapdoorMsg) -> Feedback<TrapdoorMsg> {
+        Feedback::Received(Received {
+            sender: NodeId::new(1),
+            frequency: Frequency::new(1),
+            payload,
+        })
+    }
+
     #[test]
     fn default_deadline_scales_with_parameters() {
         let small = WakeupConfig::new(16, 8, 0).deadline_rounds;
@@ -240,17 +252,8 @@ mod tests {
     fn knocked_out_by_larger_timestamp_and_adopts_leader() {
         let (mut p, mut rng) = activated(2);
         p.choose_action(0, &mut rng);
-        p.on_feedback(
-            0,
-            Feedback::Received(Received {
-                sender: NodeId::new(1),
-                frequency: Frequency::new(1),
-                payload: TrapdoorMsg::Contender {
-                    timestamp: Timestamp::new(u64::MAX, 1),
-                },
-            }),
-            &mut rng,
-        );
+        let timestamp = Timestamp::new(u64::MAX, 1);
+        p.on_feedback(0, heard(TrapdoorMsg::Contender { timestamp }), &mut rng);
         assert!(p.knocked_out);
         // Knocked-out nodes never become leader, even past the deadline.
         for r in 1..30 {
@@ -261,21 +264,31 @@ mod tests {
         assert!(!p.is_leader());
         // They adopt the leader's numbering when they hear it.
         p.choose_action(30, &mut rng);
-        p.on_feedback(
-            30,
-            Feedback::Received(Received {
-                sender: NodeId::new(1),
-                frequency: Frequency::new(1),
-                payload: TrapdoorMsg::Leader {
-                    announced_round: 77,
-                },
-            }),
-            &mut rng,
-        );
+        let leader = TrapdoorMsg::Leader {
+            announced_round: 77,
+        };
+        p.on_feedback(30, heard(leader), &mut rng);
         assert_eq!(p.output(), Some(77));
         p.choose_action(31, &mut rng);
         p.on_feedback(31, silence(), &mut rng);
         assert_eq!(p.output(), Some(78));
+    }
+
+    #[test]
+    fn a_contender_that_adopted_a_leader_does_not_elect_itself() {
+        let (mut p, mut rng) = activated(4);
+        p.choose_action(0, &mut rng);
+        let leader = TrapdoorMsg::Leader {
+            announced_round: 40,
+        };
+        p.on_feedback(0, heard(leader), &mut rng);
+        // Past the 20-round deadline, still a follower counting on.
+        for r in 1..30 {
+            p.choose_action(r, &mut rng);
+            p.on_feedback(r, silence(), &mut rng);
+        }
+        assert!(!p.is_leader());
+        assert_eq!(p.output(), Some(40 + 29));
     }
 
     #[test]

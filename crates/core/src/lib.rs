@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::params::{ceil_log2, effective_frequencies, next_power_of_two};
     pub use crate::registry::{ProbeOutput, SimProbe};
     pub use crate::report::SyncOutcome;
-    pub use crate::runner::{run_protocol, Scenario, SyncProtocol};
+    pub use crate::runner::{run_protocol, SyncProtocol};
     pub use crate::sim::{ProbedOutcome, Sim};
     pub use crate::spec::{ComponentSpec, ScenarioSpec, SpecError, SweepSpec};
     pub use crate::store::ResultStore;

@@ -7,16 +7,16 @@
 //! adversaries in `wsync-radio` (`adaptive-greedy`, `bursty`,
 //! `fixed-band`, `none`, `oblivious-random`, `random`, `sweep`,
 //! `top-weight`), four probes and four fault layers. A builder is a plain
-//! function that validates its parameters and builds the component; each
-//! factory trait is implemented once, for its builder's function-pointer
-//! type. Protocols are told the scenario's own `(N, F, t)`, and only the
-//! Trapdoor family takes parameters (the constants the A1/A2 ablations
-//! sweep). `top-weight`, the Theorem 4 adversary against a uniform
-//! frequency choice, builds the fixed-band adversary. Names resolve once per
+//! function that validates its parameters and builds the component, and
+//! [`Sim`](crate::sim::Sim), [`build_adversary`] and [`build_fault`] call
+//! the table rows directly. Protocols are told the scenario's own
+//! `(N, F, t)`, and only the Trapdoor family takes parameters (the
+//! constants the A1/A2 ablations sweep). `top-weight`, the Theorem 4
+//! adversary against a uniform frequency choice, builds the fixed-band
+//! adversary. Names resolve once per
 //! [`Sim::from_spec`](crate::sim::Sim::from_spec), and everything that
-//! takes a name — [`ScenarioSpec`](crate::spec::ScenarioSpec) files,
-//! sweeps, the `run_experiments --spec` CLI and `wsync-serve` — reads the
-//! same tables.
+//! takes a name — [`ScenarioSpec`] files, sweeps, the
+//! `run_experiments --spec` CLI and `wsync-serve` — reads the same tables.
 //!
 //! The catalogue is closed: a name denotes the same component in every
 //! process, which is what lets it sit in the store's cache key
@@ -62,8 +62,8 @@ use crate::baselines::{RoundRobinConfig, RoundRobinProtocol, WakeupConfig, Wakeu
 use crate::checker::PropertyChecker;
 use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanMsg, GoodSamaritanProtocol};
 use crate::json::Value;
-use crate::runner::{BoxedAdversary, Scenario, SyncProtocol};
-use crate::spec::{ComponentSpec, ParamReader, Params, SpecError};
+use crate::runner::{BoxedAdversary, SyncProtocol};
+use crate::spec::{ComponentSpec, ParamReader, Params, ScenarioSpec, SpecError};
 use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg, TrapdoorProtocol};
 
 /// The message payload of a catalogue-built protocol: one variant per
@@ -236,40 +236,6 @@ impl SyncProtocol for CatalogueProtocol {
     }
 }
 
-/// A per-node protocol constructor, produced once per run by a
-/// [`ProtocolFactory`] after parameter validation. Each call clones one
-/// prebuilt node, which the engine runs through the enum's per-call
-/// dispatch; [`Sim`](crate::sim::Sim) does not take this path.
-pub type ProtocolCtor = Box<dyn Fn(NodeId) -> CatalogueProtocol + Send + Sync>;
-
-/// Builds protocol instances for a scenario from declarative parameters.
-///
-/// `instantiate` is called once per run: it validates `params` against the
-/// scenario (returning a typed [`SpecError`] on any problem) and returns
-/// the constructor the engine calls once per node.
-pub trait ProtocolFactory: Send + Sync {
-    /// Validates `params` and returns the per-node constructor.
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError>;
-}
-
-/// Builds an adversary instance for a scenario from declarative parameters.
-pub trait AdversaryFactory: Send + Sync {
-    /// Validates `params` and builds the adversary for one `(scenario,
-    /// seed)` execution.
-    ///
-    /// Validation must not depend on `seed`: whether this returns `Ok` may
-    /// vary only with `scenario` and `params`. [`Sim`](crate::sim::Sim)
-    /// probe-builds once (seed 0) at construction so that its per-trial
-    /// `run_one` can stay infallible; a factory that rejected some seeds
-    /// but not others would turn that contract into a mid-batch panic.
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-        seed: u64,
-    ) -> Result<BoxedAdversary, SpecError>;
-}
-
 // ---------------------------------------------------------------------------
 // Built-in protocols
 // ---------------------------------------------------------------------------
@@ -278,15 +244,15 @@ pub trait AdversaryFactory: Send + Sync {
 /// `TrapdoorConfig` knobs the ablations sweep.
 fn trapdoor_config_from(
     component: &str,
-    scenario: &Scenario,
+    spec: &ScenarioSpec,
     params: &Params,
     default_frequency_limit: Option<u32>,
 ) -> Result<TrapdoorConfig, SpecError> {
     let mut reader = ParamReader::new(component, params);
     let mut config = TrapdoorConfig::new(
-        scenario.upper_bound(),
-        scenario.num_frequencies,
-        scenario.disruption_bound,
+        spec.upper_bound(),
+        spec.num_frequencies,
+        spec.disruption_bound,
     );
     if let Some(c) = reader.opt_f64("epoch_constant")? {
         config = config.with_epoch_constant(c);
@@ -306,41 +272,41 @@ fn trapdoor_config_from(
     Ok(config)
 }
 
-fn trapdoor(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
-    let config = trapdoor_config_from("trapdoor", scenario, params, None)?;
+fn trapdoor(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
+    let config = trapdoor_config_from("trapdoor", spec, params, None)?;
     Ok(CatalogueProtocol::Trapdoor(TrapdoorProtocol::new(config)))
 }
 
-fn single_frequency(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
-    let config = trapdoor_config_from("single-frequency", scenario, params, Some(1))?;
+fn single_frequency(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
+    let config = trapdoor_config_from("single-frequency", spec, params, Some(1))?;
     Ok(CatalogueProtocol::Trapdoor(TrapdoorProtocol::new(config)))
 }
 
-fn round_robin(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
-    let trapdoor = trapdoor_config_from("round-robin", scenario, params, None)?;
+fn round_robin(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
+    let trapdoor = trapdoor_config_from("round-robin", spec, params, None)?;
     Ok(CatalogueProtocol::RoundRobin(RoundRobinProtocol::new(
         RoundRobinConfig { trapdoor },
     )))
 }
 
-fn good_samaritan(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
+fn good_samaritan(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     ParamReader::new("good-samaritan", params).finish()?;
     let config = GoodSamaritanConfig::new(
-        scenario.upper_bound(),
-        scenario.num_frequencies,
-        scenario.disruption_bound,
+        spec.upper_bound(),
+        spec.num_frequencies,
+        spec.disruption_bound,
     );
     Ok(CatalogueProtocol::GoodSamaritan(
         GoodSamaritanProtocol::new(config),
     ))
 }
 
-fn wakeup(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, SpecError> {
+fn wakeup(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     ParamReader::new("wakeup", params).finish()?;
     let config = WakeupConfig::new(
-        scenario.upper_bound(),
-        scenario.num_frequencies,
-        scenario.disruption_bound,
+        spec.upper_bound(),
+        spec.num_frequencies,
+        spec.disruption_bound,
     );
     Ok(CatalogueProtocol::Wakeup(WakeupProtocol::new(config)))
 }
@@ -353,52 +319,51 @@ fn wakeup(scenario: &Scenario, params: &Params) -> Result<CatalogueProtocol, Spe
 /// none were given and builds the adversary from the disruption bound.
 fn parameterless<A: Adversary + 'static>(
     name: &str,
-    scenario: &Scenario,
+    spec: &ScenarioSpec,
     params: &Params,
     build: fn(u32) -> A,
 ) -> Result<BoxedAdversary, SpecError> {
     ParamReader::new(name, params).finish()?;
-    let adversary = build(scenario.disruption_bound);
-    Ok(BoxedAdversary::new(Box::new(adversary)))
+    Ok(Box::new(build(spec.disruption_bound)))
 }
 
-fn none(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
-    parameterless("none", scenario, params, |_| NoAdversary::new())
+fn none(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("none", spec, params, |_| NoAdversary::new())
 }
 
-fn fixed_band(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
-    parameterless("fixed-band", scenario, params, FixedBandAdversary::new)
+fn fixed_band(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("fixed-band", spec, params, FixedBandAdversary::new)
 }
 
 /// The Theorem 4 adversary jams the `t` frequencies with the largest
 /// products `p_j·q_j`; against a uniform frequency choice all products are
 /// equal, so it jams `1..=t` every round — the fixed-band adversary.
-fn top_weight(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
-    parameterless("top-weight", scenario, params, FixedBandAdversary::new)
+fn top_weight(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("top-weight", spec, params, FixedBandAdversary::new)
 }
 
-fn random(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
-    parameterless("random", scenario, params, RandomAdversary::new)
+fn random(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("random", spec, params, RandomAdversary::new)
 }
 
-fn sweep(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
-    parameterless("sweep", scenario, params, SweepAdversary::new)
+fn sweep(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+    parameterless("sweep", spec, params, SweepAdversary::new)
 }
 
 fn adaptive_greedy(
-    scenario: &Scenario,
+    spec: &ScenarioSpec,
     params: &Params,
     _: u64,
 ) -> Result<BoxedAdversary, SpecError> {
     parameterless(
         "adaptive-greedy",
-        scenario,
+        spec,
         params,
         AdaptiveGreedyAdversary::new,
     )
 }
 
-fn bursty(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
+fn bursty(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
     let mut reader = ParamReader::new("bursty", params);
     let period = reader.req_u64("period")?;
     let burst_len = reader.req_u64("burst_len")?;
@@ -423,15 +388,15 @@ fn bursty(scenario: &Scenario, params: &Params, _: u64) -> Result<BoxedAdversary
             format!("{burst_len} (period {period})"),
         ));
     }
-    Ok(BoxedAdversary::new(Box::new(BurstyAdversary::new(
-        scenario.disruption_bound,
+    Ok(Box::new(BurstyAdversary::new(
+        spec.disruption_bound,
         period,
         burst_len,
-    ))))
+    )))
 }
 
 fn oblivious_random(
-    scenario: &Scenario,
+    spec: &ScenarioSpec,
     params: &Params,
     seed: u64,
 ) -> Result<BoxedAdversary, SpecError> {
@@ -442,13 +407,11 @@ fn oblivious_random(
     // repeating too quickly. The seed tweak and length are part of the
     // reproducibility contract (pinned by tests/engine_golden.rs).
     let len = 8192usize;
-    Ok(BoxedAdversary::new(Box::new(
-        ObliviousScheduleAdversary::random(
-            seed ^ 0x0b11_0005,
-            len,
-            scenario.num_frequencies,
-            t_actual.min(scenario.disruption_bound),
-        ),
+    Ok(Box::new(ObliviousScheduleAdversary::random(
+        seed ^ 0x0b11_0005,
+        len,
+        spec.num_frequencies,
+        t_actual.min(spec.disruption_bound),
     )))
 }
 
@@ -475,17 +438,6 @@ pub trait SimProbe: Probe {
     fn finish_value(self: Box<Self>, result: &ExecutionResult) -> Value;
 }
 
-/// Builds a probe for a scenario from declarative parameters.
-///
-/// Like the other factories, `build` validates `params` with typed
-/// [`SpecError`]s; [`Sim::from_spec`](crate::sim::Sim::from_spec)
-/// probe-builds once at construction so parameter typos surface before any
-/// trial runs.
-pub trait ProbeFactory: Send + Sync {
-    /// Validates `params` and builds the probe for one execution.
-    fn build(&self, scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError>;
-}
-
 /// The adapter that carries a catalogue-built probe through the engine's
 /// type-erased stack: a known concrete type wrapping the `Box<dyn
 /// SimProbe>`, so the runner can recover it by downcast after the run and
@@ -502,11 +454,6 @@ impl RegistryProbe {
             name: name.into(),
             inner,
         }
-    }
-
-    /// The catalogue name the probe was declared under.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Finalizes the probe into its named output.
@@ -563,7 +510,7 @@ impl SimProbe for MetricsProbe {
     }
 }
 
-fn metrics_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+fn metrics_probe(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
     ParamReader::new("metrics", params).finish()?;
     Ok(Box::new(MetricsProbe(SimMetrics::default())))
 }
@@ -606,7 +553,7 @@ impl SimProbe for CheckerProbe {
     }
 }
 
-fn checker_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+fn checker_probe(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
     ParamReader::new("checker", params).finish()?;
     Ok(Box::new(CheckerProbe(PropertyChecker::new())))
 }
@@ -664,7 +611,7 @@ impl SimProbe for TraceProbe {
     }
 }
 
-fn trace_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+fn trace_probe(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
     let mut reader = ParamReader::new("trace", params);
     let max_rounds = reader.opt_u64("max_rounds")?;
     reader.finish()?;
@@ -679,21 +626,6 @@ fn trace_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecE
 // ---------------------------------------------------------------------------
 // Fault layers
 // ---------------------------------------------------------------------------
-
-/// Builds a network-fault layer for a scenario from declarative parameters.
-///
-/// Like the other factories, `build` validates `params` with typed
-/// [`SpecError`]s; [`Sim::from_spec`](crate::sim::Sim::from_spec)
-/// probe-builds once at construction so parameter typos surface before any
-/// trial runs. There is no seed parameter: layers draw randomness only from
-/// the private per-layer stream the engine derives when the layer is
-/// attached ([`Engine::attach_fault`](wsync_radio::engine::Engine)), which
-/// is what keeps a layer's draws independent of every other stream.
-pub trait FaultFactory: Send + Sync {
-    /// Validates `params` and builds the fault layer for one execution.
-    fn build(&self, scenario: &Scenario, params: &Params)
-        -> Result<Box<dyn FaultLayer>, SpecError>;
-}
 
 /// Validates that an already-read `f64` parameter is a probability.
 fn require_probability(component: &str, param: &str, value: Option<f64>) -> Result<f64, SpecError> {
@@ -711,7 +643,7 @@ fn require_probability(component: &str, param: &str, value: Option<f64>) -> Resu
 
 /// The `"drop"` fault: whole-delivery loss with probability `drop_rate`
 /// (default `0.0`, which changes nothing).
-fn drop_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+fn drop_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("drop", params);
     let rate = reader.opt_f64("drop_rate")?;
     reader.finish()?;
@@ -724,7 +656,7 @@ fn drop_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, Spec
 
 /// The `"capture"` fault: per-receiver fading loss with probability
 /// `miss_rate` (default `0.0`, which changes nothing).
-fn capture_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+fn capture_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("capture", params);
     let rate = reader.opt_f64("miss_rate")?;
     reader.finish()?;
@@ -739,22 +671,22 @@ fn capture_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, S
 /// (nodes left out share one implicit remainder group; an omitted or empty
 /// map changes nothing); optional `heal_at` is the round from which
 /// cross-group deliveries flow again.
-fn partition_fault(scenario: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+fn partition_fault(spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("partition", params);
     let groups = match reader.opt_value("groups") {
-        Some(value) => parse_partition_groups(scenario, value)?,
+        Some(value) => parse_partition_groups(spec, value)?,
         None => Vec::new(),
     };
     let heal_at = reader.opt_u64("heal_at")?;
     reader.finish()?;
     Ok(Box::new(PartitionLayer::new(
-        scenario.num_nodes,
+        spec.num_nodes,
         &groups,
         heal_at,
     )))
 }
 
-fn parse_partition_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<u32>>, SpecError> {
+fn parse_partition_groups(spec: &ScenarioSpec, value: &Value) -> Result<Vec<Vec<u32>>, SpecError> {
     let bad = |found: String| SpecError::BadParam {
         component: "partition".to_string(),
         param: "groups".to_string(),
@@ -765,7 +697,7 @@ fn parse_partition_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<
         .as_array()
         .ok_or_else(|| bad(value.type_name().to_string()))?;
     let mut groups: Vec<Vec<u32>> = Vec::with_capacity(outer.len());
-    let mut seen = vec![false; scenario.num_nodes];
+    let mut seen = vec![false; spec.num_nodes];
     for item in outer {
         let members = item
             .as_array()
@@ -776,10 +708,10 @@ fn parse_partition_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<
                 .as_u64()
                 .and_then(|u| u32::try_from(u).ok())
                 .ok_or_else(|| bad(format!("group member {:?}", member)))?;
-            if index as usize >= scenario.num_nodes {
+            if index as usize >= spec.num_nodes {
                 return Err(bad(format!(
                     "node index {index} (the network has {} nodes)",
-                    scenario.num_nodes
+                    spec.num_nodes
                 )));
             }
             if seen[index as usize] {
@@ -796,7 +728,7 @@ fn parse_partition_groups(scenario: &Scenario, value: &Value) -> Result<Vec<Vec<
 /// The `"churn"` fault: per-round crash probability `churn_rate` (default
 /// `0.0`, which changes nothing) and per-crash `downtime` in rounds
 /// (default 8, must be positive).
-fn churn_fault(_: &Scenario, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
+fn churn_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("churn", params);
     let rate = reader.opt_f64("churn_rate")?;
     let downtime = reader.opt_u64("downtime")?;
@@ -862,7 +794,7 @@ impl SimProbe for FaultCountersProbe {
     }
 }
 
-fn fault_counters_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
+fn fault_counters_probe(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
     ParamReader::new("fault-counters", params).finish()?;
     Ok(Box::new(FaultCountersProbe::default()))
 }
@@ -871,14 +803,19 @@ fn fault_counters_probe(_: &Scenario, params: &Params) -> Result<Box<dyn SimProb
 // The catalogue
 // ---------------------------------------------------------------------------
 
-// A builder has its factory trait's method signature, except that a
-// protocol builder returns the node, which `instantiate` wraps in a
-// constructor cloning it; the trait impls below forward to the builders, so
-// `resolve_*` can hand out table rows as trait objects.
-pub(crate) type ProtocolBuilder = fn(&Scenario, &Params) -> Result<CatalogueProtocol, SpecError>;
-type AdversaryBuilder = fn(&Scenario, &Params, u64) -> Result<BoxedAdversary, SpecError>;
-type ProbeBuilder = fn(&Scenario, &Params) -> Result<Box<dyn SimProbe>, SpecError>;
-type FaultBuilder = fn(&Scenario, &Params) -> Result<Box<dyn FaultLayer>, SpecError>;
+// A builder validates its parameters, returning a typed `SpecError`, and
+// builds the component (a protocol builder: the node every node clones).
+// `Sim::from_spec` builds each component once (the adversary at seed 0), so
+// a bad parameter surfaces before any trial runs; an adversary builder's
+// validation must therefore not depend on the seed, or a batch would panic
+// midway. Fault builders take no seed: a layer draws only from the private
+// stream the engine derives in `Engine::attach_fault`.
+pub(crate) type ProtocolBuilder =
+    fn(&ScenarioSpec, &Params) -> Result<CatalogueProtocol, SpecError>;
+pub(crate) type AdversaryBuilder =
+    fn(&ScenarioSpec, &Params, u64) -> Result<BoxedAdversary, SpecError>;
+pub(crate) type ProbeBuilder = fn(&ScenarioSpec, &Params) -> Result<Box<dyn SimProbe>, SpecError>;
+pub(crate) type FaultBuilder = fn(&ScenarioSpec, &Params) -> Result<Box<dyn FaultLayer>, SpecError>;
 
 /// The protocols, sorted by name.
 static PROTOCOLS: &[(&str, ProtocolBuilder)] = &[
@@ -917,40 +854,6 @@ static FAULTS: &[(&str, FaultBuilder)] = &[
     ("partition", partition_fault),
 ];
 
-impl ProtocolFactory for ProtocolBuilder {
-    fn instantiate(&self, scenario: &Scenario, params: &Params) -> Result<ProtocolCtor, SpecError> {
-        let node = self(scenario, params)?;
-        Ok(Box::new(move |_| node.clone()))
-    }
-}
-
-impl AdversaryFactory for AdversaryBuilder {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-        seed: u64,
-    ) -> Result<BoxedAdversary, SpecError> {
-        self(scenario, params, seed)
-    }
-}
-
-impl ProbeFactory for ProbeBuilder {
-    fn build(&self, scenario: &Scenario, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
-        self(scenario, params)
-    }
-}
-
-impl FaultFactory for FaultBuilder {
-    fn build(
-        &self,
-        scenario: &Scenario,
-        params: &Params,
-    ) -> Result<Box<dyn FaultLayer>, SpecError> {
-        self(scenario, params)
-    }
-}
-
 fn lookup<B: Copy>(table: &[(&str, B)], name: &str) -> Option<B> {
     table
         .iter()
@@ -962,8 +865,7 @@ fn names<B>(table: &[(&str, B)]) -> Vec<String> {
     table.iter().map(|(name, _)| name.to_string()).collect()
 }
 
-/// Resolves a protocol builder by name. [`Sim`](crate::sim::Sim) calls it
-/// directly and keeps the node it returns.
+/// The protocol builder listed under `name`.
 pub(crate) fn protocol_builder(name: &str) -> Result<ProtocolBuilder, SpecError> {
     lookup(PROTOCOLS, name).ok_or_else(|| SpecError::UnknownProtocol {
         name: name.to_string(),
@@ -971,36 +873,28 @@ pub(crate) fn protocol_builder(name: &str) -> Result<ProtocolBuilder, SpecError>
     })
 }
 
-/// Resolves a protocol factory by name.
-pub fn resolve_protocol(name: &str) -> Result<Arc<dyn ProtocolFactory>, SpecError> {
-    Ok(Arc::new(protocol_builder(name)?))
-}
-
-/// Resolves an adversary factory by name.
-pub fn resolve_adversary(name: &str) -> Result<Arc<dyn AdversaryFactory>, SpecError> {
-    let builder = lookup(ADVERSARIES, name).ok_or_else(|| SpecError::UnknownAdversary {
+/// The adversary builder listed under `name`.
+pub(crate) fn adversary_builder(name: &str) -> Result<AdversaryBuilder, SpecError> {
+    lookup(ADVERSARIES, name).ok_or_else(|| SpecError::UnknownAdversary {
         name: name.to_string(),
         known: adversary_names(),
-    })?;
-    Ok(Arc::new(builder))
+    })
 }
 
-/// Resolves a probe factory by name.
-pub fn resolve_probe(name: &str) -> Result<Arc<dyn ProbeFactory>, SpecError> {
-    let builder = lookup(PROBES, name).ok_or_else(|| SpecError::UnknownProbe {
+/// The probe builder listed under `name`.
+pub(crate) fn probe_builder(name: &str) -> Result<ProbeBuilder, SpecError> {
+    lookup(PROBES, name).ok_or_else(|| SpecError::UnknownProbe {
         name: name.to_string(),
         known: probe_names(),
-    })?;
-    Ok(Arc::new(builder))
+    })
 }
 
-/// Resolves a fault-layer factory by name.
-pub fn resolve_fault(name: &str) -> Result<Arc<dyn FaultFactory>, SpecError> {
-    let builder = lookup(FAULTS, name).ok_or_else(|| SpecError::UnknownFault {
+/// The fault-layer builder listed under `name`.
+pub(crate) fn fault_builder(name: &str) -> Result<FaultBuilder, SpecError> {
+    lookup(FAULTS, name).ok_or_else(|| SpecError::UnknownFault {
         name: name.to_string(),
         known: fault_names(),
-    })?;
-    Ok(Arc::new(builder))
+    })
 }
 
 /// The protocol names, sorted.
@@ -1027,10 +921,10 @@ pub fn fault_names() -> Vec<String> {
 /// execution.
 pub fn build_adversary(
     spec: &ComponentSpec,
-    scenario: &Scenario,
+    scenario: &ScenarioSpec,
     seed: u64,
 ) -> Result<BoxedAdversary, SpecError> {
-    resolve_adversary(spec.name())?.build(scenario, &spec.params, seed)
+    adversary_builder(spec.name())?(scenario, &spec.params, seed)
 }
 
 /// Builds the fault layer described by `spec` for one scenario. Seedless
@@ -1038,9 +932,92 @@ pub fn build_adversary(
 /// attachment.
 pub fn build_fault(
     spec: &ComponentSpec,
-    scenario: &Scenario,
+    scenario: &ScenarioSpec,
 ) -> Result<Box<dyn FaultLayer>, SpecError> {
-    resolve_fault(spec.name())?.build(scenario, &spec.params)
+    fault_builder(spec.name())?(scenario, &spec.params)
+}
+
+// ---------------------------------------------------------------------------
+// Factory objects
+// ---------------------------------------------------------------------------
+
+// The builders behind trait objects. No run in the workspace takes them
+// (tests reach the enum path through `resolve_protocol`); they bridge the
+// benchmark package (`perfbench/`), which resolves its traced trials
+// through them, and go once it calls the builders.
+
+/// A per-node protocol constructor, produced once per run by a
+/// [`ProtocolFactory`] after parameter validation. Each call clones one
+/// prebuilt node, which the engine runs through the enum's per-call
+/// dispatch; [`Sim`](crate::sim::Sim) does not take this path.
+pub type ProtocolCtor = Box<dyn Fn(NodeId) -> CatalogueProtocol + Send + Sync>;
+
+/// A protocol builder as a trait object.
+pub trait ProtocolFactory: Send + Sync {
+    /// Validates `params` and returns the per-node constructor.
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError>;
+}
+
+/// An adversary builder as a trait object.
+pub trait AdversaryFactory: Send + Sync {
+    /// Validates `params` and builds the adversary for one `(spec,
+    /// seed)` execution; validation does not depend on `seed`.
+    fn build(
+        &self,
+        spec: &ScenarioSpec,
+        params: &Params,
+        seed: u64,
+    ) -> Result<BoxedAdversary, SpecError>;
+}
+
+/// A fault-layer builder as a trait object.
+pub trait FaultFactory: Send + Sync {
+    /// Validates `params` and builds the fault layer for one execution.
+    fn build(&self, spec: &ScenarioSpec, params: &Params)
+        -> Result<Box<dyn FaultLayer>, SpecError>;
+}
+
+impl ProtocolFactory for ProtocolBuilder {
+    fn instantiate(&self, spec: &ScenarioSpec, params: &Params) -> Result<ProtocolCtor, SpecError> {
+        let node = self(spec, params)?;
+        Ok(Box::new(move |_| node.clone()))
+    }
+}
+
+impl AdversaryFactory for AdversaryBuilder {
+    fn build(
+        &self,
+        spec: &ScenarioSpec,
+        params: &Params,
+        seed: u64,
+    ) -> Result<BoxedAdversary, SpecError> {
+        self(spec, params, seed)
+    }
+}
+
+impl FaultFactory for FaultBuilder {
+    fn build(
+        &self,
+        spec: &ScenarioSpec,
+        params: &Params,
+    ) -> Result<Box<dyn FaultLayer>, SpecError> {
+        self(spec, params)
+    }
+}
+
+/// Resolves a protocol factory by name.
+pub fn resolve_protocol(name: &str) -> Result<Arc<dyn ProtocolFactory>, SpecError> {
+    Ok(Arc::new(protocol_builder(name)?))
+}
+
+/// Resolves an adversary factory by name.
+pub fn resolve_adversary(name: &str) -> Result<Arc<dyn AdversaryFactory>, SpecError> {
+    Ok(Arc::new(adversary_builder(name)?))
+}
+
+/// Resolves a fault-layer factory by name.
+pub fn resolve_fault(name: &str) -> Result<Arc<dyn FaultFactory>, SpecError> {
+    Ok(Arc::new(fault_builder(name)?))
 }
 
 #[cfg(test)]
@@ -1068,7 +1045,7 @@ mod tests {
                 "{names:?} is not strictly sorted"
             );
         }
-        let scenario = Scenario::new(4, 8, 2);
+        let scenario = ScenarioSpec::new("trapdoor", 4, 8, 2);
         for name in protocol_names() {
             let factory = resolve_protocol(&name).unwrap();
             let ctor = factory
@@ -1088,7 +1065,7 @@ mod tests {
             protocol.on_feedback(0, feedback, &mut rng);
         }
         for name in adversary_names() {
-            let factory = resolve_adversary(&name).unwrap();
+            let build = adversary_builder(&name).unwrap();
             let mut params = Params::new();
             if name == "bursty" {
                 params.set("period", 10u64);
@@ -1096,9 +1073,8 @@ mod tests {
             } else if name == "oblivious-random" {
                 params.set("t_actual", 1u64);
             }
-            let mut adversary = factory
-                .build(&scenario, &params, 7)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let mut adversary =
+                build(&scenario, &params, 7).unwrap_or_else(|e| panic!("{name}: {e}"));
             let mut set = DisruptionSet::empty(8);
             adversary.disrupt(
                 0,
@@ -1109,29 +1085,25 @@ mod tests {
             assert!(set.len() <= 8, "{name} disrupted too much");
         }
         for name in probe_names() {
-            resolve_probe(&name)
-                .unwrap()
-                .build(&scenario, &Params::new())
+            probe_builder(&name).unwrap()(&scenario, &Params::new())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
         for name in fault_names() {
-            resolve_fault(&name)
-                .unwrap()
-                .build(&scenario, &Params::new())
+            fault_builder(&name).unwrap()(&scenario, &Params::new())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 
     #[test]
     fn unknown_names_list_the_known_ones() {
-        match resolve_protocol("trapdor").err() {
+        match protocol_builder("trapdor").err() {
             Some(SpecError::UnknownProtocol { name, known }) => {
                 assert_eq!(name, "trapdor");
                 assert!(known.contains(&"trapdoor".to_string()));
             }
             other => panic!("expected UnknownProtocol, got {other:?}"),
         }
-        match resolve_adversary("nonsense").err() {
+        match adversary_builder("nonsense").err() {
             Some(SpecError::UnknownAdversary { known, .. }) => {
                 assert_eq!(known.len(), 8);
             }
@@ -1141,36 +1113,31 @@ mod tests {
 
     #[test]
     fn factories_validate_their_parameters() {
-        let scenario = Scenario::new(4, 8, 2);
+        let scenario = ScenarioSpec::new("trapdoor", 4, 8, 2);
         // typo in a protocol parameter
-        let err = resolve_protocol("trapdoor")
-            .unwrap()
-            .instantiate(&scenario, &Params::new().with("epoch_konstant", 2.0))
-            .err()
-            .expect("typo must be rejected");
+        let err = trapdoor(&scenario, &Params::new().with("epoch_konstant", 2.0))
+            .expect_err("typo must be rejected");
         assert!(matches!(err, SpecError::UnknownParam { .. }), "{err}");
         // missing required adversary parameter
-        let err = resolve_adversary("oblivious-random")
-            .unwrap()
-            .build(&scenario, &Params::new(), 0)
-            .expect_err("missing t_actual must be rejected");
+        let err = oblivious_random(&scenario, &Params::new(), 0)
+            .err()
+            .expect("missing t_actual must be rejected");
         assert!(matches!(err, SpecError::MissingParam { .. }), "{err}");
         // wrong type
-        let err = resolve_adversary("bursty")
-            .unwrap()
-            .build(
-                &scenario,
-                &Params::new().with("period", "ten").with("burst_len", 2u64),
-                0,
-            )
-            .expect_err("mistyped period must be rejected");
+        let err = bursty(
+            &scenario,
+            &Params::new().with("period", "ten").with("burst_len", 2u64),
+            0,
+        )
+        .err()
+        .expect("mistyped period must be rejected");
         assert!(matches!(err, SpecError::BadParam { .. }), "{err}");
     }
 
     /// Runs `scenario` for `seed` on an engine whose nodes `factory` makes,
     /// returning the result and every traced round.
     fn traced_run<P: SyncProtocol>(
-        scenario: &Scenario,
+        scenario: &ScenarioSpec,
         factory: impl FnMut(NodeId) -> P,
         seed: u64,
     ) -> (ExecutionResult, Vec<TraceEvent>) {
@@ -1199,7 +1166,7 @@ mod tests {
             .with("period", 6u64)
             .with("burst_len", 4u64);
         for adversary in [ComponentSpec::named("random"), bursty] {
-            let scenario = Scenario::new(6, 8, 2)
+            let scenario = ScenarioSpec::new("trapdoor", 6, 8, 2)
                 .with_adversary(adversary)
                 .with_max_rounds(4_000);
             let (n, f, t) = (scenario.upper_bound(), 8, 2);
@@ -1256,7 +1223,11 @@ mod tests {
                     let label = format!("{name} vs {} seed {seed}", scenario.adversary.name());
                     assert_eq!(catalogue_result, result, "{label}");
                     assert_eq!(catalogue_events, events, "{label}");
-                    let production = Sim::from_scenario(&scenario, name).unwrap().run_one(seed);
+                    let spec = ScenarioSpec {
+                        protocol: name.into(),
+                        ..scenario.clone()
+                    };
+                    let production = Sim::from_spec(&spec).unwrap().run_one(seed);
                     assert_eq!(production, checked, "{label}: Sim vs ProtocolCtor");
                     assert!(result.metrics.deliveries > 0, "{label} delivered nothing");
                 }
@@ -1272,7 +1243,7 @@ mod tests {
     fn a_message_of_the_other_family_panics_naming_both_types() {
         let ctor = resolve_protocol("trapdoor")
             .unwrap()
-            .instantiate(&Scenario::new(4, 8, 2), &Params::new())
+            .instantiate(&ScenarioSpec::new("trapdoor", 4, 8, 2), &Params::new())
             .unwrap();
         let mut node = ctor(NodeId::new(0));
         let mut rng = SimRng::from_seed(1);
@@ -1292,7 +1263,7 @@ mod tests {
 
     #[test]
     fn trapdoor_params_mirror_the_config_builders() {
-        let scenario = Scenario::new(8, 16, 4);
+        let scenario = ScenarioSpec::new("trapdoor", 8, 16, 4);
         let params = Params::new()
             .with("epoch_constant", 1.5)
             .with("final_epoch_constant", 3.0)

@@ -2,8 +2,7 @@
 //!
 //! [`Sim`] is the single code path every execution in the workspace goes
 //! through. Build one from a declarative [`ScenarioSpec`] (possibly loaded
-//! from JSON) or from an existing runtime [`Scenario`] plus a protocol
-//! name, then run one trial per seed:
+//! from JSON), then run one trial per seed:
 //!
 //! ```
 //! use wsync_core::sim::Sim;
@@ -31,15 +30,13 @@
 //! typed over that variant's protocol, each node a clone of it, so the
 //! round loop makes no per-call `match` and wraps no message.
 
-use std::sync::Arc;
-
 use crate::registry;
 use crate::registry::{
-    AdversaryFactory, CatalogueProtocol, FaultFactory, ProbeFactory, ProbeOutput, RegistryProbe,
+    AdversaryBuilder, CatalogueProtocol, FaultBuilder, ProbeBuilder, ProbeOutput, RegistryProbe,
 };
 use crate::report::SyncOutcome;
-use crate::runner::{execute_probed, Scenario, SyncProtocol};
-use crate::spec::{ComponentSpec, ScenarioSpec, SpecError};
+use crate::runner::{execute_probed, SyncProtocol};
+use crate::spec::{ScenarioSpec, SpecError};
 use crate::store::spec_digest;
 
 /// One trial's outcome together with the outputs of the spec's declared
@@ -55,16 +52,17 @@ pub struct ProbedOutcome {
     pub probes: Option<Vec<ProbeOutput>>,
 }
 
-/// A fully validated, runnable simulation: scenario, the protocol node
-/// every trial's nodes clone, resolved adversary factory, and resolved
-/// probe and fault factories.
+/// A fully validated, runnable simulation: the spec, the protocol node
+/// every trial's nodes clone, the spec's digest, and the catalogue builders
+/// its adversary, probes and fault layers resolved to (the probe and fault
+/// builders in declaration order).
 pub struct Sim {
-    scenario: Scenario,
+    spec: ScenarioSpec,
     protocol: CatalogueProtocol,
-    adversary: Arc<dyn AdversaryFactory>,
-    probes: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)>,
-    faults: Vec<(ComponentSpec, Arc<dyn FaultFactory>)>,
     digest: u64,
+    adversary: AdversaryBuilder,
+    probes: Vec<ProbeBuilder>,
+    faults: Vec<FaultBuilder>,
 }
 
 impl Sim {
@@ -77,51 +75,40 @@ impl Sim {
     /// `n = 0`, `N < n`, a zero round cap), a name is unknown, or a
     /// parameter is missing, mistyped, or unrecognised.
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Self, SpecError> {
-        let protocol_builder = registry::protocol_builder(spec.protocol.name())?;
-        let adversary_factory = registry::resolve_adversary(spec.adversary.name())?;
-        let probe_factories: Vec<(ComponentSpec, Arc<dyn ProbeFactory>)> = spec
+        let build_protocol = registry::protocol_builder(spec.protocol.name())?;
+        let adversary = registry::adversary_builder(spec.adversary.name())?;
+        let probes = spec
             .probes
             .iter()
-            .map(|probe| Ok((probe.clone(), registry::resolve_probe(probe.name())?)))
-            .collect::<Result<_, SpecError>>()?;
-        let fault_factories: Vec<(ComponentSpec, Arc<dyn FaultFactory>)> = spec
+            .map(|probe| registry::probe_builder(probe.name()))
+            .collect::<Result<Vec<_>, SpecError>>()?;
+        let faults = spec
             .faults
             .iter()
-            .map(|fault| Ok((fault.clone(), registry::resolve_fault(fault.name())?)))
-            .collect::<Result<_, SpecError>>()?;
+            .map(|fault| registry::fault_builder(fault.name()))
+            .collect::<Result<Vec<_>, SpecError>>()?;
         spec.validate()?;
-        let scenario = spec.scenario();
-        let protocol = protocol_builder(&scenario, &spec.protocol.params)?;
-        // Probe-build the adversary, the probes, and the fault layers once
-        // so parameter errors surface here, keeping `run_one`/`run_probed`
-        // infallible. AdversaryFactory's contract requires validation to be
-        // seed-independent, so one probe covers all seeds; probe and fault
-        // factories take no seed at all.
-        adversary_factory.build(&scenario, &spec.adversary.params, 0)?;
-        for (component, factory) in &probe_factories {
-            factory.build(&scenario, &component.params)?;
+        let protocol = build_protocol(spec, &spec.protocol.params)?;
+        // Build the adversary, the probes, and the fault layers once so
+        // parameter errors surface here, keeping `run_one`/`run_probed`
+        // infallible. An adversary builder's validation does not depend on
+        // the seed, so one build covers all seeds; probe and fault builders
+        // take no seed at all.
+        adversary(spec, &spec.adversary.params, 0)?;
+        for (build, probe) in probes.iter().zip(&spec.probes) {
+            build(spec, &probe.params)?;
         }
-        for (component, factory) in &fault_factories {
-            factory.build(&scenario, &component.params)?;
+        for (build, fault) in faults.iter().zip(&spec.faults) {
+            build(spec, &fault.params)?;
         }
         Ok(Sim {
-            scenario,
+            spec: spec.clone(),
             protocol,
-            adversary: adversary_factory,
-            probes: probe_factories,
-            faults: fault_factories,
             digest: spec_digest(spec),
+            adversary,
+            probes,
+            faults,
         })
-    }
-
-    /// Builds a simulation from a runtime [`Scenario`] plus a protocol
-    /// (name or name-plus-params), resolving against the component
-    /// catalogue.
-    pub fn from_scenario(
-        scenario: &Scenario,
-        protocol: impl Into<ComponentSpec>,
-    ) -> Result<Self, SpecError> {
-        Sim::from_spec(&ScenarioSpec::from_scenario(scenario, protocol))
     }
 
     /// The canonical content digest of this simulation's resolved spec —
@@ -167,18 +154,17 @@ impl Sim {
     where
         P: SyncProtocol + Clone,
     {
-        let adversary = self
-            .adversary
-            .build(&self.scenario, &self.scenario.adversary.params, seed)
+        let spec = &self.spec;
+        let adversary = (self.adversary)(spec, &spec.adversary.params, seed)
             .expect("adversary parameters were validated when the Sim was built");
         let probes: Vec<RegistryProbe> = if probed {
             self.probes
                 .iter()
-                .map(|(component, factory)| {
+                .zip(&spec.probes)
+                .map(|(build, probe)| {
                     RegistryProbe::new(
-                        component.name(),
-                        factory
-                            .build(&self.scenario, &component.params)
+                        probe.name(),
+                        build(spec, &probe.params)
                             .expect("probe parameters were validated when the Sim was built"),
                     )
                 })
@@ -189,20 +175,14 @@ impl Sim {
         let faults: Vec<_> = self
             .faults
             .iter()
-            .map(|(component, factory)| {
-                factory
-                    .build(&self.scenario, &component.params)
+            .zip(&spec.faults)
+            .map(|(build, fault)| {
+                build(spec, &fault.params)
                     .expect("fault parameters were validated when the Sim was built")
             })
             .collect();
-        let (outcome, outputs) = execute_probed(
-            &self.scenario,
-            |_| node.clone(),
-            adversary,
-            seed,
-            probes,
-            faults,
-        );
+        let (outcome, outputs) =
+            execute_probed(spec, |_| node.clone(), adversary, seed, probes, faults);
         ProbedOutcome {
             outcome,
             probes: probed.then_some(outputs),
@@ -219,6 +199,7 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::batch::BatchRunner;
+    use crate::spec::ComponentSpec;
 
     #[test]
     fn spec_driven_run_is_deterministic_and_clean() {

@@ -20,12 +20,13 @@
 use std::fmt;
 
 use wsync_radio::activation::ActivationSchedule;
+use wsync_radio::engine::SimConfig;
 use wsync_radio::error::ConfigError;
 
 use serde::{Deserialize, Serialize};
 
 use crate::json::{self, JsonError, Value};
-use crate::runner::Scenario;
+use crate::params::next_power_of_two;
 use crate::sweep::StoppingRule;
 
 /// Error raised while building, decoding, or validating a simulation spec.
@@ -706,8 +707,8 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// A spec running `protocol` on an `(n, F, t)` instance with no
-    /// adversary, simultaneous activation, and the default bounds (the same
-    /// defaults as [`Scenario::new`]).
+    /// adversary, simultaneous activation, a round cap of 2,000,000 and 8
+    /// extra rounds after synchronization.
     pub fn new(
         protocol: impl Into<ComponentSpec>,
         num_nodes: usize,
@@ -778,44 +779,34 @@ impl ScenarioSpec {
         self
     }
 
-    /// The runtime [`Scenario`] this spec describes (everything except the
-    /// protocol choice, which the registry resolves separately).
-    pub fn scenario(&self) -> Scenario {
-        Scenario {
-            num_nodes: self.num_nodes,
-            num_frequencies: self.num_frequencies,
-            disruption_bound: self.disruption_bound,
-            upper_bound_n: self.upper_bound_n,
-            adversary: self.adversary.clone(),
-            activation: self.activation.clone(),
-            max_rounds: self.max_rounds,
-            extra_rounds_after_sync: self.extra_rounds_after_sync,
-            faults: self.faults.clone(),
-        }
+    /// The effective bound `N` announced to protocols: `upper_bound_n`, or
+    /// `n.next_power_of_two()` when unset.
+    pub fn upper_bound(&self) -> u64 {
+        self.upper_bound_n
+            .unwrap_or_else(|| next_power_of_two(self.num_nodes as u64))
     }
 
-    /// A spec running `protocol` on an existing runtime [`Scenario`].
-    pub fn from_scenario(scenario: &Scenario, protocol: impl Into<ComponentSpec>) -> Self {
-        ScenarioSpec {
-            protocol: protocol.into(),
-            adversary: scenario.adversary.clone(),
-            probes: Vec::new(),
-            faults: scenario.faults.clone(),
-            activation: scenario.activation.clone(),
-            num_nodes: scenario.num_nodes,
-            num_frequencies: scenario.num_frequencies,
-            disruption_bound: scenario.disruption_bound,
-            upper_bound_n: scenario.upper_bound_n,
-            max_rounds: scenario.max_rounds,
-            extra_rounds_after_sync: scenario.extra_rounds_after_sync,
-        }
+    /// The engine configuration for this spec's instance and bounds.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig::new(self.num_nodes, self.num_frequencies, self.disruption_bound)
+            .with_upper_bound(self.upper_bound())
+            .with_max_rounds(self.max_rounds)
+            .with_extra_rounds_after_sync(self.extra_rounds_after_sync)
+    }
+
+    /// A copy of this spec, under its old runtime name
+    /// [`Scenario`](crate::runner::Scenario). A bridge for the benchmark
+    /// package (`perfbench/`), which still calls it: it goes, with the
+    /// alias, once the benchmark takes the spec itself.
+    pub fn scenario(&self) -> Self {
+        self.clone()
     }
 
     /// Validates the instance parameters (the registry-independent checks).
     /// Name and parameter resolution happen in
     /// [`Sim::from_spec`](crate::sim::Sim::from_spec).
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.scenario().sim_config().validate()?;
+        self.sim_config().validate()?;
         Ok(())
     }
 

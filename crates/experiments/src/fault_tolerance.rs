@@ -18,7 +18,8 @@
 //! transmitter died rather than a full machine wipe).
 
 use wsync_core::batch::BatchRunner;
-use wsync_core::runner::{run_protocol, Scenario, SyncProtocol};
+use wsync_core::runner::{run_protocol, SyncProtocol};
+use wsync_core::spec::ScenarioSpec;
 use wsync_core::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 use wsync_radio::action::Action;
 use wsync_radio::activation::ActivationSchedule;
@@ -123,14 +124,16 @@ pub fn ft1_leader_crash(effort: Effort) -> ExperimentReport {
     let late_activation = crash_at * 3;
     let mut activations: Vec<u64> = (0..n_nodes as u64).map(|i| i * 3).collect();
     activations.push(late_activation);
-    let scenario = Scenario::new(n_nodes + 1, f, t)
+    // `run_protocol` runs the crash-wrapped nodes built below, not the
+    // spec's protocol.
+    let spec = ScenarioSpec::new("trapdoor", n_nodes + 1, f, t)
         .with_upper_bound(64)
         .with_adversary("random")
         .with_activation(ActivationSchedule::Explicit(activations))
         .with_max_rounds(late_activation + 30_000);
     let outcomes = BatchRunner::new().map(0..seeds, |seed| {
         run_protocol(
-            &scenario,
+            &spec,
             |id: NodeId| {
                 let crash = if id.index() == 0 {
                     Some(crash_at)

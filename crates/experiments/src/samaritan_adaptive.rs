@@ -89,7 +89,7 @@ pub fn t18a_adaptive(effort: Effort) -> ExperimentReport {
                 ComponentSpec::named("oblivious-random").with("t_actual", u64::from(t_actual)),
             )
             .with_activation(ActivationSchedule::Simultaneous);
-        let config = GoodSamaritanConfig::new(spec.scenario().upper_bound(), f, t);
+        let config = GoodSamaritanConfig::new(spec.upper_bound(), f, t);
         let (summary, optimistic, clean) = measure_samaritan(&spec, config, seeds);
         let expr = config.theorem18_optimistic_bound(t_actual);
         measured.push(summary.mean);
@@ -150,7 +150,7 @@ pub fn t18b_fallback(effort: Effort) -> ExperimentReport {
             .with_adversary("random")
             .with_activation(ActivationSchedule::Staggered { gap: 37 })
             .with_max_rounds(4_000_000);
-        let config = GoodSamaritanConfig::new(spec.scenario().upper_bound(), f, t);
+        let config = GoodSamaritanConfig::new(spec.upper_bound(), f, t);
         let (summary, _optimistic, clean) = measure_samaritan(&spec, config, seeds);
         let bound = config.theorem18_fallback_bound();
         table.push_row(vec![

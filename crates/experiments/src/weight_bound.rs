@@ -9,7 +9,7 @@
 
 use wsync_core::batch::BatchRunner;
 use wsync_core::registry;
-use wsync_core::runner::Scenario;
+use wsync_core::spec::ScenarioSpec;
 use wsync_core::trapdoor::{TrapdoorConfig, TrapdoorProtocol};
 use wsync_radio::engine::Engine;
 use wsync_stats::Table;
@@ -18,26 +18,26 @@ use crate::output::{fmt, Effort, ExperimentReport};
 
 /// Runs one Trapdoor execution and returns the maximum broadcast weight
 /// observed over all rounds, together with the number of rounds executed.
-fn max_broadcast_weight(scenario: &Scenario, seed: u64) -> (f64, u64) {
+fn max_broadcast_weight(spec: &ScenarioSpec, seed: u64) -> (f64, u64) {
     let config = TrapdoorConfig::new(
-        scenario.upper_bound(),
-        scenario.num_frequencies,
-        scenario.disruption_bound,
+        spec.upper_bound(),
+        spec.num_frequencies,
+        spec.disruption_bound,
     );
-    let adversary = registry::build_adversary(&scenario.adversary, scenario, seed)
-        .expect("scenario adversary resolves against the default registry");
+    let adversary = registry::build_adversary(&spec.adversary, spec, seed)
+        .expect("the spec's adversary resolves against the catalogue");
     let mut engine = Engine::new(
-        scenario.sim_config(),
+        spec.sim_config(),
         |_| TrapdoorProtocol::new(config),
         adversary,
-        scenario.activation.clone(),
+        spec.activation.clone(),
         seed,
     )
-    .expect("valid scenario");
+    .expect("valid spec");
     let activation_rounds = engine.activation_rounds().to_vec();
     let mut max_weight: f64 = 0.0;
     let mut round = 0u64;
-    while round < scenario.max_rounds {
+    while round < spec.max_rounds {
         engine.step();
         round += 1;
         let weight: f64 = engine
@@ -78,14 +78,14 @@ pub fn l9_weight_bound(effort: Effort) -> ExperimentReport {
     let bound = 6.0 * f64::from(f_prime);
     let mut worst_ratio: f64 = 0.0;
     for &n in &ns {
-        let scenario = Scenario::new(n, f, t)
+        let spec = ScenarioSpec::new("trapdoor", n, f, t)
             .with_adversary("random")
             .with_activation(wsync_radio::activation::ActivationSchedule::Batches {
                 batch_size: (n / 4).max(1),
                 gap: 13,
             });
         let max_w = BatchRunner::new()
-            .map(0..seeds, |seed| max_broadcast_weight(&scenario, seed).0)
+            .map(0..seeds, |seed| max_broadcast_weight(&spec, seed).0)
             .into_iter()
             .fold(0.0f64, f64::max);
         let ratio = max_w / bound;
@@ -120,8 +120,8 @@ mod tests {
 
     #[test]
     fn max_weight_positive_for_nontrivial_run() {
-        let scenario = Scenario::new(8, 8, 2).with_adversary("random");
-        let (w, rounds) = max_broadcast_weight(&scenario, 1);
+        let spec = ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
+        let (w, rounds) = max_broadcast_weight(&spec, 1);
         assert!(w > 0.0);
         assert!(rounds > 0);
     }

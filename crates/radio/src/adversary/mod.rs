@@ -239,6 +239,28 @@ pub trait Adversary {
     );
 }
 
+/// A boxed adversary is an adversary, so a run can pick one at run time
+/// (`Box<dyn Adversary>`) while the engine stays statically typed. Both
+/// methods forward: a box that kept the default `observe` would silently
+/// blind an adaptive adversary.
+impl<A: Adversary + ?Sized> Adversary for Box<A> {
+    #[inline]
+    fn observe(&mut self, round: &RoundObservation<'_>) {
+        (**self).observe(round);
+    }
+
+    #[inline]
+    fn disrupt(
+        &mut self,
+        round: u64,
+        band: FrequencyBand,
+        rng: &mut SimRng,
+        disrupted: &mut DisruptionSet,
+    ) {
+        (**self).disrupt(round, band, rng, disrupted);
+    }
+}
+
 /// Inserts the indices of the `k` largest weights (ties broken towards
 /// lower indices) into `disrupted`: the adaptive-greedy adversary's target
 /// choice. `order` is a reusable index buffer; the comparison is a total

@@ -1306,15 +1306,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adversary_chooses_each_round_from_exactly_the_rounds_before_it() {
+    /// Runs a [`Spy`], as `wrap` hands it to the engine, and checks what it
+    /// saw.
+    fn spy_sees_exactly_the_rounds_before_each_choice<A: Adversary>(wrap: impl FnOnce(Spy) -> A) {
         // Nobody is active in rounds 0 and 1; those rounds are observed too.
         let log = std::rc::Rc::new(std::cell::RefCell::new(SpyLog::default()));
         let config = SimConfig::new(3, 4, 1).with_max_rounds(12);
         let mut engine = Engine::new(
             config,
             |_| Shouter { f: 4 },
-            Spy(log.clone()),
+            wrap(Spy(log.clone())),
             ActivationSchedule::Explicit(vec![2, 4, 7]),
             3,
         )
@@ -1326,6 +1327,13 @@ mod tests {
         let expected: Vec<(u64, Option<u64>)> =
             (0..rounds).map(|r| (r, r.checked_sub(1))).collect();
         assert_eq!(log.at_disrupt, expected);
+    }
+
+    #[test]
+    fn adversary_chooses_each_round_from_exactly_the_rounds_before_it() {
+        spy_sees_exactly_the_rounds_before_each_choice(|spy| spy);
+        // A boxed adversary forwards `observe` too, not just `disrupt`.
+        spy_sees_exactly_the_rounds_before_each_choice(|spy| Box::new(spy) as Box<dyn Adversary>);
     }
 
     #[test]

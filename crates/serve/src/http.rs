@@ -10,6 +10,9 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
+
+use crate::clock::Deadline;
 
 /// Largest accepted request body (a `SweepSpec` is a few hundred bytes;
 /// a megabyte is generous headroom, and anything larger is a client bug).
@@ -20,6 +23,9 @@ const MAX_LINE: usize = 8 * 1024;
 
 /// Most header lines accepted after the request line.
 const MAX_HEADERS: usize = 64;
+
+/// Longest any one read of a request may wait for a byte.
+const READ_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One parsed request: method, path, and raw body bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +55,18 @@ pub enum RequestError {
 /// Reads one HTTP/1.1 request from `stream`. `Ok(Err(_))` is a protocol
 /// error to answer with a 4xx; `Err(_)` is a transport error to drop.
 /// Memory stays bounded: every line is capped at `MAX_LINE` bytes and the
-/// header block at `MAX_HEADERS` lines.
-pub(crate) fn read_request(stream: &TcpStream) -> io::Result<Result<Request, RequestError>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+/// header block at `MAX_HEADERS` lines. So does time: any one read waits
+/// at most `READ_TIMEOUT`, and the whole request must arrive within
+/// `deadline`, so a client that trickles bytes cannot hold the connection
+/// either. Running out of time is a `TimedOut` or `WouldBlock` error.
+pub(crate) fn read_request(
+    stream: &TcpStream,
+    deadline: Duration,
+) -> io::Result<Result<Request, RequestError>> {
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        deadline: Deadline::after(deadline),
+    });
     let line = match read_line(&mut reader)? {
         Ok(line) => line,
         Err(e) => return Ok(Err(e)),
@@ -92,6 +107,25 @@ pub(crate) fn read_request(stream: &TcpStream) -> io::Result<Result<Request, Req
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Ok(Request { method, path, body }))
+}
+
+/// A request's byte source: before each read the socket's timeout becomes
+/// the lesser of `READ_TIMEOUT` and the time left, and no read starts once
+/// the deadline has passed.
+struct DeadlineReader {
+    stream: TcpStream,
+    deadline: Deadline,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.remaining();
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left.min(READ_TIMEOUT)))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Reads one line of at most `MAX_LINE` bytes, line ending included.
@@ -183,7 +217,7 @@ mod tests {
             out.write_all(raw.as_bytes()).unwrap();
         });
         let (stream, _) = listener.accept().unwrap();
-        let parsed = read_request(&stream).unwrap();
+        let parsed = read_request(&stream, READ_TIMEOUT).unwrap();
         writer.join().unwrap();
         parsed
     }
@@ -205,6 +239,39 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
+    }
+
+    #[test]
+    fn a_trickling_client_runs_into_the_whole_request_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // A complete request sent one byte every 20 ms: no read waits
+        // anywhere near `READ_TIMEOUT`, but the whole takes about 3 s.
+        let writer = std::thread::spawn(move || {
+            let mut out = TcpStream::connect(addr).unwrap();
+            let raw = format!(
+                "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+                "x".repeat(120)
+            );
+            for byte in raw.as_bytes() {
+                if out.write_all(std::slice::from_ref(byte)).is_err() {
+                    break; // the reader gave up and closed
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let error = read_request(&stream, Duration::from_millis(200))
+            .expect_err("the request must not outlast its deadline");
+        assert!(
+            matches!(
+                error.kind(),
+                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+            ),
+            "{error}"
+        );
+        drop(stream);
+        writer.join().unwrap();
     }
 
     #[test]

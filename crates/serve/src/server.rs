@@ -62,11 +62,11 @@ pub const DEFAULT_MAX_HANDLERS: usize = 64;
 /// honest hint.
 const RETRY_AFTER_SECS: &str = "1";
 
-/// How long an admitted connection may leave any one read of its request
-/// waiting. A client that sends nothing for this long is answered `408`
-/// and its handler permit comes back, so idle sockets cannot pin the
-/// server's capacity.
-const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long an admitted connection has to deliver its whole request. A
+/// client that sends nothing for 2 s, or has not finished by this deadline,
+/// is answered `408` and its handler permit comes back, so neither idle nor
+/// trickling sockets can pin the server's capacity.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How often a `GET /jobs/<id>` stream polls its job for fresh events.
 const JOB_POLL: Duration = Duration::from_millis(20);
@@ -258,8 +258,7 @@ impl Server {
 /// iteration cap, so a slow client cannot pin the calling thread for long.
 /// The accept loop answers `503` (plus `Retry-After`) this way at the
 /// handler cap, and a handler answers `431` when the headers are too large
-/// and `408` when the client leaves a read waiting past
-/// `REQUEST_READ_TIMEOUT`.
+/// and `408` when the request does not arrive in time.
 fn refuse_connection(
     stream: &mut TcpStream,
     status: u16,
@@ -283,15 +282,14 @@ fn refuse_connection(
 }
 
 fn handle_connection(state: &Arc<State>, mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT))?;
-    let parsed = match http::read_request(&stream) {
+    let parsed = match http::read_request(&stream, REQUEST_DEADLINE) {
         Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
             return refuse_connection(
                 &mut stream,
                 408,
                 "Request Timeout",
                 &[],
-                "no complete request arrived before the read timeout",
+                "no complete request arrived in time",
             );
         }
         parsed => parsed?,

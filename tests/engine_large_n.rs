@@ -14,18 +14,18 @@ const ROUNDS: u64 = 2_000;
 /// Runs the staggered Trapdoor cell (F=32, t=8, random adversary) at `n`
 /// nodes to the round cap and checks what the sparse engine guarantees.
 fn staggered_trapdoor_run(n: usize) {
-    let scenario = Scenario::new(n, 32, 8)
+    let spec = ScenarioSpec::new("trapdoor", n, 32, 8)
         .with_adversary("random")
         .with_activation(ActivationSchedule::Staggered { gap: 1 })
         .with_max_rounds(ROUNDS);
-    let config = TrapdoorConfig::new(scenario.upper_bound(), 32, 8);
+    let config = TrapdoorConfig::new(spec.upper_bound(), 32, 8);
     let seed = 1;
-    let adversary = registry::build_adversary(&scenario.adversary, &scenario, seed).unwrap();
+    let adversary = registry::build_adversary(&spec.adversary, &spec, seed).unwrap();
     let mut engine = Engine::new(
-        scenario.sim_config(),
+        spec.sim_config(),
         |_| TrapdoorProtocol::new(config),
         adversary,
-        scenario.activation.clone(),
+        spec.activation.clone(),
         seed,
     )
     .unwrap();

@@ -194,10 +194,13 @@ fn fault_free_wire_form_is_unchanged_by_the_feature() {
     assert!(!text.contains("faults"));
     assert_eq!(ScenarioSpec::from_json(&text).expect("parses"), plain);
 
-    // …and declaring-then-sweeping doesn't resurrect the key: only specs
-    // that *declare* layers carry it.
-    let from_scenario = ScenarioSpec::from_scenario(&plain.scenario(), "trapdoor");
-    assert!(!from_scenario.to_json().contains("faults"));
+    // …and sweeping doesn't resurrect the key: only specs that *declare*
+    // layers carry it.
+    let points = SweepSpec::new(plain, 0..4)
+        .with_axis("num_nodes", vec![4u64.into(), 16u64.into()])
+        .expand()
+        .expect("expands");
+    assert!(points.iter().all(|p| !p.spec.to_json().contains("faults")));
 }
 
 #[test]

@@ -17,7 +17,7 @@ fn trapdoor_cannot_beat_the_two_node_lower_bound() {
     let spec = ScenarioSpec::new("trapdoor", 2, f, t)
         .with_adversary("fixed-band")
         .with_activation(ActivationSchedule::Staggered { gap: 3 });
-    let bound = Bounds::new(spec.scenario().upper_bound(), f, t).theorem4(0.5);
+    let bound = Bounds::new(spec.upper_bound(), f, t).theorem4(0.5);
     let sim = Sim::from_spec(&spec).expect("valid spec");
     let mut total = 0u64;
     let runs = 10u64;

@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use wireless_sync::prelude::*;
 use wireless_sync::radio::engine::Engine;
 use wireless_sync::sync::registry;
-use wireless_sync::sync::runner::BoxedAdversary;
 use wireless_sync::sync::store::spec_digest;
 
 /// Builds a registry-resolved engine for `(spec, seed)` on the
@@ -20,18 +19,17 @@ use wireless_sync::sync::store::spec_digest;
 fn engine_for(
     spec: &ScenarioSpec,
     seed: u64,
-) -> Engine<wireless_sync::sync::registry::CatalogueProtocol, BoxedAdversary> {
-    let scenario = spec.scenario();
+) -> Engine<registry::CatalogueProtocol, Box<dyn Adversary>> {
     let ctor = registry::resolve_protocol(spec.protocol.name())
         .unwrap()
-        .instantiate(&scenario, &spec.protocol.params)
+        .instantiate(spec, &spec.protocol.params)
         .unwrap();
-    let adversary = registry::build_adversary(&spec.adversary, &scenario, seed).unwrap();
+    let adversary = registry::build_adversary(&spec.adversary, spec, seed).unwrap();
     Engine::new(
-        scenario.sim_config(),
+        spec.sim_config(),
         &*ctor,
         adversary,
-        scenario.activation.clone(),
+        spec.activation.clone(),
         seed,
     )
     .unwrap()
