@@ -9,13 +9,13 @@
 //!   *correctness*, *agreement* and *liveness* — over a simulated execution.
 //! * [`trapdoor`] — the Trapdoor Protocol (Section 6): a leader-based
 //!   solution running in `O(F/(F−t)·log²N + F·t/(F−t)·log N)` rounds w.h.p.
+//!   The experimental baselines — a single-frequency variant, a
+//!   deterministic round-robin hopper and a multi-frequency wake-up-style
+//!   protocol — share its contention and are constructors of the same
+//!   [`TrapdoorProtocol`].
 //! * [`good_samaritan`] — the Good Samaritan Protocol (Section 7): an
 //!   optimistic/adaptive variant terminating in `O(t′·log³N)` rounds in
 //!   good executions and `O(F·log³N)` rounds in all executions.
-//! * [`baselines`] — simpler protocols used as experimental comparison
-//!   points (a multi-frequency wake-up-style protocol, a deterministic
-//!   round-robin hopper, and a single-frequency variant of the Trapdoor
-//!   Protocol).
 //! * [`runner`] / [`report`] — convenience helpers that wire a protocol,
 //!   an adversary and an activation schedule into the `wsync-radio` engine
 //!   and summarize the outcome (rounds to synchronization, leader count,
@@ -60,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod baselines;
 pub mod batch;
 pub mod checker;
 pub mod fabric;
@@ -77,11 +76,11 @@ pub mod sweep;
 pub mod timestamp;
 pub mod trapdoor;
 
+#[cfg(test)]
+mod baselines;
+
 /// Convenient glob import of the most commonly used types.
 pub mod prelude {
-    pub use crate::baselines::{
-        RoundRobinConfig, RoundRobinProtocol, WakeupConfig, WakeupProtocol,
-    };
     pub use crate::batch::{BatchRunner, BatchStats, BatchStatsFold};
     pub use crate::checker::{PropertyChecker, PropertyReport, Violation};
     pub use crate::fabric::{FabricConfig, FabricError, WorkerEvent, WorkerSummary};

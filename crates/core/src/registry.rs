@@ -2,8 +2,9 @@
 //! layer a spec can name.
 //!
 //! Each component kind has one static table of `(name, builder)` pairs,
-//! sorted by name: the five protocols in this crate (`good-samaritan`,
-//! `round-robin`, `single-frequency`, `trapdoor`, `wakeup`), the eight
+//! sorted by name: the five protocols in this crate (`good-samaritan` and
+//! the Trapdoor family `round-robin`, `single-frequency`, `trapdoor` and
+//! `wakeup`, which all build a [`TrapdoorProtocol`]), the eight
 //! adversaries in `wsync-radio` (`adaptive-greedy`, `bursty`,
 //! `fixed-band`, `none`, `oblivious-random`, `random`, `sweep`,
 //! `top-weight`), four probes and four fault layers. A builder is a plain
@@ -28,8 +29,9 @@
 //!
 //! The engine is statically typed over one protocol type per run. Protocol
 //! builders bridge from dynamic names to that world by returning one
-//! [`CatalogueProtocol`] node — a closed enum over the catalogue's protocol
-//! types — which every node of a run clones, so per-run work (resolving the
+//! [`CatalogueProtocol`] node — a closed enum over the catalogue's two
+//! protocol types, [`TrapdoorProtocol`] and [`GoodSamaritanProtocol`] —
+//! which every node of a run clones, so per-run work (resolving the
 //! Trapdoor schedule) happens once. [`Sim`](crate::sim::Sim) matches that
 //! node's variant once per trial and runs the engine typed over the
 //! variant's own protocol, so the round loop calls the protocol directly.
@@ -58,7 +60,6 @@ use wsync_radio::protocol::Protocol;
 use wsync_radio::rng::SimRng;
 use wsync_radio::trace::RoundObservation;
 
-use crate::baselines::{RoundRobinConfig, RoundRobinProtocol, WakeupConfig, WakeupProtocol};
 use crate::checker::PropertyChecker;
 use crate::good_samaritan::{GoodSamaritanConfig, GoodSamaritanMsg, GoodSamaritanProtocol};
 use crate::json::Value;
@@ -67,8 +68,8 @@ use crate::spec::{ComponentSpec, ParamReader, Params, ScenarioSpec, SpecError};
 use crate::trapdoor::{TrapdoorConfig, TrapdoorMsg, TrapdoorProtocol};
 
 /// The message payload of a catalogue-built protocol: one variant per
-/// message family. Trapdoor, single-frequency, round-robin and wakeup nodes
-/// speak [`TrapdoorMsg`]; Good Samaritan nodes speak [`GoodSamaritanMsg`].
+/// message family. Trapdoor-family nodes speak [`TrapdoorMsg`]; Good
+/// Samaritan nodes speak [`GoodSamaritanMsg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CatalogueMsg {
     /// A Trapdoor-family message.
@@ -92,14 +93,10 @@ impl CatalogueMsg {
 /// clones of the enum, which run through its per-call [`Protocol`] impl.
 #[derive(Debug, Clone)]
 pub enum CatalogueProtocol {
-    /// `trapdoor` and `single-frequency`.
+    /// `trapdoor`, `single-frequency`, `round-robin` and `wakeup`.
     Trapdoor(TrapdoorProtocol),
-    /// `round-robin`.
-    RoundRobin(RoundRobinProtocol),
     /// `good-samaritan`.
     GoodSamaritan(GoodSamaritanProtocol),
-    /// `wakeup`.
-    Wakeup(WakeupProtocol),
 }
 
 /// Narrows a received catalogue message to the family `unwrap` accepts.
@@ -157,9 +154,7 @@ impl Protocol for CatalogueProtocol {
     fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
         match self {
             CatalogueProtocol::Trapdoor(p) => p.on_activate(info, rng),
-            CatalogueProtocol::RoundRobin(p) => p.on_activate(info, rng),
             CatalogueProtocol::GoodSamaritan(p) => p.on_activate(info, rng),
-            CatalogueProtocol::Wakeup(p) => p.on_activate(info, rng),
         }
     }
 
@@ -169,15 +164,9 @@ impl Protocol for CatalogueProtocol {
             CatalogueProtocol::Trapdoor(p) => p
                 .choose_action(local_round, rng)
                 .map_message(CatalogueMsg::Trapdoor),
-            CatalogueProtocol::RoundRobin(p) => p
-                .choose_action(local_round, rng)
-                .map_message(CatalogueMsg::Trapdoor),
             CatalogueProtocol::GoodSamaritan(p) => p
                 .choose_action(local_round, rng)
                 .map_message(CatalogueMsg::GoodSamaritan),
-            CatalogueProtocol::Wakeup(p) => p
-                .choose_action(local_round, rng)
-                .map_message(CatalogueMsg::Trapdoor),
         }
     }
 
@@ -192,14 +181,8 @@ impl Protocol for CatalogueProtocol {
             CatalogueProtocol::Trapdoor(p) => {
                 p.on_feedback(local_round, narrow(feedback, trapdoor_msg), rng)
             }
-            CatalogueProtocol::RoundRobin(p) => {
-                p.on_feedback(local_round, narrow(feedback, trapdoor_msg), rng)
-            }
             CatalogueProtocol::GoodSamaritan(p) => {
                 p.on_feedback(local_round, narrow(feedback, good_samaritan_msg), rng)
-            }
-            CatalogueProtocol::Wakeup(p) => {
-                p.on_feedback(local_round, narrow(feedback, trapdoor_msg), rng)
             }
         }
     }
@@ -208,9 +191,7 @@ impl Protocol for CatalogueProtocol {
     fn output(&self) -> Option<u64> {
         match self {
             CatalogueProtocol::Trapdoor(p) => p.output(),
-            CatalogueProtocol::RoundRobin(p) => p.output(),
             CatalogueProtocol::GoodSamaritan(p) => p.output(),
-            CatalogueProtocol::Wakeup(p) => p.output(),
         }
     }
 
@@ -218,9 +199,7 @@ impl Protocol for CatalogueProtocol {
     fn is_synchronized(&self) -> bool {
         match self {
             CatalogueProtocol::Trapdoor(p) => p.is_synchronized(),
-            CatalogueProtocol::RoundRobin(p) => p.is_synchronized(),
             CatalogueProtocol::GoodSamaritan(p) => p.is_synchronized(),
-            CatalogueProtocol::Wakeup(p) => p.is_synchronized(),
         }
     }
 }
@@ -229,9 +208,7 @@ impl SyncProtocol for CatalogueProtocol {
     fn is_leader(&self) -> bool {
         match self {
             CatalogueProtocol::Trapdoor(p) => p.is_leader(),
-            CatalogueProtocol::RoundRobin(p) => p.is_leader(),
             CatalogueProtocol::GoodSamaritan(p) => p.is_leader(),
-            CatalogueProtocol::Wakeup(p) => p.is_leader(),
         }
     }
 }
@@ -283,9 +260,9 @@ fn single_frequency(spec: &ScenarioSpec, params: &Params) -> Result<CataloguePro
 }
 
 fn round_robin(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
-    let trapdoor = trapdoor_config_from("round-robin", spec, params, None)?;
-    Ok(CatalogueProtocol::RoundRobin(RoundRobinProtocol::new(
-        RoundRobinConfig { trapdoor },
+    let config = trapdoor_config_from("round-robin", spec, params, None)?;
+    Ok(CatalogueProtocol::Trapdoor(TrapdoorProtocol::round_robin(
+        config,
     )))
 }
 
@@ -303,12 +280,14 @@ fn good_samaritan(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProto
 
 fn wakeup(spec: &ScenarioSpec, params: &Params) -> Result<CatalogueProtocol, SpecError> {
     ParamReader::new("wakeup", params).finish()?;
-    let config = WakeupConfig::new(
+    let config = TrapdoorConfig::new(
         spec.upper_bound(),
         spec.num_frequencies,
         spec.disruption_bound,
     );
-    Ok(CatalogueProtocol::Wakeup(WakeupProtocol::new(config)))
+    Ok(CatalogueProtocol::Trapdoor(TrapdoorProtocol::wakeup(
+        config,
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1195,11 +1174,7 @@ mod tests {
                     ),
                     (
                         "round-robin",
-                        traced_run(
-                            &scenario,
-                            |_| RoundRobinProtocol::new(RoundRobinConfig { trapdoor }),
-                            seed,
-                        ),
+                        traced_run(&scenario, |_| TrapdoorProtocol::round_robin(trapdoor), seed),
                     ),
                     (
                         "good-samaritan",
@@ -1211,11 +1186,7 @@ mod tests {
                     ),
                     (
                         "wakeup",
-                        traced_run(
-                            &scenario,
-                            |_| WakeupProtocol::new(WakeupConfig::new(n, f, t)),
-                            seed,
-                        ),
+                        traced_run(&scenario, |_| TrapdoorProtocol::wakeup(trapdoor), seed),
                     ),
                 ];
                 for (name, (result, events)) in typed {

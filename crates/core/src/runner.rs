@@ -26,7 +26,6 @@ use wsync_radio::fault::FaultLayer;
 use wsync_radio::node::NodeId;
 use wsync_radio::protocol::Protocol;
 
-use crate::baselines::{RoundRobinProtocol, WakeupProtocol};
 use crate::checker::PropertyChecker;
 use crate::good_samaritan::GoodSamaritanProtocol;
 use crate::registry;
@@ -53,18 +52,6 @@ impl SyncProtocol for TrapdoorProtocol {
 impl SyncProtocol for GoodSamaritanProtocol {
     fn is_leader(&self) -> bool {
         GoodSamaritanProtocol::is_leader(self)
-    }
-}
-
-impl SyncProtocol for WakeupProtocol {
-    fn is_leader(&self) -> bool {
-        WakeupProtocol::is_leader(self)
-    }
-}
-
-impl SyncProtocol for RoundRobinProtocol {
-    fn is_leader(&self) -> bool {
-        RoundRobinProtocol::is_leader(self)
     }
 }
 

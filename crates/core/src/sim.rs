@@ -26,9 +26,12 @@
 //! time, never a panic mid-run.
 //!
 //! A `Sim` keeps the one [`CatalogueProtocol`] node its protocol builder
-//! returns and dispatches on its variant once per trial: the engine runs
-//! typed over that variant's protocol, each node a clone of it, so the
-//! round loop makes no per-call `match` and wraps no message.
+//! returns and dispatches on its variant once per trial — `Trapdoor` for
+//! the four Trapdoor-family names, `GoodSamaritan` for the other — so the
+//! engine runs typed over [`TrapdoorProtocol`](crate::trapdoor::TrapdoorProtocol)
+//! or [`GoodSamaritanProtocol`](crate::good_samaritan::GoodSamaritanProtocol),
+//! each node a clone of the kept one, and the round loop makes no per-call
+//! `match` and wraps no message.
 
 use crate::registry;
 use crate::registry::{
@@ -142,9 +145,7 @@ impl Sim {
     fn run_inner(&self, seed: u64, probed: bool) -> ProbedOutcome {
         match &self.protocol {
             CatalogueProtocol::Trapdoor(node) => self.run_typed(node, seed, probed),
-            CatalogueProtocol::RoundRobin(node) => self.run_typed(node, seed, probed),
             CatalogueProtocol::GoodSamaritan(node) => self.run_typed(node, seed, probed),
-            CatalogueProtocol::Wakeup(node) => self.run_typed(node, seed, probed),
         }
     }
 

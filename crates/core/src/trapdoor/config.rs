@@ -181,6 +181,22 @@ impl TrapdoorConfig {
         }
     }
 
+    /// Resolves the wake-up baseline's schedule: `F′ = F`, the whole band,
+    /// and a fixed contention length of `max(4, ⌈4·F/(F−t)·lg²N⌉)` rounds
+    /// in place of the epochs, which the wake-up rule never consults (it
+    /// reads `lg N` and its own [`cycle_probability`](TrapdoorSchedule::cycle_probability)).
+    pub(crate) fn resolve_wakeup(&self) -> TrapdoorSchedule {
+        let lg_n = self.log_n();
+        let f = f64::from(self.num_frequencies.max(1));
+        let t = f64::from(self.disruption_bound);
+        let deadline = (4.0 * f / (f - t).max(1.0) * lg_n * lg_n).ceil() as u64;
+        TrapdoorSchedule {
+            f_prime: self.num_frequencies.max(1),
+            total: deadline.max(4),
+            ..self.resolve()
+        }
+    }
+
     /// The full epoch schedule — the reproduction of the paper's Figure 1.
     pub fn schedule(&self) -> Vec<EpochSpec> {
         (1..=self.num_epochs())
@@ -207,7 +223,9 @@ fn unclamped_probability(upper_bound_n: u64, epoch: u32) -> f64 {
 /// A [`TrapdoorConfig`]'s schedule with its lengths resolved: `lg N − 1`
 /// regular epochs of `regular_len` rounds, then the final epoch from round
 /// `final_start` to `total`. Resolved once per configuration; a protocol
-/// holds a copy and locates each contender-round in O(1).
+/// holds a copy and locates each contender-round in O(1). The wake-up
+/// baseline's schedule ([`TrapdoorConfig::resolve_wakeup`]) holds its
+/// deadline as `total`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TrapdoorSchedule {
     upper_bound_n: u64,
@@ -264,6 +282,17 @@ impl TrapdoorSchedule {
             }
             None => 0.5,
         }
+    }
+
+    /// The wake-up rule's broadcast probability in local round
+    /// `local_round`: `2^-(1 + r mod lg N)`, built as the double whose
+    /// exponent is that power and whose mantissa is zero, so it is exact
+    /// and costs no `powi` call. Inlined like the protocol's other
+    /// per-round helpers.
+    #[inline]
+    pub(crate) fn cycle_probability(&self, local_round: u64) -> f64 {
+        let power = 1 + local_round % u64::from(self.num_epochs);
+        f64::from_bits((1023 - power) << 52)
     }
 }
 
@@ -385,6 +414,46 @@ mod tests {
         // probabilities: 1/N, 2/N, …, 1/4, 1/2 (as fractions of 2N)
         assert!((schedule[0].broadcast_probability - 1.0 / 1024.0).abs() < 1e-12);
         assert!((schedule.last().unwrap().broadcast_probability - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cycle_probability_is_an_exact_power_of_two() {
+        for lg in 1..=63u32 {
+            let schedule = TrapdoorConfig::new(1 << lg, 8, 2).resolve_wakeup();
+            let cycle = u64::from(lg);
+            for r in 0..2 * cycle + 1 {
+                let expected = 0.5f64.powi((1 + r % cycle) as i32);
+                assert_eq!(
+                    schedule.cycle_probability(r).to_bits(),
+                    expected.to_bits(),
+                    "lg N = {lg}, round {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wakeup_deadline_is_four_f_over_f_minus_t_lg_squared_n() {
+        let deadline = |n, f, t| {
+            TrapdoorConfig::new(n, f, t)
+                .resolve_wakeup()
+                .total_contention_rounds()
+        };
+        // ⌈4·F/(F−t)·lg²N⌉, with N rounded up to a power of two.
+        assert_eq!(deadline(16, 8, 0), 64);
+        assert_eq!(deadline(64, 8, 2), 192);
+        assert_eq!(deadline(10, 3, 1), 96);
+        assert_eq!(deadline(1024, 8, 6), 1600);
+        assert_eq!(deadline(2, 1, 0), 4);
+        assert!(deadline(1024, 8, 0) > deadline(16, 8, 0));
+        assert!(deadline(64, 8, 6) > deadline(64, 8, 2));
+        // The epoch constants and frequency limit do not apply.
+        let tuned = TrapdoorConfig::new(64, 8, 2)
+            .with_epoch_constant(5.0)
+            .with_frequency_limit(2)
+            .resolve_wakeup();
+        assert_eq!(tuned.total_contention_rounds(), 192);
+        assert_eq!(tuned.f_prime(), 8);
     }
 
     #[test]

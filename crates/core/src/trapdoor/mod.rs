@@ -1,4 +1,5 @@
-//! The Trapdoor Protocol (Section 6).
+//! The Trapdoor Protocol (Section 6), and the baselines that share its
+//! contention.
 //!
 //! Every node starts as a *contender* and proceeds through `lg N` epochs
 //! (Figure 1). In every round of epoch `e` a contender picks a frequency
@@ -10,10 +11,24 @@
 //! in `[1..F′]`. A contender that completes all `lg N` epochs becomes the
 //! *leader*: it fixes the round numbering and thereafter broadcasts it with
 //! probability 1/2 on a random frequency in `[1..F′]` every round. Any node
-//! that receives a leader message adopts the numbering and is synchronized.
+//! that receives a leader message adopts the numbering and is synchronized,
+//! and a node that adopted never elects itself.
 //!
 //! Theorem 10: the protocol solves wireless synchronization in
 //! `O(F/(F−t)·log²N + F·t/(F−t)·log N)` rounds with high probability.
+//!
+//! # Baselines
+//!
+//! The experiments (X2) compare the protocol against simplifications its
+//! introduction motivates. They keep the knockouts, the adoption and the
+//! leader above, and change only how a contender picks its frequency and
+//! broadcast probability and when its contention ends: single-frequency
+//! ([`TrapdoorConfig::with_frequency_limit(1)`](TrapdoorConfig::with_frequency_limit)),
+//! which a jammer of frequency 1 starves forever;
+//! [`TrapdoorProtocol::round_robin`], deterministic hopping, on which nodes
+//! whose uids agree modulo `F` never meet; and [`TrapdoorProtocol::wakeup`],
+//! Jurdziński–Stachowiak-style cycling probabilities over the whole band
+//! with a fixed, conservative deadline instead of the epochs.
 
 mod config;
 
@@ -24,7 +39,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use wsync_radio::action::Action;
-use wsync_radio::frequency::FrequencyBand;
+use wsync_radio::frequency::{Frequency, FrequencyBand};
 use wsync_radio::message::Feedback;
 use wsync_radio::node::ActivationInfo;
 use wsync_radio::protocol::Protocol;
@@ -62,29 +77,72 @@ pub enum TrapdoorRole {
     Synchronized,
 }
 
-/// A node running the Trapdoor Protocol.
+/// How a contender picks its frequency and broadcast probability, and when
+/// its contention ends (see the module docs).
+#[derive(Debug, Clone, Copy)]
+enum Contention {
+    /// Figure 1: uniform over `[1..F′]`, the epoch probabilities, the end
+    /// of the final epoch.
+    Epochs,
+    /// Round-robin hopping over `[1..F]`, with no random draw, and the
+    /// epoch probabilities and deadline.
+    Hop,
+    /// Wake-up: uniform over `[1..F]`, probability `2^-(1 + r mod lg N)`,
+    /// a fixed deadline. The schedule holds `F` as its `F′` and the
+    /// deadline as its contention length.
+    Cycle,
+}
+
+/// A node running the Trapdoor Protocol, or one of the baselines that
+/// share its contention (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TrapdoorProtocol {
     schedule: TrapdoorSchedule,
     role: TrapdoorRole,
+    rule: Contention,
     timestamp: Timestamp,
     output: Option<u64>,
     band: FrequencyBand,
-    activated: bool,
 }
+
+// Every engine pass walks a slice of nodes, so the node's size is paid per
+// node-round: a layout that stored the wake-up cycle length and deadline in
+// each node grew it to 112 bytes and cost 5.4% of `dense_sweep`'s
+// `rounds_per_s`.
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(std::mem::size_of::<TrapdoorProtocol>() == 88);
 
 impl TrapdoorProtocol {
     /// Creates a protocol instance with the given configuration, resolving
     /// its epoch schedule. The unique identifier is drawn when the node is
     /// activated.
     pub fn new(config: TrapdoorConfig) -> Self {
+        Self::with_rule(Contention::Epochs, config.resolve(), config)
+    }
+
+    /// The round-robin hopping baseline: frequency `((uid + r) mod F) + 1`
+    /// in local round `r`, with `config`'s epoch probabilities and
+    /// deadline.
+    pub fn round_robin(config: TrapdoorConfig) -> Self {
+        Self::with_rule(Contention::Hop, config.resolve(), config)
+    }
+
+    /// The wake-up baseline: a uniform frequency from the whole band,
+    /// broadcast probability `2^-(1 + r mod lg N)` in local round `r`, and
+    /// a fixed deadline of `max(4, ⌈4·F/(F−t)·lg²N⌉)` rounds. `config`'s
+    /// epoch constants and frequency limit do not apply.
+    pub fn wakeup(config: TrapdoorConfig) -> Self {
+        Self::with_rule(Contention::Cycle, config.resolve_wakeup(), config)
+    }
+
+    fn with_rule(rule: Contention, schedule: TrapdoorSchedule, config: TrapdoorConfig) -> Self {
         TrapdoorProtocol {
-            schedule: config.resolve(),
+            schedule,
             role: TrapdoorRole::Contender,
+            rule,
             timestamp: Timestamp::new(0, 0),
             output: None,
             band: FrequencyBand::new(config.num_frequencies.max(1)),
-            activated: false,
         }
     }
 
@@ -110,7 +168,7 @@ impl TrapdoorProtocol {
     /// that the total stays below `6F′`.
     pub fn broadcast_weight_at(&self, local_round: u64) -> f64 {
         match self.role {
-            TrapdoorRole::Contender => self.schedule.contender_probability(local_round),
+            TrapdoorRole::Contender => self.contender_probability(local_round),
             TrapdoorRole::Leader => LEADER_BROADCAST_PROBABILITY,
             TrapdoorRole::KnockedOut | TrapdoorRole::Synchronized => 0.0,
         }
@@ -119,8 +177,28 @@ impl TrapdoorProtocol {
     // Called from `choose_action` once per node-round; without `#[inline]`
     // the engine's actions loop keeps it as a call.
     #[inline]
-    fn pick_frequency(&self, rng: &mut SimRng) -> wsync_radio::frequency::Frequency {
-        self.band.sample_prefix(self.schedule.f_prime(), rng)
+    fn pick_frequency(&self, local_round: u64, rng: &mut SimRng) -> Frequency {
+        match self.rule {
+            Contention::Hop => {
+                let f = u64::from(self.band.count());
+                Frequency::new((self.timestamp.uid.wrapping_add(local_round) % f) as u32 + 1)
+            }
+            Contention::Epochs | Contention::Cycle => {
+                self.band.sample_prefix(self.schedule.f_prime(), rng)
+            }
+        }
+    }
+
+    // Called from `choose_action` once per contender-round, like
+    // `pick_frequency`.
+    #[inline]
+    fn contender_probability(&self, local_round: u64) -> f64 {
+        match self.rule {
+            Contention::Epochs | Contention::Hop => {
+                self.schedule.contender_probability(local_round)
+            }
+            Contention::Cycle => self.schedule.cycle_probability(local_round),
+        }
     }
 }
 
@@ -129,7 +207,6 @@ impl Protocol for TrapdoorProtocol {
 
     fn on_activate(&mut self, info: ActivationInfo, rng: &mut SimRng) {
         debug_assert_eq!(info.num_frequencies, self.band.count());
-        self.activated = true;
         self.band = FrequencyBand::new(info.num_frequencies.max(1));
         self.timestamp = Timestamp::new(0, Timestamp::draw_uid(self.schedule.upper_bound_n(), rng));
     }
@@ -141,10 +218,10 @@ impl Protocol for TrapdoorProtocol {
         // The timestamp counts the rounds the node has been active,
         // including the current one.
         self.timestamp.rounds_active = local_round + 1;
-        let frequency = self.pick_frequency(rng);
+        let frequency = self.pick_frequency(local_round, rng);
         match self.role {
             TrapdoorRole::Contender => {
-                if rng.gen_bool(self.schedule.contender_probability(local_round)) {
+                if rng.gen_bool(self.contender_probability(local_round)) {
                     Action::broadcast(
                         frequency,
                         TrapdoorMsg::Contender {
@@ -198,7 +275,7 @@ impl Protocol for TrapdoorProtocol {
             }
         }
 
-        // A contender that has survived every epoch becomes the leader.
+        // A contender that has survived its contention becomes the leader.
         if self.role == TrapdoorRole::Contender
             && local_round + 1 >= self.schedule.total_contention_rounds()
         {
@@ -224,16 +301,44 @@ impl Protocol for TrapdoorProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsync_radio::frequency::Frequency;
+    use std::ops::Range;
     use wsync_radio::message::Received;
     use wsync_radio::node::NodeId;
 
-    fn activated_protocol(seed: u64) -> (TrapdoorProtocol, SimRng) {
-        let config = TrapdoorConfig::new(64, 8, 2);
-        let mut p = TrapdoorProtocol::new(config);
+    type Build = fn(TrapdoorConfig) -> TrapdoorProtocol;
+
+    /// The constructor of each contention rule.
+    const RULES: [(&str, Build); 3] = [
+        ("epochs", TrapdoorProtocol::new),
+        ("hop", TrapdoorProtocol::round_robin),
+        ("cycle", TrapdoorProtocol::wakeup),
+    ];
+
+    /// A node built by `build` for `N = 64`, `F = 8`, `t = 2` (so
+    /// `F′ = 4`), activated.
+    fn activated_as(build: Build, seed: u64) -> (TrapdoorProtocol, SimRng) {
+        let mut p = build(TrapdoorConfig::new(64, 8, 2));
         let mut rng = SimRng::from_seed(seed);
         p.on_activate(ActivationInfo::new(64, 8, 2), &mut rng);
         (p, rng)
+    }
+
+    fn activated_protocol(seed: u64) -> (TrapdoorProtocol, SimRng) {
+        activated_as(TrapdoorProtocol::new, seed)
+    }
+
+    fn silence() -> Feedback<TrapdoorMsg> {
+        Feedback::Silence {
+            frequency: Frequency::new(1),
+        }
+    }
+
+    /// Runs the local rounds `rounds` hearing nothing.
+    fn run_silent(p: &mut TrapdoorProtocol, rounds: Range<u64>, rng: &mut SimRng) {
+        for r in rounds {
+            p.choose_action(r, rng);
+            p.on_feedback(r, silence(), rng);
+        }
     }
 
     fn contender_msg(rounds_active: u64, uid: u64) -> Feedback<TrapdoorMsg> {
@@ -273,13 +378,7 @@ mod tests {
             let action = p.choose_action(r, &mut rng);
             let freq = action.frequency().expect("contender never sleeps");
             assert!(freq.index() <= f_prime);
-            p.on_feedback(
-                r,
-                Feedback::Silence {
-                    frequency: Frequency::new(1),
-                },
-                &mut rng,
-            );
+            p.on_feedback(r, silence(), &mut rng);
         }
     }
 
@@ -298,13 +397,7 @@ mod tests {
         for r in 2..10 {
             let action = p.choose_action(r, &mut rng);
             assert!(action.is_listen());
-            p.on_feedback(
-                r,
-                Feedback::Silence {
-                    frequency: Frequency::new(1),
-                },
-                &mut rng,
-            );
+            p.on_feedback(r, silence(), &mut rng);
         }
         assert_eq!(p.output(), None);
     }
@@ -319,13 +412,7 @@ mod tests {
         // Output increments each subsequent round (correctness).
         for r in 1..5 {
             p.choose_action(r, &mut rng);
-            p.on_feedback(
-                r,
-                Feedback::Silence {
-                    frequency: Frequency::new(1),
-                },
-                &mut rng,
-            );
+            p.on_feedback(r, silence(), &mut rng);
             assert_eq!(p.output(), Some(41 + r));
         }
     }
@@ -348,13 +435,7 @@ mod tests {
         let total = p.schedule.total_contention_rounds();
         for r in 0..total {
             p.choose_action(r, &mut rng);
-            p.on_feedback(
-                r,
-                Feedback::Silence {
-                    frequency: Frequency::new(1),
-                },
-                &mut rng,
-            );
+            p.on_feedback(r, silence(), &mut rng);
         }
         assert!(p.is_leader());
         assert_eq!(p.output(), Some(total));
@@ -369,13 +450,7 @@ mod tests {
         {
             assert_eq!(announced_round, before + 1);
         }
-        p.on_feedback(
-            total,
-            Feedback::Silence {
-                frequency: Frequency::new(1),
-            },
-            &mut rng,
-        );
+        p.on_feedback(total, silence(), &mut rng);
         assert_eq!(p.output(), Some(before + 1));
     }
 
@@ -385,13 +460,7 @@ mod tests {
         let total = p.schedule.total_contention_rounds();
         for r in 0..total {
             p.choose_action(r, &mut rng);
-            p.on_feedback(
-                r,
-                Feedback::Silence {
-                    frequency: Frequency::new(1),
-                },
-                &mut rng,
-            );
+            p.on_feedback(r, silence(), &mut rng);
         }
         assert!(p.is_leader());
         let out_before = p.output().unwrap();
@@ -433,5 +502,99 @@ mod tests {
         );
         assert!(late as f64 > trials as f64 * 0.3);
         assert!((early as f64) < trials as f64 * 0.1);
+    }
+
+    /// The contention around the rules is one state machine: for every
+    /// rule, only a larger timestamp knocks a contender out, a knocked-out
+    /// node only listens and never elects itself but still adopts a
+    /// leader's numbering, an adopted output grows by one each round, a
+    /// contender that adopted never elects itself, and a lone contender
+    /// elects itself at exactly its deadline with its deadline as output.
+    #[test]
+    fn every_rule_runs_one_contention_state_machine() {
+        for (name, build) in RULES {
+            let deadline = activated_as(build, 1).0.schedule.total_contention_rounds();
+
+            let (mut p, mut rng) = activated_as(build, 2);
+            p.choose_action(0, &mut rng);
+            p.on_feedback(0, contender_msg(0, 0), &mut rng);
+            assert_eq!(p.role(), TrapdoorRole::Contender, "{name}");
+            p.choose_action(1, &mut rng);
+            p.on_feedback(1, contender_msg(u64::MAX, u64::MAX), &mut rng);
+            assert_eq!(p.role(), TrapdoorRole::KnockedOut, "{name}");
+            for r in 2..deadline + 5 {
+                assert!(p.choose_action(r, &mut rng).is_listen(), "{name}");
+                p.on_feedback(r, silence(), &mut rng);
+            }
+            assert_eq!(p.output(), None, "{name}: knocked out past the deadline");
+            let heard = deadline + 5;
+            p.choose_action(heard, &mut rng);
+            p.on_feedback(heard, leader_msg(77), &mut rng);
+            assert_eq!(p.output(), Some(77), "{name}");
+            run_silent(&mut p, heard + 1..heard + 4, &mut rng);
+            assert_eq!(p.output(), Some(80), "{name}: one more each round");
+
+            let (mut p, mut rng) = activated_as(build, 3);
+            p.choose_action(0, &mut rng);
+            p.on_feedback(0, leader_msg(9), &mut rng);
+            run_silent(&mut p, 1..deadline + 5, &mut rng);
+            assert!(!p.is_leader(), "{name}: adopted, then elected itself");
+            assert_eq!(p.output(), Some(9 + deadline + 4), "{name}");
+
+            let (mut p, mut rng) = activated_as(build, 4);
+            run_silent(&mut p, 0..deadline - 1, &mut rng);
+            assert_eq!(p.role(), TrapdoorRole::Contender, "{name}: elected early");
+            run_silent(&mut p, deadline - 1..deadline, &mut rng);
+            assert!(p.is_leader(), "{name}: not elected at its deadline");
+            assert_eq!(p.output(), Some(deadline), "{name}");
+        }
+    }
+
+    #[test]
+    fn hop_repeats_with_period_f_and_draws_nothing() {
+        let (mut p, mut rng) = activated_as(TrapdoorProtocol::round_robin, 5);
+        let f = 8;
+        let uid = p.timestamp().uid;
+        let mut untouched = rng.clone();
+        for r in 0..3 * f {
+            let hop = p.pick_frequency(r, &mut rng);
+            assert_eq!(hop, Frequency::new(((uid + r) % f) as u32 + 1));
+            assert_eq!(hop, p.pick_frequency(r + f, &mut rng));
+            assert_ne!(hop, p.pick_frequency(r + 1, &mut rng));
+        }
+        assert_eq!(
+            rng.gen::<u64>(),
+            untouched.gen::<u64>(),
+            "a hop drew randomness"
+        );
+        for r in 0..3 * f {
+            let hop = p.pick_frequency(r, &mut rng);
+            assert_eq!(p.choose_action(r, &mut rng).frequency(), Some(hop));
+            p.on_feedback(r, silence(), &mut rng);
+        }
+    }
+
+    #[test]
+    fn cycle_uses_the_whole_band_and_the_cycling_probability() {
+        // F′ = 4 for this instance; the wake-up rule ignores it.
+        let (mut p, mut rng) = activated_as(TrapdoorProtocol::wakeup, 6);
+        for r in 0..12 {
+            let expected = 0.5f64.powi((1 + r % 6) as i32);
+            assert_eq!(p.broadcast_weight_at(r), expected, "round {r}, lg N = 6");
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for r in 0..200 {
+            let action = p.choose_action(r % 5, &mut rng);
+            seen.insert(
+                action
+                    .frequency()
+                    .expect("a contender never sleeps")
+                    .index(),
+            );
+        }
+        assert_eq!(
+            seen.into_iter().collect::<Vec<_>>(),
+            (1..=8).collect::<Vec<_>>()
+        );
     }
 }

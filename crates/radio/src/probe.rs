@@ -172,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn stack_fans_out_and_reports_max_lookback() {
+    fn stack_fans_out_to_every_slot() {
         let mut stack = ProbeStack::new();
         let a = stack.push(Box::new(Counter { rounds: 0 }));
         let b = stack.push(Box::new(Counter { rounds: 0 }));

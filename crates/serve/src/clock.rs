@@ -34,7 +34,8 @@ impl Stopwatch {
     }
 }
 
-/// A moment a connection's request must have arrived by.
+/// A moment a connection's reads must be done by: its request's arrival,
+/// or the drain of a refused client's unread bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Deadline {
     // lint:allow(wall-clock): the deadline's moment; see module docs

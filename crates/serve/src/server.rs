@@ -43,7 +43,7 @@ use wsync_core::spec::{ScenarioSpec, SweepSpec};
 use wsync_core::store::{spec_digest, ResultStore, StoreError};
 use wsync_core::sweep::{SweepError, SweepRunner};
 
-use crate::clock::Stopwatch;
+use crate::clock::{Deadline, Stopwatch};
 use crate::http::{self, Request, RequestError};
 use crate::jobs::{Job, JobRegistry};
 use crate::metrics::Metrics;
@@ -67,6 +67,12 @@ const RETRY_AFTER_SECS: &str = "1";
 /// is answered `408` and its handler permit comes back, so neither idle nor
 /// trickling sockets can pin the server's capacity.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How long a refused connection's unread request bytes are drained, in
+/// all: a well-behaved client's request is already in flight when the
+/// refusal goes out, and a client that keeps trickling bytes is cut off
+/// here instead of holding the accept loop or a handler.
+const REFUSAL_DRAIN: Duration = Duration::from_millis(250);
 
 /// How often a `GET /jobs/<id>` stream polls its job for fresh events.
 const JOB_POLL: Duration = Duration::from_millis(20);
@@ -254,11 +260,12 @@ impl Server {
 /// Refuses one connection with a JSON error: writes the response,
 /// half-closes, and drains the client's unread request bytes so the close
 /// sends FIN, not RST (an RST can discard the queued response before the
-/// client reads it). The drain is bounded by a read timeout and an
-/// iteration cap, so a slow client cannot pin the calling thread for long.
-/// The accept loop answers `503` (plus `Retry-After`) this way at the
-/// handler cap, and a handler answers `431` when the headers are too large
-/// and `408` when the request does not arrive in time.
+/// client reads it). The whole drain gets `REFUSAL_DRAIN`, each read
+/// waiting at most the time left, so a client that trickles bytes cannot
+/// pin the calling thread past it. The accept loop answers `503` (plus
+/// `Retry-After`) this way at the handler cap, and a handler answers `431`
+/// when the headers are too large and `408` when the request does not
+/// arrive in time.
 fn refuse_connection(
     stream: &mut TcpStream,
     status: u16,
@@ -268,11 +275,15 @@ fn refuse_connection(
 ) -> std::io::Result<()> {
     let body = Value::Object(vec![("error".to_string(), Value::Str(message.to_string()))])
         .to_json_compact();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     http::respond_json_with(stream, status, reason, extra_headers, &body)?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
+    let drain = Deadline::after(REFUSAL_DRAIN);
     let mut scratch = [0u8; 1024];
-    for _ in 0..64 {
+    loop {
+        let left = drain.remaining();
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match std::io::Read::read(stream, &mut scratch) {
             Ok(n) if n > 0 => continue,
             _ => break,

@@ -605,3 +605,51 @@ fn an_idle_connection_frees_its_handler_permit_after_the_read_timeout() {
         std::thread::sleep(std::time::Duration::from_millis(50));
     }
 }
+
+#[test]
+fn a_refused_client_that_trickles_bytes_does_not_stall_the_accept_loop() {
+    let addr = start_server_with("trickle", 1);
+
+    // Hold the only permit with a connection that never sends a byte; the
+    // server answers it 408 only after its 2 s read timeout.
+    let _idle = TcpStream::connect(addr).expect("connect idle");
+    std::thread::sleep(std::time::Duration::from_millis(200));
+
+    // A refused client reads its 503, then keeps sending one byte every
+    // 100 ms, so each of the drain's reads finds a byte in time.
+    let mut refused = TcpStream::connect(addr).expect("connect refused");
+    refused
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send");
+    let mut answer = String::new();
+    refused.read_to_string(&mut answer).expect("receive");
+    assert!(
+        answer.starts_with("HTTP/1.1 503 Service Unavailable"),
+        "the idle connection holds the only permit: {answer}"
+    );
+    let trickler = std::thread::spawn(move || {
+        for _ in 0..100 {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            if refused.write_all(b"x").is_err() {
+                break;
+            }
+        }
+    });
+    std::thread::sleep(std::time::Duration::from_millis(150));
+
+    // The accept loop gets to the next connection within the drain
+    // budget, long before the permit comes back.
+    let mut next = TcpStream::connect(addr).expect("connect next");
+    next.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+        .expect("client read timeout");
+    next.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send");
+    let mut raw = String::new();
+    next.read_to_string(&mut raw)
+        .expect("a trickling refused client held the accept loop for 2 s");
+    assert!(
+        raw.starts_with("HTTP/1.1 503 Service Unavailable"),
+        "the permit is still held: {raw}"
+    );
+    trickler.join().expect("trickler");
+}

@@ -14,7 +14,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`radio`] | `wsync-radio` | the disrupted radio network model: engine, adversaries, activation schedules |
-//! | [`sync`] | `wsync-core` | the wireless synchronization problem, the Trapdoor and Good Samaritan protocols, baselines, property checker |
+//! | [`sync`] | `wsync-core` | the wireless synchronization problem, the Trapdoor and Good Samaritan protocols, the baselines that share Trapdoor's state machine, property checker |
 //! | [`analysis`] | `wsync-analysis` | lower-bound formulas, the balls-in-bins process, the two-node rendezvous game |
 //! | [`stats`] | `wsync-stats` | descriptive statistics, confidence intervals, least-squares fits |
 //! | [`experiments`] | `wsync-experiments` | scenario sweeps and the generators for every table/figure in EXPERIMENTS.md |

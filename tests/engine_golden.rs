@@ -59,7 +59,8 @@ fn run_spec(spec: ScenarioSpec, seed: u64) -> SyncOutcome {
 /// protocol/adversary/activation combinations spanning every protocol
 /// family, adaptive and oblivious adversaries, staggered and randomized
 /// activation, and one known-dirty execution, plus four cells whose band
-/// is wider than 64 frequencies.
+/// is wider than 64 frequencies and four that run the `round-robin` and
+/// `wakeup` baselines with staggered and late activation.
 fn golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
     vec![
         (
@@ -136,6 +137,36 @@ fn golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
             ScenarioSpec::new("round-robin", 6, 70, 30).with_adversary("fixed-band"),
             17,
         ),
+        // The baselines with nodes that wake at different rounds, so
+        // contenders at different local rounds knock each other out.
+        (
+            "round-robin/adaptive-greedy/staggered/n8",
+            ScenarioSpec::new("round-robin", 8, 8, 2)
+                .with_adversary("adaptive-greedy")
+                .with_activation(ActivationSchedule::Staggered { gap: 3 }),
+            1,
+        ),
+        (
+            "wakeup/adaptive-greedy/staggered/n8",
+            ScenarioSpec::new("wakeup", 8, 8, 2)
+                .with_adversary("adaptive-greedy")
+                .with_activation(ActivationSchedule::Staggered { gap: 3 }),
+            1,
+        ),
+        (
+            "round-robin/adaptive-greedy/late-joiner/n8",
+            ScenarioSpec::new("round-robin", 8, 8, 2)
+                .with_adversary("adaptive-greedy")
+                .with_activation(ActivationSchedule::LateJoiner { late: 40 }),
+            1,
+        ),
+        (
+            "wakeup/adaptive-greedy/late-joiner/n8",
+            ScenarioSpec::new("wakeup", 8, 8, 2)
+                .with_adversary("adaptive-greedy")
+                .with_activation(ActivationSchedule::LateJoiner { late: 40 }),
+            1,
+        ),
     ]
 }
 
@@ -149,7 +180,9 @@ fn cases() -> Vec<(&'static str, SyncOutcome)> {
 /// `(name, digest, rounds_executed, leaders, all_synchronized,
 /// total_violations)` captured from the pre-refactor engine; the four
 /// wide-band rows were captured from the engine that still kept its
-/// frequency sets as `bool` masks and sorted index lists.
+/// frequency sets as `bool` masks and sorted index lists, and the four
+/// baseline activation rows from the baselines' own protocol types, before
+/// they became contention rules of `TrapdoorProtocol`.
 const GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
     ("trapdoor/random/n8", 0xe2d21497700237cf, 195, 1, true, 0),
     (
@@ -216,6 +249,38 @@ const GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
         0x946337fafb71ed29,
         2192,
         6,
+        true,
+        0,
+    ),
+    (
+        "round-robin/adaptive-greedy/staggered/n8",
+        0x7ca0acdcdc522c08,
+        194,
+        5,
+        true,
+        127,
+    ),
+    (
+        "wakeup/adaptive-greedy/staggered/n8",
+        0x48afdff8ccc6b94f,
+        91,
+        2,
+        true,
+        172,
+    ),
+    (
+        "round-robin/adaptive-greedy/late-joiner/n8",
+        0x62fb0b82151fb61b,
+        216,
+        4,
+        true,
+        9,
+    ),
+    (
+        "wakeup/adaptive-greedy/late-joiner/n8",
+        0x326a0450ec629007,
+        72,
+        3,
         true,
         0,
     ),
@@ -333,11 +398,12 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
 // every digest below while leaving the fault-free `GOLDEN` table untouched.
 // ---------------------------------------------------------------------------
 
-/// `(name, spec, seed)` for seven fault configurations: each built-in
+/// `(name, spec, seed)` for nine fault configurations: each built-in
 /// layer alone, a drop+partition+churn stack, the full
-/// four-layer stack on an adaptive jammer, and a loss layer on a band of
+/// four-layer stack on an adaptive jammer, a loss layer on a band of
 /// three 64-bit words, whose per-delivery draws follow the frequency order
-/// across words.
+/// across words, and churn on each of the `round-robin` and `wakeup`
+/// baselines.
 fn faulty_golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
     let base = || ScenarioSpec::new("trapdoor", 8, 8, 2).with_adversary("random");
     let halves = || {
@@ -416,12 +482,33 @@ fn faulty_golden_specs() -> Vec<(&'static str, ScenarioSpec, u64)> {
                 .with_fault(ComponentSpec::named("drop").with("drop_rate", 0.25)),
             17,
         ),
+        (
+            "faulty/churn-0.002/round-robin",
+            baseline_churn("round-robin"),
+            4,
+        ),
+        ("faulty/churn-0.002/wakeup", baseline_churn("wakeup"), 4),
     ]
+}
+
+/// A baseline under slow churn with long downtimes: restarts call
+/// `on_activate` again on nodes that already ran, and both rows restart
+/// several nodes before the run ends.
+fn baseline_churn(protocol: &str) -> ScenarioSpec {
+    ScenarioSpec::new(protocol, 8, 8, 2)
+        .with_adversary("random")
+        .with_fault(
+            ComponentSpec::named("churn")
+                .with("churn_rate", 0.002)
+                .with("downtime", 50u64),
+        )
+        .with_max_rounds(3_000)
 }
 
 /// `(name, digest, rounds_executed, leaders, all_synchronized,
 /// total_violations)` recorded when the fault subsystem landed; the
-/// wide-band row was recorded before the bitset rewrite.
+/// wide-band row was recorded before the bitset rewrite, and the two
+/// baseline churn rows from the baselines' own protocol types.
 const FAULTY_GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
     ("faulty/drop-0.25", 0x207b2637dd01cfba, 195, 1, true, 0),
     ("faulty/capture-0.2", 0x3411d557bd5dba07, 195, 1, true, 0),
@@ -457,6 +544,22 @@ const FAULTY_GOLDEN: &[(&str, u64, u64, usize, bool, u64)] = &[
         1,
         true,
         0,
+    ),
+    (
+        "faulty/churn-0.002/round-robin",
+        0xb742036c28e37a07,
+        318,
+        5,
+        true,
+        319,
+    ),
+    (
+        "faulty/churn-0.002/wakeup",
+        0x162cd4cc35094631,
+        156,
+        1,
+        true,
+        327,
     ),
 ];
 
