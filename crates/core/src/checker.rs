@@ -19,7 +19,7 @@
 //! round `T` with high probability.
 //!
 //! [`PropertyChecker`] implements the radio engine's streaming
-//! [`Probe`] hook and verifies, round by round and with O(n) memory:
+//! [`Probe`] hook and verifies, round by round:
 //!
 //! * **synch commit** — no node reverts from a round number to `⊥`;
 //! * **correctness** — a node outputting `i` outputs `i + 1` next round;
@@ -31,9 +31,16 @@
 //! [`PropertyChecker::finish`] copies them out of the [`ExecutionResult`],
 //! which reflects the engine's own `is_synchronized` calls.
 //!
-//! Each observed round scans all N node views, so an attached checker
-//! costs O(N) per round even where the engine's own round is
-//! O(active).
+//! The checker keeps no per-node state. The engine's feedback pass already
+//! compares every running node's output with its output of the round
+//! before and reports the breaks ([`RoundObservation::breaks`]) and the
+//! number of outputs that disagree with the round's first
+//! ([`RoundTally::disagreements`](wsync_radio::trace::RoundTally::disagreements)). So a
+//! clean round costs O(1), and a checked run stays O(active) like the
+//! engine; only a round with disagreements scans the N node views, to name
+//! the disagreeing nodes. Violations are recorded per round in the order
+//! agreement first, then synch commit and correctness in node order; the
+//! first 64 are kept and all are counted.
 
 use serde::{Deserialize, Serialize};
 
@@ -109,10 +116,10 @@ impl PropertyReport {
 /// counted.
 const MAX_RECORDED: usize = 64;
 
-/// Streaming probe that checks the synchronization properties online.
+/// Streaming probe that checks the synchronization properties online, from
+/// the output breaks and disagreement count the engine reports each round.
 #[derive(Debug, Clone)]
 pub struct PropertyChecker {
-    previous: Vec<Option<Option<u64>>>,
     violations: Vec<Violation>,
     total_violations: u64,
     rounds_observed: u64,
@@ -125,11 +132,9 @@ impl Default for PropertyChecker {
 }
 
 impl PropertyChecker {
-    /// Creates a checker. The node count is learned from the first observed
-    /// round.
+    /// Creates a checker.
     pub fn new() -> Self {
         PropertyChecker {
-            previous: Vec::new(),
             violations: Vec::new(),
             total_violations: 0,
             rounds_observed: 0,
@@ -163,56 +168,49 @@ impl PropertyChecker {
 
 impl Probe for PropertyChecker {
     fn observe(&mut self, observation: &RoundObservation<'_>) {
-        let n = observation.nodes.len();
-        if self.previous.len() < n {
-            self.previous.resize(n, None);
-        }
         self.rounds_observed += 1;
+        let disagreements = observation.tally.disagreements;
+        let breaks = observation.breaks;
+        if self.violations.len() >= MAX_RECORDED {
+            self.total_violations += u64::from(disagreements) + breaks.len() as u64;
+            return;
+        }
+        let round = observation.round;
 
-        // Agreement: all non-⊥ outputs in this round must be equal.
-        let mut first_output: Option<(NodeId, u64)> = None;
-        for (i, view) in observation.nodes.iter().enumerate() {
-            if let NodeView::Active { output: Some(v) } = view {
-                match first_output {
-                    None => first_output = Some((NodeId::new(i as u32), *v)),
-                    Some((fid, fv)) => {
-                        if fv != *v {
-                            let second = (NodeId::new(i as u32), *v);
-                            self.record(Violation::Agreement {
-                                round: observation.round,
-                                first: (fid, fv),
-                                second,
-                            });
-                        }
+        // Agreement: all non-⊥ outputs in this round must equal the first.
+        if disagreements > 0 {
+            let mut first_output: Option<(NodeId, u64)> = None;
+            for (i, view) in observation.nodes.iter().enumerate() {
+                if let NodeView::Active { output: Some(v) } = *view {
+                    let node = NodeId::new(i as u32);
+                    match first_output {
+                        None => first_output = Some((node, v)),
+                        Some(first) if first.1 != v => self.record(Violation::Agreement {
+                            round,
+                            first,
+                            second: (node, v),
+                        }),
+                        Some(_) => {}
                     }
                 }
             }
         }
 
-        // Synch commit and correctness: per-node transition checks.
-        for (i, view) in observation.nodes.iter().enumerate() {
-            let current: Option<Option<u64>> = view.output();
-            if let (Some(prev_active), Some(cur_active)) = (self.previous[i], current) {
-                match (prev_active, cur_active) {
-                    (Some(p), None) => {
-                        self.record(Violation::SynchCommit {
-                            node: NodeId::new(i as u32),
-                            round: observation.round,
-                            previous: p,
-                        });
-                    }
-                    (Some(p), Some(c)) if c != p + 1 => {
-                        self.record(Violation::Correctness {
-                            node: NodeId::new(i as u32),
-                            round: observation.round,
-                            previous: p,
-                            current: c,
-                        });
-                    }
-                    _ => {}
-                }
-            }
-            self.previous[i] = current;
+        // Synch commit and correctness: the engine's breaks, in node order.
+        for b in breaks {
+            self.record(match b.current {
+                None => Violation::SynchCommit {
+                    node: b.node,
+                    round,
+                    previous: b.previous,
+                },
+                Some(current) => Violation::Correctness {
+                    node: b.node,
+                    round,
+                    previous: b.previous,
+                    current,
+                },
+            });
         }
     }
 }
@@ -220,37 +218,81 @@ impl Probe for PropertyChecker {
 #[cfg(test)]
 mod checker_tests {
     use super::*;
-    use wsync_radio::adversary::DisruptionSet;
-    use wsync_radio::engine::NodeSummary;
+    use wsync_radio::action::Action;
+    use wsync_radio::activation::ActivationSchedule;
+    use wsync_radio::adversary::NoAdversary;
+    use wsync_radio::engine::{Engine, NodeSummary, SimConfig};
+    use wsync_radio::message::Feedback;
     use wsync_radio::metrics::SimMetrics;
-    use wsync_radio::trace::ActionView;
+    use wsync_radio::node::ActivationInfo;
+    use wsync_radio::protocol::Protocol;
+    use wsync_radio::rng::SimRng;
 
-    /// Feeds a sequence of per-round output vectors into the checker.
-    /// `None` = inactive, `Some(None)` = ⊥, `Some(Some(v))` = round number v.
-    fn run_rounds(rounds: &[Vec<Option<Option<u64>>>]) -> PropertyChecker {
-        let mut checker = PropertyChecker::new();
-        for (r, outputs) in rounds.iter().enumerate() {
-            let nodes: Vec<NodeView> = outputs
-                .iter()
-                .map(|o| match o {
-                    None => NodeView::Inactive,
-                    Some(out) => NodeView::Active { output: *out },
-                })
-                .collect();
-            let actions = vec![ActionView::Sleep; nodes.len()];
-            let disrupted = DisruptionSet::empty(1);
-            checker.observe(&RoundObservation {
-                round: r as u64,
-                newly_activated: &[],
-                actions: &actions,
-                nodes: &nodes,
-                disrupted: &disrupted,
-                deliveries: &[],
-                activity: &[],
-                tally: wsync_radio::trace::RoundTally::default(),
-            });
+    /// A node that sleeps every round and, after local round `k`, outputs
+    /// `script[k]`; it never reports itself synchronized, so the engine
+    /// runs every scripted round.
+    #[derive(Debug, Clone)]
+    struct Script {
+        script: Vec<Option<u64>>,
+        output: Option<u64>,
+    }
+
+    impl Protocol for Script {
+        type Msg = ();
+
+        fn on_activate(&mut self, _info: ActivationInfo, _rng: &mut SimRng) {
+            self.output = None;
         }
-        checker
+
+        fn choose_action(&mut self, _local_round: u64, _rng: &mut SimRng) -> Action<()> {
+            Action::Sleep
+        }
+
+        fn on_feedback(&mut self, local_round: u64, _feedback: Feedback<()>, _rng: &mut SimRng) {
+            self.output = self.script[local_round as usize];
+        }
+
+        fn output(&self) -> Option<u64> {
+            self.output
+        }
+
+        fn is_synchronized(&self) -> bool {
+            false
+        }
+    }
+
+    /// Drives a sequence of per-round output vectors through a real
+    /// engine with the checker attached. `None` = inactive, `Some(None)` =
+    /// ⊥, `Some(Some(v))` = round number v. A node runs from its first
+    /// `Some` entry to the end.
+    fn run_rounds(rounds: &[Vec<Option<Option<u64>>>]) -> PropertyChecker {
+        let n = rounds[0].len();
+        let activation: Vec<u64> = (0..n)
+            .map(|i| {
+                rounds
+                    .iter()
+                    .position(|outputs| outputs[i].is_some())
+                    .unwrap_or(rounds.len()) as u64
+            })
+            .collect();
+        let config = SimConfig::new(n, 1, 0).with_max_rounds(rounds.len() as u64);
+        let mut engine = Engine::new(
+            config,
+            |id| Script {
+                script: rounds[activation[id.index()] as usize..]
+                    .iter()
+                    .map(|outputs| outputs[id.index()].expect("a node runs once activated"))
+                    .collect(),
+                output: None,
+            },
+            NoAdversary::new(),
+            ActivationSchedule::Explicit(activation.clone()),
+            0,
+        )
+        .unwrap();
+        let slot = engine.attach_probe(Box::new(PropertyChecker::new()));
+        assert_eq!(engine.run().rounds_executed, rounds.len() as u64);
+        engine.take_probes().take(slot).expect("checker slot")
     }
 
     fn fake_result(all_synchronized: bool) -> ExecutionResult {
@@ -357,25 +399,7 @@ mod checker_tests {
         for i in 0..100 {
             rounds.push(vec![Some(Some(if i % 2 == 0 { 5 } else { 3 }))]);
         }
-        let mut checker = PropertyChecker::new();
-        for (r, outputs) in rounds.iter().enumerate() {
-            let nodes: Vec<NodeView> = outputs
-                .iter()
-                .map(|o| NodeView::Active { output: o.unwrap() })
-                .collect();
-            let actions = vec![ActionView::Sleep; nodes.len()];
-            let disrupted = DisruptionSet::empty(1);
-            checker.observe(&RoundObservation {
-                round: r as u64,
-                newly_activated: &[],
-                actions: &actions,
-                nodes: &nodes,
-                disrupted: &disrupted,
-                deliveries: &[],
-                activity: &[],
-                tally: wsync_radio::trace::RoundTally::default(),
-            });
-        }
+        let checker = run_rounds(&rounds);
         let report = checker.finish(&fake_result(false));
         assert_eq!(report.violations.len(), 64);
         assert_eq!(report.total_violations, 99);

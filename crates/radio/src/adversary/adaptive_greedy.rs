@@ -139,6 +139,7 @@ mod tests {
             disrupted: &disrupted,
             deliveries: &[],
             activity: &activity,
+            breaks: &[],
             tally: RoundTally::default(),
         });
     }

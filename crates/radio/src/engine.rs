@@ -32,21 +32,25 @@
 //! O(active + touched) per-node and per-frequency work plus O(⌈F/64⌉) word
 //! operations for the band bookkeeping — at most 32 words for any band in
 //! this workspace — with no sort and no heap allocation. The engine still
-//! owns reusable structure-of-arrays buffers (per-node action/payload/view
-//! slots, per-frequency occupancy counters and the per-frequency activity
-//! record) sized O(N + F) once at construction; only the *passes* are
-//! sparse. The adversary fills an engine-owned [`DisruptionSet`], itself a
-//! word bitset, whose words the engine ORs into the touched words. The
-//! per-node passes bind every array they touch to a local slice once per
-//! pass and keep the round's action tallies and the synchronized count in
-//! locals. Nothing of the round is copied or retained by the engine:
-//! probes and the adversary read the observation in place.
+//! owns reusable structure-of-arrays buffers (per-node action and view
+//! slots, per-frequency occupancy counters, payload slots and the
+//! per-frequency activity record) sized O(N + F) once at construction,
+//! plus output-break slots grown to the largest active set; only the
+//! *passes* are sparse. The adversary fills an engine-owned
+//! [`DisruptionSet`], itself a word bitset, whose words the engine ORs into
+//! the touched words. The per-node passes bind every array they touch to a
+//! local slice once per pass and keep the round's action tallies and the
+//! synchronized count in locals. Nothing of the round is copied or retained
+//! by the engine: probes and the adversary read the observation in place.
 //!
-//! The O(active) bound is the engine's alone: a probe that scans
-//! [`RoundObservation::nodes`] (the property checker does) reads all N
-//! node views every round. The workspace benchmark (`perfbench/`)
-//! measures the engine's ns and heap allocations per round on the
-//! production path.
+//! The feedback pass also checks each running node's new output against
+//! the view it overwrites — the output of the round before — and hands the
+//! round's [`OutputBreak`]s and [`RoundTally::disagreements`] to the
+//! probes, so the property checker costs O(1) in a clean round and the
+//! checked run stays O(active). A probe that scans
+//! [`RoundObservation::nodes`] still reads all N node views. The workspace
+//! benchmark (`perfbench/`) measures the engine's ns and heap allocations
+//! per round on the production path.
 
 use crate::action::Action;
 use crate::activation::ActivationSchedule;
@@ -61,7 +65,7 @@ use crate::probe::{Probe, ProbeStack};
 use crate::protocol::Protocol;
 use crate::rng::{SimRng, StreamId};
 use crate::trace::{
-    ActionView, Delivery, FrequencyActivity, NodeView, RoundObservation, RoundTally,
+    ActionView, Delivery, FrequencyActivity, NodeView, OutputBreak, RoundObservation, RoundTally,
 };
 
 use serde::{Deserialize, Serialize};
@@ -222,30 +226,40 @@ impl ExecutionResult {
 /// Reusable per-round working memory, so that steady-state round dispatch
 /// performs no heap allocation.
 ///
-/// The per-node arrays (`actions`, `payloads`, `node_views`) are indexed by
-/// node index and persist across rounds: every *active* node overwrites its
-/// slot each round, a slot belonging to a not-yet-activated node keeps its
-/// initial `Inactive`/`None` value, and a crashed node's slot is written
-/// `Crashed` once at the crash transition and left alone while it is down.
+/// The per-node arrays (`actions`, `node_views`) are indexed by node index
+/// and persist across rounds: every *active* node overwrites its slot each
+/// round, a slot belonging to a not-yet-activated node keeps its initial
+/// `Inactive` value, and a crashed node's slot is written `Crashed` once at
+/// the crash transition and left alone while it is down. So at the top of
+/// the feedback pass a running node's view still holds its output of the
+/// round before, or `Inactive`/`Crashed` if it did not run then.
 /// The per-frequency arrays are flat structure-of-arrays counters reset
 /// *sparsely* at the top of each round: only the frequencies touched last
 /// round (occupied by some node or disrupted by the adversary — the set
 /// bits of `touched`) are rewritten, so the reset costs O(touched) slot
-/// writes plus a walk of the ⌈F/64⌉ words. `activity` is the round's
-/// per-frequency resolution record, which probes and the adversary observe
-/// by reference; entries for untouched frequencies hold the all-quiet
-/// value. `disrupted` is the bitset the adversary fills, emptied word by
-/// word.
+/// writes plus a walk of the ⌈F/64⌉ words. `payloads` holds one message
+/// per frequency, written by the frequency's first broadcaster of the
+/// round — the only payload a delivery can carry — and never reset, since
+/// it is read only on a frequency that delivered this round. `activity` is
+/// the round's per-frequency resolution record, which probes and the
+/// adversary observe by reference; entries for untouched frequencies hold
+/// the all-quiet value. `disrupted` is the bitset the adversary fills,
+/// emptied word by word.
 struct RoundScratch<M> {
     /// Nodes newly activated this round.
     newly_activated: Vec<NodeId>,
     /// Per-node action view, indexed by node index.
     actions: Vec<ActionView>,
-    /// Per-node broadcast payload slot, indexed by node index. `Some` only
-    /// for nodes that broadcast this round.
-    payloads: Vec<Option<M>>,
     /// Per-node observer view, indexed by node index.
     node_views: Vec<NodeView>,
+    /// Slots for the round's output breaks. The feedback pass writes them
+    /// from slot 0 up, in node order, after growing the slots to the
+    /// active-set size (a node breaks at most once per round), so the pass
+    /// itself never allocates; the observation borrows the slots it wrote.
+    breaks: Vec<OutputBreak>,
+    /// Per-frequency payload of the round's first broadcaster (0-based
+    /// frequency index); meaningful only on frequencies that delivered.
+    payloads: Vec<Option<M>>,
     /// Per-frequency broadcaster count (0-based frequency index).
     broadcasters: Vec<u32>,
     /// Per-frequency listener count (0-based frequency index).
@@ -286,8 +300,9 @@ impl<M> RoundScratch<M> {
         RoundScratch {
             newly_activated: Vec::new(),
             actions: vec![ActionView::Inactive; num_nodes],
-            payloads: (0..num_nodes).map(|_| None).collect(),
             node_views: vec![NodeView::Inactive; num_nodes],
+            breaks: Vec::new(),
+            payloads: (0..num_frequencies).map(|_| None).collect(),
             broadcasters: vec![0; num_frequencies],
             listeners: vec![0; num_frequencies],
             solo_broadcaster: vec![0; num_frequencies],
@@ -318,8 +333,9 @@ impl<M> RoundScratch<M> {
         }
         self.disrupted.clear();
         self.tally = RoundTally::default();
-        // `solo_broadcaster`, `actions`, `payloads` and `node_views` are
-        // overwritten where meaningful; stale entries are never read.
+        // `solo_broadcaster`, `payloads`, `actions`, `node_views` and the
+        // `breaks` slots are overwritten where meaningful; stale entries
+        // are never read.
     }
 }
 
@@ -601,7 +617,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                         self.in_active[i] = false;
                         removed = true;
                         self.scratch.actions[i] = ActionView::Crashed;
-                        self.scratch.payloads[i] = None;
                         self.scratch.node_views[i] = NodeView::Crashed;
                         self.down_count += 1;
                         if self.counted_synced[i] {
@@ -638,7 +653,6 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                 if has_faults && self.faults.is_down(NodeId::new(node)) {
                     let i = node as usize;
                     self.scratch.actions[i] = ActionView::Crashed;
-                    self.scratch.payloads[i] = None;
                     self.scratch.node_views[i] = NodeView::Crashed;
                     self.down_count += 1;
                 } else {
@@ -678,10 +692,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
 
         // 2. Actions: one pass over the active set (sorted, so protocol
         // and per-node RNG calls stay in node order), filling the flat
-        // per-node action/payload slots and the per-frequency occupancy
-        // counters, and marking each chosen frequency touched. Every array
-        // is bound to a local slice once, and the action tallies live in
-        // locals until the pass ends.
+        // per-node action slots, the per-frequency occupancy counters and
+        // each frequency's first payload, and marking each chosen frequency
+        // touched. Every array is bound to a local slice once, and the
+        // action tallies live in locals until the pass ends.
         let RoundScratch {
             actions,
             payloads,
@@ -715,9 +729,9 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                     let fi = frequency.as_zero_based();
                     touched[fi / 64] |= 1 << (fi % 64);
                     actions[i] = ActionView::Broadcast(frequency);
-                    payloads[i] = Some(message);
                     if broadcasters[fi] == 0 {
                         solo_broadcaster[fi] = node;
+                        payloads[fi] = Some(message);
                     }
                     broadcasters[fi] += 1;
                     broadcasts += 1;
@@ -730,13 +744,11 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                     let fi = frequency.as_zero_based();
                     touched[fi / 64] |= 1 << (fi % 64);
                     actions[i] = ActionView::Listen(frequency);
-                    payloads[i] = None;
                     listeners[fi] += 1;
                     listens += 1;
                 }
                 Action::Sleep => {
                     actions[i] = ActionView::Sleep;
-                    payloads[i] = None;
                     sleeps += 1;
                 }
             }
@@ -841,13 +853,18 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         // on a delivering frequency receives the payload of that
         // frequency's single broadcaster. Crashed nodes are not in the
         // set: their `Crashed` view was written at the crash transition
-        // and persists untouched while they are down. As in the actions
-        // pass, the arrays are local slices and the synchronized count is
-        // a local until the pass ends.
+        // and persists untouched while they are down. Each node's new
+        // output is checked against the view it overwrites: a number must
+        // be followed by the next number, or the node's `OutputBreak` is
+        // written to the next `breaks` slot, and every non-⊥ output is
+        // compared with the round's first. As in the actions pass, the
+        // arrays are local slices, and the synchronized count, the break
+        // count and the disagreement count are locals.
         let RoundScratch {
             actions,
-            payloads,
             node_views,
+            breaks,
+            payloads,
             solo_broadcaster,
             activity,
             deliveries,
@@ -855,9 +872,21 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             tally,
             ..
         } = &mut self.scratch;
-        let (actions, payloads, node_views) = (&actions[..], &payloads[..], &mut node_views[..]);
-        let (solo_broadcaster, activity, delivery_slot) =
-            (&solo_broadcaster[..], &activity[..], &delivery_slot[..]);
+        if breaks.len() < self.active.len() {
+            let filler = OutputBreak {
+                node: NodeId::new(0),
+                previous: 0,
+                current: None,
+            };
+            breaks.resize(self.active.len(), filler);
+        }
+        let (actions, node_views, breaks) = (&actions[..], &mut node_views[..], &mut breaks[..]);
+        let (payloads, solo_broadcaster, activity, delivery_slot) = (
+            &payloads[..],
+            &solo_broadcaster[..],
+            &activity[..],
+            &delivery_slot[..],
+        );
         let (protocols, node_rngs, local_base) = (
             &mut self.protocols[..],
             &mut self.node_rngs[..],
@@ -866,6 +895,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         let (sync_round, counted_synced) = (&mut self.sync_round[..], &mut self.counted_synced[..]);
         let faults = &mut self.faults;
         let mut synced_count = self.synced_count;
+        let (mut breaks_found, mut first_output, mut disagreements) = (0usize, None, 0u32);
         for &node in &self.active {
             let i = node as usize;
             let local_round = round - local_base[i];
@@ -912,10 +942,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                                 Feedback::Received(Received {
                                     sender: NodeId::new(sender),
                                     frequency: freq,
-                                    payload: payloads[sender as usize]
+                                    payload: payloads[fi]
                                         .clone()
-                                        // lint:allow(panicky-library): the occupancy pass only marks a frequency delivered when its solo broadcaster stored a payload this round
-                                        .expect("delivering sender has a payload"),
+                                        // lint:allow(panicky-library): the occupancy pass only marks a frequency delivered when its solo broadcaster stored its payload this round
+                                        .expect("a delivering frequency has a payload"),
                                 })
                             }
                         }
@@ -927,6 +957,24 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             let output = protocol.output();
             if output.is_some() && sync_round[i].is_none() {
                 sync_round[i] = Some(round);
+            }
+            if let NodeView::Active {
+                output: Some(previous),
+            } = node_views[i]
+            {
+                if output != Some(previous + 1) {
+                    breaks[breaks_found] = OutputBreak {
+                        node: NodeId::new(node),
+                        previous,
+                        current: output,
+                    };
+                    breaks_found += 1;
+                }
+            }
+            if let Some(value) = output {
+                if value != *first_output.get_or_insert(value) {
+                    disagreements += 1;
+                }
             }
             node_views[i] = NodeView::Active { output };
             // `on_feedback` is the last protocol call of the round, so the
@@ -943,6 +991,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             }
         }
         self.synced_count = synced_count;
+        tally.disagreements = disagreements;
 
         // 6. Observation fan-out: one borrowed view of the resolved round
         // streams through the probe pipeline — the metrics fold and the
@@ -957,6 +1006,7 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             disrupted: &self.scratch.disrupted,
             deliveries: &self.scratch.deliveries,
             activity: &self.scratch.activity,
+            breaks: &self.scratch.breaks[..breaks_found],
             tally: self.scratch.tally,
         };
         self.metrics.observe(&observation);

@@ -167,6 +167,7 @@ mod tests {
             disrupted,
             deliveries: &[],
             activity: &[],
+            breaks: &[],
             tally: RoundTally::default(),
         }
     }

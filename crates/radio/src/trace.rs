@@ -6,9 +6,12 @@
 //! as one borrowed [`RoundObservation`] over its reusable
 //! structure-of-arrays scratch.
 //! The `wsync-core` property checker consumes the same stream to verify
-//! the five requirements of the wireless synchronization problem online
-//! with O(n) memory; [`FullTrace`] records everything and is intended for
-//! tests and debugging of small executions.
+//! the five requirements of the wireless synchronization problem online:
+//! the engine already compares each running node's output with the one
+//! before it ([`RoundObservation::breaks`]) and counts the round's
+//! disagreeing outputs ([`RoundTally::disagreements`]), so a clean round
+//! costs the checker O(1). [`FullTrace`] records everything and is intended
+//! for tests and debugging of small executions.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,6 +134,26 @@ pub struct RoundTally {
     /// Nodes that woke from a crash at the beginning of this round with
     /// freshly reset protocol state.
     pub restarted_nodes: u32,
+    /// Active nodes whose non-`⊥` output differs from the round's first
+    /// non-`⊥` output in node order: zero exactly when every non-`⊥`
+    /// output of the round agrees. Outcome metrics do not fold it.
+    pub disagreements: u32,
+}
+
+/// One node's break in its output sequence, found by the engine's
+/// feedback pass: the node output the number `previous` in the round
+/// before and, in this round, `current`, which is `⊥` (`None`, a synch
+/// commit break) or a number other than `previous + 1` (a correctness
+/// break). Crashed and not-yet-activated nodes have no output, so a node
+/// breaks only between two rounds it ran in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutputBreak {
+    /// The node.
+    pub node: NodeId,
+    /// Its output in the round before.
+    pub previous: u64,
+    /// Its output in this round.
+    pub current: Option<u64>,
 }
 
 /// Everything a probe sees about one completed round.
@@ -155,6 +178,8 @@ pub struct RoundObservation<'a> {
     /// Per-frequency resolution of the round, indexed by 0-based frequency
     /// index.
     pub activity: &'a [FrequencyActivity],
+    /// The round's output breaks, in node order (empty in a clean round).
+    pub breaks: &'a [OutputBreak],
     /// Flat aggregate counters of the round.
     pub tally: RoundTally,
 }
@@ -251,6 +276,7 @@ mod tests {
             disrupted,
             deliveries,
             activity: &[],
+            breaks: &[],
             tally: RoundTally::default(),
         }
     }

@@ -184,12 +184,23 @@ pub(crate) fn respond_error(
     reason: &str,
     message: &str,
 ) -> io::Result<()> {
+    respond_error_with(stream, status, reason, &[], message)
+}
+
+/// [`respond_error`] with extra response headers (e.g. `Retry-After`).
+pub(crate) fn respond_error_with(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &str,
+    extra_headers: &[(&str, &str)],
+    message: &str,
+) -> io::Result<()> {
     let body = wsync_core::json::Value::Object(vec![(
         "error".to_string(),
         wsync_core::json::Value::Str(message.to_string()),
     )])
     .to_json_compact();
-    respond_json(stream, status, reason, &body)
+    respond_json_with(stream, status, reason, extra_headers, &body)
 }
 
 /// Starts a close-delimited ndjson stream: status line and headers only.

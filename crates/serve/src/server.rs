@@ -14,7 +14,10 @@
 //!   and scheduled onto the fabric — worker threads claim store shards
 //!   via the same lease files OS-process workers use, so a daemon and a
 //!   `run_experiments --workers` fleet can even share one store
-//!   directory. Responds immediately with the job id.
+//!   directory. Responds immediately with the job id, or with `429 Too
+//!   Many Requests` and `Retry-After` while [`MAX_RUNNING_JOBS`] jobs are
+//!   running, so posted sweeps cannot grow the daemon's threads without
+//!   bound.
 //! * `GET /jobs/<id>` — streams the job's progress (worker events,
 //!   per-point aggregates, probe outputs) as close-delimited JSON lines.
 //! * `GET /catalog`, `GET /healthz`, `GET /metrics` — the registry's
@@ -45,7 +48,7 @@ use wsync_core::sweep::{SweepError, SweepRunner};
 
 use crate::clock::{Deadline, Stopwatch};
 use crate::http::{self, Request, RequestError};
-use crate::jobs::{Job, JobRegistry};
+use crate::jobs::{Job, JobRegistry, MAX_RUNNING_JOBS};
 use crate::metrics::Metrics;
 
 /// Most seeds one synchronous `POST /run` may ask for; larger ensembles
@@ -61,6 +64,11 @@ pub const DEFAULT_MAX_HANDLERS: usize = 64;
 /// `503`: synchronous runs are short, so "come back in a second" is the
 /// honest hint.
 const RETRY_AFTER_SECS: &str = "1";
+
+/// The `Retry-After` value (seconds) sent with a `POST /sweep` refused
+/// because [`MAX_RUNNING_JOBS`] sweep jobs are running: a sweep takes
+/// longer than a synchronous run, so the hint is longer too.
+const JOB_RETRY_AFTER_SECS: &str = "5";
 
 /// How long an admitted connection has to deliver its whole request. A
 /// client that sends nothing for 2 s, or has not finished by this deadline,
@@ -273,9 +281,7 @@ fn refuse_connection(
     extra_headers: &[(&str, &str)],
     message: &str,
 ) -> std::io::Result<()> {
-    let body = Value::Object(vec![("error".to_string(), Value::Str(message.to_string()))])
-        .to_json_compact();
-    http::respond_json_with(stream, status, reason, extra_headers, &body)?;
+    http::respond_error_with(stream, status, reason, extra_headers, message)?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let drain = Deadline::after(REFUSAL_DRAIN);
     let mut scratch = [0u8; 1024];
@@ -571,7 +577,15 @@ fn handle_sweep(
         Ok(parts) => parts,
         Err(e) => return http::respond_error(stream, 400, "Bad Request", &e.to_string()),
     };
-    let job = state.jobs.create();
+    let Some(job) = state.jobs.try_create() else {
+        return http::respond_error_with(
+            stream,
+            429,
+            "Too Many Requests",
+            &[("Retry-After", JOB_RETRY_AFTER_SECS)],
+            &format!("{MAX_RUNNING_JOBS} sweep jobs are already running; retry once one finishes"),
+        );
+    };
     push_event(
         &job,
         vec![
@@ -665,10 +679,22 @@ fn worker_event_fields(holder: &str, event: &WorkerEvent) -> Vec<(String, Value)
     fields
 }
 
+/// Finishes its job when dropped — including when the sweep panics, so a
+/// crashed job can never keep its running-job slot or leave its streams
+/// open.
+struct FinishOnDrop<'a>(&'a Job);
+
+impl Drop for FinishOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.finish();
+    }
+}
+
 /// The sweep-job orchestration: fabric worker threads drain the sweep
 /// against the shared store directory, then a resume pass aggregates and
 /// streams per-point stats and probe outputs into the job log.
 fn run_sweep_job(state: &State, job: &Job, sweep: SweepSpec) {
+    let _finish = FinishOnDrop(job);
     let watch = Stopwatch::start();
     let store_dir: &Path = &state.store_dir;
     std::thread::scope(|scope| {
@@ -691,7 +717,6 @@ fn run_sweep_job(state: &State, job: &Job, sweep: SweepSpec) {
     if let Err(message) = aggregate_sweep(state, job, &sweep, &watch) {
         push_error(job, message);
     }
-    job.finish();
 }
 
 /// The post-fabric aggregation pass: re-reads the store, streams
@@ -842,5 +867,66 @@ fn handle_job_stream(state: &State, stream: &mut TcpStream, id: &str) -> std::io
             return stream.flush();
         }
         std::thread::sleep(JOB_POLL);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+
+    fn post_sweep(addr: SocketAddr) -> String {
+        let body = r#"{"base": {"protocol": "trapdoor", "num_nodes": 4,
+            "num_frequencies": 4, "disruption_bound": 1}, "seeds": {"start": 0, "end": 2}}"#;
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write!(
+            stream,
+            "POST /sweep HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .expect("send");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("receive");
+        response
+    }
+
+    #[test]
+    fn a_sweep_past_the_running_job_cap_is_answered_429() {
+        let store_dir =
+            std::env::temp_dir().join(format!("wsync-serve-job-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            store_dir,
+            fabric_workers: 1,
+            max_handlers: 4,
+        })
+        .expect("bind");
+        let addr = server.local_addr().expect("local_addr");
+        let state = Arc::clone(&server.state);
+        // Hold every slot, as that many running jobs would.
+        let held: Vec<Arc<Job>> = (0..MAX_RUNNING_JOBS)
+            .map(|_| state.jobs.try_create().expect("a slot is free"))
+            .collect();
+        std::thread::spawn(move || server.run());
+
+        let refused = post_sweep(addr);
+        assert!(
+            refused.starts_with("HTTP/1.1 429 Too Many Requests\r\n"),
+            "{refused}"
+        );
+        assert!(refused.contains("\r\nRetry-After: 5\r\n"), "{refused}");
+        assert_eq!(
+            state.jobs.total(),
+            MAX_RUNNING_JOBS,
+            "no job was registered"
+        );
+
+        held[0].finish();
+        let accepted = post_sweep(addr);
+        assert!(
+            accepted.starts_with("HTTP/1.1 202 Accepted\r\n"),
+            "{accepted}"
+        );
     }
 }

@@ -26,8 +26,11 @@
 //!
 //! and paste the printed table over `GOLDEN`.
 
+mod reference_checker;
+
 use wireless_sync::prelude::*;
 use wireless_sync::radio::activation::ActivationSchedule;
+use wireless_sync::sync::registry::{self, CatalogueProtocol};
 
 /// 64-bit FNV-1a, the digest of a full outcome's `Debug` rendering.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -386,6 +389,63 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
                 .and_then(|v| v.as_u64()),
             Some(probed.outcome.result.rounds_executed),
             "{name}: the trace probe missed rounds"
+        );
+    }
+}
+
+/// Runs `spec` as [`Sim`] does — on the engine typed over the catalogue
+/// node, with the spec's fault layers — with `PropertyChecker` and the
+/// two-scan reference attached, and returns both reports.
+fn reports_against_reference(spec: &ScenarioSpec, seed: u64) -> (PropertyReport, PropertyReport) {
+    let ctor = registry::resolve_protocol(spec.protocol.name())
+        .unwrap()
+        .instantiate(spec, &spec.protocol.params)
+        .unwrap();
+    match ctor(NodeId::new(0)) {
+        CatalogueProtocol::Trapdoor(node) => typed_reports(spec, seed, node),
+        CatalogueProtocol::GoodSamaritan(node) => typed_reports(spec, seed, node),
+    }
+}
+
+fn typed_reports<P: Protocol + Clone>(
+    spec: &ScenarioSpec,
+    seed: u64,
+    node: P,
+) -> (PropertyReport, PropertyReport) {
+    let adversary = registry::build_adversary(&spec.adversary, spec, seed).unwrap();
+    let mut engine = Engine::new(
+        spec.sim_config(),
+        |_| node.clone(),
+        adversary,
+        spec.activation.clone(),
+        seed,
+    )
+    .unwrap();
+    for fault in &spec.faults {
+        engine.attach_fault(registry::build_fault(fault, spec).unwrap());
+    }
+    reference_checker::run_both(&mut engine)
+}
+
+/// The checker fed by the engine's output breaks and disagreement count
+/// reports exactly what the two-scan reference derives from the node
+/// views, on every `GOLDEN` row (among them the single-frequency cell under
+/// fixed-band jamming, whose late joiners disagree with the early nodes)
+/// and every `FAULTY_GOLDEN` row (crashes and restarts included). Each
+/// report also equals the pinned `Sim` outcome's, so the run compared is
+/// the pinned one.
+#[test]
+fn the_engine_fed_checker_matches_the_two_scan_reference_on_every_golden_row() {
+    for (name, spec, seed) in golden_specs().into_iter().chain(faulty_golden_specs()) {
+        let (checker, reference) = reports_against_reference(&spec, seed);
+        assert_eq!(
+            checker, reference,
+            "{name}: the engine-fed checker disagrees with the two-scan reference"
+        );
+        assert_eq!(
+            checker,
+            run_spec(spec, seed).properties,
+            "{name}: the typed run with both checkers is not the pinned run"
         );
     }
 }

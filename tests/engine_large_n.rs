@@ -1,10 +1,12 @@
 //! The sparse-activity engine at large N: a staggered schedule wakes one
 //! node per round, so over a 2,000-round cap at most 2,000 of the N nodes
-//! are ever active, however large N is. The run goes through the bare
-//! `Engine::run` (no property checker, which scans all N nodes per round).
+//! are ever active, however large N is. Each cell runs twice: through the
+//! bare `Engine::run`, and through `Sim::run_one`, the checked path every
+//! spec, sweep, fabric and serve run takes, where the property checker
+//! reads the engine's output breaks instead of scanning the N node views.
 //! Only deterministic facts are asserted; CI runs this file in release
 //! under a time budget, which is what catches a regression back to
-//! O(N)-per-round scanning.
+//! O(N)-per-round scanning on either path.
 
 use wireless_sync::prelude::*;
 use wireless_sync::sync::registry;
@@ -12,7 +14,8 @@ use wireless_sync::sync::registry;
 const ROUNDS: u64 = 2_000;
 
 /// Runs the staggered Trapdoor cell (F=32, t=8, random adversary) at `n`
-/// nodes to the round cap and checks what the sparse engine guarantees.
+/// nodes to the round cap, bare and checked, and checks what the sparse
+/// engine guarantees.
 fn staggered_trapdoor_run(n: usize) {
     let spec = ScenarioSpec::new("trapdoor", n, 32, 8)
         .with_adversary("random")
@@ -37,6 +40,21 @@ fn staggered_trapdoor_run(n: usize) {
         result.metrics.max_active_nodes
     );
     assert!(result.metrics.deliveries > 0, "N={n}: no message delivered");
+
+    let outcome = Sim::from_spec(&spec).unwrap().run_one(seed);
+    assert_eq!(
+        outcome.result, result,
+        "N={n}: the checked run is not the bare engine's"
+    );
+    assert_eq!(
+        outcome.properties.rounds_observed, ROUNDS,
+        "N={n}: the checker missed rounds"
+    );
+    assert_eq!(
+        outcome.properties.total_violations, 0,
+        "N={n}: {:?}",
+        outcome.properties.violations
+    );
 }
 
 #[test]
