@@ -1046,11 +1046,14 @@ mod tests {
 
     fn adaptive_sweep() -> SweepSpec {
         use crate::sweep::{StopMetric, StoppingRule};
-        small_sweep().with_stop(
+        SweepSpec {
+            seed_end: 32,
+            ..small_sweep()
+        }
+        .with_stop(
             StoppingRule::new(StopMetric::SyncRate, 0.3)
                 .with_min_seeds(4)
-                .with_batch(4)
-                .with_max_seeds(32),
+                .with_batch(4),
         )
     }
 

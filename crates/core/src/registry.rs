@@ -231,13 +231,13 @@ fn trapdoor_config_from(
         spec.num_frequencies,
         spec.disruption_bound,
     );
-    if let Some(c) = reader.opt_f64("epoch_constant")? {
+    if let Some(c) = reader.opt("epoch_constant")? {
         config = config.with_epoch_constant(c);
     }
-    if let Some(c) = reader.opt_f64("final_epoch_constant")? {
+    if let Some(c) = reader.opt("final_epoch_constant")? {
         config = config.with_final_epoch_constant(c);
     }
-    match reader.opt_u32("frequency_limit")? {
+    match reader.opt("frequency_limit")? {
         Some(limit) => config = config.with_frequency_limit(limit),
         None => {
             if let Some(limit) = default_frequency_limit {
@@ -344,8 +344,8 @@ fn adaptive_greedy(
 
 fn bursty(spec: &ScenarioSpec, params: &Params, _: u64) -> Result<BoxedAdversary, SpecError> {
     let mut reader = ParamReader::new("bursty", params);
-    let period = reader.req_u64("period")?;
-    let burst_len = reader.req_u64("burst_len")?;
+    let period = reader.req("period")?;
+    let burst_len = reader.req("burst_len")?;
     reader.finish()?;
     let bad = |param: &str, expected, found: String| SpecError::BadParam {
         component: "bursty".to_string(),
@@ -380,7 +380,7 @@ fn oblivious_random(
     seed: u64,
 ) -> Result<BoxedAdversary, SpecError> {
     let mut reader = ParamReader::new("oblivious-random", params);
-    let t_actual = reader.req_u32("t_actual")?;
+    let t_actual: u32 = reader.req("t_actual")?;
     reader.finish()?;
     // Pre-sample a schedule long enough to cover the run without
     // repeating too quickly. The seed tweak and length are part of the
@@ -592,7 +592,7 @@ impl SimProbe for TraceProbe {
 
 fn trace_probe(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn SimProbe>, SpecError> {
     let mut reader = ParamReader::new("trace", params);
-    let max_rounds = reader.opt_u64("max_rounds")?;
+    let max_rounds = reader.opt("max_rounds")?;
     reader.finish()?;
     Ok(Box::new(TraceProbe {
         max_rounds,
@@ -624,7 +624,7 @@ fn require_probability(component: &str, param: &str, value: Option<f64>) -> Resu
 /// (default `0.0`, which changes nothing).
 fn drop_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("drop", params);
-    let rate = reader.opt_f64("drop_rate")?;
+    let rate = reader.opt("drop_rate")?;
     reader.finish()?;
     Ok(Box::new(DropLayer::new(require_probability(
         "drop",
@@ -637,7 +637,7 @@ fn drop_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, 
 /// `miss_rate` (default `0.0`, which changes nothing).
 fn capture_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("capture", params);
-    let rate = reader.opt_f64("miss_rate")?;
+    let rate = reader.opt("miss_rate")?;
     reader.finish()?;
     Ok(Box::new(CaptureLayer::new(require_probability(
         "capture",
@@ -652,11 +652,11 @@ fn capture_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer
 /// cross-group deliveries flow again.
 fn partition_fault(spec: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("partition", params);
-    let groups = match reader.opt_value("groups") {
+    let groups = match reader.opt("groups")? {
         Some(value) => parse_partition_groups(spec, value)?,
         None => Vec::new(),
     };
-    let heal_at = reader.opt_u64("heal_at")?;
+    let heal_at = reader.opt("heal_at")?;
     reader.finish()?;
     Ok(Box::new(PartitionLayer::new(
         spec.num_nodes,
@@ -709,8 +709,8 @@ fn parse_partition_groups(spec: &ScenarioSpec, value: &Value) -> Result<Vec<Vec<
 /// (default 8, must be positive).
 fn churn_fault(_: &ScenarioSpec, params: &Params) -> Result<Box<dyn FaultLayer>, SpecError> {
     let mut reader = ParamReader::new("churn", params);
-    let rate = reader.opt_f64("churn_rate")?;
-    let downtime = reader.opt_u64("downtime")?;
+    let rate = reader.opt("churn_rate")?;
+    let downtime = reader.opt("downtime")?;
     reader.finish()?;
     let rate = require_probability("churn", "churn_rate", rate)?;
     let downtime = downtime.unwrap_or(8);

@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::json::{self, JsonError, Value};
 use crate::params::next_power_of_two;
 use crate::sweep::StoppingRule;
+use field::FieldType;
 
 /// Error raised while building, decoding, or validating a simulation spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,6 +211,143 @@ impl From<JsonError> for SpecError {
     }
 }
 
+impl SpecError {
+    pub(crate) fn malformed(context: &str, message: String) -> Self {
+        SpecError::Malformed {
+            context: context.to_string(),
+            message,
+        }
+    }
+}
+
+/// The field reader every strict spec object decodes through: a scenario,
+/// its component objects and activation schedule, a sweep, its seed range,
+/// grid axes and stop rule, and `wsync-serve`'s `/run` envelope.
+///
+/// [`opt`](Self::opt) and [`req`](Self::req) mark a key as known and decode
+/// its value into the type the caller asks for (an integer, a string, an
+/// array, an object's members, or the raw [`Value`] for a nested decoder),
+/// naming the key if the value has another type. [`finish`](Self::finish)
+/// then rejects every key nothing read, so a typo such as `"strat"` for
+/// `"start"` fails instead of falling back to a default. Every error is a
+/// [`SpecError::Malformed`] that reads `<context>: <message>`.
+pub struct Fields<'a> {
+    context: &'a str,
+    members: &'a [(String, Value)],
+    known: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    /// Opens `value`, which must be an object, as the `context` object.
+    pub fn new(value: &'a Value, context: &'a str) -> Result<Self, SpecError> {
+        let members = value.as_object().ok_or_else(|| {
+            SpecError::malformed(
+                context,
+                format!("expected an object, found {}", value.type_name()),
+            )
+        })?;
+        Ok(Fields {
+            context,
+            members,
+            known: Vec::new(),
+        })
+    }
+
+    /// Marks `key` known and decodes its value, if the object has one.
+    pub fn opt<T: FieldType<'a>>(&mut self, key: &'static str) -> Result<Option<T>, SpecError> {
+        self.known.push(key);
+        self.members
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, value)| decode(value, self.context, key))
+            .transpose()
+    }
+
+    /// Marks `key` known and decodes its value, which the object must have.
+    pub fn req<T: FieldType<'a>>(&mut self, key: &'static str) -> Result<T, SpecError> {
+        self.opt(key)?.ok_or_else(|| {
+            SpecError::malformed(self.context, format!("missing required key \"{key}\""))
+        })
+    }
+
+    /// Rejects the first key that no [`opt`](Self::opt) or
+    /// [`req`](Self::req) call marked known, listing the known ones.
+    pub fn finish(self) -> Result<(), SpecError> {
+        match self
+            .members
+            .iter()
+            .find(|(key, _)| !self.known.contains(&key.as_str()))
+        {
+            None => Ok(()),
+            Some((key, _)) => Err(SpecError::malformed(
+                self.context,
+                format!(
+                    "unknown key \"{key}\"; accepted keys: {}",
+                    self.known.join(", ")
+                ),
+            )),
+        }
+    }
+}
+
+/// Decodes `value`, the `key` field of a `context` object, as a `T`.
+fn decode<'a, T: FieldType<'a>>(
+    value: &'a Value,
+    context: &str,
+    key: &str,
+) -> Result<T, SpecError> {
+    T::decode(value).ok_or_else(|| {
+        SpecError::malformed(
+            context,
+            format!(
+                "\"{key}\" must be {}, found {}",
+                T::EXPECTED,
+                value.type_name()
+            ),
+        )
+    })
+}
+
+mod field {
+    use crate::json::Value;
+
+    /// A type a [`Fields`](super::Fields) or `ParamReader` read decodes a
+    /// JSON value into.
+    pub trait FieldType<'a>: Sized {
+        /// What the value must be, as an error message says it.
+        const EXPECTED: &'static str;
+        /// The decoded value, or `None` when the value has another type.
+        fn decode(value: &'a Value) -> Option<Self>;
+    }
+
+    macro_rules! field_types {
+        ($($ty:ty: $expected:literal => $decode:expr;)*) => {$(
+            impl<'a> FieldType<'a> for $ty {
+                const EXPECTED: &'static str = $expected;
+                fn decode(value: &'a Value) -> Option<Self> {
+                    $decode(value)
+                }
+            }
+        )*};
+    }
+
+    field_types! {
+        &'a Value: "a value" => Some;
+        &'a str: "a string" => Value::as_str;
+        &'a [Value]: "an array" => Value::as_array;
+        &'a [(String, Value)]: "an object" => Value::as_object;
+        bool: "a bool" => Value::as_bool;
+        f64: "a number" => Value::as_f64;
+        u64: "a non-negative integer" => Value::as_u64;
+        u32: "a 32-bit non-negative integer" => |v: &Value| v.as_u64()?.try_into().ok();
+        usize: "a non-negative integer" => |v: &Value| v.as_u64()?.try_into().ok();
+        Option<u64>: "a non-negative integer or null" =>
+            |v: &Value| if let Value::Null = v { Some(None) } else { v.as_u64().map(Some) };
+        Vec<u64>: "an array of non-negative integers" =>
+            |v: &Value| v.as_array()?.iter().map(Value::as_u64).collect();
+    }
+}
+
 /// An ordered bag of named parameters for a protocol or adversary factory.
 ///
 /// Values are JSON [`Value`]s; factories read them through typed accessors
@@ -259,16 +397,6 @@ impl Params {
     fn to_value(&self) -> Value {
         Value::Object(self.0.clone())
     }
-
-    fn from_value(value: &Value, context: &str) -> Result<Self, SpecError> {
-        match value {
-            Value::Object(members) => Ok(Params(members.clone())),
-            other => Err(SpecError::Malformed {
-                context: context.to_string(),
-                message: format!("\"params\" must be an object, found {}", other.type_name()),
-            }),
-        }
-    }
 }
 
 /// A typed reader over a [`Params`] bag, bound to the component it
@@ -290,76 +418,28 @@ impl<'a> ParamReader<'a> {
         }
     }
 
-    fn bad(&self, param: &str, expected: &'static str, found: &Value) -> SpecError {
-        SpecError::BadParam {
-            component: self.component.to_string(),
-            param: param.to_string(),
-            expected,
-            found: format!("{} ({:?})", found.type_name(), found),
-        }
-    }
-
-    fn lookup(&mut self, key: &'static str) -> Option<&'a Value> {
+    /// An optional parameter, decoded as a `T` (a number, an integer, or
+    /// the raw [`Value`] for a shape the builder validates itself, such as
+    /// the partition layer's array-of-arrays `groups`).
+    pub fn opt<T: FieldType<'a>>(&mut self, key: &'static str) -> Result<Option<T>, SpecError> {
         self.allowed.push(key);
-        self.params.get(key)
-    }
-
-    /// An optional `f64` parameter (integers coerce).
-    pub fn opt_f64(&mut self, key: &'static str) -> Result<Option<f64>, SpecError> {
-        match self.lookup(key) {
+        match self.params.get(key) {
             None => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| self.bad(key, "a number", v)),
+            Some(v) => T::decode(v).map(Some).ok_or_else(|| SpecError::BadParam {
+                component: self.component.to_string(),
+                param: key.to_string(),
+                expected: T::EXPECTED,
+                found: format!("{} ({:?})", v.type_name(), v),
+            }),
         }
     }
 
-    /// An optional `u64` parameter.
-    pub fn opt_u64(&mut self, key: &'static str) -> Result<Option<u64>, SpecError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| self.bad(key, "a non-negative integer", v)),
-        }
-    }
-
-    /// An optional `u32` parameter.
-    pub fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, SpecError> {
-        match self.lookup(key) {
-            None => Ok(None),
-            Some(v) => match v.as_u64().and_then(|u| u32::try_from(u).ok()) {
-                Some(u) => Ok(Some(u)),
-                None => Err(self.bad(key, "a 32-bit non-negative integer", v)),
-            },
-        }
-    }
-
-    /// A required `u64` parameter.
-    pub fn req_u64(&mut self, key: &'static str) -> Result<u64, SpecError> {
-        self.opt_u64(key)?.ok_or_else(|| SpecError::MissingParam {
+    /// A required parameter, decoded as a `T`.
+    pub fn req<T: FieldType<'a>>(&mut self, key: &'static str) -> Result<T, SpecError> {
+        self.opt(key)?.ok_or_else(|| SpecError::MissingParam {
             component: self.component.to_string(),
             param: key.to_string(),
         })
-    }
-
-    /// A required `u32` parameter.
-    pub fn req_u32(&mut self, key: &'static str) -> Result<u32, SpecError> {
-        self.opt_u32(key)?.ok_or_else(|| SpecError::MissingParam {
-            component: self.component.to_string(),
-            param: key.to_string(),
-        })
-    }
-
-    /// An optional raw-[`Value`] parameter, for factories whose parameter
-    /// shapes the typed accessors cannot express (e.g. the partition fault
-    /// layer's array-of-arrays `groups`). The factory validates the shape
-    /// itself; reading through this method still marks the key as allowed
-    /// for [`finish`](ParamReader::finish).
-    pub fn opt_value(&mut self, key: &'static str) -> Option<&'a Value> {
-        self.lookup(key)
     }
 
     /// Rejects any parameter key that was never looked up.
@@ -429,51 +509,16 @@ impl ComponentSpec {
     /// Decodes from a JSON value (accepting both encodings produced by
     /// [`to_value`](Self::to_value)).
     pub fn from_value(value: &Value, context: &str) -> Result<Self, SpecError> {
-        match value {
-            Value::Str(name) => Ok(ComponentSpec::named(name.clone())),
-            Value::Object(members) => {
-                let mut name: Option<String> = None;
-                let mut params = Params::new();
-                for (key, v) in members {
-                    match key.as_str() {
-                        "name" => {
-                            name = Some(
-                                v.as_str()
-                                    .ok_or_else(|| SpecError::Malformed {
-                                        context: context.to_string(),
-                                        message: format!(
-                                            "\"name\" must be a string, found {}",
-                                            v.type_name()
-                                        ),
-                                    })?
-                                    .to_string(),
-                            );
-                        }
-                        "params" => params = Params::from_value(v, context)?,
-                        other => {
-                            return Err(SpecError::Malformed {
-                                context: context.to_string(),
-                                message: format!("unknown key \"{other}\""),
-                            })
-                        }
-                    }
-                }
-                Ok(ComponentSpec {
-                    name: name.ok_or_else(|| SpecError::Malformed {
-                        context: context.to_string(),
-                        message: "missing \"name\"".to_string(),
-                    })?,
-                    params,
-                })
-            }
-            other => Err(SpecError::Malformed {
-                context: context.to_string(),
-                message: format!(
-                    "expected a component name or {{\"name\", \"params\"}} object, found {}",
-                    other.type_name()
-                ),
-            }),
+        if let Value::Str(name) = value {
+            return Ok(ComponentSpec::named(name.clone()));
         }
+        let mut fields = Fields::new(value, context)?;
+        let component = ComponentSpec {
+            name: fields.req::<&str>("name")?.to_string(),
+            params: Params(fields.opt::<&[_]>("params")?.unwrap_or_default().to_vec()),
+        };
+        fields.finish()?;
+        Ok(component)
     }
 }
 
@@ -487,65 +532,6 @@ impl From<String> for ComponentSpec {
     fn from(name: String) -> Self {
         ComponentSpec::named(name)
     }
-}
-
-pub(crate) fn field_u64(value: &Value, field: &str) -> Result<u64, SpecError> {
-    value.as_u64().ok_or_else(|| SpecError::Malformed {
-        context: field.to_string(),
-        message: format!(
-            "expected a non-negative integer, found {}",
-            value.type_name()
-        ),
-    })
-}
-
-pub(crate) fn field_u32(value: &Value, field: &str) -> Result<u32, SpecError> {
-    field_u64(value, field)?
-        .try_into()
-        .map_err(|_| SpecError::Malformed {
-            context: field.to_string(),
-            message: "value exceeds 32 bits".to_string(),
-        })
-}
-
-pub(crate) fn field_usize(value: &Value, field: &str) -> Result<usize, SpecError> {
-    field_u64(value, field)?
-        .try_into()
-        .map_err(|_| SpecError::Malformed {
-            context: field.to_string(),
-            message: "value exceeds the address space".to_string(),
-        })
-}
-
-pub(crate) fn field_f64(value: &Value, field: &str) -> Result<f64, SpecError> {
-    value.as_f64().ok_or_else(|| SpecError::Malformed {
-        context: field.to_string(),
-        message: format!("expected a number, found {}", value.type_name()),
-    })
-}
-
-/// Rejects keys of `value` (when it is an object) outside `allowed` — so a
-/// typo like `"strat"` for `"start"` fails decoding instead of silently
-/// falling back to a default.
-pub(crate) fn reject_unknown_keys(
-    value: &Value,
-    context: &str,
-    allowed: &[&str],
-) -> Result<(), SpecError> {
-    if let Some(members) = value.as_object() {
-        for (key, _) in members {
-            if !allowed.contains(&key.as_str()) {
-                return Err(SpecError::Malformed {
-                    context: context.to_string(),
-                    message: format!(
-                        "unknown key \"{key}\"; accepted keys: {}",
-                        allowed.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Serializes an [`ActivationSchedule`] as a tagged JSON object (or a bare
@@ -589,79 +575,46 @@ fn activation_to_value(schedule: &ActivationSchedule) -> Value {
     }
 }
 
-/// Decodes an [`ActivationSchedule`] from its JSON encoding.
+/// Decodes an [`ActivationSchedule`] from its JSON encoding; a bare name
+/// stands for `{"kind": name}`.
 fn activation_from_value(value: &Value) -> Result<ActivationSchedule, SpecError> {
-    let context = "activation";
-    let malformed = |message: String| SpecError::Malformed {
-        context: context.to_string(),
-        message,
-    };
-    let kind = match value {
-        Value::Str(s) => s.as_str(),
-        Value::Object(_) => value
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| malformed("missing string \"kind\"".to_string()))?,
-        other => {
-            return Err(malformed(format!(
-                "expected a schedule name or tagged object, found {}",
-                other.type_name()
-            )))
+    let tagged;
+    let value = match value {
+        Value::Str(kind) => {
+            tagged = Value::Object(vec![("kind".to_string(), Value::Str(kind.clone()))]);
+            &tagged
         }
+        other => other,
     };
-    let known_keys: &[&str] = match kind {
-        "simultaneous" => &[],
-        "staggered" => &["gap"],
-        "batches" => &["batch_size", "gap"],
-        "uniform-window" => &["window"],
-        "poisson" => &["mean_gap"],
-        "late-joiner" => &["late"],
-        "explicit" => &["rounds"],
-        other => return Err(malformed(format!("unknown activation kind \"{other}\""))),
-    };
-    if let Value::Object(members) = value {
-        for (key, _) in members {
-            if key != "kind" && !known_keys.contains(&key.as_str()) {
-                return Err(malformed(format!(
-                    "unknown key \"{key}\" for activation kind \"{kind}\""
-                )));
-            }
-        }
-    }
-    let req = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| malformed(format!("activation kind \"{kind}\" requires \"{key}\"")))
-    };
-    Ok(match kind {
+    let mut fields = Fields::new(value, "activation")?;
+    let schedule = match fields.req("kind")? {
         "simultaneous" => ActivationSchedule::Simultaneous,
         "staggered" => ActivationSchedule::Staggered {
-            gap: field_u64(req("gap")?, "activation.gap")?,
+            gap: fields.req("gap")?,
         },
         "batches" => ActivationSchedule::Batches {
-            batch_size: field_usize(req("batch_size")?, "activation.batch_size")?,
-            gap: field_u64(req("gap")?, "activation.gap")?,
+            batch_size: fields.req("batch_size")?,
+            gap: fields.req("gap")?,
         },
         "uniform-window" => ActivationSchedule::UniformWindow {
-            window: field_u64(req("window")?, "activation.window")?,
+            window: fields.req("window")?,
         },
         "poisson" => ActivationSchedule::Poisson {
-            mean_gap: field_f64(req("mean_gap")?, "activation.mean_gap")?,
+            mean_gap: fields.req("mean_gap")?,
         },
         "late-joiner" => ActivationSchedule::LateJoiner {
-            late: field_u64(req("late")?, "activation.late")?,
+            late: fields.req("late")?,
         },
-        "explicit" => {
-            let rounds = req("rounds")?
-                .as_array()
-                .ok_or_else(|| malformed("\"rounds\" must be an array".to_string()))?
-                .iter()
-                .map(|v| field_u64(v, "activation.rounds"))
-                .collect::<Result<Vec<u64>, SpecError>>()?;
-            ActivationSchedule::Explicit(rounds)
+        "explicit" => ActivationSchedule::Explicit(fields.req("rounds")?),
+        other => {
+            return Err(SpecError::malformed(
+                "activation",
+                format!("unknown activation kind \"{other}\""),
+            ))
         }
-        _ => unreachable!("kind validated above"),
-    })
+    };
+    fields.finish()?;
+    Ok(schedule)
 }
 
 /// A complete, serializable description of one simulation cell: which
@@ -852,92 +805,37 @@ impl ScenarioSpec {
 
     /// Decodes from a JSON [`Value`], rejecting unknown keys.
     pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        let members = value.as_object().ok_or_else(|| SpecError::Malformed {
-            context: "scenario spec".to_string(),
-            message: format!("expected an object, found {}", value.type_name()),
-        })?;
-        let mut spec = ScenarioSpec::new("", 0, 0, 0);
-        let mut saw_protocol = false;
-        let mut saw_nodes = false;
-        let mut saw_freqs = false;
-        let mut saw_bound = false;
-        for (key, v) in members {
-            match key.as_str() {
-                "protocol" => {
-                    spec.protocol = ComponentSpec::from_value(v, "protocol")?;
-                    saw_protocol = true;
-                }
-                "adversary" => spec.adversary = ComponentSpec::from_value(v, "adversary")?,
-                "probes" => {
-                    let items = v.as_array().ok_or_else(|| SpecError::Malformed {
-                        context: "probes".to_string(),
-                        message: format!(
-                            "expected an array of probe components, found {}",
-                            v.type_name()
-                        ),
-                    })?;
-                    spec.probes = items
-                        .iter()
-                        .map(|item| ComponentSpec::from_value(item, "probes"))
-                        .collect::<Result<Vec<_>, SpecError>>()?;
-                }
-                "faults" => {
-                    let items = v.as_array().ok_or_else(|| SpecError::Malformed {
-                        context: "faults".to_string(),
-                        message: format!(
-                            "expected an array of fault components, found {}",
-                            v.type_name()
-                        ),
-                    })?;
-                    spec.faults = items
-                        .iter()
-                        .map(|item| ComponentSpec::from_value(item, "faults"))
-                        .collect::<Result<Vec<_>, SpecError>>()?;
-                }
-                "activation" => spec.activation = activation_from_value(v)?,
-                "num_nodes" => {
-                    spec.num_nodes = field_usize(v, "num_nodes")?;
-                    saw_nodes = true;
-                }
-                "num_frequencies" => {
-                    spec.num_frequencies = field_u32(v, "num_frequencies")?;
-                    saw_freqs = true;
-                }
-                "disruption_bound" => {
-                    spec.disruption_bound = field_u32(v, "disruption_bound")?;
-                    saw_bound = true;
-                }
-                "upper_bound_n" => {
-                    spec.upper_bound_n = match v {
-                        Value::Null => None,
-                        other => Some(field_u64(other, "upper_bound_n")?),
-                    }
-                }
-                "max_rounds" => spec.max_rounds = field_u64(v, "max_rounds")?,
-                "extra_rounds_after_sync" => {
-                    spec.extra_rounds_after_sync = field_u64(v, "extra_rounds_after_sync")?
-                }
-                other => {
-                    return Err(SpecError::Malformed {
-                        context: "scenario spec".to_string(),
-                        message: format!("unknown key \"{other}\""),
-                    })
-                }
-            }
-        }
-        for (seen, field) in [
-            (saw_protocol, "protocol"),
-            (saw_nodes, "num_nodes"),
-            (saw_freqs, "num_frequencies"),
-            (saw_bound, "disruption_bound"),
-        ] {
-            if !seen {
-                return Err(SpecError::Malformed {
-                    context: "scenario spec".to_string(),
-                    message: format!("missing required key \"{field}\""),
-                });
-            }
-        }
+        let mut fields = Fields::new(value, "scenario spec")?;
+        let components = |items: Option<&[Value]>, context| {
+            items
+                .unwrap_or_default()
+                .iter()
+                .map(|item| ComponentSpec::from_value(item, context))
+                .collect::<Result<Vec<_>, SpecError>>()
+        };
+        let defaults = ScenarioSpec::new("", 0, 0, 0);
+        let spec = ScenarioSpec {
+            protocol: ComponentSpec::from_value(fields.req("protocol")?, "protocol")?,
+            adversary: match fields.opt("adversary")? {
+                Some(v) => ComponentSpec::from_value(v, "adversary")?,
+                None => defaults.adversary,
+            },
+            probes: components(fields.opt("probes")?, "probes")?,
+            faults: components(fields.opt("faults")?, "faults")?,
+            activation: match fields.opt("activation")? {
+                Some(v) => activation_from_value(v)?,
+                None => defaults.activation,
+            },
+            num_nodes: fields.req("num_nodes")?,
+            num_frequencies: fields.req("num_frequencies")?,
+            disruption_bound: fields.req("disruption_bound")?,
+            upper_bound_n: fields.opt("upper_bound_n")?.flatten(),
+            max_rounds: fields.opt("max_rounds")?.unwrap_or(defaults.max_rounds),
+            extra_rounds_after_sync: fields
+                .opt("extra_rounds_after_sync")?
+                .unwrap_or(defaults.extra_rounds_after_sync),
+        };
+        fields.finish()?;
         Ok(spec)
     }
 
@@ -1044,23 +942,18 @@ impl SweepSpec {
         Ok(self.seed_start..self.seed_end)
     }
 
-    /// The seed range the sweep may actually consume. For a fixed-count
-    /// sweep this is [`seeds`](Self::seeds); with a stopping rule declared
-    /// it is `seed_start .. seed_start + max_seeds` — the rule's budget
-    /// replaces the declared count (and defaults to it when the rule omits
-    /// `max_seeds`). Every consumer of an adaptive sweep (in-process
-    /// runner, fabric workers, serving layer) derives its plan from this
-    /// one range, so they agree on batch boundaries by construction.
+    /// The seed range the sweep may consume: [`seeds`](Self::seeds), once
+    /// the stopping rule, if any, validates. With a rule the range is the
+    /// adaptive budget, not a promise of execution. Every consumer of a
+    /// sweep (in-process runner, fabric workers, serving layer) derives its
+    /// plan from this one range, so they agree on batch boundaries by
+    /// construction.
     pub fn effective_seeds(&self) -> Result<std::ops::Range<u64>, SpecError> {
-        let declared = self.seeds()?;
-        match &self.stop {
-            None => Ok(declared),
-            Some(rule) => {
-                rule.validate()?;
-                let budget = rule.max_seeds.unwrap_or(declared.end - declared.start);
-                Ok(declared.start..declared.start + budget)
-            }
+        let seeds = self.seeds()?;
+        if let Some(rule) = &self.stop {
+            rule.validate()?;
         }
+        Ok(seeds)
     }
 
     /// Expands the grid into its cross product of sweep points (outermost
@@ -1136,78 +1029,35 @@ impl SweepSpec {
 
     /// Decodes from a JSON [`Value`], rejecting unknown keys.
     pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        let members = value.as_object().ok_or_else(|| SpecError::Malformed {
-            context: "sweep spec".to_string(),
-            message: format!("expected an object, found {}", value.type_name()),
-        })?;
-        let mut base: Option<ScenarioSpec> = None;
-        let mut seeds: Option<(u64, u64)> = None;
-        let mut axes = Vec::new();
-        let mut stop: Option<StoppingRule> = None;
-        for (key, v) in members {
-            match key.as_str() {
-                "base" => base = Some(ScenarioSpec::from_value(v)?),
-                "stop" => stop = Some(StoppingRule::from_value(v)?),
-                "seeds" => {
-                    reject_unknown_keys(v, "seeds", &["start", "end"])?;
-                    let start = field_u64(v.get("start").unwrap_or(&Value::Int(0)), "seeds.start")?;
-                    let end = field_u64(
-                        v.get("end").ok_or_else(|| SpecError::Malformed {
-                            context: "seeds".to_string(),
-                            message: "missing \"end\"".to_string(),
-                        })?,
-                        "seeds.end",
-                    )?;
-                    seeds = Some((start, end));
-                }
-                "grid" => {
-                    let items = v.as_array().ok_or_else(|| SpecError::Malformed {
-                        context: "grid".to_string(),
-                        message: "expected an array of axes".to_string(),
-                    })?;
-                    for item in items {
-                        reject_unknown_keys(item, "grid axis", &["field", "values"])?;
-                        let field = item
-                            .get("field")
-                            .and_then(Value::as_str)
-                            .ok_or_else(|| SpecError::Malformed {
-                                context: "grid".to_string(),
-                                message: "axis needs a string \"field\"".to_string(),
-                            })?
-                            .to_string();
-                        let values = item
-                            .get("values")
-                            .and_then(Value::as_array)
-                            .ok_or_else(|| SpecError::Malformed {
-                                context: "grid".to_string(),
-                                message: "axis needs an array \"values\"".to_string(),
-                            })?
-                            .to_vec();
-                        axes.push(SweepAxis { field, values });
-                    }
-                }
-                other => {
-                    return Err(SpecError::Malformed {
-                        context: "sweep spec".to_string(),
-                        message: format!("unknown key \"{other}\""),
-                    })
-                }
-            }
-        }
-        let (seed_start, seed_end) = seeds.ok_or_else(|| SpecError::Malformed {
-            context: "sweep spec".to_string(),
-            message: "missing required key \"seeds\" ({\"start\", \"end\"})".to_string(),
-        })?;
+        let mut fields = Fields::new(value, "sweep spec")?;
+        let base = ScenarioSpec::from_value(fields.req("base")?)?;
+        let seeds = seeds_from_value(fields.req("seeds")?)?;
+        let axes = fields
+            .opt::<&[Value]>("grid")?
+            .unwrap_or_default()
+            .iter()
+            .map(|axis| {
+                let mut fields = Fields::new(axis, "grid axis")?;
+                let axis = SweepAxis::new(
+                    fields.req::<&str>("field")?,
+                    fields.req::<&[Value]>("values")?.to_vec(),
+                );
+                fields.finish()?;
+                Ok(axis)
+            })
+            .collect::<Result<_, SpecError>>()?;
+        let stop = match fields.opt("stop")? {
+            Some(v) => Some(StoppingRule::from_value(v)?),
+            None => None,
+        };
+        fields.finish()?;
         if let Some(rule) = &stop {
             rule.validate()?;
         }
         Ok(SweepSpec {
-            base: base.ok_or_else(|| SpecError::Malformed {
-                context: "sweep spec".to_string(),
-                message: "missing required key \"base\"".to_string(),
-            })?,
-            seed_start,
-            seed_end,
+            base,
+            seed_start: seeds.start,
+            seed_end: seeds.end,
             axes,
             stop,
         })
@@ -1222,6 +1072,16 @@ impl SweepSpec {
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         SweepSpec::from_value(&json::parse(text)?)
     }
+}
+
+/// Decodes a `{"start", "end"}` seed range, `start` defaulting to 0: a
+/// sweep's `"seeds"` and `wsync-serve`'s `/run` envelope share it. The
+/// range is not checked here; [`SweepSpec::seeds`] rejects an inverted one.
+pub fn seeds_from_value(value: &Value) -> Result<std::ops::Range<u64>, SpecError> {
+    let mut fields = Fields::new(value, "seeds")?;
+    let seeds = fields.opt("start")?.unwrap_or(0)..fields.req("end")?;
+    fields.finish()?;
+    Ok(seeds)
 }
 
 fn apply_sweep_value(spec: &mut ScenarioSpec, field: &str, value: &Value) -> Result<(), SpecError> {
@@ -1252,11 +1112,11 @@ fn apply_sweep_value(spec: &mut ScenarioSpec, field: &str, value: &Value) -> Res
         return Ok(());
     }
     match field {
-        "num_nodes" => spec.num_nodes = field_usize(value, field)?,
-        "num_frequencies" => spec.num_frequencies = field_u32(value, field)?,
-        "disruption_bound" => spec.disruption_bound = field_u32(value, field)?,
-        "upper_bound_n" => spec.upper_bound_n = Some(field_u64(value, field)?),
-        "max_rounds" => spec.max_rounds = field_u64(value, field)?,
+        "num_nodes" => spec.num_nodes = decode(value, "grid", field)?,
+        "num_frequencies" => spec.num_frequencies = decode(value, "grid", field)?,
+        "disruption_bound" => spec.disruption_bound = decode(value, "grid", field)?,
+        "upper_bound_n" => spec.upper_bound_n = Some(decode(value, "grid", field)?),
+        "max_rounds" => spec.max_rounds = decode(value, "grid", field)?,
         _ => {
             return Err(SpecError::UnknownSweepField {
                 field: field.to_string(),
@@ -1322,15 +1182,176 @@ mod tests {
         assert_eq!(spec.upper_bound_n, None);
     }
 
+    /// Every strict decoder, through the document it arrives in: an unknown
+    /// key, a missing required key and a mistyped value each fail with
+    /// `<context>: …` naming the key.
     #[test]
     fn unknown_keys_are_rejected() {
+        let scenario = |activation: &str| {
+            format!(
+                r#"{{"protocol": {{"name": "trapdoor", "params": {{}}}}, "activation": {activation},
+                    "num_nodes": 6, "num_frequencies": 8, "disruption_bound": 1}}"#
+            )
+        };
+        let sweep = r#"{"base": {"protocol": "trapdoor", "num_nodes": 6,
+                                 "num_frequencies": 8, "disruption_bound": 1},
+                        "seeds": {"start": 0, "end": 4},
+                        "grid": [{"field": "num_nodes", "values": [4, 8]}],
+                        "stop": {"metric": "sync_rate", "half_width": 0.1, "min_seeds": 4}}"#;
+        // (context, document, path to the object, a required key, a key
+        // and a value of the wrong type for it)
+        type Row<'a> = (&'a str, String, &'a [&'a str], &'a str, (&'a str, &'a str));
+        type Members = Vec<(String, Value)>;
+        let table: &[Row] = &[
+            (
+                "scenario spec",
+                scenario(r#""simultaneous""#),
+                &[],
+                "num_nodes",
+                ("num_frequencies", r#""8""#),
+            ),
+            (
+                "protocol",
+                scenario(r#""simultaneous""#),
+                &["protocol"],
+                "name",
+                ("params", "[]"),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "simultaneous"}"#),
+                &["activation"],
+                "kind",
+                ("kind", "1"),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "staggered", "gap": 3}"#),
+                &["activation"],
+                "gap",
+                ("gap", "-3"),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "batches", "batch_size": 2, "gap": 3}"#),
+                &["activation"],
+                "batch_size",
+                ("gap", "1.5"),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "uniform-window", "window": 9}"#),
+                &["activation"],
+                "window",
+                ("window", "true"),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "poisson", "mean_gap": 2.5}"#),
+                &["activation"],
+                "mean_gap",
+                ("mean_gap", r#""2.5""#),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "late-joiner", "late": 50}"#),
+                &["activation"],
+                "late",
+                ("late", "null"),
+            ),
+            (
+                "activation",
+                scenario(r#"{"kind": "explicit", "rounds": [0, 3]}"#),
+                &["activation"],
+                "rounds",
+                ("rounds", r#"[0, "3"]"#),
+            ),
+            (
+                "sweep spec",
+                sweep.to_string(),
+                &[],
+                "seeds",
+                ("grid", "{}"),
+            ),
+            (
+                "seeds",
+                sweep.to_string(),
+                &["seeds"],
+                "end",
+                ("start", r#""0""#),
+            ),
+            (
+                "grid axis",
+                sweep.to_string(),
+                &["grid", "0"],
+                "field",
+                ("values", "4"),
+            ),
+            (
+                "stop",
+                sweep.to_string(),
+                &["stop"],
+                "half_width",
+                ("min_seeds", r#""4""#),
+            ),
+        ];
+        fn object<'v>(value: &'v mut Value, path: &[&str]) -> &'v mut Members {
+            let value = path.iter().fold(value, |value, step| match value {
+                Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+                Value::Object(members) => {
+                    &mut members.iter_mut().find(|(k, _)| k == step).unwrap().1
+                }
+                other => panic!("no {step} in {other:?}"),
+            });
+            match value {
+                Value::Object(members) => members,
+                other => panic!("not an object: {other:?}"),
+            }
+        }
+        for (context, text, path, required, (mistyped, wrong)) in table {
+            let decode = |edit: &dyn Fn(&mut Members)| {
+                let mut value = json::parse(text).unwrap();
+                edit(object(&mut value, path));
+                match value.get("base") {
+                    Some(_) => SweepSpec::from_value(&value).map(drop),
+                    None => ScenarioSpec::from_value(&value).map(drop),
+                }
+            };
+            decode(&|_| {})
+                .unwrap_or_else(|e| panic!("{context}: the unedited document fails: {e}"));
+            let unknown = decode(&|members| members.push(("bogus".to_string(), Value::Int(1))));
+            let missing = decode(&|members| members.retain(|(k, _)| k != required));
+            let wrong = json::parse(wrong).unwrap();
+            let mistyped_value = decode(&|members| {
+                members.iter_mut().find(|(k, _)| k == mistyped).unwrap().1 = wrong.clone()
+            });
+            for (result, key) in [
+                (unknown, "bogus"),
+                (missing, *required),
+                (mistyped_value, *mistyped),
+            ] {
+                let err = result.expect_err(key);
+                assert!(matches!(err, SpecError::Malformed { .. }), "{err}");
+                let message = err.to_string();
+                assert!(
+                    message.starts_with(&format!("{context}: "))
+                        && message.contains(&format!("\"{key}\"")),
+                    "{context}/{key}: {message}"
+                );
+            }
+        }
+        // An unknown key is listed against the keys the object accepts.
         let err = ScenarioSpec::from_json(
             r#"{"protocol": "trapdoor", "num_nodes": 6, "num_frequencies": 8,
                 "disruption_bound": 1, "num_freqencies": 9}"#,
         )
         .unwrap_err();
-        assert!(matches!(err, SpecError::Malformed { .. }), "{err}");
-        assert!(err.to_string().contains("num_freqencies"));
+        assert!(
+            err.to_string().starts_with(
+                "scenario spec: unknown key \"num_freqencies\"; accepted keys: protocol, adversary,"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1438,7 +1459,7 @@ mod tests {
             .with("epoch_constant", 2.0)
             .with("burst", 3u64);
         let mut reader = ParamReader::new("trapdoor", &params);
-        assert_eq!(reader.opt_f64("epoch_constant").unwrap(), Some(2.0));
+        assert_eq!(reader.opt::<f64>("epoch_constant").unwrap(), Some(2.0));
         let err = reader.finish().unwrap_err();
         match err {
             SpecError::UnknownParam { param, .. } => assert_eq!(param, "burst"),
@@ -1448,14 +1469,14 @@ mod tests {
         let params = Params::new().with("t_actual", "two");
         let mut reader = ParamReader::new("oblivious-random", &params);
         assert!(matches!(
-            reader.req_u32("t_actual"),
+            reader.req::<u32>("t_actual"),
             Err(SpecError::BadParam { .. })
         ));
 
         let params = Params::new();
         let mut reader = ParamReader::new("oblivious-random", &params);
         assert!(matches!(
-            reader.req_u32("t_actual"),
+            reader.req::<u32>("t_actual"),
             Err(SpecError::MissingParam { .. })
         ));
     }

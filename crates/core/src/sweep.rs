@@ -53,7 +53,7 @@ use crate::json::Value;
 use crate::registry::ProbeOutput;
 use crate::report::SyncOutcome;
 use crate::sim::Sim;
-use crate::spec::{field_f64, field_u64, reject_unknown_keys, ScenarioSpec, SpecError, SweepSpec};
+use crate::spec::{Fields, ScenarioSpec, SpecError, SweepSpec};
 use crate::store::{ResultStore, StoreError};
 
 /// An error raised while orchestrating a sweep: either the spec side
@@ -288,9 +288,6 @@ pub struct StoppingRule {
     /// Smallest prefix length at which stopping is allowed (default `64`):
     /// guards against lucky early widths on tiny samples.
     pub min_seeds: u64,
-    /// Seed budget per point. `None` means the sweep's declared seed count
-    /// is the budget.
-    pub max_seeds: Option<u64>,
     /// Seeds per allocation batch (default `64`). Decisions happen only at
     /// multiples of this prefix length.
     pub batch: u64,
@@ -298,15 +295,13 @@ pub struct StoppingRule {
 
 impl StoppingRule {
     /// A rule watching `metric` with the given absolute target half-width
-    /// and the documented defaults (`min_seeds = 64`, `batch = 64`, no
-    /// budget override).
+    /// and the documented defaults (`min_seeds = 64`, `batch = 64`).
     pub fn new(metric: StopMetric, half_width: f64) -> Self {
         StoppingRule {
             metric,
             half_width,
             relative: false,
             min_seeds: 64,
-            max_seeds: None,
             batch: 64,
         }
     }
@@ -323,12 +318,6 @@ impl StoppingRule {
         self
     }
 
-    /// Builder-style seed budget.
-    pub fn with_max_seeds(mut self, max_seeds: u64) -> Self {
-        self.max_seeds = Some(max_seeds);
-        self
-    }
-
     /// Builder-style batch size.
     pub fn with_batch(mut self, batch: u64) -> Self {
         self.batch = batch;
@@ -337,10 +326,7 @@ impl StoppingRule {
 
     /// Validates the rule's numeric ranges.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let bad = |message: String| SpecError::Malformed {
-            context: "stop".to_string(),
-            message,
-        };
+        let bad = |message: String| SpecError::malformed("stop", message);
         if !(self.half_width.is_finite() && self.half_width > 0.0) {
             return Err(bad(format!(
                 "\"half_width\" must be a positive finite number, got {}",
@@ -352,14 +338,6 @@ impl StoppingRule {
         }
         if self.batch == 0 {
             return Err(bad("\"batch\" must be at least 1".to_string()));
-        }
-        if let Some(max) = self.max_seeds {
-            if max < self.min_seeds {
-                return Err(bad(format!(
-                    "\"max_seeds\" ({max}) must be at least \"min_seeds\" ({})",
-                    self.min_seeds
-                )));
-            }
         }
         Ok(())
     }
@@ -406,8 +384,8 @@ impl StoppingRule {
     }
 
     /// Serializes to a JSON [`Value`] (the `"stop"` member of a sweep
-    /// spec). `relative` is emitted only when set and `max_seeds` only when
-    /// present, so round-tripping preserves the written form.
+    /// spec). `relative` is emitted only when set, so round-tripping
+    /// preserves the written form.
     pub fn to_value(&self) -> Value {
         let mut members = vec![
             (
@@ -420,9 +398,6 @@ impl StoppingRule {
             members.push(("relative".to_string(), Value::Bool(true)));
         }
         members.push(("min_seeds".to_string(), self.min_seeds.into()));
-        if let Some(max) = self.max_seeds {
-            members.push(("max_seeds".to_string(), max.into()));
-        }
         members.push(("batch".to_string(), self.batch.into()));
         Value::Object(members)
     }
@@ -431,74 +406,27 @@ impl StoppingRule {
     /// ranges are *not* checked here — [`SweepSpec::from_value`] (and
     /// every execution entry point) calls [`validate`](Self::validate).
     pub fn from_value(value: &Value) -> Result<Self, SpecError> {
-        let malformed = |context: &str, message: String| SpecError::Malformed {
-            context: context.to_string(),
-            message,
-        };
-        if value.as_object().is_none() {
-            return Err(malformed(
-                "stop",
-                format!("expected an object, found {}", value.type_name()),
-            ));
-        }
-        reject_unknown_keys(
-            value,
-            "stop",
-            &[
-                "metric",
-                "half_width",
-                "relative",
-                "min_seeds",
-                "max_seeds",
-                "batch",
-            ],
-        )?;
-        let metric_name = value
-            .get("metric")
-            .and_then(Value::as_str)
-            .ok_or_else(|| malformed("stop", "missing string key \"metric\"".to_string()))?;
-        let metric = StopMetric::parse(metric_name).ok_or_else(|| {
+        let mut fields = Fields::new(value, "stop")?;
+        let name: &str = fields.req("metric")?;
+        let metric = StopMetric::parse(name).ok_or_else(|| {
             let known: Vec<&str> = StopMetric::ALL.iter().map(|m| m.name()).collect();
-            malformed(
+            SpecError::malformed(
                 "stop",
                 format!(
-                    "unknown metric \"{metric_name}\"; known metrics: {}",
+                    "unknown metric \"{name}\"; known metrics: {}",
                     known.join(", ")
                 ),
             )
         })?;
-        let half_width = field_f64(
-            value
-                .get("half_width")
-                .ok_or_else(|| malformed("stop", "missing key \"half_width\"".to_string()))?,
-            "stop.half_width",
-        )?;
-        let opt_u64 = |key: &str, default: u64| -> Result<u64, SpecError> {
-            match value.get(key) {
-                None => Ok(default),
-                Some(v) => field_u64(v, &format!("stop.{key}")),
-            }
-        };
-        let relative = match value.get("relative") {
-            None => false,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                malformed(
-                    "stop.relative",
-                    format!("expected a bool, found {}", v.type_name()),
-                )
-            })?,
-        };
-        Ok(StoppingRule {
+        let rule = StoppingRule {
             metric,
-            half_width,
-            relative,
-            min_seeds: opt_u64("min_seeds", 64)?,
-            max_seeds: match value.get("max_seeds") {
-                None => None,
-                Some(v) => Some(field_u64(v, "stop.max_seeds")?),
-            },
-            batch: opt_u64("batch", 64)?,
-        })
+            half_width: fields.req("half_width")?,
+            relative: fields.opt("relative")?.unwrap_or(false),
+            min_seeds: fields.opt("min_seeds")?.unwrap_or(64),
+            batch: fields.opt("batch")?.unwrap_or(64),
+        };
+        fields.finish()?;
+        Ok(rule)
     }
 }
 
@@ -1085,7 +1013,6 @@ mod tests {
         let full = StoppingRule::new(StopMetric::SyncRoundsMean, 2.0)
             .relative()
             .with_min_seeds(32)
-            .with_max_seeds(4096)
             .with_batch(16);
         let minimal = StoppingRule::new(StopMetric::CleanRate, 0.05);
         for rule in [full, minimal] {
@@ -1096,9 +1023,9 @@ mod tests {
         let sweep = SweepSpec::from_json(
             r#"{"base": {"protocol": "trapdoor", "num_nodes": 6, "num_frequencies": 8,
                          "disruption_bound": 1, "adversary": "random"},
-                "seeds": {"start": 0, "end": 256},
+                "seeds": {"start": 0, "end": 65536},
                 "stop": {"metric": "sync_rounds_mean", "half_width": 2.0,
-                         "min_seeds": 64, "max_seeds": 65536, "batch": 64}}"#,
+                         "min_seeds": 64, "batch": 64}}"#,
         )
         .unwrap();
         let rule = sweep.stop.as_ref().unwrap();
@@ -1132,6 +1059,11 @@ mod tests {
                 r#"{"metric": "sync_rate", "half_width": 0.1, "dominance": true}"#,
                 "unknown key \"dominance\"",
             ),
+            // the budget is the sweep's seed range, so a budget key is one too
+            (
+                r#"{"metric": "sync_rate", "half_width": 0.1, "max_seeds": 64}"#,
+                "unknown key \"max_seeds\"",
+            ),
             (r#"[1, 2]"#, "expected an object"),
         ] {
             let err = StoppingRule::from_value(&crate::json::parse(json).unwrap())
@@ -1145,9 +1077,6 @@ mod tests {
             StoppingRule::new(StopMetric::SyncRate, f64::NAN),
             StoppingRule::new(StopMetric::SyncRate, 0.1).with_min_seeds(0),
             StoppingRule::new(StopMetric::SyncRate, 0.1).with_batch(0),
-            StoppingRule::new(StopMetric::SyncRate, 0.1)
-                .with_min_seeds(8)
-                .with_max_seeds(4),
         ] {
             assert!(rule.validate().is_err(), "{rule:?} should not validate");
         }
@@ -1181,15 +1110,17 @@ mod tests {
 
     #[test]
     fn adaptive_sweep_stops_early_and_matches_fixed_prefix() {
-        let base = sweep();
+        let base = SweepSpec {
+            seed_end: 40,
+            ..sweep()
+        };
         // sync_rate converges fast on this grid (every trial syncs): a
         // loose width stops both points at the first eligible boundary.
         let rule = StoppingRule::new(StopMetric::SyncRate, 0.3)
             .with_min_seeds(6)
-            .with_batch(2)
-            .with_max_seeds(40);
+            .with_batch(2);
         let adaptive = SweepRunner::with_runner(BatchRunner::with_workers(4))
-            .run(&base.clone().with_stop(rule))
+            .run(&base.with_stop(rule))
             .unwrap();
         assert_eq!(adaptive.seeds(), 0..40);
         for point in &adaptive.points {
@@ -1228,11 +1159,14 @@ mod tests {
 
     #[test]
     fn adaptive_decisions_are_identical_across_worker_counts() {
-        let spec = sweep().with_stop(
+        let spec = SweepSpec {
+            seed_end: 64,
+            ..sweep()
+        }
+        .with_stop(
             StoppingRule::new(StopMetric::SyncRoundsMean, 0.5)
                 .with_min_seeds(2)
-                .with_batch(2)
-                .with_max_seeds(64),
+                .with_batch(2),
         );
         let reference = SweepRunner::with_runner(BatchRunner::serial())
             .run(&spec)
@@ -1253,11 +1187,14 @@ mod tests {
     #[test]
     fn adaptive_resume_reproduces_fresh_decisions_from_cache() {
         let dir = temp_dir("adaptive-resume");
-        let spec = sweep().with_stop(
+        let spec = SweepSpec {
+            seed_end: 32,
+            ..sweep()
+        }
+        .with_stop(
             StoppingRule::new(StopMetric::SyncRate, 0.3)
                 .with_min_seeds(4)
-                .with_batch(4)
-                .with_max_seeds(32),
+                .with_batch(4),
         );
         let fresh = SweepRunner::new().run(&spec).unwrap();
         let store = Arc::new(ResultStore::open(&dir).unwrap());

@@ -50,8 +50,7 @@ impl Effort {
                     StoppingRule::new(metric, 0.1)
                         .relative()
                         .with_min_seeds(min)
-                        .with_batch(min)
-                        .with_max_seeds(self.seeds()),
+                        .with_batch(min),
                 )
             }
         }

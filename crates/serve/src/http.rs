@@ -217,6 +217,9 @@ pub(crate) fn start_ndjson(stream: &mut TcpStream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Stopwatch;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::net::{TcpListener, TcpStream};
 
     fn request_roundtrip(raw: &str) -> Result<Request, RequestError> {
@@ -330,5 +333,167 @@ mod tests {
             request_roundtrip(&request),
             Err(RequestError::HeadersTooLarge)
         );
+    }
+
+    /// Feeds `raw` to [`read_request`] over one loopback connection from one
+    /// writer thread, which ignores write errors (the parser may give up
+    /// before reading everything) and, when `hold` is set, keeps its side
+    /// open until the parser returns instead of closing it. Returns the
+    /// parse and the microseconds it took.
+    fn feed(
+        raw: Vec<u8>,
+        hold: bool,
+        deadline: Duration,
+    ) -> (io::Result<Result<Request, RequestError>>, u64) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (parsed_tx, parsed_rx) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let mut out = TcpStream::connect(addr).unwrap();
+            let _ = out.write_all(&raw);
+            if hold {
+                let _ = parsed_rx.recv();
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let watch = Stopwatch::start();
+        let parsed = read_request(&stream, deadline);
+        let took = watch.elapsed_micros();
+        drop(parsed_tx);
+        drop(stream);
+        writer.join().unwrap();
+        (parsed, took)
+    }
+
+    /// A valid request's parts: method, path, extra headers and body.
+    type Parts = (String, String, Vec<(String, String)>, Vec<u8>);
+
+    /// Draws the parts of a valid request.
+    struct ValidRequest;
+
+    impl Strategy for ValidRequest {
+        type Value = Parts;
+        fn generate(&self, rng: &mut TestRng) -> Parts {
+            let pick = |rng: &mut TestRng, pool: &[u8], len: std::ops::Range<usize>| -> String {
+                let len = len.generate(rng);
+                (0..len)
+                    .map(|_| pool[(0..pool.len()).generate(rng)] as char)
+                    .collect()
+            };
+            let method = ["GET", "POST", "PUT", "DELETE"][(0usize..4).generate(rng)].to_string();
+            let path = format!("/{}", pick(rng, b"abcxyz019-_./?=&", 0..40));
+            let headers = (0..(0usize..8).generate(rng))
+                .map(|_| {
+                    let name = pick(rng, b"ABCXYZabcxyz-", 1..16);
+                    (name, pick(rng, b"abc XYZ 019:;,/=-", 0..40))
+                })
+                .filter(|(name, _)| !name.eq_ignore_ascii_case("content-length"))
+                .collect();
+            (method, path, headers, vec(any::<u8>(), 0..64).generate(rng))
+        }
+    }
+
+    fn serialize((method, path, headers, body): &Parts) -> Vec<u8> {
+        let mut raw = format!("{method} {path} HTTP/1.1\r\n");
+        for (name, value) in headers {
+            raw.push_str(&format!("{name}: {value}\r\n"));
+        }
+        raw.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+        let mut raw = raw.into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    /// The slowest a parse may return past its deadline.
+    const SLACK_MICROS: u64 = 1_000_000;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes never panic the parser, and a client that sends
+        /// them and then goes silent is cut off at the deadline.
+        #[test]
+        fn arbitrary_bytes_never_panic_and_respect_the_deadline(
+            raw in vec(any::<u8>(), 0..600),
+            silent in 0u8..8,
+        ) {
+            let deadline = Duration::from_millis(200);
+            let (_, took) = feed(raw, silent == 0, deadline);
+            prop_assert!(took < deadline.as_micros() as u64 + SLACK_MICROS, "{took} us");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A valid request round-trips its method, path and body exactly;
+        /// a mutation of one never panics the parser, nor outlasts the
+        /// deadline when the client then goes silent.
+        #[test]
+        fn valid_requests_round_trip_and_mutations_never_panic(
+            parts in ValidRequest,
+            mutation in (0u8..6, any::<usize>(), any::<u8>()),
+            silent in 0u8..8,
+        ) {
+            let mut raw = serialize(&parts);
+            let (kind, at, byte) = mutation;
+            let at = at % (raw.len() + 1);
+            match kind {
+                0 => {}
+                1 => raw.truncate(at),
+                2 if at < raw.len() => raw[at] ^= byte | 1,
+                3 => raw.insert(at, byte),
+                4 if at < raw.len() => drop(raw.remove(at)),
+                _ => raw.splice(at..at, b"\r\n".iter().copied()).for_each(drop),
+            }
+            let deadline = Duration::from_millis(200);
+            let (parsed, took) = feed(raw, silent == 0, deadline);
+            prop_assert!(took < deadline.as_micros() as u64 + SLACK_MICROS, "{took} us");
+            if kind == 0 {
+                let (method, path, _, body) = parts;
+                prop_assert_eq!(parsed.unwrap(), Ok(Request { method, path, body }));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A line over 8 KiB or more than 64 headers is `HeadersTooLarge`;
+        /// a `Content-Length` over `MAX_BODY` is `BodyTooLarge`.
+        #[test]
+        fn oversized_requests_are_refused_by_kind(
+            parts in ValidRequest,
+            excess in (0u8..4, 1usize..100),
+            length in (MAX_BODY as u64 + 1)..=u64::from(u32::MAX),
+        ) {
+            let (method, mut path, mut headers, _) = parts;
+            let (kind, by) = excess;
+            let expected = match kind {
+                0 => {
+                    headers.push(("X-Pad".to_string(), "x".repeat(MAX_LINE + by)));
+                    RequestError::HeadersTooLarge
+                }
+                1 => {
+                    path.push_str(&"x".repeat(MAX_LINE + by));
+                    RequestError::HeadersTooLarge
+                }
+                2 => {
+                    headers.extend((0..MAX_HEADERS + by).map(|i| (format!("X-{i}"), i.to_string())));
+                    RequestError::HeadersTooLarge
+                }
+                _ => {
+                    headers.push(("Content-Length".to_string(), length.to_string()));
+                    RequestError::BodyTooLarge
+                }
+            };
+            let mut raw = format!("{method} {path} HTTP/1.1\r\n");
+            for (name, value) in &headers {
+                raw.push_str(&format!("{name}: {value}\r\n"));
+            }
+            raw.push_str("\r\n");
+            let (parsed, _) = feed(raw.into_bytes(), false, Duration::from_secs(2));
+            prop_assert_eq!(parsed.unwrap(), Err(expected));
+        }
     }
 }

@@ -13,8 +13,13 @@
 //! it [finishes](Job::finish); with every slot held,
 //! [`try_create`](JobRegistry::try_create) refuses, and `POST /sweep`
 //! answers `429 Too Many Requests`.
+//!
+//! Finished jobs stay readable, but not forever: creating a job evicts the
+//! oldest finished ones beyond `MAX_FINISHED_JOBS`, so the table, event
+//! logs included, stays bounded however long the daemon runs. A running
+//! job is never evicted, and a client already streaming an evicted job
+//! keeps reading it; only a new `GET /jobs/<id>` answers `404`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -22,6 +27,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// orchestration thread plus its fabric worker threads, so this cap bounds
 /// the daemon's job threads at `MAX_RUNNING_JOBS × (1 + fabric workers)`.
 pub const MAX_RUNNING_JOBS: usize = 8;
+
+/// Most finished jobs the table keeps; a job's creation evicts the oldest
+/// finished ones so that, once it finishes too, at most this many remain.
+/// With the running ones the table holds at most
+/// `MAX_FINISHED_JOBS - 1 + MAX_RUNNING_JOBS` jobs.
+const MAX_FINISHED_JOBS: usize = 64;
 
 /// Recovers a poisoned mutex: job state is an append-only log plus a
 /// flag, both valid at every instant, so a panicking producer cannot
@@ -68,6 +79,10 @@ impl Job {
         }
     }
 
+    fn is_done(&self) -> bool {
+        lock(&self.state).done
+    }
+
     /// The events at positions `>= cursor`, plus the done flag — the
     /// polling read a streaming handler advances its cursor with.
     pub(crate) fn events_from(&self, cursor: usize) -> (Vec<String>, bool) {
@@ -77,11 +92,11 @@ impl Job {
     }
 }
 
-/// The server's job table: sequential ids mapping to shared [`Job`]s, and
-/// the count of those still running.
+/// The server's job table: shared [`Job`]s in creation order, and the
+/// count of those still running.
 #[derive(Debug, Default)]
 pub struct JobRegistry {
-    jobs: Mutex<BTreeMap<String, Arc<Job>>>,
+    jobs: Mutex<Vec<Arc<Job>>>,
     next_id: AtomicU64,
     running: Arc<AtomicUsize>,
 }
@@ -96,11 +111,18 @@ impl JobRegistry {
     /// [`MAX_RUNNING_JOBS`] running-job slots; `None` (and no job) when
     /// every slot is held. The check and the reservation happen under the
     /// registry's lock, so concurrent creators cannot overshoot the cap;
-    /// finishing a job only ever frees a slot.
+    /// finishing a job only ever frees a slot. A created job first evicts
+    /// the oldest finished jobs beyond `MAX_FINISHED_JOBS - 1`.
     pub fn try_create(&self) -> Option<Arc<Job>> {
         let mut jobs = lock(&self.jobs);
         if self.running.load(Ordering::Acquire) >= MAX_RUNNING_JOBS {
             return None;
+        }
+        let finished = jobs.iter().filter(|job| job.is_done()).count();
+        for _ in MAX_FINISHED_JOBS - 1..finished {
+            if let Some(oldest) = jobs.iter().position(|job| job.is_done()) {
+                jobs.remove(oldest);
+            }
         }
         self.running.fetch_add(1, Ordering::AcqRel);
         let n = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -109,18 +131,18 @@ impl JobRegistry {
             state: Mutex::new(JobState::default()),
             running: Arc::clone(&self.running),
         });
-        jobs.insert(job.id.clone(), Arc::clone(&job));
+        jobs.push(Arc::clone(&job));
         Some(job)
     }
 
-    /// Looks a job up by id.
+    /// Looks a job up by id; an evicted job is gone.
     pub fn get(&self, id: &str) -> Option<Arc<Job>> {
-        lock(&self.jobs).get(id).cloned()
+        lock(&self.jobs).iter().find(|job| job.id == id).cloned()
     }
 
-    /// Jobs created over the server's lifetime.
+    /// Jobs created over the server's lifetime, evicted ones included.
     pub fn total(&self) -> usize {
-        lock(&self.jobs).len()
+        self.next_id.load(Ordering::Relaxed) as usize
     }
 
     /// Jobs still running.
@@ -191,5 +213,42 @@ mod tests {
 
         // A finished job stays readable.
         assert!(registry.get(jobs[3].id()).is_some());
+    }
+
+    #[test]
+    fn the_oldest_finished_jobs_are_evicted_and_running_ones_kept() {
+        let registry = JobRegistry::new();
+        for _ in 0..=MAX_FINISHED_JOBS {
+            registry.try_create().unwrap().finish();
+        }
+        let newest = format!("job-{}", MAX_FINISHED_JOBS + 1);
+        assert!(
+            registry.get("job-1").is_none(),
+            "the oldest finished job goes"
+        );
+        assert!(registry.get("job-2").is_some());
+        assert!(registry.get(&newest).is_some());
+        assert_eq!(
+            registry.total(),
+            MAX_FINISHED_JOBS + 1,
+            "evicted jobs count"
+        );
+
+        // A job created first but still running outlives younger finished
+        // ones, and a stream holding an evicted job keeps its log.
+        let registry = JobRegistry::new();
+        let first = registry.try_create().unwrap();
+        let second = registry.try_create().unwrap();
+        second.push("{\"a\":1}".to_string());
+        second.finish();
+        for _ in 0..MAX_FINISHED_JOBS {
+            registry.try_create().unwrap().finish();
+        }
+        assert!(registry.get(first.id()).is_some(), "a running job stays");
+        assert!(registry.get(second.id()).is_none());
+        assert_eq!(second.events_from(0), (vec!["{\"a\":1}".to_string()], true));
+        // Every finished job the table keeps, plus the running one.
+        assert_eq!(lock(&registry.jobs).len(), MAX_FINISHED_JOBS + 1);
+        assert_eq!(registry.total(), MAX_FINISHED_JOBS + 2);
     }
 }

@@ -42,7 +42,7 @@ use wsync_core::fabric::{self, FabricConfig, WorkerEvent};
 use wsync_core::json::{self, Value};
 use wsync_core::registry;
 use wsync_core::sim::Sim;
-use wsync_core::spec::{ScenarioSpec, SweepSpec};
+use wsync_core::spec::{seeds_from_value, Fields, ScenarioSpec, SpecError, SweepSpec};
 use wsync_core::store::{spec_digest, ResultStore, StoreError};
 use wsync_core::sweep::{SweepError, SweepRunner};
 
@@ -393,45 +393,12 @@ fn handle_catalog(stream: &mut TcpStream) -> std::io::Result<()> {
     http::respond_json(stream, 200, "OK", &body)
 }
 
-/// Rejects a key of `object` outside `accepted`, so a typo such as
-/// `"seed"` for `"seeds"` is a 400 rather than a silently smaller run.
-fn reject_unknown_keys(object: &Value, context: &str, accepted: &[&str]) -> Result<(), String> {
-    for (key, _) in object.as_object().unwrap_or_default() {
-        if !accepted.contains(&key.as_str()) {
-            return Err(format!(
-                "unknown key \"{key}\" in {context}; accepted keys: {}",
-                accepted.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Parses a `POST /run` body: either a bare [`ScenarioSpec`] (seed 0
-/// only) or `{"spec": <ScenarioSpec>, "seeds": {"start", "end"}}`.
+/// Parses a `POST /run` body (see [`run_request`]) and checks that its
+/// seed range is non-empty and at most [`MAX_RUN_SEEDS`] long.
 fn parse_run_body(body: &[u8]) -> Result<(ScenarioSpec, std::ops::Range<u64>), String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let value = json::parse(text).map_err(|e| e.to_string())?;
-    let (spec_value, seeds) = match value.get("spec") {
-        Some(inner) => {
-            reject_unknown_keys(&value, "the /run body", &["spec", "seeds"])?;
-            let seeds = match value.get("seeds") {
-                None => 0..1,
-                Some(seeds) => {
-                    reject_unknown_keys(seeds, "seeds", &["start", "end"])?;
-                    let field = |key: &str| {
-                        seeds
-                            .get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("seeds.{key} must be a non-negative integer"))
-                    };
-                    field("start")?..field("end")?
-                }
-            };
-            (inner, seeds)
-        }
-        None => (&value, 0..1),
-    };
+    let (spec, seeds) = run_request(&value).map_err(|e| e.to_string())?;
     if seeds.start >= seeds.end {
         return Err("seeds.start must be less than seeds.end".to_string());
     }
@@ -440,7 +407,24 @@ fn parse_run_body(body: &[u8]) -> Result<(ScenarioSpec, std::ops::Range<u64>), S
             "a synchronous /run is capped at {MAX_RUN_SEEDS} seeds; schedule a /sweep instead"
         ));
     }
-    let spec = ScenarioSpec::from_value(spec_value).map_err(|e| e.to_string())?;
+    Ok((spec, seeds))
+}
+
+/// Decodes a `/run` body: either a bare [`ScenarioSpec`] (seed 0 only) or,
+/// when it has a `"spec"` or `"seeds"` key, the envelope `{"spec":
+/// <ScenarioSpec>, "seeds": {"start", "end"}}`, whose `seeds` decode as a
+/// sweep's do (`start` defaults to 0).
+fn run_request(value: &Value) -> Result<(ScenarioSpec, std::ops::Range<u64>), SpecError> {
+    if value.get("spec").is_none() && value.get("seeds").is_none() {
+        return Ok((ScenarioSpec::from_value(value)?, 0..1));
+    }
+    let mut fields = Fields::new(value, "/run body")?;
+    let spec = ScenarioSpec::from_value(fields.req("spec")?)?;
+    let seeds = match fields.opt("seeds")? {
+        Some(seeds) => seeds_from_value(seeds)?,
+        None => 0..1,
+    };
+    fields.finish()?;
     Ok((spec, seeds))
 }
 
@@ -874,6 +858,36 @@ fn handle_job_stream(state: &State, stream: &mut TcpStream, id: &str) -> std::io
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+
+    #[test]
+    fn the_run_envelope_names_its_context_and_key() {
+        let spec = r#"{"protocol": "trapdoor", "num_nodes": 4, "num_frequencies": 4,
+                       "disruption_bound": 1}"#;
+        let run = |body: String| parse_run_body(body.as_bytes());
+        // A seed range without "start" starts at 0, as a sweep's does.
+        let (_, seeds) = run(format!(r#"{{"spec": {spec}, "seeds": {{"end": 3}}}}"#)).unwrap();
+        assert_eq!(seeds, 0..3);
+        for (body, expected) in [
+            (
+                format!(r#"{{"spec": {spec}, "bogus": 1}}"#),
+                r#"/run body: unknown key "bogus"; accepted keys: spec, seeds"#,
+            ),
+            (
+                r#"{"seeds": {"end": 3}}"#.to_string(),
+                r#"/run body: missing required key "spec""#,
+            ),
+            (
+                format!(r#"{{"spec": {spec}, "seeds": [0, 3]}}"#),
+                r#"seeds: expected an object, found array"#,
+            ),
+            (
+                format!(r#"{{"spec": {spec}, "seeds": {{"start": "0", "end": 3}}}}"#),
+                r#"seeds: "start" must be a non-negative integer, found string"#,
+            ),
+        ] {
+            assert_eq!(run(body).unwrap_err(), expected);
+        }
+    }
 
     fn post_sweep(addr: SocketAddr) -> String {
         let body = r#"{"base": {"protocol": "trapdoor", "num_nodes": 4,

@@ -232,14 +232,14 @@ fn run_rejects_bad_seed_ranges_and_unknown_components() {
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert_eq!(
         error(&body),
-        r#"unknown key "seed" in the /run body; accepted keys: spec, seeds"#
+        r#"/run body: unknown key "seed"; accepted keys: spec, seeds"#
     );
     let stride = RUN_BODY.replace(r#""end": 4}"#, r#""end": 4, "stride": 2}"#);
     let (status, body) = post(addr, "/run", &stride);
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert_eq!(
         error(&body),
-        r#"unknown key "stride" in seeds; accepted keys: start, end"#
+        r#"seeds: unknown key "stride"; accepted keys: start, end"#
     );
 }
 

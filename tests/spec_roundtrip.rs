@@ -120,17 +120,16 @@ fn catalogue_parameters_are_stable() {
         component_params += keys(name).len();
     }
 
-    // The stop rule names its six keys the same way.
+    // The stop rule names its five keys the same way.
     let stop = json::parse(r#"{"metric": "sync_rate", "half_width": 0.1, "bogus": 1}"#).unwrap();
     let message = StoppingRule::from_value(&stop).unwrap_err().to_string();
     assert!(
-        message
-            .ends_with("accepted keys: metric, half_width, relative, min_seeds, max_seeds, batch"),
+        message.ends_with("accepted keys: metric, half_width, relative, min_seeds, batch"),
         "{message}"
     );
 
-    // 19 component parameters plus the stop rule's 6 keys.
-    assert_eq!(component_params + 6, 25);
+    // 19 component parameters plus the stop rule's 5 keys.
+    assert_eq!(component_params + 5, 24);
 }
 
 #[test]
@@ -219,4 +218,60 @@ fn sweep_spec_grid_runs_match_individual_spec_runs() {
             .collect();
         assert_eq!(outcomes, &expected);
     }
+}
+
+/// Every point of every checked-in spec file, as its store digest and the
+/// seed range it may consume (`effective_seeds`; a bare scenario runs over
+/// the CLI's smoke default, `0..2`). Recorded before the spec decoders
+/// moved onto one field reader: a decoder change that alters what a file
+/// means shifts a digest or a range here.
+#[test]
+fn example_specs_decode_to_pinned_digests_and_seed_ranges() {
+    const PINNED: &[&str] = &[
+        "adaptive_sweep.json [disruption_bound=4] 4f85afff54a5cf6d 0..64",
+        "adaptive_sweep.json [disruption_bound=8] f0fa7bf47b6401f1 0..64",
+        "adaptive_sweep.json [disruption_bound=12] 9494bbf83cd8da3c 0..64",
+        "faulty_run.json [] 325e52e156484a35 0..2",
+        "jamming_sweep.json [disruption_bound=0] 05449528891a1e99 0..8",
+        "jamming_sweep.json [disruption_bound=4] 4f85afff54a5cf6d 0..8",
+        "jamming_sweep.json [disruption_bound=8] f0fa7bf47b6401f1 0..8",
+        "jamming_sweep.json [disruption_bound=12] 9494bbf83cd8da3c 0..8",
+        "probed_run.json [] 8f910864828ee061 0..2",
+        "quickstart.json [] bde71537cd836447 0..2",
+        "resumable_sweep.json [disruption_bound=4, num_nodes=16] 4f85afff54a5cf6d 0..48",
+        "resumable_sweep.json [disruption_bound=4, num_nodes=32] 4b2bd800ab28ff7f 0..48",
+        "resumable_sweep.json [disruption_bound=8, num_nodes=16] f0fa7bf47b6401f1 0..48",
+        "resumable_sweep.json [disruption_bound=8, num_nodes=32] 40310c295dd542ab 0..48",
+        "resumable_sweep.json [disruption_bound=12, num_nodes=16] 9494bbf83cd8da3c 0..48",
+        "resumable_sweep.json [disruption_bound=12, num_nodes=32] fba1e21a599ca61a 0..48",
+        "samaritan_crossover.json [adversary.t_actual=1] 4ad8c55fce1b6235 0..6",
+        "samaritan_crossover.json [adversary.t_actual=2] 00c03295af4aa0f0 0..6",
+        "samaritan_crossover.json [adversary.t_actual=4] 87c6161f45994fb2 0..6",
+        "samaritan_crossover.json [adversary.t_actual=8] 183de2292e2505f6 0..6",
+    ];
+    let mut paths: Vec<_> = std::fs::read_dir("examples/specs")
+        .expect("examples/specs is readable")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    let mut decoded = Vec::new();
+    for file in &paths {
+        let name = file.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(file).unwrap();
+        let sweep = wireless_sync::experiments::SpecFile::parse(&text)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .into_sweep(0..2);
+        let seeds = sweep.effective_seeds().unwrap();
+        for point in sweep.expand().unwrap() {
+            decoded.push(format!(
+                "{name} [{}] {:016x} {}..{}",
+                point.label,
+                wireless_sync::sync::store::spec_digest(&point.spec),
+                seeds.start,
+                seeds.end
+            ));
+        }
+    }
+    assert_eq!(decoded, PINNED, "\n{}", decoded.join("\n"));
 }
