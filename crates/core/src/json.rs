@@ -8,12 +8,15 @@
 //! the spec types (de)serialize through: a [`Value`] tree, a strict
 //! recursive-descent [`parse`]r with line/column errors, and a
 //! pretty-printing writer whose output round-trips bit-for-bit (integers
-//! stay integers, floats use Rust's shortest round-trip formatting).
+//! stay integers, floats use Rust's shortest round-trip formatting). The
+//! parser's crate-private pull interface lets the result store read its
+//! records under the same rules without building a tree.
 //!
 //! When a real `serde_json` becomes available, [`Value`] maps 1:1 onto
 //! `serde_json::Value` and the spec layer can swap over without changing
 //! its wire format.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON document.
@@ -193,7 +196,8 @@ fn write_indent(depth: usize, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal, quotes included.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -350,27 +354,180 @@ pub const MAX_NESTING_DEPTH: usize = 128;
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_whitespace();
+    let mut p = Parser::new(input);
     let value = p.parse_value()?;
-    p.skip_whitespace();
-    if p.pos < p.bytes.len() {
-        return Err(p.error("unexpected trailing characters"));
-    }
+    p.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
+/// The one JSON reader. [`parse`] builds a [`Value`] tree with it, and the
+/// result store pulls its records through the crate-private interface
+/// below without building one: object and array iteration, typed reads
+/// and skipping a value. Both go through the same rules for escapes,
+/// numbers, duplicate keys and [`MAX_NESTING_DEPTH`].
+///
+/// A typed read consumes one value whatever its kind: `Ok(None)` means a
+/// well-formed value of another kind, and `Err` a malformed document.
+pub(crate) struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// The keys read so far in every object being read, innermost last:
+    /// the duplicate-key check compares a key with its own object's.
+    keys: Vec<Cow<'a, str>>,
 }
 
 impl<'a> Parser<'a> {
+    /// A parser positioned at the first value of `input`.
+    pub(crate) fn new(input: &'a str) -> Self {
+        let mut p = Parser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+            keys: Vec::new(),
+        };
+        p.skip_whitespace();
+        p
+    }
+
+    /// Succeeds if nothing but whitespace follows the values read.
+    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_whitespace();
+        if self.pos < self.bytes.len() {
+            return Err(self.error("unexpected trailing characters"));
+        }
+        Ok(())
+    }
+
+    /// Reads an object, calling `member` with each key while the parser
+    /// stands at that member's value, which `member` must consume.
+    pub(crate) fn object<E: From<JsonError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.enter()?;
+        self.expect(b'{')?;
+        let own_keys = self.keys.len();
+        self.skip_whitespace();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_whitespace();
+                let key = self.parse_str()?;
+                if self.keys[own_keys..].contains(&key) {
+                    return Err(self.error(format!("duplicate object key \"{key}\"")).into());
+                }
+                self.keys.push(key.clone());
+                self.skip_whitespace();
+                self.expect(b':')?;
+                self.skip_whitespace();
+                member(self, &key)?;
+                self.skip_whitespace();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected ',' or '}' in object").into()),
+                }
+            }
+        }
+        self.keys.truncate(own_keys);
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Reads an array, calling `item` while the parser stands at each
+    /// element, which `item` must consume.
+    pub(crate) fn array<E: From<JsonError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.enter()?;
+        self.expect(b'[')?;
+        self.skip_whitespace();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_whitespace();
+                item(self)?;
+                self.skip_whitespace();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.error("expected ',' or ']' in array").into()),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Whether the next value is an array.
+    pub(crate) fn at_array(&self) -> bool {
+        self.peek() == Some(b'[')
+    }
+
+    /// Reads a `u64` in either form the result store writes: a
+    /// non-negative integer, or a string holding one in decimal (the form
+    /// of values above `i64::MAX`).
+    pub(crate) fn read_u64(&mut self) -> Result<Option<u64>, JsonError> {
+        Ok(match self.peek() {
+            Some(b'-' | b'0'..=b'9') => match self.parse_number()? {
+                Value::Int(i) => u64::try_from(i).ok(),
+                _ => None,
+            },
+            Some(b'"') => self.parse_str()?.parse().ok(),
+            _ => {
+                self.skip_value()?;
+                None
+            }
+        })
+    }
+
+    /// Reads [`read_u64`](Self::read_u64)'s forms, or `null` for `None`.
+    pub(crate) fn read_opt_u64(&mut self) -> Result<Option<Option<u64>>, JsonError> {
+        if self.peek() == Some(b'n') {
+            return self.keyword("null", Some(None));
+        }
+        Ok(self.read_u64()?.map(Some))
+    }
+
+    /// Reads a bool.
+    pub(crate) fn read_bool(&mut self) -> Result<Option<bool>, JsonError> {
+        match self.peek() {
+            Some(b't') => self.keyword("true", Some(true)),
+            Some(b'f') => self.keyword("false", Some(false)),
+            _ => self.skip_value().map(|()| None),
+        }
+    }
+
+    /// Reads a string, borrowed from the input unless it holds an escape.
+    pub(crate) fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.peek() == Some(b'"') {
+            return self.parse_str().map(Some);
+        }
+        self.skip_value().map(|()| None)
+    }
+
+    /// Reads one value of any kind and discards it.
+    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(|p, _| p.skip_value()),
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'"') => self.parse_str().map(drop),
+            _ => self.parse_value().map(drop),
+        }
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         let mut line = 1usize;
         let mut column = 1usize;
@@ -410,19 +567,35 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(|p, key| {
+                    let value = p.parse_value()?;
+                    members.push((key.to_string(), value));
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Value::Object(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.parse_value()?);
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.parse_str()?.into_owned())),
+            Some(b't') => self.keyword("true", Value::Bool(true)),
+            Some(b'f') => self.keyword("false", Value::Bool(false)),
+            Some(b'n') => self.keyword("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
+    /// Consumes `word` and returns `value`.
+    fn keyword<T>(&mut self, word: &str, value: T) -> Result<T, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -441,81 +614,37 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_object(&mut self) -> Result<Value, JsonError> {
-        self.enter()?;
-        let object = self.parse_object_inner();
-        self.depth -= 1;
-        object
-    }
-
-    fn parse_object_inner(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut members: Vec<(String, Value)> = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            if members.iter().any(|(k, _)| *k == key) {
-                return Err(self.error(format!("duplicate object key \"{key}\"")));
-            }
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, JsonError> {
-        self.enter()?;
-        let array = self.parse_array_inner();
-        self.depth -= 1;
-        array
-    }
-
-    fn parse_array_inner(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    fn parse_str(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        // Up to its first escape a string is a slice of the input.
+        let plain = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+        match plain.map(|len| (start + len, self.bytes[start + len])) {
+            Some((end, b'"')) => {
+                self.pos = end + 1;
+                Ok(Cow::Borrowed(&self.input[start..end]))
+            }
+            Some((end, b'\\')) => {
+                self.pos = end;
+                self.parse_escaped(start).map(Cow::Owned)
+            }
+            Some((end, _)) => {
+                self.pos = end;
+                Err(self.error("unescaped control character in string"))
+            }
+            None => {
+                self.pos = self.bytes.len();
+                Err(self.error("unterminated string"))
+            }
+        }
+    }
+
+    /// The rest of a string that holds an escape at `self.pos`, the part
+    /// from `start` on being plain.
+    fn parse_escaped(&mut self, start: usize) -> Result<String, JsonError> {
+        let mut out = self.input[start..self.pos].to_string();
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
@@ -635,6 +764,18 @@ impl<'a> Parser<'a> {
             if self.consume_digits() == 0 {
                 return Err(self.error("expected digits in exponent"));
             }
+        }
+        if !is_float && int_digits <= 18 {
+            // Eighteen digits always fit in an i64, so the value needs no
+            // trip through text.
+            let magnitude = self.bytes[int_start..int_start + int_digits]
+                .iter()
+                .fold(0i64, |n, &d| n * 10 + i64::from(d - b'0'));
+            return Ok(Value::Int(if int_start > start {
+                -magnitude
+            } else {
+                magnitude
+            }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
         let float = |p: &Self| -> Result<Value, JsonError> {

@@ -10,7 +10,8 @@
 //!
 //! On disk a store is a directory of sharded JSONL files
 //! (`shard-00.jsonl` … `shard-07.jsonl`); each line is one self-contained
-//! record written through the dependency-free [`json`] module:
+//! compact JSON record, written and read by this module's record codec
+//! without building a [`json::Value`] tree:
 //!
 //! ```text
 //! {"spec":"9f86d081884c7d65","seed":3,"outcome":{...}}
@@ -31,7 +32,7 @@
 //! behind an `RwLock` and each shard file behind its own `Mutex`.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -43,7 +44,7 @@ use wsync_radio::metrics::SimMetrics;
 use wsync_radio::node::NodeId;
 
 use crate::checker::{PropertyReport, Violation};
-use crate::json::{self, Value};
+use crate::json::{self, JsonError, Parser, Value};
 use crate::report::SyncOutcome;
 use crate::spec::ScenarioSpec;
 
@@ -762,32 +763,431 @@ pub fn shard_index(digest: u64, seed: u64) -> usize {
 
 // --- record codec -------------------------------------------------------
 //
-// The vendored serde is a no-op facade, so outcomes are encoded by hand
-// through `json::Value`. Every field of `SyncOutcome` is an integer,
-// boolean, or string — no floats — so decode(encode(x)) == x exactly,
-// which is what makes resumed aggregates bit-identical.
+// A record line is written and read directly, without a `json::Value` tree
+// in between: `encode_record` writes the compact JSON into one `String`,
+// and `decode_record` pulls the fields into a `SyncOutcome` through
+// `json::Parser`. The public `Value` view (`outcome_to_value`,
+// `outcome_from_value`) stays the reference: the codec writes exactly its
+// bytes and accepts exactly the lines it accepts, with equal outcomes, and
+// the tests below hold it to both. Every field of `SyncOutcome` is an
+// integer, boolean, or string — no floats — so decode(encode(x)) == x
+// exactly, which is what makes resumed aggregates bit-identical.
 
+/// `SimMetrics`' members in record order; [`metric_values`] lists the
+/// values in the same order.
+const METRIC_KEYS: [&str; 11] = [
+    "rounds",
+    "broadcasts",
+    "listens",
+    "sleeps",
+    "deliveries",
+    "receptions",
+    "collisions",
+    "jammed_solo",
+    "disrupted_freq_rounds",
+    "max_active",
+    "budget_violations",
+];
+
+fn metric_values(m: &SimMetrics) -> [u64; METRIC_KEYS.len()] {
+    [
+        m.rounds,
+        m.broadcasts,
+        m.listens,
+        m.sleeps,
+        m.deliveries,
+        m.receptions,
+        m.collisions,
+        m.jammed_solo_broadcasts,
+        m.disrupted_frequency_rounds,
+        u64::from(m.max_active_nodes),
+        m.adversary_budget_violations,
+    ]
+}
+
+/// The line of record `(digest, seed, outcome)`, without its newline.
 fn encode_record(digest: u64, seed: u64, outcome: &SyncOutcome) -> String {
-    Value::Object(vec![
-        ("spec".to_string(), Value::Str(format!("{digest:016x}"))),
-        ("seed".to_string(), u64_value(seed)),
-        ("outcome".to_string(), outcome_to_value(outcome)),
-    ])
-    .to_json_compact()
+    let result = &outcome.result;
+    let properties = &outcome.properties;
+    let mut out =
+        String::with_capacity(512 + 64 * result.nodes.len() + 128 * properties.violations.len());
+    let _ = write!(out, "{{\"spec\":\"{digest:016x}\",\"seed\":");
+    push_u64(&mut out, seed);
+    out.push_str(",\"outcome\":{\"result\":{\"rounds\":");
+    push_u64(&mut out, result.rounds_executed);
+    out.push_str(",\"synced\":");
+    push_bool(&mut out, result.all_synchronized);
+    out.push_str(",\"nodes\":[");
+    for (i, node) in result.nodes.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"id\":" } else { ",{\"id\":" });
+        push_u64(&mut out, node.id.index() as u64);
+        out.push_str(",\"activated\":");
+        push_u64(&mut out, node.activation_round);
+        out.push_str(",\"sync\":");
+        push_opt_u64(&mut out, node.sync_round);
+        out.push_str(",\"out\":");
+        push_opt_u64(&mut out, node.final_output);
+        out.push('}');
+    }
+    out.push_str("],\"metrics\":{");
+    for (i, (key, value)) in METRIC_KEYS
+        .iter()
+        .zip(metric_values(&result.metrics))
+        .enumerate()
+    {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(key);
+        out.push_str("\":");
+        push_u64(&mut out, value);
+    }
+    out.push_str("}},\"properties\":{\"violations\":[");
+    for (i, violation) in properties.violations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_violation(&mut out, violation);
+    }
+    out.push_str("],\"total\":");
+    push_u64(&mut out, properties.total_violations);
+    out.push_str(",\"rounds\":");
+    push_u64(&mut out, properties.rounds_observed);
+    out.push_str(",\"liveness\":");
+    push_bool(&mut out, properties.liveness);
+    out.push_str(",\"completion\":");
+    push_opt_u64(&mut out, properties.completion_round);
+    out.push_str("},\"leaders\":");
+    push_u64(&mut out, outcome.leaders as u64);
+    out.push_str(",\"adversary\":");
+    json::write_string(&outcome.adversary, &mut out);
+    out.push_str(",\"seed\":");
+    push_u64(&mut out, outcome.seed);
+    out.push_str("}}");
+    out
+}
+
+fn push_violation(out: &mut String, violation: &Violation) {
+    match violation {
+        Violation::SynchCommit {
+            node,
+            round,
+            previous,
+        } => {
+            out.push_str("{\"kind\":\"synch-commit\",\"node\":");
+            push_u64(out, node.index() as u64);
+            out.push_str(",\"round\":");
+            push_u64(out, *round);
+            out.push_str(",\"previous\":");
+            push_u64(out, *previous);
+        }
+        Violation::Correctness {
+            node,
+            round,
+            previous,
+            current,
+        } => {
+            out.push_str("{\"kind\":\"correctness\",\"node\":");
+            push_u64(out, node.index() as u64);
+            out.push_str(",\"round\":");
+            push_u64(out, *round);
+            out.push_str(",\"previous\":");
+            push_u64(out, *previous);
+            out.push_str(",\"current\":");
+            push_u64(out, *current);
+        }
+        Violation::Agreement {
+            round,
+            first,
+            second,
+        } => {
+            out.push_str("{\"kind\":\"agreement\",\"round\":");
+            push_u64(out, *round);
+            for (key, (node, output)) in [(",\"first\":[", first), (",\"second\":[", second)] {
+                out.push_str(key);
+                push_u64(out, node.index() as u64);
+                out.push(',');
+                push_u64(out, *output);
+                out.push(']');
+            }
+        }
+    }
+    out.push('}');
+}
+
+/// Appends `n` as [`u64_value`] encodes it: a JSON integer up to
+/// `i64::MAX`, a string of its decimal digits above.
+fn push_u64(out: &mut String, mut n: u64) {
+    let quoted = n > i64::MAX as u64;
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if quoted {
+        out.push('"');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    if quoted {
+        out.push('"');
+    }
+}
+
+fn push_opt_u64(out: &mut String, n: Option<u64>) {
+    match n {
+        Some(n) => push_u64(out, n),
+        None => out.push_str("null"),
+    }
+}
+
+fn push_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Why a line is not a record: malformed JSON, or well-formed JSON of the
+/// wrong shape. Either way the line is dropped.
+struct Reject;
+
+impl From<JsonError> for Reject {
+    fn from(_: JsonError) -> Self {
+        Reject
+    }
+}
+
+/// A member that must hold a value of the kind just read.
+fn req<T>(read: Result<Option<T>, JsonError>) -> Result<T, Reject> {
+    read?.ok_or(Reject)
+}
+
+/// A field that must have been present.
+fn got<T>(field: Option<T>) -> Result<T, Reject> {
+    field.ok_or(Reject)
+}
+
+/// Reads an array whose every element `item` decodes.
+fn decode_list<'a, T>(
+    p: &mut Parser<'a>,
+    item: fn(&mut Parser<'a>) -> Result<T, Reject>,
+) -> Result<Vec<T>, Reject> {
+    let mut items = Vec::new();
+    p.array(|p| -> Result<(), Reject> {
+        items.push(item(p)?);
+        Ok(())
+    })?;
+    Ok(items)
 }
 
 /// Decodes one shard line into `(digest, seed, outcome)`; `None` means the
-/// line is torn or corrupt and must be dropped.
+/// line is torn or corrupt and must be dropped. A line decodes exactly when
+/// `json::parse` + `outcome_from_value` would decode it, to the same
+/// outcome: any whitespace and member order, unknown members skipped.
 fn decode_record(line: &str) -> Option<(u64, u64, SyncOutcome)> {
-    let value = json::parse(line).ok()?;
-    let digest = u64::from_str_radix(value.get("spec")?.as_str()?, 16).ok()?;
-    let seed = value_as_u64(value.get("seed")?)?;
-    let outcome = outcome_from_value(value.get("outcome")?)?;
+    let mut p = Parser::new(line);
+    let (mut digest, mut seed, mut outcome) = (None, None, None);
+    p.object(|p, key| -> Result<(), Reject> {
+        match key {
+            "spec" => {
+                let hex = req(p.read_str())?;
+                digest = Some(u64::from_str_radix(&hex, 16).map_err(|_| Reject)?);
+            }
+            "seed" => seed = Some(req(p.read_u64())?),
+            "outcome" => outcome = Some(decode_outcome(p)?),
+            _ => p.skip_value()?,
+        }
+        Ok(())
+    })
+    .ok()?;
+    p.finish().ok()?;
+    let (digest, seed, outcome) = (digest?, seed?, outcome?);
     // A record whose embedded outcome disagrees with its key is corrupt.
-    if outcome.seed != seed {
-        return None;
+    (outcome.seed == seed).then_some((digest, seed, outcome))
+}
+
+fn decode_outcome(p: &mut Parser<'_>) -> Result<SyncOutcome, Reject> {
+    let (mut result, mut properties, mut leaders, mut adversary, mut seed) =
+        (None, None, None, None, None);
+    p.object(|p, key| -> Result<(), Reject> {
+        match key {
+            "result" => result = Some(decode_result(p)?),
+            "properties" => properties = Some(decode_properties(p)?),
+            "leaders" => {
+                leaders = Some(usize::try_from(req(p.read_u64())?).map_err(|_| Reject)?);
+            }
+            "adversary" => adversary = Some(req(p.read_str())?.into_owned()),
+            "seed" => seed = Some(req(p.read_u64())?),
+            _ => p.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(SyncOutcome {
+        result: got(result)?,
+        properties: got(properties)?,
+        leaders: got(leaders)?,
+        adversary: got(adversary)?,
+        seed: got(seed)?,
+    })
+}
+
+fn decode_result(p: &mut Parser<'_>) -> Result<ExecutionResult, Reject> {
+    let (mut rounds, mut synced, mut nodes, mut metrics) = (None, None, None, None);
+    p.object(|p, key| -> Result<(), Reject> {
+        match key {
+            "rounds" => rounds = Some(req(p.read_u64())?),
+            "synced" => synced = Some(req(p.read_bool())?),
+            "nodes" => nodes = Some(decode_list(p, decode_node)?),
+            "metrics" => metrics = Some(decode_metrics(p)?),
+            _ => p.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(ExecutionResult {
+        rounds_executed: got(rounds)?,
+        all_synchronized: got(synced)?,
+        nodes: got(nodes)?,
+        metrics: got(metrics)?,
+    })
+}
+
+fn decode_node(p: &mut Parser<'_>) -> Result<NodeSummary, Reject> {
+    let (mut id, mut activated, mut sync, mut out) = (None, None, None, None);
+    p.object(|p, key| -> Result<(), Reject> {
+        match key {
+            "id" => id = Some(got(node_id(req(p.read_u64())?))?),
+            "activated" => activated = Some(req(p.read_u64())?),
+            "sync" => sync = Some(req(p.read_opt_u64())?),
+            "out" => out = Some(req(p.read_opt_u64())?),
+            _ => p.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(NodeSummary {
+        id: got(id)?,
+        activation_round: got(activated)?,
+        sync_round: got(sync)?,
+        final_output: got(out)?,
+    })
+}
+
+fn decode_metrics(p: &mut Parser<'_>) -> Result<SimMetrics, Reject> {
+    let mut values = [None; METRIC_KEYS.len()];
+    p.object(|p, key| -> Result<(), Reject> {
+        match METRIC_KEYS.iter().position(|k| *k == key) {
+            Some(i) => values[i] = Some(req(p.read_u64())?),
+            None => p.skip_value()?,
+        }
+        Ok(())
+    })?;
+    if values.contains(&None) {
+        return Err(Reject);
     }
-    Some((digest, seed, outcome))
+    let [rounds, broadcasts, listens, sleeps, deliveries, receptions, collisions, jammed_solo_broadcasts, disrupted_frequency_rounds, max_active, adversary_budget_violations] =
+        values.map(Option::unwrap_or_default);
+    Ok(SimMetrics {
+        rounds,
+        broadcasts,
+        listens,
+        sleeps,
+        deliveries,
+        receptions,
+        collisions,
+        jammed_solo_broadcasts,
+        disrupted_frequency_rounds,
+        max_active_nodes: u32::try_from(max_active).map_err(|_| Reject)?,
+        adversary_budget_violations,
+    })
+}
+
+fn decode_properties(p: &mut Parser<'_>) -> Result<PropertyReport, Reject> {
+    let (mut violations, mut total, mut rounds, mut liveness, mut completion) =
+        (None, None, None, None, None);
+    p.object(|p, key| -> Result<(), Reject> {
+        match key {
+            "violations" => violations = Some(decode_list(p, decode_violation)?),
+            "total" => total = Some(req(p.read_u64())?),
+            "rounds" => rounds = Some(req(p.read_u64())?),
+            "liveness" => liveness = Some(req(p.read_bool())?),
+            "completion" => completion = Some(req(p.read_opt_u64())?),
+            _ => p.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(PropertyReport {
+        violations: got(violations)?,
+        total_violations: got(total)?,
+        rounds_observed: got(rounds)?,
+        liveness: got(liveness)?,
+        completion_round: got(completion)?,
+    })
+}
+
+fn decode_violation(p: &mut Parser<'_>) -> Result<Violation, Reject> {
+    // Which members count depends on "kind", which may come last, so the
+    // others are read leniently (`None` for a value of the wrong kind)
+    // and judged once the kind is known: a member another kind would need
+    // may hold any value.
+    let mut kind = None;
+    let (mut node, mut round, mut previous, mut current, mut first, mut second) =
+        (None, None, None, None, None, None);
+    p.object(|p, key| -> Result<(), Reject> {
+        match key {
+            "kind" => kind = Some(req(p.read_str())?),
+            "node" => node = Some(p.read_u64()?.and_then(node_id)),
+            "round" => round = Some(p.read_u64()?),
+            "previous" => previous = Some(p.read_u64()?),
+            "current" => current = Some(p.read_u64()?),
+            "first" => first = Some(decode_pair(p)?),
+            "second" => second = Some(decode_pair(p)?),
+            _ => p.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(match kind.as_deref() {
+        Some("synch-commit") => Violation::SynchCommit {
+            node: got(node.flatten())?,
+            round: got(round.flatten())?,
+            previous: got(previous.flatten())?,
+        },
+        Some("correctness") => Violation::Correctness {
+            node: got(node.flatten())?,
+            round: got(round.flatten())?,
+            previous: got(previous.flatten())?,
+            current: got(current.flatten())?,
+        },
+        Some("agreement") => Violation::Agreement {
+            round: got(round.flatten())?,
+            first: got(first.flatten())?,
+            second: got(second.flatten())?,
+        },
+        _ => return Err(Reject),
+    })
+}
+
+/// Reads a violation's `[node, output]` pair leniently: `None` for any
+/// other well-formed value.
+fn decode_pair(p: &mut Parser<'_>) -> Result<Option<(NodeId, u64)>, JsonError> {
+    if !p.at_array() {
+        p.skip_value()?;
+        return Ok(None);
+    }
+    let (mut len, mut items) = (0, [None; 2]);
+    p.array(|p| -> Result<(), JsonError> {
+        let item = p.read_u64()?;
+        if let Some(slot) = items.get_mut(len) {
+            *slot = item;
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok(match (len, items) {
+        (2, [Some(node), Some(output)]) => node_id(node).map(|node| (node, output)),
+        _ => None,
+    })
 }
 
 /// Encodes a `u64` losslessly: as a JSON integer when it fits in `i64`,
@@ -1067,16 +1467,34 @@ mod tests {
         (0..n as u64).map(|seed| sim.run_one(seed)).collect()
     }
 
-    #[test]
-    fn outcome_codec_round_trips_exactly() {
-        for outcome in sample_outcomes(3) {
-            let value = outcome_to_value(&outcome);
-            // through text as well, exactly as the store writes it
-            let text = value.to_json_compact();
-            let back = outcome_from_value(&json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, outcome);
-        }
-        // a dirty outcome with violations round-trips too
+    /// A record line as the `Value` view writes it: the bytes the codec
+    /// must write.
+    fn reference_line(digest: u64, seed: u64, outcome: &SyncOutcome) -> String {
+        Value::Object(vec![
+            ("spec".to_string(), Value::Str(format!("{digest:016x}"))),
+            ("seed".to_string(), u64_value(seed)),
+            ("outcome".to_string(), outcome_to_value(outcome)),
+        ])
+        .to_json_compact()
+    }
+
+    /// What `json::parse` + `outcome_from_value` make of a line: the
+    /// decoder must accept exactly these lines, with these outcomes.
+    fn reference_decode(line: &str) -> Option<(u64, u64, SyncOutcome)> {
+        let value = json::parse(line).ok()?;
+        let digest = u64::from_str_radix(value.get("spec")?.as_str()?, 16).ok()?;
+        let seed = value_as_u64(value.get("seed")?)?;
+        let outcome = outcome_from_value(value.get("outcome")?)?;
+        (outcome.seed == seed).then_some((digest, seed, outcome))
+    }
+
+    fn assert_decodes_like_the_reference(line: &str) {
+        assert_eq!(decode_record(line), reference_decode(line), "line {line:?}");
+    }
+
+    /// Catalogue outcomes: clean runs and a dirty one with violations.
+    fn catalogue_outcomes() -> Vec<SyncOutcome> {
+        let mut outcomes = sample_outcomes(3);
         let dirty = Sim::from_spec(
             &ScenarioSpec::new("single-frequency", 4, 4, 1)
                 .with_adversary("fixed-band")
@@ -1088,8 +1506,636 @@ mod tests {
         .unwrap()
         .run_one(5);
         assert!(dirty.properties.total_violations > 0);
-        let back = outcome_from_value(&outcome_to_value(&dirty)).unwrap();
-        assert_eq!(back, dirty);
+        outcomes.push(dirty);
+        outcomes
+    }
+
+    #[test]
+    fn outcome_codec_round_trips_exactly() {
+        for outcome in catalogue_outcomes() {
+            let value = outcome_to_value(&outcome);
+            // through text as well, exactly as the store writes it
+            let text = value.to_json_compact();
+            let back = outcome_from_value(&json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, outcome);
+            // the direct codec writes the same bytes and reads them back
+            let line = encode_record(0xabc, outcome.seed, &outcome);
+            assert_eq!(line, reference_line(0xabc, outcome.seed, &outcome));
+            assert_eq!(
+                decode_record(&line),
+                Some((0xabc, outcome.seed, outcome.clone()))
+            );
+        }
+    }
+
+    use proptest::prelude::*;
+
+    fn below(rng: &mut TestRng, n: u64) -> u64 {
+        rng.next_u64() % n
+    }
+
+    /// A `u64` near the values the codec treats specially.
+    fn arb_u64(rng: &mut TestRng) -> u64 {
+        match below(rng, 6) {
+            0 => below(rng, 10),
+            1 => below(rng, 100_000),
+            2 => i64::MAX as u64 - 2 + below(rng, 5),
+            3 => u64::MAX - below(rng, 3),
+            4 => u64::from(u32::MAX) + below(rng, 3) - 1,
+            _ => rng.next_u64(),
+        }
+    }
+
+    fn arb_opt_u64(rng: &mut TestRng) -> Option<u64> {
+        (below(rng, 3) > 0).then(|| arb_u64(rng))
+    }
+
+    fn arb_node_id(rng: &mut TestRng) -> NodeId {
+        NodeId::new(match below(rng, 3) {
+            0 => u32::MAX - below(rng, 2) as u32,
+            _ => below(rng, 300) as u32,
+        })
+    }
+
+    /// Text with the characters a string literal escapes, and some that
+    /// take more than one UTF-8 byte.
+    fn arb_text(rng: &mut TestRng) -> String {
+        const POOL: &[char] = &[
+            'a', 'z', 'R', '0', '-', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}',
+            '\u{c}', '\u{1f}', '\u{7f}', 'é', '☃', '😀',
+        ];
+        (0..below(rng, 12))
+            .map(|_| POOL[below(rng, POOL.len() as u64) as usize])
+            .collect()
+    }
+
+    fn arb_violation(rng: &mut TestRng) -> Violation {
+        match below(rng, 3) {
+            0 => Violation::SynchCommit {
+                node: arb_node_id(rng),
+                round: arb_u64(rng),
+                previous: arb_u64(rng),
+            },
+            1 => Violation::Correctness {
+                node: arb_node_id(rng),
+                round: arb_u64(rng),
+                previous: arb_u64(rng),
+                current: arb_u64(rng),
+            },
+            _ => Violation::Agreement {
+                round: arb_u64(rng),
+                first: (arb_node_id(rng), arb_u64(rng)),
+                second: (arb_node_id(rng), arb_u64(rng)),
+            },
+        }
+    }
+
+    /// Draws an outcome over the whole range of every field.
+    struct ArbOutcome;
+
+    impl Strategy for ArbOutcome {
+        type Value = SyncOutcome;
+        fn generate(&self, rng: &mut TestRng) -> SyncOutcome {
+            let nodes = (0..below(rng, 5))
+                .map(|_| NodeSummary {
+                    id: arb_node_id(rng),
+                    activation_round: arb_u64(rng),
+                    sync_round: arb_opt_u64(rng),
+                    final_output: arb_opt_u64(rng),
+                })
+                .collect();
+            let metrics = SimMetrics {
+                rounds: arb_u64(rng),
+                broadcasts: arb_u64(rng),
+                listens: arb_u64(rng),
+                sleeps: arb_u64(rng),
+                deliveries: arb_u64(rng),
+                receptions: arb_u64(rng),
+                collisions: arb_u64(rng),
+                jammed_solo_broadcasts: arb_u64(rng),
+                disrupted_frequency_rounds: arb_u64(rng),
+                max_active_nodes: arb_node_id(rng).index() as u32,
+                adversary_budget_violations: arb_u64(rng),
+            };
+            SyncOutcome {
+                result: ExecutionResult {
+                    rounds_executed: arb_u64(rng),
+                    all_synchronized: below(rng, 2) == 0,
+                    nodes,
+                    metrics,
+                },
+                properties: PropertyReport {
+                    violations: (0..below(rng, 4)).map(|_| arb_violation(rng)).collect(),
+                    total_violations: arb_u64(rng),
+                    rounds_observed: arb_u64(rng),
+                    liveness: below(rng, 2) == 0,
+                    completion_round: arb_opt_u64(rng),
+                },
+                leaders: arb_u64(rng) as usize,
+                adversary: arb_text(rng),
+                seed: arb_u64(rng),
+            }
+        }
+    }
+
+    /// Any JSON value, for members the decoder must skip.
+    fn arb_value(rng: &mut TestRng, depth: u32) -> Value {
+        match below(rng, if depth == 0 { 5 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Bool(below(rng, 2) == 0),
+            2 => Value::Int(rng.next_u64() as i64),
+            3 => Value::Float([0.5, -1e300, 2.0, 1e-9][below(rng, 4) as usize]),
+            4 => Value::Str(arb_text(rng)),
+            5 => Value::Array(
+                (0..below(rng, 3))
+                    .map(|_| arb_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..below(rng, 3))
+                    .map(|i| (format!("k{i}"), arb_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// A value some field might hold instead of its own: other kinds,
+    /// numbers no integer field takes, strings a `u64` read may or may not
+    /// take, and pairs of the right and the wrong length.
+    fn wrong_value(rng: &mut TestRng) -> Value {
+        match below(rng, 16) {
+            0 => Value::Int(-1 - below(rng, 5) as i64),
+            1 => Value::Float(1.0),
+            2 => Value::Float(2.5),
+            3 => Value::Str(format!("+{}", below(rng, 9))),
+            4 => Value::Str(" 1".to_string()),
+            5 => Value::Str("18446744073709551616".to_string()),
+            6 => Value::Str("-0".to_string()),
+            7 => Value::Int(i64::from(u32::MAX) + 1),
+            8 => Value::Str("ff".to_string()),
+            9 => Value::Int(below(rng, 100) as i64),
+            10 => Value::Str(below(rng, 100).to_string()),
+            11 => Value::Array(
+                (0..below(rng, 4))
+                    .map(|_| Value::Int(below(rng, 9) as i64))
+                    .collect(),
+            ),
+            _ => arb_value(rng, 1),
+        }
+    }
+
+    /// Every member name a record uses, in some object or other.
+    const MEMBER_NAMES: &[&str] = &[
+        "spec",
+        "seed",
+        "outcome",
+        "result",
+        "rounds",
+        "synced",
+        "nodes",
+        "metrics",
+        "id",
+        "activated",
+        "sync",
+        "out",
+        "max_active",
+        "properties",
+        "violations",
+        "total",
+        "liveness",
+        "completion",
+        "leaders",
+        "adversary",
+        "kind",
+        "node",
+        "round",
+        "previous",
+        "current",
+        "first",
+        "second",
+    ];
+
+    /// Damages one randomly chosen value of the tree: a member
+    /// duplicated, dropped, or added under a name some record object
+    /// uses; an element added or dropped; or the value replaced.
+    fn damage(value: &mut Value, rng: &mut TestRng) {
+        fn sites(value: &Value) -> u64 {
+            1 + match value {
+                Value::Object(members) => members.iter().map(|(_, v)| sites(v)).sum(),
+                Value::Array(items) => items.iter().map(sites).sum(),
+                _ => 0,
+            }
+        }
+        fn damage_at(value: &mut Value, target: &mut u64, rng: &mut TestRng) -> bool {
+            if *target > 0 {
+                *target -= 1;
+                return match value {
+                    Value::Object(members) => members
+                        .iter_mut()
+                        .any(|(_, member)| damage_at(member, target, rng)),
+                    Value::Array(items) => {
+                        items.iter_mut().any(|item| damage_at(item, target, rng))
+                    }
+                    _ => false,
+                };
+            }
+            match value {
+                Value::Object(members) if !members.is_empty() => {
+                    let at = below(rng, members.len() as u64) as usize;
+                    match below(rng, 4) {
+                        0 => {
+                            let (key, _) = members[at].clone();
+                            members.push((key, wrong_value(rng)));
+                        }
+                        1 => drop(members.remove(at)),
+                        _ => {
+                            let name = MEMBER_NAMES[below(rng, MEMBER_NAMES.len() as u64) as usize];
+                            members.insert(at, (name.to_string(), wrong_value(rng)));
+                        }
+                    }
+                }
+                Value::Array(items) if below(rng, 2) == 0 => match items.pop() {
+                    Some(_) if below(rng, 2) == 0 => {}
+                    _ => items.push(wrong_value(rng)),
+                },
+                _ => *value = wrong_value(rng),
+            }
+            true
+        }
+        let mut target = below(rng, sites(value));
+        damage_at(value, &mut target, rng);
+    }
+
+    /// Rewrites `value` into a variant that means the same record: object
+    /// members shuffled, unknown members added, integers written as
+    /// decimal strings.
+    fn benign(value: &mut Value, rng: &mut TestRng) {
+        match value {
+            Value::Object(members) => {
+                for i in (1..members.len()).rev() {
+                    members.swap(i, below(rng, i as u64 + 1) as usize);
+                }
+                for extra in 0..below(rng, 2) {
+                    let at = below(rng, members.len() as u64 + 1) as usize;
+                    members.insert(at, (format!("extra {extra}"), arb_value(rng, 2)));
+                }
+                for (_, member) in members.iter_mut() {
+                    benign(member, rng);
+                }
+            }
+            Value::Array(items) => items.iter_mut().for_each(|item| benign(item, rng)),
+            Value::Int(i) if below(rng, 4) == 0 => *value = Value::Str(i.to_string()),
+            _ => {}
+        }
+    }
+
+    /// Writes `value` as JSON with random whitespace between tokens and
+    /// random `\u` escapes (surrogate pairs included) in keys and strings.
+    fn write_variant(value: &Value, rng: &mut TestRng, out: &mut String) {
+        let space = |rng: &mut TestRng, out: &mut String| {
+            for _ in 0..below(rng, 3).saturating_sub(1) {
+                out.push([' ', '\t', '\r', '\n'][below(rng, 4) as usize]);
+            }
+        };
+        let string = |s: &str, rng: &mut TestRng, out: &mut String| {
+            out.push('"');
+            for c in s.chars() {
+                if below(rng, 4) == 0 || c < ' ' || c == '"' || c == '\\' {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                } else {
+                    out.push(c);
+                }
+            }
+            out.push('"');
+        };
+        space(rng, out);
+        match value {
+            Value::Str(s) => string(s, rng, out),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_variant(item, rng, out);
+                }
+                space(rng, out);
+                out.push(']');
+            }
+            Value::Object(members) => {
+                out.push('{');
+                for (i, (key, member)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    space(rng, out);
+                    string(key, rng, out);
+                    space(rng, out);
+                    out.push(':');
+                    write_variant(member, rng, out);
+                }
+                space(rng, out);
+                out.push('}');
+            }
+            scalar => out.push_str(&scalar.to_json_compact()),
+        }
+        space(rng, out);
+    }
+
+    /// Draws a record: usually keyed by its outcome's seed, sometimes not
+    /// (a record no decoder may accept).
+    struct ArbRecord;
+
+    impl Strategy for ArbRecord {
+        type Value = (u64, u64, SyncOutcome);
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let outcome = ArbOutcome.generate(rng);
+            let seed = if below(rng, 8) == 0 {
+                arb_u64(rng)
+            } else {
+                outcome.seed
+            };
+            (arb_u64(rng), seed, outcome)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The codec writes the `Value` view's bytes and reads them back.
+        #[test]
+        fn the_codec_writes_the_reference_bytes_and_reads_them_back(
+            record in ArbRecord,
+        ) {
+            let (digest, seed, outcome) = record;
+            let line = encode_record(digest, seed, &outcome);
+            prop_assert_eq!(&line, &reference_line(digest, seed, &outcome));
+            let expected = (seed == outcome.seed).then_some((digest, seed, outcome));
+            prop_assert_eq!(decode_record(&line), expected);
+        }
+
+        /// Re-spaced, reordered, extended and escaped variants decode to
+        /// the same record.
+        #[test]
+        fn benign_variants_decode_to_the_same_record(outcome in ArbOutcome, salt in any::<u64>()) {
+            let mut rng = TestRng::deterministic(&salt.to_string());
+            let line = encode_record(7, outcome.seed, &outcome);
+            let mut value = json::parse(&line).unwrap();
+            benign(&mut value, &mut rng);
+            let mut variant = String::new();
+            write_variant(&value, &mut rng, &mut variant);
+            prop_assert_eq!(decode_record(&variant), Some((7, outcome.seed, outcome)));
+            assert_decodes_like_the_reference(&variant);
+        }
+
+        /// Damaged variants decode exactly as the reference decodes them.
+        #[test]
+        fn damaged_variants_decode_like_the_reference(outcome in ArbOutcome, salt in any::<u64>()) {
+            let mut rng = TestRng::deterministic(&salt.to_string());
+            let line = encode_record(7, outcome.seed, &outcome);
+            let mut value = json::parse(&line).unwrap();
+            for _ in 0..1 + below(&mut rng, 2) {
+                damage(&mut value, &mut rng);
+            }
+            benign(&mut value, &mut rng);
+            let mut variant = String::new();
+            write_variant(&value, &mut rng, &mut variant);
+            assert_decodes_like_the_reference(&variant);
+            assert_decodes_like_the_reference(&value.to_json_compact());
+        }
+
+        /// Lines with one character inserted, deleted or replaced decode
+        /// exactly as the reference decodes them.
+        #[test]
+        fn edited_lines_decode_like_the_reference(outcome in ArbOutcome, edits in any::<u64>()) {
+            let mut rng = TestRng::deterministic(&edits.to_string());
+            let line = encode_record(7, outcome.seed, &outcome);
+            const POOL: &[char] = &[
+                '{', '}', '[', ']', ':', ',', '"', '\\', '0', '1', '-', '+', '.', 'e', 'E',
+                ' ', 'n', 'u', 't', 'f', '\u{0}', 'é',
+            ];
+            for _ in 0..8 {
+                let mut chars: Vec<char> = line.chars().collect();
+                let at = below(&mut rng, chars.len() as u64 + 1) as usize;
+                let c = POOL[below(&mut rng, POOL.len() as u64) as usize];
+                match below(&mut rng, 3) {
+                    0 => chars.insert(at, c),
+                    1 if at < chars.len() => drop(chars.remove(at)),
+                    _ if at < chars.len() => chars[at] = c,
+                    _ => chars.push(c),
+                }
+                assert_decodes_like_the_reference(&chars.into_iter().collect::<String>());
+            }
+        }
+    }
+
+    /// Hand-picked records: violations of every kind, `⊥` outputs, values
+    /// past `i64::MAX` and an adversary name to escape.
+    fn edge_records() -> Vec<(u64, u64, SyncOutcome)> {
+        let mut rng = TestRng::deterministic("edge records");
+        let mut outcomes = catalogue_outcomes();
+        outcomes.extend(
+            (0..64)
+                .map(|_| ArbOutcome.generate(&mut rng))
+                .filter(|o| o.properties.violations.len() >= 2 && o.result.nodes.len() >= 2),
+        );
+        outcomes
+            .into_iter()
+            .map(|o| (u64::MAX - o.seed, o.seed, o))
+            .collect()
+    }
+
+    /// A small record with one violation of each kind and a `⊥` output.
+    fn one_of_each() -> SyncOutcome {
+        let mut outcome = sample_outcomes(1).remove(0);
+        outcome.result.nodes.truncate(2);
+        outcome.result.nodes[1].final_output = None;
+        outcome.properties.violations = vec![
+            Violation::SynchCommit {
+                node: NodeId::new(1),
+                round: 9,
+                previous: 8,
+            },
+            Violation::Correctness {
+                node: NodeId::new(0),
+                round: 10,
+                previous: 3,
+                current: 5,
+            },
+            Violation::Agreement {
+                round: 11,
+                first: (NodeId::new(0), 4),
+                second: (NodeId::new(1), 6),
+            },
+        ];
+        outcome
+    }
+
+    /// An object's members.
+    type Members = Vec<(String, Value)>;
+
+    /// The `k`-th object of `value` in document order, if there is one.
+    fn object_at<'v>(value: &'v mut Value, k: &mut usize) -> Option<&'v mut Members> {
+        if matches!(value, Value::Object(_)) {
+            if *k == 0 {
+                return match value {
+                    Value::Object(members) => Some(members),
+                    _ => None,
+                };
+            }
+            *k -= 1;
+        }
+        match value {
+            Value::Object(members) => members
+                .iter_mut()
+                .find_map(|(_, member)| object_at(member, k)),
+            Value::Array(items) => items.iter_mut().find_map(|item| object_at(item, k)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn every_member_edit_decodes_like_the_reference() {
+        // In every object of a record, each member is dropped, duplicated
+        // and set to each of these values, and each name any record
+        // object uses is set to each of them: a member that does not
+        // count where it stands (a violation's member another kind needs)
+        // may hold anything, one that counts must hold its own kind.
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(-1),
+            Value::Int(i64::MAX),
+            Value::Int(i64::from(u32::MAX) + 1),
+            Value::Float(1.0),
+            Value::Float(0.5),
+            Value::Str("7".to_string()),
+            Value::Str("+7".to_string()),
+            Value::Str("-0".to_string()),
+            Value::Str("null".to_string()),
+            Value::Str("true".to_string()),
+            Value::Str("synch-commit".to_string()),
+            Value::Str("correctness".to_string()),
+            Value::Str("agreement".to_string()),
+            Value::Str("18446744073709551615".to_string()),
+            Value::Str("18446744073709551616".to_string()),
+            Value::Str(String::new()),
+            Value::Array(Vec::new()),
+            Value::Array(vec![Value::Int(1)]),
+            Value::Array(vec![Value::Int(1), Value::Int(2)]),
+            Value::Array(vec![Value::Int(1), Value::Str("2".to_string())]),
+            Value::Array(vec![Value::Int(1 << 40), Value::Int(2)]),
+            Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)]),
+            Value::Object(Vec::new()),
+        ];
+        let outcome = one_of_each();
+        let record = json::parse(&encode_record(3, outcome.seed, &outcome)).unwrap();
+        // Applies `edit` to the `k`-th object; whether the variant decodes.
+        let check = |edit: &dyn Fn(&mut Members), k: usize| -> bool {
+            let mut variant = record.clone();
+            edit(object_at(&mut variant, &mut { k }).unwrap());
+            let line = variant.to_json_compact();
+            assert_decodes_like_the_reference(&line);
+            decode_record(&line).is_some()
+        };
+        let (mut edits, mut accepted) = (0, 0);
+        let mut tally = |decodes: bool| {
+            edits += 1;
+            accepted += usize::from(decodes);
+        };
+        for k in 0.. {
+            let Some(members) = object_at(&mut record.clone(), &mut { k }).map(|m| m.len()) else {
+                break;
+            };
+            for at in 0..members {
+                tally(check(&|m| drop(m.remove(at)), k));
+                tally(check(&|m| m.push(m[at].clone()), k));
+                for value in &values {
+                    tally(check(&|m| m[at].1 = value.clone(), k));
+                }
+            }
+            for name in MEMBER_NAMES {
+                for value in &values {
+                    tally(check(
+                        &|m| match m.iter_mut().find(|(key, _)| key == name) {
+                            Some((_, slot)) => *slot = value.clone(),
+                            None => m.push((name.to_string(), value.clone())),
+                        },
+                        k,
+                    ));
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && accepted < edits,
+            "{accepted} of {edits} edits decode"
+        );
+    }
+
+    #[test]
+    fn every_truncation_decodes_like_the_reference() {
+        for (digest, seed, outcome) in edge_records().iter().take(8) {
+            let line = encode_record(*digest, *seed, outcome);
+            for end in (0..line.len()).filter(|&end| line.is_char_boundary(end)) {
+                assert_decodes_like_the_reference(&line[..end]);
+            }
+        }
+    }
+
+    #[test]
+    fn number_edits_and_trailing_bytes_decode_like_the_reference() {
+        let edits: &[fn(&str) -> String] = &[
+            |n| format!("0{n}"),
+            |n| format!("-{n}"),
+            |n| format!("{n}.0"),
+            |n| format!("{n}e0"),
+            |n| format!("{n}E+1"),
+            |_| "-0".to_string(),
+            |_| "00".to_string(),
+            |_| "0.5".to_string(),
+            |_| "1e999".to_string(),
+            |_| "9223372036854775808".to_string(),
+            |n| format!("\"{n}\""),
+            |n| format!("\"0{n}\""),
+            |_| "true".to_string(),
+            |_| "null".to_string(),
+            |_| "[]".to_string(),
+        ];
+        for (digest, seed, outcome) in edge_records() {
+            let line = encode_record(digest, seed, &outcome);
+            // every number token, edited every way
+            let bytes = line.as_bytes();
+            let mut at = 0;
+            while at < bytes.len() {
+                let starts =
+                    bytes[at].is_ascii_digit() && matches!(bytes[at - 1], b':' | b',' | b'[');
+                if !starts {
+                    at += 1;
+                    continue;
+                }
+                let end = at
+                    + bytes[at..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_digit())
+                        .count();
+                for edit in edits {
+                    let edited = format!("{}{}{}", &line[..at], edit(&line[at..end]), &line[end..]);
+                    assert_decodes_like_the_reference(&edited);
+                }
+                at = end;
+            }
+            for tail in [
+                " ", "\t\r\n ", "\u{a0}", "x", ",", "}", "{}", "[]", "\"\"", "0", "null",
+            ] {
+                assert_decodes_like_the_reference(&format!("{line}{tail}"));
+                assert_decodes_like_the_reference(&format!("{tail}{line}"));
+            }
+        }
     }
 
     #[test]

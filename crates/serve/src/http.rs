@@ -43,7 +43,8 @@ pub struct Request {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
     /// The connection closed before a full request arrived, or the
-    /// request line / headers were not valid HTTP.
+    /// request line / headers were not valid HTTP (a line that is not
+    /// UTF-8 included).
     Malformed,
     /// The declared `Content-Length` exceeds [`MAX_BODY`].
     BodyTooLarge,
@@ -129,9 +130,8 @@ impl Read for DeadlineReader {
 }
 
 /// Reads one line of at most `MAX_LINE` bytes, line ending included.
-/// A closed stream is `Malformed` and a longer line `HeadersTooLarge`;
-/// text that is not UTF-8 is a transport error, as for
-/// [`BufRead::read_line`].
+/// A closed stream or a line that is not UTF-8 is `Malformed`, and a
+/// longer line `HeadersTooLarge`.
 fn read_line(reader: &mut impl BufRead) -> io::Result<Result<String, RequestError>> {
     let mut bytes = Vec::new();
     let read = reader.take(MAX_LINE as u64).read_until(b'\n', &mut bytes)?;
@@ -141,9 +141,7 @@ fn read_line(reader: &mut impl BufRead) -> io::Result<Result<String, RequestErro
     if read == MAX_LINE && bytes.last() != Some(&b'\n') {
         return Ok(Err(RequestError::HeadersTooLarge));
     }
-    String::from_utf8(bytes)
-        .map(Ok)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    Ok(String::from_utf8(bytes).map_err(|_| RequestError::Malformed))
 }
 
 /// Writes a complete JSON response and closes the exchange.
@@ -333,6 +331,17 @@ mod tests {
             request_roundtrip(&request),
             Err(RequestError::HeadersTooLarge)
         );
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_malformed() {
+        for raw in [
+            &b"GET /healthz\xff HTTP/1.1\r\n\r\n"[..],
+            &b"GET /healthz HTTP/1.1\r\nX-Pad: \xc3\x28\r\n\r\n"[..],
+        ] {
+            let (parsed, _) = feed(raw.to_vec(), false, READ_TIMEOUT);
+            assert_eq!(parsed.unwrap(), Err(RequestError::Malformed), "{raw:?}");
+        }
     }
 
     /// Feeds `raw` to [`read_request`] over one loopback connection from one

@@ -566,6 +566,24 @@ fn oversized_headers_are_answered_431_not_reset() {
 }
 
 #[test]
+fn a_line_that_is_not_utf8_is_answered_400() {
+    let addr = start_server("not-utf8");
+    for request in [
+        &b"GET /healthz\xff HTTP/1.1\r\nHost: t\r\n\r\n"[..],
+        &b"GET /healthz HTTP/1.1\r\nHost: \xc3\x28\r\n\r\n"[..],
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request).expect("send");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("receive");
+        assert!(
+            raw.starts_with("HTTP/1.1 400 Bad Request"),
+            "a line that is not UTF-8 must answer 400: {raw:?}"
+        );
+    }
+}
+
+#[test]
 fn an_idle_connection_frees_its_handler_permit_after_the_read_timeout() {
     let addr = start_server_with("idle", 1);
 
