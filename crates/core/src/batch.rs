@@ -383,7 +383,7 @@ impl BatchStats {
 /// accumulator in the same order, so no intermediate vector of outcomes is
 /// ever required. This is what lets the sweep layer aggregate arbitrarily
 /// large Monte-Carlo runs while holding only one outcome at a time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchStatsFold {
     trials: u64,
     synced: u64,
@@ -395,28 +395,10 @@ pub struct BatchStatsFold {
     completion_rounds: OnlineStats,
 }
 
-impl Default for BatchStatsFold {
-    fn default() -> Self {
-        BatchStatsFold::new()
-    }
-}
-
 impl BatchStatsFold {
     /// An empty accumulator.
     pub fn new() -> Self {
-        BatchStatsFold {
-            trials: 0,
-            synced: 0,
-            single_leader: 0,
-            clean: 0,
-            total_violations: 0,
-            all_hold: 0,
-            // `OnlineStats::new()`, not `default()`: the summaries of an
-            // empty fold must match `Summary::from_slice(&[])` (min = +inf,
-            // max = -inf), which the derived zeroed Default would not.
-            rounds_to_sync: OnlineStats::new(),
-            completion_rounds: OnlineStats::new(),
-        }
+        BatchStatsFold::default()
     }
 
     /// Folds one outcome. Call in seed order for bit-identical equivalence

@@ -41,8 +41,9 @@ use std::time::Duration;
 
 use wsync_core::fabric::{self, FabricConfig, WorkerEvent};
 use wsync_core::store::ResultStore;
+use wsync_core::sweep::SweepRunner;
 use wsync_experiments::output::{Effort, ExperimentReport};
-use wsync_experiments::{run_all, run_spec_file_stored, SpecFile, StoreMode, EXPERIMENTS};
+use wsync_experiments::{run_all, run_spec_file_stored, SpecFile, EXPERIMENTS};
 
 /// Extracts a value-taking `--flag <value>` pair from the argument list.
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -356,8 +357,8 @@ fn main() -> ExitCode {
             false
         };
 
-        let store_mode = match &out_dir {
-            None => StoreMode::None,
+        let runner = match &out_dir {
+            None => SweepRunner::new(),
             Some(dir) => {
                 let store = match ResultStore::open(dir) {
                     Ok(store) => store,
@@ -370,13 +371,13 @@ fn main() -> ExitCode {
                 if resume || fabric_ran {
                     // After a fabric run the store holds the workers'
                     // results; the aggregation pass must serve them.
-                    StoreMode::Resume(Arc::new(store))
+                    SweepRunner::new().store(Arc::new(store))
                 } else {
-                    StoreMode::Record(Arc::new(store))
+                    SweepRunner::new().record_only(Arc::new(store))
                 }
             }
         };
-        match run_spec_file_stored(&path, 0..effort.seeds(), &store_mode) {
+        match run_spec_file_stored(&path, 0..effort.seeds(), &runner) {
             Ok((report, totals)) => {
                 if markdown {
                     println!("{}", report.to_markdown());

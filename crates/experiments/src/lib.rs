@@ -38,7 +38,7 @@ pub mod trapdoor_scaling;
 pub mod weight_bound;
 
 pub use output::{Effort, ExperimentReport};
-pub use spec_run::{run_spec, run_spec_file_stored, run_spec_stored, SpecFile, StoreMode};
+pub use spec_run::{run_spec, run_spec_file_stored, run_spec_stored, SpecFile};
 
 /// Runs an experiment grid at the given effort level: fixed-count at
 /// `Smoke` (whose tiny seed totals are pinned by unit tests), adaptive at

@@ -9,11 +9,12 @@
 //! experiments. Example files live under `examples/specs/`.
 //!
 //! With `--out <dir>` the runner persists every completed trial into a
-//! content-addressed [`ResultStore`]; with `--resume` it additionally
-//! serves already-stored trials from that store, so an interrupted sweep
-//! re-runs only what is missing and reproduces the uninterrupted tables
-//! bit for bit (the cache totals go to stderr, never into the report, so
-//! resumed and fresh runs print identical tables).
+//! content-addressed [`ResultStore`](wsync_core::store::ResultStore); with
+//! `--resume` it additionally serves already-stored trials from that
+//! store, so an interrupted sweep re-runs only what is missing and
+//! reproduces the uninterrupted tables bit for bit (the cache totals go to
+//! stderr, never into the report, so resumed and fresh runs print
+//! identical tables).
 //!
 //! A spec that declares `"probes": [...]` runs every executed trial with
 //! those probes attached to the engine's probe stack; the report gains one
@@ -22,12 +23,9 @@
 //! served wholly from a resume cache contribute no probe rows — the
 //! outcome tables themselves stay bit-identical either way).
 
-use std::sync::Arc;
-
 use wsync_core::json;
 use wsync_core::registry::ProbeOutput;
 use wsync_core::spec::{ScenarioSpec, SpecError, SweepSpec};
-use wsync_core::store::ResultStore;
 use wsync_core::sweep::{SweepError, SweepReport, SweepRunner};
 use wsync_stats::Table;
 
@@ -64,30 +62,6 @@ impl SpecFile {
     }
 }
 
-/// How a spec run should use a persistent [`ResultStore`], if at all.
-#[derive(Debug, Clone, Default)]
-pub enum StoreMode {
-    /// No persistence: every trial executes, nothing is written.
-    #[default]
-    None,
-    /// Record every completed trial into the store but execute everything
-    /// (`--out` without `--resume`).
-    Record(Arc<ResultStore>),
-    /// Record trials *and* serve already-stored ones from the cache
-    /// (`--out` with `--resume`).
-    Resume(Arc<ResultStore>),
-}
-
-impl StoreMode {
-    fn runner(&self) -> SweepRunner {
-        match self {
-            StoreMode::None => SweepRunner::new(),
-            StoreMode::Record(store) => SweepRunner::new().record_only(Arc::clone(store)),
-            StoreMode::Resume(store) => SweepRunner::new().store(Arc::clone(store)),
-        }
-    }
-}
-
 /// Runs a parsed spec file and renders one aggregate row per sweep point.
 ///
 /// `source` labels the report (typically the file name); `default_seeds`
@@ -97,17 +71,20 @@ pub fn run_spec(
     source: &str,
     default_seeds: std::ops::Range<u64>,
 ) -> Result<ExperimentReport, SpecError> {
-    match run_spec_stored(file, source, default_seeds, &StoreMode::None) {
+    match run_spec_stored(file, source, default_seeds, &SweepRunner::new()) {
         Ok((report, _)) => Ok(report),
         Err(SweepError::Spec(e)) => Err(e),
         Err(SweepError::Store(e)) => unreachable!("storeless run raised a store error: {e}"),
     }
 }
 
-/// Runs a parsed spec file with optional store persistence, returning both
-/// the rendered report and the [`SweepReport`] (per-point cache/executed
-/// totals). The rendered **outcome tables** are independent of the store
-/// mode — a resumed run prints them bit-identical to an uninterrupted one;
+/// Runs a parsed spec file on `runner`, returning both the rendered report
+/// and the [`SweepReport`] (per-point cache/executed totals). The runner
+/// decides persistence: [`SweepRunner::new`] stores nothing,
+/// [`record_only`](SweepRunner::record_only) records every trial (`--out`),
+/// and [`store`](SweepRunner::store) also serves stored ones (`--resume`).
+/// The rendered **outcome tables** are independent of the store — a
+/// resumed run prints them bit-identical to an uninterrupted one;
 /// cache accounting lives only in the returned [`SweepReport`]. The probe
 /// table (present only when the spec declares `"probes"`) is the one
 /// store-dependent section: probes observe live executions, so a point
@@ -117,7 +94,7 @@ pub fn run_spec_stored(
     file: SpecFile,
     source: &str,
     default_seeds: std::ops::Range<u64>,
-    store: &StoreMode,
+    runner: &SweepRunner,
 ) -> Result<(ExperimentReport, SweepReport), SweepError> {
     let sweep = file.into_sweep(default_seeds);
     // For a fixed-count sweep this is the declared range; with a `"stop"`
@@ -132,7 +109,7 @@ pub fn run_spec_stored(
     // One probe-output sample per point: each point's first executed seed
     // runs probed, the remaining trials skip the probe overhead entirely.
     let mut probe_samples: Vec<Option<Vec<ProbeOutput>>> = vec![None; points.len()];
-    let result = store.runner().run_points_with(
+    let result = runner.run_points_with(
         points,
         seeds.clone(),
         sweep.stop.as_ref(),
@@ -233,22 +210,24 @@ pub fn run_spec_stored(
     Ok((report, result))
 }
 
-/// Reads, parses, and runs a spec file from disk with optional store
-/// persistence (the `--out` / `--resume` path of `run_experiments`).
+/// Reads, parses, and runs a spec file from disk on `runner` (the `--out`
+/// / `--resume` path of `run_experiments`; see [`run_spec_stored`]).
 pub fn run_spec_file_stored(
     path: &str,
     default_seeds: std::ops::Range<u64>,
-    store: &StoreMode,
+    runner: &SweepRunner,
 ) -> Result<(ExperimentReport, SweepReport), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read spec file {path}: {e}"))?;
     let file = SpecFile::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    run_spec_stored(file, path, default_seeds, store).map_err(|e| format!("{path}: {e}"))
+    run_spec_stored(file, path, default_seeds, runner).map_err(|e| format!("{path}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use wsync_core::store::ResultStore;
 
     const SCENARIO_JSON: &str = r#"{
         "protocol": "trapdoor",
@@ -309,7 +288,7 @@ mod tests {
             SpecFile::parse(SWEEP_JSON).unwrap(),
             "inline",
             0..1,
-            &StoreMode::Record(store),
+            &SweepRunner::new().record_only(store),
         )
         .unwrap();
         assert_eq!(totals.executed_trials(), 6);
@@ -320,7 +299,7 @@ mod tests {
             SpecFile::parse(SWEEP_JSON).unwrap(),
             "inline",
             0..1,
-            &StoreMode::Resume(store),
+            &SweepRunner::new().store(store),
         )
         .unwrap();
         assert_eq!(totals.executed_trials(), 0);
@@ -368,7 +347,7 @@ mod tests {
             SpecFile::parse(ADAPTIVE_SWEEP_JSON).unwrap(),
             "inline",
             0..1,
-            &StoreMode::Record(store),
+            &SweepRunner::new().record_only(store),
         )
         .unwrap();
         assert!(totals.executed_trials() < 64, "no early stop happened");
@@ -379,7 +358,7 @@ mod tests {
             SpecFile::parse(ADAPTIVE_SWEEP_JSON).unwrap(),
             "inline",
             0..1,
-            &StoreMode::Resume(store),
+            &SweepRunner::new().store(store),
         )
         .unwrap();
         // cached trials count toward the rule: zero re-execution, and the

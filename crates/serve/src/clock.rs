@@ -5,9 +5,8 @@
 //! quantities — how long request handling spent executing trials, which
 //! `GET /metrics` turns into a rounds-per-second throughput figure, and
 //! how long a connection has left to deliver its request. All such reads
-//! live here, mirroring `wsync_core::fabric`'s clock boundary: nothing
-//! measured in this module ever feeds a simulated outcome, a digest, or a
-//! store record.
+//! live here, and nothing measured in this module ever feeds a simulated
+//! outcome, a digest, or a store record.
 
 // lint:allow(wall-clock): throughput metrics (rounds/s) and request deadlines are wall-clock by definition; confined to this boundary module and never fed into simulation state
 use std::time::{Duration, Instant};

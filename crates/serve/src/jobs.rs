@@ -2,11 +2,11 @@
 //! events `GET /jobs/<id>` streams back as JSON lines.
 //!
 //! A job is an append-only log of pre-serialized JSON lines plus a done
-//! flag. Producers (the orchestration thread and its fabric workers) push
-//! lines; any number of consumers read from their own cursor, so a client
-//! that connects mid-run still sees the full history before the live
-//! tail. Job ids are sequential (`job-1`, `job-2`, …) — no ambient
-//! randomness anywhere in the workspace, the serving layer included.
+//! flag. The job's thread pushes lines and wakes the waiting consumers;
+//! any number of them read from their own cursor, so a client that
+//! connects mid-run still sees the full history before the live tail.
+//! Job ids are sequential (`job-1`, `job-2`, …) — no ambient randomness
+//! anywhere in the workspace, the serving layer included.
 //!
 //! Each running job holds one of [`MAX_RUNNING_JOBS`] slots, reserved
 //! under the registry's lock when the job is created and given back when
@@ -21,11 +21,12 @@
 //! keeps reading it; only a new `GET /jobs/<id>` answers `404`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Most sweep jobs running at once. Each running job holds an
-/// orchestration thread plus its fabric worker threads, so this cap bounds
-/// the daemon's job threads at `MAX_RUNNING_JOBS × (1 + fabric workers)`.
+/// Most sweep jobs running at once. Each running job holds its own thread
+/// plus, while it executes trials, one `BatchRunner` pool (available
+/// parallelism, or `WSYNC_THREADS`), so this cap bounds the daemon's job
+/// threads at `MAX_RUNNING_JOBS × (1 + pool size)`.
 pub const MAX_RUNNING_JOBS: usize = 8;
 
 /// Most finished jobs the table keeps; a job's creation evicts the oldest
@@ -55,6 +56,8 @@ struct JobState {
 pub struct Job {
     id: String,
     state: Mutex<JobState>,
+    /// Notified on every push and on finish.
+    changed: Condvar,
     running: Arc<AtomicUsize>,
 }
 
@@ -67,6 +70,7 @@ impl Job {
     /// Appends one event line (a complete JSON document, no newline).
     pub fn push(&self, line: String) {
         lock(&self.state).events.push(line);
+        self.changed.notify_all();
     }
 
     /// Marks the job finished, giving its running-job slot back (once,
@@ -77,6 +81,7 @@ impl Job {
             state.done = true;
             self.running.fetch_sub(1, Ordering::AcqRel);
         }
+        self.changed.notify_all();
     }
 
     fn is_done(&self) -> bool {
@@ -89,6 +94,18 @@ impl Job {
         let state = lock(&self.state);
         let fresh = state.events.get(cursor..).unwrap_or(&[]).to_vec();
         (fresh, state.done)
+    }
+
+    /// Waits until the log holds an event at position `cursor` or the job
+    /// is done. Every push and the finish notify, and the job finishes
+    /// even when its thread panics, so the wait always ends.
+    pub(crate) fn wait_past(&self, cursor: usize) {
+        let state = lock(&self.state);
+        // The guard comes back poisoned or not; either way, drop it.
+        drop(
+            self.changed
+                .wait_while(state, |s| !s.done && s.events.len() <= cursor),
+        );
     }
 }
 
@@ -129,6 +146,7 @@ impl JobRegistry {
         let job = Arc::new(Job {
             id: format!("job-{n}"),
             state: Mutex::new(JobState::default()),
+            changed: Condvar::new(),
             running: Arc::clone(&self.running),
         });
         jobs.push(Arc::clone(&job));

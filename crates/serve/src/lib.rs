@@ -1,9 +1,11 @@
 //! `wsync-serve` — simulation-as-a-service for the wireless
 //! synchronization workspace.
 //!
-//! A dependency-free HTTP/1.1 + JSON daemon on `std::net` that fronts the
+//! A dependency-free HTTP/1.1 + JSON daemon on `std::net` that owns one
 //! content-addressed [`ResultStore`](wsync_core::store::ResultStore) and
-//! the multi-process sweep fabric ([`wsync_core::fabric`]):
+//! serves every trial through one
+//! [`SweepRunner`](wsync_core::sweep::SweepRunner) pass on it, for
+//! synchronous runs and sweep jobs alike:
 //!
 //! * [`http`] — the hand-rolled request/response plumbing.
 //! * [`server`] — routing and handlers (`/run`, `/sweep`, `/jobs/<id>`,

@@ -1,7 +1,7 @@
 //! The `wsync-serve` binary: parse flags, bind, serve forever.
 //!
 //! ```text
-//! wsync-serve --store <dir> [--addr 127.0.0.1:7077] [--fabric-workers 2] [--max-handlers 64]
+//! wsync-serve --store <dir> [--addr 127.0.0.1:7077] [--max-handlers 64]
 //! ```
 
 use std::path::PathBuf;
@@ -9,19 +9,17 @@ use std::process::ExitCode;
 
 use wsync_serve::{ServeConfig, Server, DEFAULT_MAX_HANDLERS};
 
-const USAGE: &str =
-    "usage: wsync-serve --store <dir> [--addr HOST:PORT] [--fabric-workers N] [--max-handlers N]
+const USAGE: &str = "usage: wsync-serve --store <dir> [--addr HOST:PORT] [--max-handlers N]
 
-  --store <dir>        result-store directory to serve from (created if missing)
+  --store <dir>        result-store directory the daemon owns (created if
+                       missing); /run and /sweep jobs both read and write it
   --addr HOST:PORT     bind address (default 127.0.0.1:7077; port 0 picks one)
-  --fabric-workers N   fabric worker threads per sweep job (default 2)
   --max-handlers N     concurrent connection handlers; beyond this the
                        server answers 503 + Retry-After (default 64)";
 
 fn main() -> ExitCode {
     let mut store: Option<PathBuf> = None;
     let mut addr = "127.0.0.1:7077".to_string();
-    let mut fabric_workers = 2usize;
     let mut max_handlers = DEFAULT_MAX_HANDLERS;
     let mut arguments = std::env::args().skip(1);
     while let Some(argument) = arguments.next() {
@@ -38,10 +36,6 @@ fn main() -> ExitCode {
                 Some(a) => addr = a,
                 None => return usage_error("--addr needs HOST:PORT"),
             },
-            "--fabric-workers" => match arguments.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n > 0 => fabric_workers = n,
-                _ => return usage_error("--fabric-workers needs a positive integer"),
-            },
             "--max-handlers" => match arguments.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n > 0 => max_handlers = n,
                 _ => return usage_error("--max-handlers needs a positive integer"),
@@ -55,7 +49,6 @@ fn main() -> ExitCode {
     let server = match Server::bind(ServeConfig {
         addr,
         store_dir,
-        fabric_workers,
         max_handlers,
     }) {
         Ok(server) => server,

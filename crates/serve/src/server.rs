@@ -1,7 +1,9 @@
 //! Routing and handlers: the daemon behind `wsync-serve`.
 //!
 //! The request lifecycle for simulation routes is always
-//! **spec → digest → cache probe → run/lease → stream**:
+//! **spec → digest → cache probe → run → stream**, and both simulation
+//! routes make it as one [`SweepRunner`] pass on the daemon's one
+//! [`ResultStore`]:
 //!
 //! * `POST /run` — a [`ScenarioSpec`] (bare, or `{"spec": …, "seeds":
 //!   {"start", "end"}}`): the spec is canonicalized and digested, every
@@ -10,18 +12,19 @@
 //!   persisted), and the response reports aggregate stats plus cache
 //!   accounting — a repeated request is a full cache hit with
 //!   `"executed": 0`.
-//! * `POST /sweep` — a [`SweepSpec`]: validated, registered as a job,
-//!   and scheduled onto the fabric — worker threads claim store shards
-//!   via the same lease files OS-process workers use, so a daemon and a
-//!   `run_experiments --workers` fleet can even share one store
-//!   directory. Responds immediately with the job id, or with `429 Too
-//!   Many Requests` and `Retry-After` while [`MAX_RUNNING_JOBS`] jobs are
-//!   running, so posted sweeps cannot grow the daemon's threads without
-//!   bound.
-//! * `GET /jobs/<id>` — streams the job's progress (worker events,
-//!   per-point aggregates, probe outputs) as close-delimited JSON lines.
+//! * `POST /sweep` — a [`SweepSpec`]: validated, registered as a job, and
+//!   run on a job thread by the same pass over every grid point. Responds
+//!   immediately with the job id, or with `429 Too Many Requests` and
+//!   `Retry-After` while [`MAX_RUNNING_JOBS`] jobs are running, so posted
+//!   sweeps cannot grow the daemon's threads without bound.
+//! * `GET /jobs/<id>` — streams the job's events (`scheduled`, one
+//!   `point` per grid point, probe samples, `done`) as close-delimited
+//!   JSON lines.
 //! * `GET /catalog`, `GET /healthz`, `GET /metrics` — the registry's
 //!   component names, liveness, and the service counters.
+//!
+//! One daemon owns its store directory: its index sees every record it
+//! serves, so a trial one route executed is a cache hit for the other.
 //!
 //! Admission control: handler threads are capped by a counting
 //! semaphore ([`ServeConfig::max_handlers`] permits). The accept loop
@@ -33,18 +36,18 @@
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::ops::Range;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use wsync_core::batch::BatchStats;
-use wsync_core::fabric::{self, FabricConfig, WorkerEvent};
 use wsync_core::json::{self, Value};
-use wsync_core::registry;
+use wsync_core::registry::{self, ProbeOutput};
 use wsync_core::sim::Sim;
 use wsync_core::spec::{seeds_from_value, Fields, ScenarioSpec, SpecError, SweepSpec};
 use wsync_core::store::{spec_digest, ResultStore, StoreError};
-use wsync_core::sweep::{SweepError, SweepRunner};
+use wsync_core::sweep::{StoppingRule, SweepError, SweepReport, SweepRunner};
 
 use crate::clock::{Deadline, Stopwatch};
 use crate::http::{self, Request, RequestError};
@@ -82,18 +85,13 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// here instead of holding the accept loop or a handler.
 const REFUSAL_DRAIN: Duration = Duration::from_millis(250);
 
-/// How often a `GET /jobs/<id>` stream polls its job for fresh events.
-const JOB_POLL: Duration = Duration::from_millis(20);
-
 /// What `wsync-serve` needs to start.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7077` (port 0 picks one).
     pub addr: String,
-    /// The shared result-store directory (created if missing).
+    /// The result-store directory the daemon owns (created if missing).
     pub store_dir: PathBuf,
-    /// Fabric worker threads per scheduled sweep job.
-    pub fabric_workers: usize,
     /// Most connections served concurrently: each admitted connection
     /// gets a handler thread, and a connection arriving with every
     /// permit taken is answered `503 Service Unavailable` (with a
@@ -139,11 +137,9 @@ impl std::error::Error for ServeError {
 
 /// Everything handler threads share.
 struct State {
-    store_dir: PathBuf,
     store: Arc<ResultStore>,
     jobs: JobRegistry,
     metrics: Metrics,
-    fabric_workers: usize,
     handlers: Semaphore,
 }
 
@@ -211,11 +207,9 @@ impl Server {
         Ok(Server {
             listener,
             state: Arc::new(State {
-                store_dir: config.store_dir,
                 store: Arc::new(store),
                 jobs: JobRegistry::new(),
                 metrics: Metrics::new(),
-                fabric_workers: config.fabric_workers.max(1),
                 handlers: Semaphore::new(config.max_handlers.max(1)),
             }),
         })
@@ -455,53 +449,58 @@ fn probe_value(name: String, value: Value) -> Value {
     ])
 }
 
-fn handle_run(state: &State, stream: &mut TcpStream, request: &Request) -> std::io::Result<()> {
-    let (spec, seeds) = match parse_run_body(&request.body) {
-        Ok(parsed) => parsed,
-        Err(message) => return http::respond_error(stream, 400, "Bad Request", &message),
-    };
-    let digest = spec_digest(&spec);
+/// One [`SweepRunner`] pass over `points` on the daemon's store — the pass
+/// behind `POST /run` and every `/sweep` job. Returns the report with each
+/// point's probe sample (empty for a point that sampled none), and folds
+/// the pass into the service counters.
+fn run_on_store(
+    state: &State,
+    points: Vec<(String, ScenarioSpec)>,
+    seeds: Range<u64>,
+    stop: Option<&StoppingRule>,
+) -> Result<(SweepReport, Vec<Vec<ProbeOutput>>), SweepError> {
     let watch = Stopwatch::start();
     let mut rounds = 0u64;
-    let mut probe_sample: Option<Vec<(String, Value)>> = None;
-    let result = SweepRunner::new()
+    let mut samples = vec![Vec::new(); points.len()];
+    let report = SweepRunner::new()
         .store(Arc::clone(&state.store))
-        .run_points_with(
-            vec![(String::new(), spec)],
-            seeds.clone(),
-            None,
-            |_, outcome, probes| {
-                rounds += outcome.result.metrics.rounds;
-                if let Some(outputs) = probes {
-                    probe_sample = Some(
-                        outputs
-                            .iter()
-                            .map(|o| (o.name.clone(), o.value.clone()))
-                            .collect(),
-                    );
-                }
-            },
-        );
-    let report = match result {
-        Ok(report) => report,
-        Err(SweepError::Spec(e)) => {
-            return http::respond_error(stream, 400, "Bad Request", &e.to_string())
-        }
-        Err(SweepError::Store(e)) => {
-            return http::respond_error(stream, 500, "Internal Server Error", &e.to_string())
-        }
-    };
+        .run_points_with(points, seeds, stop, |point, outcome, probes| {
+            rounds += outcome.result.metrics.rounds;
+            if let Some(outputs) = probes {
+                samples[point] = outputs.to_vec();
+            }
+        })?;
     state.metrics.record_work(
         report.cached_trials(),
         report.executed_trials(),
         rounds,
         watch.elapsed_micros(),
     );
+    Ok((report, samples))
+}
+
+fn handle_run(state: &State, stream: &mut TcpStream, request: &Request) -> std::io::Result<()> {
+    let (spec, seeds) = match parse_run_body(&request.body) {
+        Ok(parsed) => parsed,
+        Err(message) => return http::respond_error(stream, 400, "Bad Request", &message),
+    };
+    let digest = spec_digest(&spec);
+    let (report, samples) =
+        match run_on_store(state, vec![(String::new(), spec)], seeds.clone(), None) {
+            Ok(ran) => ran,
+            Err(SweepError::Spec(e)) => {
+                return http::respond_error(stream, 400, "Bad Request", &e.to_string())
+            }
+            Err(SweepError::Store(e)) => {
+                return http::respond_error(stream, 500, "Internal Server Error", &e.to_string())
+            }
+        };
     let point = &report.points[0];
-    let probes = probe_sample
-        .unwrap_or_default()
+    // One point, so `flatten` yields its sample alone.
+    let probes = samples
         .into_iter()
-        .map(|(name, value)| probe_value(name, value))
+        .flatten()
+        .map(|output| probe_value(output.name, output.value))
         .collect();
     let body = Value::Object(vec![
         ("digest".to_string(), Value::Str(format!("{digest:016x}"))),
@@ -579,10 +578,6 @@ fn handle_sweep(
             ("seed_start".to_string(), Value::Int(seeds.start as i64)),
             ("seed_end".to_string(), Value::Int(seeds.end as i64)),
             ("adaptive".to_string(), Value::Bool(sweep.stop.is_some())),
-            (
-                "workers".to_string(),
-                Value::Int(state.fabric_workers as i64),
-            ),
         ],
     );
     let body = Value::Object(vec![
@@ -613,56 +608,6 @@ fn push_error(job: &Job, message: String) {
     );
 }
 
-/// One event line for a fabric worker observation.
-fn worker_event_fields(holder: &str, event: &WorkerEvent) -> Vec<(String, Value)> {
-    let mut fields = match event {
-        WorkerEvent::ShardClaimed { shard } => vec![
-            ("event".to_string(), Value::Str("shard_claimed".to_string())),
-            ("shard".to_string(), Value::Int(*shard as i64)),
-        ],
-        WorkerEvent::ShardComplete {
-            shard,
-            executed,
-            cached,
-        } => vec![
-            (
-                "event".to_string(),
-                Value::Str("shard_complete".to_string()),
-            ),
-            ("shard".to_string(), Value::Int(*shard as i64)),
-            ("executed".to_string(), Value::Int(*executed as i64)),
-            ("cached".to_string(), Value::Int(*cached as i64)),
-        ],
-        WorkerEvent::LeaseReclaimed {
-            shard,
-            holder: dead,
-        } => vec![
-            (
-                "event".to_string(),
-                Value::Str("lease_reclaimed".to_string()),
-            ),
-            ("shard".to_string(), Value::Int(*shard as i64)),
-            ("from".to_string(), Value::Str(dead.clone())),
-        ],
-        WorkerEvent::LeaseLost { shard } => vec![
-            ("event".to_string(), Value::Str("lease_lost".to_string())),
-            ("shard".to_string(), Value::Int(*shard as i64)),
-        ],
-        WorkerEvent::PointStopped {
-            point,
-            seeds_used,
-            reason,
-        } => vec![
-            ("event".to_string(), Value::Str("point_stopped".to_string())),
-            ("point".to_string(), Value::Int(*point as i64)),
-            ("seeds_used".to_string(), Value::Int(*seeds_used as i64)),
-            ("reason".to_string(), Value::Str(reason.name().to_string())),
-        ],
-    };
-    fields.push(("worker".to_string(), Value::Str(holder.to_string())));
-    fields
-}
-
 /// Finishes its job when dropped — including when the sweep panics, so a
 /// crashed job can never keep its running-job slot or leave its streams
 /// open.
@@ -674,85 +619,35 @@ impl Drop for FinishOnDrop<'_> {
     }
 }
 
-/// The sweep-job orchestration: fabric worker threads drain the sweep
-/// against the shared store directory, then a resume pass aggregates and
-/// streams per-point stats and probe outputs into the job log.
+/// A `/sweep` job: the pass `/run` makes, over every grid point, streamed
+/// as one `point` event per point, then the probe samples, then `done` —
+/// or an `error` event if the pass fails.
 fn run_sweep_job(state: &State, job: &Job, sweep: SweepSpec) {
     let _finish = FinishOnDrop(job);
-    let watch = Stopwatch::start();
-    let store_dir: &Path = &state.store_dir;
-    std::thread::scope(|scope| {
-        for k in 0..state.fabric_workers {
-            let holder = format!("{}-w{k}", job.id());
-            let sweep = &sweep;
-            scope.spawn(move || {
-                let config = FabricConfig::new(holder.clone());
-                let result = fabric::run_worker(store_dir, sweep, &config, |event| {
-                    push_event(job, worker_event_fields(&holder, event));
-                });
-                if let Err(e) = result {
-                    push_error(job, format!("fabric worker {holder}: {e}"));
-                }
-            });
-        }
-    });
-    // The workers have finished (or failed). Aggregate from the store via
-    // `open_shared` — other jobs and /run handlers may still be writing.
-    if let Err(message) = aggregate_sweep(state, job, &sweep, &watch) {
-        push_error(job, message);
+    if let Err(e) = stream_sweep(state, job, &sweep) {
+        push_error(job, e.to_string());
     }
 }
 
-/// The post-fabric aggregation pass: re-reads the store, streams
-/// per-point stats and probe samples, and closes with a `done` event.
-fn aggregate_sweep(
-    state: &State,
-    job: &Job,
-    sweep: &SweepSpec,
-    watch: &Stopwatch,
-) -> Result<(), String> {
-    let store = ResultStore::open_shared(&state.store_dir).map_err(|e| e.to_string())?;
-    let points: Vec<(String, ScenarioSpec)> = sweep
-        .expand()
-        .map_err(|e| e.to_string())?
+fn stream_sweep(state: &State, job: &Job, sweep: &SweepSpec) -> Result<(), SweepError> {
+    let points = sweep
+        .expand()?
         .into_iter()
         .map(|p| (p.label, p.spec))
         .collect();
-    let seeds = sweep.effective_seeds().map_err(|e| e.to_string())?;
-    let labels: Vec<String> = points
+    let seeds = sweep.effective_seeds()?;
+    let (report, samples) = run_on_store(state, points, seeds.clone(), sweep.stop.as_ref())?;
+    let labels: Vec<String> = report
+        .points
         .iter()
-        .map(|(label, _)| {
-            if label.is_empty() {
+        .map(|point| {
+            if point.label.is_empty() {
                 "(base)".to_string()
             } else {
-                label.clone()
+                point.label.clone()
             }
         })
         .collect();
-    let mut rounds = 0u64;
-    let mut probe_samples: Vec<Option<Vec<(String, Value)>>> = vec![None; points.len()];
-    // The same batch loop as the workers: with a `"stop"` rule this pass
-    // folds the stored trials through the rule's batch schedule,
-    // reproducing the workers' stop decisions from the store bytes alone.
-    let report = SweepRunner::new()
-        .store(Arc::new(store))
-        .run_points_with(
-            points,
-            seeds.clone(),
-            sweep.stop.as_ref(),
-            |point, outcome, probes| {
-                rounds += outcome.result.metrics.rounds;
-                if let Some(outputs) = probes {
-                    probe_samples[point] = Some(
-                        outputs
-                            .iter()
-                            .map(|o| (o.name.clone(), o.value.clone()))
-                            .collect(),
-                    );
-                }
-            },
-        )
-        .map_err(|e| e.to_string())?;
     for (point, label) in report.points.iter().zip(&labels) {
         let mut fields = vec![
             ("event".to_string(), Value::Str("point".to_string())),
@@ -779,26 +674,19 @@ fn aggregate_sweep(
         fields.push(("stats".to_string(), stats_value(&point.stats)));
         push_event(job, fields);
     }
-    for (sample, label) in probe_samples.into_iter().zip(&labels) {
-        let Some(outputs) = sample else { continue };
-        for (name, value) in outputs {
+    for (sample, label) in samples.into_iter().zip(&labels) {
+        for output in sample {
             push_event(
                 job,
                 vec![
                     ("event".to_string(), Value::Str("probe".to_string())),
                     ("label".to_string(), Value::Str(label.clone())),
-                    ("name".to_string(), Value::Str(name)),
-                    ("value".to_string(), value),
+                    ("name".to_string(), Value::Str(output.name)),
+                    ("value".to_string(), output.value),
                 ],
             );
         }
     }
-    state.metrics.record_work(
-        report.cached_trials(),
-        report.executed_trials(),
-        rounds,
-        watch.elapsed_micros(),
-    );
     let mut fields = vec![
         ("event".to_string(), Value::Str("done".to_string())),
         (
@@ -850,7 +738,7 @@ fn handle_job_stream(state: &State, stream: &mut TcpStream, id: &str) -> std::io
         if done {
             return stream.flush();
         }
-        std::thread::sleep(JOB_POLL);
+        job.wait_past(cursor);
     }
 }
 
@@ -912,7 +800,6 @@ mod tests {
         let server = Server::bind(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             store_dir,
-            fabric_workers: 1,
             max_handlers: 4,
         })
         .expect("bind");

@@ -3,8 +3,10 @@
 //! server itself).
 //!
 //! The load-bearing assertions mirror the CI smoke: a repeated `POST /run`
-//! is a full cache hit (`"executed":0`), and a `POST /sweep` job streams
-//! valid JSON lines from `GET /jobs/<id>` through to a `done` event.
+//! is a full cache hit (`"executed":0`), a `POST /sweep` job streams valid
+//! JSON lines from `GET /jobs/<id>` through to a `done` event that counts
+//! the trials it executed, and a `/run` after the job is served from the
+//! job's records.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -63,7 +65,6 @@ fn start_server_with(tag: &str, max_handlers: usize) -> SocketAddr {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         store_dir: temp_dir(tag),
-        fabric_workers: 2,
         max_handlers,
     })
     .expect("bind");
@@ -243,54 +244,62 @@ fn run_rejects_bad_seed_ranges_and_unknown_components() {
     );
 }
 
+/// Posts `body` to `/sweep` and streams the job to completion (the
+/// connection closes after `done`); returns the job's event path, the raw
+/// stream and its lines.
+fn run_job(addr: SocketAddr, body: &str) -> (String, String, Vec<Value>) {
+    let (status, accepted) = post(addr, "/sweep", body);
+    assert_eq!(status, "HTTP/1.1 202 Accepted", "{accepted}");
+    let accepted = json::parse(&accepted).expect("sweep response is JSON");
+    let job = accepted.get("job").and_then(Value::as_str).expect("job id");
+    let events = format!("/jobs/{job}");
+    assert_eq!(
+        accepted.get("events").and_then(Value::as_str),
+        Some(events.as_str())
+    );
+    let (status, stream) = get(addr, &events);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let lines = stream
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("invalid JSON line {line:?}: {e}")))
+        .collect();
+    (events, stream, lines)
+}
+
+fn event(line: &Value) -> &str {
+    line.get("event")
+        .and_then(Value::as_str)
+        .unwrap_or_default()
+}
+
 #[test]
 fn sweep_schedules_a_job_that_streams_json_lines_to_done() {
     let addr = start_server("sweep-job");
 
-    let (status, body) = post(addr, "/sweep", SWEEP_BODY);
-    assert_eq!(status, "HTTP/1.1 202 Accepted", "{body}");
-    let accepted = json::parse(&body).expect("sweep response is JSON");
-    let job = accepted
-        .get("job")
-        .and_then(Value::as_str)
-        .expect("job id")
-        .to_string();
-    assert_eq!(
-        accepted.get("events").and_then(Value::as_str),
-        Some(format!("/jobs/{job}").as_str())
-    );
-
-    // Stream the job to completion: the connection closes after `done`.
-    let (status, body) = get(addr, &format!("/jobs/{job}"));
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    let lines: Vec<Value> = body
-        .lines()
-        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("invalid JSON line {line:?}: {e}")))
-        .collect();
-    assert!(lines.len() >= 4, "scheduled + work + points + done: {body}");
-    let event = |v: &Value| v.get("event").and_then(Value::as_str).map(String::from);
-    assert_eq!(event(&lines[0]).as_deref(), Some("scheduled"));
-    assert_eq!(
-        event(lines.last().expect("at least one line")).as_deref(),
-        Some("done")
-    );
+    let (job, body, lines) = run_job(addr, SWEEP_BODY);
+    // 2 grid points x 6 seeds on a fresh store: every trial executes, and
+    // the counts say so.
     let done = lines.last().expect("done line");
-    // 2 grid points x 6 seeds, all executed by the fabric then served to
-    // the aggregation pass from the store.
-    assert_eq!(done.get("cached").and_then(Value::as_u64), Some(12));
-    assert_eq!(done.get("executed").and_then(Value::as_u64), Some(0));
-    let points: Vec<&Value> = lines
-        .iter()
-        .filter(|v| event(v).as_deref() == Some("point"))
-        .collect();
-    assert_eq!(points.len(), 2, "one point event per grid point: {body}");
-    for point in points {
+    assert_eq!(done.get("executed").and_then(Value::as_u64), Some(12));
+    assert_eq!(done.get("cached").and_then(Value::as_u64), Some(0));
+    let events: Vec<&str> = lines.iter().map(event).collect();
+    assert_eq!(events, ["scheduled", "point", "point", "done"], "{body}");
+    for point in &lines[1..3] {
+        assert_eq!(point.get("executed").and_then(Value::as_u64), Some(6));
+        assert_eq!(point.get("cached").and_then(Value::as_u64), Some(0));
         let stats = point.get("stats").expect("point stats");
         assert_eq!(stats.get("trials").and_then(Value::as_u64), Some(6));
     }
+    let (_, metrics) = get(addr, "/metrics");
+    let metrics = json::parse(&metrics).expect("metrics is JSON");
+    assert_eq!(
+        metrics.get("store_misses").and_then(Value::as_u64),
+        Some(12)
+    );
+    assert_eq!(metrics.get("store_hits").and_then(Value::as_u64), Some(0));
 
     // A late subscriber replays the full history instantly.
-    let (_, replay) = get(addr, &format!("/jobs/{job}"));
+    let (_, replay) = get(addr, &job);
     assert_eq!(replay, body, "replayed stream is identical");
 
     // Unknown jobs are a 404, not a hung stream.
@@ -301,6 +310,68 @@ fn sweep_schedules_a_job_that_streams_json_lines_to_done() {
     let (status, body) = post(addr, "/sweep", r#"{"protocol": "trapdoor"}"#);
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert!(body.contains("base"), "{body}");
+}
+
+#[test]
+fn a_run_after_a_sweep_is_served_from_the_jobs_records() {
+    let addr = start_server("sweep-then-run");
+    let (_, body, lines) = run_job(addr, SWEEP_BODY);
+    assert_eq!(lines.last().map(event), Some("done"), "{body}");
+
+    // The num_frequencies=4 grid point is the base spec itself.
+    let run = r#"{"spec": {"protocol": "trapdoor", "adversary": "random",
+        "num_nodes": 6, "num_frequencies": 4, "disruption_bound": 1,
+        "max_rounds": 20000}, "seeds": {"start": 0, "end": 6}}"#;
+    let (status, body) = post(addr, "/run", run);
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    let reply = json::parse(&body).expect("run response is JSON");
+    assert_eq!(reply.get("executed").and_then(Value::as_u64), Some(0));
+    assert_eq!(reply.get("cached").and_then(Value::as_u64), Some(6));
+
+    // Every (spec, seed) key sits on exactly one shard line.
+    let mut keys = Vec::new();
+    for entry in std::fs::read_dir(temp_dir_path("sweep-then-run")).expect("store dir") {
+        let text = std::fs::read_to_string(entry.expect("entry").path()).expect("shard");
+        for line in text.lines() {
+            let record = json::parse(line).expect("a shard line is JSON");
+            let spec = record.get("spec").and_then(Value::as_str).expect("spec");
+            let seed = record.get("seed").and_then(Value::as_u64).expect("seed");
+            keys.push((spec.to_string(), seed));
+        }
+    }
+    let lines = keys.len();
+    keys.sort();
+    keys.dedup();
+    assert_eq!((lines, keys.len()), (12, 12), "shard lines, distinct keys");
+}
+
+#[test]
+fn a_probed_sweep_streams_one_probe_event_per_point_and_probe() {
+    let addr = start_server("sweep-probes");
+    let probed = SWEEP_BODY.replace(
+        r#""adversary": "random","#,
+        r#""adversary": "random", "probes": ["checker", "metrics"],"#,
+    );
+    let (_, body, lines) = run_job(addr, &probed);
+    let probes: Vec<(&str, &str)> = lines
+        .iter()
+        .filter(|line| event(line) == "probe")
+        .map(|line| {
+            let field = |key| line.get(key).and_then(Value::as_str).expect(key);
+            (field("label"), field("name"))
+        })
+        .collect();
+    assert_eq!(
+        probes,
+        [
+            ("num_frequencies=4", "checker"),
+            ("num_frequencies=4", "metrics"),
+            ("num_frequencies=8", "checker"),
+            ("num_frequencies=8", "metrics"),
+        ],
+        "{body}"
+    );
+    assert_eq!(lines.last().map(event), Some("done"), "{body}");
 }
 
 #[test]

@@ -2,8 +2,18 @@
 //!
 //! The reproduction validates "with high probability" claims by running many
 //! seeded executions and reporting the proportion of runs that satisfy a
-//! property, together with a Wilson score interval; running-time claims are
-//! reported as means with a normal-approximation interval.
+//! property, together with a Wilson score interval ([`wilson_ci`]);
+//! running-time claims are reported as means with a normal-approximation
+//! interval ([`ConfidenceInterval::for_summary`]).
+//!
+//! Both are built from accumulated counts or Welford summaries, which is
+//! what the sweep layer's sequential stopping rules need: at each batch
+//! boundary they ask whether the metric's interval is narrow enough, and
+//! the answer is a pure function of the outcome stream — no sample
+//! vectors, no wall clock, no scheduling dependence. Width-undefined
+//! states are typed ([`CiUndefined`]), never silently zero-width: a rule
+//! that asked "is the interval narrower than ε?" on one sample must answer
+//! "keep sampling", not "converged".
 
 use serde::{Deserialize, Serialize};
 
@@ -103,39 +113,43 @@ impl ConfidenceInterval {
     }
 }
 
-/// Wilson score interval for a binomial proportion.
+/// Wilson score interval for a binomial proportion: `successes` out of
+/// `trials` *counted* trials at confidence `level` (e.g. 0.95) — the
+/// incremental form sequential rules fold successes/trials counters into
+/// (no per-trial samples retained). Zero trials is a typed
+/// [`CiUndefined::NoTrials`], so a stopping rule cannot mistake "no data"
+/// for "converged to anything".
 ///
-/// `successes` out of `trials`; `level` is the confidence level (e.g. 0.95).
-/// For `trials == 0` returns the degenerate interval `[0, 1]` around `0`.
+/// `successes` is clamped to `trials` (a defensive guard; callers fold
+/// both from the same outcome stream, so they cannot legitimately cross).
 ///
 /// ```
-/// use wsync_stats::proportion_ci;
-/// let ci = proportion_ci(95, 100, 0.95);
+/// use wsync_stats::wilson_ci;
+/// let ci = wilson_ci(95, 100, 0.95).unwrap();
 /// assert!(ci.lower > 0.85 && ci.upper < 0.99);
 /// assert!(ci.contains(0.95));
 /// ```
-pub fn proportion_ci(successes: usize, trials: usize, level: f64) -> ConfidenceInterval {
+pub fn wilson_ci(
+    successes: u64,
+    trials: u64,
+    level: f64,
+) -> Result<ConfidenceInterval, CiUndefined> {
     if trials == 0 {
-        return ConfidenceInterval {
-            estimate: 0.0,
-            lower: 0.0,
-            upper: 1.0,
-            level,
-        };
+        return Err(CiUndefined::NoTrials);
     }
     let n = trials as f64;
-    let p = successes as f64 / n;
+    let p = successes.min(trials) as f64 / n;
     let z = z_value(level);
     let z2 = z * z;
     let denom = 1.0 + z2 / n;
     let center = (p + z2 / (2.0 * n)) / denom;
     let hw = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    ConfidenceInterval {
+    Ok(ConfidenceInterval {
         estimate: p,
         lower: (center - hw).max(0.0),
         upper: (center + hw).min(1.0),
         level,
-    }
+    })
 }
 
 /// Two-sided standard-normal critical value for the given confidence level.
@@ -264,7 +278,7 @@ mod tests {
 
     #[test]
     fn proportion_ci_basic_shape() {
-        let ci = proportion_ci(50, 100, 0.95);
+        let ci = wilson_ci(50, 100, 0.95).unwrap();
         assert!((ci.estimate - 0.5).abs() < 1e-12);
         assert!(ci.lower > 0.39 && ci.lower < 0.45);
         assert!(ci.upper > 0.55 && ci.upper < 0.61);
@@ -272,35 +286,62 @@ mod tests {
 
     #[test]
     fn proportion_ci_extremes_clamped() {
-        let all = proportion_ci(100, 100, 0.95);
+        let all = wilson_ci(100, 100, 0.95).unwrap();
         assert_eq!(all.estimate, 1.0);
         assert!(all.upper <= 1.0);
         assert!(all.lower < 1.0);
 
-        let none = proportion_ci(0, 100, 0.95);
+        let none = wilson_ci(0, 100, 0.95).unwrap();
         assert_eq!(none.estimate, 0.0);
         assert!(none.lower >= 0.0);
         assert!(none.upper > 0.0);
     }
 
     #[test]
-    fn proportion_ci_no_trials() {
-        let ci = proportion_ci(0, 0, 0.95);
-        assert_eq!(ci.lower, 0.0);
-        assert_eq!(ci.upper, 1.0);
+    fn wilson_ci_zero_trials_is_typed_undefined() {
+        assert_eq!(wilson_ci(0, 0, 0.95), Err(CiUndefined::NoTrials));
+    }
+
+    #[test]
+    fn wilson_ci_extreme_proportions_stay_informative() {
+        // p = 1: the interval must keep a nonzero width — n successes out
+        // of n is still compatible with a rate below 1.
+        let all = wilson_ci(10, 10, 0.95).unwrap();
+        assert_eq!(all.estimate, 1.0);
+        assert!(all.lower < 1.0 && all.upper <= 1.0);
+        assert!(all.half_width() > 0.01);
+        // p = 0 mirrors it.
+        let none = wilson_ci(0, 10, 0.95).unwrap();
+        assert_eq!(none.estimate, 0.0);
+        assert!(none.upper > 0.0 && none.lower >= 0.0);
+        // tiny n: one trial gives an interval spanning most of [0, 1].
+        let one = wilson_ci(1, 1, 0.95).unwrap();
+        assert!(one.half_width() > 0.3);
+        // huge n: the width collapses but the bounds stay ordered.
+        let huge = wilson_ci(999_999_999_999, 1_000_000_000_000, 0.95).unwrap();
+        assert!(huge.half_width() < 1e-5);
+        assert!(huge.lower <= huge.estimate && huge.estimate <= huge.upper);
     }
 
     proptest! {
         #[test]
         fn wilson_interval_always_within_unit_and_contains_estimate(
-            successes in 0usize..=200, extra in 0usize..=200, level in 0.5f64..0.999
+            successes in 0u64..=200, extra in 0u64..=200, level in 0.5f64..0.999
         ) {
             let trials = successes + extra;
             prop_assume!(trials > 0);
-            let ci = proportion_ci(successes, trials, level);
+            let ci = wilson_ci(successes, trials, level).unwrap();
             prop_assert!(ci.lower >= 0.0 && ci.upper <= 1.0);
             prop_assert!(ci.lower <= ci.estimate + 1e-12);
             prop_assert!(ci.upper >= ci.estimate - 1e-12);
+        }
+
+        #[test]
+        fn wilson_clamps_successes_to_trials(s in 0u64..500, t in 1u64..400, level in 0.6f64..0.99) {
+            let ci = wilson_ci(s, t, level).unwrap();
+            prop_assert!(ci.estimate >= 0.0 && ci.estimate <= 1.0);
+            prop_assert!(ci.lower >= 0.0 && ci.upper <= 1.0);
+            prop_assert!(ci.lower <= ci.upper);
         }
 
         #[test]

@@ -71,7 +71,7 @@ impl Default for Summary {
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert!((s.summary().std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: usize,
     mean: f64,
@@ -81,9 +81,10 @@ pub struct OnlineStats {
     sum: f64,
 }
 
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
+/// The empty accumulator: its [`summary`](OnlineStats::summary) is
+/// [`Summary::default`], bounds included (`min = +inf`, `max = -inf`).
+impl Default for OnlineStats {
+    fn default() -> Self {
         OnlineStats {
             count: 0,
             mean: 0.0,
@@ -92,6 +93,13 @@ impl OnlineStats {
             max: f64::NEG_INFINITY,
             sum: 0.0,
         }
+    }
+}
+
+impl OnlineStats {
+    /// Creates an empty accumulator (the [`Default`] one).
+    pub fn new() -> Self {
+        OnlineStats::default()
     }
 
     /// Adds a sample.
@@ -108,27 +116,6 @@ impl OnlineStats {
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples pushed so far.
@@ -220,37 +207,13 @@ mod tests {
     }
 
     #[test]
-    fn online_merge_equals_batch() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.push(x);
-            } else {
-                b.push(x);
-            }
-        }
-        a.merge(&b);
-        let batch = Summary::from_slice(&xs);
-        let merged = a.summary();
-        assert_eq!(merged.count, batch.count);
-        assert!((merged.mean - batch.mean).abs() < 1e-9);
-        assert!((merged.std_dev - batch.std_dev).abs() < 1e-9);
-        assert!((merged.sum - batch.sum).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(2.0);
-        let before = a.summary();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.summary(), before);
-
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.summary(), before);
+    fn default_starts_empty_like_new() {
+        let mut s = OnlineStats::default();
+        s.push(5.0);
+        s.push(7.0);
+        assert_eq!(s.min(), 5.0);
+        assert_eq!(s.max(), 7.0);
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        assert_eq!(OnlineStats::default().summary(), Summary::default());
     }
 }

@@ -29,12 +29,10 @@ pub mod confidence;
 pub mod descriptive;
 pub mod quantile;
 pub mod regression;
-pub mod sequential;
 pub mod table;
 
-pub use confidence::{proportion_ci, CiUndefined, ConfidenceInterval};
+pub use confidence::{wilson_ci, CiUndefined, ConfidenceInterval};
 pub use descriptive::{OnlineStats, Summary};
 pub use quantile::{median, quantile, quantiles};
 pub use regression::{fit_through_origin, OriginFit};
-pub use sequential::wilson_ci;
 pub use table::{Align, Table};

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use wireless_sync::experiments::{run_spec_stored, SpecFile, StoreMode};
+use wireless_sync::experiments::{run_spec_stored, SpecFile};
 use wireless_sync::prelude::*;
 use wireless_sync::sync::store::ResultStore;
 use wireless_sync::sync::sweep::SweepRunner;
@@ -48,8 +48,8 @@ fn spec_file() -> SpecFile {
 }
 
 /// Renders the aggregate tables exactly as `run_experiments` prints them.
-fn tables(store: &StoreMode) -> (String, u64, u64) {
-    let (report, totals) = run_spec_stored(spec_file(), "store_resume", 0..1, store).unwrap();
+fn tables(runner: &SweepRunner) -> (String, u64, u64) {
+    let (report, totals) = run_spec_stored(spec_file(), "store_resume", 0..1, runner).unwrap();
     (
         report.to_markdown(),
         totals.cached_trials(),
@@ -91,11 +91,11 @@ fn killed_sweep_resumes_with_zero_rework_and_bit_identical_tables() {
     let killed_dir = temp_dir("killed");
 
     // 1. The uninterrupted reference run (no store at all).
-    let (reference, _, _) = tables(&StoreMode::None);
+    let (reference, _, _) = tables(&SweepRunner::new());
 
     // 2. A recorded run (the `--out` path), then a simulated kill.
     let store = Arc::new(ResultStore::open(&full_dir).unwrap());
-    let (recorded, cached, executed) = tables(&StoreMode::Record(Arc::clone(&store)));
+    let (recorded, cached, executed) = tables(&SweepRunner::new().record_only(store));
     assert_eq!(recorded, reference, "--out must not change the tables");
     assert_eq!((cached, executed), (0, TOTAL_TRIALS));
     let torn = copy_killed_store(&full_dir, &killed_dir);
@@ -110,7 +110,7 @@ fn killed_sweep_resumes_with_zero_rework_and_bit_identical_tables() {
         survived > 0 && survived < TOTAL_TRIALS,
         "the kill must land mid-sweep (survived {survived}/{TOTAL_TRIALS})"
     );
-    let (resumed, cached, executed) = tables(&StoreMode::Resume(Arc::clone(&store)));
+    let (resumed, cached, executed) = tables(&SweepRunner::new().store(store));
     assert_eq!(cached, survived, "every surviving trial must be reused");
     assert_eq!(
         executed,
@@ -125,7 +125,7 @@ fn killed_sweep_resumes_with_zero_rework_and_bit_identical_tables() {
     // 4. A second resume against the now-complete store executes nothing.
     let store = Arc::new(ResultStore::open(&killed_dir).unwrap());
     assert_eq!(store.dropped_records(), 0, "the store healed on resume");
-    let (resumed_again, cached, executed) = tables(&StoreMode::Resume(store));
+    let (resumed_again, cached, executed) = tables(&SweepRunner::new().store(store));
     assert_eq!((cached, executed), (TOTAL_TRIALS, 0));
     assert_eq!(resumed_again, reference);
 
