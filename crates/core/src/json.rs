@@ -12,11 +12,23 @@
 //! parser's crate-private pull interface lets the result store read its
 //! records under the same rules without building a tree.
 //!
+//! Opening a store replays every record through that interface, so the
+//! reader keeps its hot path at O(1) per object member: duplicate keys
+//! are detected exactly, but a key is compared with its object's earlier
+//! keys only when a 64-bit per-object fingerprint says it may repeat one
+//! (an object of more than 64 members puts its keys in an ordered set
+//! instead, so one of many keys, such as a hostile request body, is not
+//! quadratic); typed reads and skips scan numbers into an integer or
+//! float, never a [`Value`]; and errors are built, boxed, only once a
+//! document fails, with [`parse`]'s [`JsonError`] line, column and
+//! message unchanged.
+//!
 //! When a real `serde_json` becomes available, [`Value`] maps 1:1 onto
 //! `serde_json::Value` and the spec layer can swap over without changing
 //! its wire format.
 
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A JSON document.
@@ -360,6 +372,48 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
     Ok(value)
 }
 
+/// A parse failure inside the reader: the [`JsonError`] [`parse`]
+/// returns, boxed so that every result on the hot path stays one or two
+/// words wide. It is built only on failure, by the cold
+/// [`Parser::error`].
+pub(crate) struct Malformed(Box<JsonError>);
+
+impl From<Malformed> for JsonError {
+    fn from(malformed: Malformed) -> Self {
+        *malformed.0
+    }
+}
+
+/// A number literal's value: integer literals that fit an `i64` stay
+/// integers, everything else is a float.
+enum Number {
+    Int(i64),
+    Float(f64),
+}
+
+/// Members an object's duplicate-key check covers with its fingerprint;
+/// past them, a fingerprint is nearly full, so the object's keys go into a
+/// set instead, which keeps an object of many keys from costing time
+/// quadratic in their number.
+const FINGERPRINTED_MEMBERS: usize = 64;
+
+/// One bit of a 64-bit object fingerprint for `key`, from its length and
+/// its first and last bytes. Equal keys get equal bits, so a key whose bit
+/// is not yet set in its object cannot be a duplicate.
+fn key_bit(key: &[u8]) -> u64 {
+    let ends = match key {
+        [] => 0,
+        [first, .., last] | [first @ last] => 2 * usize::from(*first) + usize::from(*last),
+    };
+    1 << ((key.len() + ends) & 63)
+}
+
+/// A [`Parser`]'s key stack, which a caller reading many documents hands
+/// from one parser to the next ([`Parser::reusing`],
+/// [`Parser::into_keys`]) so that it is allocated once.
+#[derive(Default)]
+pub(crate) struct KeyStack(Vec<(usize, usize)>);
+
 /// The one JSON reader. [`parse`] builds a [`Value`] tree with it, and the
 /// result store pulls its records through the crate-private interface
 /// below without building one: object and array iteration, typed reads
@@ -368,32 +422,58 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 ///
 /// A typed read consumes one value whatever its kind: `Ok(None)` means a
 /// well-formed value of another kind, and `Err` a malformed document.
+///
+/// The hot path pays O(1) per object member beyond the bytes it reads:
+///
+/// * duplicate keys are found through a 64-bit fingerprint per object
+///   ([`key_bit`]); a key is compared with its object's earlier keys only
+///   when its bit is already set, so detection stays exact. Past
+///   [`FINGERPRINTED_MEMBERS`] an object's keys go into an ordered set,
+///   O(log n) per member, where the fingerprint would be full;
+/// * typed reads and skips scan numbers into a [`Number`], never a
+///   [`Value`];
+/// * errors are [`Malformed`] (one boxed word), built only on failure;
+/// * a member's closure gets its key by reference, and the key stack
+///   keeps each key as its span of the input, never a copy, in a buffer
+///   a caller reading many documents reuses ([`KeyStack`]).
 pub(crate) struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
-    /// The keys read so far in every object being read, innermost last:
-    /// the duplicate-key check compares a key with its own object's.
-    keys: Vec<Cow<'a, str>>,
+    /// Where the keys of the members read so far in every object being
+    /// read sit in the input, quotes excluded, innermost last: the
+    /// duplicate-key check compares a key with its own object's.
+    keys: Vec<(usize, usize)>,
 }
 
 impl<'a> Parser<'a> {
     /// A parser positioned at the first value of `input`.
     pub(crate) fn new(input: &'a str) -> Self {
+        Parser::reusing(input, KeyStack::default())
+    }
+
+    /// [`new`](Self::new), keeping the key stack in `keys`' buffer.
+    pub(crate) fn reusing(input: &'a str, KeyStack(mut keys): KeyStack) -> Self {
+        keys.clear();
         let mut p = Parser {
             input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
-            keys: Vec::new(),
+            keys,
         };
         p.skip_whitespace();
         p
     }
 
+    /// The key stack's buffer, for the next parser.
+    pub(crate) fn into_keys(self) -> KeyStack {
+        KeyStack(self.keys)
+    }
+
     /// Succeeds if nothing but whitespace follows the values read.
-    pub(crate) fn finish(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn finish(&mut self) -> Result<(), Malformed> {
         self.skip_whitespace();
         if self.pos < self.bytes.len() {
             return Err(self.error("unexpected trailing characters"));
@@ -403,28 +483,42 @@ impl<'a> Parser<'a> {
 
     /// Reads an object, calling `member` with each key while the parser
     /// stands at that member's value, which `member` must consume.
-    pub(crate) fn object<E: From<JsonError>>(
+    pub(crate) fn object<E: From<Malformed>>(
         &mut self,
         mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
     ) -> Result<(), E> {
         self.enter()?;
         self.expect(b'{')?;
         let own_keys = self.keys.len();
+        let mut fingerprint = 0u64;
+        let mut many = None;
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
         } else {
             loop {
                 self.skip_whitespace();
+                let start = self.pos + 1;
                 let key = self.parse_str()?;
-                if self.keys[own_keys..].contains(&key) {
+                let span = (start, self.pos - 1);
+                let earlier = &self.keys[own_keys..];
+                let repeated = if earlier.len() < FINGERPRINTED_MEMBERS {
+                    let bit = key_bit(key.as_bytes());
+                    let hit = fingerprint & bit != 0 && self.has_key(earlier, &key)?;
+                    fingerprint |= bit;
+                    hit
+                } else {
+                    self.insert_key(earlier, &mut many, key.clone())?
+                };
+                if repeated {
                     return Err(self.error(format!("duplicate object key \"{key}\"")).into());
                 }
-                self.keys.push(key.clone());
                 self.skip_whitespace();
                 self.expect(b':')?;
                 self.skip_whitespace();
                 member(self, &key)?;
+                // The member's own objects left the stack as they found it.
+                self.keys.push(span);
                 self.skip_whitespace();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
@@ -441,9 +535,51 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// Adds `key` to the ordered set of a large object's keys, which it
+    /// first fills with the `earlier` ones; says whether `key` was there.
+    fn insert_key(
+        &self,
+        earlier: &[(usize, usize)],
+        many: &mut Option<BTreeSet<Cow<'a, str>>>,
+        key: Cow<'a, str>,
+    ) -> Result<bool, Malformed> {
+        let set = match many {
+            Some(set) => set,
+            None => many.insert(
+                earlier
+                    .iter()
+                    .map(|&span| self.key_at(span))
+                    .collect::<Result<_, _>>()?,
+            ),
+        };
+        Ok(!set.insert(key))
+    }
+
+    /// Whether one of the `earlier` keys is `key`.
+    fn has_key(&self, earlier: &[(usize, usize)], key: &str) -> Result<bool, Malformed> {
+        for &span in earlier {
+            if self.key_at(span)? == key {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// The key whose text, quotes excluded, spans `input[start..end]`: the
+    /// text itself unless it holds an escape, which is decoded again here,
+    /// off the hot path.
+    fn key_at(&self, (start, end): (usize, usize)) -> Result<Cow<'a, str>, Malformed> {
+        let raw = &self.input[start..end];
+        if raw.contains('\\') {
+            Parser::new(&self.input[start - 1..]).parse_str()
+        } else {
+            Ok(Cow::Borrowed(raw))
+        }
+    }
+
     /// Reads an array, calling `item` while the parser stands at each
     /// element, which `item` must consume.
-    pub(crate) fn array<E: From<JsonError>>(
+    pub(crate) fn array<E: From<Malformed>>(
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<(), E>,
     ) -> Result<(), E> {
@@ -479,11 +615,11 @@ impl<'a> Parser<'a> {
     /// Reads a `u64` in either form the result store writes: a
     /// non-negative integer, or a string holding one in decimal (the form
     /// of values above `i64::MAX`).
-    pub(crate) fn read_u64(&mut self) -> Result<Option<u64>, JsonError> {
+    pub(crate) fn read_u64(&mut self) -> Result<Option<u64>, Malformed> {
         Ok(match self.peek() {
             Some(b'-' | b'0'..=b'9') => match self.parse_number()? {
-                Value::Int(i) => u64::try_from(i).ok(),
-                _ => None,
+                Number::Int(i) => u64::try_from(i).ok(),
+                Number::Float(_) => None,
             },
             Some(b'"') => self.parse_str()?.parse().ok(),
             _ => {
@@ -494,7 +630,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads [`read_u64`](Self::read_u64)'s forms, or `null` for `None`.
-    pub(crate) fn read_opt_u64(&mut self) -> Result<Option<Option<u64>>, JsonError> {
+    pub(crate) fn read_opt_u64(&mut self) -> Result<Option<Option<u64>>, Malformed> {
         if self.peek() == Some(b'n') {
             return self.keyword("null", Some(None));
         }
@@ -502,7 +638,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads a bool.
-    pub(crate) fn read_bool(&mut self) -> Result<Option<bool>, JsonError> {
+    pub(crate) fn read_bool(&mut self) -> Result<Option<bool>, Malformed> {
         match self.peek() {
             Some(b't') => self.keyword("true", Some(true)),
             Some(b'f') => self.keyword("false", Some(false)),
@@ -511,7 +647,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads a string, borrowed from the input unless it holds an escape.
-    pub(crate) fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+    pub(crate) fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, Malformed> {
         if self.peek() == Some(b'"') {
             return self.parse_str().map(Some);
         }
@@ -519,16 +655,22 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads one value of any kind and discards it.
-    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn skip_value(&mut self) -> Result<(), Malformed> {
         match self.peek() {
             Some(b'{') => self.object(|p, _| p.skip_value()),
             Some(b'[') => self.array(Self::skip_value),
             Some(b'"') => self.parse_str().map(drop),
+            Some(b'-' | b'0'..=b'9') => self.parse_number().map(drop),
             _ => self.parse_value().map(drop),
         }
     }
 
-    fn error(&self, message: impl Into<String>) -> JsonError {
+    /// The failure `message` at the current position. Cold: the line and
+    /// column are counted, and the message built, only once a document
+    /// has failed.
+    #[cold]
+    #[inline(never)]
+    fn error(&self, message: impl Into<String>) -> Malformed {
         let mut line = 1usize;
         let mut column = 1usize;
         for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
@@ -539,11 +681,11 @@ impl<'a> Parser<'a> {
                 column += 1;
             }
         }
-        JsonError {
+        Malformed(Box::new(JsonError {
             line,
             column,
             message: message.into(),
-        }
+        }))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -556,7 +698,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn expect(&mut self, b: u8) -> Result<(), Malformed> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -565,14 +707,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, JsonError> {
+    fn parse_value(&mut self) -> Result<Value, Malformed> {
         match self.peek() {
             Some(b'{') => {
                 let mut members = Vec::new();
                 self.object(|p, key| {
                     let value = p.parse_value()?;
                     members.push((key.to_string(), value));
-                    Ok::<(), JsonError>(())
+                    Ok::<(), Malformed>(())
                 })?;
                 Ok(Value::Object(members))
             }
@@ -580,7 +722,7 @@ impl<'a> Parser<'a> {
                 let mut items = Vec::new();
                 self.array(|p| {
                     items.push(p.parse_value()?);
-                    Ok::<(), JsonError>(())
+                    Ok::<(), Malformed>(())
                 })?;
                 Ok(Value::Array(items))
             }
@@ -588,14 +730,17 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'n') => self.keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(b'-' | b'0'..=b'9') => Ok(match self.parse_number()? {
+                Number::Int(i) => Value::Int(i),
+                Number::Float(f) => Value::Float(f),
+            }),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
     /// Consumes `word` and returns `value`.
-    fn keyword<T>(&mut self, word: &str, value: T) -> Result<T, JsonError> {
+    fn keyword<T>(&mut self, word: &str, value: T) -> Result<T, Malformed> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -604,7 +749,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn enter(&mut self) -> Result<(), JsonError> {
+    fn enter(&mut self) -> Result<(), Malformed> {
         self.depth += 1;
         if self.depth > MAX_NESTING_DEPTH {
             return Err(self.error(format!(
@@ -614,7 +759,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    fn parse_str(&mut self) -> Result<Cow<'a, str>, Malformed> {
         self.expect(b'"')?;
         let start = self.pos;
         // Up to its first escape a string is a slice of the input.
@@ -643,7 +788,7 @@ impl<'a> Parser<'a> {
 
     /// The rest of a string that holds an escape at `self.pos`, the part
     /// from `start` on being plain.
-    fn parse_escaped(&mut self, start: usize) -> Result<String, JsonError> {
+    fn parse_escaped(&mut self, start: usize) -> Result<String, Malformed> {
         let mut out = self.input[start..self.pos].to_string();
         loop {
             match self.peek() {
@@ -719,7 +864,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+    fn parse_hex4(&mut self) -> Result<u32, Malformed> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
@@ -731,13 +876,23 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
+    fn parse_number(&mut self) -> Result<Number, Malformed> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let int_start = self.pos;
-        let int_digits = self.consume_digits();
+        // The integer part's value, read in the same pass as its digits:
+        // exact while it has at most eighteen, which always fit an i64.
+        let mut magnitude = 0i64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .wrapping_mul(10)
+                .wrapping_add(i64::from(digit - b'0'));
+            self.pos += 1;
+        }
+        let int_digits = self.pos - int_start;
         if int_digits == 0 {
             return Err(self.error("expected digits in number"));
         }
@@ -766,25 +921,16 @@ impl<'a> Parser<'a> {
             }
         }
         if !is_float && int_digits <= 18 {
-            // Eighteen digits always fit in an i64, so the value needs no
-            // trip through text.
-            let magnitude = self.bytes[int_start..int_start + int_digits]
-                .iter()
-                .fold(0i64, |n, &d| n * 10 + i64::from(d - b'0'));
-            return Ok(Value::Int(if int_start > start {
-                -magnitude
-            } else {
-                magnitude
-            }));
+            return Ok(Number::Int(if negative { -magnitude } else { magnitude }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        let float = |p: &Self| -> Result<Value, JsonError> {
+        let float = |p: &Self| -> Result<Number, Malformed> {
             let f = text.parse::<f64>().map_err(|_| p.error("invalid number"))?;
             // `f64::from_str` turns overflow literals like 1e999 into
             // infinity; JSON has no representation for that, so reject it
             // (as serde_json does) instead of breaking the round trip.
             if f.is_finite() {
-                Ok(Value::Float(f))
+                Ok(Number::Float(f))
             } else {
                 Err(p.error("number out of range"))
             }
@@ -793,7 +939,7 @@ impl<'a> Parser<'a> {
             float(self)
         } else {
             match text.parse::<i64>() {
-                Ok(i) => Ok(Value::Int(i)),
+                Ok(i) => Ok(Number::Int(i)),
                 // Integers beyond i64 fall back to f64, like serde_json's
                 // arbitrary-precision-off behaviour.
                 Err(_) => float(self),
@@ -894,6 +1040,31 @@ mod tests {
             "1.5e400",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_behind_the_fingerprint() {
+        // Three hundred distinct keys set every fingerprint bit, so the
+        // later ones are compared exactly, and must all pass.
+        let members: Vec<String> = (0..300).map(|i| format!("\"k{i}\":{i}")).collect();
+        let members = members.join(",");
+        let object = parse(&format!("{{{members}}}")).unwrap();
+        assert_eq!(object.as_object().unwrap().len(), 300);
+        assert!(parse(r#"[{"a":1},{"a":{"a":{"a":1}}}]"#).is_ok());
+        for (doc, key) in [
+            (format!("{{{members},\"k37\":0}}"), "k37"),
+            (format!("{{{members},\"k\\u0033\\u0037\":0}}"), "k37"),
+            (r#"{"ab":1,"a\u0062":2}"#.to_string(), "ab"),
+            (r#"{"a\u0062":1,"ab":2}"#.to_string(), "ab"),
+            (r#"[{"a":1},{"b":{"a":1},"a":2,"b":3}]"#.to_string(), "b"),
+        ] {
+            let err = parse(&doc).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("duplicate object key \"{key}\""),
+                "{doc}"
+            );
         }
     }
 

@@ -31,10 +31,10 @@
 //! [`SweepRunner`](crate::sweep::SweepRunner): the in-memory index is
 //! behind an `RwLock` and each shard file behind its own `Mutex`.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -44,7 +44,7 @@ use wsync_radio::metrics::SimMetrics;
 use wsync_radio::node::NodeId;
 
 use crate::checker::{PropertyReport, Violation};
-use crate::json::{self, JsonError, Parser, Value};
+use crate::json::{self, KeyStack, Malformed, Parser, Value};
 use crate::report::SyncOutcome;
 use crate::spec::ScenarioSpec;
 
@@ -271,70 +271,69 @@ fn open_shard(path: &Path) -> Result<Option<(File, u64)>, StoreError> {
 }
 
 /// The one shard scanner, shared by open, `refresh_shard` and
-/// `repair_shard`: reads `file` from byte `from` to its end, one line at
-/// a time through a single reused buffer, and hands every decodable
-/// record to `record`.
+/// `repair_shard`: reads `file` (`len` bytes long when opened) from byte
+/// `from` to its end in one read, so memory is bounded by the shard's
+/// unread bytes, and hands every decodable record to `record` without
+/// copying a line.
 ///
 /// The bytes after the last newline are a torn tail (or a peer's append
 /// in flight); they are decoded only if `with_tail`. With `collect`, the
 /// pass gathers what a rewrite keeps — but only from the first irregular
 /// line on, so a healthy shard costs no copy at all.
 fn scan_shard(
-    file: File,
+    (mut file, len): (File, u64),
     from: u64,
     path: &Path,
     with_tail: bool,
     collect: bool,
     mut record: impl FnMut(u64, u64, SyncOutcome),
 ) -> Result<Scan, StoreError> {
-    use std::io::{Seek as _, SeekFrom};
     let io = |source| StoreError::Io {
         path: path.to_path_buf(),
         source,
     };
-    let mut reader = BufReader::new(file);
-    reader.seek(SeekFrom::Start(from)).map_err(io)?;
+    let unread = usize::try_from(len.saturating_sub(from)).unwrap_or(0);
+    let mut bytes = Vec::with_capacity(unread);
+    file.seek(SeekFrom::Start(from)).map_err(io)?;
+    file.read_to_end(&mut bytes).map_err(io)?;
+    // Only the tail is searched backwards for the last newline.
+    let body_len = bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |at| at + 1);
+    let (body, tail) = bytes.split_at(body_len);
     let mut scan = Scan {
         end: from,
         dropped: 0,
-        torn_tail: false,
-        decoded: 0,
-        irregular: None,
-    };
-    let mut line = Vec::new();
-    loop {
-        line.clear();
-        let read = reader.read_until(b'\n', &mut line).map_err(io)?;
-        if read == 0 {
-            break;
-        }
-        let start = scan.end;
-        // A line without its newline is the torn tail. Even if its bytes
+        // Bytes without their newline are the torn tail. Even if they
         // decode (the kill landed right before the newline), a repair
         // must rewrite the shard so the next append starts on a fresh
         // line instead of concatenating onto the remnant.
-        let complete = line.last() == Some(&b'\n');
+        torn_tail: !tail.is_empty(),
+        decoded: 0,
+        irregular: None,
+    };
+    let mut buffers = LineBuffers::default();
+    let mut line = |line: &[u8], text: Option<&str>, complete: bool| {
+        let start = scan.end;
         if complete {
-            line.pop();
-            scan.end += read as u64;
-        } else {
-            scan.torn_tail = true;
-            if !with_tail {
-                break;
-            }
+            scan.end += line.len() as u64 + 1;
         }
-        // Like `BufRead::lines`: a `\r\n` ending loses its `\r` too.
+        // Like `BufRead::lines`: a `\r\n` ending loses its `\r` too. A
+        // `\r` is one ASCII byte, so dropping it keeps `text` UTF-8.
         let crlf = complete && line.last() == Some(&b'\r');
-        if crlf {
-            line.pop();
-        }
-        let text = std::str::from_utf8(&line).ok();
+        let (line, text) = if crlf {
+            let cut = line.len() - 1;
+            (&line[..cut], text.map(|t| &t[..cut]))
+        } else {
+            (line, text)
+        };
         let blank = text.is_some_and(|t| t.trim().is_empty());
         let decoded = if blank {
             None
         } else {
             scan.decoded += 1;
-            text.and_then(decode_record)
+            text.and_then(|t| decode_record(t, &mut buffers))
         };
         let kept = decoded.is_some();
         match decoded {
@@ -346,11 +345,44 @@ fn scan_shard(
             scan.irregular.get_or_insert((start, Vec::new()));
         }
         if let Some((_, rest)) = scan.irregular.as_mut().filter(|_| collect && kept) {
-            rest.extend_from_slice(&line);
+            rest.extend_from_slice(line);
             rest.push(b'\n');
         }
+    };
+    split_lines(body, &mut |piece: &[u8], text| line(piece, text, true));
+    if with_tail && !tail.is_empty() {
+        line(tail, std::str::from_utf8(tail).ok(), false);
     }
     Ok(scan)
+}
+
+/// Hands each line of `body` (newline-terminated lines) to `line`, newline
+/// excluded, with its text when it is UTF-8. The body is checked as UTF-8
+/// as a whole and split with `str`'s memchr search; past a line holding an
+/// invalid byte, the check resumes at the next line.
+fn split_lines(mut body: &[u8], line: &mut impl FnMut(&[u8], Option<&str>)) {
+    while !body.is_empty() {
+        let bad = match std::str::from_utf8(body) {
+            Ok(text) => {
+                text.split_terminator('\n')
+                    .for_each(|piece| line(piece.as_bytes(), Some(piece)));
+                return;
+            }
+            Err(e) => e.valid_up_to(),
+        };
+        let start = body[..bad]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
+        let end = body[bad..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(body.len(), |at| bad + at);
+        // The lines before the bad one are valid, so this is one level deep.
+        split_lines(&body[..start], line);
+        line(&body[start..end], None);
+        body = body.get(end + 1..).unwrap_or_default();
+    }
 }
 
 /// Rewrites the shard at `path` to what `scan` (a collecting pass) kept:
@@ -456,9 +488,9 @@ impl ResultStore {
         for shard in 0..SHARD_COUNT {
             let path = shard_path(&dir, shard);
             let mut state = ShardState::default();
-            if let Some((file, _)) = open_shard(&path)? {
+            if let Some(file) = open_shard(&path)? {
                 let scan = scan_shard(file, 0, &path, true, repair, |digest, seed, outcome| {
-                    index.insert((digest, seed), outcome);
+                    file_first(&mut index, digest, seed, outcome);
                 })?;
                 state.advance(&scan);
                 if scan.needs_rewrite() {
@@ -520,21 +552,18 @@ impl ResultStore {
         self.shards[shard].lock().expect("shard writer poisoned")
     }
 
-    /// Merges scanned records into the index, first record winning as in
-    /// `put`; returns how many were new.
+    /// Merges scanned records into the index (see [`file_first`]);
+    /// returns how many were new.
     fn merge(&self, records: Vec<(u64, u64, SyncOutcome)>) -> usize {
         if records.is_empty() {
             return 0;
         }
         let mut index = self.index_write();
-        let mut merged = 0;
-        for (digest, seed, outcome) in records {
-            if let std::collections::btree_map::Entry::Vacant(slot) = index.entry((digest, seed)) {
-                slot.insert(outcome);
-                merged += 1;
-            }
-        }
-        merged
+        records
+            .into_iter()
+            .map(|(digest, seed, outcome)| file_first(&mut index, digest, seed, outcome))
+            .filter(|&new| new)
+            .count()
     }
 
     /// Number of records currently held (loaded plus appended).
@@ -667,7 +696,7 @@ impl ResultStore {
         }
         let mut records = Vec::new();
         let scan = scan_shard(
-            file,
+            (file, len),
             from,
             &path,
             repair,
@@ -711,7 +740,14 @@ impl ResultStore {
         let mut line = encode_record(digest, seed, outcome);
         line.push('\n');
         let shard = shard_index(digest, seed);
-        let path = shard_path(&self.dir, shard);
+        // The shard's path is built only to open it or to name it in an
+        // error.
+        let failed = |source| StoreError::Append {
+            path: shard_path(&self.dir, shard),
+            digest,
+            seed,
+            source,
+        };
         let mut guard = self.shard(shard);
         let state = &mut *guard;
         let file = match state.writer.take() {
@@ -719,23 +755,13 @@ impl ResultStore {
             None => OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&path)
-                .map_err(|source| StoreError::Append {
-                    path: path.clone(),
-                    digest,
-                    seed,
-                    source,
-                })?,
+                .open(shard_path(&self.dir, shard))
+                .map_err(failed)?,
         };
         let file = state.writer.insert(file);
         file.write_all(line.as_bytes())
             .and_then(|()| file.flush())
-            .map_err(|source| StoreError::Append {
-                path,
-                digest,
-                seed,
-                source,
-            })?;
+            .map_err(failed)?;
         // The line is already in the index; if it landed exactly at the
         // cursor (no other writer appended in between), the next scan
         // need not read it back.
@@ -749,6 +775,23 @@ impl ResultStore {
 
 fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:02}.jsonl"))
+}
+
+/// Files a scanned record in `index` unless its key is already there, and
+/// says whether it did: as with `put`, the first record for a key wins.
+fn file_first(
+    index: &mut BTreeMap<(u64, u64), SyncOutcome>,
+    digest: u64,
+    seed: u64,
+    outcome: SyncOutcome,
+) -> bool {
+    match index.entry((digest, seed)) {
+        Entry::Vacant(slot) => {
+            slot.insert(outcome);
+            true
+        }
+        Entry::Occupied(_) => false,
+    }
 }
 
 /// The shard index responsible for trial `(digest, seed)`.
@@ -933,7 +976,7 @@ fn push_u64(out: &mut String, mut n: u64) {
     if quoted {
         out.push('"');
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    out.push_str(&String::from_utf8_lossy(&digits[at..]));
     if quoted {
         out.push('"');
     }
@@ -954,14 +997,14 @@ fn push_bool(out: &mut String, b: bool) {
 /// wrong shape. Either way the line is dropped.
 struct Reject;
 
-impl From<JsonError> for Reject {
-    fn from(_: JsonError) -> Self {
+impl From<Malformed> for Reject {
+    fn from(_: Malformed) -> Self {
         Reject
     }
 }
 
 /// A member that must hold a value of the kind just read.
-fn req<T>(read: Result<Option<T>, JsonError>) -> Result<T, Reject> {
+fn req<T>(read: Result<Option<T>, Malformed>) -> Result<T, Reject> {
     read?.ok_or(Reject)
 }
 
@@ -970,124 +1013,223 @@ fn got<T>(field: Option<T>) -> Result<T, Reject> {
     field.ok_or(Reject)
 }
 
-/// Reads an array whose every element `item` decodes.
-fn decode_list<'a, T>(
-    p: &mut Parser<'a>,
-    item: fn(&mut Parser<'a>) -> Result<T, Reject>,
-) -> Result<Vec<T>, Reject> {
-    let mut items = Vec::new();
-    p.array(|p| -> Result<(), Reject> {
-        items.push(item(p)?);
+/// Succeeds when `seen` has every bit of `all`: each object member the
+/// decoder needs sets one bit, and the parser rejects a repeated key.
+fn all_seen(seen: u32, all: u32) -> Result<(), Reject> {
+    if seen == all {
         Ok(())
-    })?;
-    Ok(items)
+    } else {
+        Err(Reject)
+    }
+}
+
+/// An outcome for the decoder to fill in place; `decode_outcome` rejects
+/// the record unless it set every field.
+fn empty_outcome() -> SyncOutcome {
+    SyncOutcome {
+        result: ExecutionResult {
+            rounds_executed: 0,
+            all_synchronized: false,
+            nodes: Vec::new(),
+            metrics: SimMetrics::default(),
+        },
+        properties: PropertyReport {
+            violations: Vec::new(),
+            total_violations: 0,
+            rounds_observed: 0,
+            liveness: false,
+            completion_round: None,
+        },
+        leaders: 0,
+        adversary: String::new(),
+        seed: 0,
+    }
+}
+
+/// Buffers a shard scan reuses from line to line: the reader's key stack,
+/// and the node list each outcome's own is copied from at its length.
+#[derive(Default)]
+struct LineBuffers {
+    keys: KeyStack,
+    nodes: Vec<NodeSummary>,
 }
 
 /// Decodes one shard line into `(digest, seed, outcome)`; `None` means the
 /// line is torn or corrupt and must be dropped. A line decodes exactly when
 /// `json::parse` + `outcome_from_value` would decode it, to the same
 /// outcome: any whitespace and member order, unknown members skipped.
-fn decode_record(line: &str) -> Option<(u64, u64, SyncOutcome)> {
-    let mut p = Parser::new(line);
-    let (mut digest, mut seed, mut outcome) = (None, None, None);
+fn decode_record(line: &str, buffers: &mut LineBuffers) -> Option<(u64, u64, SyncOutcome)> {
+    let mut p = Parser::reusing(line, std::mem::take(&mut buffers.keys));
+    let record = read_record(&mut p, &mut buffers.nodes);
+    buffers.keys = p.into_keys();
+    record
+}
+
+/// [`decode_record`]'s reading, on a parser whose key stack it hands back.
+fn read_record(
+    p: &mut Parser<'_>,
+    nodes: &mut Vec<NodeSummary>,
+) -> Option<(u64, u64, SyncOutcome)> {
+    let (mut digest, mut seed, mut outcome) = (0, 0, empty_outcome());
+    let mut seen = 0;
     p.object(|p, key| -> Result<(), Reject> {
-        match key {
+        seen |= match key {
             "spec" => {
                 let hex = req(p.read_str())?;
-                digest = Some(u64::from_str_radix(&hex, 16).map_err(|_| Reject)?);
+                digest = u64::from_str_radix(&hex, 16).map_err(|_| Reject)?;
+                1
             }
-            "seed" => seed = Some(req(p.read_u64())?),
-            "outcome" => outcome = Some(decode_outcome(p)?),
-            _ => p.skip_value()?,
-        }
+            "seed" => {
+                seed = req(p.read_u64())?;
+                2
+            }
+            "outcome" => {
+                decode_outcome(p, &mut outcome, nodes)?;
+                4
+            }
+            _ => {
+                p.skip_value()?;
+                0
+            }
+        };
         Ok(())
     })
     .ok()?;
     p.finish().ok()?;
-    let (digest, seed, outcome) = (digest?, seed?, outcome?);
     // A record whose embedded outcome disagrees with its key is corrupt.
-    (outcome.seed == seed).then_some((digest, seed, outcome))
+    (seen == 7 && outcome.seed == seed).then_some((digest, seed, outcome))
 }
 
-fn decode_outcome(p: &mut Parser<'_>) -> Result<SyncOutcome, Reject> {
-    let (mut result, mut properties, mut leaders, mut adversary, mut seed) =
-        (None, None, None, None, None);
+fn decode_outcome(
+    p: &mut Parser<'_>,
+    outcome: &mut SyncOutcome,
+    nodes: &mut Vec<NodeSummary>,
+) -> Result<(), Reject> {
+    let mut seen = 0;
     p.object(|p, key| -> Result<(), Reject> {
-        match key {
-            "result" => result = Some(decode_result(p)?),
-            "properties" => properties = Some(decode_properties(p)?),
-            "leaders" => {
-                leaders = Some(usize::try_from(req(p.read_u64())?).map_err(|_| Reject)?);
+        seen |= match key {
+            "result" => {
+                decode_result(p, &mut outcome.result, nodes)?;
+                1
             }
-            "adversary" => adversary = Some(req(p.read_str())?.into_owned()),
-            "seed" => seed = Some(req(p.read_u64())?),
-            _ => p.skip_value()?,
-        }
+            "properties" => {
+                decode_properties(p, &mut outcome.properties)?;
+                2
+            }
+            "leaders" => {
+                outcome.leaders = usize::try_from(req(p.read_u64())?).map_err(|_| Reject)?;
+                4
+            }
+            "adversary" => {
+                outcome.adversary = req(p.read_str())?.into_owned();
+                8
+            }
+            "seed" => {
+                outcome.seed = req(p.read_u64())?;
+                16
+            }
+            _ => {
+                p.skip_value()?;
+                0
+            }
+        };
         Ok(())
     })?;
-    Ok(SyncOutcome {
-        result: got(result)?,
-        properties: got(properties)?,
-        leaders: got(leaders)?,
-        adversary: got(adversary)?,
-        seed: got(seed)?,
-    })
+    all_seen(seen, 31)
 }
 
-fn decode_result(p: &mut Parser<'_>) -> Result<ExecutionResult, Reject> {
-    let (mut rounds, mut synced, mut nodes, mut metrics) = (None, None, None, None);
+fn decode_result(
+    p: &mut Parser<'_>,
+    result: &mut ExecutionResult,
+    nodes: &mut Vec<NodeSummary>,
+) -> Result<(), Reject> {
+    let mut seen = 0;
     p.object(|p, key| -> Result<(), Reject> {
-        match key {
-            "rounds" => rounds = Some(req(p.read_u64())?),
-            "synced" => synced = Some(req(p.read_bool())?),
-            "nodes" => nodes = Some(decode_list(p, decode_node)?),
-            "metrics" => metrics = Some(decode_metrics(p)?),
-            _ => p.skip_value()?,
-        }
+        seen |= match key {
+            "rounds" => {
+                result.rounds_executed = req(p.read_u64())?;
+                1
+            }
+            "synced" => {
+                result.all_synchronized = req(p.read_bool())?;
+                2
+            }
+            "nodes" => {
+                nodes.clear();
+                p.array(|p| -> Result<(), Reject> {
+                    nodes.push(decode_node(p)?);
+                    Ok(())
+                })?;
+                result.nodes = nodes.as_slice().to_vec();
+                4
+            }
+            "metrics" => {
+                result.metrics = decode_metrics(p)?;
+                8
+            }
+            _ => {
+                p.skip_value()?;
+                0
+            }
+        };
         Ok(())
     })?;
-    Ok(ExecutionResult {
-        rounds_executed: got(rounds)?,
-        all_synchronized: got(synced)?,
-        nodes: got(nodes)?,
-        metrics: got(metrics)?,
-    })
+    all_seen(seen, 15)
 }
 
 fn decode_node(p: &mut Parser<'_>) -> Result<NodeSummary, Reject> {
-    let (mut id, mut activated, mut sync, mut out) = (None, None, None, None);
+    let mut node = NodeSummary {
+        id: NodeId::new(0),
+        activation_round: 0,
+        sync_round: None,
+        final_output: None,
+    };
+    let mut seen = 0;
     p.object(|p, key| -> Result<(), Reject> {
-        match key {
-            "id" => id = Some(got(node_id(req(p.read_u64())?))?),
-            "activated" => activated = Some(req(p.read_u64())?),
-            "sync" => sync = Some(req(p.read_opt_u64())?),
-            "out" => out = Some(req(p.read_opt_u64())?),
-            _ => p.skip_value()?,
-        }
+        seen |= match key {
+            "id" => {
+                node.id = node_id(req(p.read_u64())?).ok_or(Reject)?;
+                1
+            }
+            "activated" => {
+                node.activation_round = req(p.read_u64())?;
+                2
+            }
+            "sync" => {
+                node.sync_round = req(p.read_opt_u64())?;
+                4
+            }
+            "out" => {
+                node.final_output = req(p.read_opt_u64())?;
+                8
+            }
+            _ => {
+                p.skip_value()?;
+                0
+            }
+        };
         Ok(())
     })?;
-    Ok(NodeSummary {
-        id: got(id)?,
-        activation_round: got(activated)?,
-        sync_round: got(sync)?,
-        final_output: got(out)?,
-    })
+    all_seen(seen, 15)?;
+    Ok(node)
 }
 
 fn decode_metrics(p: &mut Parser<'_>) -> Result<SimMetrics, Reject> {
-    let mut values = [None; METRIC_KEYS.len()];
+    let mut values = [0; METRIC_KEYS.len()];
+    let mut seen = 0;
     p.object(|p, key| -> Result<(), Reject> {
         match METRIC_KEYS.iter().position(|k| *k == key) {
-            Some(i) => values[i] = Some(req(p.read_u64())?),
+            Some(i) => {
+                values[i] = req(p.read_u64())?;
+                seen |= 1 << i;
+            }
             None => p.skip_value()?,
         }
         Ok(())
     })?;
-    if values.contains(&None) {
-        return Err(Reject);
-    }
+    all_seen(seen, (1 << METRIC_KEYS.len()) - 1)?;
     let [rounds, broadcasts, listens, sleeps, deliveries, receptions, collisions, jammed_solo_broadcasts, disrupted_frequency_rounds, max_active, adversary_budget_violations] =
-        values.map(Option::unwrap_or_default);
+        values;
     Ok(SimMetrics {
         rounds,
         broadcasts,
@@ -1103,27 +1245,41 @@ fn decode_metrics(p: &mut Parser<'_>) -> Result<SimMetrics, Reject> {
     })
 }
 
-fn decode_properties(p: &mut Parser<'_>) -> Result<PropertyReport, Reject> {
-    let (mut violations, mut total, mut rounds, mut liveness, mut completion) =
-        (None, None, None, None, None);
+fn decode_properties(p: &mut Parser<'_>, report: &mut PropertyReport) -> Result<(), Reject> {
+    let mut seen = 0;
     p.object(|p, key| -> Result<(), Reject> {
-        match key {
-            "violations" => violations = Some(decode_list(p, decode_violation)?),
-            "total" => total = Some(req(p.read_u64())?),
-            "rounds" => rounds = Some(req(p.read_u64())?),
-            "liveness" => liveness = Some(req(p.read_bool())?),
-            "completion" => completion = Some(req(p.read_opt_u64())?),
-            _ => p.skip_value()?,
-        }
+        seen |= match key {
+            "violations" => {
+                p.array(|p| -> Result<(), Reject> {
+                    report.violations.push(decode_violation(p)?);
+                    Ok(())
+                })?;
+                1
+            }
+            "total" => {
+                report.total_violations = req(p.read_u64())?;
+                2
+            }
+            "rounds" => {
+                report.rounds_observed = req(p.read_u64())?;
+                4
+            }
+            "liveness" => {
+                report.liveness = req(p.read_bool())?;
+                8
+            }
+            "completion" => {
+                report.completion_round = req(p.read_opt_u64())?;
+                16
+            }
+            _ => {
+                p.skip_value()?;
+                0
+            }
+        };
         Ok(())
     })?;
-    Ok(PropertyReport {
-        violations: got(violations)?,
-        total_violations: got(total)?,
-        rounds_observed: got(rounds)?,
-        liveness: got(liveness)?,
-        completion_round: got(completion)?,
-    })
+    all_seen(seen, 31)
 }
 
 fn decode_violation(p: &mut Parser<'_>) -> Result<Violation, Reject> {
@@ -1137,32 +1293,32 @@ fn decode_violation(p: &mut Parser<'_>) -> Result<Violation, Reject> {
     p.object(|p, key| -> Result<(), Reject> {
         match key {
             "kind" => kind = Some(req(p.read_str())?),
-            "node" => node = Some(p.read_u64()?.and_then(node_id)),
-            "round" => round = Some(p.read_u64()?),
-            "previous" => previous = Some(p.read_u64()?),
-            "current" => current = Some(p.read_u64()?),
-            "first" => first = Some(decode_pair(p)?),
-            "second" => second = Some(decode_pair(p)?),
+            "node" => node = p.read_u64()?.and_then(node_id),
+            "round" => round = p.read_u64()?,
+            "previous" => previous = p.read_u64()?,
+            "current" => current = p.read_u64()?,
+            "first" => first = decode_pair(p)?,
+            "second" => second = decode_pair(p)?,
             _ => p.skip_value()?,
         }
         Ok(())
     })?;
     Ok(match kind.as_deref() {
         Some("synch-commit") => Violation::SynchCommit {
-            node: got(node.flatten())?,
-            round: got(round.flatten())?,
-            previous: got(previous.flatten())?,
+            node: got(node)?,
+            round: got(round)?,
+            previous: got(previous)?,
         },
         Some("correctness") => Violation::Correctness {
-            node: got(node.flatten())?,
-            round: got(round.flatten())?,
-            previous: got(previous.flatten())?,
-            current: got(current.flatten())?,
+            node: got(node)?,
+            round: got(round)?,
+            previous: got(previous)?,
+            current: got(current)?,
         },
         Some("agreement") => Violation::Agreement {
-            round: got(round.flatten())?,
-            first: got(first.flatten())?,
-            second: got(second.flatten())?,
+            round: got(round)?,
+            first: got(first)?,
+            second: got(second)?,
         },
         _ => return Err(Reject),
     })
@@ -1170,13 +1326,13 @@ fn decode_violation(p: &mut Parser<'_>) -> Result<Violation, Reject> {
 
 /// Reads a violation's `[node, output]` pair leniently: `None` for any
 /// other well-formed value.
-fn decode_pair(p: &mut Parser<'_>) -> Result<Option<(NodeId, u64)>, JsonError> {
+fn decode_pair(p: &mut Parser<'_>) -> Result<Option<(NodeId, u64)>, Malformed> {
     if !p.at_array() {
         p.skip_value()?;
         return Ok(None);
     }
     let (mut len, mut items) = (0, [None; 2]);
-    p.array(|p| -> Result<(), JsonError> {
+    p.array(|p| -> Result<(), Malformed> {
         let item = p.read_u64()?;
         if let Some(slot) = items.get_mut(len) {
             *slot = item;
@@ -1489,7 +1645,11 @@ mod tests {
     }
 
     fn assert_decodes_like_the_reference(line: &str) {
-        assert_eq!(decode_record(line), reference_decode(line), "line {line:?}");
+        assert_eq!(
+            decode_record(line, &mut LineBuffers::default()),
+            reference_decode(line),
+            "line {line:?}"
+        );
     }
 
     /// Catalogue outcomes: clean runs and a dirty one with violations.
@@ -1522,7 +1682,7 @@ mod tests {
             let line = encode_record(0xabc, outcome.seed, &outcome);
             assert_eq!(line, reference_line(0xabc, outcome.seed, &outcome));
             assert_eq!(
-                decode_record(&line),
+                decode_record(&line, &mut LineBuffers::default()),
                 Some((0xabc, outcome.seed, outcome.clone()))
             );
         }
@@ -1874,7 +2034,7 @@ mod tests {
             let line = encode_record(digest, seed, &outcome);
             prop_assert_eq!(&line, &reference_line(digest, seed, &outcome));
             let expected = (seed == outcome.seed).then_some((digest, seed, outcome));
-            prop_assert_eq!(decode_record(&line), expected);
+            prop_assert_eq!(decode_record(&line, &mut LineBuffers::default()), expected);
         }
 
         /// Re-spaced, reordered, extended and escaped variants decode to
@@ -1887,7 +2047,7 @@ mod tests {
             benign(&mut value, &mut rng);
             let mut variant = String::new();
             write_variant(&value, &mut rng, &mut variant);
-            prop_assert_eq!(decode_record(&variant), Some((7, outcome.seed, outcome)));
+            prop_assert_eq!(decode_record(&variant, &mut LineBuffers::default()), Some((7, outcome.seed, outcome)));
             assert_decodes_like_the_reference(&variant);
         }
 
@@ -2041,7 +2201,7 @@ mod tests {
             edit(object_at(&mut variant, &mut { k }).unwrap());
             let line = variant.to_json_compact();
             assert_decodes_like_the_reference(&line);
-            decode_record(&line).is_some()
+            decode_record(&line, &mut LineBuffers::default()).is_some()
         };
         let (mut edits, mut accepted) = (0, 0);
         let mut tally = |decodes: bool| {
@@ -2282,6 +2442,94 @@ mod tests {
                 assert!(store.contains(digest, outcome.seed));
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_drops_a_line_that_is_not_utf8_and_keeps_a_crlf_record_without_its_cr() {
+        let dir = temp_dir("line-cases");
+        let outcomes = sample_outcomes(3);
+        let line = |i: usize| encode_record(43, outcomes[i].seed, &outcomes[i]);
+        let mut not_utf8 = line(2).into_bytes();
+        let name = b"\"adversary\":\"";
+        let at = not_utf8
+            .windows(name.len())
+            .position(|w| w == name)
+            .expect("records name their adversary");
+        not_utf8.insert(at + name.len(), 0xff);
+        let mut bytes = format!("{}\n{}\r\n", line(0), line(1)).into_bytes();
+        bytes.extend_from_slice(&not_utf8);
+        bytes.push(b'\n');
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(shard_path(&dir, 0), &bytes).unwrap();
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.loaded_records(), 2);
+        assert_eq!(store.dropped_records(), 1);
+        assert_eq!(store.get(43, outcomes[0].seed), Some(outcomes[0].clone()));
+        assert_eq!(store.get(43, outcomes[1].seed), Some(outcomes[1].clone()));
+        assert!(!store.contains(43, outcomes[2].seed));
+        let stats = store.repair_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].shard, stats[0].dropped_lines), (0, 1));
+        assert!(!stats[0].torn_tail && stats[0].rewritten);
+        assert_eq!(
+            fs::read_to_string(shard_path(&dir, 0)).unwrap(),
+            format!("{}\n{}\n", line(0), line(1)),
+            "the repair drops the line that is not UTF-8 and the record's '\\r'"
+        );
+        assert!(ResultStore::open(&dir).unwrap().repair_stats().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lines_around_and_between_invalid_bytes_split_at_their_newlines() {
+        let dir = temp_dir("utf8-chunks");
+        let outcomes = sample_outcomes(2);
+        let line = |i: usize| encode_record(53, outcomes[i].seed, &outcomes[i]);
+        let mut bytes = b"\xff{\"spec\":1}\n".to_vec();
+        bytes.extend_from_slice(format!("{}\n", line(0)).as_bytes());
+        // Two invalid sequences in one line, the second cut short.
+        bytes.extend_from_slice(b"{\"a\":\"\xc3\x28\",\"b\":\"\xe2\x82\"}\n\xfe\n");
+        bytes.extend_from_slice(format!("{}\r\n", line(1)).as_bytes());
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(shard_path(&dir, 2), &bytes).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!((store.loaded_records(), store.dropped_records()), (2, 3));
+        assert_eq!(
+            fs::read_to_string(shard_path(&dir, 2)).unwrap(),
+            format!("{}\n{}\n", line(0), line(1))
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn of_two_records_for_one_key_the_first_wins_on_every_read_path() {
+        let dir = temp_dir("first-wins");
+        let first = sample_outcomes(1).remove(0);
+        let mut second = first.clone();
+        second.leaders += 1;
+        second.adversary.push_str("-later");
+        let digest = 47u64;
+        let shard = shard_index(digest, first.seed);
+        let refreshing = ResultStore::open_shared(&dir).unwrap();
+        append_raw(
+            &dir,
+            shard,
+            format!(
+                "{}\n{}\n",
+                encode_record(digest, first.seed, &first),
+                encode_record(digest, first.seed, &second)
+            )
+            .as_bytes(),
+        );
+        assert_eq!(refreshing.refresh_shard(shard).unwrap(), (1, 0));
+        assert_eq!(refreshing.get(digest, first.seed), Some(first.clone()));
+        let shared = ResultStore::open_shared(&dir).unwrap();
+        assert_eq!(shared.get(digest, first.seed), Some(first.clone()));
+        let opened = ResultStore::open(&dir).unwrap();
+        assert_eq!(opened.get(digest, first.seed), Some(first.clone()));
+        assert_eq!((opened.len(), opened.loaded_records()), (1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,10 @@
 //!   versus connections turned away with a `503` because the server was
 //!   already at its concurrent-handler cap. The saturation smoke asserts
 //!   a burst past the cap moves `rejected`, not the thread count.
+//! * `store_open` — what opening the store at start-up found: `records`
+//!   loaded, undecodable `dropped_lines`, `shards_repaired`, and the
+//!   open's wall-clock `micros`. The serve smoke asserts a restarted
+//!   daemon loads one record per shard line and drops none.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,6 +35,9 @@ pub struct Metrics {
     exec_micros: AtomicU64,
     points_stopped: AtomicU64,
     trials_saved: AtomicU64,
+    /// The store open's records loaded, lines dropped, shards repaired
+    /// and wall-clock microseconds, in that order.
+    store_open: [AtomicU64; 4],
 }
 
 impl Metrics {
@@ -82,6 +89,18 @@ impl Metrics {
     pub(crate) fn record_stops(&self, stopped: u64, saved: u64) {
         self.points_stopped.fetch_add(stopped, Ordering::Relaxed);
         self.trials_saved.fetch_add(saved, Ordering::Relaxed);
+    }
+
+    /// Records what opening the store found: `records` loaded, `dropped`
+    /// undecodable lines, `repaired` shards, over `micros` of wall clock.
+    pub(crate) fn record_store_open(&self, records: u64, dropped: u64, repaired: u64, micros: u64) {
+        for (slot, value) in self
+            .store_open
+            .iter()
+            .zip([records, dropped, repaired, micros])
+        {
+            slot.store(value, Ordering::Relaxed);
+        }
     }
 
     /// Grid points stopped early by a sweep's stopping rule over the
@@ -140,6 +159,18 @@ impl Metrics {
                 "trials_saved".to_string(),
                 Value::Int(self.trials_saved() as i64),
             ),
+            (
+                "store_open".to_string(),
+                Value::Object(
+                    ["records", "dropped_lines", "shards_repaired", "micros"]
+                        .iter()
+                        .zip(&self.store_open)
+                        .map(|(key, value)| {
+                            (key.to_string(), Value::from(value.load(Ordering::Relaxed)))
+                        })
+                        .collect(),
+                ),
+            ),
         ])
     }
 }
@@ -158,6 +189,7 @@ mod tests {
         metrics.record_work(3, 2, 1_000, 500_000);
         metrics.record_work(5, 0, 0, 0);
         metrics.record_stops(2, 48);
+        metrics.record_store_open(256, 1, 1, 900);
         assert_eq!(metrics.store_hits(), 8);
         assert_eq!(metrics.store_misses(), 2);
         assert_eq!(metrics.points_stopped(), 2);
@@ -170,6 +202,11 @@ mod tests {
         assert_eq!(value.get("trials_saved").unwrap().as_u64(), Some(48));
         assert_eq!(value.get("accepted").unwrap().as_u64(), Some(2));
         assert_eq!(value.get("rejected").unwrap().as_u64(), Some(1));
+        let open = value.get("store_open").unwrap();
+        assert_eq!(
+            open.to_json_compact(),
+            r#"{"records":256,"dropped_lines":1,"shards_repaired":1,"micros":900}"#
+        );
         let rps = value.get("rounds_per_sec").unwrap().as_f64().unwrap();
         assert!((rps - 2_000.0).abs() < 1e-9, "{rps}");
     }

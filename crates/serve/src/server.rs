@@ -191,9 +191,18 @@ pub struct Server {
 
 impl Server {
     /// Opens (and repairs — nothing else is writing yet) the store, then
-    /// binds the listener.
+    /// binds the listener. `GET /metrics` reports what the open found and
+    /// how long it took.
     pub fn bind(config: ServeConfig) -> Result<Server, ServeError> {
+        let watch = Stopwatch::start();
         let store = ResultStore::open(&config.store_dir).map_err(ServeError::Store)?;
+        let metrics = Metrics::new();
+        metrics.record_store_open(
+            store.loaded_records() as u64,
+            store.dropped_records(),
+            store.repair_stats().len() as u64,
+            watch.elapsed_micros(),
+        );
         for repair in store.repair_stats() {
             eprintln!(
                 "wsync-serve: store shard {:02} had {} torn/corrupt line(s); repaired",
@@ -209,7 +218,7 @@ impl Server {
             state: Arc::new(State {
                 store: Arc::new(store),
                 jobs: JobRegistry::new(),
-                metrics: Metrics::new(),
+                metrics,
                 handlers: Semaphore::new(config.max_handlers.max(1)),
             }),
         })

@@ -13,6 +13,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
 use wsync_core::json::{self, Value};
+use wsync_core::sim::Sim;
+use wsync_core::spec::ScenarioSpec;
+use wsync_core::store::ResultStore;
 use wsync_serve::{ServeConfig, Server};
 
 /// A small scenario: tiny ensemble, quick to execute, exercises probes.
@@ -193,6 +196,43 @@ fn repeated_run_is_a_full_cache_hit() {
     let metrics = json::parse(&body).expect("metrics is JSON");
     assert_eq!(metrics.get("store_misses").and_then(Value::as_u64), Some(4));
     assert_eq!(metrics.get("store_hits").and_then(Value::as_u64), Some(4));
+}
+
+#[test]
+fn metrics_report_what_the_store_open_found() {
+    let dir = temp_dir("open-stats");
+    let sim = Sim::from_spec(&ScenarioSpec::new("trapdoor", 6, 4, 1)).expect("valid spec");
+    {
+        let store = ResultStore::open(&dir).expect("store opens");
+        for seed in 0..6 {
+            store.put(7, seed, &sim.run_one(seed)).expect("put");
+        }
+    }
+    // Tear the final line of one shard in half, as a kill mid-append would.
+    let shard = (0..8)
+        .map(|s| dir.join(format!("shard-{s:02}.jsonl")))
+        .find(|path| path.exists())
+        .expect("some shard holds a record");
+    let text = std::fs::read_to_string(&shard).expect("shard readable");
+    let last = text[..text.len() - 1].rfind('\n').map_or(0, |at| at + 1);
+    std::fs::write(&shard, &text[..last + (text.len() - last) / 2]).expect("tear");
+
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        store_dir: dir,
+        max_handlers: wsync_serve::DEFAULT_MAX_HANDLERS,
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("local_addr");
+    std::thread::spawn(move || server.run());
+    let (_, body) = get(addr, "/metrics");
+    let metrics = json::parse(&body).expect("metrics is JSON");
+    let open = metrics.get("store_open").expect("store_open member");
+    let count = |key| open.get(key).and_then(Value::as_u64);
+    assert_eq!(count("records"), Some(5), "{body}");
+    assert_eq!(count("dropped_lines"), Some(1), "{body}");
+    assert_eq!(count("shards_repaired"), Some(1), "{body}");
+    assert!(count("micros").is_some(), "{body}");
 }
 
 #[test]

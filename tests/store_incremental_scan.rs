@@ -4,16 +4,19 @@
 //! from the cursor where this store's last scan stopped. This property
 //! test drives two `open_shared` instances of one directory through random
 //! operation sequences — puts, refreshes, repairs, a killed third writer's
-//! torn tail, a corrupt complete line, and an out-of-band `ResultStore::open`
-//! that rewrites damaged shards — and checks every step against a full
-//! scan of the bytes on disk:
+//! torn tail, an odd complete line (blank, corrupt, not UTF-8, or a record
+//! ending in `\r\n`), and an out-of-band `ResultStore::open` that rewrites
+//! damaged shards — and checks every step against a full scan of the bytes
+//! on disk:
 //!
 //! * after `refresh_shard(s)` (and after `repair_shard(s)`), the instance
 //!   holds exactly the records of shard `s`'s decodable lines plus its own
 //!   acknowledged puts;
-//! * every `ShardRepair` equals what a full scan of the file reports;
+//! * every `ShardRepair` equals what a full scan of the file reports, and
+//!   a rewritten shard keeps no `\r` (a `\r\n` record loses its `\r`);
 //! * at the end, a fresh `ResultStore::open` holds every acknowledged put
-//!   exactly once, with no duplicate line on disk.
+//!   and every decodable line exactly once, with no duplicate line on
+//!   disk.
 //!
 //! Appends follow the fabric's single-writer protocol: an instance puts to
 //! a shard only as its holder, and becomes the holder by repairing it (the
@@ -140,6 +143,19 @@ fn full_scan(path: &Path) -> FullScan {
     scan
 }
 
+/// A complete line another writer appends.
+#[derive(Debug, Clone, Copy)]
+enum Odd {
+    /// Whitespace only: skipped, not counted.
+    Blank,
+    /// Well-formed JSON that is not a record: dropped and counted.
+    NotARecord,
+    /// A record with a byte that is not UTF-8: dropped and counted.
+    NotUtf8,
+    /// A record ending in `\r\n`: kept, and rewritten without its `\r`.
+    Crlf,
+}
+
 /// One step of a generated sequence.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -147,7 +163,7 @@ enum Op {
     Refresh { inst: usize, shard: usize },
     Repair { inst: usize, shard: usize },
     TornTail { shard: usize, cut: u64 },
-    CorruptLine { shard: usize, blank: bool },
+    CorruptLine { shard: usize, line: Odd },
     OutOfBandOpen,
 }
 
@@ -163,7 +179,12 @@ fn op((kind, inst, pick, cut): (u8, usize, usize, u64)) -> Op {
         7 => Op::TornTail { shard, cut },
         8 => Op::CorruptLine {
             shard,
-            blank: cut % 4 == 0,
+            line: match cut % 4 {
+                0 => Odd::Blank,
+                1 => Odd::NotARecord,
+                2 => Odd::NotUtf8,
+                _ => Odd::Crlf,
+            },
         },
         _ => Op::OutOfBandOpen,
     }
@@ -186,6 +207,16 @@ struct Model {
 impl Model {
     fn path(&self, shard: usize) -> PathBuf {
         shard_path(&self.dir, self.shards[shard])
+    }
+
+    /// A fresh seed homed in `shard` that no instance ever puts: the
+    /// trials of writers outside the model.
+    fn outside_seed(&mut self, shard: usize) -> u64 {
+        let seed = (self.next_killed..)
+            .find(|&s| store::shard_index(DIGEST, s) == self.shards[shard])
+            .unwrap();
+        self.next_killed = seed + 1;
+        seed
     }
 
     /// The instance's records for `shard` are exactly the decodable lines
@@ -215,6 +246,13 @@ impl Model {
             rewritten: before.dropped > 0 || before.torn_tail,
         };
         assert_eq!(got, expected);
+        if got.rewritten {
+            let bytes = fs::read(self.path(shard)).unwrap_or_default();
+            assert!(
+                !bytes.contains(&b'\r'),
+                "a rewritten shard still holds a `\\r`"
+            );
+        }
         self.holder[shard] = Some(inst);
         self.check_index(inst, shard);
     }
@@ -239,10 +277,7 @@ impl Model {
             Op::Repair { inst, shard } => self.repair(inst, shard),
             Op::TornTail { shard, cut } => {
                 // The killed holder was writing a trial of its own shard.
-                let seed = (self.next_killed..)
-                    .find(|&s| store::shard_index(DIGEST, s) == self.shards[shard])
-                    .unwrap();
-                self.next_killed = seed + 1;
+                let seed = self.outside_seed(shard);
                 let line = record_line(seed);
                 // One cut in four lands right before the newline, leaving
                 // a torn tail that still decodes.
@@ -255,13 +290,26 @@ impl Model {
                 self.universe[shard].insert(seed);
                 self.holder[shard] = None;
             }
-            Op::CorruptLine { shard, blank } => {
-                let line: &[u8] = if blank {
-                    b"   \n"
-                } else {
-                    b"{\"spec\":\"not a record\"}\n"
+            Op::CorruptLine { shard, line } => {
+                let bytes = match line {
+                    Odd::Blank => b"   \n".to_vec(),
+                    Odd::NotARecord => b"{\"spec\":\"not a record\"}\n".to_vec(),
+                    Odd::NotUtf8 | Odd::Crlf => {
+                        let seed = self.outside_seed(shard);
+                        self.universe[shard].insert(seed);
+                        let mut bytes = record_line(seed).into_bytes();
+                        if let Odd::NotUtf8 = line {
+                            let name = b"\"adversary\":\"";
+                            let at = bytes.windows(name.len()).position(|w| w == name).unwrap();
+                            bytes.insert(at + name.len(), 0xff);
+                            bytes.push(b'\n');
+                        } else {
+                            bytes.extend_from_slice(b"\r\n");
+                        }
+                        bytes
+                    }
                 };
-                append(&self.dir, self.shards[shard], line);
+                append(&self.dir, self.shards[shard], &bytes);
             }
             Op::OutOfBandOpen => {
                 drop(ResultStore::open(&self.dir).unwrap());
@@ -311,6 +359,9 @@ proptest! {
         }
         for shard in 0..2 {
             let scan = full_scan(&model.path(shard));
+            for &seed in &scan.lines {
+                prop_assert_eq!(reopened.get(DIGEST, seed), Some(outcome(seed)));
+            }
             prop_assert_eq!(scan.dropped, 0);
             prop_assert!(!scan.torn_tail);
             let unique: BTreeSet<u64> = scan.lines.iter().copied().collect();
