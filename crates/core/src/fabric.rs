@@ -55,7 +55,7 @@
 //! quantity ever depends on it, and no cross-machine timestamp is ever
 //! compared.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -270,8 +270,9 @@ struct Lease {
     holder: String,
     beat: u64,
     /// The body this lease last wrote: the lease is still ours exactly
-    /// while the path holds these bytes.
-    body: Vec<u8>,
+    /// while the path holds these bytes. Each heartbeat rewrites it in
+    /// place.
+    body: String,
 }
 
 impl Lease {
@@ -290,10 +291,10 @@ impl Lease {
             return Ok(false);
         }
         self.beat += 1;
-        self.body = lease_body(self.shard, &self.holder, self.beat);
+        lease_body(self.shard, &self.holder, self.beat, &mut self.body);
         self.file
             .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.write_all(&self.body))
+            .and_then(|_| self.file.write_all(self.body.as_bytes()))
             .map_err(|source| FabricError::Lease {
                 path: self.path.clone(),
                 source,
@@ -305,7 +306,7 @@ impl Lease {
     /// last wrote.
     fn still_ours(&self) -> Result<bool, FabricError> {
         match fs::read(&self.path) {
-            Ok(bytes) => Ok(bytes == self.body),
+            Ok(bytes) => Ok(bytes == self.body.as_bytes()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(source) => Err(FabricError::Lease {
                 path: self.path.clone(),
@@ -339,22 +340,19 @@ pub fn lease_path(dir: &Path, shard: usize) -> PathBuf {
 /// Digits of the widest beat counter a lease body holds (`i64::MAX`).
 const BEAT_DIGITS: usize = 19;
 
-/// A lease body: the compact JSON stamp, padded with spaces to a width
-/// that no beat counter changes, so a heartbeat overwrites it in place.
-/// Every reader trims, so padded bodies and unpadded ones (written by
-/// older workers) read alike.
-fn lease_body(shard: usize, holder: &str, beat: u64) -> Vec<u8> {
-    let mut body = Value::Object(vec![
-        ("shard".to_string(), Value::Int(shard as i64)),
-        ("holder".to_string(), Value::Str(holder.to_string())),
-        ("beat".to_string(), Value::Int(beat as i64)),
-    ])
-    .to_json_compact()
-    .into_bytes();
+/// Writes a lease body over `body`: the compact JSON stamp
+/// `{"shard":…,"holder":…,"beat":…}`, padded with spaces to a width that
+/// no beat counter changes, so a heartbeat overwrites it in place. Every
+/// reader trims, so padded bodies and unpadded ones (written by older
+/// workers) read alike.
+fn lease_body(shard: usize, holder: &str, beat: u64, body: &mut String) {
+    body.clear();
+    let _ = write!(body, "{{\"shard\":{shard},\"holder\":");
+    json::write_string(holder, body);
+    let _ = write!(body, ",\"beat\":{beat}}}");
     let digits = beat.checked_ilog10().map_or(1, |d| d as usize + 1);
-    body.resize(body.len() + BEAT_DIGITS.saturating_sub(digits), b' ');
-    body.push(b'\n');
-    body
+    body.extend(std::iter::repeat(' ').take(BEAT_DIGITS.saturating_sub(digits)));
+    body.push('\n');
 }
 
 /// The identity stamp of a lease body: who holds it and how many
@@ -442,11 +440,13 @@ fn try_claim(dir: &Path, shard: usize, holder: &str) -> Result<Option<Lease>, Fa
     let path = lease_path(dir, shard);
     match OpenOptions::new().write(true).create_new(true).open(&path) {
         Ok(mut file) => {
-            let body = lease_body(shard, holder, 0);
-            file.write_all(&body).map_err(|source| FabricError::Lease {
-                path: path.clone(),
-                source,
-            })?;
+            let mut body = String::new();
+            lease_body(shard, holder, 0, &mut body);
+            file.write_all(body.as_bytes())
+                .map_err(|source| FabricError::Lease {
+                    path: path.clone(),
+                    source,
+                })?;
             Ok(Some(Lease {
                 path,
                 file,
@@ -914,12 +914,30 @@ mod tests {
     }
 
     #[test]
+    fn lease_bodies_are_the_compact_stamp_padded_to_a_fixed_width() {
+        let holder = "w \"7\" \\ \n\t\u{1} é";
+        let mut body = String::new();
+        for beat in [0, 9, 10, 12_345, i64::MAX as u64] {
+            lease_body(3, holder, beat, &mut body);
+            let stamp = Value::Object(vec![
+                ("shard".to_string(), Value::Int(3)),
+                ("holder".to_string(), Value::Str(holder.to_string())),
+                ("beat".to_string(), Value::Int(beat as i64)),
+            ])
+            .to_json_compact();
+            let pad = " ".repeat(BEAT_DIGITS - beat.to_string().len());
+            assert_eq!(body, format!("{stamp}{pad}\n"), "beat {beat}");
+        }
+    }
+
+    #[test]
     fn padded_and_unpadded_lease_bodies_read_alike() {
         // Workers of both body formats can share one store directory.
         let dir = temp_dir("bodies");
         fs::create_dir_all(&dir).unwrap();
         let unpadded = "{\"shard\":4,\"holder\":\"w-7\",\"beat\":12}\n";
-        let padded = String::from_utf8(lease_body(4, "w-7", 12)).unwrap();
+        let mut padded = String::new();
+        lease_body(4, "w-7", 12, &mut padded);
         assert!(padded.len() > unpadded.len());
         assert_eq!(padded.trim(), unpadded.trim());
         for body in [unpadded, padded.as_str()] {

@@ -9,19 +9,16 @@
 //! recursive-descent [`parse`]r with line/column errors, and a
 //! pretty-printing writer whose output round-trips bit-for-bit (integers
 //! stay integers, floats use Rust's shortest round-trip formatting). The
-//! parser's crate-private pull interface lets the result store read its
-//! records under the same rules without building a tree.
+//! result store reads the lines it wrote itself with its own layout
+//! scanner, and every other line through [`parse`].
 //!
-//! Opening a store replays every record through that interface, so the
-//! reader keeps its hot path at O(1) per object member: duplicate keys
-//! are detected exactly, but a key is compared with its object's earlier
-//! keys only when a 64-bit per-object fingerprint says it may repeat one
-//! (an object of more than 64 members puts its keys in an ordered set
-//! instead, so one of many keys, such as a hostile request body, is not
-//! quadratic); typed reads and skips scan numbers into an integer or
-//! float, never a [`Value`]; and errors are built, boxed, only once a
-//! document fails, with [`parse`]'s [`JsonError`] line, column and
-//! message unchanged.
+//! The reader keeps its hot path at O(1) per object member: duplicate
+//! keys are detected exactly, but a key is compared with its object's
+//! earlier keys only when a 64-bit per-object fingerprint says it may
+//! repeat one (an object of more than 64 members puts its keys in an
+//! ordered set instead, so one of many keys, such as a hostile request
+//! body, is not quadratic); and errors are built, boxed, only once a
+//! document fails.
 //!
 //! When a real `serde_json` becomes available, [`Value`] maps 1:1 onto
 //! `serde_json::Value` and the spec layer can swap over without changing
@@ -376,19 +373,12 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 /// returns, boxed so that every result on the hot path stays one or two
 /// words wide. It is built only on failure, by the cold
 /// [`Parser::error`].
-pub(crate) struct Malformed(Box<JsonError>);
+struct Malformed(Box<JsonError>);
 
 impl From<Malformed> for JsonError {
     fn from(malformed: Malformed) -> Self {
         *malformed.0
     }
-}
-
-/// A number literal's value: integer literals that fit an `i64` stay
-/// integers, everything else is a float.
-enum Number {
-    Int(i64),
-    Float(f64),
 }
 
 /// Members an object's duplicate-key check covers with its fingerprint;
@@ -408,20 +398,9 @@ fn key_bit(key: &[u8]) -> u64 {
     1 << ((key.len() + ends) & 63)
 }
 
-/// A [`Parser`]'s key stack, which a caller reading many documents hands
-/// from one parser to the next ([`Parser::reusing`],
-/// [`Parser::into_keys`]) so that it is allocated once.
-#[derive(Default)]
-pub(crate) struct KeyStack(Vec<(usize, usize)>);
-
-/// The one JSON reader. [`parse`] builds a [`Value`] tree with it, and the
-/// result store pulls its records through the crate-private interface
-/// below without building one: object and array iteration, typed reads
-/// and skipping a value. Both go through the same rules for escapes,
-/// numbers, duplicate keys and [`MAX_NESTING_DEPTH`].
-///
-/// A typed read consumes one value whatever its kind: `Ok(None)` means a
-/// well-formed value of another kind, and `Err` a malformed document.
+/// The JSON reader [`parse`] builds its [`Value`] tree with: object and
+/// array iteration, under one set of rules for escapes, numbers,
+/// duplicate keys and [`MAX_NESTING_DEPTH`].
 ///
 /// The hot path pays O(1) per object member beyond the bytes it reads:
 ///
@@ -430,13 +409,10 @@ pub(crate) struct KeyStack(Vec<(usize, usize)>);
 ///   when its bit is already set, so detection stays exact. Past
 ///   [`FINGERPRINTED_MEMBERS`] an object's keys go into an ordered set,
 ///   O(log n) per member, where the fingerprint would be full;
-/// * typed reads and skips scan numbers into a [`Number`], never a
-///   [`Value`];
 /// * errors are [`Malformed`] (one boxed word), built only on failure;
 /// * a member's closure gets its key by reference, and the key stack
-///   keeps each key as its span of the input, never a copy, in a buffer
-///   a caller reading many documents reuses ([`KeyStack`]).
-pub(crate) struct Parser<'a> {
+///   keeps each key as its span of the input, never a copy.
+struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
@@ -449,31 +425,20 @@ pub(crate) struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     /// A parser positioned at the first value of `input`.
-    pub(crate) fn new(input: &'a str) -> Self {
-        Parser::reusing(input, KeyStack::default())
-    }
-
-    /// [`new`](Self::new), keeping the key stack in `keys`' buffer.
-    pub(crate) fn reusing(input: &'a str, KeyStack(mut keys): KeyStack) -> Self {
-        keys.clear();
+    fn new(input: &'a str) -> Self {
         let mut p = Parser {
             input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
-            keys,
+            keys: Vec::new(),
         };
         p.skip_whitespace();
         p
     }
 
-    /// The key stack's buffer, for the next parser.
-    pub(crate) fn into_keys(self) -> KeyStack {
-        KeyStack(self.keys)
-    }
-
     /// Succeeds if nothing but whitespace follows the values read.
-    pub(crate) fn finish(&mut self) -> Result<(), Malformed> {
+    fn finish(&mut self) -> Result<(), Malformed> {
         self.skip_whitespace();
         if self.pos < self.bytes.len() {
             return Err(self.error("unexpected trailing characters"));
@@ -483,10 +448,10 @@ impl<'a> Parser<'a> {
 
     /// Reads an object, calling `member` with each key while the parser
     /// stands at that member's value, which `member` must consume.
-    pub(crate) fn object<E: From<Malformed>>(
+    fn object(
         &mut self,
-        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), Malformed>,
+    ) -> Result<(), Malformed> {
         self.enter()?;
         self.expect(b'{')?;
         let own_keys = self.keys.len();
@@ -511,7 +476,7 @@ impl<'a> Parser<'a> {
                     self.insert_key(earlier, &mut many, key.clone())?
                 };
                 if repeated {
-                    return Err(self.error(format!("duplicate object key \"{key}\"")).into());
+                    return Err(self.error(format!("duplicate object key \"{key}\"")));
                 }
                 self.skip_whitespace();
                 self.expect(b':')?;
@@ -526,7 +491,7 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                         break;
                     }
-                    _ => return Err(self.error("expected ',' or '}' in object").into()),
+                    _ => return Err(self.error("expected ',' or '}' in object")),
                 }
             }
         }
@@ -579,10 +544,10 @@ impl<'a> Parser<'a> {
 
     /// Reads an array, calling `item` while the parser stands at each
     /// element, which `item` must consume.
-    pub(crate) fn array<E: From<Malformed>>(
+    fn array(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), E>,
-    ) -> Result<(), E> {
+        mut item: impl FnMut(&mut Self) -> Result<(), Malformed>,
+    ) -> Result<(), Malformed> {
         self.enter()?;
         self.expect(b'[')?;
         self.skip_whitespace();
@@ -599,70 +564,12 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                         break;
                     }
-                    _ => return Err(self.error("expected ',' or ']' in array").into()),
+                    _ => return Err(self.error("expected ',' or ']' in array")),
                 }
             }
         }
         self.depth -= 1;
         Ok(())
-    }
-
-    /// Whether the next value is an array.
-    pub(crate) fn at_array(&self) -> bool {
-        self.peek() == Some(b'[')
-    }
-
-    /// Reads a `u64` in either form the result store writes: a
-    /// non-negative integer, or a string holding one in decimal (the form
-    /// of values above `i64::MAX`).
-    pub(crate) fn read_u64(&mut self) -> Result<Option<u64>, Malformed> {
-        Ok(match self.peek() {
-            Some(b'-' | b'0'..=b'9') => match self.parse_number()? {
-                Number::Int(i) => u64::try_from(i).ok(),
-                Number::Float(_) => None,
-            },
-            Some(b'"') => self.parse_str()?.parse().ok(),
-            _ => {
-                self.skip_value()?;
-                None
-            }
-        })
-    }
-
-    /// Reads [`read_u64`](Self::read_u64)'s forms, or `null` for `None`.
-    pub(crate) fn read_opt_u64(&mut self) -> Result<Option<Option<u64>>, Malformed> {
-        if self.peek() == Some(b'n') {
-            return self.keyword("null", Some(None));
-        }
-        Ok(self.read_u64()?.map(Some))
-    }
-
-    /// Reads a bool.
-    pub(crate) fn read_bool(&mut self) -> Result<Option<bool>, Malformed> {
-        match self.peek() {
-            Some(b't') => self.keyword("true", Some(true)),
-            Some(b'f') => self.keyword("false", Some(false)),
-            _ => self.skip_value().map(|()| None),
-        }
-    }
-
-    /// Reads a string, borrowed from the input unless it holds an escape.
-    pub(crate) fn read_str(&mut self) -> Result<Option<Cow<'a, str>>, Malformed> {
-        if self.peek() == Some(b'"') {
-            return self.parse_str().map(Some);
-        }
-        self.skip_value().map(|()| None)
-    }
-
-    /// Reads one value of any kind and discards it.
-    pub(crate) fn skip_value(&mut self) -> Result<(), Malformed> {
-        match self.peek() {
-            Some(b'{') => self.object(|p, _| p.skip_value()),
-            Some(b'[') => self.array(Self::skip_value),
-            Some(b'"') => self.parse_str().map(drop),
-            Some(b'-' | b'0'..=b'9') => self.parse_number().map(drop),
-            _ => self.parse_value().map(drop),
-        }
     }
 
     /// The failure `message` at the current position. Cold: the line and
@@ -714,7 +621,7 @@ impl<'a> Parser<'a> {
                 self.object(|p, key| {
                     let value = p.parse_value()?;
                     members.push((key.to_string(), value));
-                    Ok::<(), Malformed>(())
+                    Ok(())
                 })?;
                 Ok(Value::Object(members))
             }
@@ -722,7 +629,7 @@ impl<'a> Parser<'a> {
                 let mut items = Vec::new();
                 self.array(|p| {
                     items.push(p.parse_value()?);
-                    Ok::<(), Malformed>(())
+                    Ok(())
                 })?;
                 Ok(Value::Array(items))
             }
@@ -730,10 +637,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'n') => self.keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => Ok(match self.parse_number()? {
-                Number::Int(i) => Value::Int(i),
-                Number::Float(f) => Value::Float(f),
-            }),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
@@ -876,7 +780,9 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn parse_number(&mut self) -> Result<Number, Malformed> {
+    /// A number literal: an integer literal that fits an `i64` stays an
+    /// integer, everything else is a float.
+    fn parse_number(&mut self) -> Result<Value, Malformed> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -921,16 +827,16 @@ impl<'a> Parser<'a> {
             }
         }
         if !is_float && int_digits <= 18 {
-            return Ok(Number::Int(if negative { -magnitude } else { magnitude }));
+            return Ok(Value::Int(if negative { -magnitude } else { magnitude }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        let float = |p: &Self| -> Result<Number, Malformed> {
+        let float = |p: &Self| -> Result<Value, Malformed> {
             let f = text.parse::<f64>().map_err(|_| p.error("invalid number"))?;
             // `f64::from_str` turns overflow literals like 1e999 into
             // infinity; JSON has no representation for that, so reject it
             // (as serde_json does) instead of breaking the round trip.
             if f.is_finite() {
-                Ok(Number::Float(f))
+                Ok(Value::Float(f))
             } else {
                 Err(p.error("number out of range"))
             }
@@ -939,7 +845,7 @@ impl<'a> Parser<'a> {
             float(self)
         } else {
             match text.parse::<i64>() {
-                Ok(i) => Ok(Number::Int(i)),
+                Ok(i) => Ok(Value::Int(i)),
                 // Integers beyond i64 fall back to f64, like serde_json's
                 // arbitrary-precision-off behaviour.
                 Err(_) => float(self),

@@ -10,12 +10,18 @@
 //!
 //! On disk a store is a directory of sharded JSONL files
 //! (`shard-00.jsonl` … `shard-07.jsonl`); each line is one self-contained
-//! compact JSON record, written and read by this module's record codec
-//! without building a [`json::Value`] tree:
+//! compact JSON record, written by this module's record codec without
+//! building a [`json::Value`] tree:
 //!
 //! ```text
 //! {"spec":"9f86d081884c7d65","seed":3,"outcome":{...}}
 //! ```
+//!
+//! Reading a line back matches the writer's exact layout in one forward
+//! scan; a line in any other JSON spelling of a record (re-spaced,
+//! reordered, escaped, with extra members) is read through
+//! [`json::parse`] and [`outcome_from_value`] instead, so both decode to
+//! the same outcome.
 //!
 //! Appends are atomic at line granularity: a killed process can leave at
 //! most one torn final line per shard, which [`ResultStore::open`] detects,
@@ -29,7 +35,8 @@
 //! The store is safe to share across the worker threads of a
 //! [`BatchRunner`](crate::batch::BatchRunner) /
 //! [`SweepRunner`](crate::sweep::SweepRunner): the in-memory index is
-//! behind an `RwLock` and each shard file behind its own `Mutex`.
+//! behind an `RwLock` and each shard file behind its own `Mutex`. A
+//! thread holding both takes the shard's lock first.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::{self, Write as _};
@@ -44,7 +51,7 @@ use wsync_radio::metrics::SimMetrics;
 use wsync_radio::node::NodeId;
 
 use crate::checker::{PropertyReport, Violation};
-use crate::json::{self, KeyStack, Malformed, Parser, Value};
+use crate::json::{self, Value};
 use crate::report::SyncOutcome;
 use crate::spec::ScenarioSpec;
 
@@ -313,7 +320,7 @@ fn scan_shard(
         decoded: 0,
         irregular: None,
     };
-    let mut buffers = LineBuffers::default();
+    let mut nodes = Vec::new();
     let mut line = |line: &[u8], text: Option<&str>, complete: bool| {
         let start = scan.end;
         if complete {
@@ -333,7 +340,7 @@ fn scan_shard(
             None
         } else {
             scan.decoded += 1;
-            text.and_then(|t| decode_record(t, &mut buffers))
+            text.and_then(|t| decode_record(t, &mut nodes))
         };
         let kept = decoded.is_some();
         match decoded {
@@ -674,8 +681,8 @@ impl ResultStore {
     /// The shared half of `refresh_shard` and `repair_shard`: scans
     /// `shard` from its cursor (see `ShardState`), moves the cursor, and
     /// merges the records into the index while the caller still holds the
-    /// shard lock, so the cursor never runs ahead of the index. Safe
-    /// against the index lock: `put` never holds both locks at once.
+    /// shard lock, so the cursor never runs ahead of the index. The lock
+    /// order is `put`'s too: the shard lock first, then the index lock.
     /// `repair` decodes the torn tail and collects what a rewrite keeps.
     /// Returns the scan and the count of newly merged records, or `None`
     /// when nothing was appended since the last scan.
@@ -723,23 +730,29 @@ impl ResultStore {
     /// Records a completed trial, appending one JSONL line to the
     /// responsible shard. Idempotent: putting an already-stored key is a
     /// no-op (the first record wins), so concurrent workers and re-runs
-    /// never duplicate lines.
+    /// never duplicate lines. The trial counts as stored only once its
+    /// line is written: after an `Err`, [`contains`](Self::contains) is
+    /// false and a retried `put` writes the line.
     pub fn put(&self, digest: u64, seed: u64, outcome: &SyncOutcome) -> Result<(), StoreError> {
-        {
-            let mut index = self.index_write();
-            if index.contains_key(&(digest, seed)) {
-                return Ok(());
-            }
-            index.insert((digest, seed), outcome.clone());
+        let shard = shard_index(digest, seed);
+        // Every put of this key takes this lock, so none can slip in
+        // between the check and the append: no line is written twice.
+        let mut guard = self.shard(shard);
+        if self.contains(digest, seed) {
+            return Ok(());
         }
         // One buffer, one write_all: the record and its newline must never
         // be separate writes, or a kill between them would leave a
         // *decodable* line with no trailing newline — the repair-on-open
         // pass would not trigger and the next append would concatenate
         // onto it, corrupting two good records.
+        //
+        // The index's copy is made before the line: allocating the
+        // long-lived copy below the short-lived buffer kept `small_sweep`'s
+        // peak RSS at its old level, where the other order raised it 5%.
+        let stored = outcome.clone();
         let mut line = encode_record(digest, seed, outcome);
         line.push('\n');
-        let shard = shard_index(digest, seed);
         // The shard's path is built only to open it or to name it in an
         // error.
         let failed = |source| StoreError::Append {
@@ -748,7 +761,6 @@ impl ResultStore {
             seed,
             source,
         };
-        let mut guard = self.shard(shard);
         let state = &mut *guard;
         let file = match state.writer.take() {
             Some(file) => file,
@@ -762,7 +774,8 @@ impl ResultStore {
         file.write_all(line.as_bytes())
             .and_then(|()| file.flush())
             .map_err(failed)?;
-        // The line is already in the index; if it landed exactly at the
+        file_first(&mut self.index_write(), digest, seed, stored);
+        // The line is in the index now; if it landed exactly at the
         // cursor (no other writer appended in between), the next scan
         // need not read it back.
         let landed = state.cursor + line.len() as u64;
@@ -808,13 +821,15 @@ pub fn shard_index(digest: u64, seed: u64) -> usize {
 //
 // A record line is written and read directly, without a `json::Value` tree
 // in between: `encode_record` writes the compact JSON into one `String`,
-// and `decode_record` pulls the fields into a `SyncOutcome` through
-// `json::Parser`. The public `Value` view (`outcome_to_value`,
-// `outcome_from_value`) stays the reference: the codec writes exactly its
-// bytes and accepts exactly the lines it accepts, with equal outcomes, and
-// the tests below hold it to both. Every field of `SyncOutcome` is an
-// integer, boolean, or string — no floats — so decode(encode(x)) == x
-// exactly, which is what makes resumed aggregates bit-identical.
+// and `scan_record` reads that one layout back in a single forward pass.
+// A line in any other layout (re-spaced, reordered, escaped, extended)
+// goes through the reference, `json::parse` + `outcome_from_value`. The
+// public `Value` view (`outcome_to_value`, `outcome_from_value`) is that
+// reference: the codec writes exactly its bytes and accepts exactly the
+// lines it accepts, with equal outcomes, and the tests below hold it to
+// both. Every field of `SyncOutcome` is an integer, boolean, or string —
+// no floats — so decode(encode(x)) == x exactly, which is what makes
+// resumed aggregates bit-identical.
 
 /// `SimMetrics`' members in record order; [`metric_values`] lists the
 /// values in the same order.
@@ -993,244 +1008,75 @@ fn push_bool(out: &mut String, b: bool) {
     out.push_str(if b { "true" } else { "false" });
 }
 
-/// Why a line is not a record: malformed JSON, or well-formed JSON of the
-/// wrong shape. Either way the line is dropped.
-struct Reject;
-
-impl From<Malformed> for Reject {
-    fn from(_: Malformed) -> Self {
-        Reject
-    }
-}
-
-/// A member that must hold a value of the kind just read.
-fn req<T>(read: Result<Option<T>, Malformed>) -> Result<T, Reject> {
-    read?.ok_or(Reject)
-}
-
-/// A field that must have been present.
-fn got<T>(field: Option<T>) -> Result<T, Reject> {
-    field.ok_or(Reject)
-}
-
-/// Succeeds when `seen` has every bit of `all`: each object member the
-/// decoder needs sets one bit, and the parser rejects a repeated key.
-fn all_seen(seen: u32, all: u32) -> Result<(), Reject> {
-    if seen == all {
-        Ok(())
-    } else {
-        Err(Reject)
-    }
-}
-
-/// An outcome for the decoder to fill in place; `decode_outcome` rejects
-/// the record unless it set every field.
-fn empty_outcome() -> SyncOutcome {
-    SyncOutcome {
-        result: ExecutionResult {
-            rounds_executed: 0,
-            all_synchronized: false,
-            nodes: Vec::new(),
-            metrics: SimMetrics::default(),
-        },
-        properties: PropertyReport {
-            violations: Vec::new(),
-            total_violations: 0,
-            rounds_observed: 0,
-            liveness: false,
-            completion_round: None,
-        },
-        leaders: 0,
-        adversary: String::new(),
-        seed: 0,
-    }
-}
-
-/// Buffers a shard scan reuses from line to line: the reader's key stack,
-/// and the node list each outcome's own is copied from at its length.
-#[derive(Default)]
-struct LineBuffers {
-    keys: KeyStack,
-    nodes: Vec<NodeSummary>,
-}
-
 /// Decodes one shard line into `(digest, seed, outcome)`; `None` means the
-/// line is torn or corrupt and must be dropped. A line decodes exactly when
-/// `json::parse` + `outcome_from_value` would decode it, to the same
-/// outcome: any whitespace and member order, unknown members skipped.
-fn decode_record(line: &str, buffers: &mut LineBuffers) -> Option<(u64, u64, SyncOutcome)> {
-    let mut p = Parser::reusing(line, std::mem::take(&mut buffers.keys));
-    let record = read_record(&mut p, &mut buffers.nodes);
-    buffers.keys = p.into_keys();
-    record
-}
-
-/// [`decode_record`]'s reading, on a parser whose key stack it hands back.
-fn read_record(
-    p: &mut Parser<'_>,
-    nodes: &mut Vec<NodeSummary>,
-) -> Option<(u64, u64, SyncOutcome)> {
-    let (mut digest, mut seed, mut outcome) = (0, 0, empty_outcome());
-    let mut seen = 0;
-    p.object(|p, key| -> Result<(), Reject> {
-        seen |= match key {
-            "spec" => {
-                let hex = req(p.read_str())?;
-                digest = u64::from_str_radix(&hex, 16).map_err(|_| Reject)?;
-                1
-            }
-            "seed" => {
-                seed = req(p.read_u64())?;
-                2
-            }
-            "outcome" => {
-                decode_outcome(p, &mut outcome, nodes)?;
-                4
-            }
-            _ => {
-                p.skip_value()?;
-                0
-            }
-        };
-        Ok(())
-    })
-    .ok()?;
-    p.finish().ok()?;
+/// line is torn or corrupt and must be dropped. A line in `encode_record`'s
+/// layout is read by [`scan_record`]; any other line by the reference,
+/// [`decode_reference`], so a line decodes exactly when `json::parse` +
+/// `outcome_from_value` would decode it, to the same outcome.
+fn decode_record(line: &str, nodes: &mut Vec<NodeSummary>) -> Option<(u64, u64, SyncOutcome)> {
+    let (digest, seed, outcome) = scan_record(line, nodes).or_else(|| decode_reference(line))?;
     // A record whose embedded outcome disagrees with its key is corrupt.
-    (seen == 7 && outcome.seed == seed).then_some((digest, seed, outcome))
+    (outcome.seed == seed).then_some((digest, seed, outcome))
 }
 
-fn decode_outcome(
-    p: &mut Parser<'_>,
-    outcome: &mut SyncOutcome,
-    nodes: &mut Vec<NodeSummary>,
-) -> Result<(), Reject> {
-    let mut seen = 0;
-    p.object(|p, key| -> Result<(), Reject> {
-        seen |= match key {
-            "result" => {
-                decode_result(p, &mut outcome.result, nodes)?;
-                1
-            }
-            "properties" => {
-                decode_properties(p, &mut outcome.properties)?;
-                2
-            }
-            "leaders" => {
-                outcome.leaders = usize::try_from(req(p.read_u64())?).map_err(|_| Reject)?;
-                4
-            }
-            "adversary" => {
-                outcome.adversary = req(p.read_str())?.into_owned();
-                8
-            }
-            "seed" => {
-                outcome.seed = req(p.read_u64())?;
-                16
-            }
-            _ => {
-                p.skip_value()?;
-                0
-            }
+/// The reference reading of a record line, through a [`Value`] tree: any
+/// whitespace and member order, escapes, unknown members skipped,
+/// duplicate keys rejected.
+fn decode_reference(line: &str) -> Option<(u64, u64, SyncOutcome)> {
+    let value = json::parse(line).ok()?;
+    let digest = u64::from_str_radix(value.get("spec")?.as_str()?, 16).ok()?;
+    let seed = value_as_u64(value.get("seed")?)?;
+    Some((digest, seed, outcome_from_value(value.get("outcome")?)?))
+}
+
+/// Reads `line` through the segments `encode_record` writes, in order, and
+/// gives up (`None`) at the first byte that differs. It reads only text
+/// `encode_record` could have written, so whatever it reads, the
+/// reference reads to the same record. `nodes` is a buffer a scan reuses,
+/// so each node list is copied once, at its length.
+fn scan_record(line: &str, nodes: &mut Vec<NodeSummary>) -> Option<(u64, u64, SyncOutcome)> {
+    let mut l = Layout { line, pos: 0 };
+    let digest = l.at("{\"spec\":\"")?.digest()?;
+    let seed = l.at("\",\"seed\":")?.u64()?;
+    let rounds_executed = l.at(",\"outcome\":{\"result\":{\"rounds\":")?.u64()?;
+    let all_synchronized = l.at(",\"synced\":")?.bool()?;
+    nodes.clear();
+    l.at(",\"nodes\":[")?.list(nodes, |l| {
+        let node = NodeSummary {
+            id: node_id(l.at("{\"id\":")?.u64()?)?,
+            activation_round: l.at(",\"activated\":")?.u64()?,
+            sync_round: l.at(",\"sync\":")?.opt_u64()?,
+            final_output: l.at(",\"out\":")?.opt_u64()?,
         };
-        Ok(())
+        l.at("}").map(|_| node)
     })?;
-    all_seen(seen, 31)
-}
-
-fn decode_result(
-    p: &mut Parser<'_>,
-    result: &mut ExecutionResult,
-    nodes: &mut Vec<NodeSummary>,
-) -> Result<(), Reject> {
-    let mut seen = 0;
-    p.object(|p, key| -> Result<(), Reject> {
-        seen |= match key {
-            "rounds" => {
-                result.rounds_executed = req(p.read_u64())?;
-                1
-            }
-            "synced" => {
-                result.all_synchronized = req(p.read_bool())?;
-                2
-            }
-            "nodes" => {
-                nodes.clear();
-                p.array(|p| -> Result<(), Reject> {
-                    nodes.push(decode_node(p)?);
-                    Ok(())
-                })?;
-                result.nodes = nodes.as_slice().to_vec();
-                4
-            }
-            "metrics" => {
-                result.metrics = decode_metrics(p)?;
-                8
-            }
-            _ => {
-                p.skip_value()?;
-                0
-            }
-        };
-        Ok(())
-    })?;
-    all_seen(seen, 15)
-}
-
-fn decode_node(p: &mut Parser<'_>) -> Result<NodeSummary, Reject> {
-    let mut node = NodeSummary {
-        id: NodeId::new(0),
-        activation_round: 0,
-        sync_round: None,
-        final_output: None,
-    };
-    let mut seen = 0;
-    p.object(|p, key| -> Result<(), Reject> {
-        seen |= match key {
-            "id" => {
-                node.id = node_id(req(p.read_u64())?).ok_or(Reject)?;
-                1
-            }
-            "activated" => {
-                node.activation_round = req(p.read_u64())?;
-                2
-            }
-            "sync" => {
-                node.sync_round = req(p.read_opt_u64())?;
-                4
-            }
-            "out" => {
-                node.final_output = req(p.read_opt_u64())?;
-                8
-            }
-            _ => {
-                p.skip_value()?;
-                0
-            }
-        };
-        Ok(())
-    })?;
-    all_seen(seen, 15)?;
-    Ok(node)
-}
-
-fn decode_metrics(p: &mut Parser<'_>) -> Result<SimMetrics, Reject> {
     let mut values = [0; METRIC_KEYS.len()];
-    let mut seen = 0;
-    p.object(|p, key| -> Result<(), Reject> {
-        match METRIC_KEYS.iter().position(|k| *k == key) {
-            Some(i) => {
-                values[i] = req(p.read_u64())?;
-                seen |= 1 << i;
-            }
-            None => p.skip_value()?,
+    l.at(",\"metrics\":{")?;
+    for (i, (key, value)) in METRIC_KEYS.iter().zip(&mut values).enumerate() {
+        if i > 0 {
+            l.at(",")?;
         }
-        Ok(())
-    })?;
-    all_seen(seen, (1 << METRIC_KEYS.len()) - 1)?;
+        *value = l.at("\"")?.at(key)?.at("\":")?.u64()?;
+    }
+    let mut violations = Vec::new();
+    l.at("}},\"properties\":{\"violations\":[")?
+        .list(&mut violations, Layout::violation)?;
+    let properties = PropertyReport {
+        violations,
+        total_violations: l.at(",\"total\":")?.u64()?,
+        rounds_observed: l.at(",\"rounds\":")?.u64()?,
+        liveness: l.at(",\"liveness\":")?.bool()?,
+        completion_round: l.at(",\"completion\":")?.opt_u64()?,
+    };
+    let leaders = usize::try_from(l.at("},\"leaders\":")?.u64()?).ok()?;
+    let adversary = l.at(",\"adversary\":")?.plain_str()?.to_string();
+    let outcome_seed = l.at(",\"seed\":")?.u64()?;
+    if l.at("}}")?.pos != line.len() {
+        return None;
+    }
     let [rounds, broadcasts, listens, sleeps, deliveries, receptions, collisions, jammed_solo_broadcasts, disrupted_frequency_rounds, max_active, adversary_budget_violations] =
         values;
-    Ok(SimMetrics {
+    let metrics = SimMetrics {
         rounds,
         broadcasts,
         listens,
@@ -1240,110 +1086,151 @@ fn decode_metrics(p: &mut Parser<'_>) -> Result<SimMetrics, Reject> {
         collisions,
         jammed_solo_broadcasts,
         disrupted_frequency_rounds,
-        max_active_nodes: u32::try_from(max_active).map_err(|_| Reject)?,
+        max_active_nodes: u32::try_from(max_active).ok()?,
         adversary_budget_violations,
-    })
+    };
+    let outcome = SyncOutcome {
+        result: ExecutionResult {
+            rounds_executed,
+            all_synchronized,
+            nodes: nodes.as_slice().to_vec(),
+            metrics,
+        },
+        properties,
+        leaders,
+        adversary,
+        seed: outcome_seed,
+    };
+    Some((digest, seed, outcome))
 }
 
-fn decode_properties(p: &mut Parser<'_>, report: &mut PropertyReport) -> Result<(), Reject> {
-    let mut seen = 0;
-    p.object(|p, key| -> Result<(), Reject> {
-        seen |= match key {
-            "violations" => {
-                p.array(|p| -> Result<(), Reject> {
-                    report.violations.push(decode_violation(p)?);
-                    Ok(())
-                })?;
-                1
+/// [`scan_record`]'s position in its line. Each read takes one segment in
+/// the form `encode_record` writes it and returns `None` on anything else.
+struct Layout<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Layout<'a> {
+    /// Consumes `text` if the line goes on with it.
+    fn eat(&mut self, text: &str) -> bool {
+        let hit = self.line.as_bytes()[self.pos..].starts_with(text.as_bytes());
+        if hit {
+            self.pos += text.len();
+        }
+        hit
+    }
+
+    /// Consumes `text`, with which the line must go on, ready for the
+    /// value after it.
+    fn at(&mut self, text: &str) -> Option<&mut Self> {
+        self.eat(text).then_some(self)
+    }
+
+    /// A spec digest as `{:016x}` writes it.
+    fn digest(&mut self) -> Option<u64> {
+        let hex = self.line.get(self.pos..self.pos + 16)?;
+        if !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        self.pos += 16;
+        u64::from_str_radix(hex, 16).ok()
+    }
+
+    /// A `u64` as [`push_u64`] writes it: digits with no sign and no
+    /// leading zero, bare up to `i64::MAX` and quoted above it.
+    fn u64(&mut self) -> Option<u64> {
+        let quoted = self.eat("\"");
+        let bytes = self.line.as_bytes();
+        let start = self.pos;
+        let mut n = 0u64;
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(self.pos) {
+            n = n.checked_mul(10)?.checked_add(u64::from(digit - b'0'))?;
+            self.pos += 1;
+        }
+        let canonical = match self.pos - start {
+            0 => false,
+            1 => true,
+            _ => bytes[start] != b'0',
+        };
+        let closed = !quoted || self.eat("\"");
+        (canonical && closed && (n > i64::MAX as u64) == quoted).then_some(n)
+    }
+
+    fn opt_u64(&mut self) -> Option<Option<u64>> {
+        if self.eat("null") {
+            Some(None)
+        } else {
+            self.u64().map(Some)
+        }
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        if self.eat("true") {
+            Some(true)
+        } else {
+            self.eat("false").then_some(false)
+        }
+    }
+
+    /// A string [`json::write_string`] writes as it is: one with no `"`,
+    /// no `\` and no byte below 0x20.
+    fn plain_str(&mut self) -> Option<&'a str> {
+        self.at("\"")?;
+        let start = self.pos;
+        let len = self.line.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        self.pos += len;
+        self.at("\"")?;
+        self.line.get(start..start + len)
+    }
+
+    /// The items of a list whose `[` was just read, through its `]`.
+    fn list<T>(&mut self, items: &mut Vec<T>, item: impl Fn(&mut Self) -> Option<T>) -> Option<()> {
+        if self.eat("]") {
+            return Some(());
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat("]") {
+                return Some(());
             }
-            "total" => {
-                report.total_violations = req(p.read_u64())?;
-                2
+            self.at(",")?;
+        }
+    }
+
+    /// A violation in one of the three shapes `push_violation` writes.
+    fn violation(&mut self) -> Option<Violation> {
+        let violation = if self.eat("{\"kind\":\"synch-commit\",\"node\":") {
+            Violation::SynchCommit {
+                node: node_id(self.u64()?)?,
+                round: self.at(",\"round\":")?.u64()?,
+                previous: self.at(",\"previous\":")?.u64()?,
             }
-            "rounds" => {
-                report.rounds_observed = req(p.read_u64())?;
-                4
+        } else if self.eat("{\"kind\":\"correctness\",\"node\":") {
+            Violation::Correctness {
+                node: node_id(self.u64()?)?,
+                round: self.at(",\"round\":")?.u64()?,
+                previous: self.at(",\"previous\":")?.u64()?,
+                current: self.at(",\"current\":")?.u64()?,
             }
-            "liveness" => {
-                report.liveness = req(p.read_bool())?;
-                8
-            }
-            "completion" => {
-                report.completion_round = req(p.read_opt_u64())?;
-                16
-            }
-            _ => {
-                p.skip_value()?;
-                0
+        } else {
+            Violation::Agreement {
+                round: self.at("{\"kind\":\"agreement\",\"round\":")?.u64()?,
+                first: self.at(",\"first\":[")?.pair()?,
+                second: self.at(",\"second\":[")?.pair()?,
             }
         };
-        Ok(())
-    })?;
-    all_seen(seen, 31)
-}
-
-fn decode_violation(p: &mut Parser<'_>) -> Result<Violation, Reject> {
-    // Which members count depends on "kind", which may come last, so the
-    // others are read leniently (`None` for a value of the wrong kind)
-    // and judged once the kind is known: a member another kind would need
-    // may hold any value.
-    let mut kind = None;
-    let (mut node, mut round, mut previous, mut current, mut first, mut second) =
-        (None, None, None, None, None, None);
-    p.object(|p, key| -> Result<(), Reject> {
-        match key {
-            "kind" => kind = Some(req(p.read_str())?),
-            "node" => node = p.read_u64()?.and_then(node_id),
-            "round" => round = p.read_u64()?,
-            "previous" => previous = p.read_u64()?,
-            "current" => current = p.read_u64()?,
-            "first" => first = decode_pair(p)?,
-            "second" => second = decode_pair(p)?,
-            _ => p.skip_value()?,
-        }
-        Ok(())
-    })?;
-    Ok(match kind.as_deref() {
-        Some("synch-commit") => Violation::SynchCommit {
-            node: got(node)?,
-            round: got(round)?,
-            previous: got(previous)?,
-        },
-        Some("correctness") => Violation::Correctness {
-            node: got(node)?,
-            round: got(round)?,
-            previous: got(previous)?,
-            current: got(current)?,
-        },
-        Some("agreement") => Violation::Agreement {
-            round: got(round)?,
-            first: got(first)?,
-            second: got(second)?,
-        },
-        _ => return Err(Reject),
-    })
-}
-
-/// Reads a violation's `[node, output]` pair leniently: `None` for any
-/// other well-formed value.
-fn decode_pair(p: &mut Parser<'_>) -> Result<Option<(NodeId, u64)>, Malformed> {
-    if !p.at_array() {
-        p.skip_value()?;
-        return Ok(None);
+        self.at("}").map(|_| violation)
     }
-    let (mut len, mut items) = (0, [None; 2]);
-    p.array(|p| -> Result<(), Malformed> {
-        let item = p.read_u64()?;
-        if let Some(slot) = items.get_mut(len) {
-            *slot = item;
-        }
-        len += 1;
-        Ok(())
-    })?;
-    Ok(match (len, items) {
-        (2, [Some(node), Some(output)]) => node_id(node).map(|node| (node, output)),
-        _ => None,
-    })
+
+    /// An agreement violation's `node,output]`, its `[` already read.
+    fn pair(&mut self) -> Option<(NodeId, u64)> {
+        let node = node_id(self.u64()?)?;
+        let output = self.at(",")?.u64()?;
+        self.at("]").map(|_| (node, output))
+    }
 }
 
 /// Encodes a `u64` losslessly: as a JSON integer when it fits in `i64`,
@@ -1634,22 +1521,12 @@ mod tests {
         .to_json_compact()
     }
 
-    /// What `json::parse` + `outcome_from_value` make of a line: the
-    /// decoder must accept exactly these lines, with these outcomes.
-    fn reference_decode(line: &str) -> Option<(u64, u64, SyncOutcome)> {
-        let value = json::parse(line).ok()?;
-        let digest = u64::from_str_radix(value.get("spec")?.as_str()?, 16).ok()?;
-        let seed = value_as_u64(value.get("seed")?)?;
-        let outcome = outcome_from_value(value.get("outcome")?)?;
-        (outcome.seed == seed).then_some((digest, seed, outcome))
-    }
-
+    /// The codec's contract: a line the scanner reads, the reference reads
+    /// to the same record (a line it declines goes to the reference).
     fn assert_decodes_like_the_reference(line: &str) {
-        assert_eq!(
-            decode_record(line, &mut LineBuffers::default()),
-            reference_decode(line),
-            "line {line:?}"
-        );
+        if let Some(record) = scan_record(line, &mut Vec::new()) {
+            assert_eq!(Some(record), decode_reference(line), "line {line:?}");
+        }
     }
 
     /// Catalogue outcomes: clean runs and a dirty one with violations.
@@ -1682,7 +1559,7 @@ mod tests {
             let line = encode_record(0xabc, outcome.seed, &outcome);
             assert_eq!(line, reference_line(0xabc, outcome.seed, &outcome));
             assert_eq!(
-                decode_record(&line, &mut LineBuffers::default()),
+                decode_record(&line, &mut Vec::new()),
                 Some((0xabc, outcome.seed, outcome.clone()))
             );
         }
@@ -2034,7 +1911,7 @@ mod tests {
             let line = encode_record(digest, seed, &outcome);
             prop_assert_eq!(&line, &reference_line(digest, seed, &outcome));
             let expected = (seed == outcome.seed).then_some((digest, seed, outcome));
-            prop_assert_eq!(decode_record(&line, &mut LineBuffers::default()), expected);
+            prop_assert_eq!(decode_record(&line, &mut Vec::new()), expected);
         }
 
         /// Re-spaced, reordered, extended and escaped variants decode to
@@ -2047,7 +1924,7 @@ mod tests {
             benign(&mut value, &mut rng);
             let mut variant = String::new();
             write_variant(&value, &mut rng, &mut variant);
-            prop_assert_eq!(decode_record(&variant, &mut LineBuffers::default()), Some((7, outcome.seed, outcome)));
+            prop_assert_eq!(decode_record(&variant, &mut Vec::new()), Some((7, outcome.seed, outcome)));
             assert_decodes_like_the_reference(&variant);
         }
 
@@ -2134,6 +2011,59 @@ mod tests {
         outcome
     }
 
+    #[test]
+    fn every_line_encode_record_writes_is_read_by_the_scanner() {
+        // A drift between the encoder's layout and the scanner's would
+        // still decode, through the reference, only slowly: so the scanner
+        // itself must read every line the encoder writes.
+        let mut rng = TestRng::deterministic("scanned records");
+        let mut records = edge_records();
+        records.extend((0..256).map(|_| {
+            let outcome = ArbOutcome.generate(&mut rng);
+            (arb_u64(&mut rng), outcome.seed, outcome)
+        }));
+        let small = one_of_each();
+        records.push((3, small.seed, small));
+        let escaped = |c: char| matches!(c, '"' | '\\') || c < ' ';
+        for (_, _, outcome) in &mut records {
+            outcome.adversary.retain(|c| !escaped(c));
+        }
+        let outcomes = || records.iter().map(|(_, _, outcome)| outcome);
+        let outputs = || {
+            outcomes()
+                .flat_map(|o| &o.result.nodes)
+                .map(|n| n.final_output)
+        };
+        assert!(outputs().any(|out| out.is_none()) && outputs().any(|out| out.is_some()));
+        let kinds: std::collections::BTreeSet<_> = outcomes()
+            .flat_map(|o| &o.properties.violations)
+            .map(|v| match v {
+                Violation::SynchCommit { .. } => 0,
+                Violation::Correctness { .. } => 1,
+                Violation::Agreement { .. } => 2,
+            })
+            .collect();
+        assert_eq!(kinds.len(), 3, "every violation kind");
+        let big = |n: u64| n > i64::MAX as u64;
+        assert!(records.iter().any(|r| big(r.1)) && records.iter().any(|r| !big(r.1)));
+        for (digest, seed, outcome) in records {
+            let line = encode_record(digest, seed, &outcome);
+            let scanned = scan_record(&line, &mut Vec::new());
+            assert_eq!(scanned, Some((digest, seed, outcome)), "line {line:?}");
+        }
+        // The pinned format too, but for the name that needs escapes.
+        let pinned = include_str!("../../../tests/store_format.jsonl");
+        let mut plain = 0;
+        for line in pinned.lines() {
+            let record = decode_reference(line).expect("pinned lines decode");
+            if !record.2.adversary.contains(escaped) {
+                assert_eq!(scan_record(line, &mut Vec::new()), Some(record));
+                plain += 1;
+            }
+        }
+        assert_eq!(plain, pinned.lines().count() - 1);
+    }
+
     /// An object's members.
     type Members = Vec<(String, Value)>;
 
@@ -2201,7 +2131,7 @@ mod tests {
             edit(object_at(&mut variant, &mut { k }).unwrap());
             let line = variant.to_json_compact();
             assert_decodes_like_the_reference(&line);
-            decode_record(&line, &mut LineBuffers::default()).is_some()
+            decode_record(&line, &mut Vec::new()).is_some()
         };
         let (mut edits, mut accepted) = (0, 0);
         let mut tally = |decodes: bool| {
@@ -2857,6 +2787,15 @@ mod tests {
             "error must name the seed, got: {message}"
         );
         assert!(std::error::Error::source(&err).is_some());
+        // The failed trial is not stored: a retry writes its line.
+        assert!(!store.contains(digest, seed));
+        fs::remove_dir(&path).unwrap();
+        store.put(digest, seed, &outcome).unwrap();
+        assert!(store.contains(digest, seed));
+        assert_eq!(
+            ResultStore::open(&dir).unwrap().get(digest, seed),
+            Some(outcome)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }
