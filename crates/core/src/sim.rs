@@ -49,10 +49,9 @@ pub struct ProbedOutcome {
     /// The trial outcome — bit-identical to what [`Sim::run_one`] returns,
     /// probes or not.
     pub outcome: SyncOutcome,
-    /// The declared probes' finalized outputs, in declaration order —
-    /// always `Some`, since [`Sim::run_probed`] executes the engine on
-    /// every call.
-    pub probes: Option<Vec<ProbeOutput>>,
+    /// The declared probes' finalized outputs, in declaration order (empty
+    /// when the spec declares none).
+    pub probes: Vec<ProbeOutput>,
 }
 
 /// A fully validated, runnable simulation: the spec, the protocol node
@@ -182,12 +181,9 @@ impl Sim {
                     .expect("fault parameters were validated when the Sim was built")
             })
             .collect();
-        let (outcome, outputs) =
+        let (outcome, probes) =
             execute_probed(spec, |_| node.clone(), adversary, seed, probes, faults);
-        ProbedOutcome {
-            outcome,
-            probes: probed.then_some(outputs),
-        }
+        ProbedOutcome { outcome, probes }
     }
 
     /// Whether the spec declares any probes.

@@ -124,6 +124,16 @@ impl PointStats {
     pub fn seeds_used(&self) -> u64 {
         self.cached + self.executed
     }
+
+    /// The point's label for reports: its `label`, or `(base)` for the
+    /// one point of a gridless sweep.
+    pub fn display_label(&self) -> &str {
+        if self.label.is_empty() {
+            "(base)"
+        } else {
+            &self.label
+        }
+    }
 }
 
 /// The result of a whole sweep: per-point aggregates plus cache totals.
@@ -156,6 +166,12 @@ impl SweepReport {
     /// Total trials (cached + executed).
     pub fn total_trials(&self) -> u64 {
         self.cached_trials() + self.executed_trials()
+    }
+
+    /// The trials the sweep may run: its seed range at every point, what a
+    /// fixed-count sweep runs and an adaptive one's budget.
+    pub fn trial_budget(&self) -> u64 {
+        self.seed_end.saturating_sub(self.seed_start) * self.points.len() as u64
     }
 
     /// Points that stopped before consuming the full seed budget.
@@ -808,7 +824,7 @@ impl SweepRunner {
         }
         let (outcome, probes) = if probe_this {
             let probed_outcome = sim.run_probed(seed);
-            (probed_outcome.outcome, probed_outcome.probes)
+            (probed_outcome.outcome, Some(probed_outcome.probes))
         } else {
             (sim.run_one(seed), None)
         };

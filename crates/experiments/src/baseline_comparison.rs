@@ -83,7 +83,7 @@ pub fn x2_baselines(effort: Effort) -> ExperimentReport {
         ]);
     }
     report.push_table(table);
-    if let Some(note) = crate::adaptive_note(&sweep, &(0..seeds)) {
+    if let Some(note) = crate::adaptive_note(&sweep) {
         report.note(note);
     }
     report.note("the Trapdoor Protocol should keep a near-100% clean rate at every t, while the single-frequency baseline degenerates (many self-elected leaders) once t ≥ 1 and the deterministic hopper loses clean runs to repeated collisions");

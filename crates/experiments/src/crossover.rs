@@ -77,7 +77,7 @@ pub fn x1_crossover(effort: Effort) -> ExperimentReport {
         ]);
     }
     report.push_table(table);
-    if let Some(note) = crate::adaptive_note(&sweep, &(0..seeds)) {
+    if let Some(note) = crate::adaptive_note(&sweep) {
         report.note(note);
     }
     report.note(format!(

@@ -65,22 +65,20 @@ pub fn run_effort_grid(
 
 /// A one-line summary of an adaptive grid's trial savings, for report
 /// notes, or `None` when the run was fixed-count (nothing stopped early).
-pub fn adaptive_note(
-    sweep: &wsync_core::sweep::SweepReport,
-    seeds: &std::ops::Range<u64>,
-) -> Option<String> {
-    let stopped = sweep.stopped_early_points();
-    if stopped == 0 {
-        return None;
-    }
-    let budget = (seeds.end - seeds.start) * sweep.points.len() as u64;
-    Some(format!(
+pub fn adaptive_note(sweep: &wsync_core::sweep::SweepReport) -> Option<String> {
+    (sweep.stopped_early_points() > 0).then(|| stopping_summary(sweep))
+}
+
+/// The `adaptive stopping: …` line: the trials a sweep used of its budget,
+/// and how many of its points stopped early.
+pub(crate) fn stopping_summary(sweep: &wsync_core::sweep::SweepReport) -> String {
+    format!(
         "adaptive stopping: {}/{} budgeted trial(s) used; {}/{} point(s) stopped early",
         sweep.total_trials(),
-        budget,
-        stopped,
+        sweep.trial_budget(),
+        sweep.stopped_early_points(),
         sweep.points.len()
-    ))
+    )
 }
 
 /// An experiment generator: regenerates one artefact at an effort level.

@@ -77,7 +77,7 @@ pub fn nf1_drop_rate(effort: Effort) -> ExperimentReport {
         ]);
     }
     report.push_table(table);
-    if let Some(note) = crate::adaptive_note(&result, &(0..seeds)) {
+    if let Some(note) = crate::adaptive_note(&result) {
         report.note(note);
     }
     let worst = result.points.last().expect("at least one sweep point");

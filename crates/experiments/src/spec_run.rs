@@ -141,11 +141,7 @@ pub fn run_spec_stored(
     for point in &result.points {
         let stats = &point.stats;
         table.push_row(vec![
-            if point.label.is_empty() {
-                "(base)".to_string()
-            } else {
-                point.label.clone()
-            },
+            point.display_label().to_string(),
             point.spec.protocol.name().to_string(),
             point.spec.adversary.name().to_string(),
             stats.trials.to_string(),
@@ -162,11 +158,7 @@ pub fn run_spec_stored(
             &["point", "probe", "output"],
         );
         for (point, sample) in result.points.iter().zip(&probe_samples) {
-            let label = if point.label.is_empty() {
-                "(base)".to_string()
-            } else {
-                point.label.clone()
-            };
+            let label = point.display_label().to_string();
             match sample {
                 Some(outputs) => {
                     for output in outputs {
@@ -198,14 +190,7 @@ pub fn run_spec_stored(
     // cached + executed, stop counts), so fresh and resumed runs print
     // bit-identical reports here too.
     if sweep.stop.is_some() {
-        let budget = (seeds.end - seeds.start) * result.points.len() as u64;
-        report.note(format!(
-            "adaptive stopping: {}/{} budgeted trial(s) used; {}/{} point(s) stopped early",
-            result.total_trials(),
-            budget,
-            result.stopped_early_points(),
-            result.points.len()
-        ));
+        report.note(crate::stopping_summary(&result));
     }
     Ok((report, result))
 }

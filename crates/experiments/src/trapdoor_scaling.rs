@@ -68,7 +68,7 @@ fn scaling_report(
         ]);
     }
     report.push_table(table);
-    if let Some(note) = crate::adaptive_note(&sweep, &(0..seeds)) {
+    if let Some(note) = crate::adaptive_note(&sweep) {
         report.note(note);
     }
     if predicted.iter().all(|&p| p > 0.0) && predicted.len() >= 2 {

@@ -645,22 +645,14 @@ fn stream_sweep(state: &State, job: &Job, sweep: &SweepSpec) -> Result<(), Sweep
         .map(|p| (p.label, p.spec))
         .collect();
     let seeds = sweep.effective_seeds()?;
-    let (report, samples) = run_on_store(state, points, seeds.clone(), sweep.stop.as_ref())?;
-    let labels: Vec<String> = report
-        .points
-        .iter()
-        .map(|point| {
-            if point.label.is_empty() {
-                "(base)".to_string()
-            } else {
-                point.label.clone()
-            }
-        })
-        .collect();
-    for (point, label) in report.points.iter().zip(&labels) {
+    let (report, samples) = run_on_store(state, points, seeds, sweep.stop.as_ref())?;
+    for point in &report.points {
         let mut fields = vec![
             ("event".to_string(), Value::Str("point".to_string())),
-            ("label".to_string(), Value::Str(label.clone())),
+            (
+                "label".to_string(),
+                Value::Str(point.display_label().to_string()),
+            ),
             ("cached".to_string(), Value::Int(point.cached as i64)),
             ("executed".to_string(), Value::Int(point.executed as i64)),
         ];
@@ -683,13 +675,16 @@ fn stream_sweep(state: &State, job: &Job, sweep: &SweepSpec) -> Result<(), Sweep
         fields.push(("stats".to_string(), stats_value(&point.stats)));
         push_event(job, fields);
     }
-    for (sample, label) in samples.into_iter().zip(&labels) {
+    for (sample, point) in samples.into_iter().zip(&report.points) {
         for output in sample {
             push_event(
                 job,
                 vec![
                     ("event".to_string(), Value::Str("probe".to_string())),
-                    ("label".to_string(), Value::Str(label.clone())),
+                    (
+                        "label".to_string(),
+                        Value::Str(point.display_label().to_string()),
+                    ),
                     ("name".to_string(), Value::Str(output.name)),
                     ("value".to_string(), output.value),
                 ],
@@ -708,7 +703,7 @@ fn stream_sweep(state: &State, job: &Job, sweep: &SweepSpec) -> Result<(), Sweep
         ),
     ];
     if sweep.stop.is_some() {
-        let budget = (seeds.end - seeds.start) * report.points.len() as u64;
+        let budget = report.trial_budget();
         let saved = budget.saturating_sub(report.total_trials());
         state
             .metrics

@@ -349,9 +349,7 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
             "{name}: attaching the metrics+checker+trace probe stack changed \
              the outcome digest — probes must never perturb an execution"
         );
-        let outputs = probed
-            .probes
-            .expect("executed trials produce probe outputs");
+        let outputs = probed.probes;
         assert_eq!(outputs.len(), 3, "{name}: one output per declared probe");
         assert_eq!(outputs[0].name, "metrics");
         assert_eq!(outputs[1].name, "checker");

@@ -134,7 +134,7 @@ fn run_probed_carries_outputs_and_cache_hits_skip_probes() {
     let sim = Sim::from_spec(&probed_spec).unwrap();
     let probed = sim.run_probed(5);
     assert_eq!(probed.outcome, baseline);
-    let outputs = probed.probes.expect("fresh runs produce probe outputs");
+    let outputs = probed.probes;
     assert_eq!(outputs.len(), 2);
     assert_eq!(outputs[0].name, "checker");
     assert_eq!(outputs[1].name, "metrics");
