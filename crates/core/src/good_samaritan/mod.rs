@@ -498,6 +498,23 @@ impl Protocol for GoodSamaritanProtocol {
     fn output(&self) -> Option<u64> {
         self.output
     }
+
+    // Without a received message, `on_feedback` changes only an optimistic
+    // node entering the fallback, a fallback contender at its deadline, or
+    // a node that has an output (a leader or a synchronized node).
+    #[inline]
+    fn ignores_quiet_round(&self, local_round: u64) -> bool {
+        match self.role {
+            SamaritanRole::FallbackKnockedOut => true,
+            SamaritanRole::Contender | SamaritanRole::Samaritan | SamaritanRole::Passive => {
+                local_round + 1 < self.config.fallback_start()
+            }
+            SamaritanRole::FallbackContender => {
+                local_round + 1 < self.config.fallback_start() + self.config.fallback_total()
+            }
+            SamaritanRole::Leader | SamaritanRole::Synchronized => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -526,6 +543,59 @@ mod tests {
             frequency: Frequency::new(1),
             payload,
         })
+    }
+
+    /// `ignores_quiet_round` is `true` exactly where a quiet feedback
+    /// changes nothing: for every role, on the local rounds around the
+    /// fallback's start and deadline, clones fed `Silence`, `Broadcasted`
+    /// and `Slept` keep the node and its rng as they were iff the hint says
+    /// so.
+    #[test]
+    fn the_quiet_round_hint_holds_exactly_where_quiet_feedback_changes_nothing() {
+        let (node, rng) = activated(9);
+        let start = node.config.fallback_start();
+        let deadline = start + node.config.fallback_total();
+        let frequency = Frequency::new(1);
+        for role in [
+            SamaritanRole::Contender,
+            SamaritanRole::Samaritan,
+            SamaritanRole::Passive,
+            SamaritanRole::FallbackContender,
+            SamaritanRole::FallbackKnockedOut,
+            SamaritanRole::Leader,
+            SamaritanRole::Synchronized,
+        ] {
+            let mut p = node.clone();
+            p.role = role;
+            if matches!(role, SamaritanRole::Leader | SamaritanRole::Synchronized) {
+                p.output = Some(5);
+            }
+            let before = (format!("{p:?}"), format!("{rng:?}"));
+            for r in [
+                0,
+                start - 2,
+                start - 1,
+                start,
+                deadline - 2,
+                deadline - 1,
+                deadline,
+            ] {
+                for feedback in [
+                    silence(),
+                    Feedback::Broadcasted { frequency },
+                    Feedback::Slept,
+                ] {
+                    let (mut q, mut drawn) = (p.clone(), rng.clone());
+                    q.on_feedback(r, feedback, &mut drawn);
+                    let unchanged = (format!("{q:?}"), format!("{drawn:?}")) == before;
+                    assert_eq!(
+                        p.ignores_quiet_round(r),
+                        unchanged,
+                        "{role:?}, local round {r}, fallback {start}..{deadline}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

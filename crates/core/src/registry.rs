@@ -202,6 +202,14 @@ impl Protocol for CatalogueProtocol {
             CatalogueProtocol::GoodSamaritan(p) => p.is_synchronized(),
         }
     }
+
+    #[inline]
+    fn ignores_quiet_round(&self, local_round: u64) -> bool {
+        match self {
+            CatalogueProtocol::Trapdoor(p) => p.ignores_quiet_round(local_round),
+            CatalogueProtocol::GoodSamaritan(p) => p.ignores_quiet_round(local_round),
+        }
+    }
 }
 
 impl SyncProtocol for CatalogueProtocol {

@@ -39,12 +39,15 @@
 //! thread holding both takes the shard's lock first.
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use wsync_radio::engine::{ExecutionResult, NodeSummary};
 use wsync_radio::metrics::SimMetrics;
@@ -441,6 +444,26 @@ pub struct ResultStore {
     repairs: Vec<ShardRepair>,
     /// Lines decoded by `refresh_shard` and `repair_shard` since open.
     decoded: AtomicU64,
+    /// Trials a [`SweepRunner`](crate::sweep::SweepRunner) pass is
+    /// executing right now, so that an overlapping pass waits for the
+    /// outcome instead of executing the trial again; `settled` wakes the
+    /// waiters when a claim is released.
+    in_flight: Mutex<BTreeSet<(u64, u64)>>,
+    settled: Condvar,
+}
+
+/// A claim on executing trial `key` in this process, released when dropped
+/// (also when the trial panics).
+pub(crate) struct Claim<'a> {
+    store: &'a ResultStore,
+    key: (u64, u64),
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.store.in_flight().remove(&self.key);
+        self.store.settled.notify_all();
+    }
 }
 
 impl fmt::Debug for ResultStore {
@@ -526,6 +549,8 @@ impl ResultStore {
             loaded,
             repairs,
             decoded: AtomicU64::new(0),
+            in_flight: Mutex::new(BTreeSet::new()),
+            settled: Condvar::new(),
         })
     }
 
@@ -715,6 +740,30 @@ impl ResultStore {
         self.decoded.fetch_add(scan.decoded, Ordering::Relaxed);
         state.advance(&scan);
         Ok(Some((scan, self.merge(records))))
+    }
+
+    /// The claimed trials. Every holder of the lock leaves the set whole
+    /// (one insert or one remove), so a poisoned lock is recovered.
+    fn in_flight(&self) -> MutexGuard<'_, BTreeSet<(u64, u64)>> {
+        self.in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims trial `(digest, seed)` for execution, first waiting while
+    /// another claim on it is held. A holder stores its outcome before it
+    /// releases the claim unless its trial failed, so the caller looks the
+    /// trial up again before executing it.
+    pub(crate) fn claim(&self, digest: u64, seed: u64) -> Claim<'_> {
+        let key = (digest, seed);
+        let mut claimed = self.in_flight();
+        while !claimed.insert(key) {
+            claimed = self
+                .settled
+                .wait(claimed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        Claim { store: self, key }
     }
 
     /// Looks up the stored outcome of trial `(digest, seed)`.
@@ -1502,6 +1551,25 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A claim is released when the trial holding it panics, so no later
+    /// pass waits for that trial forever.
+    #[test]
+    fn a_panicking_trial_frees_its_claim() {
+        let dir = temp_dir("claim-panic");
+        let store = ResultStore::open(&dir).unwrap();
+        let trial = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _claim = store.claim(7, 3);
+            panic!("the trial panicked");
+        }));
+        assert!(trial.is_err());
+        assert!(
+            store.in_flight().is_empty(),
+            "the panicked trial kept its claim"
+        );
+        drop(store.claim(7, 3));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     fn sample_outcomes(n: usize) -> Vec<SyncOutcome> {

@@ -813,15 +813,21 @@ impl SweepRunner {
 
     /// One trial: serve from the attached store if possible (reuse mode),
     /// otherwise execute the engine (with probes when asked) and persist.
-    /// The returned flag is `true` for a cache hit.
+    /// The returned flag is `true` for a cache hit. In reuse mode the trial
+    /// is claimed first, so a pass that overlaps another on the same store
+    /// (two daemon jobs, say) waits for the other's outcome and serves it
+    /// as a hit instead of executing the trial twice.
     fn run_trial(&self, sim: &Sim, seed: u64, probe_this: bool) -> Result<Trial, StoreError> {
-        if self.reuse {
-            if let Some(store) = &self.store {
+        let _claim = match &self.store {
+            Some(store) if self.reuse => {
+                let claim = store.claim(sim.digest(), seed);
                 if let Some(hit) = store.get(sim.digest(), seed) {
                     return Ok((hit, None, true));
                 }
+                Some(claim)
             }
-        }
+            _ => None,
+        };
         let (outcome, probes) = if probe_this {
             let probed_outcome = sim.run_probed(seed);
             (probed_outcome.outcome, Some(probed_outcome.probes))
@@ -1009,6 +1015,74 @@ mod tests {
         assert_eq!(again.cached_trials(), 0);
         assert_eq!(again.executed_trials(), 10);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every shard's lines, sorted, by shard file name.
+    fn sorted_shards(dir: &std::path::Path) -> Vec<(String, Vec<String>)> {
+        let mut shards: Vec<(String, Vec<String>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let mut lines: Vec<String> = std::fs::read_to_string(&path)
+                    .unwrap()
+                    .lines()
+                    .map(String::from)
+                    .collect();
+                lines.sort();
+                (
+                    path.file_name().unwrap().to_string_lossy().into_owned(),
+                    lines,
+                )
+            })
+            .collect();
+        shards.sort();
+        shards
+    }
+
+    /// Two passes over the same 64 trials on one store, started together,
+    /// execute each trial once between them: a trial the other pass is
+    /// executing is waited for and served as a hit. The store ends with the
+    /// lines a solo pass writes.
+    #[test]
+    fn overlapping_passes_on_one_store_execute_each_trial_once() {
+        let points = || {
+            vec![(
+                "cell".to_string(),
+                ScenarioSpec::new("trapdoor", 6, 8, 1).with_adversary("random"),
+            )]
+        };
+        let solo_dir = temp_dir("overlap-solo");
+        let solo = Arc::new(ResultStore::open(&solo_dir).unwrap());
+        SweepRunner::new()
+            .store(solo)
+            .run_points(points(), 0..64)
+            .unwrap();
+        let dir = temp_dir("overlap");
+        let store = Arc::new(ResultStore::open(&dir).unwrap());
+        let start = std::sync::Barrier::new(2);
+        let reports: Vec<SweepReport> = std::thread::scope(|scope| {
+            let passes: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        SweepRunner::new()
+                            .store(Arc::clone(&store))
+                            .run_points(points(), 0..64)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            passes
+                .into_iter()
+                .map(|pass| pass.join().unwrap())
+                .collect()
+        });
+        let executed: u64 = reports.iter().map(SweepReport::executed_trials).sum();
+        let cached: u64 = reports.iter().map(SweepReport::cached_trials).sum();
+        assert_eq!((executed, cached), (64, 64), "executed, cached");
+        assert_eq!(sorted_shards(&dir), sorted_shards(&solo_dir));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&solo_dir);
     }
 
     fn rate_stats(synced: u64, trials: u64) -> BatchStats {

@@ -296,6 +296,18 @@ impl Protocol for TrapdoorProtocol {
     fn output(&self) -> Option<u64> {
         self.output
     }
+
+    // Without a received message, `on_feedback` changes only a contender
+    // at its deadline, or a node that has an output (and so a role this
+    // does not name). Asked once per node-round, like `choose_action`.
+    #[inline]
+    fn ignores_quiet_round(&self, local_round: u64) -> bool {
+        match self.role {
+            TrapdoorRole::KnockedOut => true,
+            TrapdoorRole::Contender => local_round + 1 < self.schedule.total_contention_rounds(),
+            TrapdoorRole::Leader | TrapdoorRole::Synchronized => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -547,6 +559,48 @@ mod tests {
             run_silent(&mut p, deadline - 1..deadline, &mut rng);
             assert!(p.is_leader(), "{name}: not elected at its deadline");
             assert_eq!(p.output(), Some(deadline), "{name}");
+        }
+    }
+
+    /// `ignores_quiet_round` is `true` exactly where a quiet feedback
+    /// changes nothing: for every rule and role, on the local rounds around
+    /// the deadline, clones fed `Silence`, `Broadcasted` and `Slept` keep
+    /// the node and its rng as they were iff the hint says so.
+    #[test]
+    fn the_quiet_round_hint_holds_exactly_where_quiet_feedback_changes_nothing() {
+        let frequency = Frequency::new(1);
+        for (name, build) in RULES {
+            let (node, rng) = activated_as(build, 9);
+            let deadline = node.schedule.total_contention_rounds();
+            for role in [
+                TrapdoorRole::Contender,
+                TrapdoorRole::KnockedOut,
+                TrapdoorRole::Leader,
+                TrapdoorRole::Synchronized,
+            ] {
+                let mut p = node.clone();
+                p.role = role;
+                if matches!(role, TrapdoorRole::Leader | TrapdoorRole::Synchronized) {
+                    p.output = Some(5);
+                }
+                let before = (format!("{p:?}"), format!("{rng:?}"));
+                for r in [0, 1, deadline - 2, deadline - 1, deadline, deadline + 1] {
+                    for feedback in [
+                        silence(),
+                        Feedback::Broadcasted { frequency },
+                        Feedback::Slept,
+                    ] {
+                        let (mut q, mut drawn) = (p.clone(), rng.clone());
+                        q.on_feedback(r, feedback, &mut drawn);
+                        let unchanged = (format!("{q:?}"), format!("{drawn:?}")) == before;
+                        assert_eq!(
+                            p.ignores_quiet_round(r),
+                            unchanged,
+                            "{name}, {role:?}, local round {r} of deadline {deadline}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -12,7 +12,8 @@
 //!    broadcast on it and it was not disrupted — then any attached
 //!    [`fault`](crate::fault) layers may still drop the delivery whole or
 //!    suppress individual receivers (loss, capture, partitions);
-//! 5. hand every active node its feedback and sample its output;
+//! 5. hand every active node its feedback and sample its output — except
+//!    where a quiet round cannot change the node (see below);
 //! 6. stream one borrowed observation of the resolved round through the
 //!    probe pipeline — the engine's metrics fold and the attached
 //!    [`probe`](crate::probe) stack — and then to the adversary's
@@ -51,6 +52,18 @@
 //! [`RoundObservation::nodes`] still reads all N node views. The workspace
 //! benchmark (`perfbench/`) measures the engine's ns and heap allocations
 //! per round on the production path.
+//!
+//! Most node-rounds of a contention change nothing: a Trapdoor contender
+//! short of its deadline, or one knocked out, only listens and waits, and
+//! a round in which it hears nothing leaves it as it was. The feedback
+//! pass therefore skips a node whose feedback is anything but
+//! [`Feedback::Received`], whose view already reads
+//! `Active { output: None }`, and whose protocol answers
+//! [`ignores_quiet_round`](Protocol::ignores_quiet_round) with `true`: it
+//! gets no `on_feedback`, `output` or `is_synchronized` call, and its view,
+//! sync round, synchronized count, breaks and disagreements keep what
+//! those calls would have written again. The skip may happen wherever the
+//! hint holds; a protocol relies neither on the skip nor on the call.
 
 use crate::action::Action;
 use crate::activation::ActivationSchedule;
@@ -694,8 +707,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         // and per-node RNG calls stay in node order), filling the flat
         // per-node action slots, the per-frequency occupancy counters and
         // each frequency's first payload, and marking each chosen frequency
-        // touched. Every array is bound to a local slice once, and the
-        // action tallies live in locals until the pass ends.
+        // touched. Every array is bound to a local slice once, cut to N
+        // (per node) or F (per frequency) so that one bounds check per
+        // index covers every slice it reads, and the action tallies live
+        // in locals until the pass ends.
         let RoundScratch {
             actions,
             payloads,
@@ -705,16 +720,21 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             touched,
             ..
         } = &mut self.scratch;
-        let (actions, payloads, touched) = (&mut actions[..], &mut payloads[..], &mut touched[..]);
+        let n = self.config.num_nodes;
+        let (actions, payloads, touched) = (
+            &mut actions[..n],
+            &mut payloads[..f_count],
+            &mut touched[..],
+        );
         let (broadcasters, listeners, solo_broadcaster) = (
-            &mut broadcasters[..],
-            &mut listeners[..],
-            &mut solo_broadcaster[..],
+            &mut broadcasters[..f_count],
+            &mut listeners[..f_count],
+            &mut solo_broadcaster[..f_count],
         );
         let (protocols, node_rngs, local_base) = (
-            &mut self.protocols[..],
-            &mut self.node_rngs[..],
-            &self.local_base[..],
+            &mut self.protocols[..n],
+            &mut self.node_rngs[..n],
+            &self.local_base[..n],
         );
         let (mut broadcasts, mut listens, mut sleeps) = (0u32, 0u32, 0u32);
         for &node in &self.active {
@@ -857,9 +877,10 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
         // output is checked against the view it overwrites: a number must
         // be followed by the next number, or the node's `OutputBreak` is
         // written to the next `breaks` slot, and every non-⊥ output is
-        // compared with the round's first. As in the actions pass, the
-        // arrays are local slices, and the synchronized count, the break
-        // count and the disagreement count are locals.
+        // compared with the round's first. A node its protocol says a quiet
+        // round cannot change is skipped (see the module docs). As in the
+        // actions pass, the arrays are local slices, and the synchronized
+        // count, the break count and the disagreement count are locals.
         let RoundScratch {
             actions,
             node_views,
@@ -880,19 +901,20 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
             };
             breaks.resize(self.active.len(), filler);
         }
-        let (actions, node_views, breaks) = (&actions[..], &mut node_views[..], &mut breaks[..]);
+        let (actions, node_views, breaks) = (&actions[..n], &mut node_views[..n], &mut breaks[..]);
         let (payloads, solo_broadcaster, activity, delivery_slot) = (
-            &payloads[..],
-            &solo_broadcaster[..],
-            &activity[..],
-            &delivery_slot[..],
+            &payloads[..f_count],
+            &solo_broadcaster[..f_count],
+            &activity[..f_count],
+            &delivery_slot[..f_count],
         );
         let (protocols, node_rngs, local_base) = (
-            &mut self.protocols[..],
-            &mut self.node_rngs[..],
-            &self.local_base[..],
+            &mut self.protocols[..n],
+            &mut self.node_rngs[..n],
+            &self.local_base[..n],
         );
-        let (sync_round, counted_synced) = (&mut self.sync_round[..], &mut self.counted_synced[..]);
+        let (sync_round, counted_synced) =
+            (&mut self.sync_round[..n], &mut self.counted_synced[..n]);
         let faults = &mut self.faults;
         let mut synced_count = self.synced_count;
         let (mut breaks_found, mut first_output, mut disagreements) = (0usize, None, 0u32);
@@ -953,6 +975,16 @@ impl<P: Protocol, A: Adversary> Engine<P, A> {
                 }
             };
             let protocol = &mut protocols[i];
+            // A quiet round the protocol ignores leaves a node that output
+            // ⊥ in the round before exactly as it was, so its output, view,
+            // sync round and synchronized flag already hold what the calls
+            // below would write, and it can neither break nor disagree.
+            if !matches!(feedback, Feedback::Received(_))
+                && matches!(node_views[i], NodeView::Active { output: None })
+                && protocol.ignores_quiet_round(local_round)
+            {
+                continue;
+            }
             protocol.on_feedback(local_round, feedback, &mut node_rngs[i]);
             let output = protocol.output();
             if output.is_some() && sync_round[i].is_none() {

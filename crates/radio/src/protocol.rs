@@ -23,6 +23,13 @@ use crate::rng::SimRng;
 ///    problem — `None` encodes the paper's `⊥`, `Some(i)` a claimed round
 ///    number `i`.
 ///
+/// A round in which a node hears nothing often changes nothing for it: the
+/// paper's knocked-out contender "from then on only listens". A protocol
+/// says so through [`ignores_quiet_round`](Protocol::ignores_quiet_round),
+/// and where it does the engine may skip step 3 and the `on_feedback` call
+/// before it for that round. A protocol may rely neither on the skip nor on
+/// the call: with the hint's promise kept, both leave the node as it was.
+///
 /// All randomness must be drawn from the supplied [`SimRng`] so that
 /// executions are exactly reproducible from the master seed.
 pub trait Protocol {
@@ -56,6 +63,27 @@ pub trait Protocol {
     /// *synch commit* property.
     fn is_synchronized(&self) -> bool {
         self.output().is_some()
+    }
+
+    /// Whether a quiet round cannot change this node. Asked in local round
+    /// `local_round`, after [`choose_action`](Protocol::choose_action),
+    /// `true` promises that for any feedback other than
+    /// [`Feedback::Received`] — [`Slept`](Feedback::Slept),
+    /// [`Broadcasted`](Feedback::Broadcasted) or
+    /// [`Silence`](Feedback::Silence), including a delivery a fault layer
+    /// dropped — [`on_feedback`](Protocol::on_feedback) would change no
+    /// state, draw nothing from its `rng`, and leave
+    /// [`output`](Protocol::output) at `None` and
+    /// [`is_synchronized`](Protocol::is_synchronized) at `false`.
+    ///
+    /// The engine then skips the node's feedback for such a round if the
+    /// node also output `⊥` in the round before. The default, `false`,
+    /// promises nothing, and every answer may be `false`; a protocol whose
+    /// `is_synchronized` can be `true` while its output is `⊥` must keep
+    /// it.
+    fn ignores_quiet_round(&self, local_round: u64) -> bool {
+        let _ = local_round;
+        false
     }
 }
 

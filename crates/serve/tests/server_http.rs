@@ -288,6 +288,13 @@ fn run_rejects_bad_seed_ranges_and_unknown_components() {
 /// connection closes after `done`); returns the job's event path, the raw
 /// stream and its lines.
 fn run_job(addr: SocketAddr, body: &str) -> (String, String, Vec<Value>) {
+    let events = schedule_job(addr, body);
+    let (stream, lines) = stream_job(addr, &events);
+    (events, stream, lines)
+}
+
+/// Posts `body` to `/sweep`; returns the job's event path.
+fn schedule_job(addr: SocketAddr, body: &str) -> String {
     let (status, accepted) = post(addr, "/sweep", body);
     assert_eq!(status, "HTTP/1.1 202 Accepted", "{accepted}");
     let accepted = json::parse(&accepted).expect("sweep response is JSON");
@@ -297,13 +304,19 @@ fn run_job(addr: SocketAddr, body: &str) -> (String, String, Vec<Value>) {
         accepted.get("events").and_then(Value::as_str),
         Some(events.as_str())
     );
-    let (status, stream) = get(addr, &events);
+    events
+}
+
+/// Streams the job at `events` to completion; returns the raw stream and
+/// its lines.
+fn stream_job(addr: SocketAddr, events: &str) -> (String, Vec<Value>) {
+    let (status, stream) = get(addr, events);
     assert_eq!(status, "HTTP/1.1 200 OK");
     let lines = stream
         .lines()
         .map(|line| json::parse(line).unwrap_or_else(|e| panic!("invalid JSON line {line:?}: {e}")))
         .collect();
-    (events, stream, lines)
+    (stream, lines)
 }
 
 fn event(line: &Value) -> &str {
@@ -350,6 +363,36 @@ fn sweep_schedules_a_job_that_streams_json_lines_to_done() {
     let (status, body) = post(addr, "/sweep", r#"{"protocol": "trapdoor"}"#);
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     assert!(body.contains("base"), "{body}");
+}
+
+/// One 400-seed sweep posted twice back to back: the two jobs overlap on
+/// the daemon's store, yet each trial executes once, in the job that
+/// claimed it first, and the other job serves it from the store.
+#[test]
+fn the_same_sweep_posted_twice_executes_each_trial_once() {
+    let addr = start_server("sweep-twice");
+    let body = r#"{"base": {"protocol": "trapdoor", "adversary": "random",
+        "num_nodes": 16, "num_frequencies": 8, "disruption_bound": 2},
+        "seeds": {"start": 0, "end": 400}}"#;
+    let jobs = [schedule_job(addr, body), schedule_job(addr, body)];
+    let mut executed = 0;
+    for job in &jobs {
+        let (stream, lines) = stream_job(addr, job);
+        let done = lines.last().expect("done line");
+        assert_eq!(event(done), "done", "{stream}");
+        executed += done
+            .get("executed")
+            .and_then(Value::as_u64)
+            .expect("executed");
+    }
+    assert_eq!(executed, 400, "executions across both jobs");
+    let (_, metrics) = get(addr, "/metrics");
+    let metrics = json::parse(&metrics).expect("metrics is JSON");
+    assert_eq!(
+        metrics.get("store_misses").and_then(Value::as_u64),
+        Some(400)
+    );
+    assert_eq!(metrics.get("store_hits").and_then(Value::as_u64), Some(400));
 }
 
 #[test]

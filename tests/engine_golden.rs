@@ -27,7 +27,11 @@
 //! and paste the printed table over `GOLDEN`.
 
 mod reference_checker;
+mod unhinted;
 
+use std::fmt::Debug;
+
+use unhinted::Unhinted;
 use wireless_sync::prelude::*;
 use wireless_sync::radio::activation::ActivationSchedule;
 use wireless_sync::sync::registry::{self, CatalogueProtocol};
@@ -391,29 +395,27 @@ fn probe_stack_runs_reproduce_the_golden_digests() {
     }
 }
 
-/// Runs `spec` as [`Sim`] does — on the engine typed over the catalogue
-/// node, with the spec's fault layers — with `PropertyChecker` and the
-/// two-scan reference attached, and returns both reports.
-fn reports_against_reference(spec: &ScenarioSpec, seed: u64) -> (PropertyReport, PropertyReport) {
+/// The catalogue node `spec` names, which [`Sim`] runs the engine typed
+/// over.
+fn catalogue_node(spec: &ScenarioSpec) -> CatalogueProtocol {
     let ctor = registry::resolve_protocol(spec.protocol.name())
         .unwrap()
         .instantiate(spec, &spec.protocol.params)
         .unwrap();
-    match ctor(NodeId::new(0)) {
-        CatalogueProtocol::Trapdoor(node) => typed_reports(spec, seed, node),
-        CatalogueProtocol::GoodSamaritan(node) => typed_reports(spec, seed, node),
-    }
+    ctor(NodeId::new(0))
 }
 
-fn typed_reports<P: Protocol + Clone>(
+/// The engine [`Sim`] builds for `spec`, with the spec's fault layers, over
+/// the nodes `factory` makes.
+fn typed_engine<P: Protocol>(
     spec: &ScenarioSpec,
     seed: u64,
-    node: P,
-) -> (PropertyReport, PropertyReport) {
+    factory: impl FnMut(NodeId) -> P,
+) -> Engine<P, Box<dyn Adversary>> {
     let adversary = registry::build_adversary(&spec.adversary, spec, seed).unwrap();
     let mut engine = Engine::new(
         spec.sim_config(),
-        |_| node.clone(),
+        factory,
         adversary,
         spec.activation.clone(),
         seed,
@@ -422,7 +424,21 @@ fn typed_reports<P: Protocol + Clone>(
     for fault in &spec.faults {
         engine.attach_fault(registry::build_fault(fault, spec).unwrap());
     }
-    reference_checker::run_both(&mut engine)
+    engine
+}
+
+/// Runs `spec` as [`Sim`] does — on the engine typed over the catalogue
+/// node, with the spec's fault layers — with `PropertyChecker` and the
+/// two-scan reference attached, and returns both reports.
+fn reports_against_reference(spec: &ScenarioSpec, seed: u64) -> (PropertyReport, PropertyReport) {
+    match catalogue_node(spec) {
+        CatalogueProtocol::Trapdoor(node) => {
+            reference_checker::run_both(&mut typed_engine(spec, seed, |_| node.clone()))
+        }
+        CatalogueProtocol::GoodSamaritan(node) => {
+            reference_checker::run_both(&mut typed_engine(spec, seed, |_| node.clone()))
+        }
+    }
 }
 
 /// The checker fed by the engine's output breaks and disagreement count
@@ -445,6 +461,77 @@ fn the_engine_fed_checker_matches_the_two_scan_reference_on_every_golden_row() {
             run_spec(spec, seed).properties,
             "{name}: the typed run with both checkers is not the pinned run"
         );
+    }
+}
+
+/// What a typed run shows: its result, `PropertyChecker`'s report, every
+/// recorded round, and the nodes as they ended.
+type TracedRun<P> = (ExecutionResult, PropertyReport, Vec<TraceEvent>, Vec<P>);
+
+fn traced_run<P: Protocol>(
+    spec: &ScenarioSpec,
+    seed: u64,
+    factory: impl FnMut(NodeId) -> P,
+) -> TracedRun<P> {
+    let mut engine = typed_engine(spec, seed, factory);
+    let checker = engine.attach_probe(Box::new(PropertyChecker::new()));
+    let trace = engine.attach_probe(Box::new(FullTrace::new()));
+    let result = engine.run();
+    let mut probes = engine.take_probes();
+    let checker: PropertyChecker = probes.take(checker).expect("checker slot");
+    let trace: FullTrace = probes.take(trace).expect("trace slot");
+    let report = checker.finish(&result);
+    (
+        result,
+        report,
+        trace.events().to_vec(),
+        engine.into_protocols(),
+    )
+}
+
+/// Runs `spec` on `node` as the engine runs it, skipping the quiet rounds
+/// the node ignores, and on `node` wrapped in [`Unhinted`], which the
+/// engine never skips and which checks each hint of the node it wraps;
+/// requires equal results, checker reports and traces, and returns how
+/// many node-rounds the wrapper checked.
+fn with_and_without_the_skip<P: Protocol + Clone + Debug>(
+    name: &str,
+    spec: &ScenarioSpec,
+    seed: u64,
+    node: P,
+) -> u64 {
+    let (result, report, trace, _) = traced_run(spec, seed, |_| node.clone());
+    let (plain_result, plain_report, plain_trace, wrapped) =
+        traced_run(spec, seed, |_| Unhinted::new(node.clone()));
+    assert_eq!(result, plain_result, "{name}: the skip moved the result");
+    assert_eq!(report, plain_report, "{name}: the skip moved the checker");
+    assert_eq!(
+        report,
+        run_spec(spec.clone(), seed).properties,
+        "{name}: the typed run is not the pinned run"
+    );
+    for (event, plain) in trace.iter().zip(&plain_trace) {
+        assert_eq!(event, plain, "{name}: the skip moved round {}", event.round);
+    }
+    assert_eq!(trace.len(), plain_trace.len(), "{name}: rounds recorded");
+    unhinted::audited(&wrapped)
+}
+
+/// The engine skips a node's feedback in a quiet round its protocol
+/// ignores; on every `GOLDEN` and `FAULTY_GOLDEN` row (both protocol
+/// families; staggered, late-joiner and churn cells among them) that
+/// changes no result, no checker report and no round of the trace, and
+/// every hint the run gives keeps its promise.
+#[test]
+fn skipping_quiet_rounds_changes_no_golden_run() {
+    for (name, spec, seed) in golden_specs().into_iter().chain(faulty_golden_specs()) {
+        let audited = match catalogue_node(&spec) {
+            CatalogueProtocol::Trapdoor(node) => with_and_without_the_skip(name, &spec, seed, node),
+            CatalogueProtocol::GoodSamaritan(node) => {
+                with_and_without_the_skip(name, &spec, seed, node)
+            }
+        };
+        assert!(audited > 0, "{name}: no node ever ignored a quiet round");
     }
 }
 
